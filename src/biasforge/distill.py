@@ -226,11 +226,19 @@ class _Enumerators:
     z_logical: np.ndarray
 
 
-_enum_cache: dict[int, _Enumerators] = {}
+_enum_cache: dict[tuple, _Enumerators] = {}
 
 
 def _enumerators(code: CssCode) -> _Enumerators:
-    key = id(code)
+    # keyed on contents: the id() of a freed code can be reused by a new one
+    key = (
+        code.x_checks.shape,
+        code.z_checks.shape,
+        code.x_checks.tobytes(),
+        code.z_checks.tobytes(),
+        code.logical_x.tobytes(),
+        code.logical_z.tobytes(),
+    )
     if key not in _enum_cache:
         x_gen = _row_masks(code.x_checks)
         z_gen = _row_masks(code.z_checks)

@@ -35,11 +35,23 @@ Faults are (location index, PauliString-on-global-ids) pairs, applied
 after their location executes, except at MeasX locations where they are
 applied before readout.  Fault Paulis may touch any qubit that is live at
 that point in the circuit.
+
+Execution: a circuit is compiled once against a live register that puts
+a qubit on the top bit at PrepX and drops it at MeasX (at most 2n+1
+qubits).  All live measurement branches form one (B, 2^q) amplitude stack
+with (B, M) records and (B,) probabilities.  Each run of PrepX and
+(diagonal) gate locations up to the next readout or fault is one
+precomputed factor; a Pauli fault is a phase vector and an index
+permutation; a readout splits every row into its +1 and -1 children,
+interleaved so rows stay in depth-first (+1 first) order.  Enumeration
+keeps children of conditional probability above 1e-12; a run keeps one.
+Decoding and classification act on whole stacks too.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,7 +59,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import statevec as sv
-from .statevec import BranchError, PauliString, StateVector
+from .statevec import BranchError, PauliString
 
 SIM_MAX_N = 7  # live register peaks at 2n+1 qubits; keeps arrays small
 
@@ -157,6 +169,7 @@ def block3_qubits(n: int) -> range:
     return range(2 * n, 3 * n)
 
 
+@functools.lru_cache(maxsize=64)
 def build_circuit(cfg: GadgetConfig) -> Circuit:
     n, r_z, r_zz = cfg.n, cfg.r_z, cfg.r_zz
     locs: list[Location] = []
@@ -210,52 +223,68 @@ def build_circuit(cfg: GadgetConfig) -> Circuit:
 
 
 # ---------------------------------------------------------------------------
-# Execution engine: a live register that allocates qubits at PrepX and drops
-# them at MeasX, so the array never exceeds 2n+1 qubits.
+# Execution engine: the stacked branches advance through the compiled
+# circuit together (see the module docstring).
 
 
-class _Register:
-    __slots__ = ("amps", "order")
+@dataclass(frozen=True, eq=False)
+class _Step:
+    """One location compiled against the register layout at that point."""
 
-    def __init__(self):
-        self.amps = np.ones(1, dtype=np.complex128)
-        self.order: list[int] = []  # qubit id by position (bit index)
+    kind: LocationKind
+    positions: dict[int, int]  # qubit id -> bit position when this location's fault fires
+    measured: int  # bit position of the measured qubit (MEAS_X), else -1
+    diagonal: np.ndarray | None  # gate phases over the live register (CZ_THETA / CPHASE)
+    next_readout: int  # index of the first MEAS_X location at or after this one
 
-    def copy(self) -> "_Register":
-        r = _Register.__new__(_Register)
-        r.amps = self.amps.copy()
-        r.order = list(self.order)
-        return r
 
-    @property
-    def num_qubits(self) -> int:
-        return len(self.order)
+@functools.lru_cache(maxsize=64)
+def _program(cfg: GadgetConfig) -> tuple[_Step, ...]:
+    """Compile the circuit of ``cfg``: qubits are allocated at the top bit at
+    PrepX and dropped at MeasX, so the register never exceeds 2n+1 qubits."""
+    order: list[int] = []  # qubit id by bit position
+    compiled = []
+    for loc in build_circuit(cfg).locations:
+        measured, diagonal = -1, None
+        if loc.kind is LocationKind.PREP_X:
+            order.append(loc.qubits[0])
+        elif loc.kind is LocationKind.MEAS_X:
+            measured = order.index(loc.qubits[0])
+        elif loc.kind is LocationKind.CZ_THETA:
+            diagonal = sv._cz_theta_diagonal(len(order), *map(order.index, loc.qubits), cfg.theta)
+        else:
+            diagonal = sv._cphase_diagonal(len(order), *map(order.index, loc.qubits))
+        compiled.append((loc.kind, {q: p for p, q in enumerate(order)}, measured, diagonal))
+        if measured >= 0:
+            order.pop(measured)
+    if order != list(block3_qubits(cfg.n)):
+        raise AssertionError(f"unexpected final register order {order} vs {list(block3_qubits(cfg.n))}")
+    readouts = [t for t, c in enumerate(compiled) if c[0] is LocationKind.MEAS_X] + [len(compiled)]
+    return tuple(_Step(*c, next(r for r in readouts if r >= t)) for t, c in enumerate(compiled))
 
-    def position(self, qid: int) -> int:
-        return self.order.index(qid)
 
-    def prep_plus(self, qid: int) -> None:
-        self.amps = np.concatenate([self.amps, self.amps]) * sv._SQRT_HALF
-        self.order.append(qid)
+@functools.lru_cache(maxsize=4096)
+def _factor(cfg: GadgetConfig, start: int, stop: int) -> np.ndarray:
+    """Locations start..stop-1 (no MeasX among them, k PrepX) as one
+    (2^k, 2^q) array f: a stack becomes (amps[:, None, :] * f).reshape(B, -1),
+    the new qubits taking the top bits in |+>."""
+    run = _program(cfg)[start:stop]
+    grow = sum(step.kind is LocationKind.PREP_X for step in run)
+    size = 1 << len(run[-1].positions)
+    f = np.full(size, sv._SQRT_HALF**grow, dtype=np.complex128)
+    for step in run:
+        if step.diagonal is not None:
+            f *= np.tile(step.diagonal, size // len(step.diagonal))
+    return f.reshape(1 << grow, -1)
 
-    def cz_theta(self, q1: int, q2: int, theta: float) -> None:
-        sv._kernel_cz_theta(self.amps, self.num_qubits, self.position(q1), self.position(q2), theta)
 
-    def cphase(self, q1: int, q2: int) -> None:
-        sv._kernel_cphase(self.amps, self.num_qubits, self.position(q1), self.position(q2))
+# fault Paulis recur across subsets and trials; registers stay <= 2n+1 qubits
+_pauli_action = functools.lru_cache(maxsize=1024)(sv._pauli_action)
 
-    def pauli(self, p: PauliString) -> None:
-        local = p.mapped({q: i for i, q in enumerate(self.order)})
-        sv._kernel_pauli(self.amps, self.num_qubits, local)
 
-    def x_branch_probabilities(self, qid: int):
-        plus, minus = sv._kernel_x_components(self.amps, self.num_qubits, self.position(qid))
-        return plus, minus
-
-    def collapse_drop(self, qid: int, component: np.ndarray, prob: float) -> None:
-        """Replace the register with one measurement branch, qubit removed."""
-        self.amps = component / math.sqrt(prob)
-        self.order.pop(self.position(qid))
+def _apply_local_pauli(state: np.ndarray, n: int, p: PauliString) -> np.ndarray:
+    source, phase = _pauli_action(n, p.xs, p.zs)
+    return state[..., source] * phase
 
 
 @dataclass(frozen=True)
@@ -264,104 +293,106 @@ class Branch:
     probability: float
     state: np.ndarray  # block-3 amplitudes, canonical qubit order
 
-    @property
-    def num_qubits(self) -> int:
-        return int(round(math.log2(self.state.size)))
+
+@dataclass(frozen=True, eq=False)
+class Branches:
+    """The measurement branches of one execution, stacked in depth-first
+    (+1 outcome first) order; iterating yields :class:`Branch` rows."""
+
+    records: np.ndarray  # (B, num_measurements) int8 entries +1 / -1
+    probabilities: np.ndarray  # (B,)
+    states: np.ndarray  # (B, 2^n) block-3 amplitudes, canonical qubit order
+
+    def __len__(self) -> int:
+        return len(self.probabilities)
+
+    def __getitem__(self, i: int) -> Branch:
+        return Branch(tuple(self.records[i].tolist()), float(self.probabilities[i]), self.states[i])
 
 
 _BRANCH_EPS = 1e-12  # outcome probabilities below this are treated as zero
+_MAX_AMPS = 1 << 20  # larger stacks are advanced in halves, bounding memory
 
 
-def _faults_by_location(faults) -> dict[int, PauliString]:
-    merged: dict[int, PauliString] = {}
-    for loc, pauli in faults:
-        merged[loc] = merged.get(loc, PauliString()).compose(pauli)
-    return merged
+def _measure(amps, bits, probs, position, m, choose):
+    """Split every row on an X readout of bit ``position`` into children 2b
+    (+1) and 2b+1 (-1); ``choose(m, cond)`` picks from their conditional
+    probabilities the indices of the children kept.  Rows stay
+    unnormalized: a row's squared norm is its branch probability."""
+    children = sv._x_split(amps, position)
+    parts = children.view(np.float64)
+    mass = np.einsum("ij,ij->i", parts, parts)
+    kept = choose(m, mass / probs.repeat(2))
+    bits = bits[kept >> 1]
+    bits[:, m] = kept & 1
+    return children[kept], bits, mass[kept]
 
 
-def _final_block3(circuit: Circuit, reg: _Register) -> np.ndarray:
-    expected = list(block3_qubits(circuit.n))
-    if reg.order != expected:
-        raise AssertionError(f"unexpected final register order {reg.order} vs {expected}")
-    return reg.amps.copy()
-
-
-def _run_segment(circuit, theta, reg, fault_map, start, meas_index, policy, record, prob, sink):
-    """Execute locations from ``start``; recurse at measurements.
-
-    ``policy(meas_index, p_plus, p_minus) -> list[int]`` returns the outcome
-    branches to follow (one entry for sampling/forcing, possibly two for
-    enumeration).
-    """
-    locs = circuit.locations
-    t = start
-    while t < len(locs):
-        loc = locs[t]
-        fault = fault_map.get(t)
-        if loc.kind is LocationKind.PREP_X:
-            reg.prep_plus(loc.qubits[0])
-        elif loc.kind is LocationKind.CZ_THETA:
-            reg.cz_theta(loc.qubits[0], loc.qubits[1], theta)
-        elif loc.kind is LocationKind.CPHASE:
-            reg.cphase(*loc.qubits)
-        else:  # MEAS_X: fault fires before readout
+def _advance(cfg, fault_ops, choose, t, m, amps, bits, probs) -> Branches:
+    """Run locations t.. on a stack whose rows have outcome bits (0 for
+    +1) for the first m readouts."""
+    steps = _program(cfg)
+    while t < len(steps):
+        if len(amps) > 1 and amps.size > _MAX_AMPS:
+            half = len(amps) // 2
+            parts = [
+                _advance(cfg, fault_ops, choose, t, m, amps[s], bits[s], probs[s])
+                for s in (slice(None, half), slice(half, None))
+            ]
+            return Branches(
+                np.concatenate([p.records for p in parts]),
+                np.concatenate([p.probabilities for p in parts]),
+                np.concatenate([p.states for p in parts]),
+            )
+        step = steps[t]
+        if step.kind is LocationKind.MEAS_X:
+            fault = fault_ops.get(t)  # fires before readout
             if fault is not None:
-                reg.pauli(fault)
-            qid = loc.qubits[0]
-            plus, minus = reg.x_branch_probabilities(qid)
-            p_plus = float(np.vdot(plus, plus).real)
-            p_minus = float(np.vdot(minus, minus).real)
-            outcomes = policy(meas_index, p_plus, p_minus)
-            for k, value in enumerate(outcomes):
-                branch_prob = p_plus if value == +1 else p_minus
-                child = reg if k == len(outcomes) - 1 else reg.copy()
-                comp = plus if value == +1 else minus
-                if child is not reg:
-                    comp = comp.copy()
-                child.collapse_drop(qid, comp, branch_prob)
-                _run_segment(
-                    circuit, theta, child, fault_map, t + 1, meas_index + 1, policy,
-                    record + [value], prob * branch_prob, sink,
-                )
-            return
-        if fault is not None and loc.kind is not LocationKind.MEAS_X:
-            reg.pauli(fault)
-        t += 1
-    sink(tuple(record), prob, _final_block3(circuit, reg))
+                amps = amps[:, fault[0]] * fault[1]
+            amps, bits, probs = _measure(amps, bits, probs, step.measured, m, choose)
+            t, m = t + 1, m + 1
+            continue
+        # the PrepX and gate locations up to the next readout or fault act as one factor
+        stop = min([step.next_readout] + [f + 1 for f in fault_ops if t <= f < step.next_readout])
+        amps = (amps[:, None, :] * _factor(cfg, t, stop)).reshape(len(amps), -1)
+        fault = fault_ops.get(stop - 1)
+        if fault is not None:
+            amps = amps[:, fault[0]] * fault[1]
+        t = stop
+    return Branches(1 - 2 * bits, probs, amps / np.sqrt(probs)[:, None])
 
 
-def _execute(circuit: Circuit, cfg: GadgetConfig, faults, policy, sink) -> None:
-    _run_segment(circuit, cfg.theta, _Register(), _faults_by_location(faults), 0, 0, policy, [], 1.0, sink)
+def _simulate(circuit: Circuit, cfg: GadgetConfig, faults, choose) -> Branches:
+    if circuit.locations != build_circuit(cfg).locations:
+        raise ConfigError("circuit was not built from this config")
+    merged: dict[int, PauliString] = {}
+    for t, pauli in faults:
+        merged[t] = merged.get(t, PauliString()).compose(pauli)
+    fault_ops = {}
+    for t, pauli in merged.items():
+        positions = _program(cfg)[t].positions
+        local = pauli.mapped(positions)
+        fault_ops[t] = _pauli_action(len(positions), local.xs, local.zs)
+    bits = np.zeros((1, cfg.num_measurements), dtype=np.int8)
+    return _advance(cfg, fault_ops, choose, 0, 0, np.ones((1, 1), dtype=np.complex128), bits, np.ones(1))
 
 
-def enumerate_branches(circuit: Circuit, cfg: GadgetConfig, faults=()) -> list[Branch]:
-    """All measurement branches with probability > ~1e-12, exactly executed."""
-    out: list[Branch] = []
+def enumerate_branches(circuit: Circuit, cfg: GadgetConfig, faults=()) -> Branches:
+    """All measurement branches with probability > ~1e-12, exactly executed.
 
-    def policy(_idx, p_plus, p_minus):
-        branches = []
-        if p_plus > _BRANCH_EPS:
-            branches.append(+1)
-        if p_minus > _BRANCH_EPS:
-            branches.append(-1)
-        return branches
-
-    _execute(circuit, cfg, faults, policy, lambda rec, p, st: out.append(Branch(rec, p, st)))
-    return out
-
-
-def _single_path(circuit, cfg, faults, policy):
-    result = {}
-
-    def sink(rec, p, st):
-        result["branch"] = Branch(rec, p, st)
-
-    _execute(circuit, cfg, faults, policy, sink)
-    return result["branch"]
+    Every location acts once on the whole stack of live branches; each
+    X readout splits every row into its +1 and -1 children (interleaved, so
+    the rows stay in depth-first order) and drops children whose
+    conditional probability is at most 1e-12.  ``faults`` is an iterable of
+    (location index, PauliString) pairs.
+    """
+    return _simulate(circuit, cfg, faults, lambda _m, cond: np.flatnonzero(cond > _BRANCH_EPS))
 
 
 # ---------------------------------------------------------------------------
-# Targets, correction tables, decoding, classification.
+# Targets, correction tables, decoding, classification.  The batch functions
+# (_decode_records, _classify_states, outcome_bins) hold the decoding rule;
+# decode and classify_logical wrap them for one record or state.
 
 
 def target_state(cfg: GadgetConfig) -> np.ndarray:
@@ -376,6 +407,7 @@ def target_state(cfg: GadgetConfig) -> np.ndarray:
     return (zero_l + np.exp(1j * cfg.theta) * one_l) / math.sqrt(2)
 
 
+@functools.lru_cache(maxsize=None)
 def _logical_paulis(n: int) -> dict[LogicalClass, PauliString]:
     return {
         LogicalClass.I: PauliString(),
@@ -387,11 +419,9 @@ def _logical_paulis(n: int) -> dict[LogicalClass, PauliString]:
 
 _CLASS_ORDER = (LogicalClass.I, LogicalClass.XL, LogicalClass.ZL, LogicalClass.YL)
 
-
-def _apply_local_pauli(state: np.ndarray, n: int, p: PauliString) -> np.ndarray:
-    out = state.copy()
-    sv._kernel_pauli(out, n, p)
-    return out
+# Outcome bins shared by enumeration and Monte Carlo: the accepted classes in
+# _CLASS_ORDER, then rejected records, then accepted anomalies.
+BIN_REJECTED, BIN_ANOMALY = 4, 5
 
 
 def _state_fidelity(a: np.ndarray, b: np.ndarray) -> float:
@@ -402,7 +432,10 @@ class CorrectionTableError(RuntimeError):
     """The noiseless branch set admits no consistent correction table."""
 
 
-_table_cache: dict[tuple, dict] = {}
+@functools.lru_cache(maxsize=None)
+def _base(cfg: GadgetConfig) -> GadgetConfig:
+    """The config with r_z = r_zz = 1: the key of the per-(n, theta) tables."""
+    return GadgetConfig(n=cfg.n, theta=cfg.theta, r_z=1, r_zz=1, target=cfg.target)
 
 
 def correction_table(cfg: GadgetConfig) -> dict[tuple[int, int, int], PauliString]:
@@ -413,24 +446,24 @@ def correction_table(cfg: GadgetConfig) -> dict[tuple[int, int, int], PauliStrin
     absent from the table are not Pauli-correctable to the target and are
     rejected by the decoder.
     """
-    key = (cfg.n, cfg.target, round(cfg.theta, 12))
-    if key in _table_cache:
-        return _table_cache[key]
-    base = GadgetConfig(n=cfg.n, theta=cfg.theta, r_z=1, r_zz=1, target=cfg.target)
-    circuit = build_circuit(base)
+    return _correction_tables(_base(cfg))[0]
+
+
+@functools.lru_cache(maxsize=None)
+def _correction_tables(base: GadgetConfig) -> tuple[dict, np.ndarray]:
+    """The correction table and its (zl_bit, b, alpha) -> class-index lookup
+    array (-1 where not correctable)."""
     target = target_state(base)
-    paulis = _logical_paulis(cfg.n)
-    table: dict[tuple[int, int, int], PauliString] = {}
+    paulis = _logical_paulis(base.n)
+    branches = enumerate_branches(build_circuit(base), base)
+    zl_bits, bs, correlated, alphas = _record_fields(base, branches.records)
+    if not correlated.all():
+        raise CorrectionTableError("noiseless branch with mismatched X records")
     chosen: dict[tuple[int, int, int], LogicalClass] = {}
-    for branch in enumerate_branches(circuit, base):
-        summary = _record_summary(base, branch.record)
-        if not summary.correlated:
-            raise CorrectionTableError("noiseless branch with mismatched X records")
-        k = (summary.zl_bit, summary.b, summary.alpha)
+    for k, state in zip(zip(zl_bits.tolist(), bs.tolist(), alphas.tolist()), branches.states):
         found = None
         for cls in _CLASS_ORDER:
-            cand = _apply_local_pauli(branch.state, cfg.n, paulis[cls])
-            if _state_fidelity(cand, target) > 1 - 1e-9:
+            if _state_fidelity(_apply_local_pauli(state, base.n, paulis[cls]), target) > 1 - 1e-9:
                 found = cls
                 break
         if found is None:
@@ -440,53 +473,79 @@ def correction_table(cfg: GadgetConfig) -> dict[tuple[int, int, int], PauliStrin
         if k in chosen and chosen[k] is not found:
             raise CorrectionTableError(f"inconsistent corrections for key {k}")
         chosen[k] = found
-        table[k] = paulis[found]
-    if not table:
+    if not chosen:
         raise CorrectionTableError("no branch is Pauli-correctable to the target")
-    _table_cache[key] = table
-    return table
+    lookup = np.full((2, 2, base.n + 1), -1, dtype=np.int8)
+    for k, cls in chosen.items():
+        lookup[k] = _CLASS_ORDER.index(cls)
+    return {k: paulis[cls] for k, cls in chosen.items()}, lookup
 
 
-@dataclass(frozen=True)
-class _RecordSummary:
-    zl_bit: int
-    b: int
-    zl_parity_value: int
-    b_value: int
-    block1_x: tuple[int, ...]
-    block2_x: tuple[int, ...]
-    correlated: bool
-    alpha: int
-
-
-def _majority(values) -> int:
-    return +1 if sum(values) > 0 else -1
-
-
-def _record_summary(cfg: GadgetConfig, record) -> _RecordSummary:
+def _record_fields(cfg: GadgetConfig, records: np.ndarray):
+    """(zl_bit, b, correlated, alpha) arrays of (B, M) +/-1 records: the
+    majority-voted parity bits, whether the block-1 and block-2 X records
+    are perfectly (anti)correlated, and the block-2 +1 count."""
     n, r_z, r_zz = cfg.n, cfg.r_z, cfg.r_zz
-    if len(record) != cfg.num_measurements:
-        raise RecordError(f"record length {len(record)} != {cfg.num_measurements}")
-    if any(v not in (+1, -1) for v in record):
-        raise RecordError("record entries must be +1 or -1")
-    zl_readings = record[:r_z]
-    block1 = tuple(record[r_z : r_z + n])
-    zz_readings = record[r_z + n : r_z + n + r_zz]
-    block2 = tuple(record[r_z + n + r_zz :])
-    zl_value = _majority(zl_readings)
-    b_value = _majority(zz_readings)
-    same = all(a == b for a, b in zip(block1, block2))
-    opposite = all(a == -b for a, b in zip(block1, block2))
-    return _RecordSummary(
-        zl_bit=0 if zl_value == +1 else 1,
-        b=0 if b_value == +1 else 1,
-        zl_parity_value=zl_value,
-        b_value=b_value,
-        block1_x=block1,
-        block2_x=block2,
-        correlated=same or opposite,
-        alpha=sum(1 for v in block2 if v == +1),
-    )
+    block1 = records[:, r_z : r_z + n]
+    block2 = records[:, r_z + n + r_zz :]
+    zl_bit = (records[:, :r_z].sum(axis=1) < 0).astype(np.intp)
+    b = (records[:, r_z + n : r_z + n + r_zz].sum(axis=1) < 0).astype(np.intp)
+    correlated = np.abs((block1 * block2).sum(axis=1)) == n
+    return zl_bit, b, correlated, (block2 > 0).sum(axis=1)
+
+
+def _decode_records(cfg: GadgetConfig, records: np.ndarray):
+    """(zl_bit, b, correction): the correction is an index into _CLASS_ORDER
+    (the logical Pauli applied to block 3), -1 for a rejected record."""
+    zl_bit, b, correlated, alpha = _record_fields(cfg, records)
+    lookup = _correction_tables(_base(cfg))[1]
+    return zl_bit, b, np.where(correlated, lookup[zl_bit, b, alpha], -1)
+
+
+@functools.lru_cache(maxsize=None)
+def _class_candidates(base: GadgetConfig) -> np.ndarray:
+    """(2^n, correction, class, z-pattern) conjugated candidate amplitudes.
+
+    Each class is represented by the target hit with that logical Pauli
+    and each correctable-weight (<= (n-1)/2) physical Z pattern on the
+    output block.  The correction is folded in: <c|C s> = <C c|s> up to
+    phase, since a Pauli is its own inverse up to phase.
+    """
+    n = base.n
+    target = target_state(base)
+    paulis = [_logical_paulis(n)[cls] for cls in _CLASS_ORDER]
+    z_masks = [m for m in range(1 << n) if int(m).bit_count() <= (n - 1) // 2]
+    cand = np.array([[_apply_local_pauli(target, n, p.compose(PauliString(zs=m))) for m in z_masks] for p in paulis])
+    folded = np.stack([_apply_local_pauli(cand, n, corr) for corr in paulis])
+    return np.ascontiguousarray(np.moveaxis(folded.conj(), -1, 0))
+
+
+def _classify_states(cfg: GadgetConfig, states: np.ndarray, corrections: np.ndarray):
+    """(class index, fidelity, anomaly) of (B, 2^n) accepted output states
+    under their correction indices: the first class in _CLASS_ORDER with
+    fidelity > 0.99 wins; otherwise the state is booked ZL with its best
+    fidelity, and flagged an anomaly when that is below 0.5."""
+    cand = _class_candidates(_base(cfg))
+    overlaps = np.abs(states @ cand.reshape(cand.shape[0], -1)) ** 2
+    rows = np.arange(len(states))
+    fid = overlaps.reshape(len(states), *cand.shape[1:])[rows, corrections].max(axis=2)
+    first = (fid > 0.99).argmax(axis=1)
+    found = fid[rows, first] > 0.99
+    best = fid.max(axis=1)
+    cls = np.where(found, first, _CLASS_ORDER.index(LogicalClass.ZL))
+    return cls, np.where(found, fid[rows, first], best), best < 0.5
+
+
+def outcome_bins(cfg: GadgetConfig, branches: Branches) -> np.ndarray:
+    """Per-branch outcome bin: the class index in (I, XL, ZL, YL) of an
+    accepted branch, BIN_ANOMALY for an accepted anomaly, BIN_REJECTED for
+    a rejected record."""
+    _, _, corrections = _decode_records(cfg, branches.records)
+    bins = np.full(len(branches), BIN_REJECTED)
+    accepted = corrections >= 0
+    cls, _, anomaly = _classify_states(cfg, branches.states[accepted], corrections[accepted])
+    bins[accepted] = np.where(anomaly, BIN_ANOMALY, cls)
+    return bins
 
 
 @dataclass
@@ -503,6 +562,13 @@ class GadgetOutcome:
     anomaly: bool = False
     probability: float | None = None
 
+    @property
+    def bin(self) -> int:
+        """The outcome bin (see outcome_bins)."""
+        if not self.accepted:
+            return BIN_REJECTED
+        return BIN_ANOMALY if self.anomaly else _CLASS_ORDER.index(self.logical_class)
+
 
 def decode(cfg: GadgetConfig, raw_measurements) -> GadgetOutcome:
     """Classical decoding of a complete measurement record.
@@ -511,48 +577,34 @@ def decode(cfg: GadgetConfig, raw_measurements) -> GadgetOutcome:
     correlation test, and looks up the block-3 correction; records whose
     (parity, b, alpha) key is not correctable are rejected.
     """
-    s = _record_summary(cfg, raw_measurements)
-    table = correction_table(cfg)
-    correction = None
-    accepted = False
-    if s.correlated:
-        local = table.get((s.zl_bit, s.b, s.alpha))
-        if local is not None:
-            accepted = True
-            offset = 2 * cfg.n
-            correction = PauliString(xs=local.xs << offset, zs=local.zs << offset)
+    record = tuple(raw_measurements)
+    if len(record) != cfg.num_measurements:
+        raise RecordError(f"record length {len(record)} != {cfg.num_measurements}")
+    if any(v not in (+1, -1) for v in record):
+        raise RecordError("record entries must be +1 or -1")
+    zl_bit, b, corrections = _decode_records(cfg, np.array([record], dtype=np.int8))
+    return _outcome(cfg, record, zl_bit[0], b[0], corrections[0])
+
+
+def _outcome(cfg: GadgetConfig, record: tuple[int, ...], zl_bit, b, correction) -> GadgetOutcome:
+    """The decoded outcome of one record whose correction index (into
+    _CLASS_ORDER, -1 when rejected) is known."""
+    accepted = bool(correction >= 0)
+    pauli = None
+    if accepted:
+        local = _logical_paulis(cfg.n)[_CLASS_ORDER[correction]]
+        offset = 2 * cfg.n
+        pauli = PauliString(xs=local.xs << offset, zs=local.zs << offset)
+    n, r_z, r_zz = cfg.n, cfg.r_z, cfg.r_zz
     return GadgetOutcome(
         accepted=accepted,
-        b=s.b,
-        zl_parity=s.zl_bit,
-        block1_x=s.block1_x,
-        block2_x=s.block2_x,
-        correction=correction,
+        b=int(b),
+        zl_parity=int(zl_bit),
+        block1_x=record[r_z : r_z + n],
+        block2_x=record[r_z + n + r_zz :],
+        correction=pauli,
         logical_class=LogicalClass.I if accepted else LogicalClass.REJECTED,
     )
-
-
-_candidate_cache: dict[tuple, list] = {}
-
-
-def _class_candidates(cfg: GadgetConfig):
-    """For each logical class, the target states equivalent up to correctable
-    residual Z errors (weight <= (n-1)/2) on the output block."""
-    key = (cfg.n, cfg.target, round(cfg.theta, 12))
-    if key in _candidate_cache:
-        return _candidate_cache[key]
-    n = cfg.n
-    target = target_state(cfg)
-    paulis = _logical_paulis(n)
-    max_w = (n - 1) // 2
-    z_masks = [m for m in range(1 << n) if int(m).bit_count() <= max_w]
-    out = []
-    for cls in _CLASS_ORDER:
-        base = _apply_local_pauli(target, n, paulis[cls])
-        states = [_apply_local_pauli(base, n, PauliString(zs=m)) for m in z_masks]
-        out.append((cls, np.stack(states)))
-    _candidate_cache[key] = out
-    return out
 
 
 def classify_logical(
@@ -582,28 +634,8 @@ def classify_logical(
         if (local.xs << offset != correction.xs) or (local.zs << offset != correction.zs):
             raise RecordError("correction acts outside block 3")
         state = _apply_local_pauli(state, n, local)
-    best_fid = -1.0
-    for cls, stack in _class_candidates(cfg):
-        fid = float(np.max(np.abs(stack.conj() @ state) ** 2))
-        if fid > 0.99:
-            return cls, fid, False
-        if fid > best_fid:
-            best_fid = fid
-    if best_fid < 0.5:
-        return LogicalClass.ZL, best_fid, True
-    return LogicalClass.ZL, best_fid, False
-
-
-def _finish_outcome(cfg: GadgetConfig, branch: Branch) -> GadgetOutcome:
-    outcome = decode(cfg, branch.record)
-    outcome.probability = branch.probability
-    if outcome.accepted:
-        outcome.output_state = branch.state
-        cls, fid, anomaly = classify_logical(branch.state, outcome.correction, cfg)
-        outcome.logical_class = cls
-        outcome.class_fidelity = fid
-        outcome.anomaly = anomaly
-    return outcome
+    cls, fid, anomaly = _classify_states(cfg, state.reshape(1, -1), np.zeros(1, dtype=np.intp))
+    return _CLASS_ORDER[cls[0]], float(fid[0]), bool(anomaly[0])
 
 
 def run(
@@ -615,12 +647,16 @@ def run(
 ) -> GadgetOutcome:
     """Execute one (possibly faulty) pass of the gadget and decode it.
 
-    ``faults`` is an iterable of (location index, PauliString) pairs.
-    ``forced_outcomes`` may fix any subset of the measurement outcomes
-    (entries of +1/-1, with None meaning "sample"); forcing an outcome of
-    zero branch probability raises BranchError.  ``output_state`` on the
-    returned outcome is the raw block-3 state; applying ``correction``
-    maps it to the target on accepted noiseless runs.
+    The batched engine of :func:`enumerate_branches` runs on a stack of one
+    row and keeps one child per readout.  ``faults`` is an iterable of
+    (location index, PauliString) pairs.  ``forced_outcomes`` may fix any
+    subset of the measurement outcomes (entries of +1/-1, with None meaning
+    "sample"); forcing an outcome of zero branch probability raises
+    BranchError.  Each sampled readout draws exactly one ``rng.random()``,
+    in measurement order, so a seeded generator replays the same run.
+    ``output_state`` on the returned outcome is the raw block-3 state;
+    applying ``correction`` maps it to the target on accepted noiseless
+    runs.
     """
     n_meas = cfg.num_measurements
     forced: list[int | None]
@@ -630,26 +666,32 @@ def run(
         forced = list(forced_outcomes)
         if len(forced) != n_meas:
             raise RecordError(f"forced outcome list has length {len(forced)}, expected {n_meas}")
+        if any(v not in (None, +1, -1) for v in forced):
+            raise RecordError("forced outcomes must be +1, -1 or None")
     sampler = rng if rng is not None else np.random.default_rng()
 
-    def policy(meas_index, p_plus, p_minus):
-        want = forced[meas_index]
-        if want is not None:
+    def choose(m, cond):
+        p_plus, p_minus = float(cond[0]), float(cond[1])
+        want = forced[m]
+        if want is None:
+            want = +1 if sampler.random() < p_plus else -1
+        else:
             prob = p_plus if want == +1 else p_minus
             if prob <= _BRANCH_EPS:
-                raise BranchError(
-                    f"forced outcome {want} at measurement {meas_index} has probability {prob:.3e}"
-                )
-            return [want]
-        return [+1 if sampler.random() < p_plus else -1]
+                raise BranchError(f"forced outcome {want} at measurement {m} has probability {prob:.3e}")
+        return np.array([0 if want == +1 else 1])
 
-    branch = _single_path(circuit, cfg, faults, policy)
-    return _finish_outcome(cfg, branch)
-
-
-def run_all_branches(circuit: Circuit, cfg: GadgetConfig, faults=()) -> list[GadgetOutcome]:
-    """Decode + classify every branch of :func:`enumerate_branches`."""
-    return [_finish_outcome(cfg, b) for b in enumerate_branches(circuit, cfg, faults)]
+    branches = _simulate(circuit, cfg, faults, choose)
+    zl_bit, b, corrections = _decode_records(cfg, branches.records)
+    outcome = _outcome(cfg, tuple(branches.records[0].tolist()), zl_bit[0], b[0], corrections[0])
+    outcome.probability = float(branches.probabilities[0])
+    if outcome.accepted:
+        outcome.output_state = branches.states[0]
+        cls, fid, anomaly = _classify_states(cfg, branches.states, corrections)
+        outcome.logical_class = _CLASS_ORDER[cls[0]]
+        outcome.class_fidelity = float(fid[0])
+        outcome.anomaly = bool(anomaly[0])
+    return outcome
 
 
 def accept_probability_exact(n: int) -> Fraction:

@@ -15,9 +15,13 @@ Monte Carlo trials draw every event independently; the exhaustive
 enumerator sums all event subsets of size <= k, weighting each by
 prod(p_e) * prod(1 - p_e') over the non-firing events (exact, no
 exponential approximation), and executing every measurement branch of the
-faulted circuit exactly.  Per-subset branch statistics are independent of
-the rates, so they are computed once per circuit shape and reweighted per
-NoiseParams.
+faulted circuit exactly.  Each subset is one ``gadget.enumerate_branches``
+call, whose branch stack is decoded and classified in one batch into six
+outcome-bin masses.  These per-subset masses are independent of the
+rates, so they are computed once per (config, order) and kept as an
+(S, k) event-index matrix and an (S, 6) mass matrix; each NoiseParams then
+costs one vector of subset weights exp(log P(no event) + sum of log-odds)
+and one matrix product.
 
 The primary e_x / e_z / e_y rates are per gadget attempt: the probability
 that a run is accepted AND delivers that logical error.  This is the
@@ -43,6 +47,8 @@ counts in trial order.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -195,58 +201,45 @@ class RateEstimate:
 # ---------------------------------------------------------------------------
 # Exhaustive low-order enumeration.
 
-# class-mass vectors: (accept, xl, zl, yl, reject, anomaly)
-_MASS_ACC, _MASS_XL, _MASS_ZL, _MASS_YL, _MASS_REJ, _MASS_ANOM = range(6)
+# outcome bins (gadget.outcome_bins): accepted-I, accepted-XL, accepted-ZL,
+# accepted-YL, rejected, anomaly; Monte Carlo counts use the same bins
+_N_BINS = 6
 
 
-def _combo_masses(circuit, cfg, fault_subset) -> tuple[float, ...]:
-    masses = [0.0] * 6
-    for branch in gd.enumerate_branches(circuit, cfg, faults=_merge_events(fault_subset)):
-        outcome = gd.decode(cfg, branch.record)
-        p = branch.probability
-        if not outcome.accepted:
-            masses[_MASS_REJ] += p
-            continue
-        masses[_MASS_ACC] += p
-        cls, _fid, anomaly = gd.classify_logical(branch.state, outcome.correction, cfg)
-        if anomaly:
-            masses[_MASS_ANOM] += p
-        elif cls is gd.LogicalClass.XL:
-            masses[_MASS_XL] += p
-        elif cls is gd.LogicalClass.ZL:
-            masses[_MASS_ZL] += p
-        elif cls is gd.LogicalClass.YL:
-            masses[_MASS_YL] += p
-    total = masses[_MASS_ACC] + masses[_MASS_REJ]
+def _combo_masses(circuit, cfg, fault_subset) -> np.ndarray:
+    """Probability mass of each outcome bin over every branch of one subset."""
+    branches = gd.enumerate_branches(circuit, cfg, faults=_merge_events(fault_subset))
+    masses = np.bincount(gd.outcome_bins(cfg, branches), weights=branches.probabilities, minlength=_N_BINS)
+    total = masses.sum()
     if abs(total - 1.0) > 1e-8:
         raise AssertionError(f"branch probabilities sum to {total}, expected 1")
-    return tuple(masses)
+    return masses
 
 
-_combo_cache: dict[tuple, list] = {}
+_RATE_INDEX = {"z": 0, "x": 1, "zz": 2}
 
 
+@functools.lru_cache(maxsize=None)
 def _enumerated_combos(cfg: gd.GadgetConfig, max_order: int):
-    """[(event index tuple, class masses)] for all subsets of size <= k.
+    """(rate index, scale, subsets, masses) for all event subsets of size <= k.
 
-    Independent of NoiseParams, so cached per circuit shape and order.
+    ``subsets`` is an (S, k) event-index matrix, padded with the event count
+    (a column of zero log-odds); ``masses`` is the (S, 6) outcome-bin mass
+    matrix.  Independent of NoiseParams, so cached per config and order.
     """
-    key = (cfg.n, round(cfg.theta, 12), cfg.target, cfg.r_z, cfg.r_zz, max_order)
-    if key in _combo_cache:
-        return _combo_cache[key]
     circuit = gd.build_circuit(cfg)
     events = fault_events(circuit)
-    combos: list[tuple[tuple[int, ...], tuple[float, ...]]] = []
-    combos.append(((), _combo_masses(circuit, cfg, ())))
-    if max_order >= 1:
-        for i, ev in enumerate(events):
-            combos.append(((i,), _combo_masses(circuit, cfg, (ev,))))
+    num = len(events)
+    subsets = [()] + [(i,) for i in range(num)]
     if max_order >= 2:
-        for i in range(len(events)):
-            for j in range(i + 1, len(events)):
-                combos.append(((i, j), _combo_masses(circuit, cfg, (events[i], events[j]))))
-    _combo_cache[key] = (events, combos)
-    return _combo_cache[key]
+        subsets += list(itertools.combinations(range(num), 2))
+    masses = np.array([_combo_masses(circuit, cfg, [events[i] for i in s]) for s in subsets])
+    index = np.full((len(subsets), max_order), num, dtype=np.intp)
+    for row, s in enumerate(subsets):
+        index[row, : len(s)] = s
+    rates = np.array([_RATE_INDEX[ev.rate] for ev in events])
+    scales = np.array([ev.scale for ev in events])
+    return rates, scales, index, masses
 
 
 def enumerate_faults(cfg: gd.GadgetConfig, params: NoiseParams, max_order: int) -> RateEstimate:
@@ -260,60 +253,50 @@ def enumerate_faults(cfg: gd.GadgetConfig, params: NoiseParams, max_order: int) 
     """
     if max_order not in (1, 2):
         raise UnsupportedOrderError(f"max_order must be 1 or 2, got {max_order}")
-    events, combos = _enumerated_combos(cfg, max_order)
-    probs = np.array([ev.probability(params) for ev in events])
+    rates, scales, index, masses = _enumerated_combos(cfg, max_order)
+    probs = np.array([params.p_z, params.p_x, params.p_zz])[rates] * scales
     if np.any(probs >= 1.0):
         raise ValueError("enumeration requires all event probabilities < 1")
-    log_none = float(np.sum(np.log1p(-probs)))
-    odds = probs / (1.0 - probs)
-    totals = [0.0] * 6
-    total_weight = 0.0
-    for indices, masses in combos:
-        w = math.exp(log_none)
-        for i in indices:
-            w *= odds[i]
-        total_weight += w
-        for k in range(6):
-            totals[k] += w * masses[k]
-    acc = totals[_MASS_ACC]
+    with np.errstate(divide="ignore"):
+        log_odds = np.append(np.log(probs) - np.log1p(-probs), 0.0)
+    weights = np.exp(np.sum(np.log1p(-probs)) + log_odds[index].sum(axis=1))
+    total_weight = weights.sum()
+    totals = weights @ masses
+    acc = totals.sum() - totals[gd.BIN_REJECTED]
     if acc <= 0.0:
         raise EstimationError("no accepted mass within enumerated order", reject_rate=1.0)
+    e_x, e_z, e_y = totals[1:4]
     return RateEstimate(
-        e_x=float(totals[_MASS_XL] / total_weight),
-        e_z=float(totals[_MASS_ZL] / total_weight),
-        e_y=float(totals[_MASS_YL] / total_weight),
-        reject_rate=float(totals[_MASS_REJ] / total_weight),
+        e_x=float(e_x / total_weight),
+        e_z=float(e_z / total_weight),
+        e_y=float(e_y / total_weight),
+        reject_rate=float(totals[gd.BIN_REJECTED] / total_weight),
         trials_or_order=max_order,
         ci95_halfwidth=0.0,
-        anomaly_rate=float(totals[_MASS_ANOM] / total_weight),
+        anomaly_rate=float(totals[gd.BIN_ANOMALY] / total_weight),
         accepted_weight=float(acc / total_weight),
-        e_x_given_accept=float(totals[_MASS_XL] / acc),
-        e_z_given_accept=float(totals[_MASS_ZL] / acc),
-        e_y_given_accept=float(totals[_MASS_YL] / acc),
+        e_x_given_accept=float(e_x / acc),
+        e_z_given_accept=float(e_z / acc),
+        e_y_given_accept=float(e_y / acc),
     )
 
 
 # ---------------------------------------------------------------------------
 # Monte Carlo estimation.
 
-# count bins: accepted-I, accepted-XL, accepted-ZL, accepted-YL, rejected, anomaly
-_N_BINS = 6
 
-
+@functools.lru_cache(maxsize=None)
 def _noiseless_leaf_pool(cfg: gd.GadgetConfig):
-    """(cumulative probabilities, accepted flags) of the noiseless branches."""
-    circuit = gd.build_circuit(cfg)
-    branches = gd.enumerate_branches(circuit, cfg)
-    probs = np.array([b.probability for b in branches])
-    accepted = np.array([gd.decode(cfg, b.record).accepted for b in branches])
-    return np.cumsum(probs), accepted
+    """(cumulative probabilities, outcome bins) of the noiseless branches."""
+    branches = gd.enumerate_branches(gd.build_circuit(cfg), cfg)
+    return np.cumsum(branches.probabilities), gd.outcome_bins(cfg, branches)
 
 
 def _mc_counts(cfg, params, seed, trial_range) -> np.ndarray:
     circuit = gd.build_circuit(cfg)
     events = fault_events(circuit)
     probs = np.array([ev.probability(params) for ev in events])
-    cum, accepted_flags = _noiseless_leaf_pool(cfg)
+    cum, leaf_bins = _noiseless_leaf_pool(cfg)
     counts = np.zeros(_N_BINS, dtype=np.int64)
     for t in trial_range:
         rng = np.random.default_rng([seed, t])
@@ -321,25 +304,10 @@ def _mc_counts(cfg, params, seed, trial_range) -> np.ndarray:
         if not fired.any():
             # noiseless execution: sample a branch from the exact pool
             leaf = int(np.searchsorted(cum, rng.random() * cum[-1]))
-            if accepted_flags[min(leaf, len(accepted_flags) - 1)]:
-                counts[0] += 1
-            else:
-                counts[4] += 1
+            counts[leaf_bins[min(leaf, len(leaf_bins) - 1)]] += 1
             continue
         faults = FaultSet(faults=_merge_events([ev for ev, f in zip(events, fired) if f]))
-        outcome = gd.run(circuit, cfg, faults=faults.faults, rng=rng)
-        if not outcome.accepted:
-            counts[4] += 1
-        elif outcome.anomaly:
-            counts[5] += 1
-        elif outcome.logical_class is gd.LogicalClass.I:
-            counts[0] += 1
-        elif outcome.logical_class is gd.LogicalClass.XL:
-            counts[1] += 1
-        elif outcome.logical_class is gd.LogicalClass.ZL:
-            counts[2] += 1
-        else:
-            counts[3] += 1
+        counts[gd.run(circuit, cfg, faults=faults.faults, rng=rng).bin] += 1
     return counts
 
 

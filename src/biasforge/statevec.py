@@ -141,10 +141,6 @@ def _check_qubit(s: StateVector, i: int) -> None:
         raise AddressingError(f"qubit {i} outside register of {s.num_qubits}")
 
 
-def _writable_amps(s: StateVector) -> np.ndarray:
-    return np.array(s.amplitudes, dtype=np.complex128, copy=True)
-
-
 def new_plus_state(q: int) -> StateVector:
     """|+>^q: all 2^q amplitudes equal to 2^(-q/2)."""
     if not 1 <= q <= MAX_QUBITS:
@@ -154,61 +150,43 @@ def new_plus_state(q: int) -> StateVector:
 
 
 # ---------------------------------------------------------------------------
-# In-place kernels.  These mutate the array they are given; the public
-# wrappers copy first.  Qubit p corresponds to axis (L-1-p) after reshaping
-# to [2]*L, i.e. to index bit p.
+# Kernels, shared with the batched branch engine in ``gadget``.  They return
+# fresh arrays; qubit p is bit p of an amplitude index.
 
 
-def _pair_view(amps: np.ndarray, num_qubits: int, i: int, j: int) -> np.ndarray:
-    """5-d view with axes (high, bit_j, mid, bit_i, low) for i < j."""
-    lo, hi = (i, j) if i < j else (j, i)
-    return amps.reshape(
-        1 << (num_qubits - 1 - hi), 2, 1 << (hi - 1 - lo), 2, 1 << lo
-    )
+def _cz_theta_diagonal(num_qubits: int, i: int, j: int, theta: float) -> np.ndarray:
+    index = np.arange(1 << num_qubits)
+    same = ((index >> i) & 1) == ((index >> j) & 1)
+    return np.where(same, np.exp(-0.5j * theta), np.exp(0.5j * theta))
 
 
-def _kernel_cz_theta(amps: np.ndarray, num_qubits: int, i: int, j: int, theta: float) -> None:
-    v = _pair_view(amps, num_qubits, i, j)
-    eq = np.exp(-0.5j * theta)
-    ne = np.exp(0.5j * theta)
-    v[:, 0, :, 0, :] *= eq
-    v[:, 1, :, 1, :] *= eq
-    v[:, 0, :, 1, :] *= ne
-    v[:, 1, :, 0, :] *= ne
+def _cphase_diagonal(num_qubits: int, i: int, j: int) -> np.ndarray:
+    index = np.arange(1 << num_qubits)
+    return np.where((index >> i) & (index >> j) & 1, -1.0 + 0j, 1.0 + 0j)
 
 
-def _kernel_cphase(amps: np.ndarray, num_qubits: int, i: int, j: int) -> None:
-    v = _pair_view(amps, num_qubits, i, j)
-    v[:, 1, :, 1, :] *= -1.0
+def _pauli_action(num_qubits: int, xs: int, zs: int) -> tuple[np.ndarray, np.ndarray]:
+    """(source, phase) with (P a)[..., i] = phase[i] * a[..., source[i]]."""
+    source = np.arange(1 << num_qubits) ^ xs
+    parity = np.zeros_like(source)
+    for p in range(num_qubits):
+        parity ^= ((source & zs) >> p) & 1
+    return source, (1j ** (xs & zs).bit_count()) * (1 - 2 * parity)
 
 
-def _qubit_view(amps: np.ndarray, num_qubits: int, p: int) -> np.ndarray:
-    return amps.reshape(1 << (num_qubits - 1 - p), 2, 1 << p)
-
-
-def _kernel_pauli(amps: np.ndarray, num_qubits: int, pauli: PauliString) -> None:
-    for p in pauli.qubits():
-        v = _qubit_view(amps, num_qubits, p)
-        has_x = (pauli.xs >> p) & 1
-        has_z = (pauli.zs >> p) & 1
-        if has_z:
-            v[:, 1, :] *= -1.0
-        if has_x:
-            tmp = v[:, 0, :].copy()
-            v[:, 0, :] = v[:, 1, :]
-            v[:, 1, :] = tmp
-        if has_x and has_z:
-            amps *= 1j
-
-
-def _kernel_x_components(amps: np.ndarray, num_qubits: int, p: int):
-    """Return unnormalized (plus, minus) component arrays with qubit p removed."""
-    v = _qubit_view(amps, num_qubits, p)
-    a0 = v[:, 0, :]
-    a1 = v[:, 1, :]
-    plus = ((a0 + a1) * _SQRT_HALF).reshape(-1)
-    minus = ((a0 - a1) * _SQRT_HALF).reshape(-1)
-    return plus, minus
+def _x_split(amps: np.ndarray, p: int) -> np.ndarray:
+    """Unnormalized X-readout components of bit p for a (B, 2^q) stack:
+    row b becomes rows 2b (+1) and 2b+1 (-1) of a (2B, 2^(q-1)) array,
+    with qubit p removed."""
+    rows = len(amps)
+    v = amps.reshape(rows, -1, 2, 1 << p)
+    a0, a1 = v[:, :, 0], v[:, :, 1]
+    out = np.empty((rows, 2) + a0.shape[1:], dtype=np.complex128)
+    np.add(a0, a1, out=out[:, 0])
+    np.subtract(a0, a1, out=out[:, 1])
+    out = out.reshape(2 * rows, -1)
+    out *= _SQRT_HALF
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -221,9 +199,7 @@ def apply_cz_theta(s: StateVector, i: int, j: int, theta: float) -> StateVector:
     _check_qubit(s, j)
     if i == j:
         raise AddressingError("cz_theta requires two distinct qubits")
-    out = _writable_amps(s)
-    _kernel_cz_theta(out, s.num_qubits, i, j, theta)
-    return StateVector(s.num_qubits, out)
+    return StateVector(s.num_qubits, s.amplitudes * _cz_theta_diagonal(s.num_qubits, i, j, theta))
 
 
 def apply_cphase(s: StateVector, i: int, j: int) -> StateVector:
@@ -232,17 +208,14 @@ def apply_cphase(s: StateVector, i: int, j: int) -> StateVector:
     _check_qubit(s, j)
     if i == j:
         raise AddressingError("cphase requires two distinct qubits")
-    out = _writable_amps(s)
-    _kernel_cphase(out, s.num_qubits, i, j)
-    return StateVector(s.num_qubits, out)
+    return StateVector(s.num_qubits, s.amplitudes * _cphase_diagonal(s.num_qubits, i, j))
 
 
 def apply_pauli(s: StateVector, p: PauliString) -> StateVector:
     if p.support >> s.num_qubits:
         raise AddressingError("Pauli support outside register")
-    out = _writable_amps(s)
-    _kernel_pauli(out, s.num_qubits, p)
-    return StateVector(s.num_qubits, out)
+    source, phase = _pauli_action(s.num_qubits, p.xs, p.zs)
+    return StateVector(s.num_qubits, np.asarray(s.amplitudes)[source] * phase)
 
 
 def measure_x(
@@ -259,7 +232,7 @@ def measure_x(
     from ``rng`` (a fresh generator if none is given).
     """
     _check_qubit(s, i)
-    plus, minus = _kernel_x_components(s.amplitudes, s.num_qubits, i)
+    plus, minus = _x_split(np.asarray(s.amplitudes).reshape(1, -1), i)
     p_plus = float(np.vdot(plus, plus).real)
     p_minus = float(np.vdot(minus, minus).real)
     if forced is not None:

@@ -1,0 +1,179 @@
+"""Regression tests for the batched branch engine.
+
+* ``golden/enumerate_grid.json`` holds every RateEstimate field of order-1
+  and order-2 ``enumerate_faults`` on the 18 criterion-4 points, recorded
+  with the recursive depth-first engine the batched one replaced.
+* The Monte Carlo estimate below was recorded with that engine too; a
+  seeded run must reproduce it exactly.
+* A dense reference simulator, written independently of the package's
+  engine, replays every enumerated branch of random fault subsets.
+"""
+
+import dataclasses
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from biasforge import gadget as gd
+from biasforge import noise as nz
+
+GOLDEN = json.loads((Path(__file__).parent / "golden" / "enumerate_grid.json").read_text())
+
+
+@pytest.mark.parametrize("order", (1, 2))
+@pytest.mark.parametrize("r", (1, 3))
+def test_enumerate_grid_matches_golden(r, order):
+    points = [p for p in GOLDEN["points"] if p["r"] == r and p["order"] == order]
+    assert len(points) == 9
+    cfg = gd.GadgetConfig.t_state(3, r=r)
+    for p in points:
+        est = dataclasses.asdict(nz.enumerate_faults(cfg, nz.NoiseParams.from_bias(p["p_z"], p["eta"]), order))
+        assert est.keys() == p["estimate"].keys()
+        for field, want in p["estimate"].items():
+            assert est[field] == pytest.approx(want, rel=1e-12, abs=1e-15), (p["p_z"], p["eta"], field)
+
+
+def test_monte_carlo_reproduces_recorded_estimate():
+    est = nz.estimate_rates_mc(
+        gd.GadgetConfig.t_state(3, 1), nz.NoiseParams.from_bias(1e-2, 10), trials=3000, seed=11, threads=1
+    )
+    assert est == nz.RateEstimate(
+        e_x=0.03766666666666667,
+        e_z=0.005333333333333333,
+        e_y=0.0,
+        reject_rate=0.6953333333333334,
+        trials_or_order=3000,
+        ci95_halfwidth=0.006812849929942751,
+        ci95_e_x=0.006812849929942751,
+        ci95_e_z=0.0026063072353443213,
+        ci95_e_y=0.0,
+        anomaly_rate=0.0,
+        accepted_weight=0.30466666666666664,
+        e_x_given_accept=0.12363238512035012,
+        e_z_given_accept=0.0175054704595186,
+        e_y_given_accept=0.0,
+    )
+
+
+def test_certain_event_rejected_by_enumeration():
+    with pytest.raises(ValueError):
+        nz.enumerate_faults(gd.GadgetConfig.t_state(3, 1), nz.NoiseParams(p_x=0.0, p_z=1.0, p_zz=0.0), 1)
+
+
+# ---------------------------------------------------------------------------
+# Dense reference: every qubit of the circuit held at once, one record at a
+# time, each readout replayed as an X-basis projector.
+
+
+def _dense_branch(cfg, circuit, faults, record):
+    """(probability, normalised block-3 state) of one measurement record."""
+    num = 3 * cfg.n + cfg.r_z + cfg.r_zz
+    index = np.arange(1 << num)
+
+    def bit(q):
+        return (index >> q) & 1
+
+    def pauli(amps, p):
+        for q in p.qubits():
+            if (p.zs >> q) & 1:
+                amps = amps * (1 - 2 * bit(q))
+            if (p.xs >> q) & 1:
+                amps = amps[index ^ (1 << q)]
+        return amps
+
+    # every qubit starts in |+>: nothing touches a qubit before its PrepX
+    amps = np.full(1 << num, 2.0 ** (-num / 2), dtype=np.complex128)
+    merged = {}
+    for t, p in faults:
+        merged[t] = merged.get(t, gd.PauliString()).compose(p)
+    m = 0
+    for t, loc in enumerate(circuit.locations):
+        fault = merged.get(t)
+        if loc.kind is gd.LocationKind.MEAS_X:
+            if fault is not None:
+                amps = pauli(amps, fault)
+            q = loc.qubits[0]
+            amps = (amps + record[m] * amps[index ^ (1 << q)]) / 2
+            m += 1
+            continue
+        if loc.kind is gd.LocationKind.CZ_THETA:
+            i, j = loc.qubits
+            amps = amps * np.exp(np.where(bit(i) == bit(j), -0.5j, 0.5j) * cfg.theta)
+        elif loc.kind is gd.LocationKind.CPHASE:
+            i, j = loc.qubits
+            amps = amps * (1 - 2 * (bit(i) & bit(j)))
+        if fault is not None:
+            amps = pauli(amps, fault)
+    prob = float(np.vdot(amps, amps).real)
+    # measured qubits sit in |+-> states, whose |0> amplitude is 1/sqrt(2)
+    local = np.arange(1 << cfg.n)
+    block3 = sum(((local >> k) & 1) << (2 * cfg.n + k) for k in range(cfg.n))
+    state = amps[block3]
+    return prob, state / np.linalg.norm(state)
+
+
+_DENSE_CONFIGS = (
+    gd.GadgetConfig.t_state(3, 1),
+    gd.GadgetConfig.plus_i(3, 1),
+    gd.GadgetConfig.t_state(3, 1, r_zz=3),
+    gd.GadgetConfig.t_state(1, 3),
+    gd.GadgetConfig.plus_i(1, 3),
+)
+
+
+@st.composite
+def _faulted_gadget(draw):
+    cfg = draw(st.sampled_from(_DENSE_CONFIGS))
+    circuit = gd.build_circuit(cfg)
+    events = nz.fault_events(circuit, idle_z_multiplier=0.5)
+    chosen = draw(st.lists(st.integers(0, len(events) - 1), max_size=3, unique=True))
+    return cfg, circuit, [(events[i].location, events[i].pauli) for i in chosen]
+
+
+@given(_faulted_gadget())
+def test_enumerate_branches_matches_dense_reference(case):
+    cfg, circuit, faults = case
+    branches = gd.enumerate_branches(circuit, cfg, faults=faults)
+    assert abs(branches.probabilities.sum() - 1.0) < 1e-9
+    for branch in branches:
+        prob, state = _dense_branch(cfg, circuit, faults, branch.record)
+        assert branch.probability == pytest.approx(prob, rel=1e-9, abs=1e-14)
+        assert abs(np.vdot(state, branch.state)) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_large_stacks_advance_in_halves(monkeypatch):
+    cfg = gd.GadgetConfig.t_state(3, 1)
+    circuit = gd.build_circuit(cfg)
+    events = nz.fault_events(circuit)
+    faults = [(events[i].location, events[i].pauli) for i in (3, 40)]
+    whole = gd.enumerate_branches(circuit, cfg, faults=faults)
+    monkeypatch.setattr(gd, "_MAX_AMPS", 64)
+    halves = gd.enumerate_branches(circuit, cfg, faults=faults)
+    assert np.array_equal(whole.records, halves.records)
+    np.testing.assert_allclose(halves.probabilities, whole.probabilities, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(halves.states, whole.states, rtol=0, atol=1e-15)
+
+
+def test_outcome_bins_agree_with_scalar_decoding():
+    cfg = gd.GadgetConfig.t_state(3, 1)
+    circuit = gd.build_circuit(cfg)
+    cz0 = next(t for t, loc in enumerate(circuit.locations) if loc.kind is gd.LocationKind.CZ_THETA)
+    faults = [
+        (cz0, gd.PauliString.z_on(circuit.locations[cz0].qubits)),
+        (circuit.num_locations - 1, gd.PauliString.x_on([6])),
+    ]
+    branches = gd.enumerate_branches(circuit, cfg, faults=faults)
+    bins = gd.outcome_bins(cfg, branches)
+    order = [gd.LogicalClass.I, gd.LogicalClass.XL, gd.LogicalClass.ZL, gd.LogicalClass.YL]
+    for branch, got in zip(branches, bins):
+        outcome = gd.decode(cfg, branch.record)
+        if not outcome.accepted:
+            assert got == gd.BIN_REJECTED
+            continue
+        cls, _, anomaly = gd.classify_logical(branch.state, outcome.correction, cfg)
+        assert got == (gd.BIN_ANOMALY if anomaly else order.index(cls))
+    assert len(set(bins.tolist())) > 2

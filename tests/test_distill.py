@@ -156,6 +156,23 @@ class TestRm15Map:
         assert math.isclose(out.e_z, out_sw.e_x, rel_tol=1e-12)
         assert math.isclose(p, p_sw, rel_tol=1e-12)
 
+    def test_enumerators_follow_code_contents(self, code):
+        # the first code is freed before the second is built, so the second
+        # is usually allocated at the first one's address and gets its id
+        swapped = (code.z_checks.copy(), code.x_checks.copy(), code.logical_z.copy(), code.logical_x.copy())
+        same = (code.x_checks.copy(), code.z_checks.copy(), code.logical_x.copy(), code.logical_z.copy())
+        first = d.CssCode(15, *same)
+        d._enumerators(first)
+        del first
+        second = d.CssCode(15, *swapped)
+        got = d._enumerators(second)
+        x_gen, z_gen = d._row_masks(second.x_checks), d._row_masks(second.z_checks)
+        lx, lz = d._row_masks(second.logical_x.reshape(1, -1))[0], d._row_masks(second.logical_z.reshape(1, -1))[0]
+        assert np.array_equal(got.x_stab, d._span_weights(x_gen))
+        assert np.array_equal(got.x_logical, d._span_weights(x_gen, offset=lx))
+        assert np.array_equal(got.z_stab, d._span_weights(z_gen))
+        assert np.array_equal(got.z_logical, d._span_weights(z_gen, offset=lz))
+
     def test_out_of_range_channel(self):
         with pytest.raises(d.ChannelRangeError):
             d.Channel(0.5, 0.0)
