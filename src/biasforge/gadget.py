@@ -46,6 +46,12 @@ permutation; a readout splits every row into its +1 and -1 children,
 interleaved so rows stay in depth-first (+1 first) order.  Enumeration
 keeps children of conditional probability above 1e-12; a run keeps one.
 Decoding and classification act on whole stacks too.
+
+Sampling: ``run`` draws one uniform per readout and keeps the +1 child
+when it is below the conditional +1 probability.  ``sample_bins`` applies
+the same rule to many runs that share one fault list: their stack is one
+row up to the first readout, branches there to one row per run, and each
+row then follows its own draws, so G runs cost one stacked execution.
 """
 
 from __future__ import annotations
@@ -133,7 +139,6 @@ class GadgetConfig:
 class Location:
     kind: LocationKind
     qubits: tuple[int, ...]
-    step: int
 
     def __post_init__(self):
         want = 2 if self.kind in (LocationKind.CZ_THETA, LocationKind.CPHASE) else 1
@@ -176,7 +181,7 @@ def build_circuit(cfg: GadgetConfig) -> Circuit:
     block_map: dict[int, str] = {}
 
     def add(kind, qubits):
-        locs.append(Location(kind=kind, qubits=tuple(qubits), step=len(locs)))
+        locs.append(Location(kind=kind, qubits=tuple(qubits)))
 
     for q in block1_qubits(n):
         block_map[q] = "block1"
@@ -314,30 +319,32 @@ _BRANCH_EPS = 1e-12  # outcome probabilities below this are treated as zero
 _MAX_AMPS = 1 << 20  # larger stacks are advanced in halves, bounding memory
 
 
-def _measure(amps, bits, probs, position, m, choose):
+def _measure(amps, bits, probs, position, m, choose, first):
     """Split every row on an X readout of bit ``position`` into children 2b
-    (+1) and 2b+1 (-1); ``choose(m, cond)`` picks from their conditional
-    probabilities the indices of the children kept.  Rows stay
+    (+1) and 2b+1 (-1); ``choose(m, cond, first)`` picks from their
+    conditional probabilities the indices of the children kept.  Rows stay
     unnormalized: a row's squared norm is its branch probability."""
     children = sv._x_split(amps, position)
     parts = children.view(np.float64)
     mass = np.einsum("ij,ij->i", parts, parts)
-    kept = choose(m, mass / probs.repeat(2))
+    kept = choose(m, mass / probs.repeat(2), first)
     bits = bits[kept >> 1]
     bits[:, m] = kept & 1
     return children[kept], bits, mass[kept]
 
 
-def _advance(cfg, fault_ops, choose, t, m, amps, bits, probs) -> Branches:
+def _advance(cfg, fault_ops, choose, t, m, amps, bits, probs, first=0) -> Branches:
     """Run locations t.. on a stack whose rows have outcome bits (0 for
-    +1) for the first m readouts."""
+    +1) for the first m readouts.  ``first`` is the index of the stack's
+    first row in the stack it was halved from, so that a sampler keeping
+    one child per row can tell its rows apart after a split."""
     steps = _program(cfg)
     while t < len(steps):
         if len(amps) > 1 and amps.size > _MAX_AMPS:
             half = len(amps) // 2
             parts = [
-                _advance(cfg, fault_ops, choose, t, m, amps[s], bits[s], probs[s])
-                for s in (slice(None, half), slice(half, None))
+                _advance(cfg, fault_ops, choose, t, m, amps[a:b], bits[a:b], probs[a:b], first + a)
+                for a, b in ((0, half), (half, len(amps)))
             ]
             return Branches(
                 np.concatenate([p.records for p in parts]),
@@ -349,7 +356,7 @@ def _advance(cfg, fault_ops, choose, t, m, amps, bits, probs) -> Branches:
             fault = fault_ops.get(t)  # fires before readout
             if fault is not None:
                 amps = amps[:, fault[0]] * fault[1]
-            amps, bits, probs = _measure(amps, bits, probs, step.measured, m, choose)
+            amps, bits, probs = _measure(amps, bits, probs, step.measured, m, choose, first)
             t, m = t + 1, m + 1
             continue
         # the PrepX and gate locations up to the next readout or fault act as one factor
@@ -386,7 +393,7 @@ def enumerate_branches(circuit: Circuit, cfg: GadgetConfig, faults=()) -> Branch
     conditional probability is at most 1e-12.  ``faults`` is an iterable of
     (location index, PauliString) pairs.
     """
-    return _simulate(circuit, cfg, faults, lambda _m, cond: np.flatnonzero(cond > _BRANCH_EPS))
+    return _simulate(circuit, cfg, faults, lambda _m, cond, _first: np.flatnonzero(cond > _BRANCH_EPS))
 
 
 # ---------------------------------------------------------------------------
@@ -638,6 +645,40 @@ def classify_logical(
     return _CLASS_ORDER[cls[0]], float(fid[0]), bool(anomaly[0])
 
 
+def _sampled_children(u, cond) -> np.ndarray:
+    """The children a sampled readout keeps: row i keeps its +1 child 2i
+    iff its draw u[i] is below its conditional +1 probability cond[2i],
+    else its -1 child 2i+1.  A scalar u, or draws for many rows against a
+    single-row stack, broadcast."""
+    plus = cond[0::2]
+    return 2 * np.arange(len(plus)) + np.logical_not(u < plus)
+
+
+def sample_bins(circuit: Circuit, cfg: GadgetConfig, faults, uniforms: np.ndarray) -> np.ndarray:
+    """Outcome bins (see outcome_bins) of len(uniforms) sampled runs that
+    share one fault list.
+
+    Row g is the run that :func:`run` makes with these faults when its
+    readouts draw uniforms[g, 0], uniforms[g, 1], ... in measurement order,
+    so a (G, num_measurements) block of per-run draws replays G calls of
+    run() in one stacked execution.  The stack is a single row up to the
+    first readout, where it branches to one row per run; at readout m each
+    row keeps its +1 child iff uniforms[row, m] is below its conditional
+    +1 probability, the rule run() applies.  Rows stay aligned with runs
+    when a large stack is advanced in halves.
+    """
+    uniforms = np.asarray(uniforms, dtype=np.float64)
+    if uniforms.ndim != 2 or uniforms.shape[1] != cfg.num_measurements:
+        raise RecordError(f"uniforms must have shape (runs, {cfg.num_measurements}), got {uniforms.shape}")
+
+    def choose(m, cond, first):
+        # before the first readout the stack is one row, shared by every run
+        u = uniforms[:, m] if m == 0 else uniforms[first : first + len(cond) // 2, m]
+        return _sampled_children(u, cond)
+
+    return outcome_bins(cfg, _simulate(circuit, cfg, faults, choose))
+
+
 def run(
     circuit: Circuit,
     cfg: GadgetConfig,
@@ -670,15 +711,13 @@ def run(
             raise RecordError("forced outcomes must be +1, -1 or None")
     sampler = rng if rng is not None else np.random.default_rng()
 
-    def choose(m, cond):
-        p_plus, p_minus = float(cond[0]), float(cond[1])
+    def choose(m, cond, _first):
         want = forced[m]
         if want is None:
-            want = +1 if sampler.random() < p_plus else -1
-        else:
-            prob = p_plus if want == +1 else p_minus
-            if prob <= _BRANCH_EPS:
-                raise BranchError(f"forced outcome {want} at measurement {m} has probability {prob:.3e}")
+            return _sampled_children(sampler.random(), cond)
+        prob = float(cond[0 if want == +1 else 1])
+        if prob <= _BRANCH_EPS:
+            raise BranchError(f"forced outcome {want} at measurement {m} has probability {prob:.3e}")
         return np.array([0 if want == +1 else 1])
 
     branches = _simulate(circuit, cfg, faults, choose)

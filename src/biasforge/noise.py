@@ -11,8 +11,7 @@ Elementary fault events, per location:
 Y errors are not an independent process: a qubit suffers Y exactly when
 its Z and X events fire together (probability p_z * p_x).
 
-Monte Carlo trials draw every event independently; the exhaustive
-enumerator sums all event subsets of size <= k, weighting each by
+The exhaustive enumerator sums all event subsets of size <= k, weighting each by
 prod(p_e) * prod(1 - p_e') over the non-firing events (exact, no
 exponential approximation), and executing every measurement branch of the
 faulted circuit exactly.  Each subset is one ``gadget.enumerate_branches``
@@ -40,9 +39,17 @@ theta = pi/4 the X-measurement records are not uniformly distributed
 noiseless rejection rate of the n=3 T gadget is 5/8, larger than the 1/4
 suggested by counting records uniformly.
 
-Trials are reproducible regardless of parallel partitioning: trial t
-draws from ``default_rng([seed, t])`` and aggregation sums integer class
-counts in trial order.
+Monte Carlo trials draw every event independently.  Trial t still draws
+from its own generator, ``np.random.default_rng([seed, t])``: one double per
+event (the event fires when it is below p_e), then one double to pick a
+noiseless branch if nothing fired, or one double per readout if something
+did.  The sampler computes these doubles for a block of trials at once, by
+replaying numpy's SeedSequence hash and PCG64 steps on uint64 arrays, and
+checks once per process that they equal numpy's own.  Faulted trials that
+fired the same events run as one stack through ``gadget.sample_bins``.  A
+trial's outcome thus depends only on (seed, t), and the per-bin integer
+counts, hence the estimates, do not depend on the block size, the
+partition into worker processes or the thread count.
 """
 
 from __future__ import annotations
@@ -50,6 +57,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import os
 from dataclasses import dataclass
 
@@ -116,7 +124,6 @@ class FaultSet:
     """Concrete faults for one execution: per-location merged Pauli products."""
 
     faults: tuple[tuple[int, PauliString], ...]
-    total_probability_weight: float | None = None
 
     def __post_init__(self):
         locs = [loc for loc, _ in self.faults]
@@ -292,22 +299,208 @@ def _noiseless_leaf_pool(cfg: gd.GadgetConfig):
     return np.cumsum(branches.probabilities), gd.outcome_bins(cfg, branches)
 
 
+# Trial t draws from default_rng([seed, t]): a SeedSequence hashes the 32-bit
+# words of seed and t into a PCG64 state, and each random() double is the
+# top 53 bits of the next XSL-RR output.  _TrialStreams replays those steps
+# with numpy for a whole block of trials at once.
+
+_MASK32 = 0xFFFFFFFF
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875  # SeedSequence entropy hash
+_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED  # SeedSequence state output
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4  # SeedSequence's default pool, in 32-bit words
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
+_M32, _S32 = np.uint64(_MASK32), np.uint64(32)
+_MULT_HI, _MULT_LO = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & 0xFFFFFFFFFFFFFFFF)
+_MULT_LO0, _MULT_LO1 = _MULT_LO & _M32, _MULT_LO >> _S32
+
+
+def _words32(value: int) -> list[int]:
+    """The little-endian 32-bit words SeedSequence takes from an integer."""
+    value = operator.index(value)
+    if value < 0:
+        raise ValueError("expected non-negative integer")
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _lcg_mult(hi: np.ndarray, lo: np.ndarray):
+    """(hi, lo) * _PCG_MULT modulo 2^128, on uint64 halves."""
+    lo0, lo1 = lo & _M32, lo >> _S32
+    mid = lo1 * _MULT_LO0
+    cross = ((lo0 * _MULT_LO0) >> _S32) + (mid & _M32) + lo0 * _MULT_LO1
+    carry = lo1 * _MULT_LO1 + (mid >> _S32) + (cross >> _S32)
+    return hi * _MULT_LO + lo * _MULT_HI + carry, lo * _MULT_LO
+
+
+class _TrialStreams:
+    """The generators default_rng([seed, t]) of a block of trials, in lockstep.
+
+    Each generator's 128-bit PCG64 state and increment are held as uint64
+    halves; next() steps every generator once and returns the double its
+    random() would return.  Indexing with a row mask or index array gives
+    the streams of those trials, at the same position.
+    """
+
+    def __init__(self, hi, lo, inc_hi, inc_lo):
+        self.hi, self.lo, self.inc_hi, self.inc_lo = hi, lo, inc_hi, inc_lo
+
+    @classmethod
+    def seeded(cls, seed: int, trials: np.ndarray) -> "_TrialStreams":
+        """The streams of default_rng([seed, t]) for each t in ``trials``."""
+        seed_words = _words32(seed)
+        trials = np.asarray(trials, dtype=np.uint64)
+        two_words = trials > _M32  # such trial indices hash one entropy word more
+        if two_words.any() and not two_words.all():
+            streams = cls(*(np.empty(len(trials), dtype=np.uint64) for _ in range(4)))
+            for rows in (~two_words, two_words):
+                for name, value in vars(cls.seeded(seed, trials[rows])).items():
+                    getattr(streams, name)[rows] = value
+            return streams
+        entropy = [np.full(len(trials), w, dtype=np.uint32) for w in seed_words]
+        entropy += [(trials >> np.uint64(32 * k)).astype(np.uint32) for k in range(1 + int(two_words.any()))]
+        init_hi, init_lo, seq_hi, seq_lo = _seed_sequence_state(entropy)
+        # pcg64 srandom: state 0, inc = 2 initseq + 1; step; state += initstate; step
+        inc_hi = (seq_hi << np.uint64(1)) | (seq_lo >> np.uint64(63))
+        inc_lo = (seq_lo << np.uint64(1)) | np.uint64(1)
+        lo = inc_lo + init_lo
+        streams = cls(inc_hi + init_hi + (lo < inc_lo), lo, inc_hi, inc_lo)
+        streams.step()
+        return streams
+
+    def __getitem__(self, rows) -> "_TrialStreams":
+        return _TrialStreams(self.hi[rows], self.lo[rows], self.inc_hi[rows], self.inc_lo[rows])
+
+    def step(self) -> None:
+        """state <- state * _PCG_MULT + inc modulo 2^128, for every stream."""
+        hi, lo = _lcg_mult(self.hi, self.lo)
+        self.lo = lo + self.inc_lo
+        self.hi = hi + self.inc_hi + (self.lo < lo)
+
+    def next(self) -> np.ndarray:
+        """Advance every stream and return its next random() double."""
+        self.step()
+        xor = self.hi ^ self.lo
+        rot = self.hi >> np.uint64(58)
+        out = (xor >> rot) | (xor << ((np.uint64(64) - rot) & np.uint64(63)))
+        return (out >> np.uint64(11)) * (1.0 / 9007199254740992.0)
+
+
+def _seed_sequence_state(entropy: list[np.ndarray]) -> list[np.ndarray]:
+    """SeedSequence(entropy).generate_state(4, np.uint64), column by column.
+
+    ``entropy`` holds one uint32 array per entropy word; the hash constants
+    evolve independently of the data, so every column shares them."""
+    hash_const = _HASH_INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = (hash_const * _HASH_MULT_A) & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        result = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+        return result ^ (result >> np.uint32(16))
+
+    zero = np.zeros_like(entropy[0])
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, len(entropy)):  # entropy wider than the pool
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(entropy[src]))
+    hash_const = _HASH_INIT_B
+    state = []
+    for i in range(8):
+        value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
+        hash_const = (hash_const * _HASH_MULT_B) & _MASK32
+        value = value * np.uint32(hash_const)
+        value = (value ^ (value >> np.uint32(16))).astype(np.uint64)
+        if i % 2:  # little-endian pairs of words form the uint64 outputs
+            state[-1] |= value << _S32
+        else:
+            state.append(value)
+    return state
+
+
+@functools.cache
+def _check_streams() -> None:
+    """Raise RuntimeError unless _TrialStreams reproduces numpy's generators.
+
+    Run once per process, on seeds of one, three and four 32-bit words (the
+    last, with the trial word, takes SeedSequence's extra mixing loop) and
+    on trial indices of one and two words."""
+    trials = np.array([0, 1, 7, 2**32 + 3])
+    for seed in (11, 2**80 + 5, 2**100 + 3):
+        streams = _TrialStreams.seeded(seed, trials)
+        got = np.column_stack([streams.next() for _ in range(16)])
+        want = np.array([np.random.default_rng([seed, int(t)]).random(16) for t in trials])
+        if not np.array_equal(got, want):
+            raise RuntimeError(f"block random streams differ from numpy {np.__version__}'s default_rng([seed, t])")
+
+
+_BLOCK = 2048  # trials per block, and faulted trials per stacked batch: keeps their arrays under 1 MB
+
+
+def _trial_blocks(seed: int, trial_range: range):
+    """The streams of the trials in ``trial_range``, _BLOCK trials at a time."""
+    for start in range(trial_range.start, trial_range.stop, _BLOCK):
+        yield _TrialStreams.seeded(seed, np.arange(start, min(start + _BLOCK, trial_range.stop)))
+
+
 def _mc_counts(cfg, params, seed, trial_range) -> np.ndarray:
+    """Outcome-bin counts of the trials in ``trial_range``, a block at a time.
+
+    A trial draws one double per fault event (event e fires when its draw is
+    below p_e), then, if nothing fired, one double to pick a noiseless
+    branch; otherwise its readouts draw that double and the ones after it.
+    Faulted trials wait, keyed by the events they fired, until a block's
+    worth has gathered or the range ends; each key then runs as one stack.
+    """
+    _check_streams()
     circuit = gd.build_circuit(cfg)
     events = fault_events(circuit)
     probs = np.array([ev.probability(params) for ev in events])
     cum, leaf_bins = _noiseless_leaf_pool(cfg)
     counts = np.zeros(_N_BINS, dtype=np.int64)
-    for t in trial_range:
-        rng = np.random.default_rng([seed, t])
-        fired = rng.random(len(events)) < probs
-        if not fired.any():
-            # noiseless execution: sample a branch from the exact pool
-            leaf = int(np.searchsorted(cum, rng.random() * cum[-1]))
-            counts[leaf_bins[min(leaf, len(leaf_bins) - 1)]] += 1
-            continue
-        faults = FaultSet(faults=_merge_events([ev for ev, f in zip(events, fired) if f]))
-        counts[gd.run(circuit, cfg, faults=faults.faults, rng=rng).bin] += 1
+    waiting: dict[tuple[int, ...], list[np.ndarray]] = {}  # fired events -> readout draws
+    queued = 0
+    for streams in _trial_blocks(seed, trial_range):
+        fired: dict[int, list[int]] = {}  # block row -> events it fired, in order
+        for e, p in enumerate(probs):
+            for row in np.flatnonzero(streams.next() < p).tolist():
+                fired.setdefault(row, []).append(e)
+        draw = streams.next()
+        rows = np.array(sorted(fired), dtype=np.intp)
+        # noiseless trials: sample a branch from the exact pool
+        leaf = np.minimum(np.searchsorted(cum, np.delete(draw, rows) * cum[-1]), len(leaf_bins) - 1)
+        counts += np.bincount(leaf_bins[leaf], minlength=_N_BINS)
+        if fired:
+            later = streams[rows]
+            draws = np.column_stack([draw[rows]] + [later.next() for _ in range(cfg.num_measurements - 1)])
+            for row, row_draws in zip(rows.tolist(), draws):
+                waiting.setdefault(tuple(fired[row]), []).append(row_draws)
+            queued += len(rows)
+        if queued >= _BLOCK:
+            counts += _stacked_counts(circuit, cfg, events, waiting)
+            waiting, queued = {}, 0
+    return counts + _stacked_counts(circuit, cfg, events, waiting)
+
+
+def _stacked_counts(circuit, cfg, events, waiting) -> np.ndarray:
+    """Outcome-bin counts of faulted trials, one gadget.sample_bins stack
+    per set of fired events."""
+    counts = np.zeros(_N_BINS, dtype=np.int64)
+    for subset, rows in waiting.items():
+        faults = _merge_events([events[i] for i in subset])
+        counts += np.bincount(gd.sample_bins(circuit, cfg, faults, np.array(rows)), minlength=_N_BINS)
     return counts
 
 
@@ -332,9 +525,14 @@ def estimate_rates_mc(
 ) -> RateEstimate:
     """Monte Carlo rate estimate over independent sampled-fault executions.
 
-    Deterministic given (seed, trials): trial t uses its own generator
-    seeded by [seed, t] and the per-class integer counts are summed in
-    trial order, so the result is bit-identical for any thread count.
+    Deterministic given (seed, trials): trial t draws the doubles of
+    ``np.random.default_rng([seed, t])``, computed a block of trials at a
+    time, and the trials are split into contiguous ranges, one per worker
+    process, whose integer bin counts are summed.  Every count, and so the
+    result, is bit-identical for any thread count or block size.  ``seed``
+    must be a non-negative integer (ValueError otherwise); RuntimeError
+    means the installed numpy's generators no longer match the block
+    sampler.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")

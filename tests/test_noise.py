@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from biasforge import bounds as bd
 from biasforge import gadget as gd
@@ -215,6 +217,107 @@ class TestMonteCarlo:
         assert abs(mc.e_x_given_accept - en.e_x_given_accept) <= 4 * binomial_ci(
             mc.e_x_given_accept, en.e_x_given_accept, round(mc.accepted_weight * trials)
         )
+
+
+# ---------------------------------------------------------------------------
+# Block sampler against numpy's per-trial generators and the per-trial loop.
+
+
+@given(
+    seed=st.integers(0, 2**128 - 1),
+    start=st.integers(0, 2**40) | st.sampled_from([0, 2**32 - nz._BLOCK - 1]),
+    extra=st.integers(1, 3),
+    draws=st.integers(1, 100),
+)
+def test_block_streams_replay_default_rng(seed, start, extra, draws):
+    trials = range(start, start + nz._BLOCK + extra)  # crosses one block boundary
+    blocks = list(nz._trial_blocks(seed, trials))
+    assert len(blocks) == 2
+    got = np.concatenate([np.column_stack([s.next() for _ in range(draws)]) for s in blocks])
+    edge = nz._BLOCK
+    for i in sorted({0, 1, edge - 2, edge - 1, edge, len(trials) - 1}):
+        want = np.random.default_rng([seed, trials[i]]).random(draws)
+        assert np.array_equal(got[i], want), (seed, trials[i])
+
+
+def test_negative_seed_rejected():
+    cfg = gd.GadgetConfig.t_state(3, r=1)
+    with pytest.raises(ValueError):
+        nz.estimate_rates_mc(cfg, nz.NoiseParams.from_bias(1e-3, 100), trials=10, seed=-1, threads=1)
+
+
+def test_stream_check_detects_a_mismatch(monkeypatch):
+    nz._check_streams.__wrapped__()
+    monkeypatch.setattr(nz, "_HASH_INIT_B", nz._HASH_INIT_B ^ 1)
+    with pytest.raises(RuntimeError):
+        nz._check_streams.__wrapped__()
+
+
+def _per_trial_counts(cfg, params, seed, trials):
+    """The per-trial Monte Carlo loop the block sampler replaced: trial t
+    seeds default_rng([seed, t]) and calls gadget.run when a fault fired."""
+    circuit = gd.build_circuit(cfg)
+    events = nz.fault_events(circuit)
+    probs = np.array([ev.probability(params) for ev in events])
+    cum, leaf_bins = nz._noiseless_leaf_pool(cfg)
+    counts = np.zeros(6, dtype=np.int64)
+    for t in range(trials):
+        rng = np.random.default_rng([seed, t])
+        fired = rng.random(len(events)) < probs
+        if not fired.any():
+            leaf = int(np.searchsorted(cum, rng.random() * cum[-1]))
+            counts[leaf_bins[min(leaf, len(leaf_bins) - 1)]] += 1
+            continue
+        faults = nz.FaultSet(faults=nz._merge_events([ev for ev, f in zip(events, fired) if f]))
+        counts[gd.run(circuit, cfg, faults=faults.faults, rng=rng).bin] += 1
+    return counts
+
+
+def _assert_estimate_counts(est, counts, trials):
+    acc = counts[0] + counts[1] + counts[2] + counts[3] + counts[5]
+    got = (est.accepted_weight, est.e_x, est.e_z, est.e_y, est.reject_rate, est.anomaly_rate)
+    assert got == tuple(int(k) / trials for k in (acc, *counts[1:])), counts
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [gd.GadgetConfig.t_state(3, r=1), gd.GadgetConfig.t_state(3, r=3), gd.GadgetConfig.plus_i(3, r=1)],
+    ids=["T-r1", "T-r3", "plusI-r1"],
+)
+@pytest.mark.parametrize(
+    "p_z, eta, trials, seed",
+    [(1e-3, 100.0, 3000, 29), (1e-2, 10.0, 1500, 2**100 + 1), (5e-2, 3.0, 400, 7)],
+)
+def test_monte_carlo_counts_match_per_trial_loop(cfg, p_z, eta, trials, seed):
+    params = nz.NoiseParams.from_bias(p_z, eta)
+    want = _per_trial_counts(cfg, params, seed, trials)
+    _assert_estimate_counts(nz.estimate_rates_mc(cfg, params, trials, seed, threads=1), want, trials)
+
+
+@pytest.mark.parametrize(
+    "n, max_amps, trials",
+    # n=5: 600 rows of up to 2^11 amplitudes exceed the engine's own bound,
+    # but only after the last random readout; the lowered bound at n=3
+    # halves the stack before the random block-1 readouts
+    [(5, gd._MAX_AMPS, 600), (3, 1 << 8, 300)],
+)
+def test_monte_carlo_counts_match_per_trial_loop_when_stacks_halve(monkeypatch, n, max_amps, trials):
+    # every Z event fires in every trial, so all trials share one stack
+    cfg = gd.GadgetConfig.t_state(n, r=1)
+    params = nz.NoiseParams(p_x=0.0, p_z=1.0, p_zz=0.0)
+    want = _per_trial_counts(cfg, params, 3, trials)
+    advance, stacks = gd._advance, []
+    monkeypatch.setattr(gd, "_advance", lambda *args: stacks.append(len(args[5])) or advance(*args))
+    monkeypatch.setattr(gd, "_MAX_AMPS", max_amps)
+    _assert_estimate_counts(nz.estimate_rates_mc(cfg, params, trials, 3, threads=1), want, trials)
+    assert len(stacks) > 1 and trials * (1 << (2 * n + 1)) > max_amps
+
+
+def test_sample_bins_needs_one_draw_per_readout():
+    cfg = gd.GadgetConfig.t_state(3, r=1)
+    circuit = gd.build_circuit(cfg)
+    with pytest.raises(gd.RecordError):
+        gd.sample_bins(circuit, cfg, (), np.full((4, cfg.num_measurements - 1), 0.5))
 
 
 def binomial_ci(mc_rate: float, en_rate: float, n: int) -> float:
