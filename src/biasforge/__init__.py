@@ -2,12 +2,13 @@
 
 Layers, bottom up:
 
-* ``statevec``  exact dense state-vector simulation primitives.
+* ``statevec``  dense state-vector kernels (gate diagonals, Pauli action,
+                X-readout split) and the PauliString type.
 * ``gadget``    the repetition-code magic-state preparation circuit, its
-                exact execution (sampled / forced / full branch
-                enumeration) and classical decoding.
-* ``noise``     biased Pauli fault model: Monte Carlo sampling and
-                exhaustive low-order fault enumeration over the gadget.
+                exact execution as one stack of measurement branches
+                (enumerated, forced or sampled) and classical decoding.
+* ``noise``     biased Pauli fault model: exhaustive low-order fault
+                enumeration and block Monte Carlo over the gadget.
 * ``bounds``    closed-form logical error bounds and parameter sweeps.
 * ``distill``   exact 15-qubit Reed-Muller error-detection distillation,
                 concatenation, and overhead planning.
@@ -16,17 +17,7 @@ Layers, bottom up:
 
 __version__ = "0.1.0"
 
-from .statevec import (  # noqa: F401
-    MeasurementOutcome,
-    PauliString,
-    StateVector,
-    apply_cphase,
-    apply_cz_theta,
-    apply_pauli,
-    fidelity,
-    measure_x,
-    new_plus_state,
-)
+from .statevec import PauliString  # noqa: F401
 from .gadget import (  # noqa: F401
     Circuit,
     GadgetConfig,

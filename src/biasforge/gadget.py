@@ -67,7 +67,7 @@ import numpy as np
 from . import statevec as sv
 from .statevec import BranchError, PauliString
 
-SIM_MAX_N = 7  # live register peaks at 2n+1 qubits; keeps arrays small
+SIM_MAX_N = 7  # largest simulated n: the live register peaks at 2n+1 qubits
 
 
 class ConfigError(ValueError):
@@ -110,6 +110,8 @@ class GadgetConfig:
     def __post_init__(self):
         if self.n < 1 or self.n % 2 == 0:
             raise ConfigError(f"code length n={self.n} must be odd and >= 1")
+        if self.n > SIM_MAX_N:
+            raise ConfigError(f"code length n={self.n} exceeds SIM_MAX_N={SIM_MAX_N} (the simulator holds 2n+1 qubits)")
         for name, r in (("r_z", self.r_z), ("r_zz", self.r_zz)):
             if r < 1 or r % 2 == 0:
                 raise ConfigError(f"{name}={r} must be odd and >= 1 (majority votes need odd counts)")
@@ -256,9 +258,9 @@ def _program(cfg: GadgetConfig) -> tuple[_Step, ...]:
         elif loc.kind is LocationKind.MEAS_X:
             measured = order.index(loc.qubits[0])
         elif loc.kind is LocationKind.CZ_THETA:
-            diagonal = sv._cz_theta_diagonal(len(order), *map(order.index, loc.qubits), cfg.theta)
+            diagonal = sv.cz_theta_diagonal(len(order), *map(order.index, loc.qubits), cfg.theta)
         else:
-            diagonal = sv._cphase_diagonal(len(order), *map(order.index, loc.qubits))
+            diagonal = sv.cphase_diagonal(len(order), *map(order.index, loc.qubits))
         compiled.append((loc.kind, {q: p for p, q in enumerate(order)}, measured, diagonal))
         if measured >= 0:
             order.pop(measured)
@@ -284,7 +286,7 @@ def _factor(cfg: GadgetConfig, start: int, stop: int) -> np.ndarray:
 
 
 # fault Paulis recur across subsets and trials; registers stay <= 2n+1 qubits
-_pauli_action = functools.lru_cache(maxsize=1024)(sv._pauli_action)
+_pauli_action = functools.lru_cache(maxsize=1024)(sv.pauli_action)
 
 
 def _apply_local_pauli(state: np.ndarray, n: int, p: PauliString) -> np.ndarray:
@@ -324,7 +326,7 @@ def _measure(amps, bits, probs, position, m, choose, first):
     (+1) and 2b+1 (-1); ``choose(m, cond, first)`` picks from their
     conditional probabilities the indices of the children kept.  Rows stay
     unnormalized: a row's squared norm is its branch probability."""
-    children = sv._x_split(amps, position)
+    children = sv.x_split(amps, position)
     parts = children.view(np.float64)
     mass = np.einsum("ij,ij->i", parts, parts)
     kept = choose(m, mass / probs.repeat(2), first)
