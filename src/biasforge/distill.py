@@ -19,10 +19,9 @@ never reaches for practical targets.
 
 The check matrices are the punctured Reed-Muller construction: X-check
 row i marks the columns (1..15) whose bit i is set; the 10 Z-check rows
-are those 4 rows plus their 6 pairwise AND products.  The matrices are
-committed as a plain-text fixture (see data/rm15_checks.txt and
-``write_fixture``); the loader regenerates them and refuses to run if the
-file disagrees, so the code stays authoritative.
+are those 4 rows plus their 6 pairwise AND products.  ``rm15_code``
+generates them on first use; the generator is the code's only
+description.
 
 Overheads count non-Clifford gates only: the n=3 gadget feeding l rounds
 costs 4 * 15^l per output state, bare preparation feeding l' rounds costs
@@ -32,7 +31,7 @@ with the same noise parameters.
 
 from __future__ import annotations
 
-import importlib.resources
+import functools
 import math
 from dataclasses import dataclass
 
@@ -63,10 +62,6 @@ class FeasibilityError(RuntimeError):
     """No layer count within the cap reaches the target."""
 
 
-class FixtureError(RuntimeError):
-    """The committed check-matrix fixture disagrees with the generator."""
-
-
 @dataclass(frozen=True)
 class Channel:
     """Independent per-copy marginal rates; Y occurs as the e_x * e_z joint."""
@@ -80,8 +75,10 @@ class Channel:
                 raise ChannelRangeError(f"{name}={v} outside [0, 0.5)")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CssCode:
+    """Check and logical matrices; compared and hashed by identity."""
+
     n_phys: int
     x_checks: np.ndarray  # (4, 15) uint8
     z_checks: np.ndarray  # (10, 15) uint8
@@ -99,102 +96,26 @@ class DistillPlan:
     overhead: int
 
 
-def build_rm15_checks() -> CssCode:
-    """Generate the punctured [[15,1,3]] Reed-Muller check matrices."""
-    cols = np.arange(1, 16, dtype=np.uint8)
-    x_checks = np.array([(cols >> i) & 1 for i in range(4)], dtype=np.uint8)
-    products = [
-        x_checks[i] & x_checks[j] for i in range(4) for j in range(i + 1, 4)
-    ]
-    z_checks = np.concatenate([x_checks, np.array(products, dtype=np.uint8)])
-    logical_x = np.ones(N_PHYS, dtype=np.uint8)
-    logical_z = np.zeros(N_PHYS, dtype=np.uint8)
-    logical_z[:3] = 1  # columns 1,2,3 form a closed line: weight-3 representative
-    return CssCode(
-        n_phys=N_PHYS,
-        x_checks=x_checks,
-        z_checks=z_checks,
-        logical_x=logical_x,
-        logical_z=logical_z,
-    )
-
-
-# Fixture format: '#' comment lines; a section header line naming the block
-# (x_checks / z_checks / logical_x / logical_z) followed by its rows, each
-# row exactly 15 characters of 0/1.
-
-_FIXTURE_SECTIONS = ("x_checks", "z_checks", "logical_x", "logical_z")
-
-
-def format_fixture(code: CssCode) -> str:
-    lines = [
-        "# [[15,1,3]] punctured Reed-Muller check fixture.",
-        "# Sections: x_checks (4 rows), z_checks (10 rows), logical_x, logical_z.",
-        "# Each row is 15 characters of 0/1, qubit 0 leftmost.",
-    ]
-    blocks = {
-        "x_checks": code.x_checks,
-        "z_checks": code.z_checks,
-        "logical_x": code.logical_x.reshape(1, -1),
-        "logical_z": code.logical_z.reshape(1, -1),
-    }
-    for name in _FIXTURE_SECTIONS:
-        lines.append(name)
-        for row in blocks[name]:
-            lines.append("".join(str(int(v)) for v in row))
-    return "\n".join(lines) + "\n"
-
-
-def parse_fixture(text: str) -> CssCode:
-    sections: dict[str, list[list[int]]] = {}
-    current: str | None = None
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line in _FIXTURE_SECTIONS:
-            current = line
-            sections[current] = []
-            continue
-        if current is None or set(line) - {"0", "1"} or len(line) != N_PHYS:
-            raise FixtureError(f"malformed fixture line: {raw!r}")
-        sections[current].append([int(c) for c in line])
-    try:
-        return CssCode(
-            n_phys=N_PHYS,
-            x_checks=np.array(sections["x_checks"], dtype=np.uint8),
-            z_checks=np.array(sections["z_checks"], dtype=np.uint8),
-            logical_x=np.array(sections["logical_x"][0], dtype=np.uint8),
-            logical_z=np.array(sections["logical_z"][0], dtype=np.uint8),
-        )
-    except KeyError as missing:
-        raise FixtureError(f"fixture missing section {missing}") from None
-
-
-def write_fixture(path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(format_fixture(build_rm15_checks()))
-
-
-_code_cache: CssCode | None = None
+_rm15: CssCode | None = None
 
 
 def rm15_code() -> CssCode:
-    """The committed code fixture, validated against the generator."""
-    global _code_cache
-    if _code_cache is None:
-        text = (
-            importlib.resources.files("biasforge")
-            .joinpath("data/rm15_checks.txt")
-            .read_text(encoding="ascii")
+    """The punctured [[15,1,3]] Reed-Muller code, generated once."""
+    global _rm15
+    if _rm15 is None:
+        cols = np.arange(1, 16, dtype=np.uint8)
+        x_checks = np.array([(cols >> i) & 1 for i in range(4)], dtype=np.uint8)
+        products = [x_checks[i] & x_checks[j] for i in range(4) for j in range(i + 1, 4)]
+        logical_z = np.zeros(N_PHYS, dtype=np.uint8)
+        logical_z[:3] = 1  # columns 1,2,3 form a closed line: weight-3 representative
+        _rm15 = CssCode(
+            n_phys=N_PHYS,
+            x_checks=x_checks,
+            z_checks=np.concatenate([x_checks, np.array(products, dtype=np.uint8)]),
+            logical_x=np.ones(N_PHYS, dtype=np.uint8),
+            logical_z=logical_z,
         )
-        code = parse_fixture(text)
-        generated = build_rm15_checks()
-        for field in ("x_checks", "z_checks", "logical_x", "logical_z"):
-            if not np.array_equal(getattr(code, field), getattr(generated, field)):
-                raise FixtureError(f"fixture {field} disagrees with generator")
-        _code_cache = code
-    return _code_cache
+    return _rm15
 
 
 # ---------------------------------------------------------------------------
@@ -226,31 +147,18 @@ class _Enumerators:
     z_logical: np.ndarray
 
 
-_enum_cache: dict[tuple, _Enumerators] = {}
-
-
+@functools.cache  # keyed on the code object, which the cache keeps alive
 def _enumerators(code: CssCode) -> _Enumerators:
-    # keyed on contents: the id() of a freed code can be reused by a new one
-    key = (
-        code.x_checks.shape,
-        code.z_checks.shape,
-        code.x_checks.tobytes(),
-        code.z_checks.tobytes(),
-        code.logical_x.tobytes(),
-        code.logical_z.tobytes(),
+    x_gen = _row_masks(code.x_checks)
+    z_gen = _row_masks(code.z_checks)
+    lx = _row_masks(code.logical_x.reshape(1, -1))[0]
+    lz = _row_masks(code.logical_z.reshape(1, -1))[0]
+    return _Enumerators(
+        x_stab=_span_weights(x_gen),
+        x_logical=_span_weights(x_gen, offset=lx),
+        z_stab=_span_weights(z_gen),
+        z_logical=_span_weights(z_gen, offset=lz),
     )
-    if key not in _enum_cache:
-        x_gen = _row_masks(code.x_checks)
-        z_gen = _row_masks(code.z_checks)
-        lx = _row_masks(code.logical_x.reshape(1, -1))[0]
-        lz = _row_masks(code.logical_z.reshape(1, -1))[0]
-        _enum_cache[key] = _Enumerators(
-            x_stab=_span_weights(x_gen),
-            x_logical=_span_weights(x_gen, offset=lx),
-            z_stab=_span_weights(z_gen),
-            z_logical=_span_weights(z_gen, offset=lz),
-        )
-    return _enum_cache[key]
 
 
 def _poly(counts: np.ndarray, e: mpf) -> mpf:
@@ -267,15 +175,13 @@ def logical_coset_min_weight(counts: np.ndarray) -> int:
     return int(np.nonzero(counts)[0][0])
 
 
-def rm15_map(channel: Channel, code: CssCode | None = None) -> tuple[Channel, float]:
+def rm15_map(channel: Channel) -> tuple[Channel, float]:
     """One error-detection round: post-select trivial syndrome, exact rates.
 
     Returns the accepted-output channel and the acceptance probability
     (product of the independent X-side and Z-side acceptance factors).
     """
-    if code is None:
-        code = rm15_code()
-    en = _enumerators(code)
+    en = _enumerators(rm15_code())
     with mp.workdps(_MP_DPS):
         ex, ez = mpf(channel.e_x), mpf(channel.e_z)
         x_stab = _poly(en.x_stab, ex)
@@ -288,14 +194,14 @@ def rm15_map(channel: Channel, code: CssCode | None = None) -> tuple[Channel, fl
         return Channel(e_x=float(out_x), e_z=float(out_z)), float(p_accept)
 
 
-def concatenate(start: Channel, layers: int, code: CssCode | None = None) -> Channel:
+def concatenate(start: Channel, layers: int) -> Channel:
     """Iterate rm15_map ``layers`` times; layers = 0 is the identity."""
     if layers < 0:
         raise ValueError("layers must be >= 0")
     ch = start
     for layer in range(layers):
         try:
-            ch, _ = rm15_map(ch, code)
+            ch, _ = rm15_map(ch)
         except ChannelRangeError as exc:
             raise SaturationError(f"channel left [0, 1/2) at layer {layer + 1}: {exc}", layer + 1)
     return ch

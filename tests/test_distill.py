@@ -1,5 +1,3 @@
-import hashlib
-import importlib.resources
 import math
 
 import numpy as np
@@ -10,7 +8,6 @@ from hypothesis import strategies as st
 from biasforge import distill as d
 from biasforge.noise import NoiseParams
 
-FIXTURE_SHA256 = "cd37583407ed0eaf7c2f77d606dda68fb02d782a8e34bdc3f5991ba0202af899"
 
 
 @pytest.fixture(scope="module")
@@ -18,29 +15,22 @@ def code():
     return d.rm15_code()
 
 
-class TestFixture:
-    def test_checksum_frozen(self):
-        text = (
-            importlib.resources.files("biasforge")
-            .joinpath("data/rm15_checks.txt")
-            .read_bytes()
-        )
-        assert hashlib.sha256(text).hexdigest() == FIXTURE_SHA256
-
-    def test_round_trips_through_generator(self):
-        generated = d.build_rm15_checks()
-        parsed = d.parse_fixture(d.format_fixture(generated))
-        for field in ("x_checks", "z_checks", "logical_x", "logical_z"):
-            assert np.array_equal(getattr(parsed, field), getattr(generated, field))
-
-    def test_malformed_rejected(self):
-        with pytest.raises(d.FixtureError):
-            d.parse_fixture("x_checks\n01")
-        with pytest.raises(d.FixtureError):
-            d.parse_fixture("x_checks\n" + "0" * 15)  # missing sections
-
-
 class TestCodeSanity:
+    def test_generated_matrices_frozen(self, code):
+        # qubit 0 leftmost; the Z checks are the X checks and their pairwise products
+        x_rows = ["101010101010101", "011001100110011", "000111100001111", "000000011111111"]
+        products = ["001000100010001", "000010100000101", "000000001010101",
+                    "000001100000011", "000000000110011", "000000000001111"]
+
+        def rows(matrix):
+            return ["".join(map(str, row)) for row in np.atleast_2d(matrix).tolist()]
+
+        assert rows(code.x_checks) == x_rows
+        assert rows(code.z_checks) == x_rows + products
+        assert rows(code.logical_x) == ["1" * 15]
+        assert rows(code.logical_z) == ["111" + "0" * 12]
+        assert d.rm15_code() is code
+
     def test_checks_commute(self, code):
         assert not (code.x_checks @ code.z_checks.T % 2).any()
 
@@ -139,22 +129,6 @@ class TestRm15Map:
             assert math.isclose(out.e_x, bx, rel_tol=1e-10)
             assert math.isclose(out.e_z, bz, rel_tol=1e-10)
             assert math.isclose(p_acc, px * pz, rel_tol=1e-10)
-
-    def test_symmetry_under_matrix_swap(self, code):
-        # swapping the check matrices and the channel components swaps outputs
-        swapped = d.CssCode(
-            n_phys=15,
-            x_checks=code.z_checks,
-            z_checks=code.x_checks,
-            logical_x=code.logical_z,
-            logical_z=code.logical_x,
-        )
-        ch = d.Channel(2e-2, 3e-3)
-        out, p = d.rm15_map(ch, code)
-        out_sw, p_sw = d.rm15_map(d.Channel(ch.e_z, ch.e_x), swapped)
-        assert math.isclose(out.e_x, out_sw.e_z, rel_tol=1e-12)
-        assert math.isclose(out.e_z, out_sw.e_x, rel_tol=1e-12)
-        assert math.isclose(p, p_sw, rel_tol=1e-12)
 
     def test_enumerators_follow_code_contents(self, code):
         # the first code is freed before the second is built, so the second
