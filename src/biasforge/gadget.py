@@ -160,9 +160,6 @@ class Circuit:
     def num_locations(self) -> int:
         return len(self.locations)
 
-    def measurement_locations(self) -> list[int]:
-        return [t for t, loc in enumerate(self.locations) if loc.kind is LocationKind.MEAS_X]
-
 
 def block1_qubits(n: int) -> range:
     return range(0, n)

@@ -119,18 +119,6 @@ class FaultEvent:
         return base * self.scale
 
 
-@dataclass(frozen=True)
-class FaultSet:
-    """Concrete faults for one execution: per-location merged Pauli products."""
-
-    faults: tuple[tuple[int, PauliString], ...]
-
-    def __post_init__(self):
-        locs = [loc for loc, _ in self.faults]
-        if locs != sorted(set(locs)):
-            raise ValueError("fault locations must be strictly increasing")
-
-
 def fault_events(circuit: gd.Circuit, idle_z_multiplier: float = 0.0) -> tuple[FaultEvent, ...]:
     """Elementary fault events of a circuit, in location order.
 
@@ -164,25 +152,12 @@ def fault_events(circuit: gd.Circuit, idle_z_multiplier: float = 0.0) -> tuple[F
 
 
 def _merge_events(events) -> tuple[tuple[int, PauliString], ...]:
+    """The fault list of a set of events: one Pauli product per location,
+    locations strictly increasing, identity products dropped."""
     by_loc: dict[int, PauliString] = {}
     for ev in events:
         by_loc[ev.location] = by_loc.get(ev.location, PauliString()).compose(ev.pauli)
     return tuple((loc, p) for loc, p in sorted(by_loc.items()) if not p.is_identity)
-
-
-def sample_faults(
-    circuit: gd.Circuit, params: NoiseParams, rng: np.random.Generator,
-    events: tuple[FaultEvent, ...] | None = None,
-    probs: np.ndarray | None = None,
-) -> FaultSet:
-    """Draw one independent realization of every fault event."""
-    if events is None:
-        events = fault_events(circuit)
-    if probs is None:
-        probs = np.array([ev.probability(params) for ev in events])
-    fired = rng.random(len(events)) < probs
-    chosen = [ev for ev, f in zip(events, fired) if f]
-    return FaultSet(faults=_merge_events(chosen))
 
 
 @dataclass(frozen=True)
@@ -505,15 +480,17 @@ def _stacked_counts(circuit, cfg, events, waiting) -> np.ndarray:
 
 
 def _resolve_threads(threads: int | None) -> int:
+    """``threads``, else BIASFORGE_THREADS; 0 means one per CPU, at most 8.
+    A negative or non-integer count raises ValueError."""
     if threads is None:
         env = os.environ.get("BIASFORGE_THREADS", "0")
         try:
             threads = int(env)
         except ValueError:
-            threads = 0
-    if threads == 0:
-        threads = min(os.cpu_count() or 1, 8)
-    return max(1, threads)
+            raise ValueError(f"BIASFORGE_THREADS={env!r} is not an integer") from None
+    if threads < 0:
+        raise ValueError(f"thread count must be >= 0, got {threads}")
+    return threads or min(os.cpu_count() or 1, 8)
 
 
 def estimate_rates_mc(
@@ -530,9 +507,9 @@ def estimate_rates_mc(
     time, and the trials are split into contiguous ranges, one per worker
     process, whose integer bin counts are summed.  Every count, and so the
     result, is bit-identical for any thread count or block size.  ``seed``
-    must be a non-negative integer (ValueError otherwise); RuntimeError
-    means the installed numpy's generators no longer match the block
-    sampler.
+    and the thread count (``threads``, else BIASFORGE_THREADS) must be
+    non-negative integers (ValueError otherwise); RuntimeError means the
+    installed numpy's generators no longer match the block sampler.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")

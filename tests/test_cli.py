@@ -78,6 +78,26 @@ class TestSimulate:
         )
         assert code == 2
 
+    def test_n_above_sim_max_exits_2_before_simulating(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulation started")
+
+        monkeypatch.setattr(nz, "enumerate_faults", refuse)
+        code, out, err = run_cli(
+            capsys,
+            "simulate", "--n", "9", "--r", "1", "--pz", "1e-3", "--bias", "100",
+            "--mode", "enumerate", "--max-order", "1",
+        )
+        assert code == 2 and out == "" and "SIM_MAX_N" in err
+
+    def test_bad_thread_count_exits_2(self, capsys, monkeypatch):
+        argv = ["simulate", "--n", "3", "--r", "1", "--pz", "1e-3", "--bias", "100", "--mode", "mc", "--trials", "100"]
+        code, out, err = run_cli(capsys, *argv, "--threads", "-3")
+        assert code == 2 and out == "" and "thread count" in err
+        monkeypatch.setenv("BIASFORGE_THREADS", "auto")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and "BIASFORGE_THREADS" in err
+
     def test_bad_order_exits_2(self, capsys):
         code, _, _ = run_cli(
             capsys,

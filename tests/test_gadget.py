@@ -34,6 +34,13 @@ class TestConfig:
         with pytest.raises(gd.ConfigError):
             gd.GadgetConfig.t_state(3, r=2)
 
+    def test_n_above_sim_max_rejected(self):
+        gd.GadgetConfig.t_state(gd.SIM_MAX_N)
+        with pytest.raises(gd.ConfigError, match="SIM_MAX_N"):
+            gd.GadgetConfig.t_state(gd.SIM_MAX_N + 2)
+        with pytest.raises(gd.ConfigError):
+            gd.GadgetConfig.custom(9, 0.3)
+
     def test_target_theta_coupling(self):
         with pytest.raises(gd.ConfigError):
             gd.GadgetConfig(n=3, theta=0.3, r_z=1, r_zz=1, target=gd.Target.PLUS_I)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from biasforge import bounds as bd
 from biasforge import gadget as gd
 from biasforge import noise as nz
+from biasforge.statevec import PauliString
 
 
 class TestNoiseParams:
@@ -59,19 +60,21 @@ class TestFaultEvents:
 
 
 class TestSampleFaults:
+    """Monte Carlo fires event e when its draw is below p_e and merges a
+    trial's fired events per location with _merge_events."""
+
     def test_zero_noise_always_empty(self):
         circ = gd.build_circuit(gd.GadgetConfig.t_state(3, r=1))
         params = nz.NoiseParams(p_x=0.0, p_z=0.0, p_zz=0.0)
         rng = np.random.default_rng(0)
         for _ in range(50):
-            assert sample_count(nz.sample_faults(circ, params, rng)) == 0
+            assert sampled_faults(circ, params, rng) == ()
 
     def test_certain_z_everywhere(self):
         circ = gd.build_circuit(gd.GadgetConfig.t_state(3, r=1))
         params = nz.NoiseParams(p_x=0.0, p_z=1.0, p_zz=0.0)
-        fs = nz.sample_faults(circ, params, np.random.default_rng(0))
         # every location carries Z on every touched qubit
-        got = {loc: p for loc, p in fs.faults}
+        got = dict(sampled_faults(circ, params, np.random.default_rng(0)))
         for t, loc in enumerate(circ.locations):
             mask = 0
             for q in loc.qubits:
@@ -99,9 +102,27 @@ class TestSampleFaults:
     def test_merged_locations_strictly_increasing(self):
         circ = gd.build_circuit(gd.GadgetConfig.t_state(3, r=3))
         params = nz.NoiseParams(p_x=0.05, p_z=0.1, p_zz=0.05)
-        fs = nz.sample_faults(circ, params, np.random.default_rng(5))
-        locs = [loc for loc, _ in fs.faults]
-        assert locs == sorted(set(locs))
+        faults = sampled_faults(circ, params, np.random.default_rng(5))
+        locs = [loc for loc, _ in faults]
+        assert len(locs) > 1 and locs == sorted(set(locs))
+
+
+def test_merge_events_orders_composes_and_drops_identities():
+    circ = gd.build_circuit(gd.GadgetConfig.t_state(3, r=1))
+    events = nz.fault_events(circ)
+    gate = next(t for t, loc in enumerate(circ.locations) if loc.kind is gd.LocationKind.CZ_THETA)
+    z_a, z_b, x_a, _, zz = [ev for ev in events if ev.location == gate]
+    a, b = circ.locations[gate].qubits
+    first, last = events[0], events[-1]
+    merged = nz._merge_events([last, z_a, zz, first])
+    # strictly increasing locations, whatever the input order
+    assert [loc for loc, _ in merged] == [first.location, gate, last.location]
+    # Z and ZZ at one location compose: Z_a Z_a Z_b = Z_b
+    assert dict(merged)[gate] == PauliString.z_on([b])
+    assert dict(nz._merge_events([x_a, z_a]))[gate] == PauliString(xs=1 << a, zs=1 << a)
+    # identity products are dropped
+    assert nz._merge_events([z_a, z_b, zz]) == ()
+    assert nz._merge_events([z_a, zz, z_b, first]) == ((first.location, first.pauli),)
 
 
 class TestEnumerate:
@@ -206,6 +227,20 @@ class TestMonteCarlo:
         assert nz._resolve_threads(None) >= 1
         assert nz._resolve_threads(3) == 3  # explicit argument wins
 
+    def test_threads_must_be_non_negative_integers(self, monkeypatch):
+        monkeypatch.setenv("BIASFORGE_THREADS", "two")
+        with pytest.raises(ValueError, match="BIASFORGE_THREADS"):
+            nz._resolve_threads(None)
+        assert nz._resolve_threads(1) == 1  # an explicit count does not read the variable
+        monkeypatch.setenv("BIASFORGE_THREADS", "-2")
+        with pytest.raises(ValueError):
+            nz._resolve_threads(None)
+        with pytest.raises(ValueError):
+            nz._resolve_threads(-3)
+        cfg = gd.GadgetConfig.t_state(3, r=1)
+        with pytest.raises(ValueError):
+            nz.estimate_rates_mc(cfg, nz.NoiseParams.from_bias(1e-3, 100), trials=100, seed=0, threads=-3)
+
     def test_mc_agrees_with_enumeration(self):
         cfg = gd.GadgetConfig.t_state(3, r=1)
         params = nz.NoiseParams.from_bias(1e-3, 100)
@@ -268,8 +303,8 @@ def _per_trial_counts(cfg, params, seed, trials):
             leaf = int(np.searchsorted(cum, rng.random() * cum[-1]))
             counts[leaf_bins[min(leaf, len(leaf_bins) - 1)]] += 1
             continue
-        faults = nz.FaultSet(faults=nz._merge_events([ev for ev, f in zip(events, fired) if f]))
-        counts[gd.run(circuit, cfg, faults=faults.faults, rng=rng).bin] += 1
+        faults = nz._merge_events([ev for ev, f in zip(events, fired) if f])
+        counts[gd.run(circuit, cfg, faults=faults, rng=rng).bin] += 1
     return counts
 
 
@@ -330,5 +365,8 @@ def binomial_ci(mc_rate: float, en_rate: float, n: int) -> float:
     return 1.959963984540054 * math.sqrt(p * (1.0 - p) / n)
 
 
-def sample_count(fs: nz.FaultSet) -> int:
-    return len(fs.faults)
+def sampled_faults(circuit, params, rng):
+    """One draw of every fault event of ``circuit``, merged per location."""
+    events = nz.fault_events(circuit)
+    fired = rng.random(len(events)) < np.array([ev.probability(params) for ev in events])
+    return nz._merge_events([ev for ev, f in zip(events, fired) if f])

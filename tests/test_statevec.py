@@ -16,7 +16,7 @@ from biasforge import gadget as gd
 from biasforge import statevec as sv
 
 SQ2 = math.sqrt(2.0)
-fidelity = gd._state_fidelity
+state_fidelity = gd._state_fidelity
 
 
 def basis(num_qubits: int, index: int) -> np.ndarray:
@@ -111,7 +111,7 @@ class TestCzTheta:
         # XX|0>|theta>
         oracle[0b01] += th[1]
         oracle[0b11] += th[0]
-        assert fidelity(got, from_amps(oracle)) > 1 - 1e-12
+        assert state_fidelity(got, from_amps(oracle)) > 1 - 1e-12
 
     def test_theta_zero_is_identity(self):
         rng = np.random.default_rng(3)
@@ -148,7 +148,7 @@ class TestCzTheta:
         s = from_amps(np.arange(1, 9))
         twice = cz(cz(s, 0, 2, t1), 0, 2, t2)
         once = cz(s, 0, 2, t1 + t2)
-        assert fidelity(twice, once) > 1 - 1e-10
+        assert state_fidelity(twice, once) > 1 - 1e-10
 
     def test_commutes_with_z_never_with_x(self):
         rng = np.random.default_rng(11)
@@ -157,11 +157,11 @@ class TestCzTheta:
         for axis_op in (sv.PauliString.z_on([0]), sv.PauliString.z_on([2])):
             a = pauli(cz(s, 0, 2, theta), axis_op)
             b = cz(pauli(s, axis_op), 0, 2, theta)
-            assert fidelity(a, b) > 1 - 1e-10
+            assert state_fidelity(a, b) > 1 - 1e-10
         x0 = sv.PauliString.x_on([0])
         a = pauli(cz(s, 0, 2, theta), x0)
         b = cz(pauli(s, x0), 0, 2, theta)
-        assert fidelity(a, b) < 1 - 1e-3
+        assert state_fidelity(a, b) < 1 - 1e-3
 
 
 class TestCphase:
@@ -175,7 +175,7 @@ class TestCphase:
     def test_squares_to_identity(self):
         rng = np.random.default_rng(7)
         s = from_amps(rng.normal(size=16) + 1j * rng.normal(size=16))
-        assert fidelity(cphase(cphase(s, 1, 3), 1, 3), s) > 1 - 1e-10
+        assert state_fidelity(cphase(cphase(s, 1, 3), 1, 3), s) > 1 - 1e-10
 
 
 class TestPauli:
@@ -189,7 +189,7 @@ class TestPauli:
         rng = np.random.default_rng(5)
         s = from_amps(rng.normal(size=8) + 1j * rng.normal(size=8))
         z3 = sv.PauliString.z_on([0, 1, 2])
-        assert fidelity(pauli(pauli(s, z3), z3), s) > 1 - 1e-12
+        assert state_fidelity(pauli(pauli(s, z3), z3), s) > 1 - 1e-12
 
     def test_y_convention(self):
         # Y = iXZ on |0> gives i|1>
@@ -217,7 +217,7 @@ class TestMeasureX:
         psi = from_amps([0.6, 0.8j])
         plus_part, minus_part = split(np.kron(psi, plus(1)), 0)
         assert abs(mass(plus_part) - 1) < 1e-12 and mass(minus_part) < 1e-30
-        assert fidelity(plus_part, psi) > 1 - 1e-12
+        assert state_fidelity(plus_part, psi) > 1 - 1e-12
 
     def test_zero_is_unbiased(self):
         plus_part, minus_part = split(basis(1, 0), 0)
@@ -256,16 +256,16 @@ class TestMeasureX:
             rebuilt[:, 0, :] = post.reshape(2, 2) / SQ2
             rebuilt[:, 1, :] = post.reshape(2, 2) * value / SQ2
             projected = from_amps(s + value * pauli(s, sv.PauliString.x_on([1])))
-            assert fidelity(rebuilt.reshape(-1), projected) > 1 - 1e-12
+            assert state_fidelity(rebuilt.reshape(-1), projected) > 1 - 1e-12
 
 
 class TestFidelity:
     def test_self_is_one(self):
         s = plus(3)
-        assert abs(fidelity(s, s) - 1) < 1e-12
+        assert abs(state_fidelity(s, s) - 1) < 1e-12
 
     def test_orthogonal_is_zero(self):
-        assert fidelity(basis(2, 0), basis(2, 3)) < 1e-15
+        assert state_fidelity(basis(2, 0), basis(2, 3)) < 1e-15
 
     def test_plus_i_vs_t(self):
         # CZ(theta) with a |0> spectator on qubit 1 turns |+> into the
@@ -277,11 +277,11 @@ class TestFidelity:
         # direct inner product: |(1 + e^{-i pi/4})/2|^2 = (2+sqrt2)/4
         expect = abs((1 + np.exp(-1j * math.pi / 4)) / 2) ** 2
         assert abs(expect - (2 + SQ2) / 4) < 1e-14
-        assert abs(fidelity(plus_i, t) - expect) < 1e-12
+        assert abs(state_fidelity(plus_i, t) - expect) < 1e-12
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
-            fidelity(plus(1), plus(2))
+            state_fidelity(plus(1), plus(2))
 
 
 class TestIdentities:
