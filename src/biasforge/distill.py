@@ -11,11 +11,19 @@ copies.  A round post-selects on a trivial syndrome:
 * Z-error patterns are checked against the 4 X-type generators likewise.
 
 Both sides reduce to weight-enumerator polynomials of the four pattern
-classes, computed once by exhaustive GF(2) enumeration and evaluated in
-extended precision (mpmath), so concatenated output rates far below
-double-precision underflow stay meaningful.  Outputs are returned as
-floats; values below about 1e-300 underflow to 0.0, which the planner
-never reaches for practical targets.
+classes, computed once by exhaustive GF(2) enumeration.  With
+t = e / (1 - e) a weight-w pattern has probability (1 - e)^15 t^w, so a
+side with stabilizer enumerator S and logical-coset enumerator L accepts
+with probability (1 - e)^15 (S(t) + L(t)) and flips the logical with
+probability L(t) / (S(t) + L(t)) given acceptance.  Both polynomials are
+evaluated by Horner's rule in the standard library's ``decimal`` at 60
+significant digits with an effectively unbounded exponent range, so
+concatenated output rates far below double-precision underflow stay
+meaningful.  Each input rate is first rounded to 60 digits (a relative
+change of at most 1e-60).  Outputs are returned as correctly rounded
+floats: values below about 1e-308 are subnormal and lose precision, and
+values below about 5e-324 underflow to 0.0, which the planner never
+reaches for practical targets.
 
 The check matrices are the punctured Reed-Muller construction: X-check
 row i marks the columns (1..15) whose bit i is set; the 10 Z-check rows
@@ -31,19 +39,20 @@ with the same noise parameters.
 
 from __future__ import annotations
 
+import decimal
 import functools
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 
 import numpy as np
-from mpmath import mp, mpf
 
 from . import bounds as bd
 from .noise import NoiseParams
 
 N_PHYS = 15
-_MP_DPS = 60
 MAX_LAYERS = 6
+_CTX = decimal.Context(prec=60, Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX)
 
 
 class ChannelRangeError(ValueError):
@@ -145,6 +154,14 @@ class _Enumerators:
     x_logical: np.ndarray  # trivial-syndrome logical-X coset
     z_stab: np.ndarray
     z_logical: np.ndarray
+    # per side, the Horner coefficients of L and of S + L
+    x_horner: tuple[tuple[Decimal, ...], tuple[Decimal, ...]]
+    z_horner: tuple[tuple[Decimal, ...], tuple[Decimal, ...]]
+
+
+def _horner(counts: np.ndarray) -> tuple[Decimal, ...]:
+    """Coefficients of sum_w counts[w] t^w, highest nonzero power first."""
+    return tuple(Decimal(int(c)) for c in np.trim_zeros(counts, "b")[::-1])
 
 
 @functools.cache  # keyed on the code object, which the cache keeps alive
@@ -153,26 +170,37 @@ def _enumerators(code: CssCode) -> _Enumerators:
     z_gen = _row_masks(code.z_checks)
     lx = _row_masks(code.logical_x.reshape(1, -1))[0]
     lz = _row_masks(code.logical_z.reshape(1, -1))[0]
+    x_stab, x_logical = _span_weights(x_gen), _span_weights(x_gen, offset=lx)
+    z_stab, z_logical = _span_weights(z_gen), _span_weights(z_gen, offset=lz)
     return _Enumerators(
-        x_stab=_span_weights(x_gen),
-        x_logical=_span_weights(x_gen, offset=lx),
-        z_stab=_span_weights(z_gen),
-        z_logical=_span_weights(z_gen, offset=lz),
+        x_stab=x_stab,
+        x_logical=x_logical,
+        z_stab=z_stab,
+        z_logical=z_logical,
+        x_horner=(_horner(x_logical), _horner(x_stab + x_logical)),
+        z_horner=(_horner(z_logical), _horner(z_stab + z_logical)),
     )
-
-
-def _poly(counts: np.ndarray, e: mpf) -> mpf:
-    one = mpf(1)
-    total = mpf(0)
-    for w in range(N_PHYS + 1):
-        c = int(counts[w])
-        if c:
-            total += c * e**w * (one - e) ** (N_PHYS - w)
-    return total
 
 
 def logical_coset_min_weight(counts: np.ndarray) -> int:
     return int(np.nonzero(counts)[0][0])
+
+
+def _polyval(coeffs: tuple[Decimal, ...], t: Decimal) -> Decimal:
+    """Horner's rule, highest power first."""
+    total = coeffs[0]
+    for c in coeffs[1:]:
+        total = total * t + c
+    return total
+
+
+def _side(e: float, horner: tuple[tuple[Decimal, ...], tuple[Decimal, ...]]) -> tuple[Decimal, Decimal]:
+    """(logical rate given acceptance, acceptance probability) of one side."""
+    e = _CTX.create_decimal_from_float(e)
+    keep = 1 - e
+    t = e / keep
+    logical, accepted = _polyval(horner[0], t), _polyval(horner[1], t)
+    return logical / accepted, keep**N_PHYS * accepted
 
 
 def rm15_map(channel: Channel) -> tuple[Channel, float]:
@@ -182,16 +210,11 @@ def rm15_map(channel: Channel) -> tuple[Channel, float]:
     (product of the independent X-side and Z-side acceptance factors).
     """
     en = _enumerators(rm15_code())
-    with mp.workdps(_MP_DPS):
-        ex, ez = mpf(channel.e_x), mpf(channel.e_z)
-        x_stab = _poly(en.x_stab, ex)
-        x_log = _poly(en.x_logical, ex)
-        z_stab = _poly(en.z_stab, ez)
-        z_log = _poly(en.z_logical, ez)
-        out_x = x_log / (x_stab + x_log)
-        out_z = z_log / (z_stab + z_log)
-        p_accept = (x_stab + x_log) * (z_stab + z_log)
-        return Channel(e_x=float(out_x), e_z=float(out_z)), float(p_accept)
+    with decimal.localcontext(_CTX):
+        out_x, acc_x = _side(channel.e_x, en.x_horner)
+        out_z, acc_z = _side(channel.e_z, en.z_horner)
+        p_accept = acc_x * acc_z
+    return Channel(e_x=float(out_x), e_z=float(out_z)), float(p_accept)
 
 
 def concatenate(start: Channel, layers: int) -> Channel:

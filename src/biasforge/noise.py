@@ -421,6 +421,10 @@ def _check_streams() -> None:
             raise RuntimeError(f"block random streams differ from numpy {np.__version__}'s default_rng([seed, t])")
 
 
+# A worker process costs more to start than it saves on fewer trials: on
+# 2 CPUs (n=3, r=1, p_z=1e-3, eta=100) one process beat two up to 20,000
+# trials and lost from 24,000.
+_MIN_TRIALS_PER_WORKER = 12_000
 _BLOCK = 2048  # trials per block, and faulted trials per stacked batch: keeps their arrays under 1 MB
 
 
@@ -505,23 +509,25 @@ def estimate_rates_mc(
     Deterministic given (seed, trials): trial t draws the doubles of
     ``np.random.default_rng([seed, t])``, computed a block of trials at a
     time, and the trials are split into contiguous ranges, one per worker
-    process, whose integer bin counts are summed.  Every count, and so the
-    result, is bit-identical for any thread count or block size.  ``seed``
+    process, whose integer bin counts are summed.  Each worker gets at
+    least ``_MIN_TRIALS_PER_WORKER`` trials, so small estimates run in this
+    process.  Every count, and so the result, is bit-identical for any
+    thread count or block size.  ``seed``
     and the thread count (``threads``, else BIASFORGE_THREADS) must be
     non-negative integers (ValueError otherwise); RuntimeError means the
     installed numpy's generators no longer match the block sampler.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    threads = _resolve_threads(threads)
-    if threads <= 1 or trials < 4 * threads:
+    workers = min(_resolve_threads(threads), trials // _MIN_TRIALS_PER_WORKER)
+    if workers <= 1:
         counts = _mc_counts(cfg, params, seed, range(trials))
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        bounds = np.linspace(0, trials, threads + 1, dtype=int)
-        chunks = [range(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        bounds = np.linspace(0, trials, workers + 1, dtype=int)
+        chunks = [range(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_mc_worker, [(cfg, params, seed, c) for c in chunks]))
         counts = np.zeros(_N_BINS, dtype=np.int64)
         for part in parts:  # ordered, integer: partition-independent

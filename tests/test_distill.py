@@ -1,13 +1,28 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import biasforge
+from biasforge import cli
 from biasforge import distill as d
 from biasforge.noise import NoiseParams
 
+# Every rm15_map call made by 200 plan queries (drawn as perfbench's
+# plan_queries(2026)) and by the rm-r3 and rm-r1 sweep figures, with repr'd
+# inputs and outputs, recorded with the earlier mpmath evaluation.
+RM15_GRID = json.loads((Path(__file__).parent / "golden" / "rm15_grid.json").read_text())
+
+BELOW_HALF = math.nextafter(0.5, 0.0)
+MIN_NORMAL = sys.float_info.min
 
 
 @pytest.fixture(scope="module")
@@ -101,6 +116,38 @@ def brute_force_side(syndrome_checks, stabilizer_rows, logical, e):
     return err / accept, accept
 
 
+def exact_side(e: float, stab, logical) -> tuple[Fraction, Fraction]:
+    """(logical rate given acceptance, acceptance probability) of one side, exactly."""
+    m, den = e.as_integer_ratio()
+    terms = [m**w * (den - m) ** (15 - w) for w in range(16)]
+    logical_t = sum(int(c) * x for c, x in zip(logical, terms))
+    accepted_t = logical_t + sum(int(c) * x for c, x in zip(stab, terms))
+    return Fraction(logical_t, accepted_t), Fraction(accepted_t, den**15)
+
+
+def log_uniform(lo: float, hi: float):
+    return st.floats(math.log(lo), math.log(hi), exclude_max=True).map(
+        lambda u: min(max(math.exp(u), lo), math.nextafter(hi, 0.0))
+    )
+
+
+def rates():
+    """Rates log-uniform over [5e-324, 0.5), plus zero, subnormals, values near
+    0.5, and the bands whose X or Z output is a subnormal near 1e-308."""
+    edges = st.sampled_from(
+        [0.0, 5e-324, 1e-310, math.nextafter(MIN_NORMAL, 0.0), MIN_NORMAL, 0.17, 0.5 - 2**-30,
+         math.nextafter(BELOW_HALF, 0.0), BELOW_HALF]
+    )
+    return st.one_of(
+        log_uniform(5e-324, 0.5),
+        edges,
+        st.floats(0.0, MIN_NORMAL, exclude_max=True),
+        st.floats(0.49, 0.5, exclude_max=True),
+        log_uniform(4e-45, 1e-44),
+        log_uniform(1e-104, 1e-103),
+    )
+
+
 class TestRm15Map:
     def test_identity_channel(self, code):
         out, p_acc = d.rm15_map(d.Channel(0.0, 0.0))
@@ -146,6 +193,48 @@ class TestRm15Map:
         assert np.array_equal(got.x_logical, d._span_weights(x_gen, offset=lx))
         assert np.array_equal(got.z_stab, d._span_weights(z_gen))
         assert np.array_equal(got.z_logical, d._span_weights(z_gen, offset=lz))
+
+    def test_subnormal_output_rounded_once(self):
+        # the exact value is 1.37520095735409249...e-308; rounding it to 53
+        # bits before scaling into the subnormal range gave ...093e-308
+        out, _ = d.rm15_map(d.Channel(7.108100476404456e-45, 3.0311821330395975e-19))
+        assert out.e_x == 1.3752009573540925e-308
+
+    @settings(max_examples=400)
+    @given(rates(), rates())
+    def test_bit_identical_to_exact_rational_oracle(self, code, e_x, e_z):
+        en = d._enumerators(code)
+        rate_x, acc_x = exact_side(e_x, en.x_stab, en.x_logical)
+        rate_z, acc_z = exact_side(e_z, en.z_stab, en.z_logical)
+        want = (float(rate_x), float(rate_z), float(acc_x * acc_z))
+        if max(want[:2]) >= 0.5:
+            with pytest.raises(d.ChannelRangeError):
+                d.rm15_map(d.Channel(e_x, e_z))
+        else:
+            out, p_acc = d.rm15_map(d.Channel(e_x, e_z))
+            assert (out.e_x, out.e_z, p_acc) == want
+
+    def test_recorded_grid_reproduced(self, monkeypatch, tmp_path):
+        outputs = [x for calls in (RM15_GRID["plan_calls"], *RM15_GRID["figure_calls"].values())
+                   for c in calls for x in map(float, c["out"])]
+        assert not any(0.0 < x < MIN_NORMAL for x in outputs)  # no subnormal was recorded
+        calls = []
+        real = d.rm15_map
+
+        def spy(channel):
+            out, p_acc = real(channel)
+            calls.append({"in": [repr(channel.e_x), repr(channel.e_z)],
+                          "out": [repr(out.e_x), repr(out.e_z), repr(p_acc)]})
+            return out, p_acc
+
+        monkeypatch.setattr(d, "rm15_map", spy)
+        for query in RM15_GRID["plan_queries"]:
+            d.plan(*map(float, query))
+        assert calls == RM15_GRID["plan_calls"]
+        for figure, want in RM15_GRID["figure_calls"].items():
+            calls.clear()
+            assert cli.main(["sweep", "--figure", figure, "--out", str(tmp_path / f"{figure}.csv")]) == 0
+            assert calls == want
 
     def test_out_of_range_channel(self):
         with pytest.raises(d.ChannelRangeError):
@@ -249,3 +338,10 @@ class TestFinalBias:
         ch = d.gadget_channel(3, 1, NoiseParams.from_bias(1e-3, 1000.0))
         out = d.concatenate(ch, 1)
         assert 0.05 <= d.final_bias(out) <= 20.0
+
+
+def test_package_imports_without_mpmath():
+    src = str(Path(biasforge.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    check = "import sys, biasforge.cli; assert 'mpmath' not in sys.modules"
+    subprocess.run([sys.executable, "-c", check], env=env, check=True)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 
 import numpy as np
@@ -219,6 +220,24 @@ class TestMonteCarlo:
         a = nz.estimate_rates_mc(cfg, params, trials=2000, seed=7, threads=1)
         b = nz.estimate_rates_mc(cfg, params, trials=2000, seed=7, threads=2)
         assert a == b
+
+    def test_pool_only_when_every_worker_gets_the_minimum(self, monkeypatch):
+        started = []
+
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        cfg = gd.GadgetConfig.t_state(3, r=1)
+        params = nz.NoiseParams.from_bias(1e-3, 100)
+        trials = 2 * nz._MIN_TRIALS_PER_WORKER
+        nz.estimate_rates_mc(cfg, params, trials=trials - 1, seed=5, threads=2)
+        assert started == []
+        pooled = nz.estimate_rates_mc(cfg, params, trials=trials, seed=5, threads=3)
+        assert started == [2]  # a third worker would get too few trials
+        assert pooled == nz.estimate_rates_mc(cfg, params, trials=trials, seed=5, threads=1)
 
     def test_threads_env_var_respected(self, monkeypatch):
         monkeypatch.setenv("BIASFORGE_THREADS", "2")
