@@ -196,7 +196,7 @@ def _polyval(coeffs: tuple[Decimal, ...], t: Decimal) -> Decimal:
 
 def _side(e: float, horner: tuple[tuple[Decimal, ...], tuple[Decimal, ...]]) -> tuple[Decimal, Decimal]:
     """(logical rate given acceptance, acceptance probability) of one side."""
-    e = _CTX.create_decimal_from_float(e)
+    e = decimal.getcontext().create_decimal_from_float(e)
     keep = 1 - e
     t = e / keep
     logical, accepted = _polyval(horner[0], t), _polyval(horner[1], t)

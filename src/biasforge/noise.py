@@ -421,10 +421,16 @@ def _check_streams() -> None:
             raise RuntimeError(f"block random streams differ from numpy {np.__version__}'s default_rng([seed, t])")
 
 
-# A worker process costs more to start than it saves on fewer trials: on
-# 2 CPUs (n=3, r=1, p_z=1e-3, eta=100) one process beat two up to 20,000
-# trials and lost from 24,000.
-_MIN_TRIALS_PER_WORKER = 12_000
+# A worker process pays off once its share of the trials costs more than
+# starting it.  A trial that fires a fault event costs far more than one
+# that fires none (those sample the precomputed noiseless branch pool), so
+# a share is counted in expected faulted trials, a clean trial weighing
+# 1/_CLEAN_TRIALS_PER_FAULTED of one.  On 2 CPUs (n=3, r=1) two workers
+# then start from 25,000 trials at zero noise, 8,100 at p_z=1e-3, eta=100,
+# 1,300 at p_z=1e-2, eta=10 and 540 at p_z=5e-2, eta=3; at each of these
+# cuts one process and two differed by 30 ms or less.
+_CLEAN_TRIALS_PER_FAULTED = 50
+_MIN_FAULTED_PER_WORKER = 250
 _BLOCK = 2048  # trials per block, and faulted trials per stacked batch: keeps their arrays under 1 MB
 
 
@@ -446,7 +452,7 @@ def _mc_counts(cfg, params, seed, trial_range) -> np.ndarray:
     _check_streams()
     circuit = gd.build_circuit(cfg)
     events = fault_events(circuit)
-    probs = np.array([ev.probability(params) for ev in events])
+    probs = _event_probabilities(cfg, params)
     cum, leaf_bins = _noiseless_leaf_pool(cfg)
     counts = np.zeros(_N_BINS, dtype=np.int64)
     waiting: dict[tuple[int, ...], list[np.ndarray]] = {}  # fired events -> readout draws
@@ -483,6 +489,21 @@ def _stacked_counts(circuit, cfg, events, waiting) -> np.ndarray:
     return counts
 
 
+def _event_probabilities(cfg, params) -> np.ndarray:
+    return np.array([ev.probability(params) for ev in fault_events(gd.build_circuit(cfg))])
+
+
+def _pool_workers(cfg, params, trials: int, threads: int) -> int:
+    """Worker processes worth starting, from 1 to ``threads``: more than
+    one only if each gets _MIN_FAULTED_PER_WORKER expected faulted trials
+    of work."""
+    if threads <= 1:
+        return 1
+    faulted = 1.0 - float(np.prod(1.0 - _event_probabilities(cfg, params)))  # P(any event fires)
+    work = trials * (faulted + (1.0 - faulted) / _CLEAN_TRIALS_PER_FAULTED)
+    return max(1, min(threads, int(work / _MIN_FAULTED_PER_WORKER)))
+
+
 def _resolve_threads(threads: int | None) -> int:
     """``threads``, else BIASFORGE_THREADS; 0 means one per CPU, at most 8.
     A negative or non-integer count raises ValueError."""
@@ -509,17 +530,17 @@ def estimate_rates_mc(
     Deterministic given (seed, trials): trial t draws the doubles of
     ``np.random.default_rng([seed, t])``, computed a block of trials at a
     time, and the trials are split into contiguous ranges, one per worker
-    process, whose integer bin counts are summed.  Each worker gets at
-    least ``_MIN_TRIALS_PER_WORKER`` trials, so small estimates run in this
-    process.  Every count, and so the result, is bit-identical for any
-    thread count or block size.  ``seed``
-    and the thread count (``threads``, else BIASFORGE_THREADS) must be
+    process, whose integer bin counts are summed.  A worker starts only
+    for enough expected work (``_pool_workers``), so short estimates run
+    in this process.  Every count, and so the result, is
+    bit-identical for any thread count or block size.  ``seed`` and the
+    thread count (``threads``, else BIASFORGE_THREADS) must be
     non-negative integers (ValueError otherwise); RuntimeError means the
     installed numpy's generators no longer match the block sampler.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    workers = min(_resolve_threads(threads), trials // _MIN_TRIALS_PER_WORKER)
+    workers = _pool_workers(cfg, params, trials, _resolve_threads(threads))
     if workers <= 1:
         counts = _mc_counts(cfg, params, seed, range(trials))
     else:

@@ -200,6 +200,12 @@ class TestRm15Map:
         out, _ = d.rm15_map(d.Channel(7.108100476404456e-45, 3.0311821330395975e-19))
         assert out.e_x == 1.3752009573540925e-308
 
+    def test_shared_context_left_unwritten(self):
+        # rm15_map rounds (the exact value of 1e-300 has 750 digits) and
+        # computes in a local copy of the module context
+        d.rm15_map(d.Channel(1e-300, 3e-3))
+        assert not any(d._CTX.flags.values())
+
     @settings(max_examples=400)
     @given(rates(), rates())
     def test_bit_identical_to_exact_rational_oracle(self, code, e_x, e_z):

@@ -231,13 +231,18 @@ class TestMonteCarlo:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
         cfg = gd.GadgetConfig.t_state(3, r=1)
-        params = nz.NoiseParams.from_bias(1e-3, 100)
-        trials = 2 * nz._MIN_TRIALS_PER_WORKER
-        nz.estimate_rates_mc(cfg, params, trials=trials - 1, seed=5, threads=2)
+        anchor, noisy = nz.NoiseParams.from_bias(1e-3, 100), nz.NoiseParams.from_bias(5e-2, 3)
+        # work is counted in expected faulted trials: about 4% of trials
+        # fault at the anchor, 94% at p_z=5e-2, eta=3
+        assert nz._pool_workers(cfg, anchor, 4_000, 8) == 1
+        assert nz._pool_workers(cfg, anchor, 20_000, 8) == 4
+        assert nz._pool_workers(cfg, noisy, 20_000, 8) == 8
+        assert nz._pool_workers(cfg, noisy, 20_000, 1) == 1
+        nz.estimate_rates_mc(cfg, anchor, trials=4_000, seed=5, threads=2)
         assert started == []
-        pooled = nz.estimate_rates_mc(cfg, params, trials=trials, seed=5, threads=3)
-        assert started == [2]  # a third worker would get too few trials
-        assert pooled == nz.estimate_rates_mc(cfg, params, trials=trials, seed=5, threads=1)
+        pooled = nz.estimate_rates_mc(cfg, noisy, trials=600, seed=5, threads=3)
+        assert started == [2]  # a third worker would get too little work
+        assert pooled == nz.estimate_rates_mc(cfg, noisy, trials=600, seed=5, threads=1)
 
     def test_threads_env_var_respected(self, monkeypatch):
         monkeypatch.setenv("BIASFORGE_THREADS", "2")
