@@ -6,7 +6,8 @@ Layers, bottom up:
                 X-readout split) and the PauliString type.
 * ``gadget``    the repetition-code magic-state preparation circuit, its
                 exact execution as one stack of measurement branches
-                (enumerated, forced or sampled) and classical decoding.
+                (forced, sampled, or the noiseless ones enumerated), faulted
+                enumeration by Pauli frames, and classical decoding.
 * ``noise``     biased Pauli fault model: exhaustive low-order fault
                 enumeration and block Monte Carlo over the gadget.
 * ``bounds``    closed-form logical error bounds and parameter sweeps.

@@ -187,10 +187,13 @@ def logical_coset_min_weight(counts: np.ndarray) -> int:
 
 
 def _polyval(coeffs: tuple[Decimal, ...], t: Decimal) -> Decimal:
-    """Horner's rule, highest power first."""
+    """Horner's rule, highest power first.  A zero coefficient costs only its
+    multiply by t: adding an exact zero would round nothing."""
     total = coeffs[0]
     for c in coeffs[1:]:
-        total = total * t + c
+        total *= t
+        if c:
+            total += c
     return total
 
 

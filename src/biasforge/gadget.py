@@ -36,16 +36,27 @@ after their location executes, except at MeasX locations where they are
 applied before readout.  Fault Paulis may touch any qubit that is live at
 that point in the circuit.
 
-Execution: a circuit is compiled once against a live register that puts
-a qubit on the top bit at PrepX and drops it at MeasX (at most 2n+1
-qubits).  All live measurement branches form one (B, 2^q) amplitude stack
-with (B, M) records and (B,) probabilities.  Each run of PrepX and
-(diagonal) gate locations up to the next readout or fault is one
+Execution: the state-vector path compiles a circuit once against a live
+register that puts a qubit on the top bit at PrepX and drops it at MeasX
+(at most 2n+1 qubits).  All live measurement branches form one (B, 2^q)
+amplitude stack with (B, M) records and (B,) probabilities.  Each run of
+PrepX and (diagonal) gate locations up to the next readout or fault is one
 precomputed factor; a Pauli fault is a phase vector and an index
 permutation; a readout splits every row into its +1 and -1 children,
-interleaved so rows stay in depth-first (+1 first) order.  Enumeration
-keeps children of conditional probability above 1e-12; a run keeps one.
-Decoding and classification act on whole stacks too.
+interleaved so rows stay in depth-first (+1 first) order.  It enumerates
+the noiseless branches once per config, keeping children of conditional
+probability above 1e-12; a run keeps one child per readout.
+
+Faulted enumeration runs no state vectors.  Every location a fault event
+meets after it fires is Clifford: Z parts commute with the diagonal
+gates, and the X events the noise model emits fire after a qubit's only
+CZ(theta).  So a fault is a Pauli frame: pushed through the CPHASEs (X on
+one qubit adds Z on the other) it flips each readout whose qubit carries a
+Z part and leaves a Pauli on block 3.  The faulted branches are the
+noiseless ones with those readouts negated, the same probabilities and
+the block-3 Pauli applied.  A fault whose X part would reach a CZ(theta)
+raises FrameError; ``run`` and ``sample_bins`` execute any fault on the
+state-vector path.  Decoding and classification act on whole stacks.
 
 Sampling: ``run`` draws one uniform per readout and keeps the +1 child
 when it is below the conditional +1 probability.  ``sample_bins`` applies
@@ -76,6 +87,11 @@ class ConfigError(ValueError):
 
 class RecordError(ValueError):
     """Measurement record does not match the circuit layout."""
+
+
+class FrameError(ValueError):
+    """A fault's X part would reach a non-Clifford CZ(theta) gate, so it has
+    no Pauli frame; only the state-vector path (run, sample_bins) takes it."""
 
 
 class Target(enum.Enum):
@@ -368,9 +384,13 @@ def _advance(cfg, fault_ops, choose, t, m, amps, bits, probs, first=0) -> Branch
     return Branches(1 - 2 * bits, probs, amps / np.sqrt(probs)[:, None])
 
 
-def _simulate(circuit: Circuit, cfg: GadgetConfig, faults, choose) -> Branches:
+def _check_circuit(circuit: Circuit, cfg: GadgetConfig) -> None:
     if circuit.locations != build_circuit(cfg).locations:
         raise ConfigError("circuit was not built from this config")
+
+
+def _simulate(circuit: Circuit, cfg: GadgetConfig, faults, choose) -> Branches:
+    _check_circuit(circuit, cfg)
     merged: dict[int, PauliString] = {}
     for t, pauli in faults:
         merged[t] = merged.get(t, PauliString()).compose(pauli)
@@ -383,16 +403,95 @@ def _simulate(circuit: Circuit, cfg: GadgetConfig, faults, choose) -> Branches:
     return _advance(cfg, fault_ops, choose, 0, 0, np.ones((1, 1), dtype=np.complex128), bits, np.ones(1))
 
 
-def enumerate_branches(circuit: Circuit, cfg: GadgetConfig, faults=()) -> Branches:
-    """All measurement branches with probability > ~1e-12, exactly executed.
+@functools.lru_cache(maxsize=64)
+def _noiseless_branches(cfg: GadgetConfig) -> Branches:
+    """The noiseless branches of ``cfg`` on the state-vector path, read-only:
+    every faulted enumeration and every table built from the noiseless
+    circuit reads this one stack."""
+    branches = _simulate(build_circuit(cfg), cfg, (), lambda _m, cond, _first: np.flatnonzero(cond > _BRANCH_EPS))
+    for array in (branches.records, branches.probabilities, branches.states):
+        array.flags.writeable = False
+    return branches
 
-    Every location acts once on the whole stack of live branches; each
-    X readout splits every row into its +1 and -1 children (interleaved, so
-    the rows stay in depth-first order) and drops children whose
-    conditional probability is at most 1e-12.  ``faults`` is an iterable of
-    (location index, PauliString) pairs.
+
+@functools.lru_cache(maxsize=4096)
+def _frame(cfg: GadgetConfig, location: int, pauli: PauliString) -> tuple[int, PauliString]:
+    """(record flip mask, block-3 Pauli) of a Pauli fault at ``location``.
+
+    Bit m of the mask flips readout m.  The fault is pushed through every
+    later location (a MeasX fault fires before its own readout): a CPHASE
+    turns X on one qubit into X on it and Z on the other, a MeasX flips its
+    readout when its qubit carries Z and then drops the qubit.  What is
+    left sits on block 3, returned in its local qubit order.
     """
-    return _simulate(circuit, cfg, faults, lambda _m, cond, _first: np.flatnonzero(cond > _BRANCH_EPS))
+    if any(q not in _program(cfg)[location].positions for q in pauli.qubits()):
+        raise KeyError(f"fault {pauli} at location {location} touches a qubit not live there")
+    locations = build_circuit(cfg).locations
+    start = location if locations[location].kind is LocationKind.MEAS_X else location + 1
+    m = sum(loc.kind is LocationKind.MEAS_X for loc in locations[:start])
+    xs, zs, flips = pauli.xs, pauli.zs, 0
+    for t in range(start, len(locations)):
+        kind, qubits = locations[t].kind, locations[t].qubits
+        if kind is LocationKind.CZ_THETA:
+            if any((xs >> q) & 1 for q in qubits):
+                raise FrameError(f"X part of fault {pauli} at location {location} reaches CZ(theta) at {t}")
+        elif kind is LocationKind.CPHASE:
+            a, b = qubits
+            zs ^= (((xs >> a) & 1) << b) | (((xs >> b) & 1) << a)
+        elif kind is LocationKind.MEAS_X:
+            q = qubits[0]
+            flips |= ((zs >> q) & 1) << m
+            xs &= ~(1 << q)
+            zs &= ~(1 << q)
+            m += 1
+    offset = 2 * cfg.n
+    return flips, PauliString(xs >> offset, zs >> offset)
+
+
+@functools.lru_cache(maxsize=4096)
+def _flipped(cfg: GadgetConfig, flips: int) -> tuple[np.ndarray, np.ndarray]:
+    """(records, order): the noiseless records with the readouts in the
+    mask ``flips`` negated, read-only and sorted depth-first, and the
+    noiseless row each sorted record comes from."""
+    records = _noiseless_branches(cfg).records
+    flip = np.array([(flips >> m) & 1 for m in range(cfg.num_measurements)], dtype=bool)
+    records = np.where(flip, -records, records)
+    order = np.lexsort((records < 0).T[::-1])  # readout 0 is the primary key
+    records = records[order]
+    records.flags.writeable = False
+    return records, order
+
+
+def enumerate_branches(circuit: Circuit, cfg: GadgetConfig, faults=()) -> Branches:
+    """All measurement branches with probability > ~1e-12, in depth-first
+    (+1 first) order.
+
+    ``faults`` is an iterable of (location index, PauliString) pairs.  The
+    noiseless branches are enumerated once per config on the state-vector
+    path and kept read-only; with no fault they are returned as they are.
+    Otherwise the Pauli frames of the faults (:func:`_frame`) combine by
+    XOR, and the faulted branches are the noiseless ones with the frame's
+    readouts negated, the same probabilities and the frame's block-3 Pauli
+    applied to their states, sorted back into depth-first order.  A fault
+    whose X part would reach a CZ(theta) gate raises FrameError; :func:`run`
+    and :func:`sample_bins` execute such faults on the state-vector path.
+    """
+    _check_circuit(circuit, cfg)
+    flips, out = 0, PauliString()
+    for t, pauli in faults:
+        mask, frame = _frame(cfg, t, pauli)
+        flips ^= mask
+        out = out.compose(frame)
+    table = _noiseless_branches(cfg)
+    if not flips and out.is_identity:
+        return table
+    records, probabilities, states = table.records, table.probabilities, table.states
+    if flips:
+        records, order = _flipped(cfg, flips)
+        probabilities, states = probabilities[order], states[order]
+    if not out.is_identity:
+        states = _apply_local_pauli(states, cfg.n, out)
+    return Branches(records, probabilities, states)
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +560,7 @@ def _correction_tables(base: GadgetConfig) -> tuple[dict, np.ndarray]:
     array (-1 where not correctable)."""
     target = target_state(base)
     paulis = _logical_paulis(base.n)
-    branches = enumerate_branches(build_circuit(base), base)
+    branches = _noiseless_branches(base)
     zl_bits, bs, correlated, alphas = _record_fields(base, branches.records)
     if not correlated.all():
         raise CorrectionTableError("noiseless branch with mismatched X records")

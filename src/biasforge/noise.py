@@ -13,14 +13,17 @@ its Z and X events fire together (probability p_z * p_x).
 
 The exhaustive enumerator sums all event subsets of size <= k, weighting each by
 prod(p_e) * prod(1 - p_e') over the non-firing events (exact, no
-exponential approximation), and executing every measurement branch of the
-faulted circuit exactly.  Each subset is one ``gadget.enumerate_branches``
-call, whose branch stack is decoded and classified in one batch into six
-outcome-bin masses.  These per-subset masses are independent of the
-rates, so they are computed once per (config, order) and kept as an
-(S, k) event-index matrix and an (S, 6) mass matrix; each NoiseParams then
-costs one vector of subset weights exp(log P(no event) + sum of log-odds)
-and one matrix product.
+exponential approximation), over every measurement branch of the faulted
+circuit.  Each subset is one ``gadget.enumerate_branches`` call: the
+noiseless branches under the subset's Pauli frame (readouts flipped, a
+Pauli on the output block), exact because every location after an event
+is Clifford; an event whose X part would reach a CZ(theta) gate has no
+frame and raises ``gadget.FrameError``.  The branch stack is decoded and
+classified in one batch into six outcome-bin masses.  These per-subset
+masses are independent of the rates, so they are computed once per
+(config, order) and kept as an (S, k) event-index matrix and an (S, 6)
+mass matrix; each NoiseParams then costs one vector of subset weights
+exp(log P(no event) + sum of log-odds) and one matrix product.
 
 The primary e_x / e_z / e_y rates are per gadget attempt: the probability
 that a run is accepted AND delivers that logical error.  This is the
@@ -228,7 +231,7 @@ def enumerate_faults(cfg: gd.GadgetConfig, params: NoiseParams, max_order: int) 
     """Exact rates from all fault combinations of <= max_order events.
 
     Every subset is weighted by prod(p_fired) * prod(1 - p_not_fired) and
-    executed deterministically over all measurement branches; the result
+    read over all its measurement branches through its Pauli frame; the result
     is accurate to O(p^(max_order+1)).  The primary rates are per attempt
     (accepted AND wrong, normalized over the enumerated mass); the
     ``*_given_accept`` fields carry the post-selected variants.

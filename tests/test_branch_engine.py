@@ -7,6 +7,8 @@
   seeded run must reproduce it exactly.
 * A dense reference simulator, written independently of the package's
   engine, replays every enumerated branch of random fault subsets.
+* Faulted enumeration reads the noiseless branches through Pauli frames;
+  every frame branch is replayed on the state-vector path of ``run``.
 """
 
 import dataclasses
@@ -145,14 +147,39 @@ def test_enumerate_branches_matches_dense_reference(case):
         assert abs(np.vdot(state, branch.state)) == pytest.approx(1.0, abs=1e-9)
 
 
-def test_large_stacks_advance_in_halves(monkeypatch):
+@given(_faulted_gadget())
+def test_frame_branches_match_state_vector_runs(case):
+    cfg, circuit, faults = case
+    branches = gd.enumerate_branches(circuit, cfg, faults=faults)
+    for branch, got in zip(branches, gd.outcome_bins(cfg, branches)):
+        outcome = gd.run(circuit, cfg, faults=faults, forced_outcomes=branch.record)
+        assert branch.probability == pytest.approx(outcome.probability, rel=1e-12, abs=0)
+        assert outcome.bin == got
+
+
+def test_x_fault_before_cz_theta_has_no_frame():
     cfg = gd.GadgetConfig.t_state(3, 1)
     circuit = gd.build_circuit(cfg)
-    events = nz.fault_events(circuit)
-    faults = [(events[i].location, events[i].pauli) for i in (3, 40)]
-    whole = gd.enumerate_branches(circuit, cfg, faults=faults)
+    prep = circuit.locations.index(gd.Location(gd.LocationKind.PREP_X, (0,)))
+    faults = [(prep, gd.PauliString.x_on([0]))]
+    with pytest.raises(gd.FrameError):
+        gd.enumerate_branches(circuit, cfg, faults=faults)
+    # the state-vector path still executes it: X on |+> changes nothing
+    branch = gd.enumerate_branches(circuit, cfg)[0]
+    outcome = gd.run(circuit, cfg, faults=faults, forced_outcomes=branch.record)
+    assert outcome.probability == pytest.approx(branch.probability, rel=1e-12, abs=0)
+
+
+def test_large_stacks_advance_in_halves(monkeypatch):
+    # the state-vector path halves stacks; enumeration runs it for the noiseless table
+    cfg = gd.GadgetConfig.t_state(3, 1)
+    whole = gd._noiseless_branches(cfg)
+    assert not any(a.flags.writeable for a in (whole.records, whole.probabilities, whole.states))
+    advance, stacks = gd._advance, []
+    monkeypatch.setattr(gd, "_advance", lambda *args: stacks.append(len(args[5])) or advance(*args))
     monkeypatch.setattr(gd, "_MAX_AMPS", 64)
-    halves = gd.enumerate_branches(circuit, cfg, faults=faults)
+    halves = gd._noiseless_branches.__wrapped__(cfg)
+    assert len(stacks) > 1
     assert np.array_equal(whole.records, halves.records)
     np.testing.assert_allclose(halves.probabilities, whole.probabilities, rtol=0, atol=1e-15)
     np.testing.assert_allclose(halves.states, whole.states, rtol=0, atol=1e-15)
