@@ -1,0 +1,67 @@
+#!/usr/bin/env python3
+"""Record per-bin Monte Carlo counts as the golden file of tests/test_noise.py.
+
+Usage: PYTHONPATH=src python scripts/record_mc_counts.py > tests/golden/mc_counts.json
+
+Each case is one ``noise._mc_counts`` call over trials 0..trials-1: the six
+outcome-bin counts (I, XL, ZL, YL, rejected, anomaly) that
+``estimate_rates_mc`` turns into rates.  The cases are the nine of
+``test_monte_carlo_counts_match_per_trial_loop``, two in which every Z event
+fires in every trial (n=5 and n=3), and 20,000-trial runs at two high noise
+points.  Re-record only when a count is meant to change.
+"""
+
+import json
+import sys
+
+from biasforge import gadget as gd
+from biasforge import noise as nz
+
+CONFIGS = {  # name -> config at code length n
+    "T-r1": lambda n: gd.GadgetConfig.t_state(n, r=1),
+    "T-r3": lambda n: gd.GadgetConfig.t_state(n, r=3),
+    "plusI-r1": lambda n: gd.GadgetConfig.plus_i(n, r=1),
+}
+
+
+def cases():
+    for p_z, eta, trials, seed in [(1e-3, 100.0, 3000, 29), (1e-2, 10.0, 1500, 2**100 + 1), (5e-2, 3.0, 400, 7)]:
+        for name in CONFIGS:
+            yield name, 3, nz.NoiseParams.from_bias(p_z, eta), trials, seed
+    every_z = nz.NoiseParams(p_x=0.0, p_z=1.0, p_zz=0.0)
+    yield "T-r1", 5, every_z, 600, 3
+    yield "T-r1", 3, every_z, 300, 3
+    for p_z, eta in [(1e-2, 10.0), (5e-2, 3.0)]:
+        for name in CONFIGS:
+            yield name, 3, nz.NoiseParams.from_bias(p_z, eta), 20_000, 2026
+
+
+def record():
+    out = []
+    for name, n, params, trials, seed in cases():
+        counts = nz._mc_counts(CONFIGS[name](n), params, seed, range(trials))
+        out.append(
+            {
+                "gadget": name,
+                "n": n,
+                "p_x": params.p_x,
+                "p_z": params.p_z,
+                "p_zz": params.p_zz,
+                "trials": trials,
+                "seed": seed,
+                "counts": counts.tolist(),
+            }
+        )
+    return out
+
+
+if __name__ == "__main__":
+    doc = {
+        "about": "Per-bin counts (I, XL, ZL, YL, rejected, anomaly) of noise._mc_counts(cfg, params, seed, "
+        "range(trials)), recorded with the state-vector Monte Carlo engine that faulted trials ran on "
+        "before they were sampled through Pauli frames.",
+        "command": "PYTHONPATH=src python scripts/record_mc_counts.py > tests/golden/mc_counts.json",
+        "cases": record(),
+    }
+    json.dump(doc, sys.stdout, indent=1)
+    sys.stdout.write("\n")

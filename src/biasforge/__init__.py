@@ -5,9 +5,9 @@ Layers, bottom up:
 * ``statevec``  dense state-vector kernels (gate diagonals, Pauli action,
                 X-readout split) and the PauliString type.
 * ``gadget``    the repetition-code magic-state preparation circuit, its
-                exact execution as one stack of measurement branches
-                (forced, sampled, or the noiseless ones enumerated), faulted
-                enumeration by Pauli frames, and classical decoding.
+                noiseless branch table from one exact state-vector
+                execution, faulted enumeration and sampled runs read from
+                that table through Pauli frames, and classical decoding.
 * ``noise``     biased Pauli fault model: exhaustive low-order fault
                 enumeration and block Monte Carlo over the gadget.
 * ``bounds``    closed-form logical error bounds and parameter sweeps.

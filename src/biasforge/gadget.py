@@ -36,33 +36,35 @@ after their location executes, except at MeasX locations where they are
 applied before readout.  Fault Paulis may touch any qubit that is live at
 that point in the circuit.
 
-Execution: the state-vector path compiles a circuit once against a live
-register that puts a qubit on the top bit at PrepX and drops it at MeasX
-(at most 2n+1 qubits).  All live measurement branches form one (B, 2^q)
-amplitude stack with (B, M) records and (B,) probabilities.  Each run of
-PrepX and (diagonal) gate locations up to the next readout or fault is one
-precomputed factor; a Pauli fault is a phase vector and an index
-permutation; a readout splits every row into its +1 and -1 children,
-interleaved so rows stay in depth-first (+1 first) order.  It enumerates
-the noiseless branches once per config, keeping children of conditional
-probability above 1e-12; a run keeps one child per readout.
+Execution: state vectors run only the noiseless circuit, once per config.
+The circuit is compiled against a live register that puts a qubit on the
+top bit at PrepX and drops it at MeasX (at most 2n+1 qubits).  All live
+measurement branches form one (B, 2^q) amplitude stack with (B, M)
+records.  Each run of PrepX and (diagonal) gate locations up to the next
+readout is one precomputed factor; a readout splits every row into its +1
+and -1 children, interleaved so rows stay in depth-first (+1 first) order,
+and keeps the children of conditional probability above 1e-12.  The
+result is the read-only noiseless branch table, with the probability of
+every row's record prefix.
 
-Faulted enumeration runs no state vectors.  Every location a fault event
-meets after it fires is Clifford: Z parts commute with the diagonal
-gates, and the X events the noise model emits fire after a qubit's only
-CZ(theta).  So a fault is a Pauli frame: pushed through the CPHASEs (X on
-one qubit adds Z on the other) it flips each readout whose qubit carries a
-Z part and leaves a Pauli on block 3.  The faulted branches are the
-noiseless ones with those readouts negated, the same probabilities and
-the block-3 Pauli applied.  A fault whose X part would reach a CZ(theta)
-raises FrameError; ``run`` and ``sample_bins`` execute any fault on the
-state-vector path.  Decoding and classification act on whole stacks.
+Faults run no state vectors.  Every location a fault event meets after it
+fires is Clifford: Z parts commute with the diagonal gates, and the X
+events the noise model emits fire after a qubit's only CZ(theta).  So a
+fault is a Pauli frame: pushed through the CPHASEs (X on one qubit adds Z
+on the other) it flips each readout whose qubit carries a Z part and
+leaves a Pauli on block 3.  The faulted branches are the noiseless ones
+with those readouts negated, the same probabilities and the block-3 Pauli
+applied.  A fault whose X part would reach a CZ(theta) raises FrameError.
+Decoding and classification act on whole stacks.
 
-Sampling: ``run`` draws one uniform per readout and keeps the +1 child
-when it is below the conditional +1 probability.  ``sample_bins`` applies
-the same rule to many runs that share one fault list: their stack is one
-row up to the first readout, branches there to one row per run, and each
-row then follows its own draws, so G runs cost one stacked execution.
+Sampling: a run draws one uniform per readout and reads +1 when the draw
+is below the conditional probability of +1 given its earlier readouts.
+Under a frame that flips readouts f, that is the noiseless probability
+that readout m equals +1 xor f_m given that the earlier noiseless
+readouts equal the faulted ones xor f, a ratio of two prefix
+probabilities of the table.  ``sample_branches`` walks the table this way
+for many runs at once, each with its own frame and draws; ``run`` is one
+such walk.
 """
 
 from __future__ import annotations
@@ -91,7 +93,7 @@ class RecordError(ValueError):
 
 class FrameError(ValueError):
     """A fault's X part would reach a non-Clifford CZ(theta) gate, so it has
-    no Pauli frame; only the state-vector path (run, sample_bins) takes it."""
+    no Pauli frame and no engine runs it."""
 
 
 class Target(enum.Enum):
@@ -298,7 +300,7 @@ def _factor(cfg: GadgetConfig, start: int, stop: int) -> np.ndarray:
     return f.reshape(1 << grow, -1)
 
 
-# fault Paulis recur across subsets and trials; registers stay <= 2n+1 qubits
+# block-3 frame Paulis and class representatives recur across calls
 _pauli_action = functools.lru_cache(maxsize=1024)(sv.pauli_action)
 
 
@@ -316,8 +318,9 @@ class Branch:
 
 @dataclass(frozen=True, eq=False)
 class Branches:
-    """The measurement branches of one execution, stacked in depth-first
-    (+1 outcome first) order; iterating yields :class:`Branch` rows."""
+    """Measurement branches stacked as rows: all branches of one execution
+    in depth-first (+1 outcome first) order, or one row per sampled run;
+    iterating yields :class:`Branch` rows."""
 
     records: np.ndarray  # (B, num_measurements) int8 entries +1 / -1
     probabilities: np.ndarray  # (B,)
@@ -334,54 +337,40 @@ _BRANCH_EPS = 1e-12  # outcome probabilities below this are treated as zero
 _MAX_AMPS = 1 << 20  # larger stacks are advanced in halves, bounding memory
 
 
-def _measure(amps, bits, probs, position, m, choose, first):
+def _measure(amps, bits, path, position, m):
     """Split every row on an X readout of bit ``position`` into children 2b
-    (+1) and 2b+1 (-1); ``choose(m, cond, first)`` picks from their
-    conditional probabilities the indices of the children kept.  Rows stay
-    unnormalized: a row's squared norm is its branch probability."""
+    (+1) and 2b+1 (-1) and keep those of conditional probability above
+    _BRANCH_EPS.  Rows stay unnormalized: a row's squared norm is the
+    probability of its record so far, kept in column m+1 of ``path``."""
     children = sv.x_split(amps, position)
     parts = children.view(np.float64)
     mass = np.einsum("ij,ij->i", parts, parts)
-    kept = choose(m, mass / probs.repeat(2), first)
-    bits = bits[kept >> 1]
+    kept = np.flatnonzero(mass / path[:, m].repeat(2) > _BRANCH_EPS)
+    bits, path = bits[kept >> 1], path[kept >> 1]
     bits[:, m] = kept & 1
-    return children[kept], bits, mass[kept]
+    path[:, m + 1] = mass[kept]
+    return children[kept], bits, path
 
 
-def _advance(cfg, fault_ops, choose, t, m, amps, bits, probs, first=0) -> Branches:
-    """Run locations t.. on a stack whose rows have outcome bits (0 for
-    +1) for the first m readouts.  ``first`` is the index of the stack's
-    first row in the stack it was halved from, so that a sampler keeping
-    one child per row can tell its rows apart after a split."""
+def _advance(cfg, t, m, amps, bits, path):
+    """Run locations t.. of the noiseless circuit on a stack whose rows
+    have outcome bits (0 for +1) and prefix probabilities for the first m
+    readouts; return the final (amps, bits, path)."""
     steps = _program(cfg)
     while t < len(steps):
         if len(amps) > 1 and amps.size > _MAX_AMPS:
             half = len(amps) // 2
-            parts = [
-                _advance(cfg, fault_ops, choose, t, m, amps[a:b], bits[a:b], probs[a:b], first + a)
-                for a, b in ((0, half), (half, len(amps)))
-            ]
-            return Branches(
-                np.concatenate([p.records for p in parts]),
-                np.concatenate([p.probabilities for p in parts]),
-                np.concatenate([p.states for p in parts]),
-            )
+            parts = [_advance(cfg, t, m, amps[a:b], bits[a:b], path[a:b]) for a, b in ((0, half), (half, len(amps)))]
+            return tuple(np.concatenate(arrays) for arrays in zip(*parts))
         step = steps[t]
         if step.kind is LocationKind.MEAS_X:
-            fault = fault_ops.get(t)  # fires before readout
-            if fault is not None:
-                amps = amps[:, fault[0]] * fault[1]
-            amps, bits, probs = _measure(amps, bits, probs, step.measured, m, choose, first)
+            amps, bits, path = _measure(amps, bits, path, step.measured, m)
             t, m = t + 1, m + 1
             continue
-        # the PrepX and gate locations up to the next readout or fault act as one factor
-        stop = min([step.next_readout] + [f + 1 for f in fault_ops if t <= f < step.next_readout])
-        amps = (amps[:, None, :] * _factor(cfg, t, stop)).reshape(len(amps), -1)
-        fault = fault_ops.get(stop - 1)
-        if fault is not None:
-            amps = amps[:, fault[0]] * fault[1]
-        t = stop
-    return Branches(1 - 2 * bits, probs, amps / np.sqrt(probs)[:, None])
+        # the PrepX and gate locations up to the next readout act as one factor
+        amps = (amps[:, None, :] * _factor(cfg, t, step.next_readout)).reshape(len(amps), -1)
+        t = step.next_readout
+    return amps, bits, path
 
 
 def _check_circuit(circuit: Circuit, cfg: GadgetConfig) -> None:
@@ -389,29 +378,29 @@ def _check_circuit(circuit: Circuit, cfg: GadgetConfig) -> None:
         raise ConfigError("circuit was not built from this config")
 
 
-def _simulate(circuit: Circuit, cfg: GadgetConfig, faults, choose) -> Branches:
-    _check_circuit(circuit, cfg)
-    merged: dict[int, PauliString] = {}
-    for t, pauli in faults:
-        merged[t] = merged.get(t, PauliString()).compose(pauli)
-    fault_ops = {}
-    for t, pauli in merged.items():
-        positions = _program(cfg)[t].positions
-        local = pauli.mapped(positions)
-        fault_ops[t] = _pauli_action(len(positions), local.xs, local.zs)
-    bits = np.zeros((1, cfg.num_measurements), dtype=np.int8)
-    return _advance(cfg, fault_ops, choose, 0, 0, np.ones((1, 1), dtype=np.complex128), bits, np.ones(1))
-
-
 @functools.lru_cache(maxsize=64)
-def _noiseless_branches(cfg: GadgetConfig) -> Branches:
-    """The noiseless branches of ``cfg`` on the state-vector path, read-only:
-    every faulted enumeration and every table built from the noiseless
-    circuit reads this one stack."""
-    branches = _simulate(build_circuit(cfg), cfg, (), lambda _m, cond, _first: np.flatnonzero(cond > _BRANCH_EPS))
-    for array in (branches.records, branches.probabilities, branches.states):
+def _noiseless_table(cfg: GadgetConfig) -> tuple[Branches, np.ndarray, np.ndarray]:
+    """(branches, path, plus_before) of the noiseless circuit, read-only.
+
+    ``branches`` are the noiseless branches on the state-vector path: every
+    faulted enumeration, sampled run and table built from the noiseless
+    circuit reads them.  ``path[i, m]`` is the probability of the first m
+    readouts of row i (1 at m = 0), with a padding row of ones at i = B;
+    ``plus_before[i, m]`` counts the rows before row i that read +1 at
+    readout m.  As the rows are depth-first, the rows that share a record
+    prefix are contiguous, so these two arrays give every node of the
+    branch tree its probability and the split between its children.
+    """
+    num = cfg.num_measurements
+    start = np.ones((1, 1), dtype=np.complex128), np.zeros((1, num), dtype=np.int8), np.ones((1, num + 1))
+    amps, bits, path = _advance(cfg, 0, 0, *start)
+    probs = path[:, num].copy()
+    branches = Branches(1 - 2 * bits, probs, amps / np.sqrt(probs)[:, None])
+    path = np.vstack([path, np.ones(num + 1)])
+    plus_before = np.vstack([np.zeros(num, dtype=np.intp), np.cumsum(bits == 0, axis=0)])
+    for array in (branches.records, branches.probabilities, branches.states, path, plus_before):
         array.flags.writeable = False
-    return branches
+    return branches, path, plus_before
 
 
 @functools.lru_cache(maxsize=4096)
@@ -448,12 +437,34 @@ def _frame(cfg: GadgetConfig, location: int, pauli: PauliString) -> tuple[int, P
     return flips, PauliString(xs >> offset, zs >> offset)
 
 
+def _combined_frame(cfg: GadgetConfig, faults) -> tuple[int, PauliString]:
+    """The frame of a fault list: the XOR of its faults' frames."""
+    flips, out = 0, PauliString()
+    for t, pauli in faults:
+        mask, frame = _frame(cfg, t, pauli)
+        flips ^= mask
+        out = out.compose(frame)
+    return flips, out
+
+
+def fault_frame(cfg: GadgetConfig, faults) -> np.ndarray:
+    """The Pauli frame of a fault list as one GF(2) row of M + 2n bits: the
+    M readout flips, then the X and the Z mask of the block-3 Pauli.  Frames
+    combine by XOR, so the frame of a union of fault lists is the sum mod 2
+    of their rows.  A fault whose X part would reach a CZ(theta) raises
+    FrameError."""
+    flips, out = _combined_frame(cfg, faults)
+    num = cfg.num_measurements
+    bits = flips | out.xs << num | out.zs << (num + cfg.n)
+    return np.array([(bits >> k) & 1 for k in range(num + 2 * cfg.n)], dtype=np.uint8)
+
+
 @functools.lru_cache(maxsize=4096)
 def _flipped(cfg: GadgetConfig, flips: int) -> tuple[np.ndarray, np.ndarray]:
     """(records, order): the noiseless records with the readouts in the
     mask ``flips`` negated, read-only and sorted depth-first, and the
     noiseless row each sorted record comes from."""
-    records = _noiseless_branches(cfg).records
+    records = _noiseless_table(cfg)[0].records
     flip = np.array([(flips >> m) & 1 for m in range(cfg.num_measurements)], dtype=bool)
     records = np.where(flip, -records, records)
     order = np.lexsort((records < 0).T[::-1])  # readout 0 is the primary key
@@ -473,16 +484,11 @@ def enumerate_branches(circuit: Circuit, cfg: GadgetConfig, faults=()) -> Branch
     XOR, and the faulted branches are the noiseless ones with the frame's
     readouts negated, the same probabilities and the frame's block-3 Pauli
     applied to their states, sorted back into depth-first order.  A fault
-    whose X part would reach a CZ(theta) gate raises FrameError; :func:`run`
-    and :func:`sample_bins` execute such faults on the state-vector path.
+    whose X part would reach a CZ(theta) gate raises FrameError.
     """
     _check_circuit(circuit, cfg)
-    flips, out = 0, PauliString()
-    for t, pauli in faults:
-        mask, frame = _frame(cfg, t, pauli)
-        flips ^= mask
-        out = out.compose(frame)
-    table = _noiseless_branches(cfg)
+    flips, out = _combined_frame(cfg, faults)
+    table = _noiseless_table(cfg)[0]
     if not flips and out.is_identity:
         return table
     records, probabilities, states = table.records, table.probabilities, table.states
@@ -492,6 +498,48 @@ def enumerate_branches(circuit: Circuit, cfg: GadgetConfig, faults=()) -> Branch
     if not out.is_identity:
         states = _apply_local_pauli(states, cfg.n, out)
     return Branches(records, probabilities, states)
+
+
+def sample_branches(cfg: GadgetConfig, frames: np.ndarray, uniforms: np.ndarray) -> Branches:
+    """One sampled run per row: run g carries the Pauli frame ``frames[g]``
+    (see :func:`fault_frame`) and draws ``uniforms[g, m]`` at readout m.
+
+    Readout m reads +1 iff its draw is below the conditional probability
+    of +1 given the run's earlier readouts.  Under the frame's flips f that
+    is the noiseless probability that readout m equals +1 xor f_m given
+    that the earlier noiseless readouts equal the run's xor f, read from
+    the prefix probabilities of the noiseless table.  The walk keeps, for
+    every run, the range of table rows that share its noiseless prefix, so
+    each readout costs a few array lookups whatever the frames.  A draw
+    below 0 forces +1 and one of 1 or more forces -1; a forced outcome of
+    probability <= 1e-12 raises BranchError.  The result holds the runs'
+    faulted records, their branch probabilities and their block-3 states
+    under the frames' Paulis, in run order.
+    """
+    table, path, plus_before = _noiseless_table(cfg)
+    num, n = cfg.num_measurements, cfg.n
+    frames = np.asarray(frames, dtype=np.intp)
+    flips = frames[:, :num].astype(bool)
+    lo = np.zeros(len(frames), dtype=np.intp)
+    hi = np.full(len(frames), len(table), dtype=np.intp)
+    for m in range(num):
+        # the node's children are rows [lo, split) (+1) and [split, hi) (-1)
+        split = lo + plus_before[hi, m] - plus_before[lo, m]
+        f = flips[:, m]
+        a, b = np.where(f, split, lo), np.where(f, hi, split)  # the child read as +1
+        cond = np.where(a < b, path[a, m + 1] / path[lo, m], 0.0)
+        minus_child = f == (uniforms[:, m] < cond)
+        lo, hi = np.where(minus_child, split, lo), np.where(minus_child, hi, split)
+    if np.any(lo == hi):
+        raise BranchError(f"a forced readout outcome has probability <= {_BRANCH_EPS:g} under its frame")
+    weights = 1 << np.arange(n)
+    xs, zs = frames[:, num : num + n] @ weights, frames[:, num + n :] @ weights
+    source, phase = sv.pauli_action(n, xs[:, None], zs[:, None])
+    return Branches(
+        np.where(flips, -table.records[lo], table.records[lo]),
+        table.probabilities[lo],
+        np.take_along_axis(table.states[lo], source, axis=1) * phase,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +608,7 @@ def _correction_tables(base: GadgetConfig) -> tuple[dict, np.ndarray]:
     array (-1 where not correctable)."""
     target = target_state(base)
     paulis = _logical_paulis(base.n)
-    branches = _noiseless_branches(base)
+    branches = _noiseless_table(base)[0]
     zl_bits, bs, correlated, alphas = _record_fields(base, branches.records)
     if not correlated.all():
         raise CorrectionTableError("noiseless branch with mismatched X records")
@@ -743,40 +791,6 @@ def classify_logical(
     return _CLASS_ORDER[cls[0]], float(fid[0]), bool(anomaly[0])
 
 
-def _sampled_children(u, cond) -> np.ndarray:
-    """The children a sampled readout keeps: row i keeps its +1 child 2i
-    iff its draw u[i] is below its conditional +1 probability cond[2i],
-    else its -1 child 2i+1.  A scalar u, or draws for many rows against a
-    single-row stack, broadcast."""
-    plus = cond[0::2]
-    return 2 * np.arange(len(plus)) + np.logical_not(u < plus)
-
-
-def sample_bins(circuit: Circuit, cfg: GadgetConfig, faults, uniforms: np.ndarray) -> np.ndarray:
-    """Outcome bins (see outcome_bins) of len(uniforms) sampled runs that
-    share one fault list.
-
-    Row g is the run that :func:`run` makes with these faults when its
-    readouts draw uniforms[g, 0], uniforms[g, 1], ... in measurement order,
-    so a (G, num_measurements) block of per-run draws replays G calls of
-    run() in one stacked execution.  The stack is a single row up to the
-    first readout, where it branches to one row per run; at readout m each
-    row keeps its +1 child iff uniforms[row, m] is below its conditional
-    +1 probability, the rule run() applies.  Rows stay aligned with runs
-    when a large stack is advanced in halves.
-    """
-    uniforms = np.asarray(uniforms, dtype=np.float64)
-    if uniforms.ndim != 2 or uniforms.shape[1] != cfg.num_measurements:
-        raise RecordError(f"uniforms must have shape (runs, {cfg.num_measurements}), got {uniforms.shape}")
-
-    def choose(m, cond, first):
-        # before the first readout the stack is one row, shared by every run
-        u = uniforms[:, m] if m == 0 else uniforms[first : first + len(cond) // 2, m]
-        return _sampled_children(u, cond)
-
-    return outcome_bins(cfg, _simulate(circuit, cfg, faults, choose))
-
-
 def run(
     circuit: Circuit,
     cfg: GadgetConfig,
@@ -786,17 +800,18 @@ def run(
 ) -> GadgetOutcome:
     """Execute one (possibly faulty) pass of the gadget and decode it.
 
-    The batched engine of :func:`enumerate_branches` runs on a stack of one
-    row and keeps one child per readout.  ``faults`` is an iterable of
-    (location index, PauliString) pairs.  ``forced_outcomes`` may fix any
-    subset of the measurement outcomes (entries of +1/-1, with None meaning
-    "sample"); forcing an outcome of zero branch probability raises
-    BranchError.  Each sampled readout draws exactly one ``rng.random()``,
-    in measurement order, so a seeded generator replays the same run.
-    ``output_state`` on the returned outcome is the raw block-3 state;
-    applying ``correction`` maps it to the target on accepted noiseless
-    runs.
+    The run is one walk of :func:`sample_branches` under the Pauli frame of
+    ``faults``, an iterable of (location index, PauliString) pairs; a fault
+    whose X part would reach a CZ(theta) raises FrameError.
+    ``forced_outcomes`` may fix any subset of the measurement outcomes
+    (entries of +1/-1, with None meaning "sample"); forcing an outcome of
+    zero branch probability raises BranchError.  Each sampled readout draws
+    exactly one ``rng.random()``, in measurement order, so a seeded
+    generator replays the same run.  ``output_state`` on the returned
+    outcome is the raw block-3 state; applying ``correction`` maps it to
+    the target on accepted noiseless runs.
     """
+    _check_circuit(circuit, cfg)
     n_meas = cfg.num_measurements
     forced: list[int | None]
     if forced_outcomes is None:
@@ -808,17 +823,11 @@ def run(
         if any(v not in (None, +1, -1) for v in forced):
             raise RecordError("forced outcomes must be +1, -1 or None")
     sampler = rng if rng is not None else np.random.default_rng()
-
-    def choose(m, cond, _first):
-        want = forced[m]
-        if want is None:
-            return _sampled_children(sampler.random(), cond)
-        prob = float(cond[0 if want == +1 else 1])
-        if prob <= _BRANCH_EPS:
-            raise BranchError(f"forced outcome {want} at measurement {m} has probability {prob:.3e}")
-        return np.array([0 if want == +1 else 1])
-
-    branches = _simulate(circuit, cfg, faults, choose)
+    # a draw below 0 forces +1, one above 1 forces -1
+    uniforms = np.array([{None: 0.0, +1: -1.0, -1: 2.0}[v] for v in forced])
+    free = [m for m, v in enumerate(forced) if v is None]
+    uniforms[free] = sampler.random(len(free))
+    branches = sample_branches(cfg, fault_frame(cfg, faults)[None], uniforms[None])
     zl_bit, b, corrections = _decode_records(cfg, branches.records)
     outcome = _outcome(cfg, tuple(branches.records[0].tolist()), zl_bit[0], b[0], corrections[0])
     outcome.probability = float(branches.probabilities[0])

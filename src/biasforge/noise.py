@@ -11,14 +11,17 @@ Elementary fault events, per location:
 Y errors are not an independent process: a qubit suffers Y exactly when
 its Z and X events fire together (probability p_z * p_x).
 
-The exhaustive enumerator sums all event subsets of size <= k, weighting each by
-prod(p_e) * prod(1 - p_e') over the non-firing events (exact, no
+Every event is a Pauli frame (``gadget.fault_frame``): readouts flipped
+and a Pauli on the output block, exact because every location after an
+event is Clifford; an event whose X part would reach a CZ(theta) gate has
+no frame and raises ``gadget.FrameError``.  Frames of events combine by
+XOR, so both estimators read one noiseless branch table through them.
+
+The exhaustive enumerator sums all event subsets of size <= k, weighting
+each by prod(p_e) * prod(1 - p_e') over the non-firing events (exact, no
 exponential approximation), over every measurement branch of the faulted
-circuit.  Each subset is one ``gadget.enumerate_branches`` call: the
-noiseless branches under the subset's Pauli frame (readouts flipped, a
-Pauli on the output block), exact because every location after an event
-is Clifford; an event whose X part would reach a CZ(theta) gate has no
-frame and raises ``gadget.FrameError``.  The branch stack is decoded and
+circuit.  Each subset is one ``gadget.enumerate_branches`` call on its
+events' (location, Pauli) pairs, whose branch stack is decoded and
 classified in one batch into six outcome-bin masses.  These per-subset
 masses are independent of the rates, so they are computed once per
 (config, order) and kept as an (S, k) event-index matrix and an (S, 6)
@@ -48,9 +51,11 @@ event (the event fires when it is below p_e), then one double to pick a
 noiseless branch if nothing fired, or one double per readout if something
 did.  The sampler computes these doubles for a block of trials at once, by
 replaying numpy's SeedSequence hash and PCG64 steps on uint64 arrays, and
-checks once per process that they equal numpy's own.  Faulted trials that
-fired the same events run as one stack through ``gadget.sample_bins``.  A
-trial's outcome thus depends only on (seed, t), and the per-bin integer
+checks once per process that they equal numpy's own.  A faulted trial's
+frame is the sum mod 2 of its fired events' frame rows, and a block's
+faulted trials, whatever they fired, are one ``gadget.sample_branches``
+walk of the noiseless branch table and one ``gadget.outcome_bins`` call.
+A trial's outcome thus depends only on (seed, t), and the per-bin integer
 counts, hence the estimates, do not depend on the block size, the
 partition into worker processes or the thread count.
 """
@@ -154,15 +159,6 @@ def fault_events(circuit: gd.Circuit, idle_z_multiplier: float = 0.0) -> tuple[F
     return tuple(events)
 
 
-def _merge_events(events) -> tuple[tuple[int, PauliString], ...]:
-    """The fault list of a set of events: one Pauli product per location,
-    locations strictly increasing, identity products dropped."""
-    by_loc: dict[int, PauliString] = {}
-    for ev in events:
-        by_loc[ev.location] = by_loc.get(ev.location, PauliString()).compose(ev.pauli)
-    return tuple((loc, p) for loc, p in sorted(by_loc.items()) if not p.is_identity)
-
-
 @dataclass(frozen=True)
 class RateEstimate:
     """Logical rates per gadget attempt, plus per-accepted-state variants."""
@@ -193,7 +189,7 @@ _N_BINS = 6
 
 def _combo_masses(circuit, cfg, fault_subset) -> np.ndarray:
     """Probability mass of each outcome bin over every branch of one subset."""
-    branches = gd.enumerate_branches(circuit, cfg, faults=_merge_events(fault_subset))
+    branches = gd.enumerate_branches(circuit, cfg, faults=[(ev.location, ev.pauli) for ev in fault_subset])
     masses = np.bincount(gd.outcome_bins(cfg, branches), weights=branches.probabilities, minlength=_N_BINS)
     total = masses.sum()
     if abs(total - 1.0) > 1e-8:
@@ -425,16 +421,12 @@ def _check_streams() -> None:
 
 
 # A worker process pays off once its share of the trials costs more than
-# starting it.  A trial that fires a fault event costs far more than one
-# that fires none (those sample the precomputed noiseless branch pool), so
-# a share is counted in expected faulted trials, a clean trial weighing
-# 1/_CLEAN_TRIALS_PER_FAULTED of one.  On 2 CPUs (n=3, r=1) two workers
-# then start from 25,000 trials at zero noise, 8,100 at p_z=1e-3, eta=100,
-# 1,300 at p_z=1e-2, eta=10 and 540 at p_z=5e-2, eta=3; at each of these
-# cuts one process and two differed by 30 ms or less.
-_CLEAN_TRIALS_PER_FAULTED = 50
-_MIN_FAULTED_PER_WORKER = 250
-_BLOCK = 2048  # trials per block, and faulted trials per stacked batch: keeps their arrays under 1 MB
+# starting it.  A faulted trial costs about as much as a clean one, so a
+# share is counted in trials whatever the noise.  On 2 CPUs (n=3, r=1) two
+# workers tie with one process from 15,000 to 20,000 trials without noise
+# and win from 12,500 at p_z=1e-3, eta=100.
+_MIN_TRIALS_PER_WORKER = 10_000
+_BLOCK = 2048  # trials per block: keeps a block's arrays small
 
 
 def _trial_blocks(seed: int, trial_range: range):
@@ -443,68 +435,45 @@ def _trial_blocks(seed: int, trial_range: range):
         yield _TrialStreams.seeded(seed, np.arange(start, min(start + _BLOCK, trial_range.stop)))
 
 
+@functools.lru_cache(maxsize=None)
+def _event_frames(cfg: gd.GadgetConfig) -> np.ndarray:
+    """(E, M + 2n) frame rows (gadget.fault_frame) of the fault events."""
+    return np.array([gd.fault_frame(cfg, [(ev.location, ev.pauli)]) for ev in fault_events(gd.build_circuit(cfg))])
+
+
 def _mc_counts(cfg, params, seed, trial_range) -> np.ndarray:
     """Outcome-bin counts of the trials in ``trial_range``, a block at a time.
 
     A trial draws one double per fault event (event e fires when its draw is
     below p_e), then, if nothing fired, one double to pick a noiseless
-    branch; otherwise its readouts draw that double and the ones after it.
-    Faulted trials wait, keyed by the events they fired, until a block's
-    worth has gathered or the range ends; each key then runs as one stack.
+    branch; otherwise its readouts draw that double and the ones after it,
+    and the block's faulted trials are sampled together under their frames.
     """
     _check_streams()
-    circuit = gd.build_circuit(cfg)
-    events = fault_events(circuit)
-    probs = _event_probabilities(cfg, params)
+    probs = np.array([ev.probability(params) for ev in fault_events(gd.build_circuit(cfg))])
+    frames = _event_frames(cfg)
     cum, leaf_bins = _noiseless_leaf_pool(cfg)
     counts = np.zeros(_N_BINS, dtype=np.int64)
-    waiting: dict[tuple[int, ...], list[np.ndarray]] = {}  # fired events -> readout draws
-    queued = 0
     for streams in _trial_blocks(seed, trial_range):
-        fired: dict[int, list[int]] = {}  # block row -> events it fired, in order
-        for e, p in enumerate(probs):
-            for row in np.flatnonzero(streams.next() < p).tolist():
-                fired.setdefault(row, []).append(e)
+        fired = np.column_stack([streams.next() < p for p in probs])  # (block, events)
         draw = streams.next()
-        rows = np.array(sorted(fired), dtype=np.intp)
+        faulted = fired.any(axis=1)
         # noiseless trials: sample a branch from the exact pool
-        leaf = np.minimum(np.searchsorted(cum, np.delete(draw, rows) * cum[-1]), len(leaf_bins) - 1)
+        leaf = np.minimum(np.searchsorted(cum, draw[~faulted] * cum[-1]), len(leaf_bins) - 1)
         counts += np.bincount(leaf_bins[leaf], minlength=_N_BINS)
-        if fired:
+        rows = np.flatnonzero(faulted)
+        if len(rows):
             later = streams[rows]
-            draws = np.column_stack([draw[rows]] + [later.next() for _ in range(cfg.num_measurements - 1)])
-            for row, row_draws in zip(rows.tolist(), draws):
-                waiting.setdefault(tuple(fired[row]), []).append(row_draws)
-            queued += len(rows)
-        if queued >= _BLOCK:
-            counts += _stacked_counts(circuit, cfg, events, waiting)
-            waiting, queued = {}, 0
-    return counts + _stacked_counts(circuit, cfg, events, waiting)
-
-
-def _stacked_counts(circuit, cfg, events, waiting) -> np.ndarray:
-    """Outcome-bin counts of faulted trials, one gadget.sample_bins stack
-    per set of fired events."""
-    counts = np.zeros(_N_BINS, dtype=np.int64)
-    for subset, rows in waiting.items():
-        faults = _merge_events([events[i] for i in subset])
-        counts += np.bincount(gd.sample_bins(circuit, cfg, faults, np.array(rows)), minlength=_N_BINS)
+            uniforms = np.column_stack([draw[rows]] + [later.next() for _ in range(cfg.num_measurements - 1)])
+            branches = gd.sample_branches(cfg, fired[rows].astype(np.intp) @ frames % 2, uniforms)
+            counts += np.bincount(gd.outcome_bins(cfg, branches), minlength=_N_BINS)
     return counts
 
 
-def _event_probabilities(cfg, params) -> np.ndarray:
-    return np.array([ev.probability(params) for ev in fault_events(gd.build_circuit(cfg))])
-
-
-def _pool_workers(cfg, params, trials: int, threads: int) -> int:
+def _pool_workers(trials: int, threads: int) -> int:
     """Worker processes worth starting, from 1 to ``threads``: more than
-    one only if each gets _MIN_FAULTED_PER_WORKER expected faulted trials
-    of work."""
-    if threads <= 1:
-        return 1
-    faulted = 1.0 - float(np.prod(1.0 - _event_probabilities(cfg, params)))  # P(any event fires)
-    work = trials * (faulted + (1.0 - faulted) / _CLEAN_TRIALS_PER_FAULTED)
-    return max(1, min(threads, int(work / _MIN_FAULTED_PER_WORKER)))
+    one only if each gets _MIN_TRIALS_PER_WORKER trials."""
+    return max(1, min(threads, trials // _MIN_TRIALS_PER_WORKER))
 
 
 def _resolve_threads(threads: int | None) -> int:
@@ -543,7 +512,7 @@ def estimate_rates_mc(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    workers = _pool_workers(cfg, params, trials, _resolve_threads(threads))
+    workers = _pool_workers(trials, _resolve_threads(threads))
     if workers <= 1:
         counts = _mc_counts(cfg, params, seed, range(trials))
     else:

@@ -75,17 +75,6 @@ class PauliString:
             mask ^= low
         return out
 
-    def mapped(self, position_of: dict[int, int]) -> "PauliString":
-        """Relabel qubits through a {qubit: new_index} mapping."""
-        xs = zs = 0
-        for q in self.qubits():
-            p = position_of[q]
-            if (self.xs >> q) & 1:
-                xs |= 1 << p
-            if (self.zs >> q) & 1:
-                zs |= 1 << p
-        return PauliString(xs, zs)
-
 
 def cz_theta_diagonal(num_qubits: int, i: int, j: int, theta: float) -> np.ndarray:
     """Diagonal of exp(-i theta/2 Z_i Z_j) over a num_qubits register."""
@@ -100,13 +89,19 @@ def cphase_diagonal(num_qubits: int, i: int, j: int) -> np.ndarray:
     return np.where((index >> i) & (index >> j) & 1, -1.0 + 0j, 1.0 + 0j)
 
 
-def pauli_action(num_qubits: int, xs: int, zs: int) -> tuple[np.ndarray, np.ndarray]:
-    """(source, phase) with (P a)[..., i] = phase[i] * a[..., source[i]]."""
+def pauli_action(num_qubits: int, xs, zs) -> tuple[np.ndarray, np.ndarray]:
+    """(source, phase) with (P a)[..., i] = phase[i] * a[..., source[i]].
+
+    ``xs`` and ``zs`` are integer masks, or arrays of them that broadcast
+    against the amplitude index (a (G, 1) column gives one row per Pauli).
+    """
     source = np.arange(1 << num_qubits) ^ xs
     parity = np.zeros_like(source)
+    ys = 0  # qubits carrying Y
     for p in range(num_qubits):
         parity ^= ((source & zs) >> p) & 1
-    return source, (1j ** (xs & zs).bit_count()) * (1 - 2 * parity)
+        ys = ys + (((xs & zs) >> p) & 1)
+    return source, (1j**ys) * (1 - 2 * parity)
 
 
 def x_split(amps: np.ndarray, p: int) -> np.ndarray:

@@ -7,8 +7,9 @@
   seeded run must reproduce it exactly.
 * A dense reference simulator, written independently of the package's
   engine, replays every enumerated branch of random fault subsets.
-* Faulted enumeration reads the noiseless branches through Pauli frames;
-  every frame branch is replayed on the state-vector path of ``run``.
+* Faulted enumeration and sampled runs both read the noiseless branches
+  through Pauli frames; every enumerated branch is replayed by ``run``
+  with its record forced.
 """
 
 import dataclasses
@@ -149,12 +150,39 @@ def test_enumerate_branches_matches_dense_reference(case):
 
 @given(_faulted_gadget())
 def test_frame_branches_match_state_vector_runs(case):
+    # run() walks the branch tree under the frame; forcing an enumerated
+    # record must reach that branch, with its probability, state and bin
     cfg, circuit, faults = case
     branches = gd.enumerate_branches(circuit, cfg, faults=faults)
     for branch, got in zip(branches, gd.outcome_bins(cfg, branches)):
         outcome = gd.run(circuit, cfg, faults=faults, forced_outcomes=branch.record)
-        assert branch.probability == pytest.approx(outcome.probability, rel=1e-12, abs=0)
+        assert outcome.probability == branch.probability
         assert outcome.bin == got
+        if outcome.accepted:
+            assert np.array_equal(outcome.output_state, branch.state)
+
+
+@given(_faulted_gadget(), st.integers(0, 2**32 - 1))
+def test_sampled_runs_land_on_enumerated_branches(case, seed):
+    cfg, circuit, faults = case
+    by_record = {branch.record: branch for branch in gd.enumerate_branches(circuit, cfg, faults=faults)}
+    runs = 64
+    frames = np.repeat(gd.fault_frame(cfg, faults)[None], runs, axis=0)
+    sampled = gd.sample_branches(cfg, frames, np.random.default_rng(seed).random((runs, cfg.num_measurements)))
+    for got in sampled:
+        want = by_record[got.record]
+        assert got.probability == want.probability
+        assert np.array_equal(got.state, want.state)
+
+
+def test_fault_on_a_qubit_not_live_is_refused():
+    cfg = gd.GadgetConfig.t_state(3, 1)
+    circuit = gd.build_circuit(cfg)
+    faults = [(0, gd.PauliString.z_on([2 * cfg.n]))]  # block 3 is prepared after block 1 is read
+    with pytest.raises(KeyError):
+        gd.enumerate_branches(circuit, cfg, faults=faults)
+    with pytest.raises(KeyError):
+        gd.run(circuit, cfg, faults=faults, rng=np.random.default_rng(0))
 
 
 def test_x_fault_before_cz_theta_has_no_frame():
@@ -164,25 +192,26 @@ def test_x_fault_before_cz_theta_has_no_frame():
     faults = [(prep, gd.PauliString.x_on([0]))]
     with pytest.raises(gd.FrameError):
         gd.enumerate_branches(circuit, cfg, faults=faults)
-    # the state-vector path still executes it: X on |+> changes nothing
-    branch = gd.enumerate_branches(circuit, cfg)[0]
-    outcome = gd.run(circuit, cfg, faults=faults, forced_outcomes=branch.record)
-    assert outcome.probability == pytest.approx(branch.probability, rel=1e-12, abs=0)
+    # sampled runs read the same frames, so they refuse it too
+    with pytest.raises(gd.FrameError):
+        gd.run(circuit, cfg, faults=faults, rng=np.random.default_rng(0))
 
 
 def test_large_stacks_advance_in_halves(monkeypatch):
-    # the state-vector path halves stacks; enumeration runs it for the noiseless table
+    # the state-vector path halves stacks while it builds the noiseless table
     cfg = gd.GadgetConfig.t_state(3, 1)
-    whole = gd._noiseless_branches(cfg)
-    assert not any(a.flags.writeable for a in (whole.records, whole.probabilities, whole.states))
+    table = gd._noiseless_table(cfg)
+    whole = table[0]
+    assert not any(a.flags.writeable for a in (whole.records, whole.probabilities, whole.states, *table[1:]))
     advance, stacks = gd._advance, []
-    monkeypatch.setattr(gd, "_advance", lambda *args: stacks.append(len(args[5])) or advance(*args))
+    monkeypatch.setattr(gd, "_advance", lambda *args: stacks.append(len(args[3])) or advance(*args))
     monkeypatch.setattr(gd, "_MAX_AMPS", 64)
-    halves = gd._noiseless_branches.__wrapped__(cfg)
+    halves, path, _ = gd._noiseless_table.__wrapped__(cfg)
     assert len(stacks) > 1
     assert np.array_equal(whole.records, halves.records)
     np.testing.assert_allclose(halves.probabilities, whole.probabilities, rtol=0, atol=1e-15)
     np.testing.assert_allclose(halves.states, whole.states, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(path, table[1], rtol=0, atol=1e-15)
 
 
 def test_outcome_bins_agree_with_scalar_decoding():

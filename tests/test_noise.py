@@ -1,5 +1,7 @@
 import concurrent.futures
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -61,8 +63,9 @@ class TestFaultEvents:
 
 
 class TestSampleFaults:
-    """Monte Carlo fires event e when its draw is below p_e and merges a
-    trial's fired events per location with _merge_events."""
+    """Monte Carlo fires event e when its draw is below p_e; a trial's
+    fault list is its fired events' (location, Pauli) pairs, in event
+    order."""
 
     def test_zero_noise_always_empty(self):
         circ = gd.build_circuit(gd.GadgetConfig.t_state(3, r=1))
@@ -74,13 +77,12 @@ class TestSampleFaults:
     def test_certain_z_everywhere(self):
         circ = gd.build_circuit(gd.GadgetConfig.t_state(3, r=1))
         params = nz.NoiseParams(p_x=0.0, p_z=1.0, p_zz=0.0)
-        # every location carries Z on every touched qubit
-        got = dict(sampled_faults(circ, params, np.random.default_rng(0)))
+        # every single-qubit Z event fires: one Z per touched qubit, nothing else
+        got = sampled_faults(circ, params, np.random.default_rng(0))
+        assert len(got) == sum(len(loc.qubits) for loc in circ.locations)
         for t, loc in enumerate(circ.locations):
-            mask = 0
-            for q in loc.qubits:
-                mask |= 1 << q
-            assert got[t].zs == mask and got[t].xs == 0
+            paulis = [p for loc_t, p in got if loc_t == t]
+            assert sorted(paulis, key=lambda p: p.zs) == [PauliString.z_on([q]) for q in sorted(loc.qubits)]
 
     def test_mean_z_count_5sigma(self):
         # 43 single-Z opportunities in the r=1 circuit at p_z = 1e-3
@@ -100,30 +102,29 @@ class TestSampleFaults:
         sigma_mean = math.sqrt(expect / trials)  # Poisson-ish
         assert abs(mean - expect) < 5 * sigma_mean
 
-    def test_merged_locations_strictly_increasing(self):
+    def test_fired_events_in_location_order(self):
         circ = gd.build_circuit(gd.GadgetConfig.t_state(3, r=3))
         params = nz.NoiseParams(p_x=0.05, p_z=0.1, p_zz=0.05)
         faults = sampled_faults(circ, params, np.random.default_rng(5))
         locs = [loc for loc, _ in faults]
-        assert len(locs) > 1 and locs == sorted(set(locs))
+        assert len(set(locs)) > 1 and locs == sorted(locs)
 
 
-def test_merge_events_orders_composes_and_drops_identities():
-    circ = gd.build_circuit(gd.GadgetConfig.t_state(3, r=1))
+def test_event_frames_combine_by_xor():
+    # a fault list's frame is the sum mod 2 of its events' frame rows, so
+    # Z_a Z_b and ZZ on one gate cancel, and Y on the ancilla is X times Z
+    cfg = gd.GadgetConfig.t_state(3, r=1)
+    circ = gd.build_circuit(cfg)
     events = nz.fault_events(circ)
-    gate = next(t for t, loc in enumerate(circ.locations) if loc.kind is gd.LocationKind.CZ_THETA)
-    z_a, z_b, x_a, _, zz = [ev for ev in events if ev.location == gate]
-    a, b = circ.locations[gate].qubits
-    first, last = events[0], events[-1]
-    merged = nz._merge_events([last, z_a, zz, first])
-    # strictly increasing locations, whatever the input order
-    assert [loc for loc, _ in merged] == [first.location, gate, last.location]
-    # Z and ZZ at one location compose: Z_a Z_a Z_b = Z_b
-    assert dict(merged)[gate] == PauliString.z_on([b])
-    assert dict(nz._merge_events([x_a, z_a]))[gate] == PauliString(xs=1 << a, zs=1 << a)
-    # identity products are dropped
-    assert nz._merge_events([z_a, z_b, zz]) == ()
-    assert nz._merge_events([z_a, zz, z_b, first]) == ((first.location, first.pauli),)
+    frames = nz._event_frames(cfg)
+    gate = next(t for t, loc in enumerate(circ.locations) if loc.kind is gd.LocationKind.CPHASE)
+    z_a, z_b, _, x_b, zz = [i for i, ev in enumerate(events) if ev.location == gate]
+    assert not (frames[z_a] ^ frames[z_b] ^ frames[zz]).any()
+    anc = circ.locations[gate].qubits[1]
+    y_anc = gd.fault_frame(cfg, [(gate, PauliString(xs=1 << anc, zs=1 << anc))])
+    assert np.array_equal(frames[x_b] ^ frames[z_b], y_anc)
+    # X on the ancilla reaches the later block-1 CPHASEs of its round
+    assert frames[x_b].any() and frames[z_b].any() and not np.array_equal(frames[x_b], y_anc)
 
 
 class TestEnumerate:
@@ -232,17 +233,18 @@ class TestMonteCarlo:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
         cfg = gd.GadgetConfig.t_state(3, r=1)
         anchor, noisy = nz.NoiseParams.from_bias(1e-3, 100), nz.NoiseParams.from_bias(5e-2, 3)
-        # work is counted in expected faulted trials: about 4% of trials
-        # fault at the anchor, 94% at p_z=5e-2, eta=3
-        assert nz._pool_workers(cfg, anchor, 4_000, 8) == 1
-        assert nz._pool_workers(cfg, anchor, 20_000, 8) == 4
-        assert nz._pool_workers(cfg, noisy, 20_000, 8) == 8
-        assert nz._pool_workers(cfg, noisy, 20_000, 1) == 1
-        nz.estimate_rates_mc(cfg, anchor, trials=4_000, seed=5, threads=2)
+        # work is counted in trials, whatever the noise
+        least = nz._MIN_TRIALS_PER_WORKER
+        assert nz._pool_workers(least - 1, 8) == 1
+        assert nz._pool_workers(2 * least - 1, 8) == 1
+        assert nz._pool_workers(2 * least, 8) == 2
+        assert nz._pool_workers(20 * least, 8) == 8
+        assert nz._pool_workers(20 * least, 1) == 1
+        nz.estimate_rates_mc(cfg, noisy, trials=2 * least - 1, seed=5, threads=2)
         assert started == []
-        pooled = nz.estimate_rates_mc(cfg, noisy, trials=600, seed=5, threads=3)
+        pooled = nz.estimate_rates_mc(cfg, anchor, trials=2 * least, seed=5, threads=3)
         assert started == [2]  # a third worker would get too little work
-        assert pooled == nz.estimate_rates_mc(cfg, noisy, trials=600, seed=5, threads=1)
+        assert pooled == nz.estimate_rates_mc(cfg, anchor, trials=2 * least, seed=5, threads=1)
 
     def test_threads_env_var_respected(self, monkeypatch):
         monkeypatch.setenv("BIASFORGE_THREADS", "2")
@@ -327,7 +329,7 @@ def _per_trial_counts(cfg, params, seed, trials):
             leaf = int(np.searchsorted(cum, rng.random() * cum[-1]))
             counts[leaf_bins[min(leaf, len(leaf_bins) - 1)]] += 1
             continue
-        faults = nz._merge_events([ev for ev, f in zip(events, fired) if f])
+        faults = [(ev.location, ev.pauli) for ev, f in zip(events, fired) if f]
         counts[gd.run(circuit, cfg, faults=faults, rng=rng).bin] += 1
     return counts
 
@@ -353,30 +355,26 @@ def test_monte_carlo_counts_match_per_trial_loop(cfg, p_z, eta, trials, seed):
     _assert_estimate_counts(nz.estimate_rates_mc(cfg, params, trials, seed, threads=1), want, trials)
 
 
-@pytest.mark.parametrize(
-    "n, max_amps, trials",
-    # n=5: 600 rows of up to 2^11 amplitudes exceed the engine's own bound,
-    # but only after the last random readout; the lowered bound at n=3
-    # halves the stack before the random block-1 readouts
-    [(5, gd._MAX_AMPS, 600), (3, 1 << 8, 300)],
-)
-def test_monte_carlo_counts_match_per_trial_loop_when_stacks_halve(monkeypatch, n, max_amps, trials):
-    # every Z event fires in every trial, so all trials share one stack
-    cfg = gd.GadgetConfig.t_state(n, r=1)
-    params = nz.NoiseParams(p_x=0.0, p_z=1.0, p_zz=0.0)
-    want = _per_trial_counts(cfg, params, 3, trials)
-    advance, stacks = gd._advance, []
-    monkeypatch.setattr(gd, "_advance", lambda *args: stacks.append(len(args[5])) or advance(*args))
-    monkeypatch.setattr(gd, "_MAX_AMPS", max_amps)
-    _assert_estimate_counts(nz.estimate_rates_mc(cfg, params, trials, 3, threads=1), want, trials)
-    assert len(stacks) > 1 and trials * (1 << (2 * n + 1)) > max_amps
+MC_COUNTS = json.loads((Path(__file__).parent / "golden" / "mc_counts.json").read_text())
+GADGETS = {  # name -> config at code length n
+    "T-r1": lambda n: gd.GadgetConfig.t_state(n, 1),
+    "T-r3": lambda n: gd.GadgetConfig.t_state(n, 3),
+    "plusI-r1": lambda n: gd.GadgetConfig.plus_i(n, 1),
+}
 
 
-def test_sample_bins_needs_one_draw_per_readout():
-    cfg = gd.GadgetConfig.t_state(3, r=1)
-    circuit = gd.build_circuit(cfg)
-    with pytest.raises(gd.RecordError):
-        gd.sample_bins(circuit, cfg, (), np.full((4, cfg.num_measurements - 1), 0.5))
+def _golden_id(case):
+    return f"{case['gadget']}-n{case['n']}-pz{case['p_z']}-px{case['p_x']:.3g}-{case['trials']}x{case['seed'] % 10**6}"
+
+
+@pytest.mark.parametrize("case", MC_COUNTS["cases"], ids=_golden_id)
+def test_monte_carlo_counts_match_recording(case):
+    # recorded by scripts/record_mc_counts.py with the state-vector engine
+    # that faulted trials ran on before they were sampled through frames
+    cfg = GADGETS[case["gadget"]](case["n"])
+    params = nz.NoiseParams(p_x=case["p_x"], p_z=case["p_z"], p_zz=case["p_zz"])
+    counts = nz._mc_counts(cfg, params, case["seed"], range(case["trials"]))
+    assert counts.tolist() == case["counts"]
 
 
 def binomial_ci(mc_rate: float, en_rate: float, n: int) -> float:
@@ -390,7 +388,8 @@ def binomial_ci(mc_rate: float, en_rate: float, n: int) -> float:
 
 
 def sampled_faults(circuit, params, rng):
-    """One draw of every fault event of ``circuit``, merged per location."""
+    """One draw of every fault event of ``circuit``: the fired events'
+    (location, Pauli) pairs."""
     events = nz.fault_events(circuit)
     fired = rng.random(len(events)) < np.array([ev.probability(params) for ev in events])
-    return nz._merge_events([ev for ev, f in zip(events, fired) if f])
+    return tuple((ev.location, ev.pauli) for ev, f in zip(events, fired) if f)

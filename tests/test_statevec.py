@@ -195,11 +195,15 @@ class TestPauli:
         # Y = iXZ on |0> gives i|1>
         np.testing.assert_allclose(pauli(basis(1, 0), sv.PauliString(xs=1, zs=1)), [0, 1j], atol=1e-15)
 
-    def test_out_of_range(self):
-        # the engine places fault Paulis on the live register through mapped();
-        # a qubit the register does not hold has no position
-        with pytest.raises(KeyError):
-            sv.PauliString.x_on([3]).mapped({0: 0})
+    def test_one_pauli_per_row(self):
+        # column masks give one Pauli per row, as the sampled runs' frames do
+        rng = np.random.default_rng(3)
+        rows = rng.normal(size=(16, 8)) + 1j * rng.normal(size=(16, 8))
+        xs, zs = np.arange(16) % 8, np.arange(16) // 2
+        source, phase = sv.pauli_action(3, xs[:, None], zs[:, None])
+        got = np.take_along_axis(rows, source, axis=1) * phase
+        for row, x, z, g in zip(rows, xs.tolist(), zs.tolist(), got):
+            assert np.array_equal(g, pauli(row, sv.PauliString(x, z)))
 
     @given(st.integers(0, 255), st.integers(0, 255), st.integers(0, 255), st.integers(0, 255))
     def test_commutation_parity(self, x1, z1, x2, z2):
