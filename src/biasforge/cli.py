@@ -422,6 +422,30 @@ def _execute_and_emit(command: str, params: dict, out_path: str | None) -> int:
     return EXIT_OK
 
 
+# The params each command's header carries, with the JSON types they take.
+_INT, _NUMBER, _STR, _OPT_INT = (int,), (int, float), (str,), (int, type(None))
+_NOISE_TYPES = {"p_x": _NUMBER, "p_z": _NUMBER, "p_zz": _NUMBER}
+_PARAM_TYPES = {
+    "bounds": {"n": _INT, "r_z": _INT, "r_zz": _INT, **_NOISE_TYPES, "seed": _INT, "format": _STR},
+    "simulate": {
+        "n": _INT, "theta": _STR, "theta_radians": _NUMBER, "r_z": _INT, "r_zz": _INT, **_NOISE_TYPES,
+        "mode": _STR, "trials": _OPT_INT, "max_order": _OPT_INT, "seed": _INT, "threads": _OPT_INT, "format": _STR,
+    },
+    "plan": {"target": _NUMBER, **_NOISE_TYPES, "seed": _INT, "format": _STR},
+    "sweep": {"figure": _STR, "points": _INT, "seed": _INT, "format": _STR},
+}
+
+
+def _check_header_params(path: str, command: str, params: dict) -> None:
+    """Raise CliError unless ``params`` has every key of ``command``'s
+    header, each of the JSON type its builder writes."""
+    for key, types in _PARAM_TYPES[command].items():
+        if key not in params:
+            raise CliError(f"{path}: {command} header lacks param {key!r}")
+        if isinstance(params[key], bool) or not isinstance(params[key], types):
+            raise CliError(f"{path}: {command} header param {key}={params[key]!r} has the wrong type")
+
+
 def _cmd_replay(args) -> int:
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
@@ -440,6 +464,7 @@ def _cmd_replay(args) -> int:
                 params = json.loads(line.split("=", 1)[1])
     if command not in _RUNNERS or not isinstance(params, dict):
         raise CliError(f"{args.file} carries no replayable header")
+    _check_header_params(args.file, command, params)
     return _execute_and_emit(command, params, args.out)
 
 

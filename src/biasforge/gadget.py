@@ -37,15 +37,16 @@ applied before readout.  Fault Paulis may touch any qubit that is live at
 that point in the circuit.
 
 Execution: state vectors run only the noiseless circuit, once per config.
-The circuit is compiled against a live register that puts a qubit on the
-top bit at PrepX and drops it at MeasX (at most 2n+1 qubits).  All live
-measurement branches form one (B, 2^q) amplitude stack with (B, M)
-records.  Each run of PrepX and (diagonal) gate locations up to the next
-readout is one precomputed factor; a readout splits every row into its +1
-and -1 children, interleaved so rows stay in depth-first (+1 first) order,
-and keeps the children of conditional probability above 1e-12.  The
-result is the read-only noiseless branch table, with the probability of
-every row's record prefix.
+Each build turns the circuit into a list of stack operations on a live
+register that puts a qubit on the top bit at PrepX and drops it at MeasX
+(at most 2n+1 qubits).  All live measurement branches form one (B, 2^q)
+amplitude stack with (B, M) records.  Each run of PrepX and (diagonal)
+gate locations before a readout is one factor that grows and phases
+every row at once; a readout splits every row into its +1 and -1
+children, interleaved so rows stay in depth-first (+1 first) order, and
+keeps the children of conditional probability above 1e-12.  The result
+is the read-only noiseless branch table, with the probability of every
+row's record prefix.
 
 Faults run no state vectors.  Every location a fault event meets after it
 fires is Clifford: Z parts commute with the diagonal gates, and the X
@@ -245,59 +246,41 @@ def build_circuit(cfg: GadgetConfig) -> Circuit:
 
 
 # ---------------------------------------------------------------------------
-# Execution engine: the stacked branches advance through the compiled
-# circuit together (see the module docstring).
+# Execution engine: the stacked branches run the noiseless circuit together
+# (see the module docstring).
 
 
-@dataclass(frozen=True, eq=False)
-class _Step:
-    """One location compiled against the register layout at that point."""
+def _stack_ops(cfg: GadgetConfig) -> list[np.ndarray | int]:
+    """The noiseless circuit of ``cfg`` as operations on a (B, 2^q) stack.
 
-    kind: LocationKind
-    positions: dict[int, int]  # qubit id -> bit position when this location's fault fires
-    measured: int  # bit position of the measured qubit (MEAS_X), else -1
-    diagonal: np.ndarray | None  # gate phases over the live register (CZ_THETA / CPHASE)
-    next_readout: int  # index of the first MEAS_X location at or after this one
-
-
-@functools.lru_cache(maxsize=64)
-def _program(cfg: GadgetConfig) -> tuple[_Step, ...]:
-    """Compile the circuit of ``cfg``: qubits are allocated at the top bit at
-    PrepX and dropped at MeasX, so the register never exceeds 2n+1 qubits."""
+    A readout is the int bit position of its qubit.  A run of PrepX and
+    gate locations before a readout, k PrepX among them, is one (2^k, 2^q)
+    array f: the stack becomes (amps[:, None, :] * f).reshape(B, -1), the
+    new qubits taking the top bits in |+>.
+    """
     order: list[int] = []  # qubit id by bit position
-    compiled = []
+    ops: list[np.ndarray | int] = []
+    grow, diagonals = 0, []
     for loc in build_circuit(cfg).locations:
-        measured, diagonal = -1, None
         if loc.kind is LocationKind.PREP_X:
             order.append(loc.qubits[0])
-        elif loc.kind is LocationKind.MEAS_X:
-            measured = order.index(loc.qubits[0])
+            grow += 1
         elif loc.kind is LocationKind.CZ_THETA:
-            diagonal = sv.cz_theta_diagonal(len(order), *map(order.index, loc.qubits), cfg.theta)
+            diagonals.append(sv.cz_theta_diagonal(len(order), *map(order.index, loc.qubits), cfg.theta))
+        elif loc.kind is LocationKind.CPHASE:
+            diagonals.append(sv.cphase_diagonal(len(order), *map(order.index, loc.qubits)))
         else:
-            diagonal = sv.cphase_diagonal(len(order), *map(order.index, loc.qubits))
-        compiled.append((loc.kind, {q: p for p, q in enumerate(order)}, measured, diagonal))
-        if measured >= 0:
-            order.pop(measured)
-    if order != list(block3_qubits(cfg.n)):
-        raise AssertionError(f"unexpected final register order {order} vs {list(block3_qubits(cfg.n))}")
-    readouts = [t for t, c in enumerate(compiled) if c[0] is LocationKind.MEAS_X] + [len(compiled)]
-    return tuple(_Step(*c, next(r for r in readouts if r >= t)) for t, c in enumerate(compiled))
-
-
-@functools.lru_cache(maxsize=4096)
-def _factor(cfg: GadgetConfig, start: int, stop: int) -> np.ndarray:
-    """Locations start..stop-1 (no MeasX among them, k PrepX) as one
-    (2^k, 2^q) array f: a stack becomes (amps[:, None, :] * f).reshape(B, -1),
-    the new qubits taking the top bits in |+>."""
-    run = _program(cfg)[start:stop]
-    grow = sum(step.kind is LocationKind.PREP_X for step in run)
-    size = 1 << len(run[-1].positions)
-    f = np.full(size, sv._SQRT_HALF**grow, dtype=np.complex128)
-    for step in run:
-        if step.diagonal is not None:
-            f *= np.tile(step.diagonal, size // len(step.diagonal))
-    return f.reshape(1 << grow, -1)
+            if grow or diagonals:
+                f = np.full(1 << len(order), sv._SQRT_HALF**grow, dtype=np.complex128)
+                for diagonal in diagonals:
+                    f *= np.tile(diagonal, len(f) // len(diagonal))
+                ops.append(f.reshape(1 << grow, -1))
+                grow, diagonals = 0, []
+            ops.append(order.index(loc.qubits[0]))
+            order.remove(loc.qubits[0])
+    if grow or diagonals or order != list(block3_qubits(cfg.n)):
+        raise AssertionError(f"circuit does not end on block 3 after a readout: register {order}")
+    return ops
 
 
 # block-3 frame Paulis and class representatives recur across calls
@@ -352,30 +335,34 @@ def _measure(amps, bits, path, position, m):
     return children[kept], bits, path
 
 
-def _advance(cfg, t, m, amps, bits, path):
-    """Run locations t.. of the noiseless circuit on a stack whose rows
-    have outcome bits (0 for +1) and prefix probabilities for the first m
-    readouts; return the final (amps, bits, path)."""
-    steps = _program(cfg)
-    while t < len(steps):
+def _halves(a: int, b: int, width: int) -> list[tuple[int, int]]:
+    """Rows a..b-1 of a stack ``width`` amplitudes wide as row ranges,
+    halved and halved again until each has at most _MAX_AMPS amplitudes or
+    one row."""
+    if b - a == 1 or (b - a) * width <= _MAX_AMPS:
+        return [(a, b)]
+    half = a + (b - a) // 2
+    return _halves(a, half, width) + _halves(half, b, width)
+
+
+def _advance(ops, i, m, amps, bits, path):
+    """Run stack operations i.. (see :func:`_stack_ops`) on a stack whose
+    rows have outcome bits (0 for +1) and prefix probabilities for the
+    first m readouts; return the final (amps, bits, path).  A stack over
+    _MAX_AMPS amplitudes runs on in parts (:func:`_halves`), one at a time,
+    which bounds memory."""
+    while i < len(ops):
         if len(amps) > 1 and amps.size > _MAX_AMPS:
-            half = len(amps) // 2
-            parts = [_advance(cfg, t, m, amps[a:b], bits[a:b], path[a:b]) for a, b in ((0, half), (half, len(amps)))]
+            parts = [_advance(ops, i, m, amps[a:b], bits[a:b], path[a:b]) for a, b in _halves(0, *amps.shape)]
             return tuple(np.concatenate(arrays) for arrays in zip(*parts))
-        step = steps[t]
-        if step.kind is LocationKind.MEAS_X:
-            amps, bits, path = _measure(amps, bits, path, step.measured, m)
-            t, m = t + 1, m + 1
-            continue
-        # the PrepX and gate locations up to the next readout act as one factor
-        amps = (amps[:, None, :] * _factor(cfg, t, step.next_readout)).reshape(len(amps), -1)
-        t = step.next_readout
+        op = ops[i]
+        if isinstance(op, int):
+            amps, bits, path = _measure(amps, bits, path, op, m)
+            m += 1
+        else:
+            amps = (amps[:, None, :] * op).reshape(len(amps), -1)
+        i += 1
     return amps, bits, path
-
-
-def _check_circuit(circuit: Circuit, cfg: GadgetConfig) -> None:
-    if circuit.locations != build_circuit(cfg).locations:
-        raise ConfigError("circuit was not built from this config")
 
 
 @functools.lru_cache(maxsize=64)
@@ -393,7 +380,7 @@ def _noiseless_table(cfg: GadgetConfig) -> tuple[Branches, np.ndarray, np.ndarra
     """
     num = cfg.num_measurements
     start = np.ones((1, 1), dtype=np.complex128), np.zeros((1, num), dtype=np.int8), np.ones((1, num + 1))
-    amps, bits, path = _advance(cfg, 0, 0, *start)
+    amps, bits, path = _advance(_stack_ops(cfg), 0, 0, *start)
     probs = path[:, num].copy()
     branches = Branches(1 - 2 * bits, probs, amps / np.sqrt(probs)[:, None])
     path = np.vstack([path, np.ones(num + 1)])
@@ -413,9 +400,11 @@ def _frame(cfg: GadgetConfig, location: int, pauli: PauliString) -> tuple[int, P
     readout when its qubit carries Z and then drops the qubit.  What is
     left sits on block 3, returned in its local qubit order.
     """
-    if any(q not in _program(cfg)[location].positions for q in pauli.qubits()):
-        raise KeyError(f"fault {pauli} at location {location} touches a qubit not live there")
     locations = build_circuit(cfg).locations
+    live = {loc.qubits[0] for loc in locations[: location + 1] if loc.kind is LocationKind.PREP_X}
+    live -= {loc.qubits[0] for loc in locations[:location] if loc.kind is LocationKind.MEAS_X}
+    if any(q not in live for q in pauli.qubits()):
+        raise KeyError(f"fault {pauli} at location {location} touches a qubit not live there")
     start = location if locations[location].kind is LocationKind.MEAS_X else location + 1
     m = sum(loc.kind is LocationKind.MEAS_X for loc in locations[:start])
     xs, zs, flips = pauli.xs, pauli.zs, 0
@@ -473,20 +462,20 @@ def _flipped(cfg: GadgetConfig, flips: int) -> tuple[np.ndarray, np.ndarray]:
     return records, order
 
 
-def enumerate_branches(circuit: Circuit, cfg: GadgetConfig, faults=()) -> Branches:
-    """All measurement branches with probability > ~1e-12, in depth-first
-    (+1 first) order.
+def enumerate_branches(cfg: GadgetConfig, faults=()) -> Branches:
+    """All measurement branches of the circuit of ``cfg`` with probability
+    > ~1e-12, in depth-first (+1 first) order.
 
-    ``faults`` is an iterable of (location index, PauliString) pairs.  The
-    noiseless branches are enumerated once per config on the state-vector
-    path and kept read-only; with no fault they are returned as they are.
+    ``faults`` is an iterable of (location index, PauliString) pairs on
+    ``build_circuit(cfg)``.  The noiseless branches are enumerated once per
+    config on the state-vector path and kept read-only; with no fault they
+    are returned as they are.
     Otherwise the Pauli frames of the faults (:func:`_frame`) combine by
     XOR, and the faulted branches are the noiseless ones with the frame's
     readouts negated, the same probabilities and the frame's block-3 Pauli
     applied to their states, sorted back into depth-first order.  A fault
     whose X part would reach a CZ(theta) gate raises FrameError.
     """
-    _check_circuit(circuit, cfg)
     flips, out = _combined_frame(cfg, faults)
     table = _noiseless_table(cfg)[0]
     if not flips and out.is_identity:
@@ -573,8 +562,10 @@ def _logical_paulis(n: int) -> dict[LogicalClass, PauliString]:
 _CLASS_ORDER = (LogicalClass.I, LogicalClass.XL, LogicalClass.ZL, LogicalClass.YL)
 
 # Outcome bins shared by enumeration and Monte Carlo: the accepted classes in
-# _CLASS_ORDER, then rejected records, then accepted anomalies.
+# _CLASS_ORDER (I, XL, ZL, YL), then rejected records, then accepted anomalies.
+BIN_XL, BIN_ZL, BIN_YL = 1, 2, 3
 BIN_REJECTED, BIN_ANOMALY = 4, 5
+N_BINS = 6
 
 
 def _state_fidelity(a: np.ndarray, b: np.ndarray) -> float:
@@ -585,38 +576,32 @@ class CorrectionTableError(RuntimeError):
     """The noiseless branch set admits no consistent correction table."""
 
 
-@functools.lru_cache(maxsize=None)
-def _base(cfg: GadgetConfig) -> GadgetConfig:
-    """The config with r_z = r_zz = 1: the key of the per-(n, theta) tables."""
-    return GadgetConfig(n=cfg.n, theta=cfg.theta, r_z=1, r_zz=1, target=cfg.target)
-
-
 def correction_table(cfg: GadgetConfig) -> dict[tuple[int, int, int], PauliString]:
     """(zl_bit, b, alpha_count) -> block-3 correction, derived numerically.
 
-    Built from the full noiseless branch enumeration at r_z = r_zz = 1
-    (repetition count does not change the noiseless branch states).  Keys
-    absent from the table are not Pauli-correctable to the target and are
-    rejected by the decoder.
+    Built from the noiseless branch table of ``cfg`` itself: every key of
+    a correctable branch maps to the logical Pauli that takes the branch's
+    output to the target.  Keys absent from the table are not
+    Pauli-correctable to the target and are rejected by the decoder.
     """
-    return _correction_tables(_base(cfg))[0]
+    return _correction_tables(cfg)[0]
 
 
 @functools.lru_cache(maxsize=None)
-def _correction_tables(base: GadgetConfig) -> tuple[dict, np.ndarray]:
+def _correction_tables(cfg: GadgetConfig) -> tuple[dict, np.ndarray]:
     """The correction table and its (zl_bit, b, alpha) -> class-index lookup
     array (-1 where not correctable)."""
-    target = target_state(base)
-    paulis = _logical_paulis(base.n)
-    branches = _noiseless_table(base)[0]
-    zl_bits, bs, correlated, alphas = _record_fields(base, branches.records)
+    target = target_state(cfg)
+    paulis = _logical_paulis(cfg.n)
+    branches = _noiseless_table(cfg)[0]
+    zl_bits, bs, correlated, alphas = _record_fields(cfg, branches.records)
     if not correlated.all():
         raise CorrectionTableError("noiseless branch with mismatched X records")
     chosen: dict[tuple[int, int, int], LogicalClass] = {}
     for k, state in zip(zip(zl_bits.tolist(), bs.tolist(), alphas.tolist()), branches.states):
         found = None
         for cls in _CLASS_ORDER:
-            if _state_fidelity(_apply_local_pauli(state, base.n, paulis[cls]), target) > 1 - 1e-9:
+            if _state_fidelity(_apply_local_pauli(state, cfg.n, paulis[cls]), target) > 1 - 1e-9:
                 found = cls
                 break
         if found is None:
@@ -628,7 +613,7 @@ def _correction_tables(base: GadgetConfig) -> tuple[dict, np.ndarray]:
         chosen[k] = found
     if not chosen:
         raise CorrectionTableError("no branch is Pauli-correctable to the target")
-    lookup = np.full((2, 2, base.n + 1), -1, dtype=np.int8)
+    lookup = np.full((2, 2, cfg.n + 1), -1, dtype=np.int8)
     for k, cls in chosen.items():
         lookup[k] = _CLASS_ORDER.index(cls)
     return {k: paulis[cls] for k, cls in chosen.items()}, lookup
@@ -651,12 +636,12 @@ def _decode_records(cfg: GadgetConfig, records: np.ndarray):
     """(zl_bit, b, correction): the correction is an index into _CLASS_ORDER
     (the logical Pauli applied to block 3), -1 for a rejected record."""
     zl_bit, b, correlated, alpha = _record_fields(cfg, records)
-    lookup = _correction_tables(_base(cfg))[1]
+    lookup = _correction_tables(cfg)[1]
     return zl_bit, b, np.where(correlated, lookup[zl_bit, b, alpha], -1)
 
 
 @functools.lru_cache(maxsize=None)
-def _class_candidates(base: GadgetConfig) -> np.ndarray:
+def _class_candidates(cfg: GadgetConfig) -> np.ndarray:
     """(2^n, correction, class, z-pattern) conjugated candidate amplitudes.
 
     Each class is represented by the target hit with that logical Pauli
@@ -664,8 +649,8 @@ def _class_candidates(base: GadgetConfig) -> np.ndarray:
     output block.  The correction is folded in: <c|C s> = <C c|s> up to
     phase, since a Pauli is its own inverse up to phase.
     """
-    n = base.n
-    target = target_state(base)
+    n = cfg.n
+    target = target_state(cfg)
     paulis = [_logical_paulis(n)[cls] for cls in _CLASS_ORDER]
     z_masks = [m for m in range(1 << n) if int(m).bit_count() <= (n - 1) // 2]
     cand = np.array([[_apply_local_pauli(target, n, p.compose(PauliString(zs=m))) for m in z_masks] for p in paulis])
@@ -678,7 +663,7 @@ def _classify_states(cfg: GadgetConfig, states: np.ndarray, corrections: np.ndar
     under their correction indices: the first class in _CLASS_ORDER with
     fidelity > 0.99 wins; otherwise the state is booked ZL with its best
     fidelity, and flagged an anomaly when that is below 0.5."""
-    cand = _class_candidates(_base(cfg))
+    cand = _class_candidates(cfg)
     overlaps = np.abs(states @ cand.reshape(cand.shape[0], -1)) ** 2
     rows = np.arange(len(states))
     fid = overlaps.reshape(len(states), *cand.shape[1:])[rows, corrections].max(axis=2)
@@ -792,17 +777,18 @@ def classify_logical(
 
 
 def run(
-    circuit: Circuit,
     cfg: GadgetConfig,
     faults=(),
     forced_outcomes=None,
     rng: np.random.Generator | None = None,
 ) -> GadgetOutcome:
-    """Execute one (possibly faulty) pass of the gadget and decode it.
+    """Execute one (possibly faulty) pass of the gadget of ``cfg`` and
+    decode it.
 
     The run is one walk of :func:`sample_branches` under the Pauli frame of
-    ``faults``, an iterable of (location index, PauliString) pairs; a fault
-    whose X part would reach a CZ(theta) raises FrameError.
+    ``faults``, an iterable of (location index, PauliString) pairs on
+    ``build_circuit(cfg)``; a fault whose X part would reach a CZ(theta)
+    raises FrameError.
     ``forced_outcomes`` may fix any subset of the measurement outcomes
     (entries of +1/-1, with None meaning "sample"); forcing an outcome of
     zero branch probability raises BranchError.  Each sampled readout draws
@@ -811,7 +797,6 @@ def run(
     outcome is the raw block-3 state; applying ``correction`` maps it to
     the target on accepted noiseless runs.
     """
-    _check_circuit(circuit, cfg)
     n_meas = cfg.num_measurements
     forced: list[int | None]
     if forced_outcomes is None:

@@ -179,18 +179,39 @@ class RateEstimate:
     e_y_given_accept: float = 0.0
 
 
+def _rate_estimate(bins: np.ndarray, total, trials_or_order: int, ci=(0.0, 0.0, 0.0)) -> RateEstimate:
+    """The estimate of a vector of gadget.N_BINS outcome-bin masses or
+    trial counts out of ``total`` (the enumerated weight or the trial
+    count), with the 95% half-widths ``ci`` of e_x, e_z and e_y.  The
+    caller makes sure that some of the total was accepted."""
+    acc = bins.sum() - bins[gd.BIN_REJECTED]
+    e_x, e_z, e_y = bins[gd.BIN_XL], bins[gd.BIN_ZL], bins[gd.BIN_YL]
+    return RateEstimate(
+        e_x=float(e_x / total),
+        e_z=float(e_z / total),
+        e_y=float(e_y / total),
+        reject_rate=float(bins[gd.BIN_REJECTED] / total),
+        trials_or_order=trials_or_order,
+        ci95_halfwidth=max(ci),
+        ci95_e_x=ci[0],
+        ci95_e_z=ci[1],
+        ci95_e_y=ci[2],
+        anomaly_rate=float(bins[gd.BIN_ANOMALY] / total),
+        accepted_weight=float(acc / total),
+        e_x_given_accept=float(e_x / acc),
+        e_z_given_accept=float(e_z / acc),
+        e_y_given_accept=float(e_y / acc),
+    )
+
+
 # ---------------------------------------------------------------------------
 # Exhaustive low-order enumeration.
 
-# outcome bins (gadget.outcome_bins): accepted-I, accepted-XL, accepted-ZL,
-# accepted-YL, rejected, anomaly; Monte Carlo counts use the same bins
-_N_BINS = 6
 
-
-def _combo_masses(circuit, cfg, fault_subset) -> np.ndarray:
+def _combo_masses(cfg, fault_subset) -> np.ndarray:
     """Probability mass of each outcome bin over every branch of one subset."""
-    branches = gd.enumerate_branches(circuit, cfg, faults=[(ev.location, ev.pauli) for ev in fault_subset])
-    masses = np.bincount(gd.outcome_bins(cfg, branches), weights=branches.probabilities, minlength=_N_BINS)
+    branches = gd.enumerate_branches(cfg, faults=[(ev.location, ev.pauli) for ev in fault_subset])
+    masses = np.bincount(gd.outcome_bins(cfg, branches), weights=branches.probabilities, minlength=gd.N_BINS)
     total = masses.sum()
     if abs(total - 1.0) > 1e-8:
         raise AssertionError(f"branch probabilities sum to {total}, expected 1")
@@ -205,16 +226,16 @@ def _enumerated_combos(cfg: gd.GadgetConfig, max_order: int):
     """(rate index, scale, subsets, masses) for all event subsets of size <= k.
 
     ``subsets`` is an (S, k) event-index matrix, padded with the event count
-    (a column of zero log-odds); ``masses`` is the (S, 6) outcome-bin mass
-    matrix.  Independent of NoiseParams, so cached per config and order.
+    (a column of zero log-odds); ``masses`` is the (S, gadget.N_BINS)
+    outcome-bin mass matrix.  Independent of NoiseParams, so cached per
+    config and order.
     """
-    circuit = gd.build_circuit(cfg)
-    events = fault_events(circuit)
+    events = fault_events(gd.build_circuit(cfg))
     num = len(events)
     subsets = [()] + [(i,) for i in range(num)]
     if max_order >= 2:
         subsets += list(itertools.combinations(range(num), 2))
-    masses = np.array([_combo_masses(circuit, cfg, [events[i] for i in s]) for s in subsets])
+    masses = np.array([_combo_masses(cfg, [events[i] for i in s]) for s in subsets])
     index = np.full((len(subsets), max_order), num, dtype=np.intp)
     for row, s in enumerate(subsets):
         index[row, : len(s)] = s
@@ -241,25 +262,10 @@ def enumerate_faults(cfg: gd.GadgetConfig, params: NoiseParams, max_order: int) 
     with np.errstate(divide="ignore"):
         log_odds = np.append(np.log(probs) - np.log1p(-probs), 0.0)
     weights = np.exp(np.sum(np.log1p(-probs)) + log_odds[index].sum(axis=1))
-    total_weight = weights.sum()
     totals = weights @ masses
-    acc = totals.sum() - totals[gd.BIN_REJECTED]
-    if acc <= 0.0:
+    if totals.sum() - totals[gd.BIN_REJECTED] <= 0.0:
         raise EstimationError("no accepted mass within enumerated order", reject_rate=1.0)
-    e_x, e_z, e_y = totals[1:4]
-    return RateEstimate(
-        e_x=float(e_x / total_weight),
-        e_z=float(e_z / total_weight),
-        e_y=float(e_y / total_weight),
-        reject_rate=float(totals[gd.BIN_REJECTED] / total_weight),
-        trials_or_order=max_order,
-        ci95_halfwidth=0.0,
-        anomaly_rate=float(totals[gd.BIN_ANOMALY] / total_weight),
-        accepted_weight=float(acc / total_weight),
-        e_x_given_accept=float(e_x / acc),
-        e_z_given_accept=float(e_z / acc),
-        e_y_given_accept=float(e_y / acc),
-    )
+    return _rate_estimate(totals, weights.sum(), max_order)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +275,7 @@ def enumerate_faults(cfg: gd.GadgetConfig, params: NoiseParams, max_order: int) 
 @functools.lru_cache(maxsize=None)
 def _noiseless_leaf_pool(cfg: gd.GadgetConfig):
     """(cumulative probabilities, outcome bins) of the noiseless branches."""
-    branches = gd.enumerate_branches(gd.build_circuit(cfg), cfg)
+    branches = gd.enumerate_branches(cfg)
     return np.cumsum(branches.probabilities), gd.outcome_bins(cfg, branches)
 
 
@@ -453,20 +459,20 @@ def _mc_counts(cfg, params, seed, trial_range) -> np.ndarray:
     probs = np.array([ev.probability(params) for ev in fault_events(gd.build_circuit(cfg))])
     frames = _event_frames(cfg)
     cum, leaf_bins = _noiseless_leaf_pool(cfg)
-    counts = np.zeros(_N_BINS, dtype=np.int64)
+    counts = np.zeros(gd.N_BINS, dtype=np.int64)
     for streams in _trial_blocks(seed, trial_range):
         fired = np.column_stack([streams.next() < p for p in probs])  # (block, events)
         draw = streams.next()
         faulted = fired.any(axis=1)
         # noiseless trials: sample a branch from the exact pool
         leaf = np.minimum(np.searchsorted(cum, draw[~faulted] * cum[-1]), len(leaf_bins) - 1)
-        counts += np.bincount(leaf_bins[leaf], minlength=_N_BINS)
+        counts += np.bincount(leaf_bins[leaf], minlength=gd.N_BINS)
         rows = np.flatnonzero(faulted)
         if len(rows):
             later = streams[rows]
             uniforms = np.column_stack([draw[rows]] + [later.next() for _ in range(cfg.num_measurements - 1)])
             branches = gd.sample_branches(cfg, fired[rows].astype(np.intp) @ frames % 2, uniforms)
-            counts += np.bincount(gd.outcome_bins(cfg, branches), minlength=_N_BINS)
+            counts += np.bincount(gd.outcome_bins(cfg, branches), minlength=gd.N_BINS)
     return counts
 
 
@@ -522,38 +528,16 @@ def estimate_rates_mc(
         chunks = [range(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_mc_worker, [(cfg, params, seed, c) for c in chunks]))
-        counts = np.zeros(_N_BINS, dtype=np.int64)
+        counts = np.zeros(gd.N_BINS, dtype=np.int64)
         for part in parts:  # ordered, integer: partition-independent
             counts += part
-    acc = int(counts[0] + counts[1] + counts[2] + counts[3] + counts[5])
-    rejected = int(counts[4])
-    reject_rate = rejected / trials
-    if acc == 0:
-        raise EstimationError("no accepted trials", reject_rate=reject_rate)
-
-    def rate_ci(k: int) -> tuple[float, float]:
-        p = k / trials
-        return p, _Z95 * math.sqrt(p * (1.0 - p) / trials)
-
-    e_x, ci_x = rate_ci(int(counts[1]))
-    e_z, ci_z = rate_ci(int(counts[2]))
-    e_y, ci_y = rate_ci(int(counts[3]))
-    return RateEstimate(
-        e_x=e_x,
-        e_z=e_z,
-        e_y=e_y,
-        reject_rate=reject_rate,
-        trials_or_order=trials,
-        ci95_halfwidth=max(ci_x, ci_z, ci_y),
-        ci95_e_x=ci_x,
-        ci95_e_z=ci_z,
-        ci95_e_y=ci_y,
-        anomaly_rate=int(counts[5]) / trials,
-        accepted_weight=acc / trials,
-        e_x_given_accept=int(counts[1]) / acc,
-        e_z_given_accept=int(counts[2]) / acc,
-        e_y_given_accept=int(counts[3]) / acc,
-    )
+    rejected = int(counts[gd.BIN_REJECTED])
+    if counts.sum() == rejected:
+        raise EstimationError("no accepted trials", reject_rate=rejected / trials)
+    # Wald half-widths of the per-attempt rates
+    rates = (int(counts[b]) / trials for b in (gd.BIN_XL, gd.BIN_ZL, gd.BIN_YL))
+    ci = tuple(_Z95 * math.sqrt(p * (1.0 - p) / trials) for p in rates)
+    return _rate_estimate(counts, trials, trials, ci)
 
 
 def _mc_worker(args):

@@ -27,8 +27,7 @@ def _elapsed_guard(t0: float, limit_s: float, label: str) -> None:
 
 def _count_fraction(n: int, r: int = 1) -> Fraction:
     cfg = gd.GadgetConfig.t_state(n, r=r)
-    circuit = gd.build_circuit(cfg)
-    branches = gd.enumerate_branches(circuit, cfg)
+    branches = gd.enumerate_branches(cfg)
     assert abs(sum(b.probability for b in branches) - 1.0) < 1e-9
     accepted = sum(1 for b in branches if gd.decode(cfg, b.record).accepted)
     return Fraction(accepted, len(branches))
@@ -50,9 +49,8 @@ def test_criterion_2_ideal_correctness():
     for make in (gd.GadgetConfig.plus_i, gd.GadgetConfig.t_state):
         for r in (1, 3):
             cfg = make(3, r=r)
-            circuit = gd.build_circuit(cfg)
             target = gd.target_state(cfg)
-            for branch in gd.enumerate_branches(circuit, cfg):
+            for branch in gd.enumerate_branches(cfg):
                 outcome = gd.decode(cfg, branch.record)
                 if not outcome.accepted:
                     assert cfg.target is gd.Target.T
@@ -76,7 +74,7 @@ def test_criterion_3_fault_distance_properties():
     events = nz.fault_events(circuit)
     masses = {"z": {}, "x": {}, "zz": {}}
     for ev in events:
-        for branch in gd.enumerate_branches(circuit, cfg, faults=[(ev.location, ev.pauli)]):
+        for branch in gd.enumerate_branches(cfg, faults=[(ev.location, ev.pauli)]):
             outcome = gd.decode(cfg, branch.record)
             if not outcome.accepted:
                 continue

@@ -10,9 +10,15 @@
 * Faulted enumeration and sampled runs both read the noiseless branches
   through Pauli frames; every enumerated branch is replayed by ``run``
   with its record forced.
+* ``golden/noiseless_tables.json`` holds a SHA-256 of every array of the
+  noiseless branch table, recorded with the compiled-program engine that
+  the per-build list of stack operations replaced; the tables must stay
+  bit-identical.
 """
 
 import dataclasses
+import hashlib
+import inspect
 import json
 from pathlib import Path
 
@@ -25,6 +31,7 @@ from biasforge import gadget as gd
 from biasforge import noise as nz
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "enumerate_grid.json").read_text())
+TABLES = json.loads((Path(__file__).parent / "golden" / "noiseless_tables.json").read_text())
 
 
 @pytest.mark.parametrize("order", (1, 2))
@@ -140,7 +147,7 @@ def _faulted_gadget(draw):
 @given(_faulted_gadget())
 def test_enumerate_branches_matches_dense_reference(case):
     cfg, circuit, faults = case
-    branches = gd.enumerate_branches(circuit, cfg, faults=faults)
+    branches = gd.enumerate_branches(cfg, faults=faults)
     assert abs(branches.probabilities.sum() - 1.0) < 1e-9
     for branch in branches:
         prob, state = _dense_branch(cfg, circuit, faults, branch.record)
@@ -153,9 +160,9 @@ def test_frame_branches_match_state_vector_runs(case):
     # run() walks the branch tree under the frame; forcing an enumerated
     # record must reach that branch, with its probability, state and bin
     cfg, circuit, faults = case
-    branches = gd.enumerate_branches(circuit, cfg, faults=faults)
+    branches = gd.enumerate_branches(cfg, faults=faults)
     for branch, got in zip(branches, gd.outcome_bins(cfg, branches)):
-        outcome = gd.run(circuit, cfg, faults=faults, forced_outcomes=branch.record)
+        outcome = gd.run(cfg, faults=faults, forced_outcomes=branch.record)
         assert outcome.probability == branch.probability
         assert outcome.bin == got
         if outcome.accepted:
@@ -165,7 +172,7 @@ def test_frame_branches_match_state_vector_runs(case):
 @given(_faulted_gadget(), st.integers(0, 2**32 - 1))
 def test_sampled_runs_land_on_enumerated_branches(case, seed):
     cfg, circuit, faults = case
-    by_record = {branch.record: branch for branch in gd.enumerate_branches(circuit, cfg, faults=faults)}
+    by_record = {branch.record: branch for branch in gd.enumerate_branches(cfg, faults=faults)}
     runs = 64
     frames = np.repeat(gd.fault_frame(cfg, faults)[None], runs, axis=0)
     sampled = gd.sample_branches(cfg, frames, np.random.default_rng(seed).random((runs, cfg.num_measurements)))
@@ -177,12 +184,11 @@ def test_sampled_runs_land_on_enumerated_branches(case, seed):
 
 def test_fault_on_a_qubit_not_live_is_refused():
     cfg = gd.GadgetConfig.t_state(3, 1)
-    circuit = gd.build_circuit(cfg)
     faults = [(0, gd.PauliString.z_on([2 * cfg.n]))]  # block 3 is prepared after block 1 is read
     with pytest.raises(KeyError):
-        gd.enumerate_branches(circuit, cfg, faults=faults)
+        gd.enumerate_branches(cfg, faults=faults)
     with pytest.raises(KeyError):
-        gd.run(circuit, cfg, faults=faults, rng=np.random.default_rng(0))
+        gd.run(cfg, faults=faults, rng=np.random.default_rng(0))
 
 
 def test_x_fault_before_cz_theta_has_no_frame():
@@ -191,10 +197,10 @@ def test_x_fault_before_cz_theta_has_no_frame():
     prep = circuit.locations.index(gd.Location(gd.LocationKind.PREP_X, (0,)))
     faults = [(prep, gd.PauliString.x_on([0]))]
     with pytest.raises(gd.FrameError):
-        gd.enumerate_branches(circuit, cfg, faults=faults)
+        gd.enumerate_branches(cfg, faults=faults)
     # sampled runs read the same frames, so they refuse it too
     with pytest.raises(gd.FrameError):
-        gd.run(circuit, cfg, faults=faults, rng=np.random.default_rng(0))
+        gd.run(cfg, faults=faults, rng=np.random.default_rng(0))
 
 
 def test_large_stacks_advance_in_halves(monkeypatch):
@@ -204,14 +210,37 @@ def test_large_stacks_advance_in_halves(monkeypatch):
     whole = table[0]
     assert not any(a.flags.writeable for a in (whole.records, whole.probabilities, whole.states, *table[1:]))
     advance, stacks = gd._advance, []
-    monkeypatch.setattr(gd, "_advance", lambda *args: stacks.append(len(args[3])) or advance(*args))
+    signature = inspect.signature(advance)
+
+    def recording(*args, **kwargs):
+        stacks.append(signature.bind(*args, **kwargs).arguments["amps"].shape)
+        return advance(*args, **kwargs)
+
+    monkeypatch.setattr(gd, "_advance", recording)
     monkeypatch.setattr(gd, "_MAX_AMPS", 64)
     halves, path, _ = gd._noiseless_table.__wrapped__(cfg)
     assert len(stacks) > 1
+    assert all(rows == 1 or rows * width <= 64 for rows, width in stacks), stacks
     assert np.array_equal(whole.records, halves.records)
     np.testing.assert_allclose(halves.probabilities, whole.probabilities, rtol=0, atol=1e-15)
     np.testing.assert_allclose(halves.states, whole.states, rtol=0, atol=1e-15)
     np.testing.assert_allclose(path, table[1], rtol=0, atol=1e-15)
+
+
+def _digest(array: np.ndarray) -> str:
+    return f"{array.dtype}{list(array.shape)} {hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()}"
+
+
+@pytest.mark.parametrize("case", TABLES["cases"], ids=lambda c: f"{c['target']}-n{c['n']}-r{c['r']}")
+def test_noiseless_table_matches_golden_digests(case):
+    # n=7 is the only size whose stack outgrows _MAX_AMPS and runs in parts
+    make = gd.GadgetConfig.t_state if case["target"] == "T" else gd.GadgetConfig.plus_i
+    branches, path, plus_before = gd._noiseless_table(make(case["n"], case["r"]))
+    arrays = {
+        "records": branches.records, "probabilities": branches.probabilities, "states": branches.states,
+        "path": path, "plus_before": plus_before,
+    }
+    assert {name: _digest(array) for name, array in arrays.items()} == case["arrays"]
 
 
 def test_outcome_bins_agree_with_scalar_decoding():
@@ -222,7 +251,7 @@ def test_outcome_bins_agree_with_scalar_decoding():
         (cz0, gd.PauliString.z_on(circuit.locations[cz0].qubits)),
         (circuit.num_locations - 1, gd.PauliString.x_on([6])),
     ]
-    branches = gd.enumerate_branches(circuit, cfg, faults=faults)
+    branches = gd.enumerate_branches(cfg, faults=faults)
     bins = gd.outcome_bins(cfg, branches)
     order = [gd.LogicalClass.I, gd.LogicalClass.XL, gd.LogicalClass.ZL, gd.LogicalClass.YL]
     for branch, got in zip(branches, bins):

@@ -259,6 +259,23 @@ class TestReproducibility:
         assert code == 0
         assert out.read_bytes() == replayed.read_bytes()
 
+    def test_replay_rejects_header_missing_params(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"command": "simulate", "params": {"n": 3}}))
+        code, out, err = run_cli(capsys, "replay", str(bad))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "lacks param 'theta'" in err
+
+    def test_replay_rejects_header_of_wrong_type(self, tmp_path, capsys):
+        good = tmp_path / "bounds.csv"
+        run_cli(capsys, "bounds", "--n", "3", "--r", "1", "--pz", "1e-3", "--bias", "10", "--format", "csv",
+                "--out", str(good))
+        bad = tmp_path / "bad.csv"
+        bad.write_text(good.read_text().replace('"n": 3', '"n": "3"'))
+        code, out, err = run_cli(capsys, "replay", str(bad))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "n='3' has the wrong type" in err
+
     def test_header_embeds_version_config_seed(self, capsys):
         report = run_json(capsys, "bounds", "--n", "3", "--r", "1", "--pz", "1e-3", "--bias", "10", "--seed", "123")
         assert report["tool"] == "biasforge"

@@ -11,10 +11,9 @@ from biasforge.statevec import PauliString
 
 def branch_masses(cfg, faults=()):
     """(accepted mass, rejected mass, {class: mass}) over all branches."""
-    circuit = gd.build_circuit(cfg)
     acc = rej = 0.0
     classes = {}
-    for b in gd.enumerate_branches(circuit, cfg, faults=faults):
+    for b in gd.enumerate_branches(cfg, faults=faults):
         o = gd.decode(cfg, b.record)
         if o.accepted:
             acc += b.probability
@@ -146,8 +145,7 @@ class TestNoiselessRuns:
     def test_branch_completeness_and_count_fraction(self):
         for n, r in ((3, 1), (3, 3)):
             cfg = gd.GadgetConfig.t_state(n, r=r)
-            circ = gd.build_circuit(cfg)
-            branches = gd.enumerate_branches(circ, cfg)
+            branches = gd.enumerate_branches(cfg)
             assert abs(sum(b.probability for b in branches) - 1) < 1e-9
             accepted = sum(1 for b in branches if gd.decode(cfg, b.record).accepted)
             assert Fraction(accepted, len(branches)) == gd.accept_probability_exact(n)
@@ -163,10 +161,9 @@ class TestNoiselessRuns:
 
     def test_plus_i_deterministic(self):
         cfg = gd.GadgetConfig.plus_i(3, r=3)
-        circ = gd.build_circuit(cfg)
         target = gd.target_state(cfg)
         total = 0.0
-        for b in gd.enumerate_branches(circ, cfg):
+        for b in gd.enumerate_branches(cfg):
             o = gd.decode(cfg, b.record)
             assert o.accepted
             corrected = gd._apply_local_pauli(
@@ -178,8 +175,7 @@ class TestNoiselessRuns:
 
     def test_t_accepted_branches_hit_target(self):
         cfg = gd.GadgetConfig.t_state(3, r=3)
-        circ = gd.build_circuit(cfg)
-        for b in gd.enumerate_branches(circ, cfg):
+        for b in gd.enumerate_branches(cfg):
             o = gd.decode(cfg, b.record)
             if not o.accepted:
                 continue
@@ -198,11 +194,10 @@ def _cls_of(correction: PauliString, n: int) -> gd.LogicalClass:
 class TestRun:
     def test_noiseless_accepted_run_reaches_target(self):
         cfg = gd.GadgetConfig.t_state(3, r=3)
-        circ = gd.build_circuit(cfg)
         rng = np.random.default_rng(42)
         seen_accept = False
         for _ in range(12):
-            o = gd.run(circ, cfg, rng=rng)
+            o = gd.run(cfg, rng=rng)
             if o.accepted:
                 seen_accept = True
                 assert o.logical_class is gd.LogicalClass.I
@@ -219,24 +214,22 @@ class TestRun:
         # (Block 1 must be forced to a correlation-compatible pattern or the
         # all-plus block-2 branch has zero probability.)
         cfg = gd.GadgetConfig.t_state(3)
-        circ = gd.build_circuit(cfg)
         forced = [None, +1, +1, +1, None, +1, +1, +1]
         rng = np.random.default_rng(0)
         for _ in range(6):
-            o = gd.run(circ, cfg, forced_outcomes=forced, rng=rng)
+            o = gd.run(cfg, forced_outcomes=forced, rng=rng)
             assert not o.accepted
             assert o.block2_x == (1, 1, 1)
             assert o.logical_class is gd.LogicalClass.REJECTED
 
     def test_forced_alpha_two_accepted_to_t(self):
         cfg = gd.GadgetConfig.t_state(3)
-        circ = gd.build_circuit(cfg)
         target = gd.target_state(cfg)
         # force x = alpha = (+,+,-) on both blocks, parity readings free
         forced = [None, +1, +1, -1, None, +1, +1, -1]
         rng = np.random.default_rng(1)
         for _ in range(4):
-            o = gd.run(circ, cfg, forced_outcomes=forced, rng=rng)
+            o = gd.run(cfg, forced_outcomes=forced, rng=rng)
             assert o.accepted
             corrected = np.asarray(o.output_state)
             local = PauliString(xs=o.correction.xs >> 6, zs=o.correction.zs >> 6)
@@ -245,19 +238,17 @@ class TestRun:
 
     def test_forced_impossible_branch_raises(self):
         cfg = gd.GadgetConfig.t_state(3)
-        circ = gd.build_circuit(cfg)
         # anticorrelating a single position between blocks 1 and 2 is a
         # zero-probability branch of the noiseless circuit
         forced = [None, +1, +1, +1, None, -1, +1, +1]
         with pytest.raises(sv.BranchError):
             for _ in range(4):
-                gd.run(circ, cfg, forced_outcomes=forced, rng=np.random.default_rng(2))
+                gd.run(cfg, forced_outcomes=forced, rng=np.random.default_rng(2))
 
     def test_forced_length_checked(self):
         cfg = gd.GadgetConfig.t_state(3)
-        circ = gd.build_circuit(cfg)
         with pytest.raises(gd.RecordError):
-            gd.run(circ, cfg, forced_outcomes=[+1, +1])
+            gd.run(cfg, forced_outcomes=[+1, +1])
 
 
 class TestDecode:
@@ -373,7 +364,7 @@ class TestClassify:
         cz0 = next(t for t, loc in enumerate(circ.locations) if loc.kind is gd.LocationKind.CZ_THETA)
         pair = circ.locations[cz0].qubits
         seen_band = False
-        for b in gd.enumerate_branches(circ, cfg, faults=[(cz0, PauliString.z_on(pair))]):
+        for b in gd.enumerate_branches(cfg, faults=[(cz0, PauliString.z_on(pair))]):
             o = gd.decode(cfg, b.record)
             if not o.accepted:
                 continue

@@ -330,7 +330,7 @@ def _per_trial_counts(cfg, params, seed, trials):
             counts[leaf_bins[min(leaf, len(leaf_bins) - 1)]] += 1
             continue
         faults = [(ev.location, ev.pauli) for ev, f in zip(events, fired) if f]
-        counts[gd.run(circuit, cfg, faults=faults, rng=rng).bin] += 1
+        counts[gd.run(cfg, faults=faults, rng=rng).bin] += 1
     return counts
 
 

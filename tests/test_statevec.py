@@ -1,8 +1,9 @@
 """The state-vector kernels and the conventions the branch engine builds on.
 
 The kernels act on plain amplitude arrays; the engine in ``gadget``
-prepares |+> qubits (``gadget._factor``) and compares states
-(``gadget._state_fidelity``), so those two are tested here as well.
+prepares |+> qubits in the factors of its stack operations
+(``gadget._stack_ops``) and compares states (``gadget._state_fidelity``),
+so those two are tested here as well.
 """
 
 import math
@@ -65,24 +66,41 @@ def mass(amps) -> float:
     return float(np.vdot(amps, amps).real)
 
 
-def prepared(num_qubits: int) -> np.ndarray:
-    """The engine's PrepX factor of the first num_qubits locations (n=5
-    starts with ten PrepX), applied to the empty register."""
-    return gd._factor(gd.GadgetConfig.t_state(5), 0, num_qubits).reshape(-1)
+def factors(cfg) -> list[np.ndarray]:
+    """The factors among the engine's stack operations for cfg, in order."""
+    return [op for op in gd._stack_ops(cfg) if not isinstance(op, int)]
+
+
+def grown(amps, factor) -> np.ndarray:
+    """One stack row advanced through a factor."""
+    return (amps[None, None, :] * factor).reshape(-1)
 
 
 class TestNewPlusState:
     def test_single_qubit(self):
-        np.testing.assert_allclose(prepared(1), [1 / SQ2, 1 / SQ2], atol=1e-15)
+        # each later Z-parity round of n=1, r=3 prepares one ancilla (bit 2)
+        # next to the live qubits 0 and 1, then a CPHASE from qubit 0
+        factor = factors(gd.GadgetConfig.t_state(1, r=3))[1]
+        assert factor.shape == (2, 4)
+        s = from_amps(np.arange(1, 5) * 1j + 1)
+        np.testing.assert_allclose(grown(s, factor), cphase(np.kron(plus(1), s), 0, 2), atol=1e-15)
 
     def test_two_qubits(self):
-        np.testing.assert_allclose(prepared(2), np.full(4, 0.5), atol=1e-15)
+        # n=1 prepares block 3 (bit 1) and an ancilla (bit 2) next to the
+        # live block-2 qubit, then CPHASEs from both to the ancilla
+        factor = factors(gd.GadgetConfig.t_state(1))[1]
+        assert factor.shape == (4, 2)
+        s = from_amps([0.6, 0.8j])
+        want = cphase(cphase(np.kron(plus(2), s), 0, 2), 1, 2)
+        np.testing.assert_allclose(grown(s, factor), want, atol=1e-15)
 
-    def test_nine_qubits_uniform_unit_norm(self):
-        s = prepared(9)
-        assert s.size == 1 << 9
+    def test_first_factor_uniform_unit_norm(self):
+        # n=5 prepares 2n+1 qubits before its first readout; the gates up
+        # to it only add phases
+        s = factors(gd.GadgetConfig.t_state(5))[0].reshape(-1)
+        assert s.size == 1 << 11
         assert abs(np.linalg.norm(s) - 1) < 1e-10
-        assert np.allclose(s, s[0])
+        assert np.allclose(np.abs(s), 2 ** (-11 / 2))
 
     def test_cap_admits_sim_max_n(self):
         cfg = gd.GadgetConfig.t_state(gd.SIM_MAX_N)
@@ -244,7 +262,7 @@ class TestMeasureX:
         forced = [None, +1, +1, +1, None, -1, +1, +1]
         with pytest.raises(sv.BranchError):
             for _ in range(4):
-                gd.run(gd.build_circuit(cfg), cfg, forced_outcomes=forced, rng=np.random.default_rng(2))
+                gd.run(cfg, forced_outcomes=forced, rng=np.random.default_rng(2))
 
     def test_post_state_renormalized(self):
         # each renormalized component, with qubit 1 put back in the observed
@@ -339,8 +357,11 @@ def test_norm_preserved_over_random_circuits():
 
 
 def test_append_plus_qubit():
-    # a PrepX grows the register by one |+> qubit at the top bit: n=1's
-    # second location prepares qubit 1 next to qubit 0
-    s = from_amps([0.6, 0.8j])
-    grown = (s[None, None, :] * gd._factor(gd.GadgetConfig.t_state(1), 1, 2)).reshape(-1)
-    np.testing.assert_allclose(grown, np.array([0.6, 0.8j, 0.6, 0.8j]) / SQ2, atol=1e-15)
+    # each PrepX takes the next bit in |+>: n=1 prepares qubits 0 and 1 and
+    # the first ancilla (bits 0, 1, 2) from the empty register, with the
+    # CZ(theta) and the CPHASE between them
+    cfg = gd.GadgetConfig.t_state(1)
+    factor = factors(cfg)[0]
+    assert factor.shape == (8, 1)
+    want = cphase(cz(plus(3), 0, 1, cfg.theta), 0, 2)
+    np.testing.assert_allclose(grown(np.ones(1), factor), want, atol=1e-15)
