@@ -10,10 +10,11 @@ Layers, bottom up:
                 that table through Pauli frames, and classical decoding.
 * ``noise``     biased Pauli fault model: exhaustive low-order fault
                 enumeration and block Monte Carlo over the gadget.
-* ``bounds``    closed-form logical error bounds and parameter sweeps.
+* ``bounds``    closed-form logical error bounds at one noise point.
 * ``distill``   exact 15-qubit Reed-Muller error-detection distillation,
                 concatenation, and overhead planning.
-* ``cli``       reproducible command-line experiments over all of the above.
+* ``cli``       reproducible command-line experiments over all of the above,
+                and the figure sweeps over bias and p_z.
 """
 
 __version__ = "0.1.0"

@@ -7,14 +7,16 @@ probability); callers that care can check ``value > 1`` themselves.
 Repetition counts must be odd (majority votes and the m = (r+1)/2
 suppression exponent assume it); even values raise OddParityError rather
 than interpolating.
+
+The module evaluates one noise point at a time; the bound-curve figures
+are sweeps of ``e_xl_bound`` / ``e_zl_bound`` over the p_z grids of the
+``cli`` figure table.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .noise import NoiseParams
 
@@ -111,39 +113,3 @@ def e_zl_bound(n: int, r: int, p_x: float, p_z: float, p_zz: float) -> float:
         + n * ((r + 3) * p_z) ** 2
     )
 
-
-def sweep(
-    n: int,
-    r: int,
-    eta_list=(10.0, 100.0, 1000.0),
-    pz_range: tuple[float, float] = (1e-4, 1e-2),
-    points: int = 25,
-    pzz_rule: str | float = "px",
-) -> list[dict]:
-    """Bound curves on a log-spaced p_z grid, one series per bias value.
-
-    ``pzz_rule`` is either "px" (p_zz follows p_x, the default) or a fixed
-    numeric rate.  Rows are emitted eta-major then p_z-ascending.
-    """
-    _check_odd("n", n)
-    _check_odd("r", r)
-    lo, hi = pz_range
-    if not 0 < lo <= hi:
-        raise ValueError(f"pz_range must be positive and ordered, got {pz_range}")
-    if points < 2:
-        raise ValueError("points must be >= 2")
-    pz_grid = np.geomspace(lo, hi, points)
-    rows = []
-    for eta in eta_list:
-        for p_z in pz_grid:
-            p_x = float(p_z) / eta
-            p_zz = p_x if pzz_rule == "px" else float(pzz_rule)
-            rows.append(
-                {
-                    "p_z": float(p_z),
-                    "eta": float(eta),
-                    "e_xl": e_xl_bound(n, r, p_x, float(p_z)),
-                    "e_zl": e_zl_bound(n, r, p_x, float(p_z), p_zz),
-                }
-            )
-    return rows

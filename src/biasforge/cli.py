@@ -10,7 +10,9 @@ Every output embeds the tool version, the full resolved parameter set,
 and the seed; identical invocations produce byte-identical bytes (no
 timestamps, shortest round-trip float formatting, thread-count
 independent aggregation).  ``replay FILE`` re-runs an output from its
-own header and emits the same bytes.
+own header and emits the same bytes: the header's params are rebuilt
+through the command's own flags and params builder, and a header that
+no flags produce is refused.
 
 Exit codes: 0 success; 2 flag/validation failure; 3 a simulated rate
 exceeded its analytic bound by more than 3x its 95% confidence interval
@@ -26,9 +28,11 @@ A flat ``key=value`` config file can seed any subcommand's flags
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -40,26 +44,6 @@ EXIT_BOUND_VIOLATION = 3
 EXIT_INFEASIBLE = 4
 
 _THETA_KEYS = {"plusI": math.pi / 2, "T": math.pi / 4}
-
-SWEEP_FIGURES = (
-    "bounds-r3",
-    "bounds-r1",
-    "rm-r3",
-    "rm-r1",
-    "overhead-8",
-    "overhead-12",
-    "overhead-16",
-)
-
-_SWEEP_SCHEMAS = {
-    "bounds-r3": "p_z,eta,e_xl,e_zl  (analytic bounds, n=3, r=3)",
-    "bounds-r1": "p_z,eta,e_xl,e_zl  (analytic bounds, n=3, r=1)",
-    "rm-r3": "p_z,eta,e_x_rm,e_z_rm,p_accept_rm  (bounds through one RM round, r=3)",
-    "rm-r1": "p_z,eta,e_x_rm,e_z_rm,p_accept_rm  (bounds through one RM round, r=1)",
-    "overhead-8": "p_z,eta,target,gadget_layers,gadget_r,gadget_overhead,baseline_layers,baseline_overhead,savings,gadget_advantaged",
-    "overhead-12": "same columns as overhead-8, target 1e-12",
-    "overhead-16": "same columns as overhead-8, target 1e-16",
-}
 
 
 class CliError(Exception):
@@ -118,25 +102,25 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _add_noise_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--pz", type=float, required=True, help="dephasing rate p_z per location")
+    p.add_argument("--pz", dest="p_z", type=float, required=True, help="dephasing rate p_z per location")
     g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--px", type=float, help="bit-flip rate p_x per location")
+    g.add_argument("--px", dest="p_x", type=float, help="bit-flip rate p_x per location")
     g.add_argument("--bias", type=float, help="bias eta = p_z/p_x (sets p_x = p_z/eta)")
-    p.add_argument("--pzz", type=float, default=None, help="correlated ZZ rate per two-qubit gate (default: p_x)")
+    p.add_argument("--pzz", dest="p_zz", type=float, default=None, help="correlated ZZ rate per two-qubit gate (default: p_x)")
 
 
 def _resolve_noise(args) -> nz.NoiseParams:
-    if args.pz < 0:
+    if args.p_z < 0:
         raise CliError("--pz must be >= 0")
     if args.bias is not None:
         if args.bias < 1:
             raise CliError("--bias must be >= 1")
-        p_x = args.pz / args.bias if args.pz > 0 else 0.0
+        p_x = args.p_z / args.bias if args.p_z > 0 else 0.0
     else:
-        p_x = args.px
-    p_zz = args.pzz if args.pzz is not None else p_x
+        p_x = args.p_x
+    p_zz = args.p_zz if args.p_zz is not None else p_x
     try:
-        return nz.NoiseParams(p_x=p_x, p_z=args.pz, p_zz=p_zz)
+        return nz.NoiseParams(p_x=p_x, p_z=args.p_z, p_zz=p_zz)
     except ValueError as exc:
         raise CliError(str(exc))
 
@@ -181,9 +165,9 @@ def _params_bounds(args) -> dict:
     if args.r is not None:
         r_z = r_zz = args.r
     else:
-        if args.rz is None or args.rzz is None:
+        if args.r_z is None or args.r_zz is None:
             raise CliError("give --r, or both --rz and --rzz")
-        r_z, r_zz = args.rz, args.rzz
+        r_z, r_zz = args.r_z, args.r_zz
     noise = _resolve_noise(args)
     return {
         "n": args.n,
@@ -223,7 +207,7 @@ def _params_simulate(args) -> dict:
     else:
         theta_key = args.theta
         theta = _THETA_KEYS[theta_key]
-    r_z = r_zz = args.r
+    r_z = r_zz = args.r_z
     if args.mode == "mc":
         if args.trials is None or args.trials < 1:
             raise CliError("--mode mc requires --trials >= 1")
@@ -246,17 +230,8 @@ def _params_simulate(args) -> dict:
     }
 
 
-def _simulate_cfg(params: dict) -> gd.GadgetConfig:
-    theta_key = params["theta"]
-    if theta_key == "plusI":
-        return gd.GadgetConfig.plus_i(params["n"], r=params["r_z"], r_zz=params["r_zz"])
-    if theta_key == "T":
-        return gd.GadgetConfig.t_state(params["n"], r=params["r_z"], r_zz=params["r_zz"])
-    return gd.GadgetConfig.custom(params["n"], params["theta_radians"], r=params["r_z"], r_zz=params["r_zz"])
-
-
 def _run_simulate(params: dict):
-    cfg = _simulate_cfg(params)
+    cfg = gd.GadgetConfig(n=params["n"], theta=params["theta_radians"], r_z=params["r_z"], r_zz=params["r_zz"])
     noise = nz.NoiseParams(p_x=params["p_x"], p_z=params["p_z"], p_zz=params["p_zz"])
     if params["mode"] == "mc":
         est = nz.estimate_rates_mc(cfg, noise, trials=params["trials"], seed=params["seed"], threads=params["threads"])
@@ -337,12 +312,68 @@ def _run_plan(params: dict):
 
 
 # ---------------------------------------------------------------------------
-# sweep
+# sweep.  A figure is one row per (p_z, eta) point: eta in _ETAS, and p_z on
+# a geometric grid of --points values over the figure's range.  Its row
+# function gives the values of its columns after p_z and eta.
+
+
+def _bounds_row(r: int, p_z: float, eta: float) -> tuple:
+    p_x = p_z / eta
+    return bd.e_xl_bound(3, r, p_x, p_z), bd.e_zl_bound(3, r, p_x, p_z, p_x)
+
+
+def _rm_row(r: int, p_z: float, eta: float) -> tuple:
+    out, p_accept = dst.rm15_map(dst.gadget_channel(3, r, nz.NoiseParams.from_bias(p_z, eta)))
+    return out.e_x, out.e_z, p_accept
+
+
+def _overhead_row(target: float, p_z: float, eta: float) -> tuple:
+    gadget_plan, baseline_plan = dst.plan(target=target, p_z=p_z, eta=eta)
+    return (
+        target,
+        gadget_plan.layers,
+        gadget_plan.r,
+        gadget_plan.overhead,
+        baseline_plan.layers,
+        baseline_plan.overhead,
+        dst.savings_factor(gadget_plan, baseline_plan),
+        gadget_plan.overhead < baseline_plan.overhead,
+    )
+
+
+class _Figure(NamedTuple):
+    about: str
+    columns: tuple[str, ...]
+    pz_range: tuple[float, float]
+    row: Callable[[float, float], tuple]
+
+
+_BOUNDS_COLUMNS = ("e_xl", "e_zl")
+_RM_COLUMNS = ("e_x_rm", "e_z_rm", "p_accept_rm")
+_OVERHEAD_COLUMNS = (
+    "target", "gadget_layers", "gadget_r", "gadget_overhead",
+    "baseline_layers", "baseline_overhead", "savings", "gadget_advantaged",
+)
+_ETAS = (10.0, 100.0, 1000.0)
+_BOUNDS_GRID = (1e-4, 1e-2)
+_OVERHEAD_GRID = (1e-4, 4e-3)
+_FIGURES = {
+    "bounds-r3": _Figure("analytic bounds, n=3, r=3", _BOUNDS_COLUMNS, _BOUNDS_GRID, functools.partial(_bounds_row, 3)),
+    "bounds-r1": _Figure("analytic bounds, n=3, r=1", _BOUNDS_COLUMNS, _BOUNDS_GRID, functools.partial(_bounds_row, 1)),
+    "rm-r3": _Figure("bounds through one RM round, r=3", _RM_COLUMNS, _BOUNDS_GRID, functools.partial(_rm_row, 3)),
+    "rm-r1": _Figure("bounds through one RM round, r=1", _RM_COLUMNS, _BOUNDS_GRID, functools.partial(_rm_row, 1)),
+    "overhead-8": _Figure("overhead, target 1e-8", _OVERHEAD_COLUMNS, _OVERHEAD_GRID, functools.partial(_overhead_row, 1e-8)),
+    "overhead-12": _Figure("overhead, target 1e-12", _OVERHEAD_COLUMNS, _OVERHEAD_GRID, functools.partial(_overhead_row, 1e-12)),
+    "overhead-16": _Figure("overhead, target 1e-16", _OVERHEAD_COLUMNS, _OVERHEAD_GRID, functools.partial(_overhead_row, 1e-16)),
+}
+SWEEP_FIGURES = tuple(_FIGURES)
 
 
 def _params_sweep(args) -> dict:
-    if args.figure not in SWEEP_FIGURES:
+    if args.figure not in _FIGURES:
         raise CliError(f"unknown figure key {args.figure!r}; choose from {', '.join(SWEEP_FIGURES)}")
+    if args.points < 2:
+        raise CliError("--points must be >= 2")
     return {
         "figure": args.figure,
         "points": args.points,
@@ -352,47 +383,10 @@ def _params_sweep(args) -> dict:
 
 
 def _run_sweep(params: dict):
-    figure = params["figure"]
-    points = params["points"]
-    etas = (10.0, 100.0, 1000.0)
-    rows: list[dict] = []
-    if figure.startswith("bounds-"):
-        r = int(figure.rsplit("r", 1)[1])
-        rows = bd.sweep(n=3, r=r, eta_list=etas, pz_range=(1e-4, 1e-2), points=points)
-        columns = ["p_z", "eta", "e_xl", "e_zl"]
-    elif figure.startswith("rm-"):
-        r = int(figure.rsplit("r", 1)[1])
-        for eta in etas:
-            for p_z in np.geomspace(1e-4, 1e-2, points):
-                noise = nz.NoiseParams.from_bias(float(p_z), eta)
-                out, p_acc = dst.rm15_map(dst.gadget_channel(3, r, noise))
-                rows.append(
-                    {"p_z": float(p_z), "eta": eta, "e_x_rm": out.e_x, "e_z_rm": out.e_z, "p_accept_rm": p_acc}
-                )
-        columns = ["p_z", "eta", "e_x_rm", "e_z_rm", "p_accept_rm"]
-    else:
-        target = 10.0 ** -int(figure.rsplit("-", 1)[1])
-        for eta in etas:
-            for p_z in np.geomspace(1e-4, 4e-3, points):
-                gadget_plan, baseline_plan = dst.plan(target=target, p_z=float(p_z), eta=eta)
-                rows.append(
-                    {
-                        "p_z": float(p_z),
-                        "eta": eta,
-                        "target": target,
-                        "gadget_layers": gadget_plan.layers,
-                        "gadget_r": gadget_plan.r,
-                        "gadget_overhead": gadget_plan.overhead,
-                        "baseline_layers": baseline_plan.layers,
-                        "baseline_overhead": baseline_plan.overhead,
-                        "savings": dst.savings_factor(gadget_plan, baseline_plan),
-                        "gadget_advantaged": gadget_plan.overhead < baseline_plan.overhead,
-                    }
-                )
-        columns = [
-            "p_z", "eta", "target", "gadget_layers", "gadget_r", "gadget_overhead",
-            "baseline_layers", "baseline_overhead", "savings", "gadget_advantaged",
-        ]
+    figure = _FIGURES[params["figure"]]
+    columns = ["p_z", "eta", *figure.columns]
+    grid = np.geomspace(*figure.pz_range, params["points"]).tolist()
+    rows = [dict(zip(columns, (p_z, eta, *figure.row(p_z, eta)))) for eta in _ETAS for p_z in grid]
     return {"rows": len(rows)}, rows, columns
 
 
@@ -422,28 +416,38 @@ def _execute_and_emit(command: str, params: dict, out_path: str | None) -> int:
     return EXIT_OK
 
 
-# The params each command's header carries, with the JSON types they take.
-_INT, _NUMBER, _STR, _OPT_INT = (int,), (int, float), (str,), (int, type(None))
-_NOISE_TYPES = {"p_x": _NUMBER, "p_z": _NUMBER, "p_zz": _NUMBER}
-_PARAM_TYPES = {
-    "bounds": {"n": _INT, "r_z": _INT, "r_zz": _INT, **_NOISE_TYPES, "seed": _INT, "format": _STR},
-    "simulate": {
-        "n": _INT, "theta": _STR, "theta_radians": _NUMBER, "r_z": _INT, "r_zz": _INT, **_NOISE_TYPES,
-        "mode": _STR, "trials": _OPT_INT, "max_order": _OPT_INT, "seed": _INT, "threads": _OPT_INT, "format": _STR,
-    },
-    "plan": {"target": _NUMBER, **_NOISE_TYPES, "seed": _INT, "format": _STR},
-    "sweep": {"figure": _STR, "points": _INT, "seed": _INT, "format": _STR},
-}
+class _HeaderParser(argparse.ArgumentParser):
+    """Raises CliError where ArgumentParser prints its usage and exits, so
+    that replay reports a header its parser refuses in one line."""
+
+    def error(self, message):
+        raise CliError(message)
 
 
-def _check_header_params(path: str, command: str, params: dict) -> None:
-    """Raise CliError unless ``params`` has every key of ``command``'s
-    header, each of the JSON type its builder writes."""
-    for key, types in _PARAM_TYPES[command].items():
-        if key not in params:
+def _rebuilt_params(path: str, command: str, header: dict) -> dict:
+    """The params that ``command``'s own parser and params builder make of
+    the flags ``header`` sets.  Raise CliError unless they equal the header
+    in every key, value and JSON type."""
+    parser = next(a for a in build_parser(_HeaderParser)._actions if a.dest == "command").choices[command]
+    # a named --theta sets theta_radians, and "custom" is no --theta choice
+    implied = "theta" if header.get("theta") == "custom" else "theta_radians"
+    argv = []
+    for action in parser._actions:  # every flag that takes a value; its dest is its header key
+        value = header.get(action.dest)
+        if action.option_strings and action.nargs is None and action.dest != implied and value is not None:
+            argv += [action.option_strings[0], value if isinstance(value, str) else json.dumps(value)]
+    try:
+        params = _PARAM_BUILDERS[command](parser.parse_args(argv))
+    except CliError as exc:
+        raise CliError(f"{path}: {command} header: {exc}") from None
+    for key in sorted(header.keys() | params.keys()):
+        if key not in header:
             raise CliError(f"{path}: {command} header lacks param {key!r}")
-        if isinstance(params[key], bool) or not isinstance(params[key], types):
-            raise CliError(f"{path}: {command} header param {key}={params[key]!r} has the wrong type")
+        if key not in params:
+            raise CliError(f"{path}: {command} header param {key!r} is not a {command} param")
+        if json.dumps(header[key]) != json.dumps(params[key]):
+            raise CliError(f"{path}: {command} header param {key}={header[key]!r} rebuilds as {params[key]!r}")
+    return params
 
 
 def _cmd_replay(args) -> int:
@@ -464,12 +468,11 @@ def _cmd_replay(args) -> int:
                 params = json.loads(line.split("=", 1)[1])
     if command not in _RUNNERS or not isinstance(params, dict):
         raise CliError(f"{args.file} carries no replayable header")
-    _check_header_params(args.file, command, params)
-    return _execute_and_emit(command, params, args.out)
+    return _execute_and_emit(command, _rebuilt_params(args.file, command, params), args.out)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParser:
+    parser = parser_class(
         prog="biasforge",
         description="Biased-noise magic-state gadget: bounds, simulation, distillation planning.",
     )
@@ -486,14 +489,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds = sub.add_parser("bounds", help="evaluate the closed-form logical error bounds")
     p_bounds.add_argument("--n", type=int, required=True, help="repetition code length (odd)")
     p_bounds.add_argument("--r", type=int, default=None, help="measurement repetitions (odd; sets both r_z and r_zz)")
-    p_bounds.add_argument("--rz", type=int, default=None, help="repetitions of the block-1 parity measurement")
-    p_bounds.add_argument("--rzz", type=int, default=None, help="repetitions of the joint parity measurement")
+    p_bounds.add_argument("--rz", dest="r_z", type=int, default=None, help="repetitions of the block-1 parity measurement")
+    p_bounds.add_argument("--rzz", dest="r_zz", type=int, default=None, help="repetitions of the joint parity measurement")
     _add_noise_flags(p_bounds)
     common(p_bounds)
 
     p_sim = sub.add_parser("simulate", help="fault-injection simulation vs the bounds")
     p_sim.add_argument("--n", type=int, required=True)
-    p_sim.add_argument("--r", type=int, required=True, help="measurement repetitions (odd)")
+    p_sim.add_argument("--r", dest="r_z", type=int, required=True, help="measurement repetitions (odd; sets r_z and r_zz)")
     p_sim.add_argument("--theta", choices=tuple(_THETA_KEYS), default="T", help="target state key")
     p_sim.add_argument("--theta-radians", type=float, default=None, help="custom rotation angle override")
     _add_noise_flags(p_sim)
@@ -511,7 +514,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser(
         "sweep",
         help="write a figure dataset as CSV",
-        epilog="figure schemas:\n" + "\n".join(f"  {k}: {v}" for k, v in _SWEEP_SCHEMAS.items()),
+        epilog="figure schemas:\n"
+        + "\n".join(f"  {key}: p_z,eta,{','.join(f.columns)}  ({f.about})" for key, f in _FIGURES.items()),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     p_sweep.add_argument("--figure", required=True, help=f"one of {', '.join(SWEEP_FIGURES)}")

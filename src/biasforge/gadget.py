@@ -124,7 +124,6 @@ class GadgetConfig:
     theta: float
     r_z: int
     r_zz: int
-    target: Target
 
     def __post_init__(self):
         if self.n < 1 or self.n % 2 == 0:
@@ -134,22 +133,28 @@ class GadgetConfig:
         for name, r in (("r_z", self.r_z), ("r_zz", self.r_zz)):
             if r < 1 or r % 2 == 0:
                 raise ConfigError(f"{name}={r} must be odd and >= 1 (majority votes need odd counts)")
-        if self.target is Target.PLUS_I and not math.isclose(self.theta, math.pi / 2):
-            raise ConfigError("target plusI requires theta = pi/2")
-        if self.target is Target.T and not math.isclose(self.theta, math.pi / 4):
-            raise ConfigError("target T requires theta = pi/4")
 
     @classmethod
     def plus_i(cls, n: int, r: int = 1, r_zz: int | None = None) -> "GadgetConfig":
-        return cls(n=n, theta=math.pi / 2, r_z=r, r_zz=r if r_zz is None else r_zz, target=Target.PLUS_I)
+        return cls.custom(n, math.pi / 2, r, r_zz)
 
     @classmethod
     def t_state(cls, n: int, r: int = 1, r_zz: int | None = None) -> "GadgetConfig":
-        return cls(n=n, theta=math.pi / 4, r_z=r, r_zz=r if r_zz is None else r_zz, target=Target.T)
+        return cls.custom(n, math.pi / 4, r, r_zz)
 
     @classmethod
     def custom(cls, n: int, theta: float, r: int = 1, r_zz: int | None = None) -> "GadgetConfig":
-        return cls(n=n, theta=theta, r_z=r, r_zz=r if r_zz is None else r_zz, target=Target.CUSTOM)
+        return cls(n=n, theta=theta, r_z=r, r_zz=r if r_zz is None else r_zz)
+
+    @property
+    def target(self) -> Target:
+        """The state theta names: T at pi/4, plusI at pi/2, else custom.
+        Derived, so the config is hashed on plain numbers alone."""
+        if math.isclose(self.theta, math.pi / 4):
+            return Target.T
+        if math.isclose(self.theta, math.pi / 2):
+            return Target.PLUS_I
+        return Target.CUSTOM
 
     @property
     def num_measurements(self) -> int:

@@ -120,23 +120,15 @@ class FaultEvent:
     location: int
     pauli: PauliString
     rate: str  # "z" | "x" | "zz"
-    scale: float = 1.0
 
     def probability(self, params: NoiseParams) -> float:
-        base = {"z": params.p_z, "x": params.p_x, "zz": params.p_zz}[self.rate]
-        return base * self.scale
+        return {"z": params.p_z, "x": params.p_x, "zz": params.p_zz}[self.rate]
 
 
-def fault_events(circuit: gd.Circuit, idle_z_multiplier: float = 0.0) -> tuple[FaultEvent, ...]:
-    """Elementary fault events of a circuit, in location order.
-
-    ``idle_z_multiplier`` > 0 additionally attaches a Z event at rate
-    multiplier * p_z to every prepared-but-not-yet-measured qubit not
-    touched by a location, at that location's time step.  The default
-    attaches none (the circuits define no idle schedule).
-    """
+def fault_events(circuit: gd.Circuit) -> tuple[FaultEvent, ...]:
+    """Elementary fault events of a circuit, in location order.  Idle
+    qubits get none: the circuits define no idle schedule."""
     events: list[FaultEvent] = []
-    live: set[int] = set()
     for t, loc in enumerate(circuit.locations):
         if loc.kind in (gd.LocationKind.PREP_X, gd.LocationKind.MEAS_X):
             q = loc.qubits[0]
@@ -148,15 +140,14 @@ def fault_events(circuit: gd.Circuit, idle_z_multiplier: float = 0.0) -> tuple[F
             events.append(FaultEvent(t, PauliString.x_on([a]), "x"))
             events.append(FaultEvent(t, PauliString.x_on([b]), "x"))
             events.append(FaultEvent(t, PauliString.z_on([a, b]), "zz"))
-        if idle_z_multiplier > 0.0:
-            touched = set(loc.qubits)
-            for q in sorted(live - touched):
-                events.append(FaultEvent(t, PauliString.z_on([q]), "z", scale=idle_z_multiplier))
-        if loc.kind is gd.LocationKind.PREP_X:
-            live.add(loc.qubits[0])
-        elif loc.kind is gd.LocationKind.MEAS_X:
-            live.discard(loc.qubits[0])
     return tuple(events)
+
+
+@functools.lru_cache(maxsize=None)
+def _events(cfg: gd.GadgetConfig) -> tuple[FaultEvent, ...]:
+    """The fault events of ``cfg``'s circuit, kept per config because every
+    Monte Carlo call reads them."""
+    return fault_events(gd.build_circuit(cfg))
 
 
 @dataclass(frozen=True)
@@ -223,14 +214,14 @@ _RATE_INDEX = {"z": 0, "x": 1, "zz": 2}
 
 @functools.lru_cache(maxsize=None)
 def _enumerated_combos(cfg: gd.GadgetConfig, max_order: int):
-    """(rate index, scale, subsets, masses) for all event subsets of size <= k.
+    """(rate index, subsets, masses) for all event subsets of size <= k.
 
     ``subsets`` is an (S, k) event-index matrix, padded with the event count
     (a column of zero log-odds); ``masses`` is the (S, gadget.N_BINS)
     outcome-bin mass matrix.  Independent of NoiseParams, so cached per
     config and order.
     """
-    events = fault_events(gd.build_circuit(cfg))
+    events = _events(cfg)
     num = len(events)
     subsets = [()] + [(i,) for i in range(num)]
     if max_order >= 2:
@@ -240,8 +231,7 @@ def _enumerated_combos(cfg: gd.GadgetConfig, max_order: int):
     for row, s in enumerate(subsets):
         index[row, : len(s)] = s
     rates = np.array([_RATE_INDEX[ev.rate] for ev in events])
-    scales = np.array([ev.scale for ev in events])
-    return rates, scales, index, masses
+    return rates, index, masses
 
 
 def enumerate_faults(cfg: gd.GadgetConfig, params: NoiseParams, max_order: int) -> RateEstimate:
@@ -255,8 +245,8 @@ def enumerate_faults(cfg: gd.GadgetConfig, params: NoiseParams, max_order: int) 
     """
     if max_order not in (1, 2):
         raise UnsupportedOrderError(f"max_order must be 1 or 2, got {max_order}")
-    rates, scales, index, masses = _enumerated_combos(cfg, max_order)
-    probs = np.array([params.p_z, params.p_x, params.p_zz])[rates] * scales
+    rates, index, masses = _enumerated_combos(cfg, max_order)
+    probs = np.array([params.p_z, params.p_x, params.p_zz])[rates]
     if np.any(probs >= 1.0):
         raise ValueError("enumeration requires all event probabilities < 1")
     with np.errstate(divide="ignore"):
@@ -444,7 +434,7 @@ def _trial_blocks(seed: int, trial_range: range):
 @functools.lru_cache(maxsize=None)
 def _event_frames(cfg: gd.GadgetConfig) -> np.ndarray:
     """(E, M + 2n) frame rows (gadget.fault_frame) of the fault events."""
-    return np.array([gd.fault_frame(cfg, [(ev.location, ev.pauli)]) for ev in fault_events(gd.build_circuit(cfg))])
+    return np.array([gd.fault_frame(cfg, [(ev.location, ev.pauli)]) for ev in _events(cfg)])
 
 
 def _mc_counts(cfg, params, seed, trial_range) -> np.ndarray:
@@ -456,7 +446,7 @@ def _mc_counts(cfg, params, seed, trial_range) -> np.ndarray:
     and the block's faulted trials are sampled together under their frames.
     """
     _check_streams()
-    probs = np.array([ev.probability(params) for ev in fault_events(gd.build_circuit(cfg))])
+    probs = np.array([ev.probability(params) for ev in _events(cfg)])
     frames = _event_frames(cfg)
     cum, leaf_bins = _noiseless_leaf_pool(cfg)
     counts = np.zeros(gd.N_BINS, dtype=np.int64)

@@ -90,23 +90,5 @@ def test_r_tradeoff_at_high_bias():
     assert bd.e_zl_bound(3, 1, p_x, p_z, p_x) < bd.e_zl_bound(3, 3, p_x, p_z, p_x)
 
 
-def test_sweep_single_point_matches_direct_calls():
-    rows = bd.sweep(3, 3, eta_list=(100.0,), pz_range=(1e-3, 1e-3), points=2)
-    for row in rows:
-        assert row["e_xl"] == bd.e_xl_bound(3, 3, row["p_z"] / row["eta"], row["p_z"])
-        assert row["e_zl"] == bd.e_zl_bound(
-            3, 3, row["p_z"] / row["eta"], row["p_z"], row["p_z"] / row["eta"]
-        )
-
-
-def test_sweep_grid_shape_and_rules():
-    rows = bd.sweep(3, 1, eta_list=(10.0, 100.0), pz_range=(1e-4, 1e-2), points=7, pzz_rule=5e-6)
-    assert len(rows) == 14
-    etas = {row["eta"] for row in rows}
-    assert etas == {10.0, 100.0}
-    with pytest.raises(ValueError):
-        bd.sweep(3, 1, pz_range=(1e-2, 1e-4), points=0)
-
-
 def test_bounds_may_exceed_one_unclamped():
     assert bd.e_zl_bound(3, 3, 0.1, 0.1, 0.1) > 1.0

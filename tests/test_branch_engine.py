@@ -6,7 +6,8 @@
 * The Monte Carlo estimate below was recorded with that engine too; a
   seeded run must reproduce it exactly.
 * A dense reference simulator, written independently of the package's
-  engine, replays every enumerated branch of random fault subsets.
+  engine, replays every enumerated branch of random fault subsets, drawn
+  from the fault events and from Z faults on idle live qubits.
 * Faulted enumeration and sampled runs both read the noiseless branches
   through Pauli frames; every enumerated branch is replayed by ``run``
   with its record forced.
@@ -29,6 +30,7 @@ from hypothesis import strategies as st
 
 from biasforge import gadget as gd
 from biasforge import noise as nz
+from biasforge.statevec import PauliString
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "enumerate_grid.json").read_text())
 TABLES = json.loads((Path(__file__).parent / "golden" / "noiseless_tables.json").read_text())
@@ -135,13 +137,27 @@ _DENSE_CONFIGS = (
 )
 
 
+def _fault_sites(circuit):
+    """(location, Pauli) of every fault event, and of a Z at each location
+    on every live qubit that the location leaves idle."""
+    sites = [(ev.location, ev.pauli) for ev in nz.fault_events(circuit)]
+    live = set()
+    for t, loc in enumerate(circuit.locations):
+        sites += [(t, PauliString.z_on([q])) for q in sorted(live - set(loc.qubits))]
+        if loc.kind is gd.LocationKind.PREP_X:
+            live.add(loc.qubits[0])
+        elif loc.kind is gd.LocationKind.MEAS_X:
+            live.discard(loc.qubits[0])
+    return sorted(sites, key=lambda site: site[0])
+
+
 @st.composite
 def _faulted_gadget(draw):
     cfg = draw(st.sampled_from(_DENSE_CONFIGS))
     circuit = gd.build_circuit(cfg)
-    events = nz.fault_events(circuit, idle_z_multiplier=0.5)
-    chosen = draw(st.lists(st.integers(0, len(events) - 1), max_size=3, unique=True))
-    return cfg, circuit, [(events[i].location, events[i].pauli) for i in chosen]
+    sites = _fault_sites(circuit)
+    chosen = draw(st.lists(st.integers(0, len(sites) - 1), max_size=3, unique=True))
+    return cfg, circuit, [sites[i] for i in chosen]
 
 
 @given(_faulted_gadget())

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from biasforge import bounds as bd
 from biasforge import cli
 from biasforge import noise as nz
 
@@ -214,6 +215,23 @@ class TestSweep:
         code, _, err = run_cli(capsys, "sweep", "--figure", "bounds-r3")
         assert code == 2
 
+    @pytest.mark.parametrize("figure", ["rm-r1", "overhead-8"])
+    @pytest.mark.parametrize("points", ["0", "1", "-1"])
+    def test_fewer_than_two_points_exits_2(self, tmp_path, capsys, figure, points):
+        out = tmp_path / "f.csv"
+        code, stdout, err = run_cli(capsys, "sweep", "--figure", figure, "--out", str(out), "--points", points)
+        assert code == 2 and stdout == "" and not out.exists()
+        assert err == "biasforge: --points must be >= 2\n"
+
+    def test_bounds_rows_match_direct_calls(self, tmp_path, capsys):
+        out = tmp_path / "b.csv"
+        assert run_cli(capsys, "sweep", "--figure", "bounds-r3", "--out", str(out), "--points", "2")[0] == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[4:]]
+        assert len(rows) == 6
+        for p_z, eta, e_xl, e_zl in (map(float, row) for row in rows):
+            assert e_xl == bd.e_xl_bound(3, 3, p_z / eta, p_z)
+            assert e_zl == bd.e_zl_bound(3, 3, p_z / eta, p_z, p_z / eta)
+
     def test_rm_figure_runs(self, tmp_path, capsys):
         out = tmp_path / "f5.csv"
         code, _, _ = run_cli(capsys, "sweep", "--figure", "rm-r1", "--out", str(out), "--points", "3")
@@ -264,7 +282,7 @@ class TestReproducibility:
         bad.write_text(json.dumps({"command": "simulate", "params": {"n": 3}}))
         code, out, err = run_cli(capsys, "replay", str(bad))
         assert code == 2 and out == ""
-        assert err.count("\n") == 1 and "lacks param 'theta'" in err
+        assert err.count("\n") == 1 and "simulate header: the following arguments are required: --r" in err
 
     def test_replay_rejects_header_of_wrong_type(self, tmp_path, capsys):
         good = tmp_path / "bounds.csv"
@@ -274,7 +292,44 @@ class TestReproducibility:
         bad.write_text(good.read_text().replace('"n": 3', '"n": "3"'))
         code, out, err = run_cli(capsys, "replay", str(bad))
         assert code == 2 and out == ""
-        assert err.count("\n") == 1 and "n='3' has the wrong type" in err
+        assert err.count("\n") == 1 and "n='3' rebuilds as 3" in err
+
+    @pytest.mark.parametrize(
+        "command, edit",
+        [
+            ("bounds", {"format": "xml"}),  # no --format choice
+            ("simulate", {"theta": "Tee"}),  # no --theta choice
+            ("simulate", {"r_zz": 3}),  # --r sets r_zz = r_z = 1
+            ("simulate", {"theta_radians": 0.5}),  # T fixes the angle
+            ("simulate", {"p_z": 0}),  # an int where --pz gives a float
+            ("plan", {"extra": 1}),  # no flag writes it
+        ],
+    )
+    def test_replay_rejects_header_no_flags_produce(self, tmp_path, capsys, command, edit):
+        flags = {
+            "bounds": ["--n", "3", "--r", "1"],
+            "simulate": ["--n", "3", "--r", "1", "--mode", "enumerate", "--max-order", "1"],
+            "plan": ["--target", "1e-8"],
+        }[command]
+        report = run_json(capsys, command, *flags, "--pz", "1e-3", "--bias", "10")
+        report["params"].update(edit)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(report))
+        code, out, err = run_cli(capsys, "replay", str(bad))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and f"{command} header" in err
+
+    def test_replay_emits_params_as_a_fresh_run_would(self, tmp_path, capsys):
+        fresh = tmp_path / "fresh.json"
+        run_cli(capsys, "simulate", "--n", "3", "--r", "1", "--theta-radians", "0.5", "--pz", "1e-3", "--px", "1e-4",
+                "--mode", "enumerate", "--max-order", "1", "--out", str(fresh))
+        report = json.loads(fresh.read_text())
+        assert report["params"]["theta"] == "custom"
+        report["params"] = dict(reversed(report["params"].items()))
+        shuffled = tmp_path / "shuffled.json"
+        shuffled.write_text(json.dumps(report))
+        code, out, _ = run_cli(capsys, "replay", str(shuffled))
+        assert code == 0 and out.encode() == fresh.read_bytes()
 
     def test_header_embeds_version_config_seed(self, capsys):
         report = run_json(capsys, "bounds", "--n", "3", "--r", "1", "--pz", "1e-3", "--bias", "10", "--seed", "123")

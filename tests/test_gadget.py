@@ -41,10 +41,17 @@ class TestConfig:
             gd.GadgetConfig.custom(9, 0.3)
 
     def test_target_theta_coupling(self):
-        with pytest.raises(gd.ConfigError):
-            gd.GadgetConfig(n=3, theta=0.3, r_z=1, r_zz=1, target=gd.Target.PLUS_I)
         cfg = gd.GadgetConfig.custom(3, 0.3)
         assert cfg.target is gd.Target.CUSTOM
+
+    def test_custom_named_angle_is_the_named_config(self):
+        custom, named = gd.GadgetConfig.custom(3, math.pi / 4), gd.GadgetConfig.t_state(3)
+        assert custom == named and hash(custom) == hash(named)
+        assert custom.target is named.target is gd.Target.T
+        assert gd.GadgetConfig.custom(3, math.pi / 2).target is gd.Target.PLUS_I
+        misses = gd._noiseless_table.cache_info().misses
+        assert gd._noiseless_table(custom) is gd._noiseless_table(named)
+        assert gd._noiseless_table.cache_info().misses - misses <= 1
 
 
 class TestBuildCircuit:

@@ -53,14 +53,6 @@ class TestFaultEvents:
             if ev.location in single_q:
                 assert ev.rate == "z"
 
-    def test_idle_multiplier_adds_events(self):
-        circ = gd.build_circuit(gd.GadgetConfig.t_state(3, r=1))
-        base = nz.fault_events(circ)
-        with_idle = nz.fault_events(circ, idle_z_multiplier=0.1)
-        extra = [ev for ev in with_idle if ev.scale != 1.0]
-        assert len(with_idle) > len(base) and extra
-        assert all(ev.rate == "z" and ev.scale == 0.1 for ev in extra)
-
 
 class TestSampleFaults:
     """Monte Carlo fires event e when its draw is below p_e; a trial's
