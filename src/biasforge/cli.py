@@ -545,8 +545,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command == "replay":
             return _cmd_replay(args)
-        if args.command == "sweep" and args.out is None:
-            raise CliError("sweep requires --out")
         params = _PARAM_BUILDERS[args.command](args)
         return _execute_and_emit(args.command, params, args.out)
     except CliError as exc:

@@ -20,13 +20,17 @@ XOR, so both estimators read one noiseless branch table through them.
 The exhaustive enumerator sums all event subsets of size <= k, weighting
 each by prod(p_e) * prod(1 - p_e') over the non-firing events (exact, no
 exponential approximation), over every measurement branch of the faulted
-circuit.  Each subset is one ``gadget.enumerate_branches`` call on its
-events' (location, Pauli) pairs, whose branch stack is decoded and
-classified in one batch into six outcome-bin masses.  These per-subset
-masses are independent of the rates, so they are computed once per
-(config, order) and kept as an (S, k) event-index matrix and an (S, 6)
-mass matrix; each NoiseParams then costs one vector of subset weights
-exp(log P(no event) + sum of log-odds) and one matrix product.
+circuit.  A subset's branches depend on its events only through its
+frame, the XOR of their frame rows, so the subsets are grouped by frame
+and each frame's branch stack is decoded and classified once, in one
+batch, into outcome bins.  Each subset is still one
+``gadget.enumerate_branches`` call on its events' (location, Pauli)
+pairs, whose branch probabilities sum its frame's bins into six
+outcome-bin masses.  These per-subset masses are independent of the
+rates, so they are computed once per (config, order) and kept as an
+(S, k) event-index matrix and an (S, 6) mass matrix; each NoiseParams
+then costs one vector of subset weights exp(log P(no event) + sum of
+log-odds) and one matrix product.
 
 The primary e_x / e_z / e_y rates are per gadget attempt: the probability
 that a run is accepted AND delivers that logical error.  This is the
@@ -150,6 +154,13 @@ def _events(cfg: gd.GadgetConfig) -> tuple[FaultEvent, ...]:
     return fault_events(gd.build_circuit(cfg))
 
 
+@functools.lru_cache(maxsize=None)
+def _event_frames(cfg: gd.GadgetConfig) -> np.ndarray:
+    """(E, M + 2n) frame rows (gadget.fault_frame) of the fault events, read by
+    both estimators."""
+    return np.array([gd.fault_frame(cfg, [(ev.location, ev.pauli)]) for ev in _events(cfg)])
+
+
 @dataclass(frozen=True)
 class RateEstimate:
     """Logical rates per gadget attempt, plus per-accepted-state variants."""
@@ -199,16 +210,6 @@ def _rate_estimate(bins: np.ndarray, total, trials_or_order: int, ci=(0.0, 0.0, 
 # Exhaustive low-order enumeration.
 
 
-def _combo_masses(cfg, fault_subset) -> np.ndarray:
-    """Probability mass of each outcome bin over every branch of one subset."""
-    branches = gd.enumerate_branches(cfg, faults=[(ev.location, ev.pauli) for ev in fault_subset])
-    masses = np.bincount(gd.outcome_bins(cfg, branches), weights=branches.probabilities, minlength=gd.N_BINS)
-    total = masses.sum()
-    if abs(total - 1.0) > 1e-8:
-        raise AssertionError(f"branch probabilities sum to {total}, expected 1")
-    return masses
-
-
 _RATE_INDEX = {"z": 0, "x": 1, "zz": 2}
 
 
@@ -217,19 +218,36 @@ def _enumerated_combos(cfg: gd.GadgetConfig, max_order: int):
     """(rate index, subsets, masses) for all event subsets of size <= k.
 
     ``subsets`` is an (S, k) event-index matrix, padded with the event count
-    (a column of zero log-odds); ``masses`` is the (S, gadget.N_BINS)
-    outcome-bin mass matrix.  Independent of NoiseParams, so cached per
-    config and order.
+    (a column of zero log-odds and a zero frame row); ``masses`` is the
+    (S, gadget.N_BINS) outcome-bin mass matrix.  Subsets are visited a
+    frame at a time, and a frame's bins are computed once, from its first
+    subset's branches.  Independent of NoiseParams, so cached per config
+    and order.
     """
     events = _events(cfg)
     num = len(events)
     subsets = [()] + [(i,) for i in range(num)]
     if max_order >= 2:
         subsets += list(itertools.combinations(range(num), 2))
-    masses = np.array([_combo_masses(cfg, [events[i] for i in s]) for s in subsets])
     index = np.full((len(subsets), max_order), num, dtype=np.intp)
     for row, s in enumerate(subsets):
         index[row, : len(s)] = s
+    frames = _event_frames(cfg)
+    frames = np.bitwise_xor.reduce(np.vstack([frames, np.zeros_like(frames[:1])])[index], axis=1)
+    # packed rows: fewer bytes for np.unique to compare
+    group = np.unique(np.packbits(frames, axis=1), axis=0, return_inverse=True)[1].reshape(-1)
+    order = np.argsort(group, kind="stable")
+    masses = np.empty((len(subsets), gd.N_BINS))
+    for same_frame in np.split(order, np.flatnonzero(np.diff(group[order])) + 1):
+        bins = None
+        for row in same_frame:
+            branches = gd.enumerate_branches(cfg, faults=[(events[i].location, events[i].pauli) for i in subsets[row]])
+            if bins is None:
+                bins = gd.outcome_bins(cfg, branches)
+            masses[row] = np.bincount(bins, weights=branches.probabilities, minlength=gd.N_BINS)
+            total = masses[row].sum()
+            if abs(total - 1.0) > 1e-8:
+                raise AssertionError(f"branch probabilities sum to {total}, expected 1")
     rates = np.array([_RATE_INDEX[ev.rate] for ev in events])
     return rates, index, masses
 
@@ -431,12 +449,6 @@ def _trial_blocks(seed: int, trial_range: range):
         yield _TrialStreams.seeded(seed, np.arange(start, min(start + _BLOCK, trial_range.stop)))
 
 
-@functools.lru_cache(maxsize=None)
-def _event_frames(cfg: gd.GadgetConfig) -> np.ndarray:
-    """(E, M + 2n) frame rows (gadget.fault_frame) of the fault events."""
-    return np.array([gd.fault_frame(cfg, [(ev.location, ev.pauli)]) for ev in _events(cfg)])
-
-
 def _mc_counts(cfg, params, seed, trial_range) -> np.ndarray:
     """Outcome-bin counts of the trials in ``trial_range``, a block at a time.
 
@@ -473,8 +485,9 @@ def _pool_workers(trials: int, threads: int) -> int:
 
 
 def _resolve_threads(threads: int | None) -> int:
-    """``threads``, else BIASFORGE_THREADS; 0 means one per CPU, at most 8.
-    A negative or non-integer count raises ValueError."""
+    """``threads``, else BIASFORGE_THREADS; 0 means one per CPU this
+    process may run on, at most 8.  A negative or non-integer count raises
+    ValueError."""
     if threads is None:
         env = os.environ.get("BIASFORGE_THREADS", "0")
         try:
@@ -483,7 +496,13 @@ def _resolve_threads(threads: int | None) -> int:
             raise ValueError(f"BIASFORGE_THREADS={env!r} is not an integer") from None
     if threads < 0:
         raise ValueError(f"thread count must be >= 0, got {threads}")
-    return threads or min(os.cpu_count() or 1, 8)
+    if threads:
+        return threads
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, 8)
 
 
 def estimate_rates_mc(

@@ -11,6 +11,10 @@
 * Faulted enumeration and sampled runs both read the noiseless branches
   through Pauli frames; every enumerated branch is replayed by ``run``
   with its record forced.
+* ``golden/enumerated_masses.json`` holds a SHA-256 of the rate, subset
+  and mass arrays of ``noise._enumerated_combos``, recorded with one
+  ``outcome_bins`` call per fault subset; classifying once per Pauli frame
+  must keep them bit-identical.
 * ``golden/noiseless_tables.json`` holds a SHA-256 of every array of the
   noiseless branch table, recorded with the compiled-program engine that
   the per-build list of stack operations replaced; the tables must stay
@@ -34,6 +38,12 @@ from biasforge.statevec import PauliString
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "enumerate_grid.json").read_text())
 TABLES = json.loads((Path(__file__).parent / "golden" / "noiseless_tables.json").read_text())
+MASSES = json.loads((Path(__file__).parent / "golden" / "enumerated_masses.json").read_text())
+ENUMERATED = {  # name -> config, as in scripts/record_enumerated_masses.py
+    "T-r1": gd.GadgetConfig.t_state(3, r=1),
+    "T-r3": gd.GadgetConfig.t_state(3, r=3),
+    "plusI-r1": gd.GadgetConfig.plus_i(3, r=1),
+}
 
 
 @pytest.mark.parametrize("order", (1, 2))
@@ -257,6 +267,38 @@ def test_noiseless_table_matches_golden_digests(case):
         "path": path, "plus_before": plus_before,
     }
     assert {name: _digest(array) for name, array in arrays.items()} == case["arrays"]
+
+
+@pytest.mark.parametrize("case", MASSES["cases"], ids=lambda c: f"{c['gadget']}-order{c['order']}")
+def test_enumerated_masses_match_golden_digests(case):
+    # recorded by scripts/record_enumerated_masses.py with one outcome_bins
+    # call per subset; classifying once per frame must not move a bit
+    cfg = ENUMERATED[case["gadget"]]
+    rates, index, masses = nz._enumerated_combos(cfg, case["order"])
+    arrays = {"rates": rates, "index": index, "masses": masses}
+    assert {name: _digest(array) for name, array in arrays.items()} == case["arrays"]
+
+
+@pytest.mark.parametrize("order, branch_calls, bin_calls", [(1, 80, 32), (2, 3161, 368)])
+def test_enumeration_classifies_each_frame_once(monkeypatch, order, branch_calls, bin_calls):
+    # one enumerate_branches call per subset (the benchmark counts them) but
+    # one outcome_bins call per distinct Pauli frame
+    calls = {"enumerate_branches": 0, "outcome_bins": 0}
+
+    def counting(name):
+        inner = getattr(gd, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(gd, name, counting(name))
+    nz._enumerated_combos.cache_clear()
+    nz._enumerated_combos(gd.GadgetConfig.t_state(3, r=1), order)
+    assert calls == {"enumerate_branches": branch_calls, "outcome_bins": bin_calls}
 
 
 def test_outcome_bins_agree_with_scalar_decoding():

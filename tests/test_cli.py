@@ -211,9 +211,13 @@ class TestSweep:
         # the reference model at high p_z
         assert marked / (marked + unmarked) >= 0.7
 
-    def test_missing_out_exits_2(self, capsys):
-        code, _, err = run_cli(capsys, "sweep", "--figure", "bounds-r3")
-        assert code == 2
+    def test_missing_out_writes_stdout(self, tmp_path, capsys):
+        # as replay does: without --out the CSV goes to stdout
+        code, stdout, err = run_cli(capsys, "sweep", "--figure", "bounds-r1", "--points", "3")
+        assert code == 0 and err == ""
+        out = tmp_path / "f.csv"
+        assert run_cli(capsys, "sweep", "--figure", "bounds-r1", "--points", "3", "--out", str(out))[0] == 0
+        assert stdout.encode() == out.read_bytes()
 
     @pytest.mark.parametrize("figure", ["rm-r1", "overhead-8"])
     @pytest.mark.parametrize("points", ["0", "1", "-1"])

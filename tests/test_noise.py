@@ -245,6 +245,14 @@ class TestMonteCarlo:
         assert nz._resolve_threads(None) >= 1
         assert nz._resolve_threads(3) == 3  # explicit argument wins
 
+    def test_default_threads_follow_cpu_affinity(self, monkeypatch):
+        # pinned to one of eight CPUs: one worker, not eight
+        monkeypatch.setattr(nz.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(nz.os, "cpu_count", lambda: 8)
+        assert nz._resolve_threads(0) == 1
+        monkeypatch.delenv("BIASFORGE_THREADS", raising=False)
+        assert nz._resolve_threads(None) == 1
+
     def test_threads_must_be_non_negative_integers(self, monkeypatch):
         monkeypatch.setenv("BIASFORGE_THREADS", "two")
         with pytest.raises(ValueError, match="BIASFORGE_THREADS"):
