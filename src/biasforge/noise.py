@@ -49,19 +49,17 @@ theta = pi/4 the X-measurement records are not uniformly distributed
 noiseless rejection rate of the n=3 T gadget is 5/8, larger than the 1/4
 suggested by counting records uniformly.
 
-Monte Carlo trials draw every event independently.  Trial t still draws
-from its own generator, ``np.random.default_rng([seed, t])``: one double per
-event (the event fires when it is below p_e), then one double to pick a
-noiseless branch if nothing fired, or one double per readout if something
-did.  The sampler computes these doubles for a block of trials at once, by
-replaying numpy's SeedSequence hash and PCG64 steps on uint64 arrays, and
-checks once per process that they equal numpy's own.  A faulted trial's
-frame is the sum mod 2 of its fired events' frame rows, and a block's
-faulted trials, whatever they fired, are one ``gadget.sample_branches``
-walk of the noiseless branch table and one ``gadget.outcome_bins`` call.
-A trial's outcome thus depends only on (seed, t), and the per-bin integer
-counts, hence the estimates, do not depend on the block size, the
-partition into worker processes or the thread count.
+Monte Carlo trials draw every event independently.  The trials come in
+blocks of ``_BLOCK``, and block b draws from its own generator,
+``np.random.default_rng([seed, b])``: one double per trial and event (the
+event fires when it is below p_e), then one double per trial that fired
+nothing, to pick a noiseless branch, then one double per readout of each
+trial that fired something.  A faulted trial's frame is the sum mod 2 of
+its fired events' frame rows, and a block's faulted trials, whatever they
+fired, are one ``gadget.sample_branches`` walk of the noiseless branch
+table and one ``gadget.outcome_bins`` call.  Worker processes take whole
+blocks, so the per-bin integer counts, hence the estimates, depend only on
+(seed, trials), not on the thread count.
 """
 
 from __future__ import annotations
@@ -69,7 +67,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 import os
 from dataclasses import dataclass
 
@@ -287,192 +284,48 @@ def _noiseless_leaf_pool(cfg: gd.GadgetConfig):
     return np.cumsum(branches.probabilities), gd.outcome_bins(cfg, branches)
 
 
-# Trial t draws from default_rng([seed, t]): a SeedSequence hashes the 32-bit
-# words of seed and t into a PCG64 state, and each random() double is the
-# top 53 bits of the next XSL-RR output.  _TrialStreams replays those steps
-# with numpy for a whole block of trials at once.
-
-_MASK32 = 0xFFFFFFFF
-_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875  # SeedSequence entropy hash
-_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED  # SeedSequence state output
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_POOL_SIZE = 4  # SeedSequence's default pool, in 32-bit words
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
-_M32, _S32 = np.uint64(_MASK32), np.uint64(32)
-_MULT_HI, _MULT_LO = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & 0xFFFFFFFFFFFFFFFF)
-_MULT_LO0, _MULT_LO1 = _MULT_LO & _M32, _MULT_LO >> _S32
-
-
-def _words32(value: int) -> list[int]:
-    """The little-endian 32-bit words SeedSequence takes from an integer."""
-    value = operator.index(value)
-    if value < 0:
-        raise ValueError("expected non-negative integer")
-    words = [value & _MASK32]
-    while value > _MASK32:
-        value >>= 32
-        words.append(value & _MASK32)
-    return words
-
-
-def _lcg_mult(hi: np.ndarray, lo: np.ndarray):
-    """(hi, lo) * _PCG_MULT modulo 2^128, on uint64 halves."""
-    lo0, lo1 = lo & _M32, lo >> _S32
-    mid = lo1 * _MULT_LO0
-    cross = ((lo0 * _MULT_LO0) >> _S32) + (mid & _M32) + lo0 * _MULT_LO1
-    carry = lo1 * _MULT_LO1 + (mid >> _S32) + (cross >> _S32)
-    return hi * _MULT_LO + lo * _MULT_HI + carry, lo * _MULT_LO
-
-
-class _TrialStreams:
-    """The generators default_rng([seed, t]) of a block of trials, in lockstep.
-
-    Each generator's 128-bit PCG64 state and increment are held as uint64
-    halves; next() steps every generator once and returns the double its
-    random() would return.  Indexing with a row mask or index array gives
-    the streams of those trials, at the same position.
-    """
-
-    def __init__(self, hi, lo, inc_hi, inc_lo):
-        self.hi, self.lo, self.inc_hi, self.inc_lo = hi, lo, inc_hi, inc_lo
-
-    @classmethod
-    def seeded(cls, seed: int, trials: np.ndarray) -> "_TrialStreams":
-        """The streams of default_rng([seed, t]) for each t in ``trials``."""
-        seed_words = _words32(seed)
-        trials = np.asarray(trials, dtype=np.uint64)
-        two_words = trials > _M32  # such trial indices hash one entropy word more
-        if two_words.any() and not two_words.all():
-            streams = cls(*(np.empty(len(trials), dtype=np.uint64) for _ in range(4)))
-            for rows in (~two_words, two_words):
-                for name, value in vars(cls.seeded(seed, trials[rows])).items():
-                    getattr(streams, name)[rows] = value
-            return streams
-        entropy = [np.full(len(trials), w, dtype=np.uint32) for w in seed_words]
-        entropy += [(trials >> np.uint64(32 * k)).astype(np.uint32) for k in range(1 + int(two_words.any()))]
-        init_hi, init_lo, seq_hi, seq_lo = _seed_sequence_state(entropy)
-        # pcg64 srandom: state 0, inc = 2 initseq + 1; step; state += initstate; step
-        inc_hi = (seq_hi << np.uint64(1)) | (seq_lo >> np.uint64(63))
-        inc_lo = (seq_lo << np.uint64(1)) | np.uint64(1)
-        lo = inc_lo + init_lo
-        streams = cls(inc_hi + init_hi + (lo < inc_lo), lo, inc_hi, inc_lo)
-        streams.step()
-        return streams
-
-    def __getitem__(self, rows) -> "_TrialStreams":
-        return _TrialStreams(self.hi[rows], self.lo[rows], self.inc_hi[rows], self.inc_lo[rows])
-
-    def step(self) -> None:
-        """state <- state * _PCG_MULT + inc modulo 2^128, for every stream."""
-        hi, lo = _lcg_mult(self.hi, self.lo)
-        self.lo = lo + self.inc_lo
-        self.hi = hi + self.inc_hi + (self.lo < lo)
-
-    def next(self) -> np.ndarray:
-        """Advance every stream and return its next random() double."""
-        self.step()
-        xor = self.hi ^ self.lo
-        rot = self.hi >> np.uint64(58)
-        out = (xor >> rot) | (xor << ((np.uint64(64) - rot) & np.uint64(63)))
-        return (out >> np.uint64(11)) * (1.0 / 9007199254740992.0)
-
-
-def _seed_sequence_state(entropy: list[np.ndarray]) -> list[np.ndarray]:
-    """SeedSequence(entropy).generate_state(4, np.uint64), column by column.
-
-    ``entropy`` holds one uint32 array per entropy word; the hash constants
-    evolve independently of the data, so every column shares them."""
-    hash_const = _HASH_INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = (hash_const * _HASH_MULT_A) & _MASK32
-        value = value * np.uint32(hash_const)
-        return value ^ (value >> np.uint32(16))
-
-    def mix(x, y):
-        result = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
-        return result ^ (result >> np.uint32(16))
-
-    zero = np.zeros_like(entropy[0])
-    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for src in range(_POOL_SIZE, len(entropy)):  # entropy wider than the pool
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(entropy[src]))
-    hash_const = _HASH_INIT_B
-    state = []
-    for i in range(8):
-        value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
-        hash_const = (hash_const * _HASH_MULT_B) & _MASK32
-        value = value * np.uint32(hash_const)
-        value = (value ^ (value >> np.uint32(16))).astype(np.uint64)
-        if i % 2:  # little-endian pairs of words form the uint64 outputs
-            state[-1] |= value << _S32
-        else:
-            state.append(value)
-    return state
-
-
-@functools.cache
-def _check_streams() -> None:
-    """Raise RuntimeError unless _TrialStreams reproduces numpy's generators.
-
-    Run once per process, on seeds of one, three and four 32-bit words (the
-    last, with the trial word, takes SeedSequence's extra mixing loop) and
-    on trial indices of one and two words."""
-    trials = np.array([0, 1, 7, 2**32 + 3])
-    for seed in (11, 2**80 + 5, 2**100 + 3):
-        streams = _TrialStreams.seeded(seed, trials)
-        got = np.column_stack([streams.next() for _ in range(16)])
-        want = np.array([np.random.default_rng([seed, int(t)]).random(16) for t in trials])
-        if not np.array_equal(got, want):
-            raise RuntimeError(f"block random streams differ from numpy {np.__version__}'s default_rng([seed, t])")
-
-
 # A worker process pays off once its share of the trials costs more than
 # starting it.  A faulted trial costs about as much as a clean one, so a
-# share is counted in trials whatever the noise.  On 2 CPUs (n=3, r=1) two
-# workers tie with one process from 15,000 to 20,000 trials without noise
-# and win from 12,500 at p_z=1e-3, eta=100.
-_MIN_TRIALS_PER_WORKER = 10_000
-_BLOCK = 2048  # trials per block: keeps a block's arrays small
-
-
-def _trial_blocks(seed: int, trial_range: range):
-    """The streams of the trials in ``trial_range``, _BLOCK trials at a time."""
-    for start in range(trial_range.start, trial_range.stop, _BLOCK):
-        yield _TrialStreams.seeded(seed, np.arange(start, min(start + _BLOCK, trial_range.stop)))
+# share is counted in trials whatever the noise.  On 2 CPUs (n=3, r=1,
+# p_z=1e-3, eta=100; median of 7, one process vs two workers) 30,000 trials
+# take 29 vs 40 ms, 40,000 take 48 vs 42 (46 vs 46 in a second run),
+# 50,000 take 64 vs 55 and 100,000 take 147 vs 95, so two workers need
+# 50,000 trials between them.  At p_z >= 1e-2 two workers lose at every size up to
+# 200,000: each worker's BLAS matmul in gadget.outcome_bins starts its own
+# threads.
+_MIN_TRIALS_PER_WORKER = 25_000
+_BLOCK = 2048  # trials per generator; part of the definition of the counts
 
 
 def _mc_counts(cfg, params, seed, trial_range) -> np.ndarray:
     """Outcome-bin counts of the trials in ``trial_range``, a block at a time.
 
-    A trial draws one double per fault event (event e fires when its draw is
-    below p_e), then, if nothing fired, one double to pick a noiseless
-    branch; otherwise its readouts draw that double and the ones after it,
-    and the block's faulted trials are sampled together under their frames.
+    Trial t belongs to block t // _BLOCK, whose generator is
+    ``np.random.default_rng([seed, block])``; ``trial_range`` starts on a
+    block boundary.  A block of ``size`` trials draws, in this order, a
+    (size, events) array of doubles (event e of a trial fires when its
+    double is below p_e), one double per trial that fired nothing (it picks
+    a noiseless branch), and one double per readout of each faulted trial;
+    the faulted trials are sampled together under their frames.  _BLOCK is
+    thus part of what the counts are: changing it changes every count.
     """
-    _check_streams()
+    if trial_range.start % _BLOCK:
+        raise ValueError(f"trial range must start on a multiple of {_BLOCK}, got {trial_range.start}")
     probs = np.array([ev.probability(params) for ev in _events(cfg)])
     frames = _event_frames(cfg)
     cum, leaf_bins = _noiseless_leaf_pool(cfg)
     counts = np.zeros(gd.N_BINS, dtype=np.int64)
-    for streams in _trial_blocks(seed, trial_range):
-        fired = np.column_stack([streams.next() < p for p in probs])  # (block, events)
-        draw = streams.next()
+    for start in range(trial_range.start, trial_range.stop, _BLOCK):
+        rng = np.random.default_rng([seed, start // _BLOCK])
+        fired = rng.random((min(_BLOCK, trial_range.stop - start), len(probs))) < probs
         faulted = fired.any(axis=1)
-        # noiseless trials: sample a branch from the exact pool
-        leaf = np.minimum(np.searchsorted(cum, draw[~faulted] * cum[-1]), len(leaf_bins) - 1)
-        counts += np.bincount(leaf_bins[leaf], minlength=gd.N_BINS)
         rows = np.flatnonzero(faulted)
+        # noiseless trials: sample a branch from the exact pool
+        draw = rng.random(len(faulted) - len(rows))
+        leaf = np.minimum(np.searchsorted(cum, draw * cum[-1]), len(leaf_bins) - 1)
+        counts += np.bincount(leaf_bins[leaf], minlength=gd.N_BINS)
         if len(rows):
-            later = streams[rows]
-            uniforms = np.column_stack([draw[rows]] + [later.next() for _ in range(cfg.num_measurements - 1)])
+            uniforms = rng.random((len(rows), cfg.num_measurements))
             branches = gd.sample_branches(cfg, fired[rows].astype(np.intp) @ frames % 2, uniforms)
             counts += np.bincount(gd.outcome_bins(cfg, branches), minlength=gd.N_BINS)
     return counts
@@ -514,16 +367,16 @@ def estimate_rates_mc(
 ) -> RateEstimate:
     """Monte Carlo rate estimate over independent sampled-fault executions.
 
-    Deterministic given (seed, trials): trial t draws the doubles of
-    ``np.random.default_rng([seed, t])``, computed a block of trials at a
-    time, and the trials are split into contiguous ranges, one per worker
-    process, whose integer bin counts are summed.  A worker starts only
-    for enough expected work (``_pool_workers``), so short estimates run
-    in this process.  Every count, and so the result, is
-    bit-identical for any thread count or block size.  ``seed`` and the
-    thread count (``threads``, else BIASFORGE_THREADS) must be
-    non-negative integers (ValueError otherwise); RuntimeError means the
-    installed numpy's generators no longer match the block sampler.
+    Deterministic given (seed, trials): the trials are drawn a block of
+    _BLOCK at a time, each block from its own generator (``_mc_counts``),
+    and split into contiguous runs of whole blocks, one per worker process,
+    whose integer bin counts are summed.  A worker starts only for enough
+    expected work (``_pool_workers``), so short estimates run in this
+    process.  Every count, and so the result, is bit-identical for any
+    thread count.  ``seed`` and the thread count (``threads``, else
+    BIASFORGE_THREADS) must be non-negative integers (ValueError
+    otherwise).  The ``ci95_*`` fields are 95% Wilson score half-widths,
+    which stay above zero at a zero count.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -533,22 +386,20 @@ def estimate_rates_mc(
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        bounds = np.linspace(0, trials, workers + 1, dtype=int)
-        chunks = [range(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
+        blocks = -(-trials // _BLOCK)
+        edges = [min(trials, blocks * i // workers * _BLOCK) for i in range(workers + 1)]
+        chunks = [range(a, b) for a, b in zip(edges[:-1], edges[1:])]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_mc_worker, [(cfg, params, seed, c) for c in chunks]))
-        counts = np.zeros(gd.N_BINS, dtype=np.int64)
-        for part in parts:  # ordered, integer: partition-independent
-            counts += part
+            parts = pool.map(_mc_counts, [cfg] * workers, [params] * workers, [seed] * workers, chunks)
+            counts = sum(parts, np.zeros(gd.N_BINS, dtype=np.int64))  # integer: partition-independent
     rejected = int(counts[gd.BIN_REJECTED])
     if counts.sum() == rejected:
         raise EstimationError("no accepted trials", reject_rate=rejected / trials)
-    # Wald half-widths of the per-attempt rates
-    rates = (int(counts[b]) / trials for b in (gd.BIN_XL, gd.BIN_ZL, gd.BIN_YL))
-    ci = tuple(_Z95 * math.sqrt(p * (1.0 - p) / trials) for p in rates)
+    ci = tuple(_wilson_halfwidth(int(counts[b]), trials) for b in (gd.BIN_XL, gd.BIN_ZL, gd.BIN_YL))
     return _rate_estimate(counts, trials, trials, ci)
 
 
-def _mc_worker(args):
-    cfg, params, seed, trial_range = args
-    return _mc_counts(cfg, params, seed, trial_range)
+def _wilson_halfwidth(k: int, n: int) -> float:
+    """Half-width of the 95% Wilson (1927) score interval of k successes in n."""
+    z2 = _Z95 * _Z95
+    return _Z95 / (n + z2) * math.sqrt(k * (n - k) / n + z2 / 4.0)

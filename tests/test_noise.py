@@ -5,8 +5,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from biasforge import bounds as bd
 from biasforge import gadget as gd
@@ -214,6 +212,16 @@ class TestMonteCarlo:
         b = nz.estimate_rates_mc(cfg, params, trials=2000, seed=7, threads=2)
         assert a == b
 
+    def test_counts_do_not_depend_on_the_worker_count(self, monkeypatch):
+        # workers take whole blocks; the last one also takes the short block
+        monkeypatch.setattr(nz, "_MIN_TRIALS_PER_WORKER", 1)
+        cfg = gd.GadgetConfig.t_state(3, r=1)
+        params = nz.NoiseParams.from_bias(1e-2, 10)
+        trials = 2 * nz._BLOCK + 5
+        assert nz._pool_workers(trials, 3) == 3
+        one, two, three = (nz.estimate_rates_mc(cfg, params, trials, seed=13, threads=t) for t in (1, 2, 3))
+        assert one == two == three
+
     def test_pool_only_when_every_worker_gets_the_minimum(self, monkeypatch):
         started = []
 
@@ -281,24 +289,7 @@ class TestMonteCarlo:
 
 
 # ---------------------------------------------------------------------------
-# Block sampler against numpy's per-trial generators and the per-trial loop.
-
-
-@given(
-    seed=st.integers(0, 2**128 - 1),
-    start=st.integers(0, 2**40) | st.sampled_from([0, 2**32 - nz._BLOCK - 1]),
-    extra=st.integers(1, 3),
-    draws=st.integers(1, 100),
-)
-def test_block_streams_replay_default_rng(seed, start, extra, draws):
-    trials = range(start, start + nz._BLOCK + extra)  # crosses one block boundary
-    blocks = list(nz._trial_blocks(seed, trials))
-    assert len(blocks) == 2
-    got = np.concatenate([np.column_stack([s.next() for _ in range(draws)]) for s in blocks])
-    edge = nz._BLOCK
-    for i in sorted({0, 1, edge - 2, edge - 1, edge, len(trials) - 1}):
-        want = np.random.default_rng([seed, trials[i]]).random(draws)
-        assert np.array_equal(got[i], want), (seed, trials[i])
+# Block sampler against a per-trial loop over the same draws.
 
 
 def test_negative_seed_rejected():
@@ -307,30 +298,45 @@ def test_negative_seed_rejected():
         nz.estimate_rates_mc(cfg, nz.NoiseParams.from_bias(1e-3, 100), trials=10, seed=-1, threads=1)
 
 
-def test_stream_check_detects_a_mismatch(monkeypatch):
-    nz._check_streams.__wrapped__()
-    monkeypatch.setattr(nz, "_HASH_INIT_B", nz._HASH_INIT_B ^ 1)
-    with pytest.raises(RuntimeError):
-        nz._check_streams.__wrapped__()
+def test_trial_ranges_start_on_a_block():
+    cfg = gd.GadgetConfig.t_state(3, r=1)
+    with pytest.raises(ValueError, match="multiple"):
+        nz._mc_counts(cfg, nz.NoiseParams.from_bias(1e-3, 100), 1, range(5, 10))
+
+
+class _Draws:
+    """Stands in for a generator: random(k) returns the given k doubles."""
+
+    def __init__(self, row):
+        self.row = row
+
+    def random(self, k):
+        assert k == len(self.row)
+        return self.row
 
 
 def _per_trial_counts(cfg, params, seed, trials):
-    """The per-trial Monte Carlo loop the block sampler replaced: trial t
-    seeds default_rng([seed, t]) and calls gadget.run when a fault fired."""
-    circuit = gd.build_circuit(cfg)
-    events = nz.fault_events(circuit)
+    """Monte Carlo counts one trial at a time.  Each block draws its arrays
+    from default_rng([seed, block]) in _mc_counts' order; a clean trial takes
+    the next clean draw, and a faulted one calls gadget.run on its fired
+    events' (location, Pauli) pairs with its row of readout draws."""
+    events = nz.fault_events(gd.build_circuit(cfg))
     probs = np.array([ev.probability(params) for ev in events])
     cum, leaf_bins = nz._noiseless_leaf_pool(cfg)
-    counts = np.zeros(6, dtype=np.int64)
-    for t in range(trials):
-        rng = np.random.default_rng([seed, t])
-        fired = rng.random(len(events)) < probs
-        if not fired.any():
-            leaf = int(np.searchsorted(cum, rng.random() * cum[-1]))
-            counts[leaf_bins[min(leaf, len(leaf_bins) - 1)]] += 1
-            continue
-        faults = [(ev.location, ev.pauli) for ev, f in zip(events, fired) if f]
-        counts[gd.run(cfg, faults=faults, rng=rng).bin] += 1
+    counts = np.zeros(gd.N_BINS, dtype=np.int64)
+    for start in range(0, trials, nz._BLOCK):
+        rng = np.random.default_rng([seed, start // nz._BLOCK])
+        fired = rng.random((min(nz._BLOCK, trials - start), len(events))) < probs
+        faulted = fired.any(axis=1)
+        clean = iter(rng.random(int((~faulted).sum())))
+        readouts = iter(rng.random((int(faulted.sum()), cfg.num_measurements)))
+        for row in fired:
+            if not row.any():
+                leaf = int(np.searchsorted(cum, next(clean) * cum[-1]))
+                counts[leaf_bins[min(leaf, len(leaf_bins) - 1)]] += 1
+                continue
+            faults = [(ev.location, ev.pauli) for ev, f in zip(events, row) if f]
+            counts[gd.run(cfg, faults=faults, rng=_Draws(next(readouts))).bin] += 1
     return counts
 
 
@@ -369,8 +375,8 @@ def _golden_id(case):
 
 @pytest.mark.parametrize("case", MC_COUNTS["cases"], ids=_golden_id)
 def test_monte_carlo_counts_match_recording(case):
-    # recorded by scripts/record_mc_counts.py with the state-vector engine
-    # that faulted trials ran on before they were sampled through frames
+    # recorded by scripts/record_mc_counts.py when each block of _BLOCK
+    # trials first drew from its own generator
     cfg = GADGETS[case["gadget"]](case["n"])
     params = nz.NoiseParams(p_x=case["p_x"], p_z=case["p_z"], p_zz=case["p_zz"])
     counts = nz._mc_counts(cfg, params, case["seed"], range(case["trials"]))
