@@ -64,20 +64,20 @@ def test_monte_carlo_reproduces_recorded_estimate():
         gd.GadgetConfig.t_state(3, 1), nz.NoiseParams.from_bias(1e-2, 10), trials=3000, seed=11, threads=1
     )
     assert est == nz.RateEstimate(
-        e_x=0.03766666666666667,
-        e_z=0.005333333333333333,
-        e_y=0.0,
-        reject_rate=0.6953333333333334,
+        e_x=0.029,
+        e_z=0.008666666666666666,
+        e_y=0.0006666666666666666,
+        reject_rate=0.7143333333333334,
         trials_or_order=3000,
-        ci95_halfwidth=0.006812849929942751,
-        ci95_e_x=0.006812849929942751,
-        ci95_e_z=0.0026063072353443213,
-        ci95_e_y=0.0,
+        ci95_halfwidth=0.006031078843878709,
+        ci95_e_x=0.006031078843878709,
+        ci95_e_z=0.0033737386223478905,
+        ci95_e_y=0.00112239537570322,
         anomaly_rate=0.0,
-        accepted_weight=0.30466666666666664,
-        e_x_given_accept=0.12363238512035012,
-        e_z_given_accept=0.0175054704595186,
-        e_y_given_accept=0.0,
+        accepted_weight=0.2856666666666667,
+        e_x_given_accept=0.10151691948658109,
+        e_z_given_accept=0.030338389731621937,
+        e_y_given_accept=0.002333722287047841,
     )
 
 
