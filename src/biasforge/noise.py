@@ -290,9 +290,9 @@ def _noiseless_leaf_pool(cfg: gd.GadgetConfig):
 # p_z=1e-3, eta=100; median of 7, one process vs two workers) 30,000 trials
 # take 29 vs 40 ms, 40,000 take 48 vs 42 (46 vs 46 in a second run),
 # 50,000 take 64 vs 55 and 100,000 take 147 vs 95, so two workers need
-# 50,000 trials between them.  At p_z >= 1e-2 two workers lose at every size up to
-# 200,000: each worker's BLAS matmul in gadget.outcome_bins starts its own
-# threads.
+# 50,000 trials between them.  At p_z >= 1e-2 two workers lose at every
+# size up to 200,000: each worker's BLAS matmul in gadget.outcome_bins
+# starts its own threads.
 _MIN_TRIALS_PER_WORKER = 25_000
 _BLOCK = 2048  # trials per generator; part of the definition of the counts
 
