@@ -7,7 +7,8 @@ Layers, bottom up:
 * ``gadget``    the repetition-code magic-state preparation circuit, its
                 noiseless branch table from one exact state-vector
                 execution, faulted enumeration and sampled runs read from
-                that table through Pauli frames, and classical decoding.
+                that table through Pauli frames, classical decoding, and
+                output classes read from one Pauli class table per config.
 * ``noise``     biased Pauli fault model: exhaustive low-order fault
                 enumeration and block Monte Carlo over the gadget.
 * ``bounds``    closed-form logical error bounds at one noise point.
@@ -28,7 +29,6 @@ from .gadget import (  # noqa: F401
     Target,
     accept_probability_exact,
     build_circuit,
-    classify_logical,
     decode,
     enumerate_branches,
     run,

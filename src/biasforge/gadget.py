@@ -55,8 +55,17 @@ fault is a Pauli frame: pushed through the CPHASEs (X on one qubit adds Z
 on the other) it flips each readout whose qubit carries a Z part and
 leaves a Pauli on block 3.  The faulted branches are the noiseless ones
 with those readouts negated, the same probabilities and the block-3 Pauli
-applied.  A fault whose X part would reach a CZ(theta) raises FrameError.
+on top.  A fault whose X part would reach a CZ(theta) raises FrameError.
+So a branch is held as its record, its probability, its noiseless row and
+its block-3 frame Pauli; its state is derived only when asked for.
 Decoding and classification act on whole stacks.
+
+Classification: a corrected output is a noiseless row's state s under the
+Pauli q = correction x frame Pauli, so its class is a function of (s, q).
+The rows hold few distinct states up to global phase (8, 12 and 16 for T
+at n = 3, 5 and 7; 2 for +i).  Their Pauli spectra against the target,
+maximized over correctable Z patterns, give one int8 table of outcome bins
+per config, and classifying a branch is one lookup (:func:`_class_table`).
 
 Sampling: a run draws one uniform per readout and reads +1 when the draw
 is below the conditional probability of +1 given its earlier readouts.
@@ -288,15 +297,6 @@ def _stack_ops(cfg: GadgetConfig) -> list[np.ndarray | int]:
     return ops
 
 
-# block-3 frame Paulis and class representatives recur across calls
-_pauli_action = functools.lru_cache(maxsize=1024)(sv.pauli_action)
-
-
-def _apply_local_pauli(state: np.ndarray, n: int, p: PauliString) -> np.ndarray:
-    source, phase = _pauli_action(n, p.xs, p.zs)
-    return state[..., source] * phase
-
-
 @dataclass(frozen=True)
 class Branch:
     record: tuple[int, ...]
@@ -308,11 +308,26 @@ class Branch:
 class Branches:
     """Measurement branches stacked as rows: all branches of one execution
     in depth-first (+1 outcome first) order, or one row per sampled run;
-    iterating yields :class:`Branch` rows."""
+    iterating yields :class:`Branch` rows.  ``states`` derives each branch's
+    block-3 state from its noiseless row and frame Pauli on first access."""
 
     records: np.ndarray  # (B, num_measurements) int8 entries +1 / -1
     probabilities: np.ndarray  # (B,)
-    states: np.ndarray  # (B, 2^n) block-3 amplitudes, canonical qubit order
+    rows: np.ndarray  # (B,) the noiseless table row each branch is read from
+    paulis: np.ndarray  # (B,) block-3 frame Pauli, X mask << n | Z mask
+    noiseless_states: np.ndarray  # (R, 2^n) block-3 states of the noiseless rows
+
+    @functools.cached_property
+    def states(self) -> np.ndarray:
+        """(B, 2^n) read-only block-3 amplitudes, canonical qubit order."""
+        states = self.noiseless_states[self.rows]
+        if self.paulis.any():
+            n = states.shape[1].bit_length() - 1
+            column = self.paulis[:, None]
+            source, phase = sv.pauli_action(n, column >> n, column & ((1 << n) - 1))
+            states = np.take_along_axis(states, source, axis=1) * phase
+        states.flags.writeable = False
+        return states
 
     def __len__(self) -> int:
         return len(self.probabilities)
@@ -387,12 +402,13 @@ def _noiseless_table(cfg: GadgetConfig) -> tuple[Branches, np.ndarray, np.ndarra
     start = np.ones((1, 1), dtype=np.complex128), np.zeros((1, num), dtype=np.int8), np.ones((1, num + 1))
     amps, bits, path = _advance(_stack_ops(cfg), 0, 0, *start)
     probs = path[:, num].copy()
-    branches = Branches(1 - 2 * bits, probs, amps / np.sqrt(probs)[:, None])
+    records, states = 1 - 2 * bits, amps / np.sqrt(probs)[:, None]
+    rows, paulis = np.arange(len(probs)), np.zeros(len(probs), dtype=np.intp)
     path = np.vstack([path, np.ones(num + 1)])
     plus_before = np.vstack([np.zeros(num, dtype=np.intp), np.cumsum(bits == 0, axis=0)])
-    for array in (branches.records, branches.probabilities, branches.states, path, plus_before):
+    for array in (records, probs, rows, paulis, states, path, plus_before):
         array.flags.writeable = False
-    return branches, path, plus_before
+    return Branches(records, probs, rows, paulis, states), path, plus_before
 
 
 @functools.lru_cache(maxsize=4096)
@@ -476,22 +492,18 @@ def enumerate_branches(cfg: GadgetConfig, faults=()) -> Branches:
     config on the state-vector path and kept read-only; with no fault they
     are returned as they are.
     Otherwise the Pauli frames of the faults (:func:`_frame`) combine by
-    XOR, and the faulted branches are the noiseless ones with the frame's
-    readouts negated, the same probabilities and the frame's block-3 Pauli
-    applied to their states, sorted back into depth-first order.  A fault
-    whose X part would reach a CZ(theta) gate raises FrameError.
+    XOR, and the faulted branches are the noiseless rows with the frame's
+    readouts negated, sorted back into depth-first order, each with its
+    row's probability and the frame's block-3 Pauli.  A fault whose X part
+    would reach a CZ(theta) gate raises FrameError.
     """
     flips, out = _combined_frame(cfg, faults)
     table = _noiseless_table(cfg)[0]
     if not flips and out.is_identity:
         return table
-    records, probabilities, states = table.records, table.probabilities, table.states
-    if flips:
-        records, order = _flipped(cfg, flips)
-        probabilities, states = probabilities[order], states[order]
-    if not out.is_identity:
-        states = _apply_local_pauli(states, cfg.n, out)
-    return Branches(records, probabilities, states)
+    records, rows = _flipped(cfg, flips) if flips else (table.records, table.rows)
+    paulis = np.full(len(rows), out.xs << cfg.n | out.zs)
+    return Branches(records, table.probabilities[rows], rows, paulis, table.noiseless_states)
 
 
 def sample_branches(cfg: GadgetConfig, frames: np.ndarray, uniforms: np.ndarray) -> Branches:
@@ -507,8 +519,8 @@ def sample_branches(cfg: GadgetConfig, frames: np.ndarray, uniforms: np.ndarray)
     each readout costs a few array lookups whatever the frames.  A draw
     below 0 forces +1 and one of 1 or more forces -1; a forced outcome of
     probability <= 1e-12 raises BranchError.  The result holds the runs'
-    faulted records, their branch probabilities and their block-3 states
-    under the frames' Paulis, in run order.
+    faulted records, their branch probabilities, noiseless rows and the
+    frames' block-3 Paulis, in run order.
     """
     table, path, plus_before = _noiseless_table(cfg)
     num, n = cfg.num_measurements, cfg.n
@@ -527,31 +539,22 @@ def sample_branches(cfg: GadgetConfig, frames: np.ndarray, uniforms: np.ndarray)
     if np.any(lo == hi):
         raise BranchError(f"a forced readout outcome has probability <= {_BRANCH_EPS:g} under its frame")
     weights = 1 << np.arange(n)
-    xs, zs = frames[:, num : num + n] @ weights, frames[:, num + n :] @ weights
-    source, phase = sv.pauli_action(n, xs[:, None], zs[:, None])
-    return Branches(
-        np.where(flips, -table.records[lo], table.records[lo]),
-        table.probabilities[lo],
-        np.take_along_axis(table.states[lo], source, axis=1) * phase,
-    )
+    paulis = frames[:, num : num + n] @ weights << n | frames[:, num + n :] @ weights
+    records = np.where(flips, -table.records[lo], table.records[lo])
+    return Branches(records, table.probabilities[lo], lo, paulis, table.noiseless_states)
 
 
 # ---------------------------------------------------------------------------
-# Targets, correction tables, decoding, classification.  The batch functions
-# (_decode_records, _classify_states, outcome_bins) hold the decoding rule;
-# decode and classify_logical wrap them for one record or state.
+# Targets, the Pauli spectrum, correction and class tables, decoding.  The
+# batch functions (_decode_records, outcome_bins) hold the decoding rule and
+# read the class table; decode wraps them for one record.
 
 
 def target_state(cfg: GadgetConfig) -> np.ndarray:
-    """(|0>_L + e^{i theta} |1>_L)/sqrt(2) as a 2^n amplitude array."""
-    n = cfg.n
-    dim = 1 << n
-    plus_l = np.full(dim, 2.0 ** (-n / 2), dtype=np.complex128)
-    signs = np.array([(-1) ** (int(z).bit_count()) for z in range(dim)])
-    minus_l = plus_l * signs
-    zero_l = (plus_l + minus_l) / math.sqrt(2)
-    one_l = (plus_l - minus_l) / math.sqrt(2)
-    return (zero_l + np.exp(1j * cfg.theta) * one_l) / math.sqrt(2)
+    """(|0>_L + e^{i theta} |1>_L)/sqrt(2) as a 2^n amplitude array: |0>_L
+    (|1>_L) is the even (odd) parity half of |+>^n, renormalized."""
+    odd = np.array([int(z).bit_count() & 1 for z in range(1 << cfg.n)], dtype=bool)
+    return np.where(odd, np.exp(1j * cfg.theta), 1.0) * 2.0 ** (-cfg.n / 2)
 
 
 @functools.lru_cache(maxsize=None)
@@ -572,13 +575,85 @@ BIN_XL, BIN_ZL, BIN_YL = 1, 2, 3
 BIN_REJECTED, BIN_ANOMALY = 4, 5
 N_BINS = 6
 
-
-def _state_fidelity(a: np.ndarray, b: np.ndarray) -> float:
-    return float(abs(np.vdot(a, b)) ** 2)
+_CLASS_FIDELITY = 0.99  # an output reaches a class above this fidelity
+_ANOMALY_FIDELITY = 0.5  # an output below this to every class is an anomaly
 
 
 class CorrectionTableError(RuntimeError):
-    """The noiseless branch set admits no consistent correction table."""
+    """The noiseless branch set admits no consistent correction or class table."""
+
+
+@functools.lru_cache(maxsize=None)
+def _logical_masks(n: int) -> np.ndarray:
+    """The logical Paulis in _CLASS_ORDER packed as X mask << n | Z mask."""
+    paulis = [_logical_paulis(n)[cls] for cls in _CLASS_ORDER]
+    return np.array([p.xs << n | p.zs for p in paulis])
+
+
+@functools.lru_cache(maxsize=64)
+def _pauli_spectrum(cfg: GadgetConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(state, spectrum), read-only: the index of each noiseless row's
+    block-3 state among the distinct ones (equal up to global phase), and
+    spectrum[s, a << n | b] = |<t| X^a Z^b |s>|^2 of distinct state s
+    against the target t, which the correction and class tables read.  For
+    one X part a, <t| X^a Z^b |s> = sum_y (-1)^(b.y) conj(t[y ^ a]) s[y] is
+    a Walsh-Hadamard transform over y, run as n butterfly passes."""
+    n = cfg.n
+    states = _noiseless_table(cfg)[0].noiseless_states
+    state, distinct = np.full(len(states), -1), []
+    while (left := np.flatnonzero(state < 0)).size:
+        rep = states[left[0]]
+        overlap = states[left] @ rep.conj()
+        aligned = states[left] * (overlap.conj() / np.maximum(np.abs(overlap), 1e-300))[:, None]
+        state[left[np.abs(aligned - rep).max(axis=1) < 1e-12]] = len(distinct)
+        distinct.append(rep)
+    y = np.arange(1 << n)
+    v = target_state(cfg).conj()[y[:, None] ^ y] * np.array(distinct)[:, None, :]  # [s, a, y]
+    for k in range(n):  # bit k of y, then of b, is the middle axis
+        v = v.reshape(-1, 2, 1 << k)
+        v = np.stack((v[:, 0] + v[:, 1], v[:, 0] - v[:, 1]), axis=1)
+    spectrum = np.abs(v.reshape(len(distinct), -1)) ** 2
+    state.flags.writeable = spectrum.flags.writeable = False
+    return state, spectrum
+
+
+@functools.lru_cache(maxsize=64)
+def _class_table(cfg: GadgetConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(state, table), read-only: ``state`` as in :func:`_pauli_spectrum`,
+    and the outcome bin table[s, q] of an accepted output that is distinct
+    state s under q = (correction times frame Pauli, X mask << n | Z mask).
+
+    A class is the target hit with its logical Pauli and any correctable
+    (weight <= (n-1)/2) Z pattern, so a stray correctable Z is I, not ZL;
+    (n-1)/2 rounds that each add one Z bit maximize the spectrum over them.
+    The first class in _CLASS_ORDER above fidelity 0.99 wins.  An output
+    reaching none is a wrong-angle output (a logical-Z-axis rotation, e.g.
+    a correlated ZZ fault steering a record into acceptance), booked ZL as
+    the analytic Z_L budget does; for T its best fidelity goes down to 0.9
+    at n=3, 0.862 at n=5 and 0.855 at n=7.  An output below fidelity 0.5
+    to every class is BIN_ANOMALY.  A fidelity within 1e-9 of either
+    threshold would leave the bin to rounding: CorrectionTableError.
+    """
+    n = cfg.n
+    state, spectrum = _pauli_spectrum(cfg)
+    best_z = spectrum.reshape(-1, 1 << n)  # the Z part b is the last axis
+    for _ in range((n - 1) // 2):
+        grown = best_z.copy()
+        for j in range(n):
+            out = grown.reshape(-1, 2, 1 << j)
+            np.maximum(out, best_z.reshape(-1, 2, 1 << j)[:, ::-1], out=out)
+        best_z = grown
+    q = np.arange(1 << 2 * n)
+    fid = best_z.reshape(len(spectrum), -1)[:, q ^ _logical_masks(n)[:, None]]  # [s, class, q]
+    best = fid.max(axis=1)
+    for name, values, threshold in (("class", fid, _CLASS_FIDELITY), ("best", best, _ANOMALY_FIDELITY)):
+        if np.any(np.abs(values - threshold) < 1e-9):
+            raise CorrectionTableError(f"a {name} fidelity at theta={cfg.theta} lies within 1e-9 of {threshold}")
+    above = fid > _CLASS_FIDELITY
+    cls = np.where(above.any(axis=1), above.argmax(axis=1), _CLASS_ORDER.index(LogicalClass.ZL))
+    table = np.where(best < _ANOMALY_FIDELITY, BIN_ANOMALY, cls).astype(np.int8)
+    table.flags.writeable = False
+    return state, table
 
 
 def correction_table(cfg: GadgetConfig) -> dict[tuple[int, int, int], PauliString]:
@@ -595,33 +670,31 @@ def correction_table(cfg: GadgetConfig) -> dict[tuple[int, int, int], PauliStrin
 @functools.lru_cache(maxsize=None)
 def _correction_tables(cfg: GadgetConfig) -> tuple[dict, np.ndarray]:
     """The correction table and its (zl_bit, b, alpha) -> class-index lookup
-    array (-1 where not correctable)."""
-    target = target_state(cfg)
-    paulis = _logical_paulis(cfg.n)
+    array (-1 where not correctable).  A noiseless row's correction is the
+    first logical Pauli L in _CLASS_ORDER with |<t| L |s>|^2 > 1 - 1e-9 on
+    its state s, read from the Pauli spectrum."""
     branches = _noiseless_table(cfg)[0]
     zl_bits, bs, correlated, alphas = _record_fields(cfg, branches.records)
     if not correlated.all():
         raise CorrectionTableError("noiseless branch with mismatched X records")
-    chosen: dict[tuple[int, int, int], LogicalClass] = {}
-    for k, state in zip(zip(zl_bits.tolist(), bs.tolist(), alphas.tolist()), branches.states):
-        found = None
-        for cls in _CLASS_ORDER:
-            if _state_fidelity(_apply_local_pauli(state, cfg.n, paulis[cls]), target) > 1 - 1e-9:
-                found = cls
-                break
-        if found is None:
+    state, spectrum = _pauli_spectrum(cfg)
+    hits = spectrum[state[:, None], _logical_masks(cfg.n)] > 1 - 1e-9
+    found = np.where(hits.any(axis=1), hits.argmax(axis=1), -1)
+    chosen: dict[tuple[int, int, int], int] = {}
+    for k, cls in zip(zip(zl_bits.tolist(), bs.tolist(), alphas.tolist()), found.tolist()):
+        if cls < 0:
             if k in chosen:
                 raise CorrectionTableError(f"branch key {k} is correctable on some branches only")
             continue
-        if k in chosen and chosen[k] is not found:
+        if k in chosen and chosen[k] != cls:
             raise CorrectionTableError(f"inconsistent corrections for key {k}")
-        chosen[k] = found
+        chosen[k] = cls
     if not chosen:
         raise CorrectionTableError("no branch is Pauli-correctable to the target")
     lookup = np.full((2, 2, cfg.n + 1), -1, dtype=np.int8)
     for k, cls in chosen.items():
-        lookup[k] = _CLASS_ORDER.index(cls)
-    return {k: paulis[cls] for k, cls in chosen.items()}, lookup
+        lookup[k] = cls
+    return {k: _logical_paulis(cfg.n)[_CLASS_ORDER[cls]] for k, cls in chosen.items()}, lookup
 
 
 def _record_fields(cfg: GadgetConfig, records: np.ndarray):
@@ -645,50 +718,15 @@ def _decode_records(cfg: GadgetConfig, records: np.ndarray):
     return zl_bit, b, np.where(correlated, lookup[zl_bit, b, alpha], -1)
 
 
-@functools.lru_cache(maxsize=None)
-def _class_candidates(cfg: GadgetConfig) -> np.ndarray:
-    """(2^n, correction, class, z-pattern) conjugated candidate amplitudes.
-
-    Each class is represented by the target hit with that logical Pauli
-    and each correctable-weight (<= (n-1)/2) physical Z pattern on the
-    output block.  The correction is folded in: <c|C s> = <C c|s> up to
-    phase, since a Pauli is its own inverse up to phase.
-    """
-    n = cfg.n
-    target = target_state(cfg)
-    paulis = [_logical_paulis(n)[cls] for cls in _CLASS_ORDER]
-    z_masks = [m for m in range(1 << n) if int(m).bit_count() <= (n - 1) // 2]
-    cand = np.array([[_apply_local_pauli(target, n, p.compose(PauliString(zs=m))) for m in z_masks] for p in paulis])
-    folded = np.stack([_apply_local_pauli(cand, n, corr) for corr in paulis])
-    return np.ascontiguousarray(np.moveaxis(folded.conj(), -1, 0))
-
-
-def _classify_states(cfg: GadgetConfig, states: np.ndarray, corrections: np.ndarray):
-    """(class index, fidelity, anomaly) of (B, 2^n) accepted output states
-    under their correction indices: the first class in _CLASS_ORDER with
-    fidelity > 0.99 wins; otherwise the state is booked ZL with its best
-    fidelity, and flagged an anomaly when that is below 0.5."""
-    cand = _class_candidates(cfg)
-    overlaps = np.abs(states @ cand.reshape(cand.shape[0], -1)) ** 2
-    rows = np.arange(len(states))
-    fid = overlaps.reshape(len(states), *cand.shape[1:])[rows, corrections].max(axis=2)
-    first = (fid > 0.99).argmax(axis=1)
-    found = fid[rows, first] > 0.99
-    best = fid.max(axis=1)
-    cls = np.where(found, first, _CLASS_ORDER.index(LogicalClass.ZL))
-    return cls, np.where(found, fid[rows, first], best), best < 0.5
-
-
 def outcome_bins(cfg: GadgetConfig, branches: Branches) -> np.ndarray:
     """Per-branch outcome bin: the class index in (I, XL, ZL, YL) of an
     accepted branch, BIN_ANOMALY for an accepted anomaly, BIN_REJECTED for
-    a rejected record."""
-    _, _, corrections = _decode_records(cfg, branches.records)
-    bins = np.full(len(branches), BIN_REJECTED)
-    accepted = corrections >= 0
-    cls, _, anomaly = _classify_states(cfg, branches.states[accepted], corrections[accepted])
-    bins[accepted] = np.where(anomaly, BIN_ANOMALY, cls)
-    return bins
+    a rejected record: the class table read at the branch's noiseless
+    state and its correction times its frame Pauli."""
+    corrections = _decode_records(cfg, branches.records)[2]
+    state, table = _class_table(cfg)
+    bins = table[state[branches.rows], _logical_masks(cfg.n)[corrections] ^ branches.paulis]
+    return np.where(corrections >= 0, bins, BIN_REJECTED)
 
 
 @dataclass
@@ -701,7 +739,6 @@ class GadgetOutcome:
     correction: PauliString | None
     logical_class: LogicalClass
     output_state: np.ndarray | None = None
-    class_fidelity: float | None = None
     anomaly: bool = False
     probability: float | None = None
 
@@ -750,37 +787,6 @@ def _outcome(cfg: GadgetConfig, record: tuple[int, ...], zl_bit, b, correction) 
     )
 
 
-def classify_logical(
-    output_state: np.ndarray, correction: PauliString | None, cfg: GadgetConfig
-) -> tuple[LogicalClass, float, bool]:
-    """Classify an accepted output against {I, XL, ZL, YL} x target.
-
-    The correction (global qubit ids on block 3) is applied first; each
-    class is represented by the target hit with that logical Pauli and any
-    correctable-weight physical Z pattern, so a stray correctable Z on the
-    output block classifies as I rather than ZL.
-
-    Returns (class, fidelity, anomaly).  An accepted state reaching no
-    class at fidelity > 0.99 is a wrong-angle output (a logical-Z-axis
-    rotation error, e.g. from a correlated ZZ fault shifting the record
-    into acceptance); those are booked as ZL with the best fidelity
-    recorded, the same convention the analytic Z_L budget uses.  States
-    below fidelity 0.5 to every class are flagged as anomalies.
-    """
-    n = cfg.n
-    state = np.asarray(output_state, dtype=np.complex128)
-    if state.size != (1 << n):
-        raise RecordError(f"output state has {state.size} amplitudes, expected {1 << n}")
-    if correction is not None and not correction.is_identity:
-        offset = 2 * n
-        local = PauliString(xs=correction.xs >> offset, zs=correction.zs >> offset)
-        if (local.xs << offset != correction.xs) or (local.zs << offset != correction.zs):
-            raise RecordError("correction acts outside block 3")
-        state = _apply_local_pauli(state, n, local)
-    cls, fid, anomaly = _classify_states(cfg, state.reshape(1, -1), np.zeros(1, dtype=np.intp))
-    return _CLASS_ORDER[cls[0]], float(fid[0]), bool(anomaly[0])
-
-
 def run(
     cfg: GadgetConfig,
     faults=(),
@@ -800,18 +806,14 @@ def run(
     exactly one ``rng.random()``, in measurement order, so a seeded
     generator replays the same run.  ``output_state`` on the returned
     outcome is the raw block-3 state; applying ``correction`` maps it to
-    the target on accepted noiseless runs.
+    the target on accepted noiseless runs; an anomaly is booked ZL.
     """
     n_meas = cfg.num_measurements
-    forced: list[int | None]
-    if forced_outcomes is None:
-        forced = [None] * n_meas
-    else:
-        forced = list(forced_outcomes)
-        if len(forced) != n_meas:
-            raise RecordError(f"forced outcome list has length {len(forced)}, expected {n_meas}")
-        if any(v not in (None, +1, -1) for v in forced):
-            raise RecordError("forced outcomes must be +1, -1 or None")
+    forced = [None] * n_meas if forced_outcomes is None else list(forced_outcomes)
+    if len(forced) != n_meas:
+        raise RecordError(f"forced outcome list has length {len(forced)}, expected {n_meas}")
+    if any(v not in (None, +1, -1) for v in forced):
+        raise RecordError("forced outcomes must be +1, -1 or None")
     sampler = rng if rng is not None else np.random.default_rng()
     # a draw below 0 forces +1, one above 1 forces -1
     uniforms = np.array([{None: 0.0, +1: -1.0, -1: 2.0}[v] for v in forced])
@@ -823,10 +825,9 @@ def run(
     outcome.probability = float(branches.probabilities[0])
     if outcome.accepted:
         outcome.output_state = branches.states[0]
-        cls, fid, anomaly = _classify_states(cfg, branches.states, corrections)
-        outcome.logical_class = _CLASS_ORDER[cls[0]]
-        outcome.class_fidelity = float(fid[0])
-        outcome.anomaly = bool(anomaly[0])
+        got = int(outcome_bins(cfg, branches)[0])
+        outcome.anomaly = got == BIN_ANOMALY
+        outcome.logical_class = _CLASS_ORDER[BIN_ZL if outcome.anomaly else got]
     return outcome
 
 

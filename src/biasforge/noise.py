@@ -22,8 +22,8 @@ each by prod(p_e) * prod(1 - p_e') over the non-firing events (exact, no
 exponential approximation), over every measurement branch of the faulted
 circuit.  A subset's branches depend on its events only through its
 frame, the XOR of their frame rows, so the subsets are grouped by frame
-and each frame's branch stack is decoded and classified once, in one
-batch, into outcome bins.  Each subset is still one
+and each frame's branches are decoded once, in one batch, and binned by
+one gather from the gadget's class table.  Each subset is still one
 ``gadget.enumerate_branches`` call on its events' (location, Pauli)
 pairs, whose branch probabilities sum its frame's bins into six
 outcome-bin masses.  These per-subset masses are independent of the
@@ -285,14 +285,11 @@ def _noiseless_leaf_pool(cfg: gd.GadgetConfig):
 
 
 # A worker process pays off once its share of the trials costs more than
-# starting it.  A faulted trial costs about as much as a clean one, so a
-# share is counted in trials whatever the noise.  On 2 CPUs (n=3, r=1,
-# p_z=1e-3, eta=100; median of 7, one process vs two workers) 30,000 trials
-# take 29 vs 40 ms, 40,000 take 48 vs 42 (46 vs 46 in a second run),
-# 50,000 take 64 vs 55 and 100,000 take 147 vs 95, so two workers need
-# 50,000 trials between them.  At p_z >= 1e-2 two workers lose at every
-# size up to 200,000: each worker's BLAS matmul in gadget.outcome_bins
-# starts its own threads.
+# starting it.  On 2 CPUs (n=3, r=1; median of 7, one process vs two
+# workers) two workers break even at 40,000 trials at the anchor (p_z=1e-3,
+# eta=100; 44 vs 44 ms) and win from 50,000 (56 vs 47; 100,000: 119 vs 87).
+# Faulted trials cost more, and at p_z=1e-2, eta=10 and p_z=5e-2, eta=3 they
+# win from 30,000 (59 vs 47 and 78 vs 68 ms), so the anchor sets the share.
 _MIN_TRIALS_PER_WORKER = 25_000
 _BLOCK = 2048  # trials per generator; part of the definition of the counts
 

@@ -16,6 +16,7 @@ from biasforge import bounds as bd
 from biasforge import distill as dst
 from biasforge import gadget as gd
 from biasforge import noise as nz
+from classify_oracle import apply_pauli, classify, local, state_fidelity
 
 Z95 = 1.959963984540054
 
@@ -55,11 +56,8 @@ def test_criterion_2_ideal_correctness():
                 if not outcome.accepted:
                     assert cfg.target is gd.Target.T
                     continue
-                local = gd.PauliString(
-                    xs=outcome.correction.xs >> 6, zs=outcome.correction.zs >> 6
-                )
-                corrected = gd._apply_local_pauli(branch.state, 3, local)
-                fid = gd._state_fidelity(corrected, target)
+                corrected = apply_pauli(branch.state, 3, local(outcome.correction, 3))
+                fid = state_fidelity(corrected, target)
                 assert fid >= 1 - 1e-8, (cfg.target, r, branch.record, fid)
                 checked += 1
     assert checked > 100
@@ -78,7 +76,7 @@ def test_criterion_3_fault_distance_properties():
             outcome = gd.decode(cfg, branch.record)
             if not outcome.accepted:
                 continue
-            cls, _, _ = gd.classify_logical(branch.state, outcome.correction, cfg)
+            cls, _, _ = classify(branch.state, outcome.correction, cfg)
             bucket = masses[ev.rate]
             bucket[cls] = bucket.get(cls, 0.0) + branch.probability
     bad_z = {c: m for c, m in masses["z"].items() if c is not gd.LogicalClass.I}

@@ -19,6 +19,11 @@
   noiseless branch table, recorded with the compiled-program engine that
   the per-build list of stack operations replaced; the tables must stay
   bit-identical.
+* Outputs are classified from one Pauli class table per config, keyed on
+  the distinct noiseless block-3 states and the Pauli q = correction times
+  frame Pauli.  At every (noiseless row, q), or at a seeded sample of them
+  at n=7, the table must give the bin of the fidelity rule that
+  ``classify_oracle`` evaluates on the row's state under q.
 """
 
 import dataclasses
@@ -35,6 +40,8 @@ from hypothesis import strategies as st
 from biasforge import gadget as gd
 from biasforge import noise as nz
 from biasforge.statevec import PauliString
+from classify_oracle import apply_pauli, classify
+from classify_oracle import outcome_bins as oracle_bins
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "enumerate_grid.json").read_text())
 TABLES = json.loads((Path(__file__).parent / "golden" / "noiseless_tables.json").read_text())
@@ -269,6 +276,35 @@ def test_noiseless_table_matches_golden_digests(case):
     assert {name: _digest(array) for name, array in arrays.items()} == case["arrays"]
 
 
+_ORACLE_CASES = [  # (config, distinct noiseless block-3 states, sampled pairs or None for all)
+    *((gd.GadgetConfig.t_state(n), {3: 8, 5: 12}[n], None) for n in (3, 5)),
+    *((gd.GadgetConfig.plus_i(n), 2, None) for n in (3, 5)),
+    *((gd.GadgetConfig.custom(n, 1.0), None, None) for n in (3, 5)),
+    (gd.GadgetConfig.t_state(7), 16, 2000),
+]
+
+
+@pytest.mark.parametrize(
+    "cfg, distinct, sampled", _ORACLE_CASES, ids=[f"{cfg.target.value}-n{cfg.n}" for cfg, _, _ in _ORACLE_CASES]
+)
+def test_class_table_matches_the_oracle(cfg, distinct, sampled):
+    # the table's bin at every (noiseless row, q), or at a seeded sample of
+    # them, is the oracle's bin of the row's state under the Pauli q
+    n = cfg.n
+    state, table = gd._class_table(cfg)
+    assert distinct is None or state.max() + 1 == distinct
+    states = gd._noiseless_table(cfg)[0].states
+    if sampled is None:
+        pairs = {q: np.arange(len(states)) for q in range(1 << 2 * n)}
+    else:
+        rng = np.random.default_rng(2024)
+        rows, qs = rng.integers(len(states), size=sampled), rng.integers(1 << 2 * n, size=sampled)
+        pairs = {q: rows[qs == q] for q in np.unique(qs).tolist()}
+    for q, rows in pairs.items():
+        moved = apply_pauli(states[rows], n, PauliString(q >> n, q & ((1 << n) - 1)))
+        assert np.array_equal(table[state[rows], q], oracle_bins(moved, cfg)), q
+
+
 @pytest.mark.parametrize("case", MASSES["cases"], ids=lambda c: f"{c['gadget']}-order{c['order']}")
 def test_enumerated_masses_match_golden_digests(case):
     # recorded by scripts/record_enumerated_masses.py with one outcome_bins
@@ -317,6 +353,6 @@ def test_outcome_bins_agree_with_scalar_decoding():
         if not outcome.accepted:
             assert got == gd.BIN_REJECTED
             continue
-        cls, _, anomaly = gd.classify_logical(branch.state, outcome.correction, cfg)
+        cls, _, anomaly = classify(branch.state, outcome.correction, cfg)
         assert got == (gd.BIN_ANOMALY if anomaly else order.index(cls))
     assert len(set(bins.tolist())) > 2

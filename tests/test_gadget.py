@@ -7,6 +7,7 @@ import pytest
 from biasforge import gadget as gd
 from biasforge import statevec as sv
 from biasforge.statevec import PauliString
+from classify_oracle import apply_pauli, classify, local, state_fidelity
 
 
 def branch_masses(cfg, faults=()):
@@ -17,7 +18,7 @@ def branch_masses(cfg, faults=()):
         o = gd.decode(cfg, b.record)
         if o.accepted:
             acc += b.probability
-            cls, _, _ = gd.classify_logical(b.state, o.correction, cfg)
+            cls, _, _ = classify(b.state, o.correction, cfg)
             classes[cls] = classes.get(cls, 0.0) + b.probability
         else:
             rej += b.probability
@@ -173,10 +174,8 @@ class TestNoiselessRuns:
         for b in gd.enumerate_branches(cfg):
             o = gd.decode(cfg, b.record)
             assert o.accepted
-            corrected = gd._apply_local_pauli(
-                b.state, 3, gd._logical_paulis(3)[_cls_of(o.correction, 3)]
-            )
-            assert gd._state_fidelity(corrected, target) > 1 - 1e-8
+            corrected = apply_pauli(b.state, 3, gd._logical_paulis(3)[_cls_of(o.correction, 3)])
+            assert state_fidelity(corrected, target) > 1 - 1e-8
             total += b.probability
         assert abs(total - 1) < 1e-9
 
@@ -186,7 +185,7 @@ class TestNoiselessRuns:
             o = gd.decode(cfg, b.record)
             if not o.accepted:
                 continue
-            cls, fid, anomaly = gd.classify_logical(b.state, o.correction, cfg)
+            cls, fid, anomaly = classify(b.state, o.correction, cfg)
             assert cls is gd.LogicalClass.I and fid > 1 - 1e-8 and not anomaly
 
 
@@ -208,7 +207,7 @@ class TestRun:
             if o.accepted:
                 seen_accept = True
                 assert o.logical_class is gd.LogicalClass.I
-                assert o.class_fidelity > 1 - 1e-8
+                assert classify(o.output_state, o.correction, cfg)[1] > 1 - 1e-8
                 assert o.correction is not None
             else:
                 assert o.logical_class is gd.LogicalClass.REJECTED
@@ -238,10 +237,8 @@ class TestRun:
         for _ in range(4):
             o = gd.run(cfg, forced_outcomes=forced, rng=rng)
             assert o.accepted
-            corrected = np.asarray(o.output_state)
-            local = PauliString(xs=o.correction.xs >> 6, zs=o.correction.zs >> 6)
-            corrected = gd._apply_local_pauli(corrected, 3, local)
-            assert gd._state_fidelity(corrected, target) > 1 - 1e-8
+            corrected = apply_pauli(o.output_state, 3, local(o.correction, 3))
+            assert state_fidelity(corrected, target) > 1 - 1e-8
 
     def test_forced_impossible_branch_raises(self):
         cfg = gd.GadgetConfig.t_state(3)
@@ -375,23 +372,39 @@ class TestClassify:
             o = gd.decode(cfg, b.record)
             if not o.accepted:
                 continue
-            cls, fid, anomaly = gd.classify_logical(b.state, o.correction, cfg)
+            cls, fid, anomaly = classify(b.state, o.correction, cfg)
             if fid <= 0.99:
                 assert cls is gd.LogicalClass.ZL and not anomaly and fid >= 0.5
                 seen_band = True
         assert seen_band
 
+    def test_class_table_refuses_a_fidelity_on_a_threshold(self):
+        # The best fidelity of the n=3 wrong-angle output rises towards 1 as
+        # theta falls (0.9 at pi/4, 0.979 at 0.3).  Where it crosses 0.99
+        # its class would be left to rounding, so the table build raises.
+        def reaches_a_class(theta):
+            cfg = gd.GadgetConfig.custom(3, theta)
+            branches = gd._noiseless_table.__wrapped__(cfg)[0]  # keeps the cache for the named configs
+            row = next(i for i, rec in enumerate(branches.records.tolist()) if sum(rec[-3:]) == 3)  # alpha = n
+            return classify(branches.states[row], None, cfg)[1] > 0.99
+
+        lo, hi = 0.1, 0.3
+        assert reaches_a_class(lo) and not reaches_a_class(hi)
+        while hi - lo > 1e-13:
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if reaches_a_class(mid) else (lo, mid)
+        with pytest.raises(gd.CorrectionTableError, match="within 1e-9 of 0.99"):
+            gd._class_table(gd.GadgetConfig.custom(3, lo))
+        for n in (1, 3, 5, 7):
+            for cfg in (gd.GadgetConfig.t_state(n), gd.GadgetConfig.plus_i(n)):
+                gd._class_table(cfg)
+
     def test_anomaly_flagged_for_garbage(self):
         cfg = gd.GadgetConfig.t_state(3)
         state = np.zeros(8, dtype=np.complex128)
         state[0] = 1.0  # |000> has fidelity < 1/2 to every Pauli image of |T>_L
-        cls, fid, anomaly = gd.classify_logical(state, None, cfg)
+        cls, fid, anomaly = classify(state, None, cfg)
         assert anomaly and fid < 0.5
-
-    def test_correction_outside_block3_rejected(self):
-        cfg = gd.GadgetConfig.t_state(3)
-        with pytest.raises(gd.RecordError):
-            gd.classify_logical(gd.target_state(cfg), PauliString.x_on([0]), cfg)
 
 
 def test_custom_theta_round_trip():

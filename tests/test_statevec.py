@@ -2,8 +2,8 @@
 
 The kernels act on plain amplitude arrays; the engine in ``gadget``
 prepares |+> qubits in the factors of its stack operations
-(``gadget._stack_ops``) and compares states (``gadget._state_fidelity``),
-so those two are tested here as well.
+(``gadget._stack_ops``), so that is tested here as well, and so is the
+state fidelity the tests compare states by (``classify_oracle``).
 """
 
 import math
@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 
 from biasforge import gadget as gd
 from biasforge import statevec as sv
+from classify_oracle import state_fidelity
 
 SQ2 = math.sqrt(2.0)
-state_fidelity = gd._state_fidelity
 
 
 def basis(num_qubits: int, index: int) -> np.ndarray:
