@@ -160,7 +160,12 @@ def _event_frames(cfg: gd.GadgetConfig) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RateEstimate:
-    """Logical rates per gadget attempt, plus per-accepted-state variants."""
+    """Logical rates per gadget attempt, plus per-accepted-state variants.
+
+    ``anomaly_rate`` is the share of accepted outputs below fidelity 0.5 to
+    every class (gadget.BIN_ANOMALY).  It reads 0 on the T, +i and theta=1
+    gadgets at n = 3, 5 and 7, whose class tables hold no such entry.
+    """
 
     e_x: float
     e_z: float
@@ -294,36 +299,65 @@ _MIN_TRIALS_PER_WORKER = 25_000
 _BLOCK = 2048  # trials per generator; part of the definition of the counts
 
 
+@functools.lru_cache(maxsize=None)
+def _event_kinds(cfg: gd.GadgetConfig) -> tuple[tuple[int, np.ndarray], ...]:
+    """(rate index, event indices) of the rate kinds z, x and zz, in that
+    order, leaving out a kind the circuit has no events of."""
+    rates = np.array([_RATE_INDEX[ev.rate] for ev in _events(cfg)])
+    return tuple((k, np.flatnonzero(rates == k)) for k in _RATE_INDEX.values() if np.any(rates == k))
+
+
+def _sample_fires(cfg, params, rng, size) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, fired): the trials of a block of ``size`` that fire some event,
+    in trial order, and their (rows, events) 0/1 matrix of fired events.
+
+    A kind of k events has size * k cells, trial-major: cell c is trial
+    c // k and the kind's event c % k.  ``rng`` draws how many fire,
+    binomial(cells, p), then which, a uniform subset of that many cells;
+    given its size the set of fired cells is uniform, so every event fires
+    independently at its rate.
+    """
+    probs = (params.p_z, params.p_x, params.p_zz)
+    trial, event = [], []
+    for k, kind in _event_kinds(cfg):
+        cells = size * len(kind)
+        fired = rng.choice(cells, rng.binomial(cells, probs[k]), replace=False)
+        trial.append(fired // len(kind))
+        event.append(kind[fired % len(kind)])
+    rows, row = np.unique(np.concatenate(trial), return_inverse=True)
+    fired = np.zeros((len(rows), len(_events(cfg))), dtype=np.intp)
+    fired[row, np.concatenate(event)] = 1
+    return rows, fired
+
+
 def _mc_counts(cfg, params, seed, trial_range) -> np.ndarray:
     """Outcome-bin counts of the trials in ``trial_range``, a block at a time.
 
     Trial t belongs to block t // _BLOCK, whose generator is
     ``np.random.default_rng([seed, block])``; ``trial_range`` starts on a
-    block boundary.  A block of ``size`` trials draws, in this order, a
-    (size, events) array of doubles (event e of a trial fires when its
-    double is below p_e), one double per trial that fired nothing (it picks
-    a noiseless branch), and one double per readout of each faulted trial;
+    block boundary.  A block of ``size`` trials draws, in this order, its
+    fired events (``_sample_fires``: a count and a uniform set of cells per
+    rate kind), one double per trial that fired nothing (it picks a
+    noiseless branch), and one double per readout of each faulted trial;
     the faulted trials are sampled together under their frames.  _BLOCK is
     thus part of what the counts are: changing it changes every count.
     """
     if trial_range.start % _BLOCK:
         raise ValueError(f"trial range must start on a multiple of {_BLOCK}, got {trial_range.start}")
-    probs = np.array([ev.probability(params) for ev in _events(cfg)])
     frames = _event_frames(cfg)
     cum, leaf_bins = _noiseless_leaf_pool(cfg)
     counts = np.zeros(gd.N_BINS, dtype=np.int64)
     for start in range(trial_range.start, trial_range.stop, _BLOCK):
         rng = np.random.default_rng([seed, start // _BLOCK])
-        fired = rng.random((min(_BLOCK, trial_range.stop - start), len(probs))) < probs
-        faulted = fired.any(axis=1)
-        rows = np.flatnonzero(faulted)
+        size = min(_BLOCK, trial_range.stop - start)
+        rows, fired = _sample_fires(cfg, params, rng, size)
         # noiseless trials: sample a branch from the exact pool
-        draw = rng.random(len(faulted) - len(rows))
+        draw = rng.random(size - len(rows))
         leaf = np.minimum(np.searchsorted(cum, draw * cum[-1]), len(leaf_bins) - 1)
         counts += np.bincount(leaf_bins[leaf], minlength=gd.N_BINS)
         if len(rows):
             uniforms = rng.random((len(rows), cfg.num_measurements))
-            branches = gd.sample_branches(cfg, fired[rows].astype(np.intp) @ frames % 2, uniforms)
+            branches = gd.sample_branches(cfg, fired @ frames % 2, uniforms)
             counts += np.bincount(gd.outcome_bins(cfg, branches), minlength=gd.N_BINS)
     return counts
 

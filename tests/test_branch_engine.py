@@ -305,6 +305,15 @@ def test_class_table_matches_the_oracle(cfg, distinct, sampled):
         assert np.array_equal(table[state[rows], q], oracle_bins(moved, cfg)), q
 
 
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_class_tables_hold_no_anomaly_bin(n):
+    # every output reaches some class above fidelity 0.5, so
+    # RateEstimate.anomaly_rate reads 0 on these configs
+    for cfg in (gd.GadgetConfig.t_state(n), gd.GadgetConfig.plus_i(n), gd.GadgetConfig.custom(n, 1.0)):
+        state, table = gd._class_table(cfg)
+        assert table.shape == (state.max() + 1, 1 << 2 * n) and not np.any(table == gd.BIN_ANOMALY), cfg
+
+
 @pytest.mark.parametrize("case", MASSES["cases"], ids=lambda c: f"{c['gadget']}-order{c['order']}")
 def test_enumerated_masses_match_golden_digests(case):
     # recorded by scripts/record_enumerated_masses.py with one outcome_bins

@@ -53,49 +53,95 @@ class TestFaultEvents:
 
 
 class TestSampleFaults:
-    """Monte Carlo fires event e when its draw is below p_e; a trial's
-    fault list is its fired events' (location, Pauli) pairs, in event
-    order."""
+    """Monte Carlo draws a block's fired events with noise._sample_fires;
+    a trial's fault list is its fired events' (location, Pauli) pairs, in
+    event order."""
 
     def test_zero_noise_always_empty(self):
-        circ = gd.build_circuit(gd.GadgetConfig.t_state(3, r=1))
+        cfg = gd.GadgetConfig.t_state(3, r=1)
         params = nz.NoiseParams(p_x=0.0, p_z=0.0, p_zz=0.0)
         rng = np.random.default_rng(0)
         for _ in range(50):
-            assert sampled_faults(circ, params, rng) == ()
+            assert sampled_faults(cfg, params, rng) == ()
+        rows, fired = nz._sample_fires(cfg, params, rng, nz._BLOCK)
+        assert rows.size == 0 and fired.shape == (0, 79)
 
     def test_certain_z_everywhere(self):
-        circ = gd.build_circuit(gd.GadgetConfig.t_state(3, r=1))
+        cfg = gd.GadgetConfig.t_state(3, r=1)
+        circ = gd.build_circuit(cfg)
         params = nz.NoiseParams(p_x=0.0, p_z=1.0, p_zz=0.0)
         # every single-qubit Z event fires: one Z per touched qubit, nothing else
-        got = sampled_faults(circ, params, np.random.default_rng(0))
+        got = sampled_faults(cfg, params, np.random.default_rng(0))
         assert len(got) == sum(len(loc.qubits) for loc in circ.locations)
         for t, loc in enumerate(circ.locations):
             paulis = [p for loc_t, p in got if loc_t == t]
             assert sorted(paulis, key=lambda p: p.zs) == [PauliString.z_on([q]) for q in sorted(loc.qubits)]
 
+    def test_unit_p_z_fires_every_z_event_in_every_trial(self):
+        cfg = gd.GadgetConfig.t_state(3, r=3)
+        is_z = np.array([ev.rate == "z" for ev in nz.fault_events(gd.build_circuit(cfg))])
+        rng = np.random.default_rng(4)
+        for size in (1, 7, nz._BLOCK):
+            rows, fired = nz._sample_fires(cfg, nz.NoiseParams(p_x=0.0, p_z=1.0, p_zz=0.0), rng, size)
+            assert np.array_equal(rows, np.arange(size))
+            assert np.array_equal(fired, np.broadcast_to(is_z, fired.shape))
+            rows, fired = nz._sample_fires(cfg, nz.NoiseParams(p_x=0.3, p_z=1.0, p_zz=0.2), rng, size)
+            assert np.array_equal(rows, np.arange(size)) and fired[:, is_z].all()
+
+    def test_zero_p_x_fires_no_x_event(self):
+        cfg = gd.GadgetConfig.t_state(3, r=1)
+        is_x = np.array([ev.rate == "x" for ev in nz.fault_events(gd.build_circuit(cfg))])
+        params = nz.NoiseParams(p_x=0.0, p_z=0.2, p_zz=0.2)
+        rng = np.random.default_rng(6)
+        for _ in range(20):
+            rows, fired = nz._sample_fires(cfg, params, rng, nz._BLOCK)
+            assert len(rows) > 0 and not fired[:, is_x].any() and fired[:, ~is_x].any()
+
     def test_mean_z_count_5sigma(self):
         # 43 single-Z opportunities in the r=1 circuit at p_z = 1e-3
-        circ = gd.build_circuit(gd.GadgetConfig.t_state(3, r=1))
+        cfg = gd.GadgetConfig.t_state(3, r=1)
         params = nz.NoiseParams(p_x=0.0, p_z=1e-3, p_zz=0.0)
-        events = nz.fault_events(circ)
-        n_z = sum(1 for ev in events if ev.rate == "z")
+        n_z = sum(1 for ev in nz.fault_events(gd.build_circuit(cfg)) if ev.rate == "z")
         assert n_z == 43
         rng = np.random.default_rng(123)
-        trials = 100_000
-        probs = np.array([ev.probability(params) for ev in events])
-        total = 0
-        for _ in range(trials):
-            total += int((rng.random(len(events)) < probs).sum())
+        blocks = 50
+        total = sum(int(nz._sample_fires(cfg, params, rng, nz._BLOCK)[1].sum()) for _ in range(blocks))
+        trials = blocks * nz._BLOCK
         mean = total / trials
         expect = n_z * 1e-3
         sigma_mean = math.sqrt(expect / trials)  # Poisson-ish
         assert abs(mean - expect) < 5 * sigma_mean
 
+    def test_fire_rates_and_co_fire_rates(self):
+        # each event fires at its rate; two events, of one kind or of two,
+        # fire together at the product of their rates
+        cfg = gd.GadgetConfig.t_state(3, r=1)
+        events = nz.fault_events(gd.build_circuit(cfg))
+        params = nz.NoiseParams(p_x=0.03, p_z=0.06, p_zz=0.01)
+        probs = np.array([ev.probability(params) for ev in events])
+        gate = next(ev.location for ev in events if ev.rate == "x")
+        z_a, z_b, x_a = [i for i, ev in enumerate(events) if ev.location == gate][:3]
+        assert [events[i].rate for i in (z_a, z_b, x_a)] == ["z", "z", "x"]
+        rng = np.random.default_rng(2026)
+        blocks = 100
+        fires = np.zeros(len(events), dtype=np.int64)
+        same = cross = 0
+        for _ in range(blocks):
+            rows, fired = nz._sample_fires(cfg, params, rng, nz._BLOCK)
+            assert np.all(np.diff(rows) > 0) and fired.any(axis=1).all()
+            fires += fired.sum(axis=0)
+            same += int((fired[:, z_a] & fired[:, z_b]).sum())
+            cross += int((fired[:, z_a] & fired[:, x_a]).sum())
+        trials = blocks * nz._BLOCK
+        halfwidths = np.array([nz._wilson_halfwidth(int(k), trials) for k in fires])
+        assert np.all(np.abs(fires / trials - probs) <= 4 * halfwidths)
+        for k, want in ((same, probs[z_a] * probs[z_b]), (cross, probs[z_a] * probs[x_a])):
+            assert abs(k / trials - want) <= 4 * nz._wilson_halfwidth(k, trials)
+
     def test_fired_events_in_location_order(self):
-        circ = gd.build_circuit(gd.GadgetConfig.t_state(3, r=3))
+        cfg = gd.GadgetConfig.t_state(3, r=3)
         params = nz.NoiseParams(p_x=0.05, p_z=0.1, p_zz=0.05)
-        faults = sampled_faults(circ, params, np.random.default_rng(5))
+        faults = sampled_faults(cfg, params, np.random.default_rng(5))
         locs = [loc for loc, _ in faults]
         assert len(set(locs)) > 1 and locs == sorted(locs)
 
@@ -316,26 +362,27 @@ class _Draws:
 
 
 def _per_trial_counts(cfg, params, seed, trials):
-    """Monte Carlo counts one trial at a time.  Each block draws its arrays
-    from default_rng([seed, block]) in _mc_counts' order; a clean trial takes
-    the next clean draw, and a faulted one calls gadget.run on its fired
-    events' (location, Pauli) pairs with its row of readout draws."""
+    """Monte Carlo counts one trial at a time.  Each block draws its fired
+    events with noise._sample_fires and then its arrays from
+    default_rng([seed, block]) in _mc_counts' order; a clean trial takes the
+    next clean draw, and a faulted one calls gadget.run on its fired events'
+    (location, Pauli) pairs with its row of readout draws."""
     events = nz.fault_events(gd.build_circuit(cfg))
-    probs = np.array([ev.probability(params) for ev in events])
     cum, leaf_bins = nz._noiseless_leaf_pool(cfg)
     counts = np.zeros(gd.N_BINS, dtype=np.int64)
     for start in range(0, trials, nz._BLOCK):
         rng = np.random.default_rng([seed, start // nz._BLOCK])
-        fired = rng.random((min(nz._BLOCK, trials - start), len(events))) < probs
-        faulted = fired.any(axis=1)
-        clean = iter(rng.random(int((~faulted).sum())))
-        readouts = iter(rng.random((int(faulted.sum()), cfg.num_measurements)))
-        for row in fired:
-            if not row.any():
+        size = min(nz._BLOCK, trials - start)
+        rows, fired = nz._sample_fires(cfg, params, rng, size)
+        faulted = dict(zip(rows.tolist(), fired))
+        clean = iter(rng.random(size - len(rows)))
+        readouts = iter(rng.random((len(rows), cfg.num_measurements)))
+        for t in range(size):
+            if t not in faulted:
                 leaf = int(np.searchsorted(cum, next(clean) * cum[-1]))
                 counts[leaf_bins[min(leaf, len(leaf_bins) - 1)]] += 1
                 continue
-            faults = [(ev.location, ev.pauli) for ev, f in zip(events, row) if f]
+            faults = [(ev.location, ev.pauli) for ev, f in zip(events, faulted[t]) if f]
             counts[gd.run(cfg, faults=faults, rng=_Draws(next(readouts))).bin] += 1
     return counts
 
@@ -393,9 +440,9 @@ def binomial_ci(mc_rate: float, en_rate: float, n: int) -> float:
     return 1.959963984540054 * math.sqrt(p * (1.0 - p) / n)
 
 
-def sampled_faults(circuit, params, rng):
-    """One draw of every fault event of ``circuit``: the fired events'
-    (location, Pauli) pairs."""
-    events = nz.fault_events(circuit)
-    fired = rng.random(len(events)) < np.array([ev.probability(params) for ev in events])
-    return tuple((ev.location, ev.pauli) for ev, f in zip(events, fired) if f)
+def sampled_faults(cfg, params, rng):
+    """One trial's draw of every fault event of ``cfg``'s circuit: the fired
+    events' (location, Pauli) pairs."""
+    rows, fired = nz._sample_fires(cfg, params, rng, 1)
+    row = fired[0] if len(rows) else np.zeros(len(nz.fault_events(gd.build_circuit(cfg))), dtype=bool)
+    return tuple((ev.location, ev.pauli) for ev, f in zip(nz.fault_events(gd.build_circuit(cfg)), row) if f)
