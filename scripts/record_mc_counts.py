@@ -6,8 +6,11 @@ Usage: PYTHONPATH=src python scripts/record_mc_counts.py > tests/golden/mc_count
 Each case is one ``noise._mc_counts`` call over trials 0..trials-1: the six
 outcome-bin counts (I, XL, ZL, YL, rejected, anomaly) that
 ``estimate_rates_mc`` turns into rates.  Each block of ``noise._BLOCK``
-trials draws from its own generator, so the counts are those of the block
-sampler, with no other engine behind them.  The cases are the nine of
+trials draws from its own generator: for each rate kind (z, x, zz) a
+binomial count of fired (trial, event) cells and a uniform set of that
+many cells (``noise._sample_fires``), then one double per clean trial and
+the faulted trials' readout doubles.  So the counts are those of the sparse
+block sampler, with no other engine behind them.  The cases are the nine of
 ``test_monte_carlo_counts_match_per_trial_loop``, two in which every Z event
 fires in every trial (n=5 and n=3), and 20,000-trial runs at two high noise
 points.  Re-record only when a count is meant to change.
@@ -60,7 +63,8 @@ def record():
 if __name__ == "__main__":
     doc = {
         "about": "Per-bin counts (I, XL, ZL, YL, rejected, anomaly) of noise._mc_counts(cfg, params, seed, "
-        "range(trials)): trial block b of noise._BLOCK draws from default_rng([seed, b]).",
+        "range(trials)): trial block b of noise._BLOCK draws from default_rng([seed, b]), first a binomial "
+        "count and a uniform set of fired cells per rate kind z, x, zz (noise._sample_fires).",
         "command": "PYTHONPATH=src python scripts/record_mc_counts.py > tests/golden/mc_counts.json",
         "cases": record(),
     }

@@ -71,20 +71,20 @@ def test_monte_carlo_reproduces_recorded_estimate():
         gd.GadgetConfig.t_state(3, 1), nz.NoiseParams.from_bias(1e-2, 10), trials=3000, seed=11, threads=1
     )
     assert est == nz.RateEstimate(
-        e_x=0.029,
-        e_z=0.008666666666666666,
-        e_y=0.0006666666666666666,
-        reject_rate=0.7143333333333334,
+        e_x=0.035666666666666666,
+        e_z=0.004333333333333333,
+        e_y=0.0,
+        reject_rate=0.6916666666666667,
         trials_or_order=3000,
-        ci95_halfwidth=0.006031078843878709,
-        ci95_e_x=0.006031078843878709,
-        ci95_e_z=0.0033737386223478905,
-        ci95_e_y=0.00112239537570322,
+        ci95_halfwidth=0.006658682026522888,
+        ci95_e_x=0.006658682026522888,
+        ci95_e_z=0.002432996327725757,
+        ci95_e_y=0.0006394243626629813,
         anomaly_rate=0.0,
-        accepted_weight=0.2856666666666667,
-        e_x_given_accept=0.10151691948658109,
-        e_z_given_accept=0.030338389731621937,
-        e_y_given_accept=0.002333722287047841,
+        accepted_weight=0.30833333333333335,
+        e_x_given_accept=0.11567567567567567,
+        e_z_given_accept=0.014054054054054054,
+        e_y_given_accept=0.0,
     )
 
 
