@@ -51,9 +51,12 @@ suggested by counting records uniformly.
 
 Monte Carlo trials draw every event independently.  The trials come in
 blocks of ``_BLOCK``, and block b draws from its own generator,
-``np.random.default_rng([seed, b])``: one double per trial and event (the
-event fires when it is below p_e), then one double per trial that fired
-nothing, to pick a noiseless branch, then one double per readout of each
+``np.random.default_rng([seed, b])``.  It first draws the fired events
+sparsely, one rate kind (z, x, zz) at a time: a binomial number of the
+kind's (trial, event) cells fire, and which ones is a uniform subset of that
+size, so at low rates a block draws about one number per fired event, not
+one per trial and event.  Then it draws one double per trial that fired
+nothing, to pick a noiseless branch, and one double per readout of each
 trial that fired something.  A faulted trial's frame is the sum mod 2 of
 its fired events' frame rows, and a block's faulted trials, whatever they
 fired, are one ``gadget.sample_branches`` walk of the noiseless branch
@@ -291,11 +294,12 @@ def _noiseless_leaf_pool(cfg: gd.GadgetConfig):
 
 # A worker process pays off once its share of the trials costs more than
 # starting it.  On 2 CPUs (n=3, r=1; median of 7, one process vs two
-# workers) two workers break even at 40,000 trials at the anchor (p_z=1e-3,
-# eta=100; 44 vs 44 ms) and win from 50,000 (56 vs 47; 100,000: 119 vs 87).
-# Faulted trials cost more, and at p_z=1e-2, eta=10 and p_z=5e-2, eta=3 they
-# win from 30,000 (59 vs 47 and 78 vs 68 ms), so the anchor sets the share.
-_MIN_TRIALS_PER_WORKER = 25_000
+# workers) two workers break even from 100,000 to 120,000 trials at the
+# anchor (p_z=1e-3, eta=100; 100,000: 54 vs 55 ms) and win from 130,000 (65
+# vs 60; 200,000: 110 vs 82).  Faulted trials cost more: at p_z=1e-2, eta=10
+# two workers win from 40,000 (54 vs 50 ms) and at p_z=5e-2, eta=3 from
+# 30,000 (99 vs 75), so the anchor sets the share.
+_MIN_TRIALS_PER_WORKER = 65_000
 _BLOCK = 2048  # trials per generator; part of the definition of the counts
 
 
@@ -304,7 +308,7 @@ def _event_kinds(cfg: gd.GadgetConfig) -> tuple[tuple[int, np.ndarray], ...]:
     """(rate index, event indices) of the rate kinds z, x and zz, in that
     order, leaving out a kind the circuit has no events of."""
     rates = np.array([_RATE_INDEX[ev.rate] for ev in _events(cfg)])
-    return tuple((k, np.flatnonzero(rates == k)) for k in _RATE_INDEX.values() if np.any(rates == k))
+    return tuple((int(k), np.flatnonzero(rates == k)) for k in np.unique(rates))
 
 
 def _sample_fires(cfg, params, rng, size) -> tuple[np.ndarray, np.ndarray]:
@@ -321,9 +325,9 @@ def _sample_fires(cfg, params, rng, size) -> tuple[np.ndarray, np.ndarray]:
     trial, event = [], []
     for k, kind in _event_kinds(cfg):
         cells = size * len(kind)
-        fired = rng.choice(cells, rng.binomial(cells, probs[k]), replace=False)
-        trial.append(fired // len(kind))
-        event.append(kind[fired % len(kind)])
+        hit = rng.choice(cells, rng.binomial(cells, probs[k]), replace=False)
+        trial.append(hit // len(kind))
+        event.append(kind[hit % len(kind)])
     rows, row = np.unique(np.concatenate(trial), return_inverse=True)
     fired = np.zeros((len(rows), len(_events(cfg))), dtype=np.intp)
     fired[row, np.concatenate(event)] = 1
