@@ -125,9 +125,6 @@ class FaultEvent:
     pauli: PauliString
     rate: str  # "z" | "x" | "zz"
 
-    def probability(self, params: NoiseParams) -> float:
-        return {"z": params.p_z, "x": params.p_x, "zz": params.p_zz}[self.rate]
-
 
 def fault_events(circuit: gd.Circuit) -> tuple[FaultEvent, ...]:
     """Elementary fault events of a circuit, in location order.  Idle

@@ -118,7 +118,7 @@ class TestSampleFaults:
         cfg = gd.GadgetConfig.t_state(3, r=1)
         events = nz.fault_events(gd.build_circuit(cfg))
         params = nz.NoiseParams(p_x=0.03, p_z=0.06, p_zz=0.01)
-        probs = np.array([ev.probability(params) for ev in events])
+        probs = np.array([{"z": params.p_z, "x": params.p_x, "zz": params.p_zz}[ev.rate] for ev in events])
         gate = next(ev.location for ev in events if ev.rate == "x")
         z_a, z_b, x_a = [i for i, ev in enumerate(events) if ev.location == gate][:3]
         assert [events[i].rate for i in (z_a, z_b, x_a)] == ["z", "z", "x"]
@@ -423,7 +423,7 @@ def _golden_id(case):
 @pytest.mark.parametrize("case", MC_COUNTS["cases"], ids=_golden_id)
 def test_monte_carlo_counts_match_recording(case):
     # recorded by scripts/record_mc_counts.py when each block of _BLOCK
-    # trials first drew from its own generator
+    # trials first drew its fired events sparsely (noise._sample_fires)
     cfg = GADGETS[case["gadget"]](case["n"])
     params = nz.NoiseParams(p_x=case["p_x"], p_z=case["p_z"], p_zz=case["p_zz"])
     counts = nz._mc_counts(cfg, params, case["seed"], range(case["trials"]))
@@ -444,5 +444,6 @@ def sampled_faults(cfg, params, rng):
     """One trial's draw of every fault event of ``cfg``'s circuit: the fired
     events' (location, Pauli) pairs."""
     rows, fired = nz._sample_fires(cfg, params, rng, 1)
-    row = fired[0] if len(rows) else np.zeros(len(nz.fault_events(gd.build_circuit(cfg))), dtype=bool)
-    return tuple((ev.location, ev.pauli) for ev, f in zip(nz.fault_events(gd.build_circuit(cfg)), row) if f)
+    if not len(rows):
+        return ()
+    return tuple((ev.location, ev.pauli) for ev, f in zip(nz.fault_events(gd.build_circuit(cfg)), fired[0]) if f)
