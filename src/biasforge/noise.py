@@ -305,7 +305,7 @@ def _event_kinds(cfg: gd.GadgetConfig) -> tuple[tuple[int, np.ndarray], ...]:
     """(rate index, event indices) of the rate kinds z, x and zz, in that
     order, leaving out a kind the circuit has no events of."""
     rates = np.array([_RATE_INDEX[ev.rate] for ev in _events(cfg)])
-    return tuple((int(k), np.flatnonzero(rates == k)) for k in np.unique(rates))
+    return tuple((k, np.flatnonzero(rates == k)) for k in _RATE_INDEX.values() if k in rates)
 
 
 def _sample_fires(cfg, params, rng, size) -> tuple[np.ndarray, np.ndarray]:
