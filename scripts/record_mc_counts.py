@@ -8,9 +8,13 @@ outcome-bin counts (I, XL, ZL, YL, rejected, anomaly) that
 ``estimate_rates_mc`` turns into rates.  Each block of ``noise._BLOCK``
 trials draws from its own generator: for each rate kind (z, x, zz) a
 binomial count of fired (trial, event) cells and a uniform set of that
-many cells (``noise._sample_fires``), then one double per clean trial and
-the faulted trials' readout doubles.  So the counts are those of the sparse
-block sampler, with no other engine behind them.  The cases are the nine of
+many cells (``noise._sample_fires``, which returns the fired (trial, event)
+cells in trial order), then one double per clean trial and the faulted
+trials' readout doubles.  A faulted trial walks the noiseless branch table
+under its frame, the XOR of its fired events' integer frame codes
+(``noise._event_frames``: readout flips in the low bits, the block-3 Pauli
+above them).  So the counts are those of the sparse block sampler, with no
+other engine behind them.  The cases are the nine of
 ``test_monte_carlo_counts_match_per_trial_loop``, two in which every Z event
 fires in every trial (n=5 and n=3), and 20,000-trial runs at two high noise
 points.  Re-record only when a count is meant to change.

@@ -28,6 +28,7 @@ A flat ``key=value`` config file can seed any subcommand's flags
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -163,6 +164,8 @@ def _apply_config_file(argv: list[str]) -> list[str]:
 
 def _params_bounds(args) -> dict:
     if args.r is not None:
+        if args.r_z is not None or args.r_zz is not None:
+            raise CliError("give --r, or --rz and --rzz, not both")
         r_z = r_zz = args.r
     else:
         if args.r_z is None or args.r_zz is None:
@@ -182,16 +185,7 @@ def _params_bounds(args) -> dict:
 def _run_bounds(params: dict):
     noise = nz.NoiseParams(p_x=params["p_x"], p_z=params["p_z"], p_zz=params["p_zz"])
     b = bd.breakdown(bd.BoundInputs(n=params["n"], r_z=params["r_z"], r_zz=params["r_zz"], noise=noise))
-    results = {
-        "eps_x3": b.eps_x3,
-        "eps_x_mzz": b.eps_x_mzz,
-        "eps_x2": b.eps_x2,
-        "eps_x_mz": b.eps_x_mz,
-        "eps_z1": b.eps_z1,
-        "eps_z2": b.eps_z2,
-        "e_xl": b.e_xl,
-        "e_zl": b.e_zl,
-    }
+    results = dataclasses.asdict(b)
     return results, [results], list(results.keys())
 
 

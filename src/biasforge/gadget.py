@@ -56,9 +56,12 @@ on the other) it flips each readout whose qubit carries a Z part and
 leaves a Pauli on block 3.  The faulted branches are the noiseless ones
 with those readouts negated, the same probabilities and the block-3 Pauli
 on top.  A fault whose X part would reach a CZ(theta) raises FrameError.
-So a branch is held as its record, its probability, its noiseless row and
-its block-3 frame Pauli; its state is derived only when asked for.
-Decoding and classification act on whole stacks.
+A frame is one integer code: bit m < M flips readout m, and code >> M is
+the block-3 Pauli packed as X mask << n | Z mask, so frames combine by
+XOR and a code fits an int64 while M + 2n <= 63.  A branch is held as its
+record, its probability, its noiseless row and its block-3 frame Pauli;
+its state is derived only when asked for.  Decoding and classification
+act on whole stacks.
 
 Classification: a corrected output is a noiseless row's state s under the
 Pauli q = correction x frame Pauli, so its class is a function of (s, q).
@@ -91,6 +94,7 @@ from . import statevec as sv
 from .statevec import BranchError, PauliString
 
 SIM_MAX_N = 7  # largest simulated n: the live register peaks at 2n+1 qubits
+FRAME_BITS = 63  # a frame code (M readout flips, then a 2n-bit block-3 Pauli) is one int64
 
 
 class ConfigError(ValueError):
@@ -142,6 +146,11 @@ class GadgetConfig:
         for name, r in (("r_z", self.r_z), ("r_zz", self.r_zz)):
             if r < 1 or r % 2 == 0:
                 raise ConfigError(f"{name}={r} must be odd and >= 1 (majority votes need odd counts)")
+        if self.num_measurements + 2 * self.n > FRAME_BITS:
+            raise ConfigError(
+                f"r_z + r_zz + 4n = {self.num_measurements + 2 * self.n} exceeds FRAME_BITS={FRAME_BITS} "
+                "(a Pauli frame holds M readout flips and a 2n-bit block-3 Pauli in one int64)"
+            )
 
     @classmethod
     def plus_i(cls, n: int, r: int = 1, r_zz: int | None = None) -> "GadgetConfig":
@@ -412,14 +421,15 @@ def _noiseless_table(cfg: GadgetConfig) -> tuple[Branches, np.ndarray, np.ndarra
 
 
 @functools.lru_cache(maxsize=4096)
-def _frame(cfg: GadgetConfig, location: int, pauli: PauliString) -> tuple[int, PauliString]:
-    """(record flip mask, block-3 Pauli) of a Pauli fault at ``location``.
+def _frame(cfg: GadgetConfig, location: int, pauli: PauliString) -> int:
+    """The frame code of a Pauli fault at ``location``: bit m < M flips
+    readout m, and code >> M is the block-3 Pauli, X mask << n | Z mask.
 
-    Bit m of the mask flips readout m.  The fault is pushed through every
-    later location (a MeasX fault fires before its own readout): a CPHASE
-    turns X on one qubit into X on it and Z on the other, a MeasX flips its
-    readout when its qubit carries Z and then drops the qubit.  What is
-    left sits on block 3, returned in its local qubit order.
+    The fault is pushed through every later location (a MeasX fault fires
+    before its own readout): a CPHASE turns X on one qubit into X on it and
+    Z on the other, a MeasX flips its readout when its qubit carries Z and
+    then drops the qubit.  What is left sits on block 3, in its local qubit
+    order.
     """
     locations = build_circuit(cfg).locations
     live = {loc.qubits[0] for loc in locations[: location + 1] if loc.kind is LocationKind.PREP_X}
@@ -443,30 +453,19 @@ def _frame(cfg: GadgetConfig, location: int, pauli: PauliString) -> tuple[int, P
             xs &= ~(1 << q)
             zs &= ~(1 << q)
             m += 1
-    offset = 2 * cfg.n
-    return flips, PauliString(xs >> offset, zs >> offset)
+    n = cfg.n
+    return flips | (xs >> 2 * n << n | zs >> 2 * n) << cfg.num_measurements
 
 
-def _combined_frame(cfg: GadgetConfig, faults) -> tuple[int, PauliString]:
-    """The frame of a fault list: the XOR of its faults' frames."""
-    flips, out = 0, PauliString()
-    for t, pauli in faults:
-        mask, frame = _frame(cfg, t, pauli)
-        flips ^= mask
-        out = out.compose(frame)
-    return flips, out
-
-
-def fault_frame(cfg: GadgetConfig, faults) -> np.ndarray:
-    """The Pauli frame of a fault list as one GF(2) row of M + 2n bits: the
-    M readout flips, then the X and the Z mask of the block-3 Pauli.  Frames
-    combine by XOR, so the frame of a union of fault lists is the sum mod 2
-    of their rows.  A fault whose X part would reach a CZ(theta) raises
+def fault_frame(cfg: GadgetConfig, faults) -> int:
+    """The frame code of a fault list (see :func:`_frame`): the XOR of its
+    faults' codes, so the frame of a union of fault lists is the XOR of
+    theirs.  A fault whose X part would reach a CZ(theta) raises
     FrameError."""
-    flips, out = _combined_frame(cfg, faults)
-    num = cfg.num_measurements
-    bits = flips | out.xs << num | out.zs << (num + cfg.n)
-    return np.array([(bits >> k) & 1 for k in range(num + 2 * cfg.n)], dtype=np.uint8)
+    code = 0
+    for t, pauli in faults:
+        code ^= _frame(cfg, t, pauli)
+    return code
 
 
 @functools.lru_cache(maxsize=4096)
@@ -475,7 +474,7 @@ def _flipped(cfg: GadgetConfig, flips: int) -> tuple[np.ndarray, np.ndarray]:
     mask ``flips`` negated, read-only and sorted depth-first, and the
     noiseless row each sorted record comes from."""
     records = _noiseless_table(cfg)[0].records
-    flip = np.array([(flips >> m) & 1 for m in range(cfg.num_measurements)], dtype=bool)
+    flip = ((flips >> np.arange(cfg.num_measurements)) & 1).astype(bool)
     records = np.where(flip, -records, records)
     order = np.lexsort((records < 0).T[::-1])  # readout 0 is the primary key
     records = records[order]
@@ -491,24 +490,27 @@ def enumerate_branches(cfg: GadgetConfig, faults=()) -> Branches:
     ``build_circuit(cfg)``.  The noiseless branches are enumerated once per
     config on the state-vector path and kept read-only; with no fault they
     are returned as they are.
-    Otherwise the Pauli frames of the faults (:func:`_frame`) combine by
-    XOR, and the faulted branches are the noiseless rows with the frame's
-    readouts negated, sorted back into depth-first order, each with its
-    row's probability and the frame's block-3 Pauli.  A fault whose X part
-    would reach a CZ(theta) gate raises FrameError.
+    Otherwise the faults' frame code (:func:`fault_frame`) splits into its
+    readout flips and its block-3 Pauli, and the faulted branches are the
+    noiseless rows with those readouts negated, sorted back into
+    depth-first order, each with its row's probability and the Pauli.  A
+    fault whose X part would reach a CZ(theta) gate raises FrameError.
     """
-    flips, out = _combined_frame(cfg, faults)
+    code, num = fault_frame(cfg, faults), cfg.num_measurements
     table = _noiseless_table(cfg)[0]
-    if not flips and out.is_identity:
+    if not code:
         return table
+    flips = code & ((1 << num) - 1)
     records, rows = _flipped(cfg, flips) if flips else (table.records, table.rows)
-    paulis = np.full(len(rows), out.xs << cfg.n | out.zs)
+    paulis = np.full(len(rows), code >> num)
     return Branches(records, table.probabilities[rows], rows, paulis, table.noiseless_states)
 
 
 def sample_branches(cfg: GadgetConfig, frames: np.ndarray, uniforms: np.ndarray) -> Branches:
-    """One sampled run per row: run g carries the Pauli frame ``frames[g]``
-    (see :func:`fault_frame`) and draws ``uniforms[g, m]`` at readout m.
+    """One sampled run per entry: run g carries the (G,) frame code
+    ``frames[g]`` (see :func:`_frame`), whose low M bits flip readouts and
+    whose bits from M up are its block-3 Pauli, and draws ``uniforms[g, m]``
+    at readout m.
 
     Readout m reads +1 iff its draw is below the conditional probability
     of +1 given the run's earlier readouts.  Under the frame's flips f that
@@ -523,9 +525,9 @@ def sample_branches(cfg: GadgetConfig, frames: np.ndarray, uniforms: np.ndarray)
     frames' block-3 Paulis, in run order.
     """
     table, path, plus_before = _noiseless_table(cfg)
-    num, n = cfg.num_measurements, cfg.n
-    frames = np.asarray(frames, dtype=np.intp)
-    flips = frames[:, :num].astype(bool)
+    num = cfg.num_measurements
+    frames = np.asarray(frames, dtype=np.int64)
+    flips = ((frames[:, None] >> np.arange(num)) & 1).astype(bool)
     lo = np.zeros(len(frames), dtype=np.intp)
     hi = np.full(len(frames), len(table), dtype=np.intp)
     for m in range(num):
@@ -538,10 +540,8 @@ def sample_branches(cfg: GadgetConfig, frames: np.ndarray, uniforms: np.ndarray)
         lo, hi = np.where(minus_child, split, lo), np.where(minus_child, hi, split)
     if np.any(lo == hi):
         raise BranchError(f"a forced readout outcome has probability <= {_BRANCH_EPS:g} under its frame")
-    weights = 1 << np.arange(n)
-    paulis = frames[:, num : num + n] @ weights << n | frames[:, num + n :] @ weights
     records = np.where(flips, -table.records[lo], table.records[lo])
-    return Branches(records, table.probabilities[lo], lo, paulis, table.noiseless_states)
+    return Branches(records, table.probabilities[lo], lo, frames >> num, table.noiseless_states)
 
 
 # ---------------------------------------------------------------------------
@@ -819,7 +819,7 @@ def run(
     uniforms = np.array([{None: 0.0, +1: -1.0, -1: 2.0}[v] for v in forced])
     free = [m for m, v in enumerate(forced) if v is None]
     uniforms[free] = sampler.random(len(free))
-    branches = sample_branches(cfg, fault_frame(cfg, faults)[None], uniforms[None])
+    branches = sample_branches(cfg, np.array([fault_frame(cfg, faults)]), uniforms[None])
     zl_bit, b, corrections = _decode_records(cfg, branches.records)
     outcome = _outcome(cfg, tuple(branches.records[0].tolist()), zl_bit[0], b[0], corrections[0])
     outcome.probability = float(branches.probabilities[0])

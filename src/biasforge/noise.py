@@ -14,14 +14,16 @@ its Z and X events fire together (probability p_z * p_x).
 Every event is a Pauli frame (``gadget.fault_frame``): readouts flipped
 and a Pauli on the output block, exact because every location after an
 event is Clifford; an event whose X part would reach a CZ(theta) gate has
-no frame and raises ``gadget.FrameError``.  Frames of events combine by
-XOR, so both estimators read one noiseless branch table through them.
+no frame and raises ``gadget.FrameError``.  A frame is one integer code,
+the readout flips in its low M bits and the block-3 Pauli above them, and
+the frames of events combine by XOR of their codes, so both estimators
+read one noiseless branch table through them.
 
 The exhaustive enumerator sums all event subsets of size <= k, weighting
 each by prod(p_e) * prod(1 - p_e') over the non-firing events (exact, no
 exponential approximation), over every measurement branch of the faulted
 circuit.  A subset's branches depend on its events only through its
-frame, the XOR of their frame rows, so the subsets are grouped by frame
+frame, the XOR of their frame codes, so the subsets are grouped by frame
 and each frame's branches are decoded once, in one batch, and binned by
 one gather from the gadget's class table.  Each subset is still one
 ``gadget.enumerate_branches`` call on its events' (location, Pauli)
@@ -57,8 +59,8 @@ kind's (trial, event) cells fire, and which ones is a uniform subset of that
 size, so at low rates a block draws about one number per fired event, not
 one per trial and event.  Then it draws one double per trial that fired
 nothing, to pick a noiseless branch, and one double per readout of each
-trial that fired something.  A faulted trial's frame is the sum mod 2 of
-its fired events' frame rows, and a block's faulted trials, whatever they
+trial that fired something.  A faulted trial's frame is the XOR of its
+fired events' frame codes, and a block's faulted trials, whatever they
 fired, are one ``gadget.sample_branches`` walk of the noiseless branch
 table and one ``gadget.outcome_bins`` call.  Worker processes take whole
 blocks, so the per-bin integer counts, hence the estimates, depend only on
@@ -70,6 +72,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import os
 from dataclasses import dataclass
 
@@ -153,9 +156,9 @@ def _events(cfg: gd.GadgetConfig) -> tuple[FaultEvent, ...]:
 
 @functools.lru_cache(maxsize=None)
 def _event_frames(cfg: gd.GadgetConfig) -> np.ndarray:
-    """(E, M + 2n) frame rows (gadget.fault_frame) of the fault events, read by
-    both estimators."""
-    return np.array([gd.fault_frame(cfg, [(ev.location, ev.pauli)]) for ev in _events(cfg)])
+    """(E,) int64 frame codes (gadget.fault_frame) of the fault events, read
+    by both estimators."""
+    return np.array([gd.fault_frame(cfg, [(ev.location, ev.pauli)]) for ev in _events(cfg)], dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -220,11 +223,11 @@ def _enumerated_combos(cfg: gd.GadgetConfig, max_order: int):
     """(rate index, subsets, masses) for all event subsets of size <= k.
 
     ``subsets`` is an (S, k) event-index matrix, padded with the event count
-    (a column of zero log-odds and a zero frame row); ``masses`` is the
+    (a column of zero log-odds and a zero frame code); ``masses`` is the
     (S, gadget.N_BINS) outcome-bin mass matrix.  Subsets are visited a
-    frame at a time, and a frame's bins are computed once, from its first
-    subset's branches.  Independent of NoiseParams, so cached per config
-    and order.
+    frame at a time, in the order of their XOR-reduced codes, and a frame's
+    bins are computed once, from its first subset's branches.  Independent
+    of NoiseParams, so cached per config and order.
     """
     events = _events(cfg)
     num = len(events)
@@ -234,13 +237,10 @@ def _enumerated_combos(cfg: gd.GadgetConfig, max_order: int):
     index = np.full((len(subsets), max_order), num, dtype=np.intp)
     for row, s in enumerate(subsets):
         index[row, : len(s)] = s
-    frames = _event_frames(cfg)
-    frames = np.bitwise_xor.reduce(np.vstack([frames, np.zeros_like(frames[:1])])[index], axis=1)
-    # packed rows: fewer bytes for np.unique to compare
-    group = np.unique(np.packbits(frames, axis=1), axis=0, return_inverse=True)[1].reshape(-1)
-    order = np.argsort(group, kind="stable")
+    codes = np.bitwise_xor.reduce(np.append(_event_frames(cfg), 0)[index], axis=1)
+    order = np.argsort(codes, kind="stable")
     masses = np.empty((len(subsets), gd.N_BINS))
-    for same_frame in np.split(order, np.flatnonzero(np.diff(group[order])) + 1):
+    for same_frame in np.split(order, np.flatnonzero(np.diff(codes[order])) + 1):
         bins = None
         for row in same_frame:
             branches = gd.enumerate_branches(cfg, faults=[(events[i].location, events[i].pauli) for i in subsets[row]])
@@ -309,8 +309,8 @@ def _event_kinds(cfg: gd.GadgetConfig) -> tuple[tuple[int, np.ndarray], ...]:
 
 
 def _sample_fires(cfg, params, rng, size) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, fired): the trials of a block of ``size`` that fire some event,
-    in trial order, and their (rows, events) 0/1 matrix of fired events.
+    """(trial, event): the fired cells of a block of ``size`` trials, as
+    two int arrays sorted by trial, then by event.
 
     A kind of k events has size * k cells, trial-major: cell c is trial
     c // k and the kind's event c % k.  ``rng`` draws how many fire,
@@ -319,16 +319,13 @@ def _sample_fires(cfg, params, rng, size) -> tuple[np.ndarray, np.ndarray]:
     independently at its rate.
     """
     probs = (params.p_z, params.p_x, params.p_zz)
-    trial, event = [], []
+    num = len(_events(cfg))
+    keys = []  # trial * E + event of each fired cell
     for k, kind in _event_kinds(cfg):
         cells = size * len(kind)
         hit = rng.choice(cells, rng.binomial(cells, probs[k]), replace=False)
-        trial.append(hit // len(kind))
-        event.append(kind[hit % len(kind)])
-    rows, row = np.unique(np.concatenate(trial), return_inverse=True)
-    fired = np.zeros((len(rows), len(_events(cfg))), dtype=np.intp)
-    fired[row, np.concatenate(event)] = 1
-    return rows, fired
+        keys.append(hit // len(kind) * num + kind[hit % len(kind)])
+    return np.divmod(np.sort(np.concatenate(keys)), num)
 
 
 def _mc_counts(cfg, params, seed, trial_range) -> np.ndarray:
@@ -339,9 +336,11 @@ def _mc_counts(cfg, params, seed, trial_range) -> np.ndarray:
     block boundary.  A block of ``size`` trials draws, in this order, its
     fired events (``_sample_fires``: a count and a uniform set of cells per
     rate kind), one double per trial that fired nothing (it picks a
-    noiseless branch), and one double per readout of each faulted trial;
-    the faulted trials are sampled together under their frames.  _BLOCK is
-    thus part of what the counts are: changing it changes every count.
+    noiseless branch), and one double per readout of each faulted trial.
+    A faulted trial's frame code is the XOR of its fired events' codes, one
+    ``np.bitwise_xor.reduceat`` over the fired cells, and the faulted
+    trials are sampled together under their frames.  _BLOCK is thus part
+    of what the counts are: changing it changes every count.
     """
     if trial_range.start % _BLOCK:
         raise ValueError(f"trial range must start on a multiple of {_BLOCK}, got {trial_range.start}")
@@ -351,14 +350,15 @@ def _mc_counts(cfg, params, seed, trial_range) -> np.ndarray:
     for start in range(trial_range.start, trial_range.stop, _BLOCK):
         rng = np.random.default_rng([seed, start // _BLOCK])
         size = min(_BLOCK, trial_range.stop - start)
-        rows, fired = _sample_fires(cfg, params, rng, size)
+        trial, event = _sample_fires(cfg, params, rng, size)
+        starts = np.flatnonzero(np.diff(trial, prepend=-1))  # each faulted trial's first cell
         # noiseless trials: sample a branch from the exact pool
-        draw = rng.random(size - len(rows))
+        draw = rng.random(size - len(starts))
         leaf = np.minimum(np.searchsorted(cum, draw * cum[-1]), len(leaf_bins) - 1)
         counts += np.bincount(leaf_bins[leaf], minlength=gd.N_BINS)
-        if len(rows):
-            uniforms = rng.random((len(rows), cfg.num_measurements))
-            branches = gd.sample_branches(cfg, fired @ frames % 2, uniforms)
+        if len(starts):
+            uniforms = rng.random((len(starts), cfg.num_measurements))
+            branches = gd.sample_branches(cfg, np.bitwise_xor.reduceat(frames[event], starts), uniforms)
             counts += np.bincount(gd.outcome_bins(cfg, branches), minlength=gd.N_BINS)
     return counts
 
@@ -405,11 +405,16 @@ def estimate_rates_mc(
     whose integer bin counts are summed.  A worker starts only for enough
     expected work (``_pool_workers``), so short estimates run in this
     process.  Every count, and so the result, is bit-identical for any
-    thread count.  ``seed`` and the thread count (``threads``, else
-    BIASFORGE_THREADS) must be non-negative integers (ValueError
-    otherwise).  The ``ci95_*`` fields are 95% Wilson score half-widths,
-    which stay above zero at a zero count.
+    thread count.  ``trials``, ``seed`` and the thread count (``threads``,
+    else BIASFORGE_THREADS) must be integers, ``trials`` positive and the
+    others non-negative (ValueError otherwise).  The ``ci95_*`` fields are
+    95% Wilson score half-widths, which stay above zero at a zero count.
     """
+    for name, value in (("trials", trials), ("seed", seed), ("threads", 0 if threads is None else threads)):
+        try:
+            operator.index(value)
+        except TypeError:
+            raise ValueError(f"{name}={value!r} is not an integer") from None
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     workers = _pool_workers(trials, _resolve_threads(threads))

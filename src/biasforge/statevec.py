@@ -60,10 +60,6 @@ class PauliString:
         return PauliString(self.xs ^ other.xs, self.zs ^ other.zs)
 
     @property
-    def is_identity(self) -> bool:
-        return self.xs == 0 and self.zs == 0
-
-    @property
     def support(self) -> int:
         return self.xs | self.zs
 

@@ -207,8 +207,27 @@ def test_sampled_runs_land_on_enumerated_branches(case, seed):
     cfg, circuit, faults = case
     by_record = {branch.record: branch for branch in gd.enumerate_branches(cfg, faults=faults)}
     runs = 64
-    frames = np.repeat(gd.fault_frame(cfg, faults)[None], runs, axis=0)
+    frames = np.full(runs, gd.fault_frame(cfg, faults))
     sampled = gd.sample_branches(cfg, frames, np.random.default_rng(seed).random((runs, cfg.num_measurements)))
+    for got in sampled:
+        want = by_record[got.record]
+        assert got.probability == want.probability
+        assert np.array_equal(got.state, want.state)
+
+
+def test_frame_code_top_bit_at_the_widest_config():
+    # r_z + r_zz + 4n = 62 at n=3, r=25: X on the last block-3 qubit sets
+    # the code's top bit, and sampled runs read it as enumeration does
+    cfg = gd.GadgetConfig.t_state(3, 25)
+    qubit = 3 * cfg.n - 1
+    prep = gd.build_circuit(cfg).locations.index(gd.Location(gd.LocationKind.PREP_X, (qubit,)))
+    faults = [(prep, gd.PauliString.x_on([qubit]))]
+    code = gd.fault_frame(cfg, faults)
+    assert code.bit_length() == cfg.num_measurements + 2 * cfg.n
+    by_record = {branch.record: branch for branch in gd.enumerate_branches(cfg, faults=faults)}
+    runs = 32
+    sampled = gd.sample_branches(cfg, np.full(runs, code), np.random.default_rng(1).random((runs, cfg.num_measurements)))
+    assert set(sampled.paulis.tolist()) == {code >> cfg.num_measurements}
     for got in sampled:
         want = by_record[got.record]
         assert got.probability == want.probability

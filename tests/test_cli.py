@@ -51,6 +51,11 @@ class TestBounds:
         )
         assert report["params"]["r_z"] == 1 and report["params"]["r_zz"] == 3
 
+    @pytest.mark.parametrize("split", [["--rz", "1", "--rzz", "5"], ["--rz", "1"], ["--rzz", "5"]])
+    def test_r_beside_rz_or_rzz_exits_2(self, capsys, split):
+        code, out, err = run_cli(capsys, "bounds", "--n", "3", "--r", "3", *split, "--pz", "1e-3", "--bias", "100")
+        assert code == 2 and out == "" and "not both" in err
+
 
 class TestSimulate:
     def test_enumerate_dominated_by_bounds(self, capsys):
@@ -90,6 +95,18 @@ class TestSimulate:
             "--mode", "enumerate", "--max-order", "1",
         )
         assert code == 2 and out == "" and "SIM_MAX_N" in err
+
+    def test_frame_wider_than_63_bits_exits_2_before_simulating(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulation started")
+
+        monkeypatch.setattr(nz, "estimate_rates_mc", refuse)
+        code, out, err = run_cli(
+            capsys,
+            "simulate", "--n", "3", "--r", "27", "--pz", "1e-3", "--bias", "100",
+            "--mode", "mc", "--trials", "100",
+        )
+        assert code == 2 and out == "" and "FRAME_BITS" in err
 
     def test_bad_thread_count_exits_2(self, capsys, monkeypatch):
         argv = ["simulate", "--n", "3", "--r", "1", "--pz", "1e-3", "--bias", "100", "--mode", "mc", "--trials", "100"]

@@ -41,6 +41,15 @@ class TestConfig:
         with pytest.raises(gd.ConfigError):
             gd.GadgetConfig.custom(9, 0.3)
 
+    def test_frame_code_fits_in_63_bits(self):
+        # a frame code holds M readout flips and a 2n-bit block-3 Pauli
+        cfg = gd.GadgetConfig.t_state(3, r=25)
+        assert cfg.num_measurements + 2 * cfg.n == 62 <= gd.FRAME_BITS
+        with pytest.raises(gd.ConfigError, match="FRAME_BITS"):
+            gd.GadgetConfig(n=3, theta=math.pi / 4, r_z=25, r_zz=27)
+        with pytest.raises(gd.ConfigError, match="FRAME_BITS"):
+            gd.GadgetConfig.t_state(7, r=19)
+
     def test_target_theta_coupling(self):
         cfg = gd.GadgetConfig.custom(3, 0.3)
         assert cfg.target is gd.Target.CUSTOM

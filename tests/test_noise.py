@@ -52,10 +52,17 @@ class TestFaultEvents:
                 assert ev.rate == "z"
 
 
+def fired_matrix(cfg, cells, size):
+    """The (size, E) bool matrix of a block's fired (trial, event) cells."""
+    fired = np.zeros((size, len(nz._events(cfg))), dtype=bool)
+    fired[cells] = True
+    return fired
+
+
 class TestSampleFaults:
-    """Monte Carlo draws a block's fired events with noise._sample_fires;
-    a trial's fault list is its fired events' (location, Pauli) pairs, in
-    event order."""
+    """Monte Carlo draws a block's fired (trial, event) cells with
+    noise._sample_fires; a trial's fault list is its fired events'
+    (location, Pauli) pairs, in event order."""
 
     def test_zero_noise_always_empty(self):
         cfg = gd.GadgetConfig.t_state(3, r=1)
@@ -63,8 +70,8 @@ class TestSampleFaults:
         rng = np.random.default_rng(0)
         for _ in range(50):
             assert sampled_faults(cfg, params, rng) == ()
-        rows, fired = nz._sample_fires(cfg, params, rng, nz._BLOCK)
-        assert rows.size == 0 and fired.shape == (0, 79)
+        trial, event = nz._sample_fires(cfg, params, rng, nz._BLOCK)
+        assert trial.size == event.size == 0
 
     def test_certain_z_everywhere(self):
         cfg = gd.GadgetConfig.t_state(3, r=1)
@@ -82,11 +89,11 @@ class TestSampleFaults:
         is_z = np.array([ev.rate == "z" for ev in nz.fault_events(gd.build_circuit(cfg))])
         rng = np.random.default_rng(4)
         for size in (1, 7, nz._BLOCK):
-            rows, fired = nz._sample_fires(cfg, nz.NoiseParams(p_x=0.0, p_z=1.0, p_zz=0.0), rng, size)
-            assert np.array_equal(rows, np.arange(size))
-            assert np.array_equal(fired, np.broadcast_to(is_z, fired.shape))
-            rows, fired = nz._sample_fires(cfg, nz.NoiseParams(p_x=0.3, p_z=1.0, p_zz=0.2), rng, size)
-            assert np.array_equal(rows, np.arange(size)) and fired[:, is_z].all()
+            trial, event = nz._sample_fires(cfg, nz.NoiseParams(p_x=0.0, p_z=1.0, p_zz=0.0), rng, size)
+            assert np.array_equal(trial, np.arange(size).repeat(is_z.sum()))
+            assert np.array_equal(event, np.tile(np.flatnonzero(is_z), size))
+            cells = nz._sample_fires(cfg, nz.NoiseParams(p_x=0.3, p_z=1.0, p_zz=0.2), rng, size)
+            assert fired_matrix(cfg, cells, size)[:, is_z].all()
 
     def test_zero_p_x_fires_no_x_event(self):
         cfg = gd.GadgetConfig.t_state(3, r=1)
@@ -94,8 +101,8 @@ class TestSampleFaults:
         params = nz.NoiseParams(p_x=0.0, p_z=0.2, p_zz=0.2)
         rng = np.random.default_rng(6)
         for _ in range(20):
-            rows, fired = nz._sample_fires(cfg, params, rng, nz._BLOCK)
-            assert len(rows) > 0 and not fired[:, is_x].any() and fired[:, ~is_x].any()
+            fired = fired_matrix(cfg, nz._sample_fires(cfg, params, rng, nz._BLOCK), nz._BLOCK)
+            assert not fired[:, is_x].any() and fired[:, ~is_x].any()
 
     def test_mean_z_count_5sigma(self):
         # 43 single-Z opportunities in the r=1 circuit at p_z = 1e-3
@@ -105,7 +112,7 @@ class TestSampleFaults:
         assert n_z == 43
         rng = np.random.default_rng(123)
         blocks = 50
-        total = sum(int(nz._sample_fires(cfg, params, rng, nz._BLOCK)[1].sum()) for _ in range(blocks))
+        total = sum(len(nz._sample_fires(cfg, params, rng, nz._BLOCK)[1]) for _ in range(blocks))
         trials = blocks * nz._BLOCK
         mean = total / trials
         expect = n_z * 1e-3
@@ -127,8 +134,10 @@ class TestSampleFaults:
         fires = np.zeros(len(events), dtype=np.int64)
         same = cross = 0
         for _ in range(blocks):
-            rows, fired = nz._sample_fires(cfg, params, rng, nz._BLOCK)
-            assert np.all(np.diff(rows) > 0) and fired.any(axis=1).all()
+            trial, event = nz._sample_fires(cfg, params, rng, nz._BLOCK)
+            # cells come sorted by trial, then event, each at most once
+            assert np.all(np.diff(trial * len(events) + event) > 0)
+            fired = fired_matrix(cfg, (trial, event), nz._BLOCK)
             fires += fired.sum(axis=0)
             same += int((fired[:, z_a] & fired[:, z_b]).sum())
             cross += int((fired[:, z_a] & fired[:, x_a]).sum())
@@ -147,20 +156,21 @@ class TestSampleFaults:
 
 
 def test_event_frames_combine_by_xor():
-    # a fault list's frame is the sum mod 2 of its events' frame rows, so
-    # Z_a Z_b and ZZ on one gate cancel, and Y on the ancilla is X times Z
+    # a fault list's frame code is the XOR of its events' codes, so Z_a Z_b
+    # and ZZ on one gate cancel, and Y on the ancilla is X times Z
     cfg = gd.GadgetConfig.t_state(3, r=1)
     circ = gd.build_circuit(cfg)
     events = nz.fault_events(circ)
     frames = nz._event_frames(cfg)
     gate = next(t for t, loc in enumerate(circ.locations) if loc.kind is gd.LocationKind.CPHASE)
     z_a, z_b, _, x_b, zz = [i for i, ev in enumerate(events) if ev.location == gate]
-    assert not (frames[z_a] ^ frames[z_b] ^ frames[zz]).any()
+    assert frames.dtype == np.int64 and frames.shape == (len(events),)
+    assert frames[z_a] ^ frames[z_b] ^ frames[zz] == 0
     anc = circ.locations[gate].qubits[1]
     y_anc = gd.fault_frame(cfg, [(gate, PauliString(xs=1 << anc, zs=1 << anc))])
-    assert np.array_equal(frames[x_b] ^ frames[z_b], y_anc)
+    assert frames[x_b] ^ frames[z_b] == y_anc
     # X on the ancilla reaches the later block-1 CPHASEs of its round
-    assert frames[x_b].any() and frames[z_b].any() and not np.array_equal(frames[x_b], y_anc)
+    assert frames[x_b] and frames[z_b] and frames[x_b] != y_anc
 
 
 class TestEnumerate:
@@ -318,8 +328,19 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             nz._resolve_threads(-3)
         cfg = gd.GadgetConfig.t_state(3, r=1)
+        params = nz.NoiseParams.from_bias(1e-3, 100)
         with pytest.raises(ValueError):
-            nz.estimate_rates_mc(cfg, nz.NoiseParams.from_bias(1e-3, 100), trials=100, seed=0, threads=-3)
+            nz.estimate_rates_mc(cfg, params, trials=100, seed=0, threads=-3)
+        # non-integer trials, seeds and thread counts are refused before any trial runs
+        for name, kwargs in (
+            ("seed", dict(trials=100, seed=1.5)),
+            ("trials", dict(trials=100.0, seed=0)),
+            ("threads", dict(trials=100, seed=0, threads=1.5)),
+        ):
+            with pytest.raises(ValueError, match=name):
+                nz.estimate_rates_mc(cfg, params, **kwargs)
+        est = nz.estimate_rates_mc(cfg, params, trials=np.int64(100), seed=np.uint64(1), threads=np.int32(1))
+        assert est.trials_or_order == 100
 
     def test_mc_agrees_with_enumeration(self):
         cfg = gd.GadgetConfig.t_state(3, r=1)
@@ -363,7 +384,7 @@ class _Draws:
 
 def _per_trial_counts(cfg, params, seed, trials):
     """Monte Carlo counts one trial at a time.  Each block draws its fired
-    events with noise._sample_fires and then its arrays from
+    (trial, event) cells with noise._sample_fires and then its arrays from
     default_rng([seed, block]) in _mc_counts' order; a clean trial takes the
     next clean draw, and a faulted one calls gadget.run on its fired events'
     (location, Pauli) pairs with its row of readout draws."""
@@ -373,16 +394,17 @@ def _per_trial_counts(cfg, params, seed, trials):
     for start in range(0, trials, nz._BLOCK):
         rng = np.random.default_rng([seed, start // nz._BLOCK])
         size = min(nz._BLOCK, trials - start)
-        rows, fired = nz._sample_fires(cfg, params, rng, size)
-        faulted = dict(zip(rows.tolist(), fired))
-        clean = iter(rng.random(size - len(rows)))
-        readouts = iter(rng.random((len(rows), cfg.num_measurements)))
+        faulted = {}
+        for t, e in zip(*(cells.tolist() for cells in nz._sample_fires(cfg, params, rng, size))):
+            faulted.setdefault(t, []).append(events[e])
+        clean = iter(rng.random(size - len(faulted)))
+        readouts = iter(rng.random((len(faulted), cfg.num_measurements)))
         for t in range(size):
             if t not in faulted:
                 leaf = int(np.searchsorted(cum, next(clean) * cum[-1]))
                 counts[leaf_bins[min(leaf, len(leaf_bins) - 1)]] += 1
                 continue
-            faults = [(ev.location, ev.pauli) for ev, f in zip(events, faulted[t]) if f]
+            faults = [(ev.location, ev.pauli) for ev in faulted[t]]
             counts[gd.run(cfg, faults=faults, rng=_Draws(next(readouts))).bin] += 1
     return counts
 
@@ -443,7 +465,5 @@ def binomial_ci(mc_rate: float, en_rate: float, n: int) -> float:
 def sampled_faults(cfg, params, rng):
     """One trial's draw of every fault event of ``cfg``'s circuit: the fired
     events' (location, Pauli) pairs."""
-    rows, fired = nz._sample_fires(cfg, params, rng, 1)
-    if not len(rows):
-        return ()
-    return tuple((ev.location, ev.pauli) for ev, f in zip(nz.fault_events(gd.build_circuit(cfg)), fired[0]) if f)
+    events = nz.fault_events(gd.build_circuit(cfg))
+    return tuple((events[e].location, events[e].pauli) for e in nz._sample_fires(cfg, params, rng, 1)[1].tolist())
