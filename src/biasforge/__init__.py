@@ -6,9 +6,11 @@ Layers, bottom up:
                 X-readout split) and the PauliString type.
 * ``gadget``    the repetition-code magic-state preparation circuit, its
                 noiseless branch table from one exact state-vector
-                execution, faulted enumeration and sampled runs read from
-                that table through Pauli frames, classical decoding, and
-                output classes read from one Pauli class table per config.
+                execution, and one batch path over it: faulted enumeration
+                (``enumerate_branches``) or sampled runs
+                (``sample_branches``) read through Pauli frames, then
+                ``outcome_bins``, which decodes the records and reads one
+                Pauli class table per config.
 * ``noise``     biased Pauli fault model: exhaustive low-order fault
                 enumeration and block Monte Carlo over the gadget.
 * ``bounds``    closed-form logical error bounds at one noise point.
@@ -24,12 +26,8 @@ from .statevec import PauliString  # noqa: F401
 from .gadget import (  # noqa: F401
     Circuit,
     GadgetConfig,
-    GadgetOutcome,
     LogicalClass,
-    Target,
     accept_probability_exact,
     build_circuit,
-    decode,
     enumerate_branches,
-    run,
 )

@@ -76,8 +76,7 @@ Under a frame that flips readouts f, that is the noiseless probability
 that readout m equals +1 xor f_m given that the earlier noiseless
 readouts equal the faulted ones xor f, a ratio of two prefix
 probabilities of the table.  ``sample_branches`` walks the table this way
-for many runs at once, each with its own frame and draws; ``run`` is one
-such walk.
+for many runs at once, each with its own frame and draws.
 """
 
 from __future__ import annotations
@@ -101,19 +100,9 @@ class ConfigError(ValueError):
     """Invalid gadget configuration."""
 
 
-class RecordError(ValueError):
-    """Measurement record does not match the circuit layout."""
-
-
 class FrameError(ValueError):
     """A fault's X part would reach a non-Clifford CZ(theta) gate, so it has
     no Pauli frame and no engine runs it."""
-
-
-class Target(enum.Enum):
-    PLUS_I = "plusI"
-    T = "T"
-    CUSTOM = "custom"
 
 
 class LocationKind(enum.Enum):
@@ -128,7 +117,6 @@ class LogicalClass(enum.Enum):
     XL = "XL"
     ZL = "ZL"
     YL = "YL"
-    REJECTED = "rejected"
 
 
 @dataclass(frozen=True)
@@ -139,6 +127,14 @@ class GadgetConfig:
     r_zz: int
 
     def __post_init__(self):
+        import operator
+
+        for name in ("n", "r_z", "r_zz"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ConfigError(f"{name}={value!r} must be an integer") from None
         if self.n < 1 or self.n % 2 == 0:
             raise ConfigError(f"code length n={self.n} must be odd and >= 1")
         if self.n > SIM_MAX_N:
@@ -165,16 +161,6 @@ class GadgetConfig:
         return cls(n=n, theta=theta, r_z=r, r_zz=r if r_zz is None else r_zz)
 
     @property
-    def target(self) -> Target:
-        """The state theta names: T at pi/4, plusI at pi/2, else custom.
-        Derived, so the config is hashed on plain numbers alone."""
-        if math.isclose(self.theta, math.pi / 4):
-            return Target.T
-        if math.isclose(self.theta, math.pi / 2):
-            return Target.PLUS_I
-        return Target.CUSTOM
-
-    @property
     def num_measurements(self) -> int:
         return self.r_z + self.r_zz + 2 * self.n
 
@@ -196,7 +182,6 @@ class Circuit:
     r_z: int
     r_zz: int
     locations: tuple[Location, ...]
-    block_map: dict[int, str]  # qubit id -> "block1"/"block2"/"block3"/"ancilla<k>"
 
     @property
     def num_locations(self) -> int:
@@ -219,25 +204,18 @@ def block3_qubits(n: int) -> range:
 def build_circuit(cfg: GadgetConfig) -> Circuit:
     n, r_z, r_zz = cfg.n, cfg.r_z, cfg.r_zz
     locs: list[Location] = []
-    block_map: dict[int, str] = {}
 
     def add(kind, qubits):
         locs.append(Location(kind=kind, qubits=tuple(qubits)))
 
     for q in block1_qubits(n):
-        block_map[q] = "block1"
         add(LocationKind.PREP_X, (q,))
     for q in block2_qubits(n):
-        block_map[q] = "block2"
         add(LocationKind.PREP_X, (q,))
     for i in range(n):
         add(LocationKind.CZ_THETA, (i, n + i))
 
-    next_ancilla = 3 * n
-    for _ in range(r_z):
-        anc = next_ancilla
-        next_ancilla += 1
-        block_map[anc] = f"ancilla{anc - 3 * n}"
+    for anc in range(3 * n, 3 * n + r_z):
         add(LocationKind.PREP_X, (anc,))
         for q in block1_qubits(n):
             add(LocationKind.CPHASE, (q, anc))
@@ -246,13 +224,9 @@ def build_circuit(cfg: GadgetConfig) -> Circuit:
     for q in block1_qubits(n):
         add(LocationKind.MEAS_X, (q,))
     for q in block3_qubits(n):
-        block_map[q] = "block3"
         add(LocationKind.PREP_X, (q,))
 
-    for _ in range(r_zz):
-        anc = next_ancilla
-        next_ancilla += 1
-        block_map[anc] = f"ancilla{anc - 3 * n}"
+    for anc in range(3 * n + r_z, 3 * n + r_z + r_zz):
         add(LocationKind.PREP_X, (anc,))
         for q in block2_qubits(n):
             add(LocationKind.CPHASE, (q, anc))
@@ -265,7 +239,7 @@ def build_circuit(cfg: GadgetConfig) -> Circuit:
 
     expected = 2 * n + n + r_z * (n + 2) + n + n + r_zz * (2 * n + 2) + n
     assert len(locs) == expected, (len(locs), expected)
-    return Circuit(n=n, r_z=r_z, r_zz=r_zz, locations=tuple(locs), block_map=block_map)
+    return Circuit(n=n, r_z=r_z, r_zz=r_zz, locations=tuple(locs))
 
 
 # ---------------------------------------------------------------------------
@@ -546,8 +520,8 @@ def sample_branches(cfg: GadgetConfig, frames: np.ndarray, uniforms: np.ndarray)
 
 # ---------------------------------------------------------------------------
 # Targets, the Pauli spectrum, correction and class tables, decoding.  The
-# batch functions (_decode_records, outcome_bins) hold the decoding rule and
-# read the class table; decode wraps them for one record.
+# batch functions _decode_records and outcome_bins hold the decoding rule
+# and read the class table; a single record is decoded as a one-row batch.
 
 
 def target_state(cfg: GadgetConfig) -> np.ndarray:
@@ -727,108 +701,6 @@ def outcome_bins(cfg: GadgetConfig, branches: Branches) -> np.ndarray:
     state, table = _class_table(cfg)
     bins = table[state[branches.rows], _logical_masks(cfg.n)[corrections] ^ branches.paulis]
     return np.where(corrections >= 0, bins, BIN_REJECTED)
-
-
-@dataclass
-class GadgetOutcome:
-    accepted: bool
-    b: int
-    zl_parity: int
-    block1_x: tuple[int, ...]
-    block2_x: tuple[int, ...]
-    correction: PauliString | None
-    logical_class: LogicalClass
-    output_state: np.ndarray | None = None
-    anomaly: bool = False
-    probability: float | None = None
-
-    @property
-    def bin(self) -> int:
-        """The outcome bin (see outcome_bins)."""
-        if not self.accepted:
-            return BIN_REJECTED
-        return BIN_ANOMALY if self.anomaly else _CLASS_ORDER.index(self.logical_class)
-
-
-def decode(cfg: GadgetConfig, raw_measurements) -> GadgetOutcome:
-    """Classical decoding of a complete measurement record.
-
-    Majority-votes the repeated parity readings, applies the block-1/2
-    correlation test, and looks up the block-3 correction; records whose
-    (parity, b, alpha) key is not correctable are rejected.
-    """
-    record = tuple(raw_measurements)
-    if len(record) != cfg.num_measurements:
-        raise RecordError(f"record length {len(record)} != {cfg.num_measurements}")
-    if any(v not in (+1, -1) for v in record):
-        raise RecordError("record entries must be +1 or -1")
-    zl_bit, b, corrections = _decode_records(cfg, np.array([record], dtype=np.int8))
-    return _outcome(cfg, record, zl_bit[0], b[0], corrections[0])
-
-
-def _outcome(cfg: GadgetConfig, record: tuple[int, ...], zl_bit, b, correction) -> GadgetOutcome:
-    """The decoded outcome of one record whose correction index (into
-    _CLASS_ORDER, -1 when rejected) is known."""
-    accepted = bool(correction >= 0)
-    pauli = None
-    if accepted:
-        local = _logical_paulis(cfg.n)[_CLASS_ORDER[correction]]
-        offset = 2 * cfg.n
-        pauli = PauliString(xs=local.xs << offset, zs=local.zs << offset)
-    n, r_z, r_zz = cfg.n, cfg.r_z, cfg.r_zz
-    return GadgetOutcome(
-        accepted=accepted,
-        b=int(b),
-        zl_parity=int(zl_bit),
-        block1_x=record[r_z : r_z + n],
-        block2_x=record[r_z + n + r_zz :],
-        correction=pauli,
-        logical_class=LogicalClass.I if accepted else LogicalClass.REJECTED,
-    )
-
-
-def run(
-    cfg: GadgetConfig,
-    faults=(),
-    forced_outcomes=None,
-    rng: np.random.Generator | None = None,
-) -> GadgetOutcome:
-    """Execute one (possibly faulty) pass of the gadget of ``cfg`` and
-    decode it.
-
-    The run is one walk of :func:`sample_branches` under the Pauli frame of
-    ``faults``, an iterable of (location index, PauliString) pairs on
-    ``build_circuit(cfg)``; a fault whose X part would reach a CZ(theta)
-    raises FrameError.
-    ``forced_outcomes`` may fix any subset of the measurement outcomes
-    (entries of +1/-1, with None meaning "sample"); forcing an outcome of
-    zero branch probability raises BranchError.  Each sampled readout draws
-    exactly one ``rng.random()``, in measurement order, so a seeded
-    generator replays the same run.  ``output_state`` on the returned
-    outcome is the raw block-3 state; applying ``correction`` maps it to
-    the target on accepted noiseless runs; an anomaly is booked ZL.
-    """
-    n_meas = cfg.num_measurements
-    forced = [None] * n_meas if forced_outcomes is None else list(forced_outcomes)
-    if len(forced) != n_meas:
-        raise RecordError(f"forced outcome list has length {len(forced)}, expected {n_meas}")
-    if any(v not in (None, +1, -1) for v in forced):
-        raise RecordError("forced outcomes must be +1, -1 or None")
-    sampler = rng if rng is not None else np.random.default_rng()
-    # a draw below 0 forces +1, one above 1 forces -1
-    uniforms = np.array([{None: 0.0, +1: -1.0, -1: 2.0}[v] for v in forced])
-    free = [m for m, v in enumerate(forced) if v is None]
-    uniforms[free] = sampler.random(len(free))
-    branches = sample_branches(cfg, np.array([fault_frame(cfg, faults)]), uniforms[None])
-    zl_bit, b, corrections = _decode_records(cfg, branches.records)
-    outcome = _outcome(cfg, tuple(branches.records[0].tolist()), zl_bit[0], b[0], corrections[0])
-    outcome.probability = float(branches.probabilities[0])
-    if outcome.accepted:
-        outcome.output_state = branches.states[0]
-        got = int(outcome_bins(cfg, branches)[0])
-        outcome.anomaly = got == BIN_ANOMALY
-        outcome.logical_class = _CLASS_ORDER[BIN_ZL if outcome.anomaly else got]
-    return outcome
 
 
 def accept_probability_exact(n: int) -> Fraction:

@@ -352,8 +352,9 @@ def _mc_counts(cfg, params, seed, trial_range) -> np.ndarray:
         size = min(_BLOCK, trial_range.stop - start)
         trial, event = _sample_fires(cfg, params, rng, size)
         starts = np.flatnonzero(np.diff(trial, prepend=-1))  # each faulted trial's first cell
-        # noiseless trials: sample a branch from the exact pool
-        draw = rng.random(size - len(starts))
+        # noiseless trials: sample a branch from the exact pool; only the
+        # bincount is kept, so the draws are searched in sorted order
+        draw = np.sort(rng.random(size - len(starts)))
         leaf = np.minimum(np.searchsorted(cum, draw * cum[-1]), len(leaf_bins) - 1)
         counts += np.bincount(leaf_bins[leaf], minlength=gd.N_BINS)
         if len(starts):

@@ -32,9 +32,12 @@ def apply_pauli(states: np.ndarray, n: int, pauli: PauliString) -> np.ndarray:
     return states[..., source] * phase
 
 
-def local(correction: PauliString, n: int) -> PauliString:
-    """A block-3 correction on global qubit ids, moved to local ids."""
-    return PauliString(correction.xs >> 2 * n, correction.zs >> 2 * n)
+def corrections(cfg: gd.GadgetConfig, records) -> list[PauliString | None]:
+    """The decoder's block-3 correction (local qubit ids 0..n-1) of each
+    +/-1 record, None where the record is rejected."""
+    found = gd._decode_records(cfg, np.asarray(records, dtype=np.int8))[2]
+    logical = gd._logical_paulis(cfg.n)
+    return [logical[CLASS_ORDER[c]] if c >= 0 else None for c in found.tolist()]
 
 
 @functools.lru_cache(maxsize=None)
@@ -70,9 +73,9 @@ def outcome_bins(states: np.ndarray, cfg: gd.GadgetConfig) -> np.ndarray:
 
 def classify(state: np.ndarray, correction: PauliString | None, cfg: gd.GadgetConfig):
     """(class, fidelity, anomaly) of one accepted output under its
-    correction (global qubit ids on block 3, or None)."""
+    correction (local qubit ids on block 3, or None)."""
     state = np.asarray(state, dtype=np.complex128)
     if correction is not None:
-        state = apply_pauli(state, cfg.n, local(correction, cfg.n))
+        state = apply_pauli(state, cfg.n, correction)
     cls, fid, anomaly = classify_states(state[None], cfg)
     return CLASS_ORDER[cls[0]], float(fid[0]), bool(anomaly[0])

@@ -16,7 +16,7 @@ from biasforge import bounds as bd
 from biasforge import distill as dst
 from biasforge import gadget as gd
 from biasforge import noise as nz
-from classify_oracle import apply_pauli, classify, local, state_fidelity
+from classify_oracle import apply_pauli, classify, corrections, state_fidelity
 
 Z95 = 1.959963984540054
 
@@ -30,7 +30,7 @@ def _count_fraction(n: int, r: int = 1) -> Fraction:
     cfg = gd.GadgetConfig.t_state(n, r=r)
     branches = gd.enumerate_branches(cfg)
     assert abs(sum(b.probability for b in branches) - 1.0) < 1e-9
-    accepted = sum(1 for b in branches if gd.decode(cfg, b.record).accepted)
+    accepted = sum(c is not None for c in corrections(cfg, branches.records))
     return Fraction(accepted, len(branches))
 
 
@@ -51,14 +51,14 @@ def test_criterion_2_ideal_correctness():
         for r in (1, 3):
             cfg = make(3, r=r)
             target = gd.target_state(cfg)
-            for branch in gd.enumerate_branches(cfg):
-                outcome = gd.decode(cfg, branch.record)
-                if not outcome.accepted:
-                    assert cfg.target is gd.Target.T
+            branches = gd.enumerate_branches(cfg)
+            for branch, correction in zip(branches, corrections(cfg, branches.records)):
+                if correction is None:
+                    assert cfg.theta == math.pi / 4  # only T rejects noiseless records
                     continue
-                corrected = apply_pauli(branch.state, 3, local(outcome.correction, 3))
+                corrected = apply_pauli(branch.state, 3, correction)
                 fid = state_fidelity(corrected, target)
-                assert fid >= 1 - 1e-8, (cfg.target, r, branch.record, fid)
+                assert fid >= 1 - 1e-8, (cfg.theta, r, branch.record, fid)
                 checked += 1
     assert checked > 100
     _elapsed_guard(t0, 30, "criterion 2")
@@ -72,11 +72,11 @@ def test_criterion_3_fault_distance_properties():
     events = nz.fault_events(circuit)
     masses = {"z": {}, "x": {}, "zz": {}}
     for ev in events:
-        for branch in gd.enumerate_branches(cfg, faults=[(ev.location, ev.pauli)]):
-            outcome = gd.decode(cfg, branch.record)
-            if not outcome.accepted:
+        branches = gd.enumerate_branches(cfg, faults=[(ev.location, ev.pauli)])
+        for branch, correction in zip(branches, corrections(cfg, branches.records)):
+            if correction is None:
                 continue
-            cls, _, _ = classify(branch.state, outcome.correction, cfg)
+            cls, _, _ = classify(branch.state, correction, cfg)
             bucket = masses[ev.rate]
             bucket[cls] = bucket.get(cls, 0.0) + branch.probability
     bad_z = {c: m for c, m in masses["z"].items() if c is not gd.LogicalClass.I}

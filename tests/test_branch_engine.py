@@ -9,8 +9,9 @@
   engine, replays every enumerated branch of random fault subsets, drawn
   from the fault events and from Z faults on idle live qubits.
 * Faulted enumeration and sampled runs both read the noiseless branches
-  through Pauli frames; every enumerated branch is replayed by ``run``
-  with its record forced.
+  through Pauli frames; every enumerated branch is replayed by
+  ``sample_branches`` with its record forced, and checked against the
+  dense reference.
 * ``golden/enumerated_masses.json`` holds a SHA-256 of the rate, subset
   and mass arrays of ``noise._enumerated_combos``, recorded with one
   ``outcome_bins`` call per fault subset; classifying once per Pauli frame
@@ -30,6 +31,7 @@ import dataclasses
 import hashlib
 import inspect
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +42,7 @@ from hypothesis import strategies as st
 from biasforge import gadget as gd
 from biasforge import noise as nz
 from biasforge.statevec import PauliString
-from classify_oracle import apply_pauli, classify
+from classify_oracle import CLASS_ORDER, apply_pauli, classify, corrections
 from classify_oracle import outcome_bins as oracle_bins
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "enumerate_grid.json").read_text())
@@ -190,16 +192,21 @@ def test_enumerate_branches_matches_dense_reference(case):
 
 @given(_faulted_gadget())
 def test_frame_branches_match_state_vector_runs(case):
-    # run() walks the branch tree under the frame; forcing an enumerated
-    # record must reach that branch, with its probability, state and bin
+    # sample_branches walks the branch tree under the frame; forcing each
+    # enumerated record (a draw of -1.0 forces +1, one of 2.0 forces -1)
+    # must reach that branch, with its probability, state and bin
     cfg, circuit, faults = case
     branches = gd.enumerate_branches(cfg, faults=faults)
-    for branch, got in zip(branches, gd.outcome_bins(cfg, branches)):
-        outcome = gd.run(cfg, faults=faults, forced_outcomes=branch.record)
-        assert outcome.probability == branch.probability
-        assert outcome.bin == got
-        if outcome.accepted:
-            assert np.array_equal(outcome.output_state, branch.state)
+    frames = np.full(len(branches), gd.fault_frame(cfg, faults))
+    runs = gd.sample_branches(cfg, frames, np.where(branches.records > 0, -1.0, 2.0))
+    assert np.array_equal(runs.records, branches.records)
+    assert np.array_equal(runs.probabilities, branches.probabilities)
+    assert np.array_equal(gd.outcome_bins(cfg, runs), gd.outcome_bins(cfg, branches))
+    assert np.array_equal(runs.states, branches.states)
+    for run in runs:
+        prob, state = _dense_branch(cfg, circuit, faults, run.record)
+        assert run.probability == pytest.approx(prob, rel=1e-9, abs=1e-14)
+        assert abs(np.vdot(state, run.state)) == pytest.approx(1.0, abs=1e-9)
 
 
 @given(_faulted_gadget(), st.integers(0, 2**32 - 1))
@@ -239,8 +246,9 @@ def test_fault_on_a_qubit_not_live_is_refused():
     faults = [(0, gd.PauliString.z_on([2 * cfg.n]))]  # block 3 is prepared after block 1 is read
     with pytest.raises(KeyError):
         gd.enumerate_branches(cfg, faults=faults)
+    # sampled runs take their frame codes from fault_frame, which refuses it too
     with pytest.raises(KeyError):
-        gd.run(cfg, faults=faults, rng=np.random.default_rng(0))
+        gd.fault_frame(cfg, faults)
 
 
 def test_x_fault_before_cz_theta_has_no_frame():
@@ -252,7 +260,7 @@ def test_x_fault_before_cz_theta_has_no_frame():
         gd.enumerate_branches(cfg, faults=faults)
     # sampled runs read the same frames, so they refuse it too
     with pytest.raises(gd.FrameError):
-        gd.run(cfg, faults=faults, rng=np.random.default_rng(0))
+        gd.fault_frame(cfg, faults)
 
 
 def test_large_stacks_advance_in_halves(monkeypatch):
@@ -295,6 +303,7 @@ def test_noiseless_table_matches_golden_digests(case):
     assert {name: _digest(array) for name, array in arrays.items()} == case["arrays"]
 
 
+_THETA_NAMES = {math.pi / 4: "T", math.pi / 2: "plusI"}
 _ORACLE_CASES = [  # (config, distinct noiseless block-3 states, sampled pairs or None for all)
     *((gd.GadgetConfig.t_state(n), {3: 8, 5: 12}[n], None) for n in (3, 5)),
     *((gd.GadgetConfig.plus_i(n), 2, None) for n in (3, 5)),
@@ -304,7 +313,9 @@ _ORACLE_CASES = [  # (config, distinct noiseless block-3 states, sampled pairs o
 
 
 @pytest.mark.parametrize(
-    "cfg, distinct, sampled", _ORACLE_CASES, ids=[f"{cfg.target.value}-n{cfg.n}" for cfg, _, _ in _ORACLE_CASES]
+    "cfg, distinct, sampled",
+    _ORACLE_CASES,
+    ids=[f"{_THETA_NAMES.get(cfg.theta, 'custom')}-n{cfg.n}" for cfg, _, _ in _ORACLE_CASES],
 )
 def test_class_table_matches_the_oracle(cfg, distinct, sampled):
     # the table's bin at every (noiseless row, q), or at a seeded sample of
@@ -375,12 +386,11 @@ def test_outcome_bins_agree_with_scalar_decoding():
     ]
     branches = gd.enumerate_branches(cfg, faults=faults)
     bins = gd.outcome_bins(cfg, branches)
-    order = [gd.LogicalClass.I, gd.LogicalClass.XL, gd.LogicalClass.ZL, gd.LogicalClass.YL]
     for branch, got in zip(branches, bins):
-        outcome = gd.decode(cfg, branch.record)
-        if not outcome.accepted:
+        [correction] = corrections(cfg, [branch.record])  # one record at a time
+        if correction is None:
             assert got == gd.BIN_REJECTED
             continue
-        cls, _, anomaly = classify(branch.state, outcome.correction, cfg)
-        assert got == (gd.BIN_ANOMALY if anomaly else order.index(cls))
+        cls, _, anomaly = classify(branch.state, correction, cfg)
+        assert got == (gd.BIN_ANOMALY if anomaly else CLASS_ORDER.index(cls))
     assert len(set(bins.tolist())) > 2

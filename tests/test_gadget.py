@@ -7,18 +7,18 @@ import pytest
 from biasforge import gadget as gd
 from biasforge import statevec as sv
 from biasforge.statevec import PauliString
-from classify_oracle import apply_pauli, classify, local, state_fidelity
+from classify_oracle import apply_pauli, classify, corrections, state_fidelity
 
 
 def branch_masses(cfg, faults=()):
     """(accepted mass, rejected mass, {class: mass}) over all branches."""
     acc = rej = 0.0
     classes = {}
-    for b in gd.enumerate_branches(cfg, faults=faults):
-        o = gd.decode(cfg, b.record)
-        if o.accepted:
+    branches = gd.enumerate_branches(cfg, faults=faults)
+    for b, correction in zip(branches, corrections(cfg, branches.records)):
+        if correction is not None:
             acc += b.probability
-            cls, _, _ = classify(b.state, o.correction, cfg)
+            cls, _, _ = classify(b.state, correction, cfg)
             classes[cls] = classes.get(cls, 0.0) + b.probability
         else:
             rej += b.probability
@@ -50,15 +50,20 @@ class TestConfig:
         with pytest.raises(gd.ConfigError, match="FRAME_BITS"):
             gd.GadgetConfig.t_state(7, r=19)
 
-    def test_target_theta_coupling(self):
-        cfg = gd.GadgetConfig.custom(3, 0.3)
-        assert cfg.target is gd.Target.CUSTOM
+    def test_sizes_must_be_integers(self):
+        # a float size would build a config that build_circuit cannot use
+        sizes = {"n": 3, "r_z": 1, "r_zz": 1}
+        for name in sizes:
+            for bad in (1.5, 3.0):
+                with pytest.raises(gd.ConfigError, match=f"^{name}="):
+                    gd.GadgetConfig(theta=math.pi / 4, **{**sizes, name: bad})
+        cfg = gd.GadgetConfig(n=np.int64(3), theta=math.pi / 4, r_z=np.int64(1), r_zz=1)
+        assert cfg == gd.GadgetConfig.t_state(3) and type(cfg.n) is type(cfg.r_z) is int
+        assert gd.build_circuit(cfg).num_locations == 31
 
     def test_custom_named_angle_is_the_named_config(self):
         custom, named = gd.GadgetConfig.custom(3, math.pi / 4), gd.GadgetConfig.t_state(3)
         assert custom == named and hash(custom) == hash(named)
-        assert custom.target is named.target is gd.Target.T
-        assert gd.GadgetConfig.custom(3, math.pi / 2).target is gd.Target.PLUS_I
         misses = gd._noiseless_table.cache_info().misses
         assert gd._noiseless_table(custom) is gd._noiseless_table(named)
         assert gd._noiseless_table.cache_info().misses - misses <= 1
@@ -86,7 +91,7 @@ class TestBuildCircuit:
         for t, loc in enumerate(circ.locations):
             if loc.kind is gd.LocationKind.CPHASE:
                 last_gate[loc.qubits[1]] = t
-            elif loc.kind is gd.LocationKind.MEAS_X and circ.block_map[loc.qubits[0]].startswith("ancilla"):
+            elif loc.kind is gd.LocationKind.MEAS_X and loc.qubits[0] >= 3 * circ.n:  # an ancilla
                 measured_at[loc.qubits[0]] = t
         assert measured_at
         for anc, t_meas in measured_at.items():
@@ -101,9 +106,10 @@ class TestBuildCircuit:
                 prepped[loc.qubits[0]] = prepped.get(loc.qubits[0], 0) + 1
             if loc.kind is gd.LocationKind.MEAS_X:
                 measured[loc.qubits[0]] = measured.get(loc.qubits[0], 0) + 1
-        for q, name in circ.block_map.items():
+        assert sorted(prepped) == list(range(3 * 3 + 3 + 3))  # three blocks, then six ancillas
+        for q in prepped:
             assert prepped[q] == 1
-            if name == "block3":
+            if q in gd.block3_qubits(3):
                 assert q not in measured
             else:
                 assert measured[q] == 1
@@ -164,7 +170,7 @@ class TestNoiselessRuns:
             cfg = gd.GadgetConfig.t_state(n, r=r)
             branches = gd.enumerate_branches(cfg)
             assert abs(sum(b.probability for b in branches) - 1) < 1e-9
-            accepted = sum(1 for b in branches if gd.decode(cfg, b.record).accepted)
+            accepted = sum(c is not None for c in corrections(cfg, branches.records))
             assert Fraction(accepted, len(branches)) == gd.accept_probability_exact(n)
 
     def test_physical_acceptance_mass_t3(self):
@@ -180,48 +186,47 @@ class TestNoiselessRuns:
         cfg = gd.GadgetConfig.plus_i(3, r=3)
         target = gd.target_state(cfg)
         total = 0.0
-        for b in gd.enumerate_branches(cfg):
-            o = gd.decode(cfg, b.record)
-            assert o.accepted
-            corrected = apply_pauli(b.state, 3, gd._logical_paulis(3)[_cls_of(o.correction, 3)])
+        branches = gd.enumerate_branches(cfg)
+        for b, correction in zip(branches, corrections(cfg, branches.records)):
+            assert correction is not None
+            corrected = apply_pauli(b.state, 3, correction)
             assert state_fidelity(corrected, target) > 1 - 1e-8
             total += b.probability
         assert abs(total - 1) < 1e-9
 
     def test_t_accepted_branches_hit_target(self):
         cfg = gd.GadgetConfig.t_state(3, r=3)
-        for b in gd.enumerate_branches(cfg):
-            o = gd.decode(cfg, b.record)
-            if not o.accepted:
+        branches = gd.enumerate_branches(cfg)
+        for b, correction in zip(branches, corrections(cfg, branches.records)):
+            if correction is None:
                 continue
-            cls, fid, anomaly = classify(b.state, o.correction, cfg)
+            cls, fid, anomaly = classify(b.state, correction, cfg)
             assert cls is gd.LogicalClass.I and fid > 1 - 1e-8 and not anomaly
 
 
-def _cls_of(correction: PauliString, n: int) -> gd.LogicalClass:
-    local = PauliString(xs=correction.xs >> (2 * n), zs=correction.zs >> (2 * n))
-    for cls, p in gd._logical_paulis(n).items():
-        if p == local:
-            return cls
-    raise AssertionError("unknown correction")
+def _forced_draws(forced, draws):
+    """Readout draws of sampled runs with outcomes forced where ``forced``
+    holds +1 (a draw of -1.0) or -1 (a draw of 2.0), and ``draws`` where it
+    holds 0."""
+    forced = np.asarray(forced)
+    return np.where(forced == +1, -1.0, np.where(forced == -1, 2.0, draws))
 
 
 class TestRun:
+    # a run is one walk of sample_branches, here under the empty frame
+
     def test_noiseless_accepted_run_reaches_target(self):
         cfg = gd.GadgetConfig.t_state(3, r=3)
-        rng = np.random.default_rng(42)
-        seen_accept = False
-        for _ in range(12):
-            o = gd.run(cfg, rng=rng)
-            if o.accepted:
-                seen_accept = True
-                assert o.logical_class is gd.LogicalClass.I
-                assert classify(o.output_state, o.correction, cfg)[1] > 1 - 1e-8
-                assert o.correction is not None
+        uniforms = np.random.default_rng(42).random((12, cfg.num_measurements))
+        runs = gd.sample_branches(cfg, np.zeros(12, dtype=np.int64), uniforms)
+        found = corrections(cfg, runs.records)
+        for run, got, correction in zip(runs, gd.outcome_bins(cfg, runs), found):
+            if correction is None:
+                assert got == gd.BIN_REJECTED
             else:
-                assert o.logical_class is gd.LogicalClass.REJECTED
-                assert o.correction is None
-        assert seen_accept
+                assert got == 0  # class I
+                assert classify(run.state, correction, cfg)[1] > 1 - 1e-8
+        assert any(c is not None for c in found)
 
     def test_forced_all_plus_block2_rejected_for_t(self):
         # |alpha| = 3 violates n - |alpha| = |alpha| +/- 1: the wrong-angle
@@ -229,57 +234,57 @@ class TestRun:
         # (Block 1 must be forced to a correlation-compatible pattern or the
         # all-plus block-2 branch has zero probability.)
         cfg = gd.GadgetConfig.t_state(3)
-        forced = [None, +1, +1, +1, None, +1, +1, +1]
-        rng = np.random.default_rng(0)
-        for _ in range(6):
-            o = gd.run(cfg, forced_outcomes=forced, rng=rng)
-            assert not o.accepted
-            assert o.block2_x == (1, 1, 1)
-            assert o.logical_class is gd.LogicalClass.REJECTED
+        forced = [0, +1, +1, +1, 0, +1, +1, +1]
+        uniforms = _forced_draws(forced, np.random.default_rng(0).random((6, cfg.num_measurements)))
+        runs = gd.sample_branches(cfg, np.zeros(6, dtype=np.int64), uniforms)
+        assert np.all(runs.records[:, 5:] == 1)  # block 2
+        assert np.all(gd.outcome_bins(cfg, runs) == gd.BIN_REJECTED)
+        assert corrections(cfg, runs.records) == [None] * 6
 
     def test_forced_alpha_two_accepted_to_t(self):
         cfg = gd.GadgetConfig.t_state(3)
         target = gd.target_state(cfg)
         # force x = alpha = (+,+,-) on both blocks, parity readings free
-        forced = [None, +1, +1, -1, None, +1, +1, -1]
-        rng = np.random.default_rng(1)
-        for _ in range(4):
-            o = gd.run(cfg, forced_outcomes=forced, rng=rng)
-            assert o.accepted
-            corrected = apply_pauli(o.output_state, 3, local(o.correction, 3))
+        forced = [0, +1, +1, -1, 0, +1, +1, -1]
+        uniforms = _forced_draws(forced, np.random.default_rng(1).random((4, cfg.num_measurements)))
+        runs = gd.sample_branches(cfg, np.zeros(4, dtype=np.int64), uniforms)
+        for run, correction in zip(runs, corrections(cfg, runs.records)):
+            assert correction is not None
+            corrected = apply_pauli(run.state, 3, correction)
             assert state_fidelity(corrected, target) > 1 - 1e-8
 
     def test_forced_impossible_branch_raises(self):
         cfg = gd.GadgetConfig.t_state(3)
         # anticorrelating a single position between blocks 1 and 2 is a
         # zero-probability branch of the noiseless circuit
-        forced = [None, +1, +1, +1, None, -1, +1, +1]
+        forced = [0, +1, +1, +1, 0, -1, +1, +1]
+        uniforms = _forced_draws(forced, np.random.default_rng(2).random((4, cfg.num_measurements)))
         with pytest.raises(sv.BranchError):
-            for _ in range(4):
-                gd.run(cfg, forced_outcomes=forced, rng=np.random.default_rng(2))
+            gd.sample_branches(cfg, np.zeros(4, dtype=np.int64), uniforms)
 
-    def test_forced_length_checked(self):
-        cfg = gd.GadgetConfig.t_state(3)
-        with pytest.raises(gd.RecordError):
-            gd.run(cfg, forced_outcomes=[+1, +1])
+
+def _decode(cfg, record):
+    """(zl_bit, b, correction index into (I, XL, ZL, YL) or -1 if rejected)
+    of one record, decoded as a one-row batch."""
+    return tuple(int(a[0]) for a in gd._decode_records(cfg, np.array([record], dtype=np.int8)))
 
 
 class TestDecode:
     def test_reference_record_accepted(self):
         cfg = gd.GadgetConfig.plus_i(3, r=3)
         rec = [+1] * 3 + [+1, +1, +1] + [+1] * 3 + [+1, +1, +1]
-        o = gd.decode(cfg, rec)
-        assert o.accepted and o.b == 0 and o.zl_parity == 0
+        zl_bit, b, correction = _decode(cfg, rec)
+        assert correction >= 0 and b == 0 and zl_bit == 0
 
     def test_single_position_mismatch_rejected(self):
         cfg = gd.GadgetConfig.plus_i(3, r=3)
         rec = [+1] * 3 + [+1, +1, +1] + [+1] * 3 + [+1, -1, +1]
-        assert not gd.decode(cfg, rec).accepted
+        assert _decode(cfg, rec)[2] == -1
 
     def test_anticorrelated_accepted(self):
         cfg = gd.GadgetConfig.plus_i(3, r=3)
         rec = [+1] * 3 + [+1, -1, +1] + [+1] * 3 + [-1, +1, -1]
-        assert gd.decode(cfg, rec).accepted
+        assert _decode(cfg, rec)[2] >= 0
 
     def test_t_alpha_rule(self):
         cfg = gd.GadgetConfig.t_state(3, r=1)
@@ -290,18 +295,13 @@ class TestDecode:
             ((+1, +1, +1), False),
         ]:
             rec = [+1] + list(alpha_pattern) + [+1] + list(alpha_pattern)
-            assert gd.decode(cfg, rec).accepted is want
+            assert (_decode(cfg, rec)[2] >= 0) is want
 
     def test_majority_vote_tolerates_minority_flips(self):
         cfg = gd.GadgetConfig.plus_i(3, r=3)
         rec = [+1, -1, +1] + [+1, +1, +1] + [-1, +1, +1] + [+1, +1, +1]
-        o = gd.decode(cfg, rec)
-        assert o.accepted and o.zl_parity == 0 and o.b == 0
-
-    def test_record_length_mismatch(self):
-        cfg = gd.GadgetConfig.t_state(3, r=3)
-        with pytest.raises(gd.RecordError):
-            gd.decode(cfg, [+1] * 5)
+        zl_bit, b, correction = _decode(cfg, rec)
+        assert correction >= 0 and zl_bit == 0 and b == 0
 
 
 class TestFaultInjection:
@@ -352,7 +352,7 @@ class TestFaultInjection:
         prep3 = max(
             t
             for t, loc in enumerate(circ.locations)
-            if loc.kind is gd.LocationKind.PREP_X and circ.block_map[loc.qubits[0]] == "block3"
+            if loc.kind is gd.LocationKind.PREP_X and loc.qubits[0] in gd.block3_qubits(3)
         )
         acc, rej, classes = branch_masses(cfg, faults=[(prep3, PauliString.z_on([3, 4, 5]))])
         assert classes.get(gd.LogicalClass.ZL, 0.0) > 0.0
@@ -377,11 +377,11 @@ class TestClassify:
         cz0 = next(t for t, loc in enumerate(circ.locations) if loc.kind is gd.LocationKind.CZ_THETA)
         pair = circ.locations[cz0].qubits
         seen_band = False
-        for b in gd.enumerate_branches(cfg, faults=[(cz0, PauliString.z_on(pair))]):
-            o = gd.decode(cfg, b.record)
-            if not o.accepted:
+        branches = gd.enumerate_branches(cfg, faults=[(cz0, PauliString.z_on(pair))])
+        for b, correction in zip(branches, corrections(cfg, branches.records)):
+            if correction is None:
                 continue
-            cls, fid, anomaly = classify(b.state, o.correction, cfg)
+            cls, fid, anomaly = classify(b.state, correction, cfg)
             if fid <= 0.99:
                 assert cls is gd.LogicalClass.ZL and not anomaly and fid >= 0.5
                 seen_band = True

@@ -371,23 +371,13 @@ def test_trial_ranges_start_on_a_block():
         nz._mc_counts(cfg, nz.NoiseParams.from_bias(1e-3, 100), 1, range(5, 10))
 
 
-class _Draws:
-    """Stands in for a generator: random(k) returns the given k doubles."""
-
-    def __init__(self, row):
-        self.row = row
-
-    def random(self, k):
-        assert k == len(self.row)
-        return self.row
-
-
 def _per_trial_counts(cfg, params, seed, trials):
     """Monte Carlo counts one trial at a time.  Each block draws its fired
     (trial, event) cells with noise._sample_fires and then its arrays from
     default_rng([seed, block]) in _mc_counts' order; a clean trial takes the
-    next clean draw, and a faulted one calls gadget.run on its fired events'
-    (location, Pauli) pairs with its row of readout draws."""
+    next clean draw, and a faulted one is one sampled run under the frame of
+    its fired events' (location, Pauli) pairs, with its row of readout
+    draws, binned on its own."""
     events = nz.fault_events(gd.build_circuit(cfg))
     cum, leaf_bins = nz._noiseless_leaf_pool(cfg)
     counts = np.zeros(gd.N_BINS, dtype=np.int64)
@@ -404,8 +394,9 @@ def _per_trial_counts(cfg, params, seed, trials):
                 leaf = int(np.searchsorted(cum, next(clean) * cum[-1]))
                 counts[leaf_bins[min(leaf, len(leaf_bins) - 1)]] += 1
                 continue
-            faults = [(ev.location, ev.pauli) for ev in faulted[t]]
-            counts[gd.run(cfg, faults=faults, rng=_Draws(next(readouts))).bin] += 1
+            frame = gd.fault_frame(cfg, [(ev.location, ev.pauli) for ev in faulted[t]])
+            run = gd.sample_branches(cfg, np.array([frame]), next(readouts)[None])
+            counts[gd.outcome_bins(cfg, run)[0]] += 1
     return counts
 
 

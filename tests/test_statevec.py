@@ -258,11 +258,12 @@ class TestMeasureX:
         _, minus_part = split(plus(1), 0)
         assert mass(minus_part) == 0.0
         cfg = gd.GadgetConfig.t_state(3)
-        # anticorrelating one position of blocks 1 and 2 has probability 0
-        forced = [None, +1, +1, +1, None, -1, +1, +1]
+        # anticorrelating one position of blocks 1 and 2 has probability 0;
+        # a draw of -1.0 forces a readout to +1 and one of 2.0 forces -1
+        uniforms = np.where([1, 1, 1, 1, 1, 0, 1, 1], -1.0, 2.0)
+        uniforms[[0, 4]] = np.random.default_rng(2).random(2)  # parity readings sampled
         with pytest.raises(sv.BranchError):
-            for _ in range(4):
-                gd.run(cfg, forced_outcomes=forced, rng=np.random.default_rng(2))
+            gd.sample_branches(cfg, np.zeros(1, dtype=np.int64), uniforms[None])
 
     def test_post_state_renormalized(self):
         # each renormalized component, with qubit 1 put back in the observed
