@@ -7,8 +7,8 @@ Layers, bottom up:
 * ``gadget``    the repetition-code magic-state preparation circuit, its
                 noiseless branch table from one exact state-vector
                 execution, and one batch path over it: faulted enumeration
-                (``enumerate_branches``) or sampled runs
-                (``sample_branches``) read through Pauli frames, then
+                (``enumerate_branches``) or sampled rows
+                (``rows_under_frames``) read through Pauli frames, then
                 ``outcome_bins``, which decodes the records and reads one
                 Pauli class table per config.
 * ``noise``     biased Pauli fault model: exhaustive low-order fault

@@ -45,8 +45,7 @@ gate locations before a readout is one factor that grows and phases
 every row at once; a readout splits every row into its +1 and -1
 children, interleaved so rows stay in depth-first (+1 first) order, and
 keeps the children of conditional probability above 1e-12.  The result
-is the read-only noiseless branch table, with the probability of every
-row's record prefix.
+is the read-only noiseless branch table.
 
 Faults run no state vectors.  Every location a fault event meets after it
 fires is Clifford: Z parts commute with the diagonal gates, and the X
@@ -70,13 +69,11 @@ at n = 3, 5 and 7; 2 for +i).  Their Pauli spectra against the target,
 maximized over correctable Z patterns, give one int8 table of outcome bins
 per config, and classifying a branch is one lookup (:func:`_class_table`).
 
-Sampling: a run draws one uniform per readout and reads +1 when the draw
-is below the conditional probability of +1 given its earlier readouts.
-Under a frame that flips readouts f, that is the noiseless probability
-that readout m equals +1 xor f_m given that the earlier noiseless
-readouts equal the faulted ones xor f, a ratio of two prefix
-probabilities of the table.  ``sample_branches`` walks the table this way
-for many runs at once, each with its own frame and draws.
+Sampling: a faulted run's record is a noiseless row's record under its
+frame, with that row's probability, so a run of any frame draws its row
+from the noiseless probabilities and reads it through the frame, as
+enumeration does.  :func:`rows_under_frames` reads many rows at once, each
+under its own frame.
 """
 
 from __future__ import annotations
@@ -90,7 +87,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import statevec as sv
-from .statevec import BranchError, PauliString
+from .statevec import PauliString
 
 SIM_MAX_N = 7  # largest simulated n: the live register peaks at 2n+1 qubits
 FRAME_BITS = 63  # a frame code (M readout flips, then a 2n-bit block-3 Pauli) is one int64
@@ -369,29 +366,19 @@ def _advance(ops, i, m, amps, bits, path):
 
 
 @functools.lru_cache(maxsize=64)
-def _noiseless_table(cfg: GadgetConfig) -> tuple[Branches, np.ndarray, np.ndarray]:
-    """(branches, path, plus_before) of the noiseless circuit, read-only.
-
-    ``branches`` are the noiseless branches on the state-vector path: every
-    faulted enumeration, sampled run and table built from the noiseless
-    circuit reads them.  ``path[i, m]`` is the probability of the first m
-    readouts of row i (1 at m = 0), with a padding row of ones at i = B;
-    ``plus_before[i, m]`` counts the rows before row i that read +1 at
-    readout m.  As the rows are depth-first, the rows that share a record
-    prefix are contiguous, so these two arrays give every node of the
-    branch tree its probability and the split between its children.
-    """
+def _noiseless_table(cfg: GadgetConfig) -> Branches:
+    """The branches of the noiseless circuit on the state-vector path,
+    read-only: every faulted enumeration, sampled run and table built from
+    the noiseless circuit reads them."""
     num = cfg.num_measurements
     start = np.ones((1, 1), dtype=np.complex128), np.zeros((1, num), dtype=np.int8), np.ones((1, num + 1))
     amps, bits, path = _advance(_stack_ops(cfg), 0, 0, *start)
     probs = path[:, num].copy()
     records, states = 1 - 2 * bits, amps / np.sqrt(probs)[:, None]
     rows, paulis = np.arange(len(probs)), np.zeros(len(probs), dtype=np.intp)
-    path = np.vstack([path, np.ones(num + 1)])
-    plus_before = np.vstack([np.zeros(num, dtype=np.intp), np.cumsum(bits == 0, axis=0)])
-    for array in (records, probs, rows, paulis, states, path, plus_before):
+    for array in (records, probs, rows, paulis, states):
         array.flags.writeable = False
-    return Branches(records, probs, rows, paulis, states), path, plus_before
+    return Branches(records, probs, rows, paulis, states)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -447,7 +434,7 @@ def _flipped(cfg: GadgetConfig, flips: int) -> tuple[np.ndarray, np.ndarray]:
     """(records, order): the noiseless records with the readouts in the
     mask ``flips`` negated, read-only and sorted depth-first, and the
     noiseless row each sorted record comes from."""
-    records = _noiseless_table(cfg)[0].records
+    records = _noiseless_table(cfg).records
     flip = ((flips >> np.arange(cfg.num_measurements)) & 1).astype(bool)
     records = np.where(flip, -records, records)
     order = np.lexsort((records < 0).T[::-1])  # readout 0 is the primary key
@@ -471,7 +458,7 @@ def enumerate_branches(cfg: GadgetConfig, faults=()) -> Branches:
     fault whose X part would reach a CZ(theta) gate raises FrameError.
     """
     code, num = fault_frame(cfg, faults), cfg.num_measurements
-    table = _noiseless_table(cfg)[0]
+    table = _noiseless_table(cfg)
     if not code:
         return table
     flips = code & ((1 << num) - 1)
@@ -480,42 +467,16 @@ def enumerate_branches(cfg: GadgetConfig, faults=()) -> Branches:
     return Branches(records, table.probabilities[rows], rows, paulis, table.noiseless_states)
 
 
-def sample_branches(cfg: GadgetConfig, frames: np.ndarray, uniforms: np.ndarray) -> Branches:
-    """One sampled run per entry: run g carries the (G,) frame code
-    ``frames[g]`` (see :func:`_frame`), whose low M bits flip readouts and
-    whose bits from M up are its block-3 Pauli, and draws ``uniforms[g, m]``
-    at readout m.
-
-    Readout m reads +1 iff its draw is below the conditional probability
-    of +1 given the run's earlier readouts.  Under the frame's flips f that
-    is the noiseless probability that readout m equals +1 xor f_m given
-    that the earlier noiseless readouts equal the run's xor f, read from
-    the prefix probabilities of the noiseless table.  The walk keeps, for
-    every run, the range of table rows that share its noiseless prefix, so
-    each readout costs a few array lookups whatever the frames.  A draw
-    below 0 forces +1 and one of 1 or more forces -1; a forced outcome of
-    probability <= 1e-12 raises BranchError.  The result holds the runs'
-    faulted records, their branch probabilities, noiseless rows and the
-    frames' block-3 Paulis, in run order.
-    """
-    table, path, plus_before = _noiseless_table(cfg)
-    num = cfg.num_measurements
-    frames = np.asarray(frames, dtype=np.int64)
-    flips = ((frames[:, None] >> np.arange(num)) & 1).astype(bool)
-    lo = np.zeros(len(frames), dtype=np.intp)
-    hi = np.full(len(frames), len(table), dtype=np.intp)
-    for m in range(num):
-        # the node's children are rows [lo, split) (+1) and [split, hi) (-1)
-        split = lo + plus_before[hi, m] - plus_before[lo, m]
-        f = flips[:, m]
-        a, b = np.where(f, split, lo), np.where(f, hi, split)  # the child read as +1
-        cond = np.where(a < b, path[a, m + 1] / path[lo, m], 0.0)
-        minus_child = f == (uniforms[:, m] < cond)
-        lo, hi = np.where(minus_child, split, lo), np.where(minus_child, hi, split)
-    if np.any(lo == hi):
-        raise BranchError(f"a forced readout outcome has probability <= {_BRANCH_EPS:g} under its frame")
-    records = np.where(flips, -table.records[lo], table.records[lo])
-    return Branches(records, table.probabilities[lo], lo, frames >> num, table.noiseless_states)
+def rows_under_frames(cfg: GadgetConfig, rows: np.ndarray, frames: np.ndarray) -> Branches:
+    """Noiseless table row ``rows[g]`` read through the frame code
+    ``frames[g]`` (see :func:`_frame`), one branch per entry, in entry
+    order: the code's low M bits negate readouts, code >> M is the block-3
+    Pauli, and the probability is the row's own.  Each is the branch that
+    :func:`enumerate_branches` gives for that row under that frame."""
+    table, num = _noiseless_table(cfg), cfg.num_measurements
+    records = table.records[rows]
+    records = np.where((frames[:, None] >> np.arange(num)) & 1, -records, records)
+    return Branches(records, table.probabilities[rows], rows, frames >> num, table.noiseless_states)
 
 
 # ---------------------------------------------------------------------------
@@ -573,7 +534,7 @@ def _pauli_spectrum(cfg: GadgetConfig) -> tuple[np.ndarray, np.ndarray]:
     one X part a, <t| X^a Z^b |s> = sum_y (-1)^(b.y) conj(t[y ^ a]) s[y] is
     a Walsh-Hadamard transform over y, run as n butterfly passes."""
     n = cfg.n
-    states = _noiseless_table(cfg)[0].noiseless_states
+    states = _noiseless_table(cfg).noiseless_states
     state, distinct = np.full(len(states), -1), []
     while (left := np.flatnonzero(state < 0)).size:
         rep = states[left[0]]
@@ -647,7 +608,7 @@ def _correction_tables(cfg: GadgetConfig) -> tuple[dict, np.ndarray]:
     array (-1 where not correctable).  A noiseless row's correction is the
     first logical Pauli L in _CLASS_ORDER with |<t| L |s>|^2 > 1 - 1e-9 on
     its state s, read from the Pauli spectrum."""
-    branches = _noiseless_table(cfg)[0]
+    branches = _noiseless_table(cfg)
     zl_bits, bs, correlated, alphas = _record_fields(cfg, branches.records)
     if not correlated.all():
         raise CorrectionTableError("noiseless branch with mismatched X records")

@@ -57,14 +57,16 @@ blocks of ``_BLOCK``, and block b draws from its own generator,
 sparsely, one rate kind (z, x, zz) at a time: a binomial number of the
 kind's (trial, event) cells fire, and which ones is a uniform subset of that
 size, so at low rates a block draws about one number per fired event, not
-one per trial and event.  Then it draws one double per trial that fired
-nothing, to pick a noiseless branch, and one double per readout of each
-trial that fired something.  A faulted trial's frame is the XOR of its
-fired events' frame codes, and a block's faulted trials, whatever they
-fired, are one ``gadget.sample_branches`` walk of the noiseless branch
-table and one ``gadget.outcome_bins`` call.  Worker processes take whole
-blocks, so the per-bin integer counts, hence the estimates, depend only on
-(seed, trials), not on the thread count.
+one per trial and event.  Then it draws one double per trial, which picks
+a noiseless branch by its probability.  A trial that fired nothing is that
+branch.  A faulted trial's frame is the XOR of its fired events' frame
+codes, and the trial is the same branch read through its frame
+(``gadget.rows_under_frames``), as in enumeration: readouts flipped, the
+branch's own probability, and the frame's Pauli on block 3.  So a faulted
+trial costs a few array lookups more than a clean one, and a block's
+faulted trials, whatever they fired, are one ``gadget.outcome_bins`` call.
+Worker processes take whole blocks, so the per-bin integer counts, hence
+the estimates, depend only on (seed, trials), not on the thread count.
 """
 
 from __future__ import annotations
@@ -328,6 +330,13 @@ def _sample_fires(cfg, params, rng, size) -> tuple[np.ndarray, np.ndarray]:
     return np.divmod(np.sort(np.concatenate(keys)), num)
 
 
+def _rows(cum: np.ndarray, draw: np.ndarray) -> np.ndarray:
+    """The noiseless rows that uniform doubles ``draw`` pick: row i takes
+    the draws in (cum[i-1], cum[i]] / cum[-1], and a draw that rounds past
+    the last row takes it."""
+    return np.minimum(np.searchsorted(cum, draw * cum[-1]), len(cum) - 1)
+
+
 def _mc_counts(cfg, params, seed, trial_range) -> np.ndarray:
     """Outcome-bin counts of the trials in ``trial_range``, a block at a time.
 
@@ -335,12 +344,13 @@ def _mc_counts(cfg, params, seed, trial_range) -> np.ndarray:
     ``np.random.default_rng([seed, block])``; ``trial_range`` starts on a
     block boundary.  A block of ``size`` trials draws, in this order, its
     fired events (``_sample_fires``: a count and a uniform set of cells per
-    rate kind), one double per trial that fired nothing (it picks a
-    noiseless branch), and one double per readout of each faulted trial.
-    A faulted trial's frame code is the XOR of its fired events' codes, one
-    ``np.bitwise_xor.reduceat`` over the fired cells, and the faulted
-    trials are sampled together under their frames.  _BLOCK is thus part
-    of what the counts are: changing it changes every count.
+    rate kind) and one double per trial, in trial order, which picks the
+    trial's noiseless row (``_rows``).  A trial that fired nothing is that
+    row's noiseless branch.  A faulted trial is the row read through its
+    frame, the XOR of its fired events' codes (one
+    ``np.bitwise_xor.reduceat`` over the fired cells), and a block's
+    faulted trials are read and binned together.  _BLOCK is thus part of
+    what the counts are: changing it changes every count.
     """
     if trial_range.start % _BLOCK:
         raise ValueError(f"trial range must start on a multiple of {_BLOCK}, got {trial_range.start}")
@@ -352,15 +362,16 @@ def _mc_counts(cfg, params, seed, trial_range) -> np.ndarray:
         size = min(_BLOCK, trial_range.stop - start)
         trial, event = _sample_fires(cfg, params, rng, size)
         starts = np.flatnonzero(np.diff(trial, prepend=-1))  # each faulted trial's first cell
-        # noiseless trials: sample a branch from the exact pool; only the
-        # bincount is kept, so the draws are searched in sorted order
-        draw = np.sort(rng.random(size - len(starts)))
-        leaf = np.minimum(np.searchsorted(cum, draw * cum[-1]), len(leaf_bins) - 1)
-        counts += np.bincount(leaf_bins[leaf], minlength=gd.N_BINS)
+        draw = rng.random(size)
+        rows = _rows(cum, draw[trial[starts]])
+        # the clean trials' rows are only counted: the sorted draws at or
+        # below each row's upper bound, less the faulted trials' rows
+        upto = np.searchsorted(np.sort(draw) * cum[-1], cum[:-1], side="right")
+        clean = np.diff(upto, prepend=0, append=size) - np.bincount(rows, minlength=len(cum))
+        counts += np.bincount(leaf_bins, weights=clean, minlength=gd.N_BINS).astype(np.int64)
         if len(starts):
-            uniforms = rng.random((len(starts), cfg.num_measurements))
-            branches = gd.sample_branches(cfg, np.bitwise_xor.reduceat(frames[event], starts), uniforms)
-            counts += np.bincount(gd.outcome_bins(cfg, branches), minlength=gd.N_BINS)
+            codes = np.bitwise_xor.reduceat(frames[event], starts)
+            counts += np.bincount(gd.outcome_bins(cfg, gd.rows_under_frames(cfg, rows, codes)), minlength=gd.N_BINS)
     return counts
 
 

@@ -30,10 +30,6 @@ import numpy as np
 _SQRT_HALF = math.sqrt(0.5)
 
 
-class BranchError(ValueError):
-    """A forced measurement outcome has (numerically) zero probability."""
-
-
 @dataclass(frozen=True)
 class PauliString:
     """Pauli operator as X/Z support bitmasks (bit p = qubit p)."""

@@ -9,17 +9,20 @@
   engine, replays every enumerated branch of random fault subsets, drawn
   from the fault events and from Z faults on idle live qubits.
 * Faulted enumeration and sampled runs both read the noiseless branches
-  through Pauli frames; every enumerated branch is replayed by
-  ``sample_branches`` with its record forced, and checked against the
-  dense reference.
+  through Pauli frames; every enumerated branch is read again from its
+  noiseless row by ``rows_under_frames`` and checked against the dense
+  reference, and a Monte Carlo draw inside a row's slice of the
+  cumulative probabilities picks that row.
 * ``golden/enumerated_masses.json`` holds a SHA-256 of the rate, subset
   and mass arrays of ``noise._enumerated_combos``, recorded with one
   ``outcome_bins`` call per fault subset; classifying once per Pauli frame
   must keep them bit-identical.
 * ``golden/noiseless_tables.json`` holds a SHA-256 of every array of the
   noiseless branch table, recorded with the compiled-program engine that
-  the per-build list of stack operations replaced; the tables must stay
-  bit-identical.
+  the per-build list of stack operations replaced; the records,
+  probabilities and states must stay bit-identical.  Its ``path`` and
+  ``plus_before`` digests are of prefix arrays that the table no longer
+  keeps, since no sampler walks it.
 * Outputs are classified from one Pauli class table per config, keyed on
   the distinct noiseless block-3 states and the Pauli q = correction times
   frame Pauli.  At every (noiseless row, q), or at a seeded sample of them
@@ -192,13 +195,12 @@ def test_enumerate_branches_matches_dense_reference(case):
 
 @given(_faulted_gadget())
 def test_frame_branches_match_state_vector_runs(case):
-    # sample_branches walks the branch tree under the frame; forcing each
-    # enumerated record (a draw of -1.0 forces +1, one of 2.0 forces -1)
-    # must reach that branch, with its probability, state and bin
+    # each enumerated branch, read again from its noiseless row through the
+    # frame, has its record, probability, state and bin
     cfg, circuit, faults = case
     branches = gd.enumerate_branches(cfg, faults=faults)
     frames = np.full(len(branches), gd.fault_frame(cfg, faults))
-    runs = gd.sample_branches(cfg, frames, np.where(branches.records > 0, -1.0, 2.0))
+    runs = gd.rows_under_frames(cfg, branches.rows, frames)
     assert np.array_equal(runs.records, branches.records)
     assert np.array_equal(runs.probabilities, branches.probabilities)
     assert np.array_equal(gd.outcome_bins(cfg, runs), gd.outcome_bins(cfg, branches))
@@ -209,17 +211,28 @@ def test_frame_branches_match_state_vector_runs(case):
         assert abs(np.vdot(state, run.state)) == pytest.approx(1.0, abs=1e-9)
 
 
+def _sampled_runs(cfg, code, runs, seed):
+    """``runs`` sampled runs under one frame code: rows drawn as Monte Carlo
+    draws them (noise._rows), read through the frame."""
+    cum = nz._noiseless_leaf_pool(cfg)[0]
+    rows = nz._rows(cum, np.random.default_rng(seed).random(runs))
+    return gd.rows_under_frames(cfg, rows, np.full(runs, code))
+
+
+def _assert_on_enumerated_branches(sampled, branches):
+    by_record = {branch.record: (row, branch) for row, branch in zip(branches.rows.tolist(), branches)}
+    for row, got in zip(sampled.rows.tolist(), sampled):
+        want_row, want = by_record[got.record]
+        assert row == want_row
+        assert got.probability == want.probability
+        assert np.array_equal(got.state, want.state)
+
+
 @given(_faulted_gadget(), st.integers(0, 2**32 - 1))
 def test_sampled_runs_land_on_enumerated_branches(case, seed):
     cfg, circuit, faults = case
-    by_record = {branch.record: branch for branch in gd.enumerate_branches(cfg, faults=faults)}
-    runs = 64
-    frames = np.full(runs, gd.fault_frame(cfg, faults))
-    sampled = gd.sample_branches(cfg, frames, np.random.default_rng(seed).random((runs, cfg.num_measurements)))
-    for got in sampled:
-        want = by_record[got.record]
-        assert got.probability == want.probability
-        assert np.array_equal(got.state, want.state)
+    sampled = _sampled_runs(cfg, gd.fault_frame(cfg, faults), 64, seed)
+    _assert_on_enumerated_branches(sampled, gd.enumerate_branches(cfg, faults=faults))
 
 
 def test_frame_code_top_bit_at_the_widest_config():
@@ -231,14 +244,28 @@ def test_frame_code_top_bit_at_the_widest_config():
     faults = [(prep, gd.PauliString.x_on([qubit]))]
     code = gd.fault_frame(cfg, faults)
     assert code.bit_length() == cfg.num_measurements + 2 * cfg.n
-    by_record = {branch.record: branch for branch in gd.enumerate_branches(cfg, faults=faults)}
-    runs = 32
-    sampled = gd.sample_branches(cfg, np.full(runs, code), np.random.default_rng(1).random((runs, cfg.num_measurements)))
+    sampled = _sampled_runs(cfg, code, 32, 1)
     assert set(sampled.paulis.tolist()) == {code >> cfg.num_measurements}
-    for got in sampled:
-        want = by_record[got.record]
-        assert got.probability == want.probability
-        assert np.array_equal(got.state, want.state)
+    _assert_on_enumerated_branches(sampled, gd.enumerate_branches(cfg, faults=faults))
+
+
+@pytest.mark.parametrize("cfg", [gd.GadgetConfig.t_state(3, 1), gd.GadgetConfig.plus_i(3, 1)], ids=["T", "plusI"])
+def test_midpoint_draws_pick_their_rows_under_every_single_event_frame(cfg):
+    # a draw at the middle of row i's slice (cum[i-1], cum[i]] picks row i;
+    # read through any one event's frame, it is row i's enumerated branch
+    cum, _ = nz._noiseless_leaf_pool(cfg)
+    middle = (np.append(0.0, cum[:-1]) + cum) / 2 / cum[-1]
+    rows = nz._rows(cum, middle)
+    assert np.array_equal(rows, np.arange(len(cum)))
+    events = nz._events(cfg)
+    for code, e in zip(*np.unique(nz._event_frames(cfg), return_index=True)):
+        runs = gd.rows_under_frames(cfg, rows, np.full(len(rows), code))
+        branches = gd.enumerate_branches(cfg, faults=[(events[e].location, events[e].pauli)])
+        at = np.argsort(branches.rows)  # the enumerated branch of each noiseless row
+        assert np.array_equal(branches.rows[at], rows)
+        assert np.array_equal(runs.records, branches.records[at])
+        assert np.array_equal(runs.probabilities, branches.probabilities[at])
+        assert np.array_equal(gd.outcome_bins(cfg, runs), gd.outcome_bins(cfg, branches)[at])
 
 
 def test_fault_on_a_qubit_not_live_is_refused():
@@ -266,9 +293,8 @@ def test_x_fault_before_cz_theta_has_no_frame():
 def test_large_stacks_advance_in_halves(monkeypatch):
     # the state-vector path halves stacks while it builds the noiseless table
     cfg = gd.GadgetConfig.t_state(3, 1)
-    table = gd._noiseless_table(cfg)
-    whole = table[0]
-    assert not any(a.flags.writeable for a in (whole.records, whole.probabilities, whole.states, *table[1:]))
+    whole = gd._noiseless_table(cfg)
+    assert not any(a.flags.writeable for a in (whole.records, whole.probabilities, whole.states))
     advance, stacks = gd._advance, []
     signature = inspect.signature(advance)
 
@@ -278,13 +304,12 @@ def test_large_stacks_advance_in_halves(monkeypatch):
 
     monkeypatch.setattr(gd, "_advance", recording)
     monkeypatch.setattr(gd, "_MAX_AMPS", 64)
-    halves, path, _ = gd._noiseless_table.__wrapped__(cfg)
+    halves = gd._noiseless_table.__wrapped__(cfg)
     assert len(stacks) > 1
     assert all(rows == 1 or rows * width <= 64 for rows, width in stacks), stacks
     assert np.array_equal(whole.records, halves.records)
     np.testing.assert_allclose(halves.probabilities, whole.probabilities, rtol=0, atol=1e-15)
     np.testing.assert_allclose(halves.states, whole.states, rtol=0, atol=1e-15)
-    np.testing.assert_allclose(path, table[1], rtol=0, atol=1e-15)
 
 
 def _digest(array: np.ndarray) -> str:
@@ -295,12 +320,9 @@ def _digest(array: np.ndarray) -> str:
 def test_noiseless_table_matches_golden_digests(case):
     # n=7 is the only size whose stack outgrows _MAX_AMPS and runs in parts
     make = gd.GadgetConfig.t_state if case["target"] == "T" else gd.GadgetConfig.plus_i
-    branches, path, plus_before = gd._noiseless_table(make(case["n"], case["r"]))
-    arrays = {
-        "records": branches.records, "probabilities": branches.probabilities, "states": branches.states,
-        "path": path, "plus_before": plus_before,
-    }
-    assert {name: _digest(array) for name, array in arrays.items()} == case["arrays"]
+    branches = gd._noiseless_table(make(case["n"], case["r"]))
+    arrays = {"records": branches.records, "probabilities": branches.probabilities, "states": branches.states}
+    assert {name: _digest(array) for name, array in arrays.items()} == {name: case["arrays"][name] for name in arrays}
 
 
 _THETA_NAMES = {math.pi / 4: "T", math.pi / 2: "plusI"}
@@ -323,7 +345,7 @@ def test_class_table_matches_the_oracle(cfg, distinct, sampled):
     n = cfg.n
     state, table = gd._class_table(cfg)
     assert distinct is None or state.max() + 1 == distinct
-    states = gd._noiseless_table(cfg)[0].states
+    states = gd._noiseless_table(cfg).states
     if sampled is None:
         pairs = {q: np.arange(len(states)) for q in range(1 << 2 * n)}
     else:

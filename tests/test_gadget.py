@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from biasforge import gadget as gd
-from biasforge import statevec as sv
 from biasforge.statevec import PauliString
 from classify_oracle import apply_pauli, classify, corrections, state_fidelity
 
@@ -204,21 +203,23 @@ class TestNoiselessRuns:
             assert cls is gd.LogicalClass.I and fid > 1 - 1e-8 and not anomaly
 
 
-def _forced_draws(forced, draws):
-    """Readout draws of sampled runs with outcomes forced where ``forced``
-    holds +1 (a draw of -1.0) or -1 (a draw of 2.0), and ``draws`` where it
-    holds 0."""
+def _rows_with(cfg, forced):
+    """The noiseless branches whose records read +1 or -1 where ``forced``
+    does, whatever they read where it holds 0, each read through the empty
+    frame as a sampled run."""
+    records = gd.enumerate_branches(cfg).records
     forced = np.asarray(forced)
-    return np.where(forced == +1, -1.0, np.where(forced == -1, 2.0, draws))
+    rows = np.flatnonzero(np.all((forced == 0) | (records == forced), axis=1))
+    return gd.rows_under_frames(cfg, rows, np.zeros(len(rows), dtype=np.int64))
 
 
 class TestRun:
-    # a run is one walk of sample_branches, here under the empty frame
+    # a run is a noiseless row read through its frame, here the empty one
 
     def test_noiseless_accepted_run_reaches_target(self):
         cfg = gd.GadgetConfig.t_state(3, r=3)
-        uniforms = np.random.default_rng(42).random((12, cfg.num_measurements))
-        runs = gd.sample_branches(cfg, np.zeros(12, dtype=np.int64), uniforms)
+        runs = _rows_with(cfg, [0] * cfg.num_measurements)
+        assert len(runs) == len(gd.enumerate_branches(cfg))
         found = corrections(cfg, runs.records)
         for run, got, correction in zip(runs, gd.outcome_bins(cfg, runs), found):
             if correction is None:
@@ -234,33 +235,28 @@ class TestRun:
         # (Block 1 must be forced to a correlation-compatible pattern or the
         # all-plus block-2 branch has zero probability.)
         cfg = gd.GadgetConfig.t_state(3)
-        forced = [0, +1, +1, +1, 0, +1, +1, +1]
-        uniforms = _forced_draws(forced, np.random.default_rng(0).random((6, cfg.num_measurements)))
-        runs = gd.sample_branches(cfg, np.zeros(6, dtype=np.int64), uniforms)
+        runs = _rows_with(cfg, [0, +1, +1, +1, 0, +1, +1, +1])
+        assert len(runs) == 4  # both parity readings free
         assert np.all(runs.records[:, 5:] == 1)  # block 2
         assert np.all(gd.outcome_bins(cfg, runs) == gd.BIN_REJECTED)
-        assert corrections(cfg, runs.records) == [None] * 6
+        assert corrections(cfg, runs.records) == [None] * 4
 
     def test_forced_alpha_two_accepted_to_t(self):
         cfg = gd.GadgetConfig.t_state(3)
         target = gd.target_state(cfg)
         # force x = alpha = (+,+,-) on both blocks, parity readings free
-        forced = [0, +1, +1, -1, 0, +1, +1, -1]
-        uniforms = _forced_draws(forced, np.random.default_rng(1).random((4, cfg.num_measurements)))
-        runs = gd.sample_branches(cfg, np.zeros(4, dtype=np.int64), uniforms)
+        runs = _rows_with(cfg, [0, +1, +1, -1, 0, +1, +1, -1])
+        assert len(runs) > 0
         for run, correction in zip(runs, corrections(cfg, runs.records)):
             assert correction is not None
             corrected = apply_pauli(run.state, 3, correction)
             assert state_fidelity(corrected, target) > 1 - 1e-8
 
-    def test_forced_impossible_branch_raises(self):
+    def test_forced_impossible_record_absent_from_the_table(self):
         cfg = gd.GadgetConfig.t_state(3)
         # anticorrelating a single position between blocks 1 and 2 is a
-        # zero-probability branch of the noiseless circuit
-        forced = [0, +1, +1, +1, 0, -1, +1, +1]
-        uniforms = _forced_draws(forced, np.random.default_rng(2).random((4, cfg.num_measurements)))
-        with pytest.raises(sv.BranchError):
-            gd.sample_branches(cfg, np.zeros(4, dtype=np.int64), uniforms)
+        # zero-probability branch of the noiseless circuit, so no row holds it
+        assert len(_rows_with(cfg, [0, +1, +1, +1, 0, -1, +1, +1])) == 0
 
 
 def _decode(cfg, record):
@@ -393,7 +389,7 @@ class TestClassify:
         # its class would be left to rounding, so the table build raises.
         def reaches_a_class(theta):
             cfg = gd.GadgetConfig.custom(3, theta)
-            branches = gd._noiseless_table.__wrapped__(cfg)[0]  # keeps the cache for the named configs
+            branches = gd._noiseless_table.__wrapped__(cfg)  # keeps the cache for the named configs
             row = next(i for i, rec in enumerate(branches.records.tolist()) if sum(rec[-3:]) == 3)  # alpha = n
             return classify(branches.states[row], None, cfg)[1] > 0.99
 

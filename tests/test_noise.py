@@ -373,11 +373,12 @@ def test_trial_ranges_start_on_a_block():
 
 def _per_trial_counts(cfg, params, seed, trials):
     """Monte Carlo counts one trial at a time.  Each block draws its fired
-    (trial, event) cells with noise._sample_fires and then its arrays from
-    default_rng([seed, block]) in _mc_counts' order; a clean trial takes the
-    next clean draw, and a faulted one is one sampled run under the frame of
-    its fired events' (location, Pauli) pairs, with its row of readout
-    draws, binned on its own."""
+    (trial, event) cells with noise._sample_fires and then one double per
+    trial from default_rng([seed, block]), as _mc_counts does; the double
+    picks the trial's noiseless row.  A clean trial takes that row's
+    noiseless bin, and a faulted one the bin of the branch read from that
+    row in enumerate_branches under its fired events' (location, Pauli)
+    pairs."""
     events = nz.fault_events(gd.build_circuit(cfg))
     cum, leaf_bins = nz._noiseless_leaf_pool(cfg)
     counts = np.zeros(gd.N_BINS, dtype=np.int64)
@@ -387,16 +388,14 @@ def _per_trial_counts(cfg, params, seed, trials):
         faulted = {}
         for t, e in zip(*(cells.tolist() for cells in nz._sample_fires(cfg, params, rng, size))):
             faulted.setdefault(t, []).append(events[e])
-        clean = iter(rng.random(size - len(faulted)))
-        readouts = iter(rng.random((len(faulted), cfg.num_measurements)))
-        for t in range(size):
+        for t, draw in enumerate(rng.random(size).tolist()):
+            row = min(int(np.searchsorted(cum, draw * cum[-1])), len(cum) - 1)
             if t not in faulted:
-                leaf = int(np.searchsorted(cum, next(clean) * cum[-1]))
-                counts[leaf_bins[min(leaf, len(leaf_bins) - 1)]] += 1
+                counts[leaf_bins[row]] += 1
                 continue
-            frame = gd.fault_frame(cfg, [(ev.location, ev.pauli) for ev in faulted[t]])
-            run = gd.sample_branches(cfg, np.array([frame]), next(readouts)[None])
-            counts[gd.outcome_bins(cfg, run)[0]] += 1
+            branches = gd.enumerate_branches(cfg, faults=[(ev.location, ev.pauli) for ev in faulted[t]])
+            [at] = np.flatnonzero(branches.rows == row)
+            counts[gd.outcome_bins(cfg, branches)[at]] += 1
     return counts
 
 
