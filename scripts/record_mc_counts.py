@@ -9,15 +9,22 @@ outcome-bin counts (I, XL, ZL, YL, rejected, anomaly) that
 trials draws from its own generator: for each rate kind (z, x, zz) a
 binomial count of fired (trial, event) cells and a uniform set of that
 many cells (``noise._sample_fires``, which returns the fired (trial, event)
-cells in trial order), then one double per clean trial and the faulted
-trials' readout doubles.  A faulted trial walks the noiseless branch table
-under its frame, the XOR of its fired events' integer frame codes
-(``noise._event_frames``: readout flips in the low bits, the block-3 Pauli
-above them).  So the counts are those of the sparse block sampler, with no
-other engine behind them.  The cases are the nine of
+cells in trial order), then one double per trial, in trial order, which
+picks the trial's noiseless row by its probability.  A faulted trial reads
+that row through its frame, the XOR of its fired events' integer frame
+codes (``noise._event_frames``: readout flips in the low bits, the block-3
+Pauli above them).  So the counts are those of the one-draw block sampler,
+with no other engine behind them.  The cases are the nine of
 ``test_monte_carlo_counts_match_per_trial_loop``, two in which every Z event
 fires in every trial (n=5 and n=3), and 20,000-trial runs at two high noise
 points.  Re-record only when a count is meant to change.
+
+The counts are defined by numpy's ``Generator.binomial``,
+``Generator.choice(replace=False)`` and ``Generator.random`` on PCG64, so a
+numpy release that changed any of these streams would move them.  The CI
+legs on numpy 1.24, the oldest release ``pyproject.toml`` allows, re-run
+this script and ``cmp`` its output with the file; the file was recorded on
+numpy 2.4.6, and those legs have not been run offline against it.
 """
 
 import json
@@ -68,7 +75,8 @@ if __name__ == "__main__":
     doc = {
         "about": "Per-bin counts (I, XL, ZL, YL, rejected, anomaly) of noise._mc_counts(cfg, params, seed, "
         "range(trials)): trial block b of noise._BLOCK draws from default_rng([seed, b]), first a binomial "
-        "count and a uniform set of fired cells per rate kind z, x, zz (noise._sample_fires).",
+        "count and a uniform set of fired cells per rate kind z, x, zz (noise._sample_fires), then one double "
+        "per trial that picks its noiseless row, which a faulted trial reads through its frame.",
         "command": "PYTHONPATH=src python scripts/record_mc_counts.py > tests/golden/mc_counts.json",
         "cases": record(),
     }
