@@ -292,13 +292,16 @@ def _noiseless_leaf_pool(cfg: gd.GadgetConfig):
 
 
 # A worker process pays off once its share of the trials costs more than
-# starting it.  On 2 CPUs (n=3, r=1; median of 7, one process vs two
-# workers) two workers break even from 100,000 to 120,000 trials at the
-# anchor (p_z=1e-3, eta=100; 100,000: 54 vs 55 ms) and win from 130,000 (65
-# vs 60; 200,000: 110 vs 82).  Faulted trials cost more: at p_z=1e-2, eta=10
-# two workers win from 40,000 (54 vs 50 ms) and at p_z=5e-2, eta=3 from
-# 30,000 (99 vs 75), so the anchor sets the share.
-_MIN_TRIALS_PER_WORKER = 65_000
+# starting it, and starting two varied from 20 to 60 ms on a shared host.
+# On 2 CPUs (n=3, r=1; median of 7, one process vs two workers) two
+# workers lose or break even up to 250,000 trials at the anchor (p_z=1e-3,
+# eta=100; three passes; 200,000: 34 vs 35-38 ms, 250,000: 37 vs 37) and
+# win from 260,000 to 280,000 (280,000: 50 vs 43; 300,000: 49 vs 45 to 56
+# vs 43).  Faulted trials cost more: two workers win from 100,000 to
+# 200,000 trials at p_z=1e-2, eta=10 (two passes; 300,000: 90-99 vs 78-79
+# ms) and from 50,000 to 75,000 at p_z=5e-2, eta=3 (300,000: 166-220 vs
+# 108-127), so the anchor sets the share.
+_MIN_TRIALS_PER_WORKER = 140_000
 _BLOCK = 2048  # trials per generator; part of the definition of the counts
 
 
