@@ -256,6 +256,7 @@ class TestRun:
         cfg = gd.GadgetConfig.t_state(3)
         # anticorrelating a single position between blocks 1 and 2 is a
         # zero-probability branch of the noiseless circuit, so no row holds it
+        assert len(_rows_with(cfg, [0, +1, +1, +1, 0, +1, +1, +1])) > 0
         assert len(_rows_with(cfg, [0, +1, +1, +1, 0, -1, +1, +1])) == 0
 
 

@@ -260,9 +260,9 @@ class TestMeasureX:
         cfg = gd.GadgetConfig.t_state(3)
         # anticorrelating one position of blocks 1 and 2 has probability 0,
         # so whatever the parity readings (0 and 4), no noiseless row holds it
-        records = gd.enumerate_branches(cfg).records
-        forced = np.array([1, 1, 1, 1, 1, -1, 1, 1])
-        assert not np.any(np.all(records[:, [1, 2, 3, 5, 6, 7]] == forced[[1, 2, 3, 5, 6, 7]], axis=1))
+        blocks = gd.enumerate_branches(cfg).records[:, [1, 2, 3, 5, 6, 7]]
+        assert np.any(np.all(blocks == [1, 1, 1, 1, 1, 1], axis=1))
+        assert not np.any(np.all(blocks == [1, 1, 1, -1, 1, 1], axis=1))
 
     def test_post_state_renormalized(self):
         # each renormalized component, with qubit 1 put back in the observed
