@@ -256,28 +256,52 @@ def _enumerated_combos(cfg: gd.GadgetConfig, max_order: int):
     return rates, index, masses
 
 
+@functools.lru_cache(maxsize=None)
+def _strata(cfg: gd.GadgetConfig, max_order: int):
+    """(rate index, representatives, masses, sizes) of the fault strata.
+
+    A stratum is the set of enumerated subsets that fire the same number
+    of z, x and zz events, (a_z, a_x, a_zz); all its subsets have the same
+    weight at every NoiseParams.  ``representatives`` is one padded
+    event-index row per stratum (K, k), ``masses`` the (K, gadget.N_BINS)
+    sums of its subsets' masses and ``sizes`` its subset counts: 10 strata
+    at order 2 and 4 at order 1.  Independent of NoiseParams, so cached
+    per config and order.
+    """
+    rates, index, masses = _enumerated_combos(cfg, max_order)
+    # a base-(k+1) digit per rate kind, holding its count of fired events
+    code = np.append((max_order + 1) ** rates, 0)[index].sum(axis=1)
+    order = np.argsort(code, kind="stable")
+    starts = np.flatnonzero(np.diff(code[order], prepend=-1))
+    sizes = np.diff(starts, append=len(order))
+    return rates, index[order[starts]], np.add.reduceat(masses[order], starts), sizes
+
+
 def enumerate_faults(cfg: gd.GadgetConfig, params: NoiseParams, max_order: int) -> RateEstimate:
     """Exact rates from all fault combinations of <= max_order events.
 
     Every subset is weighted by prod(p_fired) * prod(1 - p_not_fired) and
     read over all its measurement branches through its Pauli frame; the result
-    is accurate to O(p^(max_order+1)).  The primary rates are per attempt
+    is accurate to O(p^(max_order+1)).  The masses are per subset, but a
+    subset's weight depends only on how many z, x and zz events it fires, so
+    the weight is computed once per such stratum (``_strata``) and applied to
+    the stratum's summed masses.  The primary rates are per attempt
     (accepted AND wrong, normalized over the enumerated mass); the
     ``*_given_accept`` fields carry the post-selected variants.
     """
     if max_order not in (1, 2):
         raise UnsupportedOrderError(f"max_order must be 1 or 2, got {max_order}")
-    rates, index, masses = _enumerated_combos(cfg, max_order)
+    rates, reps, masses, sizes = _strata(cfg, max_order)
     probs = np.array([params.p_z, params.p_x, params.p_zz])[rates]
     if np.any(probs >= 1.0):
         raise ValueError("enumeration requires all event probabilities < 1")
     with np.errstate(divide="ignore"):
         log_odds = np.append(np.log(probs) - np.log1p(-probs), 0.0)
-    weights = np.exp(np.sum(np.log1p(-probs)) + log_odds[index].sum(axis=1))
+    weights = np.exp(np.sum(np.log1p(-probs)) + log_odds[reps].sum(axis=1))
     totals = weights @ masses
     if totals.sum() - totals[gd.BIN_REJECTED] <= 0.0:
         raise EstimationError("no accepted mass within enumerated order", reject_rate=1.0)
-    return _rate_estimate(totals, weights.sum(), max_order)
+    return _rate_estimate(totals, weights @ sizes, max_order)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 import concurrent.futures
+import dataclasses
 import json
 import math
+import operator
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -173,6 +176,11 @@ def test_event_frames_combine_by_xor():
     assert frames[x_b] and frames[z_b] and frames[x_b] != y_anc
 
 
+def fired_counts(rates):
+    """The function from a padded event-index row to its (z, x, zz) counts."""
+    return lambda row: tuple(np.bincount(rates[row[row < len(rates)]], minlength=3).tolist())
+
+
 class TestEnumerate:
     def test_unsupported_order(self):
         cfg = gd.GadgetConfig.t_state(3, r=1)
@@ -229,6 +237,66 @@ class TestEnumerate:
         est = nz.enumerate_faults(cfg, params, 2)
         assert est.e_x <= bd.e_xl_bound(3, 1, params.p_x, params.p_z)
         assert est.e_z <= bd.e_zl_bound(3, 1, params.p_x, params.p_z, params.p_zz)
+
+    @pytest.mark.parametrize("r, order, strata, subsets", [(1, 1, 4, 80), (1, 2, 10, 3161), (3, 1, 4, 178)])
+    def test_strata_partition_the_subsets(self, r, order, strata, subsets):
+        cfg = gd.GadgetConfig.t_state(3, r=r)
+        rates, reps, masses, sizes = nz._strata(cfg, order)
+        _, index, subset_masses = nz._enumerated_combos(cfg, order)
+        assert len(reps) == len(masses) == len(sizes) == strata
+        assert sizes.sum() == len(index) == subsets
+        np.testing.assert_allclose(masses.sum(axis=0), subset_masses.sum(axis=0), rtol=1e-14)
+        # one stratum per count of fired z, x and zz events, holding every
+        # subset with those counts
+        per_kind = np.bincount(rates)
+        counts = list(map(fired_counts(rates), reps))
+        assert len(set(counts)) == strata and all(sum(c) <= order for c in counts)
+        assert [math.prod(map(math.comb, per_kind, c)) for c in counts] == list(sizes)
+
+    @pytest.mark.parametrize(
+        "cfg, order",
+        [
+            (gd.GadgetConfig.t_state(3, r=1), 2),
+            (gd.GadgetConfig.t_state(3, r=3), 1),
+            (gd.GadgetConfig.plus_i(3, r=1), 2),
+        ],
+        ids=["T-r1-order2", "T-r3-order1", "plusI-r1-order2"],
+    )
+    @pytest.mark.parametrize(
+        "params",
+        [nz.NoiseParams.from_bias(1e-3, 100), nz.NoiseParams.from_bias(5e-2, 3), nz.NoiseParams(0.0, 1e-3, 0.0)],
+        ids=["anchor", "pz5e-2-eta3", "pure-z"],
+    )
+    def test_rates_match_exact_sums_over_subsets(self, cfg, order, params):
+        # each subset weighted on its own by the per-subset float expression,
+        # then every product with its masses summed exactly
+        rates, index, masses = nz._enumerated_combos(cfg, order)
+        probs = np.array([params.p_z, params.p_x, params.p_zz])[rates]
+        with np.errstate(divide="ignore"):
+            log_odds = np.append(np.log(probs) - np.log1p(-probs), 0.0)
+        weights = np.exp(np.sum(np.log1p(-probs)) + log_odds[index].sum(axis=1))
+        # a stratum's weight is each of its subsets' weight, bit for bit
+        _, reps, _, _ = nz._strata(cfg, order)
+        rep_weights = np.exp(np.sum(np.log1p(-probs)) + log_odds[reps].sum(axis=1))
+        by_counts = dict(zip(map(fired_counts(rates), reps), rep_weights.tolist()))
+        assert [by_counts[c] for c in map(fired_counts(rates), index)] == weights.tolist()
+        exact = [Fraction(float(w)) for w in weights]
+        bins = [sum(map(operator.mul, exact, map(Fraction, masses[:, b].tolist())), Fraction(0)) for b in range(gd.N_BINS)]
+        total, accepted = sum(exact, Fraction(0)), sum(bins) - bins[gd.BIN_REJECTED]
+        want = {
+            "e_x": bins[gd.BIN_XL] / total,
+            "e_z": bins[gd.BIN_ZL] / total,
+            "e_y": bins[gd.BIN_YL] / total,
+            "reject_rate": bins[gd.BIN_REJECTED] / total,
+            "anomaly_rate": bins[gd.BIN_ANOMALY] / total,
+            "accepted_weight": accepted / total,
+            "e_x_given_accept": bins[gd.BIN_XL] / accepted,
+            "e_z_given_accept": bins[gd.BIN_ZL] / accepted,
+            "e_y_given_accept": bins[gd.BIN_YL] / accepted,
+        }
+        est = dataclasses.asdict(nz.enumerate_faults(cfg, params, order))
+        for field, value in want.items():
+            assert abs(Fraction(est[field]) - value) <= Fraction(1e-15) * value, field
 
 
 class TestMonteCarlo:
