@@ -19,12 +19,11 @@
   and mass arrays of ``noise._enumerated_combos``, recorded with one
   ``outcome_bins`` call per fault subset; classifying once per Pauli frame
   must keep them bit-identical.
-* ``golden/noiseless_tables.json`` holds a SHA-256 of every array of the
-  noiseless branch table, recorded with the compiled-program engine that
-  the per-build list of stack operations replaced; the records,
-  probabilities and states must stay bit-identical.  Its ``path`` and
-  ``plus_before`` digests are of prefix arrays that the table no longer
-  keeps, since no sampler walks it.
+* ``golden/noiseless_tables.json`` holds a SHA-256 of the records,
+  probabilities and states of the noiseless branch table, first recorded
+  with the compiled-program engine that the per-build list of stack
+  operations replaced; they must stay bit-identical
+  (``scripts/record_noiseless_tables.py`` writes the file).
 * Outputs are classified from one Pauli class table per config, keyed on
   the distinct noiseless block-3 states and the Pauli q = correction times
   frame Pauli.  At every (noiseless row, q), or at a seeded sample of them
@@ -324,7 +323,7 @@ def test_noiseless_table_matches_golden_digests(case):
     make = gd.GadgetConfig.t_state if case["target"] == "T" else gd.GadgetConfig.plus_i
     branches = gd._noiseless_table(make(case["n"], case["r"]))
     arrays = {"records": branches.records, "probabilities": branches.probabilities, "states": branches.states}
-    assert {name: _digest(array) for name, array in arrays.items()} == {name: case["arrays"][name] for name in arrays}
+    assert {name: _digest(array) for name, array in arrays.items()} == case["arrays"]
 
 
 _THETA_NAMES = {math.pi / 4: "T", math.pi / 2: "plusI"}
