@@ -30,9 +30,11 @@ one gather from the gadget's class table.  Each subset is still one
 pairs, whose branch probabilities sum its frame's bins into six
 outcome-bin masses.  These per-subset masses are independent of the
 rates, so they are computed once per (config, order) and kept as an
-(S, k) event-index matrix and an (S, 6) mass matrix; each NoiseParams
-then costs one vector of subset weights exp(log P(no event) + sum of
-log-odds) and one matrix product.
+(S, k) event-index matrix and an (S, 6) mass matrix.  A subset's weight
+depends only on how many z, x and zz events it fires, so the masses are
+also summed per such stratum (10 at order 2); each NoiseParams then costs
+one weight per stratum, exp(log P(no event) + sum of log-odds), and one
+(10, 6) matrix product.
 
 The primary e_x / e_z / e_y rates are per gadget attempt: the probability
 that a run is accepted AND delivers that logical error.  This is the
