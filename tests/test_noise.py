@@ -176,9 +176,9 @@ def test_event_frames_combine_by_xor():
     assert frames[x_b] and frames[z_b] and frames[x_b] != y_anc
 
 
-def fired_counts(rates):
-    """The function from a padded event-index row to its (z, x, zz) counts."""
-    return lambda row: tuple(np.bincount(rates[row[row < len(rates)]], minlength=3).tolist())
+def fired_counts(rates, row):
+    """The (z, x, zz) counts of the events of a padded event-index row."""
+    return tuple(np.bincount(rates[row[row < len(rates)]], minlength=3).tolist())
 
 
 class TestEnumerate:
@@ -249,7 +249,7 @@ class TestEnumerate:
         # one stratum per count of fired z, x and zz events, holding every
         # subset with those counts
         per_kind = np.bincount(rates)
-        counts = list(map(fired_counts(rates), reps))
+        counts = [fired_counts(rates, row) for row in reps]
         assert len(set(counts)) == strata and all(sum(c) <= order for c in counts)
         assert [math.prod(map(math.comb, per_kind, c)) for c in counts] == list(sizes)
 
@@ -278,8 +278,8 @@ class TestEnumerate:
         # a stratum's weight is each of its subsets' weight, bit for bit
         _, reps, _, _ = nz._strata(cfg, order)
         rep_weights = np.exp(np.sum(np.log1p(-probs)) + log_odds[reps].sum(axis=1))
-        by_counts = dict(zip(map(fired_counts(rates), reps), rep_weights.tolist()))
-        assert [by_counts[c] for c in map(fired_counts(rates), index)] == weights.tolist()
+        by_counts = {fired_counts(rates, row): w for row, w in zip(reps, rep_weights.tolist())}
+        assert [by_counts[fired_counts(rates, row)] for row in index] == weights.tolist()
         exact = [Fraction(float(w)) for w in weights]
         bins = [sum(map(operator.mul, exact, map(Fraction, masses[:, b].tolist())), Fraction(0)) for b in range(gd.N_BINS)]
         total, accepted = sum(exact, Fraction(0)), sum(bins) - bins[gd.BIN_REJECTED]
