@@ -126,10 +126,6 @@ def _resolve_noise(args) -> nz.NoiseParams:
         raise CliError(str(exc))
 
 
-def _noise_params_dict(params: nz.NoiseParams) -> dict:
-    return {"p_x": params.p_x, "p_z": params.p_z, "p_zz": params.p_zz}
-
-
 def _apply_config_file(argv: list[str]) -> list[str]:
     """Expand '--config FILE' into leading key=value flags (flags override)."""
     if "--config" not in argv:
@@ -176,7 +172,7 @@ def _params_bounds(args) -> dict:
         "n": args.n,
         "r_z": r_z,
         "r_zz": r_zz,
-        **_noise_params_dict(noise),
+        **dataclasses.asdict(noise),
         "seed": args.seed,
         "format": args.format,
     }
@@ -184,7 +180,7 @@ def _params_bounds(args) -> dict:
 
 def _run_bounds(params: dict):
     noise = nz.NoiseParams(p_x=params["p_x"], p_z=params["p_z"], p_zz=params["p_zz"])
-    b = bd.breakdown(bd.BoundInputs(n=params["n"], r_z=params["r_z"], r_zz=params["r_zz"], noise=noise))
+    b = bd.breakdown(params["n"], params["r_z"], params["r_zz"], noise)
     results = dataclasses.asdict(b)
     return results, [results], list(results.keys())
 
@@ -214,7 +210,7 @@ def _params_simulate(args) -> dict:
         "theta_radians": theta,
         "r_z": r_z,
         "r_zz": r_zz,
-        **_noise_params_dict(noise),
+        **dataclasses.asdict(noise),
         "mode": args.mode,
         "trials": args.trials if args.mode == "mc" else None,
         "max_order": args.max_order if args.mode == "enumerate" else None,
@@ -231,7 +227,7 @@ def _run_simulate(params: dict):
         est = nz.estimate_rates_mc(cfg, noise, trials=params["trials"], seed=params["seed"], threads=params["threads"])
     else:
         est = nz.enumerate_faults(cfg, noise, max_order=params["max_order"])
-    b = bd.breakdown(bd.BoundInputs(n=params["n"], r_z=params["r_z"], r_zz=params["r_zz"], noise=noise))
+    b = bd.breakdown(params["n"], params["r_z"], params["r_zz"], noise)
     results = {
         "e_x": est.e_x,
         "e_z": est.e_z,
@@ -265,7 +261,7 @@ def _params_plan(args) -> dict:
         raise CliError("--target must be in (0, 1)")
     return {
         "target": args.target,
-        **_noise_params_dict(noise),
+        **dataclasses.asdict(noise),
         "seed": args.seed,
         "format": args.format,
     }
@@ -286,9 +282,7 @@ def _plan_row(plan: dst.DistillPlan) -> dict:
 def _run_plan(params: dict):
     eta = params["p_z"] / params["p_x"] if params["p_x"] > 0 else math.inf
     try:
-        gadget_plan, baseline_plan = dst.plan(
-            target=params["target"], p_z=params["p_z"], eta=eta, p_zz_rule=params["p_zz"]
-        )
+        gadget_plan, baseline_plan = dst.plan(target=params["target"], p_z=params["p_z"], eta=eta, p_zz=params["p_zz"])
     except dst.FeasibilityError as exc:
         raise CliError(str(exc), code=EXIT_INFEASIBLE)
     savings = dst.savings_factor(gadget_plan, baseline_plan)
@@ -388,16 +382,17 @@ def _run_sweep(params: dict):
 # dispatch, replay, parser
 
 
-_RUNNERS = {
-    "bounds": _run_bounds,
-    "simulate": _run_simulate,
-    "plan": _run_plan,
-    "sweep": _run_sweep,
+_COMMANDS = {  # command -> (params builder, runner)
+    "bounds": (_params_bounds, _run_bounds),
+    "simulate": (_params_simulate, _run_simulate),
+    "plan": (_params_plan, _run_plan),
+    "sweep": (_params_sweep, _run_sweep),
 }
 
 
 def _execute_and_emit(command: str, params: dict, out_path: str | None) -> int:
-    results, rows, columns = _RUNNERS[command](params)
+    _, run = _COMMANDS[command]
+    results, rows, columns = run(params)
     fmt = params.get("format", "json")
     if fmt == "csv":
         text = _csv_lines(command, params, columns, rows)
@@ -431,7 +426,8 @@ def _rebuilt_params(path: str, command: str, header: dict) -> dict:
         if action.option_strings and action.nargs is None and action.dest != implied and value is not None:
             argv += [action.option_strings[0], value if isinstance(value, str) else json.dumps(value)]
     try:
-        params = _PARAM_BUILDERS[command](parser.parse_args(argv))
+        build_params, _ = _COMMANDS[command]
+        params = build_params(parser.parse_args(argv))
     except CliError as exc:
         raise CliError(f"{path}: {command} header: {exc}") from None
     for key in sorted(header.keys() | params.keys()):
@@ -460,7 +456,7 @@ def _cmd_replay(args) -> int:
                 command = line.split("=", 1)[1]
             elif line.startswith("# params="):
                 params = json.loads(line.split("=", 1)[1])
-    if command not in _RUNNERS or not isinstance(params, dict):
+    if command not in _COMMANDS or not isinstance(params, dict):
         raise CliError(f"{args.file} carries no replayable header")
     return _execute_and_emit(command, _rebuilt_params(args.file, command, params), args.out)
 
@@ -523,14 +519,6 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     return parser
 
 
-_PARAM_BUILDERS = {
-    "bounds": _params_bounds,
-    "simulate": _params_simulate,
-    "plan": _params_plan,
-    "sweep": _params_sweep,
-}
-
-
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
@@ -539,8 +527,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command == "replay":
             return _cmd_replay(args)
-        params = _PARAM_BUILDERS[args.command](args)
-        return _execute_and_emit(args.command, params, args.out)
+        build_params, _ = _COMMANDS[args.command]
+        return _execute_and_emit(args.command, build_params(args), args.out)
     except CliError as exc:
         print(f"biasforge: {exc}", file=sys.stderr)
         return exc.code

@@ -11,7 +11,8 @@ copies.  A round post-selects on a trivial syndrome:
 * Z-error patterns are checked against the 4 X-type generators likewise.
 
 Both sides reduce to weight-enumerator polynomials of the four pattern
-classes, computed once by exhaustive GF(2) enumeration.  With
+classes, computed once by listing each GF(2) span (16 X-side and 1,024
+Z-side patterns per class).  With
 t = e / (1 - e) a weight-w pattern has probability (1 - e)^15 t^w, so a
 side with stabilizer enumerator S and logical-coset enumerator L accepts
 with probability (1 - e)^15 (S(t) + L(t)) and flips the logical with
@@ -86,9 +87,8 @@ class Channel:
 
 @dataclass(frozen=True, eq=False)
 class CssCode:
-    """Check and logical matrices; compared and hashed by identity."""
+    """Check and logical matrices on N_PHYS qubits; arrays, so compared by identity."""
 
-    n_phys: int
     x_checks: np.ndarray  # (4, 15) uint8
     z_checks: np.ndarray  # (10, 15) uint8
     logical_x: np.ndarray  # (15,) uint8
@@ -118,7 +118,6 @@ def rm15_code() -> CssCode:
         logical_z = np.zeros(N_PHYS, dtype=np.uint8)
         logical_z[:3] = 1  # columns 1,2,3 form a closed line: weight-3 representative
         _rm15 = CssCode(
-            n_phys=N_PHYS,
             x_checks=x_checks,
             z_checks=np.concatenate([x_checks, np.array(products, dtype=np.uint8)]),
             logical_x=np.ones(N_PHYS, dtype=np.uint8),
@@ -137,15 +136,10 @@ def _row_masks(rows: np.ndarray) -> list[int]:
 
 def _span_weights(generator_masks: list[int], offset: int = 0) -> np.ndarray:
     """Weight histogram of {offset XOR span(generators)} over GF(2)."""
-    counts = np.zeros(N_PHYS + 1, dtype=np.int64)
-    k = len(generator_masks)
-    for bits in range(1 << k):
-        v = offset
-        for i in range(k):
-            if (bits >> i) & 1:
-                v ^= generator_masks[i]
-        counts[int(v).bit_count()] += 1
-    return counts
+    span = [offset]
+    for g in generator_masks:
+        span += [v ^ g for v in span]
+    return np.bincount([v.bit_count() for v in span], minlength=N_PHYS + 1)
 
 
 @dataclass(frozen=True)
@@ -164,12 +158,13 @@ def _horner(counts: np.ndarray) -> tuple[Decimal, ...]:
     return tuple(Decimal(int(c)) for c in np.trim_zeros(counts, "b")[::-1])
 
 
-@functools.cache  # keyed on the code object, which the cache keeps alive
-def _enumerators(code: CssCode) -> _Enumerators:
+@functools.cache
+def _enumerators() -> _Enumerators:
+    """The enumerators of rm15_code, built on the first rm15_map call."""
+    code = rm15_code()
     x_gen = _row_masks(code.x_checks)
     z_gen = _row_masks(code.z_checks)
-    lx = _row_masks(code.logical_x.reshape(1, -1))[0]
-    lz = _row_masks(code.logical_z.reshape(1, -1))[0]
+    lx, lz = _row_masks(np.array([code.logical_x, code.logical_z]))
     x_stab, x_logical = _span_weights(x_gen), _span_weights(x_gen, offset=lx)
     z_stab, z_logical = _span_weights(z_gen), _span_weights(z_gen, offset=lz)
     return _Enumerators(
@@ -212,7 +207,7 @@ def rm15_map(channel: Channel) -> tuple[Channel, float]:
     Returns the accepted-output channel and the acceptance probability
     (product of the independent X-side and Z-side acceptance factors).
     """
-    en = _enumerators(rm15_code())
+    en = _enumerators()
     with decimal.localcontext(_CTX):
         out_x, acc_x = _side(channel.e_x, en.x_horner)
         out_z, acc_z = _side(channel.e_z, en.z_horner)
@@ -268,57 +263,50 @@ def gadget_channel(n: int, r: int, params: NoiseParams) -> Channel:
     )
 
 
-def plan(
-    target: float,
-    p_z: float,
-    eta: float,
-    p_zz_rule: str | float = "px",
-) -> tuple[DistillPlan, DistillPlan]:
+def plan(target: float, p_z: float, eta: float, p_zz: float | None = None) -> tuple[DistillPlan, DistillPlan]:
     """Cheapest (r, layers) for the n=3 gadget vs the unencoded baseline.
 
-    The gadget searches r in {1, 3} (n is fixed to 3, the overhead-minimal
-    choice) for the minimal layer count, tie-broken toward smaller r.  The
-    baseline is the n=1 preparation: no repetition encoding, r = 1, unit
-    non-Clifford cost, channel given by the same bound formulas at n=1.
+    The noise is NoiseParams.from_bias(p_z, eta, p_zz).  The gadget searches
+    r in {1, 3} (n is fixed to 3, the overhead-minimal choice) for the
+    minimal layer count, tie-broken toward smaller r.  The baseline is the
+    n=1 preparation: no repetition encoding, r = 1, unit non-Clifford cost,
+    channel given by the same bound formulas at n=1.
     """
     if not 0.0 < target < 1.0:
         raise ValueError(f"target must be in (0, 1), got {target}")
-    p_x = p_z / eta
-    p_zz = p_x if p_zz_rule == "px" else float(p_zz_rule)
-    params = NoiseParams(p_x=p_x, p_z=p_z, p_zz=p_zz)
+    params = NoiseParams.from_bias(p_z, eta, p_zz)
 
-    best: tuple[int, int, Channel] | None = None  # (layers, r, achieved)
-    failure: FeasibilityError | None = None
+    feasible: list[tuple[int, Channel, int]] = []  # (layers, achieved, r)
     for r in (1, 3):
         try:
-            layers, achieved = _min_layers(gadget_channel(3, r, params), target)
-        except (FeasibilityError, ChannelRangeError) as exc:
-            failure = exc if isinstance(exc, FeasibilityError) else FeasibilityError(str(exc))
-            continue
-        if best is None or (layers, r) < (best[0], best[1]):
-            best = (layers, r, achieved)
-    if best is None:
-        raise failure or FeasibilityError("gadget plan infeasible")
+            feasible.append((*_min_layers(gadget_channel(3, r, params), target), r))
+        except FeasibilityError as exc:
+            failure = exc
+        except ChannelRangeError as exc:
+            failure = FeasibilityError(str(exc))
+    if not feasible:
+        raise failure
+    layers, achieved, r = min(feasible, key=lambda f: (f[0], f[2]))
     gadget_plan = DistillPlan(
         use_gadget=True,
         n=3,
-        r=best[1],
-        layers=best[0],
-        achieved=best[2],
-        overhead=overhead(True, best[0]),
+        r=r,
+        layers=layers,
+        achieved=achieved,
+        overhead=overhead(True, layers),
     )
 
     try:
-        base_layers, base_achieved = _min_layers(gadget_channel(1, 1, params), target)
+        layers, achieved = _min_layers(gadget_channel(1, 1, params), target)
     except ChannelRangeError as exc:
         raise FeasibilityError(f"baseline channel out of range: {exc}")
     baseline_plan = DistillPlan(
         use_gadget=False,
         n=1,
         r=1,
-        layers=base_layers,
-        achieved=base_achieved,
-        overhead=overhead(False, base_layers),
+        layers=layers,
+        achieved=achieved,
+        overhead=overhead(False, layers),
     )
     return gadget_plan, baseline_plan
 

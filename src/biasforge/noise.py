@@ -293,10 +293,10 @@ def enumerate_faults(cfg: gd.GadgetConfig, params: NoiseParams, max_order: int) 
     """
     if max_order not in (1, 2):
         raise UnsupportedOrderError(f"max_order must be 1 or 2, got {max_order}")
+    if max(params.p_z, params.p_x, params.p_zz) >= 1.0:
+        raise ValueError("enumeration requires all event probabilities < 1")
     rates, reps, masses, sizes = _strata(cfg, max_order)
     probs = np.array([params.p_z, params.p_x, params.p_zz])[rates]
-    if np.any(probs >= 1.0):
-        raise ValueError("enumeration requires all event probabilities < 1")
     with np.errstate(divide="ignore"):
         log_odds = np.append(np.log(probs) - np.log1p(-probs), 0.0)
     weights = np.exp(np.sum(np.log1p(-probs)) + log_odds[reps].sum(axis=1))

@@ -135,7 +135,7 @@ def test_criterion_6_rm_leading_order():
     out, _ = dst.rm15_map(dst.Channel(e_x=0.0, e_z=1e-4))
     ratio = out.e_z / (1e-4) ** 3
     assert abs(ratio - 35.0) < 1.0, ratio
-    en = dst._enumerators(dst.rm15_code())
+    en = dst._enumerators()
     d_x = dst.logical_coset_min_weight(en.x_logical)
     assert d_x > 3, d_x
     _elapsed_guard(t0, 60, "criterion 6")

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,13 +10,13 @@ from biasforge.noise import NoiseParams
 
 
 def test_all_zero_rates_give_zero():
-    b = bd.breakdown(bd.BoundInputs(3, 3, 3, NoiseParams(0.0, 0.0, 0.0)))
+    b = bd.breakdown(3, 3, 3, NoiseParams(0.0, 0.0, 0.0))
     assert b.e_xl == 0.0 and b.e_zl == 0.0
     assert b.eps_x3 == b.eps_x_mz == b.eps_z1 == b.eps_z2 == 0.0
 
 
 def test_breakdown_example_values():
-    b = bd.breakdown(bd.BoundInputs(3, 3, 3, NoiseParams(p_x=1e-6, p_z=1e-3, p_zz=1e-6)))
+    b = bd.breakdown(3, 3, 3, NoiseParams(p_x=1e-6, p_z=1e-3, p_zz=1e-6))
     assert abs(b.eps_x3 - 9e-6) < 1e-18
     assert abs(b.eps_z2 - (3e-6 + 3 * (6e-3) ** 2)) < 1e-15  # 1.11e-4
 
@@ -46,23 +47,30 @@ def test_even_r_rejected(fn):
 
 
 def test_breakdown_recombines_to_combined_bounds():
-    for r in (1, 3, 5):
-        noise = NoiseParams(p_x=2e-6, p_z=5e-4, p_zz=3e-6)
-        b = bd.breakdown(bd.BoundInputs(3, r, r, noise))
-        assert math.isclose(b.e_xl, bd.e_xl_bound(3, r, noise.p_x, noise.p_z), rel_tol=1e-12)
-        assert math.isclose(
-            b.e_zl, bd.e_zl_bound(3, r, noise.p_x, noise.p_z, noise.p_zz), rel_tol=1e-12
-        )
-    assert b.e_xl == b.eps_x3 + b.eps_x_mzz
-    assert b.e_zl == b.eps_z1 + b.eps_z2
+    # the same polynomials summed in another order: a few ulp apart at most
+    for n in (1, 3, 5, 7):
+        for r in (1, 3, 5):
+            for p_z in np.geomspace(1e-4, 1e-2, 25).tolist():
+                for eta in (10.0, 100.0, 1000.0):
+                    noise = NoiseParams.from_bias(p_z, eta)
+                    b = bd.breakdown(n, r, r, noise)
+                    assert math.isclose(b.e_xl, bd.e_xl_bound(n, r, noise.p_x, noise.p_z), rel_tol=1e-15)
+                    assert math.isclose(
+                        b.e_zl, bd.e_zl_bound(n, r, noise.p_x, noise.p_z, noise.p_zz), rel_tol=1e-15
+                    )
+                    assert b.e_xl == b.eps_x3 + b.eps_x_mzz
+                    assert b.e_zl == b.eps_z1 + b.eps_z2
+
+
+@pytest.mark.parametrize("counts", [(2, 3, 3), (3, 2, 3), (3, 3, 4), (3, 0, 3)])
+def test_breakdown_rejects_even_counts(counts):
+    with pytest.raises(bd.OddParityError):
+        bd.breakdown(*counts, NoiseParams(p_x=1e-6, p_z=1e-3, p_zz=1e-6))
 
 
 def test_distinct_repetition_counts_kept_apart():
     noise = NoiseParams(p_x=1e-6, p_z=1e-3, p_zz=1e-6)
-    b = bd.breakdown(bd.BoundInputs(3, 1, 3, noise))
-    m_inputs = bd.BoundInputs(3, 1, 3, noise)
-    with pytest.raises(ValueError):
-        _ = m_inputs.m
+    b = bd.breakdown(3, 1, 3, noise)
     # eps_x_mz uses r_z only, eps_x3 uses r_zz only
     assert b.eps_x3 == 3 * 3 * 1e-6
     assert abs(b.eps_x_mz - (3 * 2 * 1e-6 + 5e-3)) < 1e-12

@@ -5,6 +5,7 @@ import pytest
 
 from biasforge import bounds as bd
 from biasforge import cli
+from biasforge import distill as dst
 from biasforge import noise as nz
 
 
@@ -167,6 +168,19 @@ class TestPlan:
         report = run_json(capsys, "plan", "--target", "1e-16", "--pz", "1e-3", "--bias", "100")
         assert report["results"]["gadget"]["layers"] == 2
         assert report["results"]["baseline"]["layers"] == 3
+
+    def test_pzz_flag_reaches_the_planner(self, capsys):
+        argv = ["plan", "--target", "1e-12", "--pz", "1e-3", "--bias", "100"]
+        default = run_json(capsys, *argv)["results"]
+        report = run_json(capsys, *argv, "--pzz", "5e-6")
+        assert report["params"]["p_zz"] == 5e-6
+        assert report["results"] != default
+        gadget_plan, baseline_plan = dst.plan(1e-12, 1e-3, 100.0, p_zz=5e-6)
+        assert report["results"] == {
+            "gadget": cli._plan_row(gadget_plan),
+            "baseline": cli._plan_row(baseline_plan),
+            "savings_factor": dst.savings_factor(gadget_plan, baseline_plan),
+        }
 
     def test_infeasible_exits_4(self, capsys):
         code, _, err = run_cli(capsys, "plan", "--target", "1e-8", "--pz", "0.05", "--bias", "10")

@@ -59,7 +59,7 @@ class TestCodeSanity:
 
     def test_distance_three_for_z_errors(self, code):
         # every weight-1 and weight-2 Z pattern triggers some X check
-        n = code.n_phys
+        n = d.N_PHYS
         for i in range(n):
             e = np.zeros(n, dtype=np.uint8)
             e[i] = 1
@@ -81,7 +81,7 @@ class TestCodeSanity:
         assert (counts == 32).all()
 
     def test_coset_weights(self, code):
-        en = d._enumerators(code)
+        en = d._enumerators()
         assert d.logical_coset_min_weight(en.x_logical) == 7
         assert int(en.z_logical[3]) == 35
         assert int(en.x_stab.sum()) == 16 and int(en.x_logical.sum()) == 16
@@ -177,23 +177,6 @@ class TestRm15Map:
             assert math.isclose(out.e_z, bz, rel_tol=1e-10)
             assert math.isclose(p_acc, px * pz, rel_tol=1e-10)
 
-    def test_enumerators_follow_code_contents(self, code):
-        # the first code is freed before the second is built, so the second
-        # is usually allocated at the first one's address and gets its id
-        swapped = (code.z_checks.copy(), code.x_checks.copy(), code.logical_z.copy(), code.logical_x.copy())
-        same = (code.x_checks.copy(), code.z_checks.copy(), code.logical_x.copy(), code.logical_z.copy())
-        first = d.CssCode(15, *same)
-        d._enumerators(first)
-        del first
-        second = d.CssCode(15, *swapped)
-        got = d._enumerators(second)
-        x_gen, z_gen = d._row_masks(second.x_checks), d._row_masks(second.z_checks)
-        lx, lz = d._row_masks(second.logical_x.reshape(1, -1))[0], d._row_masks(second.logical_z.reshape(1, -1))[0]
-        assert np.array_equal(got.x_stab, d._span_weights(x_gen))
-        assert np.array_equal(got.x_logical, d._span_weights(x_gen, offset=lx))
-        assert np.array_equal(got.z_stab, d._span_weights(z_gen))
-        assert np.array_equal(got.z_logical, d._span_weights(z_gen, offset=lz))
-
     def test_subnormal_output_rounded_once(self):
         # the exact value is 1.37520095735409249...e-308; rounding it to 53
         # bits before scaling into the subnormal range gave ...093e-308
@@ -209,7 +192,7 @@ class TestRm15Map:
     @settings(max_examples=400)
     @given(rates(), rates())
     def test_bit_identical_to_exact_rational_oracle(self, code, e_x, e_z):
-        en = d._enumerators(code)
+        en = d._enumerators()
         rate_x, acc_x = exact_side(e_x, en.x_stab, en.x_logical)
         rate_z, acc_z = exact_side(e_z, en.z_stab, en.z_logical)
         want = (float(rate_x), float(rate_z), float(acc_x * acc_z))
@@ -315,6 +298,14 @@ class TestPlan:
     def test_invalid_target(self):
         with pytest.raises(ValueError):
             d.plan(0.0, 1e-3, 10.0)
+
+    def test_explicit_pzz_sets_the_gadget_channel(self):
+        p_z, eta, p_zz = 1e-3, 100.0, 5e-6
+        plans = d.plan(1e-12, p_z, eta, p_zz=p_zz)
+        assert plans != d.plan(1e-12, p_z, eta)
+        for plan in plans:
+            start = d.gadget_channel(plan.n, plan.r, NoiseParams(p_z / eta, p_z, p_zz))
+            assert plan.achieved == d.concatenate(start, plan.layers)
 
     def test_never_dominated(self):
         # the gadget plan never has both higher overhead and higher error

@@ -187,6 +187,17 @@ class TestEnumerate:
         with pytest.raises(nz.UnsupportedOrderError):
             nz.enumerate_faults(cfg, nz.NoiseParams.from_bias(1e-3, 100), 3)
 
+    @pytest.mark.parametrize(
+        "params", [nz.NoiseParams(p_x=0.0, p_z=1.0, p_zz=0.0), nz.NoiseParams(p_x=1e-3, p_z=1e-2, p_zz=1.0)]
+    )
+    def test_certain_event_rejected_before_the_cold_build(self, monkeypatch, params):
+        def unbuilt(cfg, max_order):
+            raise AssertionError("fault strata built for rates that enumeration refuses")
+
+        monkeypatch.setattr(nz, "_strata", unbuilt)
+        with pytest.raises(ValueError, match="probabilities < 1"):
+            nz.enumerate_faults(gd.GadgetConfig.t_state(3, r=1), params, 2)
+
     def test_single_z_faults_give_no_logical_error_at_r3(self):
         # pure dephasing, first order: every single Z fault is outvoted,
         # detected, or correctable, for both target angles
