@@ -12,7 +12,7 @@ many cells (``noise._sample_fires``, which returns the fired (trial, event)
 cells in trial order), then one double per trial, in trial order, which
 picks the trial's noiseless row by its probability.  A faulted trial reads
 that row through its frame, the XOR of its fired events' integer frame
-codes (``noise._event_frames``: readout flips in the low bits, the block-3
+codes (``noise._event_table``: readout flips in the low bits, the block-3
 Pauli above them).  So the counts are those of the one-draw block sampler,
 with no other engine behind them.  The cases are the nine of
 ``test_monte_carlo_counts_match_per_trial_loop``, two in which every Z event

@@ -6,12 +6,13 @@ Layers, bottom up:
                 X-readout split) and the PauliString type.
 * ``gadget``    the repetition-code magic-state preparation circuit, its
                 noiseless branch table from one exact state-vector
-                execution, and one batch path over it: faulted enumeration
-                (``enumerate_branches``) or sampled rows
-                (``rows_under_frames``) read through Pauli frames, then
+                execution, and one batch path over it: the table read
+                through one Pauli frame code (``enumerate_branches``) or a
+                code per sampled row (``rows_under_frames``), then
                 ``outcome_bins``, which decodes the records and reads one
                 Pauli class table per config.
-* ``noise``     biased Pauli fault model: exhaustive low-order fault
+* ``noise``     biased Pauli fault model: its events as frame codes
+                (``gadget.fault_frame``), exhaustive low-order fault
                 enumeration and block Monte Carlo over the gadget.
 * ``bounds``    closed-form logical error bounds at one noise point.
 * ``distill``   exact 15-qubit Reed-Muller error-detection distillation,

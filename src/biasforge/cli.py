@@ -280,9 +280,9 @@ def _plan_row(plan: dst.DistillPlan) -> dict:
 
 
 def _run_plan(params: dict):
-    eta = params["p_z"] / params["p_x"] if params["p_x"] > 0 else math.inf
+    noise = nz.NoiseParams(p_x=params["p_x"], p_z=params["p_z"], p_zz=params["p_zz"])
     try:
-        gadget_plan, baseline_plan = dst.plan(target=params["target"], p_z=params["p_z"], eta=eta, p_zz=params["p_zz"])
+        gadget_plan, baseline_plan = dst._plan(params["target"], noise)
     except dst.FeasibilityError as exc:
         raise CliError(str(exc), code=EXIT_INFEASIBLE)
     savings = dst.savings_factor(gadget_plan, baseline_plan)
@@ -532,7 +532,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"biasforge: {exc}", file=sys.stderr)
         return exc.code
-    except (gd.ConfigError, bd.OddParityError, nz.UnsupportedOrderError, ValueError) as exc:
+    except (gd.ConfigError, gd.CorrectionTableError, bd.OddParityError, nz.UnsupportedOrderError, ValueError) as exc:
         print(f"biasforge: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except nz.EstimationError as exc:

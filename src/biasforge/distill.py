@@ -264,9 +264,13 @@ def gadget_channel(n: int, r: int, params: NoiseParams) -> Channel:
 
 
 def plan(target: float, p_z: float, eta: float, p_zz: float | None = None) -> tuple[DistillPlan, DistillPlan]:
-    """Cheapest (r, layers) for the n=3 gadget vs the unencoded baseline.
+    """Cheapest (r, layers) for the n=3 gadget vs the unencoded baseline at
+    NoiseParams.from_bias(p_z, eta, p_zz) (see :func:`_plan`)."""
+    return _plan(target, NoiseParams.from_bias(p_z, eta, p_zz))
 
-    The noise is NoiseParams.from_bias(p_z, eta, p_zz).  The gadget searches
+
+def _plan(target: float, params: NoiseParams) -> tuple[DistillPlan, DistillPlan]:
+    """:func:`plan` at the noise ``params`` itself.  The gadget searches
     r in {1, 3} (n is fixed to 3, the overhead-minimal choice) for the
     minimal layer count, tie-broken toward smaller r.  The baseline is the
     n=1 preparation: no repetition encoding, r = 1, unit non-Clifford cost,
@@ -274,8 +278,6 @@ def plan(target: float, p_z: float, eta: float, p_zz: float | None = None) -> tu
     """
     if not 0.0 < target < 1.0:
         raise ValueError(f"target must be in (0, 1), got {target}")
-    params = NoiseParams.from_bias(p_z, eta, p_zz)
-
     feasible: list[tuple[int, Channel, int]] = []  # (layers, achieved, r)
     for r in (1, 3):
         try:

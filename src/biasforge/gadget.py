@@ -31,10 +31,10 @@ record keys whose branches admit no such Pauli (e.g. |alpha| in {0, n}
 for theta = pi/4) are rejected, which reproduces the
 n - |alpha| = |alpha| +/- 1 acceptance rule.
 
-Faults are (location index, PauliString-on-global-ids) pairs, applied
-after their location executes, except at MeasX locations where they are
-applied before readout.  Fault Paulis may touch any qubit that is live at
-that point in the circuit.
+A fault is a (location index, PauliString-on-global-ids) pair, applied
+after its location executes, or before readout at a MeasX location, on
+qubits live there.  It reaches the branch functions only as the frame
+code (below) that :func:`fault_frame` makes of a fault list.
 
 Execution: state vectors run only the noiseless circuit, once per config.
 Each build turns the circuit into a list of stack operations on a live
@@ -134,6 +134,8 @@ class GadgetConfig:
                 raise ConfigError(f"{name}={value!r} must be an integer") from None
         if self.n < 1 or self.n % 2 == 0:
             raise ConfigError(f"code length n={self.n} must be odd and >= 1")
+        if not math.isfinite(self.theta):
+            raise ConfigError(f"theta={self.theta!r} must be finite")
         if self.n > SIM_MAX_N:
             raise ConfigError(f"code length n={self.n} exceeds SIM_MAX_N={SIM_MAX_N} (the simulator holds 2n+1 qubits)")
         for name, r in (("r_z", self.r_z), ("r_zz", self.r_zz)):
@@ -381,51 +383,44 @@ def _noiseless_table(cfg: GadgetConfig) -> Branches:
     return Branches(records, probs, rows, paulis, states)
 
 
-@functools.lru_cache(maxsize=4096)
-def _frame(cfg: GadgetConfig, location: int, pauli: PauliString) -> int:
-    """The frame code of a Pauli fault at ``location``: bit m < M flips
-    readout m, and code >> M is the block-3 Pauli, X mask << n | Z mask.
+def fault_frame(cfg: GadgetConfig, faults) -> int:
+    """The frame code of a list of (location index, PauliString) faults on
+    ``build_circuit(cfg)``: bit m < M flips readout m, and code >> M is the
+    block-3 Pauli, X mask << n | Z mask.
 
-    The fault is pushed through every later location (a MeasX fault fires
+    Each fault is pushed through every later location (a MeasX fault fires
     before its own readout): a CPHASE turns X on one qubit into X on it and
     Z on the other, a MeasX flips its readout when its qubit carries Z and
     then drops the qubit.  What is left sits on block 3, in its local qubit
-    order.
+    order.  The code of the list is the XOR of its faults' codes, so the
+    frame of a union of fault lists is the XOR of theirs.  A fault on a
+    qubit not live at its location raises KeyError, and one whose X part
+    would reach a CZ(theta) raises FrameError.
     """
-    locations = build_circuit(cfg).locations
-    live = {loc.qubits[0] for loc in locations[: location + 1] if loc.kind is LocationKind.PREP_X}
-    live -= {loc.qubits[0] for loc in locations[:location] if loc.kind is LocationKind.MEAS_X}
-    if any(q not in live for q in pauli.qubits()):
-        raise KeyError(f"fault {pauli} at location {location} touches a qubit not live there")
-    start = location if locations[location].kind is LocationKind.MEAS_X else location + 1
-    m = sum(loc.kind is LocationKind.MEAS_X for loc in locations[:start])
-    xs, zs, flips = pauli.xs, pauli.zs, 0
-    for t in range(start, len(locations)):
-        kind, qubits = locations[t].kind, locations[t].qubits
-        if kind is LocationKind.CZ_THETA:
-            if any((xs >> q) & 1 for q in qubits):
-                raise FrameError(f"X part of fault {pauli} at location {location} reaches CZ(theta) at {t}")
-        elif kind is LocationKind.CPHASE:
-            a, b = qubits
-            zs ^= (((xs >> a) & 1) << b) | (((xs >> b) & 1) << a)
-        elif kind is LocationKind.MEAS_X:
-            q = qubits[0]
-            flips |= ((zs >> q) & 1) << m
-            xs &= ~(1 << q)
-            zs &= ~(1 << q)
-            m += 1
-    n = cfg.n
-    return flips | (xs >> 2 * n << n | zs >> 2 * n) << cfg.num_measurements
-
-
-def fault_frame(cfg: GadgetConfig, faults) -> int:
-    """The frame code of a fault list (see :func:`_frame`): the XOR of its
-    faults' codes, so the frame of a union of fault lists is the XOR of
-    theirs.  A fault whose X part would reach a CZ(theta) raises
-    FrameError."""
-    code = 0
-    for t, pauli in faults:
-        code ^= _frame(cfg, t, pauli)
+    locations, n, code = build_circuit(cfg).locations, cfg.n, 0
+    for location, pauli in faults:
+        live = {loc.qubits[0] for loc in locations[: location + 1] if loc.kind is LocationKind.PREP_X}
+        live -= {loc.qubits[0] for loc in locations[:location] if loc.kind is LocationKind.MEAS_X}
+        if any(q not in live for q in pauli.qubits()):
+            raise KeyError(f"fault {pauli} at location {location} touches a qubit not live there")
+        start = location if locations[location].kind is LocationKind.MEAS_X else location + 1
+        m = sum(loc.kind is LocationKind.MEAS_X for loc in locations[:start])
+        xs, zs, flips = pauli.xs, pauli.zs, 0
+        for t in range(start, len(locations)):
+            kind, qubits = locations[t].kind, locations[t].qubits
+            if kind is LocationKind.CZ_THETA:
+                if any((xs >> q) & 1 for q in qubits):
+                    raise FrameError(f"X part of fault {pauli} at location {location} reaches CZ(theta) at {t}")
+            elif kind is LocationKind.CPHASE:
+                a, b = qubits
+                zs ^= (((xs >> a) & 1) << b) | (((xs >> b) & 1) << a)
+            elif kind is LocationKind.MEAS_X:
+                q = qubits[0]
+                flips |= ((zs >> q) & 1) << m
+                xs &= ~(1 << q)
+                zs &= ~(1 << q)
+                m += 1
+        code ^= flips | (xs >> 2 * n << n | zs >> 2 * n) << cfg.num_measurements
     return code
 
 
@@ -443,33 +438,33 @@ def _flipped(cfg: GadgetConfig, flips: int) -> tuple[np.ndarray, np.ndarray]:
     return records, order
 
 
-def enumerate_branches(cfg: GadgetConfig, faults=()) -> Branches:
-    """All measurement branches of the circuit of ``cfg`` with probability
-    > ~1e-12, in depth-first (+1 first) order.
+def enumerate_branches(cfg: GadgetConfig, frame: int = 0) -> Branches:
+    """All measurement branches of the circuit of ``cfg`` under the frame
+    code ``frame`` (:func:`fault_frame`) with probability > ~1e-12, in
+    depth-first (+1 first) order.
 
-    ``faults`` is an iterable of (location index, PauliString) pairs on
-    ``build_circuit(cfg)``.  The noiseless branches are enumerated once per
-    config on the state-vector path and kept read-only; with no fault they
-    are returned as they are.
-    Otherwise the faults' frame code (:func:`fault_frame`) splits into its
-    readout flips and its block-3 Pauli, and the faulted branches are the
-    noiseless rows with those readouts negated, sorted back into
+    Under frame 0 they are the noiseless branch table, enumerated once per
+    config on the state-vector path and kept read-only.  Otherwise the code
+    splits into its readout flips and its block-3 Pauli, and the branches
+    are the noiseless rows with those readouts negated, sorted back into
     depth-first order, each with its row's probability and the Pauli.  A
-    fault whose X part would reach a CZ(theta) gate raises FrameError.
+    code outside [0, 2^(M + 2n)) raises ValueError.
     """
-    code, num = fault_frame(cfg, faults), cfg.num_measurements
+    num = cfg.num_measurements
+    if not 0 <= frame < 1 << num + 2 * cfg.n:
+        raise ValueError(f"frame code {frame} is not a code of {num} readouts and a {cfg.n}-qubit block-3 Pauli")
     table = _noiseless_table(cfg)
-    if not code:
+    if not frame:
         return table
-    flips = code & ((1 << num) - 1)
+    flips = frame & ((1 << num) - 1)
     records, rows = _flipped(cfg, flips) if flips else (table.records, table.rows)
-    paulis = np.full(len(rows), code >> num)
+    paulis = np.full(len(rows), frame >> num)
     return Branches(records, table.probabilities[rows], rows, paulis, table.noiseless_states)
 
 
 def rows_under_frames(cfg: GadgetConfig, rows: np.ndarray, frames: np.ndarray) -> Branches:
     """Noiseless table row ``rows[g]`` read through the frame code
-    ``frames[g]`` (see :func:`_frame`), one branch per entry, in entry
+    ``frames[g]`` (see :func:`fault_frame`), one branch per entry, in entry
     order: the code's low M bits negate readouts, code >> M is the block-3
     Pauli, and the probability is the row's own.  Each is the branch that
     :func:`enumerate_branches` gives for that row under that frame."""

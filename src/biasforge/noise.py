@@ -17,7 +17,9 @@ event is Clifford; an event whose X part would reach a CZ(theta) gate has
 no frame and raises ``gadget.FrameError``.  A frame is one integer code,
 the readout flips in its low M bits and the block-3 Pauli above them, and
 the frames of events combine by XOR of their codes, so both estimators
-read one noiseless branch table through them.
+read one noiseless branch table through them.  The events' codes are
+computed once per config (``_event_table``), and a fault crosses into the
+gadget only as a code.
 
 The exhaustive enumerator sums all event subsets of size <= k, weighting
 each by prod(p_e) * prod(1 - p_e') over the non-firing events (exact, no
@@ -26,15 +28,14 @@ circuit.  A subset's branches depend on its events only through its
 frame, the XOR of their frame codes, so the subsets are grouped by frame
 and each frame's branches are decoded once, in one batch, and binned by
 one gather from the gadget's class table.  Each subset is still one
-``gadget.enumerate_branches`` call on its events' (location, Pauli)
-pairs, whose branch probabilities sum its frame's bins into six
-outcome-bin masses.  These per-subset masses are independent of the
-rates, so they are computed once per (config, order) and kept as an
-(S, k) event-index matrix and an (S, 6) mass matrix.  A subset's weight
-depends only on how many z, x and zz events it fires, so the masses are
-also summed per such stratum (10 at order 2); each NoiseParams then costs
-one weight per stratum, exp(log P(no event) + sum of log-odds), and one
-(10, 6) matrix product.
+``gadget.enumerate_branches`` call on its frame code, whose branch
+probabilities sum its frame's bins into six outcome-bin masses.  These
+per-subset masses are independent of the rates, so they are computed
+once per (config, order) and kept as an (S, k) event-index matrix and an
+(S, 6) mass matrix.  A subset's weight depends only on how many z, x and
+zz events it fires, so the masses are also summed per such stratum (10 at
+order 2); each NoiseParams then costs one weight per stratum, exp(log
+P(no event) + sum of log-odds), and one (10, 6) matrix product.
 
 The primary e_x / e_z / e_y rates are per gadget attempt: the probability
 that a run is accepted AND delivers that logical error.  This is the
@@ -151,18 +152,22 @@ def fault_events(circuit: gd.Circuit) -> tuple[FaultEvent, ...]:
     return tuple(events)
 
 
-@functools.lru_cache(maxsize=None)
-def _events(cfg: gd.GadgetConfig) -> tuple[FaultEvent, ...]:
-    """The fault events of ``cfg``'s circuit, kept per config because every
-    Monte Carlo call reads them."""
-    return fault_events(gd.build_circuit(cfg))
+_RATE_INDEX = {"z": 0, "x": 1, "zz": 2}
 
 
 @functools.lru_cache(maxsize=None)
-def _event_frames(cfg: gd.GadgetConfig) -> np.ndarray:
-    """(E,) int64 frame codes (gadget.fault_frame) of the fault events, read
-    by both estimators."""
-    return np.array([gd.fault_frame(cfg, [(ev.location, ev.pauli)]) for ev in _events(cfg)], dtype=np.int64)
+def _event_table(cfg: gd.GadgetConfig):
+    """(rates, codes, kinds), read-only, which both estimators read: each
+    fault event's rate index (0 z, 1 x, 2 zz) and int64 frame code
+    (gadget.fault_frame), in ``fault_events`` order, and (rate index, event
+    indices) per rate kind z, x, zz, leaving out a kind with no events."""
+    events = fault_events(gd.build_circuit(cfg))
+    rates = np.array([_RATE_INDEX[ev.rate] for ev in events])
+    codes = np.array([gd.fault_frame(cfg, [(ev.location, ev.pauli)]) for ev in events], dtype=np.int64)
+    kinds = tuple((k, np.flatnonzero(rates == k)) for k in _RATE_INDEX.values() if k in rates)
+    for array in (rates, codes, *(kind for _, kind in kinds)):
+        array.flags.writeable = False
+    return rates, codes, kinds
 
 
 @dataclass(frozen=True)
@@ -219,9 +224,6 @@ def _rate_estimate(bins: np.ndarray, total, trials_or_order: int, ci=(0.0, 0.0, 
 # Exhaustive low-order enumeration.
 
 
-_RATE_INDEX = {"z": 0, "x": 1, "zz": 2}
-
-
 @functools.lru_cache(maxsize=None)
 def _enumerated_combos(cfg: gd.GadgetConfig, max_order: int):
     """(rate index, subsets, masses) for all event subsets of size <= k.
@@ -233,28 +235,27 @@ def _enumerated_combos(cfg: gd.GadgetConfig, max_order: int):
     bins are computed once, from its first subset's branches.  Independent
     of NoiseParams, so cached per config and order.
     """
-    events = _events(cfg)
-    num = len(events)
+    rates, frames, _ = _event_table(cfg)
+    num = len(rates)
     subsets = [()] + [(i,) for i in range(num)]
     if max_order >= 2:
         subsets += list(itertools.combinations(range(num), 2))
     index = np.full((len(subsets), max_order), num, dtype=np.intp)
     for row, s in enumerate(subsets):
         index[row, : len(s)] = s
-    codes = np.bitwise_xor.reduce(np.append(_event_frames(cfg), 0)[index], axis=1)
+    codes = np.bitwise_xor.reduce(np.append(frames, 0)[index], axis=1)
     order = np.argsort(codes, kind="stable")
     masses = np.empty((len(subsets), gd.N_BINS))
     for same_frame in np.split(order, np.flatnonzero(np.diff(codes[order])) + 1):
         bins = None
         for row in same_frame:
-            branches = gd.enumerate_branches(cfg, faults=[(events[i].location, events[i].pauli) for i in subsets[row]])
+            branches = gd.enumerate_branches(cfg, int(codes[row]))
             if bins is None:
                 bins = gd.outcome_bins(cfg, branches)
             masses[row] = np.bincount(bins, weights=branches.probabilities, minlength=gd.N_BINS)
             total = masses[row].sum()
             if abs(total - 1.0) > 1e-8:
                 raise AssertionError(f"branch probabilities sum to {total}, expected 1")
-    rates = np.array([_RATE_INDEX[ev.rate] for ev in events])
     return rates, index, masses
 
 
@@ -331,14 +332,6 @@ _MIN_TRIALS_PER_WORKER = 140_000
 _BLOCK = 2048  # trials per generator; part of the definition of the counts
 
 
-@functools.lru_cache(maxsize=None)
-def _event_kinds(cfg: gd.GadgetConfig) -> tuple[tuple[int, np.ndarray], ...]:
-    """(rate index, event indices) of the rate kinds z, x and zz, in that
-    order, leaving out a kind the circuit has no events of."""
-    rates = np.array([_RATE_INDEX[ev.rate] for ev in _events(cfg)])
-    return tuple((k, np.flatnonzero(rates == k)) for k in _RATE_INDEX.values() if k in rates)
-
-
 def _sample_fires(cfg, params, rng, size) -> tuple[np.ndarray, np.ndarray]:
     """(trial, event): the fired cells of a block of ``size`` trials, as
     two int arrays sorted by trial, then by event.
@@ -350,9 +343,10 @@ def _sample_fires(cfg, params, rng, size) -> tuple[np.ndarray, np.ndarray]:
     independently at its rate.
     """
     probs = (params.p_z, params.p_x, params.p_zz)
-    num = len(_events(cfg))
+    rates, _, kinds = _event_table(cfg)
+    num = len(rates)
     keys = []  # trial * E + event of each fired cell
-    for k, kind in _event_kinds(cfg):
+    for k, kind in kinds:
         cells = size * len(kind)
         hit = rng.choice(cells, rng.binomial(cells, probs[k]), replace=False)
         keys.append(hit // len(kind) * num + kind[hit % len(kind)])
@@ -383,7 +377,7 @@ def _mc_counts(cfg, params, seed, trial_range) -> np.ndarray:
     """
     if trial_range.start % _BLOCK:
         raise ValueError(f"trial range must start on a multiple of {_BLOCK}, got {trial_range.start}")
-    frames = _event_frames(cfg)
+    frames = _event_table(cfg)[1]
     cum, leaf_bins = _noiseless_leaf_pool(cfg)
     counts = np.zeros(gd.N_BINS, dtype=np.int64)
     for start in range(trial_range.start, trial_range.stop, _BLOCK):

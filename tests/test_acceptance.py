@@ -72,7 +72,7 @@ def test_criterion_3_fault_distance_properties():
     events = nz.fault_events(circuit)
     masses = {"z": {}, "x": {}, "zz": {}}
     for ev in events:
-        branches = gd.enumerate_branches(cfg, faults=[(ev.location, ev.pauli)])
+        branches = gd.enumerate_branches(cfg, gd.fault_frame(cfg, [(ev.location, ev.pauli)]))
         for branch, correction in zip(branches, corrections(cfg, branches.records)):
             if correction is None:
                 continue

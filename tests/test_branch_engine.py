@@ -186,7 +186,7 @@ def _faulted_gadget(draw):
 @given(_faulted_gadget())
 def test_enumerate_branches_matches_dense_reference(case):
     cfg, circuit, faults = case
-    branches = gd.enumerate_branches(cfg, faults=faults)
+    branches = gd.enumerate_branches(cfg, gd.fault_frame(cfg, faults))
     assert abs(branches.probabilities.sum() - 1.0) < 1e-9
     for branch in branches:
         prob, state = _dense_branch(cfg, circuit, faults, branch.record)
@@ -199,8 +199,9 @@ def test_frame_branches_match_state_vector_runs(case):
     # each enumerated branch, read again from its noiseless row through the
     # frame, has its record, probability, state and bin
     cfg, circuit, faults = case
-    branches = gd.enumerate_branches(cfg, faults=faults)
-    frames = np.full(len(branches), gd.fault_frame(cfg, faults))
+    code = gd.fault_frame(cfg, faults)
+    branches = gd.enumerate_branches(cfg, code)
+    frames = np.full(len(branches), code)
     runs = gd.rows_under_frames(cfg, branches.rows, frames)
     assert np.array_equal(runs.records, branches.records)
     assert np.array_equal(runs.probabilities, branches.probabilities)
@@ -232,8 +233,8 @@ def _assert_on_enumerated_branches(sampled, branches):
 @given(_faulted_gadget(), st.integers(0, 2**32 - 1))
 def test_sampled_runs_land_on_enumerated_branches(case, seed):
     cfg, circuit, faults = case
-    sampled = _sampled_runs(cfg, gd.fault_frame(cfg, faults), 64, seed)
-    _assert_on_enumerated_branches(sampled, gd.enumerate_branches(cfg, faults=faults))
+    code = gd.fault_frame(cfg, faults)
+    _assert_on_enumerated_branches(_sampled_runs(cfg, code, 64, seed), gd.enumerate_branches(cfg, code))
 
 
 def test_frame_code_top_bit_at_the_widest_config():
@@ -247,7 +248,7 @@ def test_frame_code_top_bit_at_the_widest_config():
     assert code.bit_length() == cfg.num_measurements + 2 * cfg.n
     sampled = _sampled_runs(cfg, code, 32, 1)
     assert set(sampled.paulis.tolist()) == {code >> cfg.num_measurements}
-    _assert_on_enumerated_branches(sampled, gd.enumerate_branches(cfg, faults=faults))
+    _assert_on_enumerated_branches(sampled, gd.enumerate_branches(cfg, code))
 
 
 @pytest.mark.parametrize("cfg", [gd.GadgetConfig.t_state(3, 1), gd.GadgetConfig.plus_i(3, 1)], ids=["T", "plusI"])
@@ -258,10 +259,9 @@ def test_midpoint_draws_pick_their_rows_under_every_single_event_frame(cfg):
     middle = (np.append(0.0, cum[:-1]) + cum) / 2 / cum[-1]
     rows = nz._rows(cum, middle)
     assert np.array_equal(rows, np.arange(len(cum)))
-    events = nz._events(cfg)
-    for code, e in zip(*np.unique(nz._event_frames(cfg), return_index=True)):
+    for code in np.unique(nz._event_table(cfg)[1]):
         runs = gd.rows_under_frames(cfg, rows, np.full(len(rows), code))
-        branches = gd.enumerate_branches(cfg, faults=[(events[e].location, events[e].pauli)])
+        branches = gd.enumerate_branches(cfg, int(code))
         at = np.argsort(branches.rows)  # the enumerated branch of each noiseless row
         assert np.array_equal(branches.rows[at], rows)
         assert np.array_equal(runs.records, branches.records[at])
@@ -272,9 +272,7 @@ def test_midpoint_draws_pick_their_rows_under_every_single_event_frame(cfg):
 def test_fault_on_a_qubit_not_live_is_refused():
     cfg = gd.GadgetConfig.t_state(3, 1)
     faults = [(0, gd.PauliString.z_on([2 * cfg.n]))]  # block 3 is prepared after block 1 is read
-    with pytest.raises(KeyError):
-        gd.enumerate_branches(cfg, faults=faults)
-    # sampled runs take their frame codes from fault_frame, which refuses it too
+    # both engines take their frame codes from fault_frame, which refuses it
     with pytest.raises(KeyError):
         gd.fault_frame(cfg, faults)
 
@@ -284,11 +282,18 @@ def test_x_fault_before_cz_theta_has_no_frame():
     circuit = gd.build_circuit(cfg)
     prep = circuit.locations.index(gd.Location(gd.LocationKind.PREP_X, (0,)))
     faults = [(prep, gd.PauliString.x_on([0]))]
-    with pytest.raises(gd.FrameError):
-        gd.enumerate_branches(cfg, faults=faults)
-    # sampled runs read the same frames, so they refuse it too
+    # both engines take their frame codes from fault_frame, which refuses it
     with pytest.raises(gd.FrameError):
         gd.fault_frame(cfg, faults)
+
+
+@pytest.mark.parametrize("cfg", [gd.GadgetConfig.t_state(3, 1), gd.GadgetConfig.t_state(3, 25)], ids=["r1", "r25"])
+def test_frame_codes_outside_the_code_space_are_refused(cfg):
+    width = cfg.num_measurements + 2 * cfg.n
+    assert len(gd.enumerate_branches(cfg, (1 << width) - 1)) == len(gd.enumerate_branches(cfg))
+    for code in (-1, 1 << width):
+        with pytest.raises(ValueError):
+            gd.enumerate_branches(cfg, code)
 
 
 def test_large_stacks_advance_in_halves(monkeypatch):
@@ -380,8 +385,9 @@ def test_enumerated_masses_match_golden_digests(case):
 @pytest.mark.parametrize("order, branch_calls, bin_calls", [(1, 80, 32), (2, 3161, 368)])
 def test_enumeration_classifies_each_frame_once(monkeypatch, order, branch_calls, bin_calls):
     # one enumerate_branches call per subset (the benchmark counts them) but
-    # one outcome_bins call per distinct Pauli frame
-    calls = {"enumerate_branches": 0, "outcome_bins": 0}
+    # one outcome_bins call per distinct Pauli frame, and one fault_frame
+    # call per fault event: subsets reach the gadget as XORed codes
+    calls = {"enumerate_branches": 0, "outcome_bins": 0, "fault_frame": 0}
 
     def counting(name):
         inner = getattr(gd, name)
@@ -394,9 +400,10 @@ def test_enumeration_classifies_each_frame_once(monkeypatch, order, branch_calls
 
     for name in calls:
         monkeypatch.setattr(gd, name, counting(name))
+    nz._event_table.cache_clear()
     nz._enumerated_combos.cache_clear()
     nz._enumerated_combos(gd.GadgetConfig.t_state(3, r=1), order)
-    assert calls == {"enumerate_branches": branch_calls, "outcome_bins": bin_calls}
+    assert calls == {"enumerate_branches": branch_calls, "outcome_bins": bin_calls, "fault_frame": 79}
 
 
 def test_outcome_bins_agree_with_scalar_decoding():
@@ -407,7 +414,7 @@ def test_outcome_bins_agree_with_scalar_decoding():
         (cz0, gd.PauliString.z_on(circuit.locations[cz0].qubits)),
         (circuit.num_locations - 1, gd.PauliString.x_on([6])),
     ]
-    branches = gd.enumerate_branches(cfg, faults=faults)
+    branches = gd.enumerate_branches(cfg, gd.fault_frame(cfg, faults))
     bins = gd.outcome_bins(cfg, branches)
     for branch, got in zip(branches, bins):
         [correction] = corrections(cfg, [branch.record])  # one record at a time

@@ -117,6 +117,30 @@ class TestSimulate:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "" and "BIASFORGE_THREADS" in err
 
+    @pytest.mark.parametrize("theta", ["nan", "inf", "-inf"])
+    def test_non_finite_angle_exits_2_before_simulating(self, capsys, monkeypatch, theta):
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulation started")
+
+        monkeypatch.setattr(nz, "enumerate_faults", refuse)
+        code, out, err = run_cli(
+            capsys,
+            "simulate", "--n", "3", "--r", "1", "--pz", "1e-3", "--bias", "100",
+            "--mode", "enumerate", "--max-order", "1", f"--theta-radians={theta}",
+        )
+        assert code == 2 and out == "" and "must be finite" in err
+        assert err.count("\n") == 1
+
+    def test_angle_at_a_class_threshold_exits_2(self, capsys):
+        # a class fidelity of this angle's table lies within 1e-9 of 0.99
+        code, out, err = run_cli(
+            capsys,
+            "simulate", "--n", "3", "--r", "1", "--pz", "1e-3", "--bias", "100",
+            "--mode", "enumerate", "--max-order", "1", "--theta-radians", "0.10016742116156098",
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("biasforge: ") and "within 1e-9 of 0.99" in err and err.count("\n") == 1
+
     def test_bad_order_exits_2(self, capsys):
         code, _, _ = run_cli(
             capsys,
@@ -181,6 +205,17 @@ class TestPlan:
             "baseline": cli._plan_row(baseline_plan),
             "savings_factor": dst.savings_factor(gadget_plan, baseline_plan),
         }
+
+    def test_px_flag_plans_at_the_printed_px(self, capsys):
+        # p_z / (p_z / p_x) is not p_x for this pair: the plan must use the
+        # p_x of its header, not one rebuilt from the bias
+        assert 1.05e-3 / (1.05e-3 / 5.25e-5) != 5.25e-5
+        report = run_json(capsys, "plan", "--target", "1e-12", "--pz", "1.05e-3", "--px", "5.25e-5")
+        params, gadget = report["params"], report["results"]["gadget"]
+        noise = nz.NoiseParams(p_x=params["p_x"], p_z=params["p_z"], p_zz=params["p_zz"])
+        assert noise == nz.NoiseParams(p_x=5.25e-5, p_z=1.05e-3, p_zz=5.25e-5)
+        achieved = dst.concatenate(dst.gadget_channel(3, gadget["r"], noise), gadget["layers"])
+        assert (gadget["achieved_e_x"], gadget["achieved_e_z"]) == (achieved.e_x, achieved.e_z)
 
     def test_infeasible_exits_4(self, capsys):
         code, _, err = run_cli(capsys, "plan", "--target", "1e-8", "--pz", "0.05", "--bias", "10")

@@ -13,7 +13,7 @@ def branch_masses(cfg, faults=()):
     """(accepted mass, rejected mass, {class: mass}) over all branches."""
     acc = rej = 0.0
     classes = {}
-    branches = gd.enumerate_branches(cfg, faults=faults)
+    branches = gd.enumerate_branches(cfg, gd.fault_frame(cfg, faults))
     for b, correction in zip(branches, corrections(cfg, branches.records)):
         if correction is not None:
             acc += b.probability
@@ -39,6 +39,11 @@ class TestConfig:
             gd.GadgetConfig.t_state(gd.SIM_MAX_N + 2)
         with pytest.raises(gd.ConfigError):
             gd.GadgetConfig.custom(9, 0.3)
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_rejected(self, theta):
+        with pytest.raises(gd.ConfigError, match="finite"):
+            gd.GadgetConfig.custom(3, theta)
 
     def test_frame_code_fits_in_63_bits(self):
         # a frame code holds M readout flips and a 2n-bit block-3 Pauli
@@ -374,7 +379,7 @@ class TestClassify:
         cz0 = next(t for t, loc in enumerate(circ.locations) if loc.kind is gd.LocationKind.CZ_THETA)
         pair = circ.locations[cz0].qubits
         seen_band = False
-        branches = gd.enumerate_branches(cfg, faults=[(cz0, PauliString.z_on(pair))])
+        branches = gd.enumerate_branches(cfg, gd.fault_frame(cfg, [(cz0, PauliString.z_on(pair))]))
         for b, correction in zip(branches, corrections(cfg, branches.records)):
             if correction is None:
                 continue

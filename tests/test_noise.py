@@ -57,7 +57,7 @@ class TestFaultEvents:
 
 def fired_matrix(cfg, cells, size):
     """The (size, E) bool matrix of a block's fired (trial, event) cells."""
-    fired = np.zeros((size, len(nz._events(cfg))), dtype=bool)
+    fired = np.zeros((size, len(nz.fault_events(gd.build_circuit(cfg)))), dtype=bool)
     fired[cells] = True
     return fired
 
@@ -164,7 +164,7 @@ def test_event_frames_combine_by_xor():
     cfg = gd.GadgetConfig.t_state(3, r=1)
     circ = gd.build_circuit(cfg)
     events = nz.fault_events(circ)
-    frames = nz._event_frames(cfg)
+    frames = nz._event_table(cfg)[1]
     gate = next(t for t, loc in enumerate(circ.locations) if loc.kind is gd.LocationKind.CPHASE)
     z_a, z_b, _, x_b, zz = [i for i, ev in enumerate(events) if ev.location == gate]
     assert frames.dtype == np.int64 and frames.shape == (len(events),)
@@ -174,6 +174,22 @@ def test_event_frames_combine_by_xor():
     assert frames[x_b] ^ frames[z_b] == y_anc
     # X on the ancilla reaches the later block-1 CPHASEs of its round
     assert frames[x_b] and frames[z_b] and frames[x_b] != y_anc
+
+
+@pytest.mark.parametrize("cfg", [gd.GadgetConfig.t_state(3, r=1), gd.GadgetConfig.plus_i(1, r=3)], ids=["T3", "plusI1"])
+def test_event_table_describes_fault_events(cfg):
+    # one rate index and frame code per event, in fault_events order, and
+    # the z, x, zz kinds partition the events in that order
+    events = nz.fault_events(gd.build_circuit(cfg))
+    rates, codes, kinds = nz._event_table(cfg)
+    assert rates.tolist() == [nz._RATE_INDEX[ev.rate] for ev in events]
+    assert codes.dtype == np.int64
+    assert codes.tolist() == [gd.fault_frame(cfg, [(ev.location, ev.pauli)]) for ev in events]
+    assert [k for k, _ in kinds] == [0, 1, 2]
+    assert sorted(np.concatenate([kind for _, kind in kinds]).tolist()) == list(range(len(events)))
+    for k, kind in kinds:
+        assert np.all(rates[kind] == k) and np.all(np.diff(kind) > 0)
+    assert not any(a.flags.writeable for a in (rates, codes, *(kind for _, kind in kinds)))
 
 
 def fired_counts(rates, row):
@@ -456,8 +472,8 @@ def _per_trial_counts(cfg, params, seed, trials):
     trial from default_rng([seed, block]), as _mc_counts does; the double
     picks the trial's noiseless row.  A clean trial takes that row's
     noiseless bin, and a faulted one the bin of the branch read from that
-    row in enumerate_branches under its fired events' (location, Pauli)
-    pairs."""
+    row in enumerate_branches under the frame of its fired events'
+    (location, Pauli) pairs."""
     events = nz.fault_events(gd.build_circuit(cfg))
     cum, leaf_bins = nz._noiseless_leaf_pool(cfg)
     counts = np.zeros(gd.N_BINS, dtype=np.int64)
@@ -472,7 +488,7 @@ def _per_trial_counts(cfg, params, seed, trials):
             if t not in faulted:
                 counts[leaf_bins[row]] += 1
                 continue
-            branches = gd.enumerate_branches(cfg, faults=[(ev.location, ev.pauli) for ev in faulted[t]])
+            branches = gd.enumerate_branches(cfg, gd.fault_frame(cfg, [(ev.location, ev.pauli) for ev in faulted[t]]))
             [at] = np.flatnonzero(branches.rows == row)
             counts[gd.outcome_bins(cfg, branches)[at]] += 1
     return counts
