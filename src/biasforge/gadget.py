@@ -425,17 +425,18 @@ def fault_frame(cfg: GadgetConfig, faults) -> int:
 
 
 @functools.lru_cache(maxsize=4096)
-def _flipped(cfg: GadgetConfig, flips: int) -> tuple[np.ndarray, np.ndarray]:
-    """(records, order): the noiseless records with the readouts in the
-    mask ``flips`` negated, read-only and sorted depth-first, and the
-    noiseless row each sorted record comes from."""
-    records = _noiseless_table(cfg).records
+def _flipped(cfg: GadgetConfig, flips: int) -> Branches:
+    """The branches under the frame code ``flips`` < 2^M, read-only: the
+    noiseless rows with the readouts in the mask ``flips`` negated, sorted
+    back into depth-first order, each with its row's probability."""
+    table = _noiseless_table(cfg)
     flip = ((flips >> np.arange(cfg.num_measurements)) & 1).astype(bool)
-    records = np.where(flip, -records, records)
-    order = np.lexsort((records < 0).T[::-1])  # readout 0 is the primary key
-    records = records[order]
-    records.flags.writeable = False
-    return records, order
+    records = np.where(flip, -table.records, table.records)
+    rows = np.lexsort((records < 0).T[::-1])  # readout 0 is the primary key
+    records, probabilities, paulis = records[rows], table.probabilities[rows], np.zeros(len(rows), dtype=np.intp)
+    for array in (records, probabilities, rows, paulis):
+        array.flags.writeable = False
+    return Branches(records, probabilities, rows, paulis, table.noiseless_states)
 
 
 def enumerate_branches(cfg: GadgetConfig, frame: int = 0) -> Branches:
@@ -447,19 +448,18 @@ def enumerate_branches(cfg: GadgetConfig, frame: int = 0) -> Branches:
     config on the state-vector path and kept read-only.  Otherwise the code
     splits into its readout flips and its block-3 Pauli, and the branches
     are the noiseless rows with those readouts negated, sorted back into
-    depth-first order, each with its row's probability and the Pauli.  A
-    code outside [0, 2^(M + 2n)) raises ValueError.
+    depth-first order (kept read-only per flip mask), each with its row's
+    probability and the Pauli.  A code outside [0, 2^(M + 2n)) raises
+    ValueError.
     """
     num = cfg.num_measurements
     if not 0 <= frame < 1 << num + 2 * cfg.n:
         raise ValueError(f"frame code {frame} is not a code of {num} readouts and a {cfg.n}-qubit block-3 Pauli")
-    table = _noiseless_table(cfg)
-    if not frame:
-        return table
-    flips = frame & ((1 << num) - 1)
-    records, rows = _flipped(cfg, flips) if flips else (table.records, table.rows)
-    paulis = np.full(len(rows), frame >> num)
-    return Branches(records, table.probabilities[rows], rows, paulis, table.noiseless_states)
+    flips, pauli = frame & ((1 << num) - 1), frame >> num
+    base = _flipped(cfg, flips) if flips else _noiseless_table(cfg)
+    if not pauli:
+        return base
+    return Branches(base.records, base.probabilities, base.rows, np.full(len(base.rows), pauli), base.noiseless_states)
 
 
 def rows_under_frames(cfg: GadgetConfig, rows: np.ndarray, frames: np.ndarray) -> Branches:

@@ -75,7 +75,6 @@ the estimates, depend only on (seed, trials), not on the thread count.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 import os
@@ -232,30 +231,31 @@ def _enumerated_combos(cfg: gd.GadgetConfig, max_order: int):
     (a column of zero log-odds and a zero frame code); ``masses`` is the
     (S, gadget.N_BINS) outcome-bin mass matrix.  Subsets are visited a
     frame at a time, in the order of their XOR-reduced codes, and a frame's
-    bins are computed once, from its first subset's branches.  Independent
-    of NoiseParams, so cached per config and order.
+    bins are computed once, from its first subset's branches; one bincount
+    per frame sums each of its subsets' branch probabilities into that
+    subset's masses.  Independent of NoiseParams, so cached per config and
+    order.
     """
     rates, frames, _ = _event_table(cfg)
     num = len(rates)
-    subsets = [()] + [(i,) for i in range(num)]
+    # rows: the empty subset, the singles, then the pairs i < j in lexicographic order
+    index = np.full((num + 1, max_order), num, dtype=np.intp)
+    index[1:, 0] = np.arange(num)
     if max_order >= 2:
-        subsets += list(itertools.combinations(range(num), 2))
-    index = np.full((len(subsets), max_order), num, dtype=np.intp)
-    for row, s in enumerate(subsets):
-        index[row, : len(s)] = s
+        index = np.concatenate([index, np.stack(np.triu_indices(num, 1), axis=1)])
     codes = np.bitwise_xor.reduce(np.append(frames, 0)[index], axis=1)
     order = np.argsort(codes, kind="stable")
-    masses = np.empty((len(subsets), gd.N_BINS))
+    masses, code_of = np.empty((len(index), gd.N_BINS)), codes.tolist()
     for same_frame in np.split(order, np.flatnonzero(np.diff(codes[order])) + 1):
-        bins = None
-        for row in same_frame:
-            branches = gd.enumerate_branches(cfg, int(codes[row]))
-            if bins is None:
-                bins = gd.outcome_bins(cfg, branches)
-            masses[row] = np.bincount(bins, weights=branches.probabilities, minlength=gd.N_BINS)
-            total = masses[row].sum()
-            if abs(total - 1.0) > 1e-8:
-                raise AssertionError(f"branch probabilities sum to {total}, expected 1")
+        runs = [gd.enumerate_branches(cfg, code_of[row]) for row in same_frame.tolist()]
+        # the frame's s-th subset's bin j is slot s * N_BINS + j
+        slots = (gd.outcome_bins(cfg, runs[0]) + gd.N_BINS * np.arange(len(runs))[:, None]).ravel()
+        probs = np.concatenate([branches.probabilities for branches in runs])
+        masses[same_frame] = np.bincount(slots, probs, len(runs) * gd.N_BINS).reshape(-1, gd.N_BINS)
+    totals = masses.sum(axis=1)
+    worst = totals[np.argmax(np.abs(totals - 1.0))]
+    if abs(worst - 1.0) > 1e-8:
+        raise AssertionError(f"branch probabilities sum to {worst}, expected 1")
     return rates, index, masses
 
 

@@ -296,6 +296,17 @@ def test_frame_codes_outside_the_code_space_are_refused(cfg):
             gd.enumerate_branches(cfg, code)
 
 
+def test_faulted_branches_are_read_only():
+    # the branches of a readout mask are cached and shared by every code
+    # with that mask, so none of their arrays may be written
+    cfg = gd.GadgetConfig.t_state(3, 1)
+    num = cfg.num_measurements
+    for code in (0b101, 3 << num, 3 << num | 0b101):
+        branches = gd.enumerate_branches(cfg, code)
+        arrays = (branches.records, branches.probabilities, branches.rows, branches.states)
+        assert not any(a.flags.writeable for a in arrays)
+
+
 def test_large_stacks_advance_in_halves(monkeypatch):
     # the state-vector path halves stacks while it builds the noiseless table
     cfg = gd.GadgetConfig.t_state(3, 1)
