@@ -16,11 +16,12 @@ Z-side patterns per class).  With
 t = e / (1 - e) a weight-w pattern has probability (1 - e)^15 t^w, so a
 side with stabilizer enumerator S and logical-coset enumerator L accepts
 with probability (1 - e)^15 (S(t) + L(t)) and flips the logical with
-probability L(t) / (S(t) + L(t)) given acceptance.  Both polynomials are
-evaluated by Horner's rule in the standard library's ``decimal`` at 60
-significant digits with an effectively unbounded exponent range, so
-concatenated output rates far below double-precision underflow stay
-meaningful.  Each input rate is first rounded to 60 digits (a relative
+probability L(t) / (S(t) + L(t)) given acceptance.  S has even weights and
+L odd ones, so each is t^s P(t^2) with s its parity, and P is evaluated by
+Horner's rule in t^2 (half the steps of a rule in t) in the standard
+library's ``decimal`` at 60 significant digits with an effectively
+unbounded exponent range, so concatenated output rates far below
+double-precision underflow stay meaningful.  Each input rate is first rounded to 60 digits (a relative
 change of at most 1e-60).  Outputs are returned as correctly rounded
 floats: values below about 1e-308 are subnormal and lose precision, and
 values below about 5e-324 underflow to 0.0, which the planner never
@@ -54,6 +55,7 @@ from .noise import NoiseParams
 N_PHYS = 15
 MAX_LAYERS = 6
 _CTX = decimal.Context(prec=60, Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX)
+_Split = tuple[int, tuple[Decimal, ...]]  # (s, P): the polynomial t^s P(t^2)
 
 
 class ChannelRangeError(ValueError):
@@ -148,14 +150,18 @@ class _Enumerators:
     x_logical: np.ndarray  # trivial-syndrome logical-X coset
     z_stab: np.ndarray
     z_logical: np.ndarray
-    # per side, the Horner coefficients of L and of S + L
-    x_horner: tuple[tuple[Decimal, ...], tuple[Decimal, ...]]
-    z_horner: tuple[tuple[Decimal, ...], tuple[Decimal, ...]]
+    # per side, S and L split by weight parity
+    x_horner: tuple[_Split, _Split]
+    z_horner: tuple[_Split, _Split]
 
 
-def _horner(counts: np.ndarray) -> tuple[Decimal, ...]:
-    """Coefficients of sum_w counts[w] t^w, highest nonzero power first."""
-    return tuple(Decimal(int(c)) for c in np.trim_zeros(counts, "b")[::-1])
+def _horner(counts: np.ndarray) -> _Split:
+    """sum_w counts[w] t^w as t^s P(t^2), P highest power first; raises
+    ValueError unless all weights in counts have the parity s."""
+    s = int(np.flatnonzero(counts)[0]) % 2
+    if counts[1 - s :: 2].any():
+        raise ValueError(f"weight enumerator {counts.tolist()} mixes even and odd weights")
+    return s, tuple(Decimal(int(c)) for c in np.trim_zeros(counts[s::2], "b")[::-1])
 
 
 @functools.cache
@@ -172,8 +178,8 @@ def _enumerators() -> _Enumerators:
         x_logical=x_logical,
         z_stab=z_stab,
         z_logical=z_logical,
-        x_horner=(_horner(x_logical), _horner(x_stab + x_logical)),
-        z_horner=(_horner(z_logical), _horner(z_stab + z_logical)),
+        x_horner=(_horner(x_stab), _horner(x_logical)),
+        z_horner=(_horner(z_stab), _horner(z_logical)),
     )
 
 
@@ -181,23 +187,26 @@ def logical_coset_min_weight(counts: np.ndarray) -> int:
     return int(np.nonzero(counts)[0][0])
 
 
-def _polyval(coeffs: tuple[Decimal, ...], t: Decimal) -> Decimal:
-    """Horner's rule, highest power first.  A zero coefficient costs only its
-    multiply by t: adding an exact zero would round nothing."""
+def _polyval(split: _Split, t: Decimal, u: Decimal) -> Decimal:
+    """t^s P(u) at u = t^2 by Horner's rule in u.  A zero coefficient costs
+    only its multiply by u: adding an exact zero would round nothing."""
+    s, coeffs = split
     total = coeffs[0]
     for c in coeffs[1:]:
-        total *= t
+        total *= u
         if c:
             total += c
-    return total
+    return total * t if s else total
 
 
-def _side(e: float, horner: tuple[tuple[Decimal, ...], tuple[Decimal, ...]]) -> tuple[Decimal, Decimal]:
+def _side(e: float, horner: tuple[_Split, _Split]) -> tuple[Decimal, Decimal]:
     """(logical rate given acceptance, acceptance probability) of one side."""
     e = decimal.getcontext().create_decimal_from_float(e)
     keep = 1 - e
     t = e / keep
-    logical, accepted = _polyval(horner[0], t), _polyval(horner[1], t)
+    u = t * t
+    logical = _polyval(horner[1], t, u)
+    accepted = _polyval(horner[0], t, u) + logical
     return logical / accepted, keep**N_PHYS * accepted
 
 
@@ -243,15 +252,16 @@ def final_bias(channel: Channel) -> float:
     return channel.e_z / channel.e_x
 
 
-def _min_layers(start: Channel, target: float) -> tuple[int, Channel]:
+def _min_layers(start: Channel, target: float, cap: int = MAX_LAYERS) -> tuple[int, Channel]:
+    """Fewest layers, at most ``cap``, that bring ``start`` to ``target``."""
     ch = start
-    for layers in range(MAX_LAYERS + 1):
+    for layers in range(cap + 1):
         if max(ch.e_x, ch.e_z) <= target:
             return layers, ch
-        if layers < MAX_LAYERS:
+        if layers < cap:
             ch, _ = rm15_map(ch)
     raise FeasibilityError(
-        f"target {target} not reached within {MAX_LAYERS} layers (best {max(ch.e_x, ch.e_z):.3e})"
+        f"target {target} not reached within {cap} layers (best {max(ch.e_x, ch.e_z):.3e})"
     )
 
 
@@ -272,23 +282,25 @@ def plan(target: float, p_z: float, eta: float, p_zz: float | None = None) -> tu
 def _plan(target: float, params: NoiseParams) -> tuple[DistillPlan, DistillPlan]:
     """:func:`plan` at the noise ``params`` itself.  The gadget searches
     r in {1, 3} (n is fixed to 3, the overhead-minimal choice) for the
-    minimal layer count, tie-broken toward smaller r.  The baseline is the
-    n=1 preparation: no repetition encoding, r = 1, unit non-Clifford cost,
-    channel given by the same bound formulas at n=1.
+    minimal layer count, tie-broken toward smaller r, so r=3 is searched
+    only below r=1's count (up to MAX_LAYERS if r=1 fails).  The baseline
+    is the n=1 preparation: no repetition encoding, r = 1, unit
+    non-Clifford cost, channel given by the same bound formulas at n=1.
     """
     if not 0.0 < target < 1.0:
         raise ValueError(f"target must be in (0, 1), got {target}")
-    feasible: list[tuple[int, Channel, int]] = []  # (layers, achieved, r)
+    best = None  # (layers, achieved, r)
     for r in (1, 3):
+        cap = MAX_LAYERS if best is None else best[0] - 1
         try:
-            feasible.append((*_min_layers(gadget_channel(3, r, params), target), r))
+            best = (*_min_layers(gadget_channel(3, r, params), target, cap), r)
         except FeasibilityError as exc:
             failure = exc
         except ChannelRangeError as exc:
             failure = FeasibilityError(str(exc))
-    if not feasible:
+    if best is None:
         raise failure
-    layers, achieved, r = min(feasible, key=lambda f: (f[0], f[2]))
+    layers, achieved, r = best
     gadget_plan = DistillPlan(
         use_gadget=True,
         n=3,

@@ -86,6 +86,15 @@ class TestCodeSanity:
         assert int(en.z_logical[3]) == 35
         assert int(en.x_stab.sum()) == 16 and int(en.x_logical.sum()) == 16
         assert int(en.z_stab.sum()) == 1024 and int(en.z_logical.sum()) == 1024
+        # stabilizers have even weights and the logical cosets odd ones
+        assert not en.x_stab[1::2].any() and not en.z_stab[1::2].any()
+        assert not en.x_logical[::2].any() and not en.z_logical[::2].any()
+
+    def test_mixed_parity_enumerator_rejected(self):
+        assert d._horner(np.array([0, 0, 3, 0, 1])) == (0, (1, 3, 0))
+        assert d._horner(np.array([0, 2, 0, 5])) == (1, (5, 2))
+        with pytest.raises(ValueError, match="mixes even and odd"):
+            d._horner(np.array([1, 0, 0, 1]))
 
 
 def brute_force_side(syndrome_checks, stabilizer_rows, logical, e):
@@ -123,6 +132,51 @@ def exact_side(e: float, stab, logical) -> tuple[Fraction, Fraction]:
     logical_t = sum(int(c) * x for c, x in zip(logical, terms))
     accepted_t = logical_t + sum(int(c) * x for c, x in zip(stab, terms))
     return Fraction(logical_t, accepted_t), Fraction(accepted_t, den**15)
+
+
+def uncapped_plan(target: float, p_z: float, eta: float):
+    """plan by exhaustive search: each start is iterated with concatenate, one
+    layer at a time, up to MAX_LAYERS, and r=1 wins ties with r=3."""
+    params = NoiseParams.from_bias(p_z, eta)
+
+    def search(n, r):
+        """(layers, channel), or the error that ended the search."""
+        try:
+            ch = d.gadget_channel(n, r, params)
+            for layers in range(d.MAX_LAYERS + 1):
+                if max(ch.e_x, ch.e_z) <= target:
+                    return layers, ch
+                if layers < d.MAX_LAYERS:
+                    ch = d.concatenate(ch, 1)
+        except d.ChannelRangeError as exc:
+            return exc
+        except d.SaturationError as exc:
+            return exc.__context__
+        best = max(ch.e_x, ch.e_z)
+        return d.FeasibilityError(f"target {target} not reached within {d.MAX_LAYERS} layers (best {best:.3e})")
+
+    found = {r: search(3, r) for r in (1, 3)}
+    reached = [(*found[r], r) for r in (1, 3) if isinstance(found[r], tuple)]
+    if not reached:
+        failure = found[3]
+        raise failure if isinstance(failure, d.FeasibilityError) else d.FeasibilityError(str(failure))
+    layers, achieved, r = min(reached, key=lambda f: (f[0], f[2]))
+    gadget_plan = d.DistillPlan(True, 3, r, layers, achieved, d.overhead(True, layers))
+    baseline = search(1, 1)
+    if isinstance(baseline, d.ChannelRangeError):
+        raise d.FeasibilityError(f"baseline channel out of range: {baseline}")
+    if isinstance(baseline, Exception):
+        raise baseline
+    layers, achieved = baseline
+    return gadget_plan, d.DistillPlan(False, 1, 1, layers, achieved, d.overhead(False, layers))
+
+
+def outcome(planner, *query):
+    """The plans, or the type and message of the error raised."""
+    try:
+        return planner(*query)
+    except Exception as exc:
+        return type(exc), str(exc)
 
 
 def log_uniform(lo: float, hi: float):
@@ -207,6 +261,14 @@ class TestRm15Map:
         outputs = [x for calls in (RM15_GRID["plan_calls"], *RM15_GRID["figure_calls"].values())
                    for c in calls for x in map(float, c["out"])]
         assert not any(0.0 < x < MIN_NORMAL for x in outputs)  # no subnormal was recorded
+        for call in RM15_GRID["plan_calls"]:
+            out, p_acc = d.rm15_map(d.Channel(*map(float, call["in"])))
+            assert [repr(out.e_x), repr(out.e_z), repr(p_acc)] == call["out"]
+        # plan's capped search makes fewer calls than were recorded, so its
+        # plans are checked against the exhaustive search instead
+        for query in RM15_GRID["plan_queries"]:
+            query = tuple(map(float, query))
+            assert d.plan(*query) == uncapped_plan(*query)
         calls = []
         real = d.rm15_map
 
@@ -217,9 +279,6 @@ class TestRm15Map:
             return out, p_acc
 
         monkeypatch.setattr(d, "rm15_map", spy)
-        for query in RM15_GRID["plan_queries"]:
-            d.plan(*map(float, query))
-        assert calls == RM15_GRID["plan_calls"]
         for figure, want in RM15_GRID["figure_calls"].items():
             calls.clear()
             assert cli.main(["sweep", "--figure", figure, "--out", str(tmp_path / f"{figure}.csv")]) == 0
@@ -306,6 +365,15 @@ class TestPlan:
         for plan in plans:
             start = d.gadget_channel(plan.n, plan.r, NoiseParams(p_z / eta, p_z, p_zz))
             assert plan.achieved == d.concatenate(start, plan.layers)
+
+    def test_capped_search_matches_uncapped_oracle(self):
+        # 7 targets x 25 p_z x 7 eta: r=1 and r=3 wins, targets out of reach
+        # within MAX_LAYERS, and channels that start or end out of range
+        for target in (1e-4, 1e-6, 1e-8, 1e-12, 1e-16, 1e-30, 1e-100):
+            for p_z in np.geomspace(1e-5, 3e-2, 25).tolist():
+                for eta in np.geomspace(1.0, 1e5, 7).tolist():
+                    query = (target, p_z, eta)
+                    assert outcome(d.plan, *query) == outcome(uncapped_plan, *query), query
 
     def test_never_dominated(self):
         # the gadget plan never has both higher overhead and higher error
