@@ -66,8 +66,11 @@ branch.  A faulted trial's frame is the XOR of its fired events' frame
 codes, and the trial is the same branch read through its frame
 (``gadget.rows_under_frames``), as in enumeration: readouts flipped, the
 branch's own probability, and the frame's Pauli on block 3.  So a faulted
-trial costs a few array lookups more than a clean one, and a block's
-faulted trials, whatever they fired, are one ``gadget.outcome_bins`` call.
+trial costs a few array lookups more than a clean one.  A block only
+draws.  Up to ``_PASS`` blocks make one pass: one sort of the pass's draws
+counts its clean trials, and its faulted trials, whatever they fired, are
+one ``gadget.outcome_bins`` call.  ``_BLOCK`` defines the counts; the pass
+size does not, since a count is a sum over trials.
 Worker processes take whole blocks, so the per-bin integer counts, hence
 the estimates, depend only on (seed, trials), not on the thread count.
 """
@@ -199,23 +202,26 @@ def _rate_estimate(bins: np.ndarray, total, trials_or_order: int, ci=(0.0, 0.0, 
     trial counts out of ``total`` (the enumerated weight or the trial
     count), with the 95% half-widths ``ci`` of e_x, e_z and e_y.  The
     caller makes sure that some of the total was accepted."""
-    acc = bins.sum() - bins[gd.BIN_REJECTED]
+    bins, total = bins.tolist(), float(total)
+    # bins.sum() - bins[BIN_REJECTED]: numpy adds six values left to right, as
+    # reduce does (builtin sum() compensates float sums from Python 3.12)
+    acc = functools.reduce(operator.add, bins) - bins[gd.BIN_REJECTED]
     e_x, e_z, e_y = bins[gd.BIN_XL], bins[gd.BIN_ZL], bins[gd.BIN_YL]
     return RateEstimate(
-        e_x=float(e_x / total),
-        e_z=float(e_z / total),
-        e_y=float(e_y / total),
-        reject_rate=float(bins[gd.BIN_REJECTED] / total),
+        e_x=e_x / total,
+        e_z=e_z / total,
+        e_y=e_y / total,
+        reject_rate=bins[gd.BIN_REJECTED] / total,
         trials_or_order=trials_or_order,
         ci95_halfwidth=max(ci),
         ci95_e_x=ci[0],
         ci95_e_z=ci[1],
         ci95_e_y=ci[2],
-        anomaly_rate=float(bins[gd.BIN_ANOMALY] / total),
-        accepted_weight=float(acc / total),
-        e_x_given_accept=float(e_x / acc),
-        e_z_given_accept=float(e_z / acc),
-        e_y_given_accept=float(e_y / acc),
+        anomaly_rate=bins[gd.BIN_ANOMALY] / total,
+        accepted_weight=acc / total,
+        e_x_given_accept=e_x / acc,
+        e_z_given_accept=e_z / acc,
+        e_y_given_accept=e_y / acc,
     )
 
 
@@ -320,16 +326,18 @@ def _noiseless_leaf_pool(cfg: gd.GadgetConfig):
 
 # A worker process pays off once its share of the trials costs more than
 # starting it, and starting two varied from 20 to 60 ms on a shared host.
-# On 2 CPUs (n=3, r=1; median of 7, one process vs two workers) two
-# workers lose or break even up to 250,000 trials at the anchor (p_z=1e-3,
-# eta=100; three passes; 200,000: 34 vs 35-38 ms, 250,000: 37 vs 37) and
-# win from 260,000 to 280,000 (280,000: 50 vs 43; 300,000: 49 vs 45 to 56
-# vs 43).  Faulted trials cost more: two workers win from 100,000 to
-# 200,000 trials at p_z=1e-2, eta=10 (two passes; 300,000: 90-99 vs 78-79
-# ms) and from 50,000 to 75,000 at p_z=5e-2, eta=3 (300,000: 166-220 vs
-# 108-127), so the anchor sets the share.
-_MIN_TRIALS_PER_WORKER = 140_000
+# On 2 CPUs (n=3, r=1; median of 7 or 9 alternating calls, one process vs
+# two workers, with each pass of blocks binned at once) two workers lose up
+# to 500,000 trials at the anchor (p_z=1e-3, eta=100; 500,000: 34-46 vs
+# 57-75 ms), break even or lose at 600,000 to 700,000 (700,000: 61-66 vs
+# 63-93) and win from 800,000 (three passes; 800,000: 68-70 vs 53-65;
+# 1,000,000: 86-98 vs 63-73).  Faulted trials cost more: two workers break
+# even at 200,000 trials at p_z=1e-2, eta=10 (45 vs 44 ms) and win from
+# 300,000 (1,000,000: 199 vs 126), and win from 100,000 at p_z=5e-2, eta=3
+# (300,000: 174 vs 115), so the anchor sets the share.
+_MIN_TRIALS_PER_WORKER = 400_000
 _BLOCK = 2048  # trials per generator; part of the definition of the counts
+_PASS = 16  # blocks binned together; bounds a pass's memory, not part of the counts
 
 
 def _sample_fires(cfg, params, rng, size) -> tuple[np.ndarray, np.ndarray]:
@@ -361,7 +369,7 @@ def _rows(cum: np.ndarray, draw: np.ndarray) -> np.ndarray:
 
 
 def _mc_counts(cfg, params, seed, trial_range) -> np.ndarray:
-    """Outcome-bin counts of the trials in ``trial_range``, a block at a time.
+    """Outcome-bin counts of the trials in ``trial_range``, a pass at a time.
 
     Trial t belongs to block t // _BLOCK, whose generator is
     ``np.random.default_rng([seed, block])``; ``trial_range`` starts on a
@@ -370,26 +378,39 @@ def _mc_counts(cfg, params, seed, trial_range) -> np.ndarray:
     rate kind) and one double per trial, in trial order, which picks the
     trial's noiseless row (``_rows``).  A trial that fired nothing is that
     row's noiseless branch.  A faulted trial is the row read through its
-    frame, the XOR of its fired events' codes (one
-    ``np.bitwise_xor.reduceat`` over the fired cells), and a block's
-    faulted trials are read and binned together.  _BLOCK is thus part of
-    what the counts are: changing it changes every count.
+    frame, the XOR of its fired events' codes.  _BLOCK is thus part of what
+    the counts are: changing it changes every count.
+
+    The blocks only draw.  Up to _PASS of them fill one pass's draw array
+    and (trial, event) cells, and the rest runs once per pass: one sort of
+    the draws counts the clean trials' rows, one ``np.bitwise_xor.reduceat``
+    over the fired cells gives the faulted trials' frames, and one
+    ``gadget.outcome_bins`` call bins them.  A count is a sum over trials,
+    so where the passes split does not change it; _PASS only bounds the
+    memory a pass holds.
     """
     if trial_range.start % _BLOCK:
         raise ValueError(f"trial range must start on a multiple of {_BLOCK}, got {trial_range.start}")
     frames = _event_table(cfg)[1]
     cum, leaf_bins = _noiseless_leaf_pool(cfg)
     counts = np.zeros(gd.N_BINS, dtype=np.int64)
-    for start in range(trial_range.start, trial_range.stop, _BLOCK):
-        rng = np.random.default_rng([seed, start // _BLOCK])
-        size = min(_BLOCK, trial_range.stop - start)
-        trial, event = _sample_fires(cfg, params, rng, size)
+    for first in range(trial_range.start, trial_range.stop, _PASS * _BLOCK):
+        size = min(_PASS * _BLOCK, trial_range.stop - first)
+        draw, fires = np.empty(size), []
+        for a in range(0, size, _BLOCK):
+            rng = np.random.default_rng([seed, (first + a) // _BLOCK])
+            trial, event = _sample_fires(cfg, params, rng, min(_BLOCK, size - a))
+            rng.random(out=draw[a : a + _BLOCK])
+            fires.append((trial + a, event))
+        # a one-block pass is not concatenated: short estimates are mostly fixed cost
+        trial, event = [np.concatenate(cells) for cells in zip(*fires)] if len(fires) > 1 else fires[0]
         starts = np.flatnonzero(np.diff(trial, prepend=-1))  # each faulted trial's first cell
-        draw = rng.random(size)
         rows = _rows(cum, draw[trial[starts]])
         # the clean trials' rows are only counted: the sorted draws at or
         # below each row's upper bound, less the faulted trials' rows
-        upto = np.searchsorted(np.sort(draw) * cum[-1], cum[:-1], side="right")
+        draw.sort()
+        draw *= cum[-1]
+        upto = np.searchsorted(draw, cum[:-1], side="right")
         clean = np.diff(upto, prepend=0, append=size) - np.bincount(rows, minlength=len(cum))
         counts += np.bincount(leaf_bins, weights=clean, minlength=gd.N_BINS).astype(np.int64)
         if len(starts):

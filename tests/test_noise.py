@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import operator
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -326,6 +327,20 @@ class TestEnumerate:
             assert abs(Fraction(est[field]) - value) <= Fraction(1e-15) * value, field
 
 
+def test_rate_estimate_divides_as_numpy_does():
+    # the estimate divides Python floats, but its accepted weight must be
+    # numpy's bins.sum() - bins[BIN_REJECTED], bit for bit
+    rng = np.random.default_rng(3)
+    for _ in range(2000):
+        bins = rng.random(gd.N_BINS) * 10.0 ** rng.integers(-14, 1, gd.N_BINS)
+        total = bins.sum() * (1.0 + rng.random())
+        acc = bins.sum() - bins[gd.BIN_REJECTED]
+        est = nz._rate_estimate(bins, total, 2)
+        assert est.accepted_weight == float(acc / total)
+        assert est.e_x_given_accept == float(bins[gd.BIN_XL] / acc)
+        assert est.e_y == float(bins[gd.BIN_YL] / total)
+
+
 class TestMonteCarlo:
     def test_zero_noise_rates_exact_zero(self):
         cfg = gd.GadgetConfig.t_state(3, r=1)
@@ -464,6 +479,39 @@ def test_trial_ranges_start_on_a_block():
     cfg = gd.GadgetConfig.t_state(3, r=1)
     with pytest.raises(ValueError, match="multiple"):
         nz._mc_counts(cfg, nz.NoiseParams.from_bias(1e-3, 100), 1, range(5, 10))
+
+
+@pytest.mark.parametrize(
+    "cfg", [gd.GadgetConfig.t_state(3, r=1), gd.GadgetConfig.t_state(3, r=3)], ids=["T-r1", "T-r3"]
+)
+@pytest.mark.parametrize("p_z, eta", [(1e-3, 100.0), (5e-2, 3.0)])
+@pytest.mark.parametrize(
+    "trial_range",
+    [range(0, nz._PASS * nz._BLOCK + 5), range(3 * nz._BLOCK, 40 * nz._BLOCK + 17)],
+    ids=["one-pass-and-a-part-block", "three-passes-from-block-3"],
+)
+def test_counts_do_not_depend_on_where_the_passes_split(cfg, p_z, eta, trial_range):
+    # a range of one block is a pass of its own, so summing the blocks
+    # splits the passes at every block
+    params = nz.NoiseParams.from_bias(p_z, eta)
+    starts = range(trial_range.start, trial_range.stop, nz._BLOCK)
+    per_block = sum(nz._mc_counts(cfg, params, 17, range(a, min(a + nz._BLOCK, trial_range.stop))) for a in starts)
+    assert nz._mc_counts(cfg, params, 17, trial_range).tolist() == per_block.tolist()
+
+
+def test_a_pass_bounds_the_memory_of_a_long_run():
+    # at p_z=5e-2, eta=3 about 95% of trials fault; binning all 200,000
+    # trials in one pass peaks near 38 MB, and passes of _PASS blocks near 6
+    cfg = gd.GadgetConfig.t_state(3, r=1)
+    params = nz.NoiseParams.from_bias(5e-2, 3.0)
+    nz._mc_counts(cfg, params, 1, range(nz._BLOCK))  # build the cached tables first
+    tracemalloc.start()
+    try:
+        nz._mc_counts(cfg, params, 1, range(200_000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
 
 
 def _per_trial_counts(cfg, params, seed, trials):
