@@ -311,6 +311,16 @@ class Branches:
         states.flags.writeable = False
         return states
 
+    @functools.cached_property
+    def _keys(self) -> np.ndarray:
+        """(B,) read-only sort keys: each row's -1 readouts packed into one
+        integer, readout 0 the most significant bit, so depth-first order
+        is ascending key order."""
+        num = self.records.shape[1]
+        keys = (self.records < 0) @ (1 << np.arange(num - 1, -1, -1))
+        keys.flags.writeable = False
+        return keys
+
     def __len__(self) -> int:
         return len(self.probabilities)
 
@@ -428,15 +438,20 @@ def fault_frame(cfg: GadgetConfig, faults) -> int:
 def _flipped(cfg: GadgetConfig, flips: int) -> Branches:
     """The branches under the frame code ``flips`` < 2^M, read-only: the
     noiseless rows with the readouts in the mask ``flips`` negated, sorted
-    back into depth-first order, each with its row's probability."""
-    table = _noiseless_table(cfg)
-    flip = ((flips >> np.arange(cfg.num_measurements)) & 1).astype(bool)
-    records = np.where(flip, -table.records, table.records)
-    rows = np.lexsort((records < 0).T[::-1])  # readout 0 is the primary key
-    records, probabilities, paulis = records[rows], table.probabilities[rows], np.zeros(len(rows), dtype=np.intp)
-    for array in (records, probabilities, rows, paulis):
+    back into depth-first order, each with its row's probability.
+
+    Negating readout m flips bit M-1-m of a row's sort key
+    (:attr:`Branches._keys`), so the flipped rows' keys are the noiseless
+    keys XOR the bit-reversed mask, and one argsort restores the order."""
+    table, num = _noiseless_table(cfg), cfg.num_measurements
+    rows = np.argsort(table._keys ^ int(f"{flips:0{num}b}"[::-1], 2), kind="stable")
+    # -r is r ^ -2 for a readout r = +1 / -1
+    records = table.records[rows] ^ np.array([-2 * (flips >> m & 1) for m in range(num)], dtype=np.int8)
+    probabilities = table.probabilities[rows]
+    for array in (records, probabilities, rows):
         array.flags.writeable = False
-    return Branches(records, probabilities, rows, paulis, table.noiseless_states)
+    # the noiseless table's all-zero paulis are read-only and of the same length
+    return Branches(records, probabilities, rows, table.paulis, table.noiseless_states)
 
 
 def enumerate_branches(cfg: GadgetConfig, frame: int = 0) -> Branches:

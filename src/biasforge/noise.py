@@ -25,11 +25,14 @@ The exhaustive enumerator sums all event subsets of size <= k, weighting
 each by prod(p_e) * prod(1 - p_e') over the non-firing events (exact, no
 exponential approximation), over every measurement branch of the faulted
 circuit.  A subset's branches depend on its events only through its
-frame, the XOR of their frame codes, so the subsets are grouped by frame
-and each frame's branches are decoded once, in one batch, and binned by
-one gather from the gadget's class table.  Each subset is still one
-``gadget.enumerate_branches`` call on its frame code, whose branch
-probabilities sum its frame's bins into six outcome-bin masses.  These
+frame, the XOR of their frame codes, so the subsets are visited in
+frame-code order, in batches of at most ``_BATCH_SLOTS`` branches.  A
+batch decodes the branches of each frame in it once, in one
+``gadget.outcome_bins`` call (a decode and one gather from the gadget's
+class table), and one bincount sums every subset's branch probabilities
+into its six outcome-bin masses.  Each subset is still one
+``gadget.enumerate_branches`` call on its frame code.  The batch size
+bounds memory only: a mass is the same sum for any batch size.  These
 per-subset masses are independent of the rates, so they are computed
 once per (config, order) and kept as an (S, k) event-index matrix and an
 (S, 6) mass matrix.  A subset's weight depends only on how many z, x and
@@ -235,12 +238,13 @@ def _enumerated_combos(cfg: gd.GadgetConfig, max_order: int):
 
     ``subsets`` is an (S, k) event-index matrix, padded with the event count
     (a column of zero log-odds and a zero frame code); ``masses`` is the
-    (S, gadget.N_BINS) outcome-bin mass matrix.  Subsets are visited a
-    frame at a time, in the order of their XOR-reduced codes, and a frame's
-    bins are computed once, from its first subset's branches; one bincount
-    per frame sums each of its subsets' branch probabilities into that
-    subset's masses.  Independent of NoiseParams, so cached per config and
-    order.
+    (S, gadget.N_BINS) outcome-bin mass matrix.  Subsets are visited in the
+    order of their XOR-reduced frame codes, so a frame's subsets are
+    adjacent, and in batches of at most _BATCH_SLOTS branches (one subset
+    per batch if its branches alone are more).  A batch's bins come from
+    one ``outcome_bins`` call on the first branches of each frame in it
+    (``_batch_masses``).  Independent of NoiseParams, so cached per config
+    and order.
     """
     rates, frames, _ = _event_table(cfg)
     num = len(rates)
@@ -250,19 +254,50 @@ def _enumerated_combos(cfg: gd.GadgetConfig, max_order: int):
     if max_order >= 2:
         index = np.concatenate([index, np.stack(np.triu_indices(num, 1), axis=1)])
     codes = np.bitwise_xor.reduce(np.append(frames, 0)[index], axis=1)
-    order = np.argsort(codes, kind="stable")
     masses, code_of = np.empty((len(index), gd.N_BINS)), codes.tolist()
-    for same_frame in np.split(order, np.flatnonzero(np.diff(codes[order])) + 1):
-        runs = [gd.enumerate_branches(cfg, code_of[row]) for row in same_frame.tolist()]
-        # the frame's s-th subset's bin j is slot s * N_BINS + j
-        slots = (gd.outcome_bins(cfg, runs[0]) + gd.N_BINS * np.arange(len(runs))[:, None]).ravel()
-        probs = np.concatenate([branches.probabilities for branches in runs])
-        masses[same_frame] = np.bincount(slots, probs, len(runs) * gd.N_BINS).reshape(-1, gd.N_BINS)
+    batch, runs, filled = [], [], 0
+    for row in np.argsort(codes, kind="stable").tolist():
+        branches = gd.enumerate_branches(cfg, code_of[row])
+        size = len(branches)
+        if runs and filled + size > _BATCH_SLOTS:
+            masses[batch] = _batch_masses(cfg, codes[batch], runs)
+            batch, runs, filled = [], [], 0
+        batch.append(row)
+        runs.append(branches)
+        filled += size
+    masses[batch] = _batch_masses(cfg, codes[batch], runs)
     totals = masses.sum(axis=1)
     worst = totals[np.argmax(np.abs(totals - 1.0))]
     if abs(worst - 1.0) > 1e-8:
         raise AssertionError(f"branch probabilities sum to {worst}, expected 1")
     return rates, index, masses
+
+
+def _batch_masses(cfg: gd.GadgetConfig, codes: np.ndarray, runs: list[gd.Branches]) -> np.ndarray:
+    """The (len(runs), gadget.N_BINS) masses of subsets with the sorted frame
+    codes ``codes`` and the branches ``runs``.
+
+    Subsets of one frame have the same branches, so only each frame's
+    first run is classified, all in one ``outcome_bins`` call.  Every
+    frame's branches are the noiseless rows in some order, so all runs are
+    equally long.  One bincount sums each subset's own branch probabilities,
+    in branch order, into its own slots, so a mass is the sum it was when
+    each subset was binned alone.
+    """
+    new = np.diff(codes, prepend=-1) != 0  # codes are >= 0: the first subset starts a frame
+    heads = [runs[s] for s in np.flatnonzero(new).tolist()]
+    batch = heads[0] if len(heads) == 1 else gd.Branches(
+        np.concatenate([b.records for b in heads]),
+        np.concatenate([b.probabilities for b in heads]),
+        np.concatenate([b.rows for b in heads]),
+        np.concatenate([b.paulis for b in heads]),
+        heads[0].noiseless_states,
+    )
+    bins = gd.outcome_bins(cfg, batch).reshape(len(heads), -1)
+    # the batch's s-th subset's bin j is slot s * N_BINS + j
+    slots = (bins[np.cumsum(new) - 1] + gd.N_BINS * np.arange(len(runs))[:, None]).ravel()
+    probs = np.concatenate([branches.probabilities for branches in runs])
+    return np.bincount(slots, probs, len(runs) * gd.N_BINS).reshape(-1, gd.N_BINS)
 
 
 @functools.lru_cache(maxsize=None)
@@ -338,6 +373,10 @@ def _noiseless_leaf_pool(cfg: gd.GadgetConfig):
 _MIN_TRIALS_PER_WORKER = 400_000
 _BLOCK = 2048  # trials per generator; part of the definition of the counts
 _PASS = 16  # blocks binned together; bounds a pass's memory, not part of the counts
+# Branches per enumeration batch (_enumerated_combos): bounds a batch's
+# memory and is not part of the masses.  A cold order-2 build at n=3, r=1
+# peaks at 1.3 MB traced, against 5.8 MB in one batch.
+_BATCH_SLOTS = 16_384
 
 
 def _sample_fires(cfg, params, rng, size) -> tuple[np.ndarray, np.ndarray]:

@@ -17,8 +17,8 @@
   cumulative probabilities picks that row.
 * ``golden/enumerated_masses.json`` holds a SHA-256 of the rate, subset
   and mass arrays of ``noise._enumerated_combos``, recorded with one
-  ``outcome_bins`` call per fault subset; classifying once per Pauli frame
-  must keep them bit-identical.
+  ``outcome_bins`` call per fault subset; classifying the subsets' frames
+  in batches must keep them bit-identical, whatever the batch size.
 * ``golden/noiseless_tables.json`` holds a SHA-256 of the records,
   probabilities and states of the noiseless branch table, first recorded
   with the compiled-program engine that the per-build list of stack
@@ -383,22 +383,21 @@ def test_class_tables_hold_no_anomaly_bin(n):
         assert table.shape == (state.max() + 1, 1 << 2 * n) and not np.any(table == gd.BIN_ANOMALY), cfg
 
 
+def _mass_digests(cfg, order, build=nz._enumerated_combos):
+    rates, index, masses = build(cfg, order)
+    return {name: _digest(array) for name, array in {"rates": rates, "index": index, "masses": masses}.items()}
+
+
 @pytest.mark.parametrize("case", MASSES["cases"], ids=lambda c: f"{c['gadget']}-order{c['order']}")
 def test_enumerated_masses_match_golden_digests(case):
     # recorded by scripts/record_enumerated_masses.py with one outcome_bins
-    # call per subset; classifying once per frame must not move a bit
-    cfg = ENUMERATED[case["gadget"]]
-    rates, index, masses = nz._enumerated_combos(cfg, case["order"])
-    arrays = {"rates": rates, "index": index, "masses": masses}
-    assert {name: _digest(array) for name, array in arrays.items()} == case["arrays"]
+    # call per subset; classifying a batch of frames at a time must not move a bit
+    assert _mass_digests(ENUMERATED[case["gadget"]], case["order"]) == case["arrays"]
 
 
-@pytest.mark.parametrize("order, branch_calls, bin_calls", [(1, 80, 32), (2, 3161, 368)])
-def test_enumeration_classifies_each_frame_once(monkeypatch, order, branch_calls, bin_calls):
-    # one enumerate_branches call per subset (the benchmark counts them) but
-    # one outcome_bins call per distinct Pauli frame, and one fault_frame
-    # call per fault event: subsets reach the gadget as XORed codes
-    calls = {"enumerate_branches": 0, "outcome_bins": 0, "fault_frame": 0}
+def _counting(monkeypatch, names):
+    """Wrap the gadget functions ``names`` to count their calls."""
+    calls = dict.fromkeys(names, 0)
 
     def counting(name):
         inner = getattr(gd, name)
@@ -409,12 +408,56 @@ def test_enumeration_classifies_each_frame_once(monkeypatch, order, branch_calls
 
         return wrapper
 
-    for name in calls:
+    for name in names:
         monkeypatch.setattr(gd, name, counting(name))
+    return calls
+
+
+@pytest.mark.parametrize("budget", [1, 1000, 1 << 62], ids=["one-subset", "straddling", "one-batch"])
+@pytest.mark.parametrize("case", MASSES["cases"], ids=lambda c: f"{c['gadget']}-order{c['order']}")
+def test_enumerated_masses_do_not_depend_on_the_batch_size(monkeypatch, case, budget):
+    # one subset per batch (so one frame per batch, a frame over several
+    # batches), batches of 15 subsets of 64 branches that split frames, and
+    # the whole build in one batch: each mass is the same sum in the same order
+    cfg = ENUMERATED[case["gadget"]]
+    subsets = len(nz._enumerated_combos(cfg, case["order"])[1])
+    per_batch = max(1, budget // len(gd.enumerate_branches(cfg)))
+    monkeypatch.setattr(nz, "_BATCH_SLOTS", budget)
+    calls = _counting(monkeypatch, ["outcome_bins"])
+    assert _mass_digests(cfg, case["order"], nz._enumerated_combos.__wrapped__) == case["arrays"]
+    assert calls["outcome_bins"] == -(-subsets // per_batch)
+
+
+@pytest.mark.parametrize("order, branch_calls", [(1, 80), (2, 3161)])
+def test_enumeration_classifies_in_batches(monkeypatch, order, branch_calls):
+    # one enumerate_branches call per subset (the benchmark counts them) but
+    # one outcome_bins call per batch of at most _BATCH_SLOTS branches, and
+    # one fault_frame call per fault event: subsets reach the gadget as XORed
+    # codes.  Under every frame a subset has the noiseless table's branch count.
+    cfg = gd.GadgetConfig.t_state(3, r=1)
+    per_batch = max(1, nz._BATCH_SLOTS // len(gd.enumerate_branches(cfg)))
+    calls = _counting(monkeypatch, ["enumerate_branches", "outcome_bins", "fault_frame"])
     nz._event_table.cache_clear()
     nz._enumerated_combos.cache_clear()
-    nz._enumerated_combos(gd.GadgetConfig.t_state(3, r=1), order)
-    assert calls == {"enumerate_branches": branch_calls, "outcome_bins": bin_calls, "fault_frame": 79}
+    nz._enumerated_combos(cfg, order)
+    batches = -(-branch_calls // per_batch)
+    assert calls == {"enumerate_branches": branch_calls, "outcome_bins": batches, "fault_frame": 79}
+
+
+@pytest.mark.parametrize("r", [1, 3])
+def test_flipped_rows_keep_depth_first_order(r):
+    # one packed key per row sorts the flipped rows as a lexsort of their -1
+    # readouts did, readout 0 the primary key and +1 first, for every mask;
+    # every mask shares the noiseless table's read-only all-zero paulis
+    cfg = gd.GadgetConfig.t_state(3, r)
+    table, num = gd._noiseless_table(cfg), cfg.num_measurements
+    for flips in range(1, 1 << num):
+        branches = gd._flipped.__wrapped__(cfg, flips)
+        records = np.where((flips >> np.arange(num)) & 1, -table.records, table.records)
+        rows = np.lexsort((records < 0).T[::-1])
+        assert np.array_equal(branches.rows, rows) and np.array_equal(branches.records, records[rows]), flips
+        assert branches.records.dtype == np.int8 and np.array_equal(branches.probabilities, table.probabilities[rows])
+        assert branches.paulis is table.paulis
 
 
 def test_outcome_bins_agree_with_scalar_decoding():
