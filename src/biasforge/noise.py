@@ -387,16 +387,20 @@ def _sample_fires(cfg, params, rng, size) -> tuple[np.ndarray, np.ndarray]:
     c // k and the kind's event c % k.  ``rng`` draws how many fire,
     binomial(cells, p), then which, a uniform subset of that many cells;
     given its size the set of fired cells is uniform, so every event fires
-    independently at its rate.
+    independently at its rate.  A kind that fires no cell makes no
+    ``choice`` call: a size-0 choice draws nothing from ``rng``, so the
+    stream is the same either way.
     """
     probs = (params.p_z, params.p_x, params.p_zz)
     rates, _, kinds = _event_table(cfg)
     num = len(rates)
-    keys = []  # trial * E + event of each fired cell
+    keys = [np.empty(0, dtype=np.int64)]  # trial * E + event of each fired cell
     for k, kind in kinds:
         cells = size * len(kind)
-        hit = rng.choice(cells, rng.binomial(cells, probs[k]), replace=False)
-        keys.append(hit // len(kind) * num + kind[hit % len(kind)])
+        fired = rng.binomial(cells, probs[k])
+        if fired:
+            hit = rng.choice(cells, fired, replace=False)
+            keys.append(hit // len(kind) * num + kind[hit % len(kind)])
     return np.divmod(np.sort(np.concatenate(keys)), num)
 
 

@@ -158,6 +158,32 @@ class TestSampleFaults:
         locs = [loc for loc, _ in faults]
         assert len(set(locs)) > 1 and locs == sorted(locs)
 
+    @pytest.mark.parametrize("size", [1, 7, nz._BLOCK])
+    @pytest.mark.parametrize(
+        "params",
+        [nz.NoiseParams.from_bias(1e-3, 100.0), nz.NoiseParams(p_x=0.0, p_z=1e-3, p_zz=0.0)],
+        ids=["anchor", "z-only"],
+    )
+    def test_skipping_an_empty_choice_leaves_the_stream_alone(self, params, size):
+        # a reference that calls choice for every kind, also when it fires
+        # no cell, gives the same cells and leaves the generator in the same
+        # state, so the block's doubles after it are the same
+        cfg = gd.GadgetConfig.t_state(3, r=1)
+        rates, _, kinds = nz._event_table(cfg)
+        probs = (params.p_z, params.p_x, params.p_zz)
+        for seed in range(20):
+            rng, ref = np.random.default_rng([seed, size]), np.random.default_rng([seed, size])
+            got = nz._sample_fires(cfg, params, rng, size)
+            keys = [np.empty(0, dtype=np.int64)]
+            for k, kind in kinds:
+                cells = size * len(kind)
+                hit = ref.choice(cells, ref.binomial(cells, probs[k]), replace=False)
+                keys.append(hit // len(kind) * len(rates) + kind[hit % len(kind)])
+            want = np.divmod(np.sort(np.concatenate(keys)), len(rates))
+            assert [a.dtype for a in got] == [np.dtype(np.int64)] * 2
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+            assert rng.bit_generator.state == ref.bit_generator.state
+
 
 def test_event_frames_combine_by_xor():
     # a fault list's frame code is the XOR of its events' codes, so Z_a Z_b
