@@ -58,22 +58,25 @@ noiseless rejection rate of the n=3 T gadget is 5/8, larger than the 1/4
 suggested by counting records uniformly.
 
 Monte Carlo trials draw every event independently.  The trials come in
-blocks of ``_BLOCK``, and block b draws from its own generator,
-``np.random.default_rng([seed, b])``.  It first draws the fired events
-sparsely, one rate kind (z, x, zz) at a time: a binomial number of the
-kind's (trial, event) cells fire, and which ones is a uniform subset of that
-size, so at low rates a block draws about one number per fired event, not
-one per trial and event.  Then it draws one double per trial, which picks
-a noiseless branch by its probability.  A trial that fired nothing is that
-branch.  A faulted trial's frame is the XOR of its fired events' frame
-codes, and the trial is the same branch read through its frame
+blocks of ``_BLOCK`` (8,192), and block b draws from its own generator,
+``np.random.default_rng([seed, b])``.  A block's draws carry a fixed cost
+(seeding its generator, and one binomial and one choice per rate kind),
+which a large block spreads over more trials.  It first draws the fired
+events sparsely, one rate kind (z, x, zz) at a time: a binomial number of
+the kind's (trial, event) cells fire, and which ones is a uniform subset of
+that size, so at low rates a block draws about one number per fired event,
+not one per trial and event.  Then it draws one double per trial, which
+picks a noiseless branch by its probability.  A trial that fired nothing
+is that branch.  A faulted trial's frame is the XOR of its fired events'
+frame codes, and the trial is the same branch read through its frame
 (``gadget.rows_under_frames``), as in enumeration: readouts flipped, the
 branch's own probability, and the frame's Pauli on block 3.  So a faulted
 trial costs a few array lookups more than a clean one.  A block only
-draws.  Up to ``_PASS`` blocks make one pass: one sort of the pass's draws
-counts its clean trials, and its faulted trials, whatever they fired, are
-one ``gadget.outcome_bins`` call.  ``_BLOCK`` defines the counts; the pass
-size does not, since a count is a sum over trials.
+draws.  Up to ``_PASS`` (4) blocks make one pass of at most 32,768 trials:
+one sort of the pass's draws counts its clean trials, and its faulted
+trials, whatever they fired, are one ``gadget.outcome_bins`` call.
+``_BLOCK`` defines the counts; the pass size does not, since a count is a
+sum over trials.
 Worker processes take whole blocks, so the per-bin integer counts, hence
 the estimates, depend only on (seed, trials), not on the thread count.
 """
@@ -371,8 +374,16 @@ def _noiseless_leaf_pool(cfg: gd.GadgetConfig):
 # 300,000 (1,000,000: 199 vs 126), and win from 100,000 at p_z=5e-2, eta=3
 # (300,000: 174 vs 115), so the anchor sets the share.
 _MIN_TRIALS_PER_WORKER = 400_000
-_BLOCK = 2048  # trials per generator; part of the definition of the counts
-_PASS = 16  # blocks binned together; bounds a pass's memory, not part of the counts
+# Trials per generator; part of the definition of the counts.  Most of a
+# small block's draws are fixed cost: at the anchor (n=3, r=1) a block of
+# 2,048 trials draws in about 51 us, 12 of them seeding its generator, and
+# a block of 8,192 in about 88 us.  Above a 2% rate Generator.choice
+# shuffles an arange over every cell of the block, so larger blocks cost
+# memory at high noise.
+_BLOCK = 8192
+# Blocks binned together (32,768 trials); bounds a pass's memory, not part of
+# the counts.
+_PASS = 4
 # Branches per enumeration batch (_enumerated_combos): bounds a batch's
 # memory and is not part of the masses.  A cold order-2 build at n=3, r=1
 # peaks at 1.3 MB traced, against 5.8 MB in one batch.

@@ -513,7 +513,10 @@ def test_trial_ranges_start_on_a_block():
 @pytest.mark.parametrize("p_z, eta", [(1e-3, 100.0), (5e-2, 3.0)])
 @pytest.mark.parametrize(
     "trial_range",
-    [range(0, nz._PASS * nz._BLOCK + 5), range(3 * nz._BLOCK, 40 * nz._BLOCK + 17)],
+    [
+        range(0, nz._PASS * nz._BLOCK + 5),
+        range(3 * nz._BLOCK, 3 * nz._BLOCK + 2 * nz._PASS * nz._BLOCK + nz._BLOCK + 17),
+    ],
     ids=["one-pass-and-a-part-block", "three-passes-from-block-3"],
 )
 def test_counts_do_not_depend_on_where_the_passes_split(cfg, p_z, eta, trial_range):
