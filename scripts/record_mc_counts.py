@@ -19,6 +19,14 @@ with no other engine behind them.  The cases are the nine of
 fires in every trial (n=5 and n=3), and 20,000-trial runs at two high noise
 points.  Re-record only when a count is meant to change.
 
+The file was last re-recorded when ``noise._BLOCK`` rose from 2,048 to
+8,192 trials, to spread each generator's fixed cost over more trials.  The
+nine cases of more than 2,048 trials (the three 3,000-trial anchor cases
+and the six 20,000-trial cases) moved, since their trials past the first
+2,048 now draw from block 0's generator, not from blocks 1 and up.  The
+eight cases of 2,048 trials or fewer are one block of the same generator
+either way, and kept every count.
+
 The counts are defined by numpy's ``Generator.binomial``,
 ``Generator.choice(replace=False)`` and ``Generator.random`` on PCG64, so a
 numpy release that changed any of these streams would move them.  The CI

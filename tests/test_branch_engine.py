@@ -77,19 +77,19 @@ def test_monte_carlo_reproduces_recorded_estimate():
         gd.GadgetConfig.t_state(3, 1), nz.NoiseParams.from_bias(1e-2, 10), trials=3000, seed=11, threads=1
     )
     assert est == nz.RateEstimate(
-        e_x=0.041666666666666664,
-        e_z=0.0033333333333333335,
+        e_x=0.041,
+        e_z=0.004333333333333333,
         e_y=0.0,
-        reject_rate=0.6883333333333334,
+        reject_rate=0.702,
         trials_or_order=3000,
-        ci95_halfwidth=0.007169985983253717,
-        ci95_e_x=0.007169985983253717,
-        ci95_e_z=0.0021568611053742765,
+        ci95_halfwidth=0.007115308294682963,
+        ci95_e_x=0.007115308294682963,
+        ci95_e_z=0.002432996327725757,
         ci95_e_y=0.0006394243626629813,
         anomaly_rate=0.0,
-        accepted_weight=0.31166666666666665,
-        e_x_given_accept=0.13368983957219252,
-        e_z_given_accept=0.0106951871657754,
+        accepted_weight=0.298,
+        e_x_given_accept=0.13758389261744966,
+        e_z_given_accept=0.0145413870246085,
         e_y_given_accept=0.0,
     )
 
