@@ -365,15 +365,15 @@ def _noiseless_leaf_pool(cfg: gd.GadgetConfig):
 # A worker process pays off once its share of the trials costs more than
 # starting it, and starting two varied from 20 to 60 ms on a shared host.
 # On 2 CPUs (n=3, r=1; median of 7 or 9 alternating calls, one process vs
-# two workers, with each pass of blocks binned at once) two workers lose up
-# to 500,000 trials at the anchor (p_z=1e-3, eta=100; 500,000: 34-46 vs
-# 57-75 ms), break even or lose at 600,000 to 700,000 (700,000: 61-66 vs
-# 63-93) and win from 800,000 (three passes; 800,000: 68-70 vs 53-65;
-# 1,000,000: 86-98 vs 63-73).  Faulted trials cost more: two workers break
-# even at 200,000 trials at p_z=1e-2, eta=10 (45 vs 44 ms) and win from
-# 300,000 (1,000,000: 199 vs 126), and win from 100,000 at p_z=5e-2, eta=3
-# (300,000: 174 vs 115), so the anchor sets the share.
-_MIN_TRIALS_PER_WORKER = 400_000
+# two workers, with 8,192-trial blocks) two workers lose up to 1,000,000
+# trials at the anchor (p_z=1e-3, eta=100; 800,000: 35-45 vs 56-58 ms;
+# 1,000,000: 44-46 vs 43-63) and win from 1,200,000 (54 vs 49; 1,500,000:
+# 67 vs 53; 2,000,000: 90 vs 68).  Faulted trials cost more: two workers
+# break even at 200,000 trials at p_z=1e-2, eta=10 (38 vs 38 ms) and win
+# from 300,000 (1,000,000: 163 vs 106), and break even at 50,000 and win
+# from 100,000 at p_z=5e-2, eta=3 (200,000: 101 vs 79), so the anchor sets
+# the share.
+_MIN_TRIALS_PER_WORKER = 600_000
 # Trials per generator; part of the definition of the counts.  Most of a
 # small block's draws are fixed cost: at the anchor (n=3, r=1) a block of
 # 2,048 trials draws in about 51 us, 12 of them seeding its generator, and
