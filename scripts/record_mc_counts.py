@@ -22,8 +22,8 @@ points.  Re-record only when a count is meant to change.
 The file was last re-recorded when ``noise._BLOCK`` rose from 2,048 to
 8,192 trials, to spread each generator's fixed cost over more trials.  The
 nine cases of more than 2,048 trials (the three 3,000-trial anchor cases
-and the six 20,000-trial cases) moved, since their trials past the first
-2,048 now draw from block 0's generator, not from blocks 1 and up.  The
+and the six 20,000-trial cases) moved, since every trial t past the first
+2,048 now draws from the generator of block t // 8,192, not t // 2,048.  The
 eight cases of 2,048 trials or fewer are one block of the same generator
 either way, and kept every count.
 
