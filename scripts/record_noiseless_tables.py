@@ -33,8 +33,8 @@ def record():
     out = []
     for target, make in MAKE.items():
         for n, r in SIZES:
-            branches = gd._noiseless_table(make(n, r))
-            arrays = {"records": branches.records, "probabilities": branches.probabilities, "states": branches.states}
+            branches, states = gd._noiseless_table(make(n, r))
+            arrays = {"records": branches.records, "probabilities": branches.probabilities, "states": states}
             out.append({"target": target, "n": n, "r": r, "arrays": {k: digest(a) for k, a in arrays.items()}})
     return out
 

@@ -2,8 +2,8 @@
 
 Layers, bottom up:
 
-* ``statevec``  dense state-vector kernels (gate diagonals, Pauli action,
-                X-readout split) and the PauliString type.
+* ``statevec``  dense state-vector kernels (gate diagonals, X-readout
+                split) and the PauliString type.
 * ``gadget``    the repetition-code magic-state preparation circuit, its
                 noiseless branch table from one exact state-vector
                 execution, and one batch path over it: the table read

@@ -14,9 +14,10 @@ own header and emits the same bytes: the header's params are rebuilt
 through the command's own flags and params builder, and a header that
 no flags produce is refused.
 
-Exit codes: 0 success; 2 flag/validation failure; 3 a simulated rate
-exceeded its analytic bound by more than 3x its 95% confidence interval
-(regression guard); 4 infeasible distillation target.
+Exit codes: 0 success; 2 flag/validation failure, or a file that cannot
+be read or written; 3 a simulated rate exceeded its analytic bound by
+more than 3x its 95% confidence interval (regression guard); 4
+infeasible distillation target.
 
 Parallelism for Monte Carlo trials is capped by --threads or the
 BIASFORGE_THREADS environment variable (0 = auto).
@@ -93,9 +94,12 @@ def _csv_lines(command: str, params: dict, columns: list[str], rows: list[dict])
 def _emit(text: str, out_path: str | None) -> None:
     if out_path in (None, "-"):
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w", encoding="ascii", newline="\n") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {out_path}: {exc}")
 
 
 # ---------------------------------------------------------------------------

@@ -59,8 +59,9 @@ A frame is one integer code: bit m < M flips readout m, and code >> M is
 the block-3 Pauli packed as X mask << n | Z mask, so frames combine by
 XOR and a code fits an int64 while M + 2n <= 63.  A branch is held as its
 record, its probability, its noiseless row and its block-3 frame Pauli;
-its state is derived only when asked for.  Decoding and classification
-act on whole stacks.
+no branch's state is formed.  Only the noiseless build keeps its rows'
+block-3 states, for the Pauli spectrum below.  Decoding and
+classification act on whole stacks.
 
 Classification: a corrected output is a noiseless row's state s under the
 Pauli q = correction x frame Pauli, so its class is a function of (s, q).
@@ -279,37 +280,18 @@ def _stack_ops(cfg: GadgetConfig) -> list[np.ndarray | int]:
     return ops
 
 
-@dataclass(frozen=True)
-class Branch:
-    record: tuple[int, ...]
-    probability: float
-    state: np.ndarray  # block-3 amplitudes, canonical qubit order
-
-
 @dataclass(frozen=True, eq=False)
 class Branches:
     """Measurement branches stacked as rows: all branches of one execution
-    in depth-first (+1 outcome first) order, or one row per sampled run;
-    iterating yields :class:`Branch` rows.  ``states`` derives each branch's
-    block-3 state from its noiseless row and frame Pauli on first access."""
+    in depth-first (+1 outcome first) order, or one row per sampled run.
+    A branch is its record, its probability, the noiseless table row it is
+    read from and its block-3 frame Pauli; its block-3 state is that row's
+    state under the Pauli, which no engine forms."""
 
     records: np.ndarray  # (B, num_measurements) int8 entries +1 / -1
     probabilities: np.ndarray  # (B,)
     rows: np.ndarray  # (B,) the noiseless table row each branch is read from
     paulis: np.ndarray  # (B,) block-3 frame Pauli, X mask << n | Z mask
-    noiseless_states: np.ndarray  # (R, 2^n) block-3 states of the noiseless rows
-
-    @functools.cached_property
-    def states(self) -> np.ndarray:
-        """(B, 2^n) read-only block-3 amplitudes, canonical qubit order."""
-        states = self.noiseless_states[self.rows]
-        if self.paulis.any():
-            n = states.shape[1].bit_length() - 1
-            column = self.paulis[:, None]
-            source, phase = sv.pauli_action(n, column >> n, column & ((1 << n) - 1))
-            states = np.take_along_axis(states, source, axis=1) * phase
-        states.flags.writeable = False
-        return states
 
     @functools.cached_property
     def _keys(self) -> np.ndarray:
@@ -323,9 +305,6 @@ class Branches:
 
     def __len__(self) -> int:
         return len(self.probabilities)
-
-    def __getitem__(self, i: int) -> Branch:
-        return Branch(tuple(self.records[i].tolist()), float(self.probabilities[i]), self.states[i])
 
 
 _BRANCH_EPS = 1e-12  # outcome probabilities below this are treated as zero
@@ -378,10 +357,12 @@ def _advance(ops, i, m, amps, bits, path):
 
 
 @functools.lru_cache(maxsize=64)
-def _noiseless_table(cfg: GadgetConfig) -> Branches:
-    """The branches of the noiseless circuit on the state-vector path,
-    read-only: every faulted enumeration, sampled run and table built from
-    the noiseless circuit reads them."""
+def _noiseless_table(cfg: GadgetConfig) -> tuple[Branches, np.ndarray]:
+    """(branches, states), read-only: the branches of the noiseless circuit
+    on the state-vector path, which every faulted enumeration, sampled run
+    and table built from the noiseless circuit reads, and their (B, 2^n)
+    normalised block-3 states in canonical qubit order, which only
+    :func:`_pauli_spectrum` reads."""
     num = cfg.num_measurements
     start = np.ones((1, 1), dtype=np.complex128), np.zeros((1, num), dtype=np.int8), np.ones((1, num + 1))
     amps, bits, path = _advance(_stack_ops(cfg), 0, 0, *start)
@@ -390,7 +371,7 @@ def _noiseless_table(cfg: GadgetConfig) -> Branches:
     rows, paulis = np.arange(len(probs)), np.zeros(len(probs), dtype=np.intp)
     for array in (records, probs, rows, paulis, states):
         array.flags.writeable = False
-    return Branches(records, probs, rows, paulis, states)
+    return Branches(records, probs, rows, paulis), states
 
 
 def fault_frame(cfg: GadgetConfig, faults) -> int:
@@ -443,7 +424,7 @@ def _flipped(cfg: GadgetConfig, flips: int) -> Branches:
     Negating readout m flips bit M-1-m of a row's sort key
     (:attr:`Branches._keys`), so the flipped rows' keys are the noiseless
     keys XOR the bit-reversed mask, and one argsort restores the order."""
-    table, num = _noiseless_table(cfg), cfg.num_measurements
+    table, num = _noiseless_table(cfg)[0], cfg.num_measurements
     rows = np.argsort(table._keys ^ int(f"{flips:0{num}b}"[::-1], 2), kind="stable")
     # -r is r ^ -2 for a readout r = +1 / -1
     records = table.records[rows] ^ np.array([-2 * (flips >> m & 1) for m in range(num)], dtype=np.int8)
@@ -451,7 +432,7 @@ def _flipped(cfg: GadgetConfig, flips: int) -> Branches:
     for array in (records, probabilities, rows):
         array.flags.writeable = False
     # the noiseless table's all-zero paulis are read-only and of the same length
-    return Branches(records, probabilities, rows, table.paulis, table.noiseless_states)
+    return Branches(records, probabilities, rows, table.paulis)
 
 
 def enumerate_branches(cfg: GadgetConfig, frame: int = 0) -> Branches:
@@ -471,10 +452,10 @@ def enumerate_branches(cfg: GadgetConfig, frame: int = 0) -> Branches:
     if not 0 <= frame < 1 << num + 2 * cfg.n:
         raise ValueError(f"frame code {frame} is not a code of {num} readouts and a {cfg.n}-qubit block-3 Pauli")
     flips, pauli = frame & ((1 << num) - 1), frame >> num
-    base = _flipped(cfg, flips) if flips else _noiseless_table(cfg)
+    base = _flipped(cfg, flips) if flips else _noiseless_table(cfg)[0]
     if not pauli:
         return base
-    return Branches(base.records, base.probabilities, base.rows, np.full(len(base.rows), pauli), base.noiseless_states)
+    return Branches(base.records, base.probabilities, base.rows, np.full(len(base.rows), pauli))
 
 
 def rows_under_frames(cfg: GadgetConfig, rows: np.ndarray, frames: np.ndarray) -> Branches:
@@ -483,10 +464,10 @@ def rows_under_frames(cfg: GadgetConfig, rows: np.ndarray, frames: np.ndarray) -
     order: the code's low M bits negate readouts, code >> M is the block-3
     Pauli, and the probability is the row's own.  Each is the branch that
     :func:`enumerate_branches` gives for that row under that frame."""
-    table, num = _noiseless_table(cfg), cfg.num_measurements
-    records = table.records[rows]
-    records = np.where((frames[:, None] >> np.arange(num)) & 1, -records, records)
-    return Branches(records, table.probabilities[rows], rows, frames >> num, table.noiseless_states)
+    table, num = _noiseless_table(cfg)[0], cfg.num_measurements
+    # -r is r ^ -2 for a readout r = +1 / -1, as in _flipped
+    records = table.records[rows] ^ ((frames[:, None] >> np.arange(num)) & 1).astype(np.int8) * np.int8(-2)
+    return Branches(records, table.probabilities[rows], rows, frames >> num)
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +525,7 @@ def _pauli_spectrum(cfg: GadgetConfig) -> tuple[np.ndarray, np.ndarray]:
     one X part a, <t| X^a Z^b |s> = sum_y (-1)^(b.y) conj(t[y ^ a]) s[y] is
     a Walsh-Hadamard transform over y, run as n butterfly passes."""
     n = cfg.n
-    states = _noiseless_table(cfg).noiseless_states
+    states = _noiseless_table(cfg)[1]
     state, distinct = np.full(len(states), -1), []
     while (left := np.flatnonzero(state < 0)).size:
         rep = states[left[0]]
@@ -618,7 +599,7 @@ def _correction_tables(cfg: GadgetConfig) -> tuple[dict, np.ndarray]:
     array (-1 where not correctable).  A noiseless row's correction is the
     first logical Pauli L in _CLASS_ORDER with |<t| L |s>|^2 > 1 - 1e-9 on
     its state s, read from the Pauli spectrum."""
-    branches = _noiseless_table(cfg)
+    branches = _noiseless_table(cfg)[0]
     zl_bits, bs, correlated, alphas = _record_fields(cfg, branches.records)
     if not correlated.all():
         raise CorrectionTableError("noiseless branch with mismatched X records")

@@ -294,7 +294,6 @@ def _batch_masses(cfg: gd.GadgetConfig, codes: np.ndarray, runs: list[gd.Branche
         np.concatenate([b.probabilities for b in heads]),
         np.concatenate([b.rows for b in heads]),
         np.concatenate([b.paulis for b in heads]),
-        heads[0].noiseless_states,
     )
     bins = gd.outcome_bins(cfg, batch).reshape(len(heads), -1)
     # the batch's s-th subset's bin j is slot s * N_BINS + j

@@ -10,10 +10,11 @@ values) depends on the conventions fixed here:
   basis states whose bits agree on the pair pick up ``exp(-i theta/2)``,
   states whose bits differ pick up ``exp(+i theta/2)``.  CPHASE is
   diag(1, 1, 1, -1).
-* A Pauli string acts as ``i**k * (X part) * (Z part)`` where ``k`` is the
-  number of qubits carrying both an X and a Z (i.e. Y = iXZ).  Global phase
-  is irrelevant to every consumer (states are compared through fidelity)
-  but the convention is kept fixed.
+* A ``PauliString`` is a pair of X and Z support masks.  No kernel applies
+  one to amplitudes: the engine pushes Paulis through the circuit as frame
+  codes (``gadget.fault_frame``), and the Pauli spectrum of the noiseless
+  states against the target scores every Pauli image of them
+  (``gadget._pauli_spectrum``).
 * Kernels return fresh arrays and never mutate their arguments.
 
 The engine holds every live measurement branch as one (B, 2^q) amplitude
@@ -79,21 +80,6 @@ def cphase_diagonal(num_qubits: int, i: int, j: int) -> np.ndarray:
     """Diagonal of CPHASE on the pair: -1 where both bits are set."""
     index = np.arange(1 << num_qubits)
     return np.where((index >> i) & (index >> j) & 1, -1.0 + 0j, 1.0 + 0j)
-
-
-def pauli_action(num_qubits: int, xs, zs) -> tuple[np.ndarray, np.ndarray]:
-    """(source, phase) with (P a)[..., i] = phase[i] * a[..., source[i]].
-
-    ``xs`` and ``zs`` are integer masks, or arrays of them that broadcast
-    against the amplitude index (a (G, 1) column gives one row per Pauli).
-    """
-    source = np.arange(1 << num_qubits) ^ xs
-    parity = np.zeros_like(source)
-    ys = 0  # qubits carrying Y
-    for p in range(num_qubits):
-        parity ^= ((source & zs) >> p) & 1
-        ys = ys + (((xs & zs) >> p) & 1)
-    return source, (1j**ys) * (1 - 2 * parity)
 
 
 def x_split(amps: np.ndarray, p: int) -> np.ndarray:

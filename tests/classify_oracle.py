@@ -1,14 +1,23 @@
-"""Reference classifier of accepted gadget outputs, one state vector at a time.
+"""Reference states and classifier of gadget outputs, one state vector at a time.
 
-The package classifies outputs from one Pauli class table per config
-(``gadget._class_table``).  This module states the same rule on the states
-themselves, by their overlaps with the target's Pauli images, and is the
-oracle the tests check the table and the engine against.  Each class in
-(I, XL, ZL, YL) is represented by the target hit with that logical Pauli
-and any correctable-weight (<= (n-1)/2) physical Z pattern on the output
-block.  The first class reached at fidelity > 0.99 wins; an output reaching
-none is a wrong-angle output, booked ZL with its best fidelity, and one
-below fidelity 0.5 to every class is an anomaly.
+The package never forms a branch's block-3 state: a branch is a noiseless
+row read through a frame, and outputs are classified from one Pauli class
+table per config (``gadget._class_table``).  This module forms the states
+and states the same rule on them, by their overlaps with the target's Pauli
+images, and is the oracle the tests check the table and the engine against.
+
+* ``pauli_action`` applies a Pauli string to amplitudes as
+  ``i**k * (X part) * (Z part)``, where ``k`` counts the qubits carrying
+  both an X and a Z (i.e. Y = iXZ).  Global phase is irrelevant to every
+  check (states are compared through fidelity), but the convention is kept
+  fixed.
+* ``branch_states`` gives each branch its block-3 state: its noiseless
+  row's state under its frame Pauli.
+* Each class in (I, XL, ZL, YL) is represented by the target hit with that
+  logical Pauli and any correctable-weight (<= (n-1)/2) physical Z pattern
+  on the output block.  The first class reached at fidelity > 0.99 wins; an
+  output reaching none is a wrong-angle output, booked ZL with its best
+  fidelity, and one below fidelity 0.5 to every class is an anomaly.
 """
 
 import functools
@@ -16,7 +25,6 @@ import functools
 import numpy as np
 
 from biasforge import gadget as gd
-from biasforge import statevec as sv
 from biasforge.statevec import PauliString
 
 CLASS_ORDER = (gd.LogicalClass.I, gd.LogicalClass.XL, gd.LogicalClass.ZL, gd.LogicalClass.YL)
@@ -26,10 +34,36 @@ def state_fidelity(a: np.ndarray, b: np.ndarray) -> float:
     return float(abs(np.vdot(a, b)) ** 2)
 
 
+def pauli_action(num_qubits: int, xs, zs) -> tuple[np.ndarray, np.ndarray]:
+    """(source, phase) with (P a)[..., i] = phase[i] * a[..., source[i]].
+
+    ``xs`` and ``zs`` are integer masks, or arrays of them that broadcast
+    against the amplitude index (a (G, 1) column gives one row per Pauli).
+    """
+    source = np.arange(1 << num_qubits) ^ xs
+    parity = np.zeros_like(source)
+    ys = 0  # qubits carrying Y
+    for p in range(num_qubits):
+        parity ^= ((source & zs) >> p) & 1
+        ys = ys + (((xs & zs) >> p) & 1)
+    return source, (1j**ys) * (1 - 2 * parity)
+
+
 def apply_pauli(states: np.ndarray, n: int, pauli: PauliString) -> np.ndarray:
     """``pauli`` (local qubit ids 0..n-1) applied along the last axis."""
-    source, phase = sv.pauli_action(n, pauli.xs, pauli.zs)
+    source, phase = pauli_action(n, pauli.xs, pauli.zs)
     return states[..., source] * phase
+
+
+def branch_states(cfg: gd.GadgetConfig, branches: gd.Branches) -> list[tuple[tuple[int, ...], float, np.ndarray]]:
+    """(record, probability, block-3 state) of each branch, in branch order:
+    the state is its noiseless row's state under its frame Pauli (X mask << n
+    | Z mask), in canonical qubit order."""
+    n = cfg.n
+    column = branches.paulis[:, None]
+    source, phase = pauli_action(n, column >> n, column & ((1 << n) - 1))
+    states = np.take_along_axis(gd._noiseless_table(cfg)[1][branches.rows], source, axis=1) * phase
+    return list(zip(map(tuple, branches.records.tolist()), branches.probabilities.tolist(), states))
 
 
 def corrections(cfg: gd.GadgetConfig, records) -> list[PauliString | None]:

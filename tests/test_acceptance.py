@@ -16,7 +16,7 @@ from biasforge import bounds as bd
 from biasforge import distill as dst
 from biasforge import gadget as gd
 from biasforge import noise as nz
-from classify_oracle import apply_pauli, classify, corrections, state_fidelity
+from classify_oracle import apply_pauli, branch_states, classify, corrections, state_fidelity
 
 Z95 = 1.959963984540054
 
@@ -29,7 +29,7 @@ def _elapsed_guard(t0: float, limit_s: float, label: str) -> None:
 def _count_fraction(n: int, r: int = 1) -> Fraction:
     cfg = gd.GadgetConfig.t_state(n, r=r)
     branches = gd.enumerate_branches(cfg)
-    assert abs(sum(b.probability for b in branches) - 1.0) < 1e-9
+    assert abs(branches.probabilities.sum() - 1.0) < 1e-9
     accepted = sum(c is not None for c in corrections(cfg, branches.records))
     return Fraction(accepted, len(branches))
 
@@ -52,13 +52,13 @@ def test_criterion_2_ideal_correctness():
             cfg = make(3, r=r)
             target = gd.target_state(cfg)
             branches = gd.enumerate_branches(cfg)
-            for branch, correction in zip(branches, corrections(cfg, branches.records)):
+            for (record, _, state), correction in zip(branch_states(cfg, branches), corrections(cfg, branches.records)):
                 if correction is None:
                     assert cfg.theta == math.pi / 4  # only T rejects noiseless records
                     continue
-                corrected = apply_pauli(branch.state, 3, correction)
+                corrected = apply_pauli(state, 3, correction)
                 fid = state_fidelity(corrected, target)
-                assert fid >= 1 - 1e-8, (cfg.theta, r, branch.record, fid)
+                assert fid >= 1 - 1e-8, (cfg.theta, r, record, fid)
                 checked += 1
     assert checked > 100
     _elapsed_guard(t0, 30, "criterion 2")
@@ -73,12 +73,12 @@ def test_criterion_3_fault_distance_properties():
     masses = {"z": {}, "x": {}, "zz": {}}
     for ev in events:
         branches = gd.enumerate_branches(cfg, gd.fault_frame(cfg, [(ev.location, ev.pauli)]))
-        for branch, correction in zip(branches, corrections(cfg, branches.records)):
+        for (_, prob, state), correction in zip(branch_states(cfg, branches), corrections(cfg, branches.records)):
             if correction is None:
                 continue
-            cls, _, _ = classify(branch.state, correction, cfg)
+            cls, _, _ = classify(state, correction, cfg)
             bucket = masses[ev.rate]
-            bucket[cls] = bucket.get(cls, 0.0) + branch.probability
+            bucket[cls] = bucket.get(cls, 0.0) + prob
     bad_z = {c: m for c, m in masses["z"].items() if c is not gd.LogicalClass.I}
     assert not bad_z, f"single Z faults produced logical errors: {bad_z}"
     assert masses["zz"].get(gd.LogicalClass.ZL, 0.0) > 0.0

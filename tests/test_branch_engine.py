@@ -46,7 +46,7 @@ from hypothesis import strategies as st
 from biasforge import gadget as gd
 from biasforge import noise as nz
 from biasforge.statevec import PauliString
-from classify_oracle import CLASS_ORDER, apply_pauli, classify, corrections
+from classify_oracle import CLASS_ORDER, apply_pauli, branch_states, classify, corrections
 from classify_oracle import outcome_bins as oracle_bins
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "enumerate_grid.json").read_text())
@@ -188,10 +188,10 @@ def test_enumerate_branches_matches_dense_reference(case):
     cfg, circuit, faults = case
     branches = gd.enumerate_branches(cfg, gd.fault_frame(cfg, faults))
     assert abs(branches.probabilities.sum() - 1.0) < 1e-9
-    for branch in branches:
-        prob, state = _dense_branch(cfg, circuit, faults, branch.record)
-        assert branch.probability == pytest.approx(prob, rel=1e-9, abs=1e-14)
-        assert abs(np.vdot(state, branch.state)) == pytest.approx(1.0, abs=1e-9)
+    for record, probability, state in branch_states(cfg, branches):
+        prob, dense = _dense_branch(cfg, circuit, faults, record)
+        assert probability == pytest.approx(prob, rel=1e-9, abs=1e-14)
+        assert abs(np.vdot(dense, state)) == pytest.approx(1.0, abs=1e-9)
 
 
 @given(_faulted_gadget())
@@ -206,11 +206,12 @@ def test_frame_branches_match_state_vector_runs(case):
     assert np.array_equal(runs.records, branches.records)
     assert np.array_equal(runs.probabilities, branches.probabilities)
     assert np.array_equal(gd.outcome_bins(cfg, runs), gd.outcome_bins(cfg, branches))
-    assert np.array_equal(runs.states, branches.states)
-    for run in runs:
-        prob, state = _dense_branch(cfg, circuit, faults, run.record)
-        assert run.probability == pytest.approx(prob, rel=1e-9, abs=1e-14)
-        assert abs(np.vdot(state, run.state)) == pytest.approx(1.0, abs=1e-9)
+    run_states = branch_states(cfg, runs)
+    assert all(np.array_equal(run[2], branch[2]) for run, branch in zip(run_states, branch_states(cfg, branches)))
+    for record, probability, state in run_states:
+        prob, dense = _dense_branch(cfg, circuit, faults, record)
+        assert probability == pytest.approx(prob, rel=1e-9, abs=1e-14)
+        assert abs(np.vdot(dense, state)) == pytest.approx(1.0, abs=1e-9)
 
 
 def _sampled_runs(cfg, code, runs, seed):
@@ -221,20 +222,20 @@ def _sampled_runs(cfg, code, runs, seed):
     return gd.rows_under_frames(cfg, rows, np.full(runs, code))
 
 
-def _assert_on_enumerated_branches(sampled, branches):
-    by_record = {branch.record: (row, branch) for row, branch in zip(branches.rows.tolist(), branches)}
-    for row, got in zip(sampled.rows.tolist(), sampled):
-        want_row, want = by_record[got.record]
+def _assert_on_enumerated_branches(cfg, sampled, branches):
+    by_record = {branch[0]: (row, branch) for row, branch in zip(branches.rows.tolist(), branch_states(cfg, branches))}
+    for row, (record, probability, state) in zip(sampled.rows.tolist(), branch_states(cfg, sampled)):
+        want_row, (_, want_probability, want_state) = by_record[record]
         assert row == want_row
-        assert got.probability == want.probability
-        assert np.array_equal(got.state, want.state)
+        assert probability == want_probability
+        assert np.array_equal(state, want_state)
 
 
 @given(_faulted_gadget(), st.integers(0, 2**32 - 1))
 def test_sampled_runs_land_on_enumerated_branches(case, seed):
     cfg, circuit, faults = case
     code = gd.fault_frame(cfg, faults)
-    _assert_on_enumerated_branches(_sampled_runs(cfg, code, 64, seed), gd.enumerate_branches(cfg, code))
+    _assert_on_enumerated_branches(cfg, _sampled_runs(cfg, code, 64, seed), gd.enumerate_branches(cfg, code))
 
 
 def test_frame_code_top_bit_at_the_widest_config():
@@ -248,7 +249,7 @@ def test_frame_code_top_bit_at_the_widest_config():
     assert code.bit_length() == cfg.num_measurements + 2 * cfg.n
     sampled = _sampled_runs(cfg, code, 32, 1)
     assert set(sampled.paulis.tolist()) == {code >> cfg.num_measurements}
-    _assert_on_enumerated_branches(sampled, gd.enumerate_branches(cfg, code))
+    _assert_on_enumerated_branches(cfg, sampled, gd.enumerate_branches(cfg, code))
 
 
 @pytest.mark.parametrize("cfg", [gd.GadgetConfig.t_state(3, 1), gd.GadgetConfig.plus_i(3, 1)], ids=["T", "plusI"])
@@ -303,15 +304,15 @@ def test_faulted_branches_are_read_only():
     num = cfg.num_measurements
     for code in (0b101, 3 << num, 3 << num | 0b101):
         branches = gd.enumerate_branches(cfg, code)
-        arrays = (branches.records, branches.probabilities, branches.rows, branches.states)
+        arrays = (branches.records, branches.probabilities, branches.rows)
         assert not any(a.flags.writeable for a in arrays)
 
 
 def test_large_stacks_advance_in_halves(monkeypatch):
     # the state-vector path halves stacks while it builds the noiseless table
     cfg = gd.GadgetConfig.t_state(3, 1)
-    whole = gd._noiseless_table(cfg)
-    assert not any(a.flags.writeable for a in (whole.records, whole.probabilities, whole.states))
+    whole, whole_states = gd._noiseless_table(cfg)
+    assert not any(a.flags.writeable for a in (whole.records, whole.probabilities, whole_states))
     advance, stacks = gd._advance, []
     signature = inspect.signature(advance)
 
@@ -321,12 +322,12 @@ def test_large_stacks_advance_in_halves(monkeypatch):
 
     monkeypatch.setattr(gd, "_advance", recording)
     monkeypatch.setattr(gd, "_MAX_AMPS", 64)
-    halves = gd._noiseless_table.__wrapped__(cfg)
+    halves, halves_states = gd._noiseless_table.__wrapped__(cfg)
     assert len(stacks) > 1
     assert all(rows == 1 or rows * width <= 64 for rows, width in stacks), stacks
     assert np.array_equal(whole.records, halves.records)
     np.testing.assert_allclose(halves.probabilities, whole.probabilities, rtol=0, atol=1e-15)
-    np.testing.assert_allclose(halves.states, whole.states, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(halves_states, whole_states, rtol=0, atol=1e-15)
 
 
 def _digest(array: np.ndarray) -> str:
@@ -337,8 +338,8 @@ def _digest(array: np.ndarray) -> str:
 def test_noiseless_table_matches_golden_digests(case):
     # n=7 is the only size whose stack outgrows _MAX_AMPS and runs in parts
     make = gd.GadgetConfig.t_state if case["target"] == "T" else gd.GadgetConfig.plus_i
-    branches = gd._noiseless_table(make(case["n"], case["r"]))
-    arrays = {"records": branches.records, "probabilities": branches.probabilities, "states": branches.states}
+    branches, states = gd._noiseless_table(make(case["n"], case["r"]))
+    arrays = {"records": branches.records, "probabilities": branches.probabilities, "states": states}
     assert {name: _digest(array) for name, array in arrays.items()} == case["arrays"]
 
 
@@ -362,7 +363,7 @@ def test_class_table_matches_the_oracle(cfg, distinct, sampled):
     n = cfg.n
     state, table = gd._class_table(cfg)
     assert distinct is None or state.max() + 1 == distinct
-    states = gd._noiseless_table(cfg).states
+    states = gd._noiseless_table(cfg)[1]
     if sampled is None:
         pairs = {q: np.arange(len(states)) for q in range(1 << 2 * n)}
     else:
@@ -450,7 +451,7 @@ def test_flipped_rows_keep_depth_first_order(r):
     # readouts did, readout 0 the primary key and +1 first, for every mask;
     # every mask shares the noiseless table's read-only all-zero paulis
     cfg = gd.GadgetConfig.t_state(3, r)
-    table, num = gd._noiseless_table(cfg), cfg.num_measurements
+    table, num = gd._noiseless_table(cfg)[0], cfg.num_measurements
     for flips in range(1, 1 << num):
         branches = gd._flipped.__wrapped__(cfg, flips)
         records = np.where((flips >> np.arange(num)) & 1, -table.records, table.records)
@@ -470,11 +471,11 @@ def test_outcome_bins_agree_with_scalar_decoding():
     ]
     branches = gd.enumerate_branches(cfg, gd.fault_frame(cfg, faults))
     bins = gd.outcome_bins(cfg, branches)
-    for branch, got in zip(branches, bins):
-        [correction] = corrections(cfg, [branch.record])  # one record at a time
+    for (record, _, state), got in zip(branch_states(cfg, branches), bins):
+        [correction] = corrections(cfg, [record])  # one record at a time
         if correction is None:
             assert got == gd.BIN_REJECTED
             continue
-        cls, _, anomaly = classify(branch.state, correction, cfg)
+        cls, _, anomaly = classify(state, correction, cfg)
         assert got == (gd.BIN_ANOMALY if anomaly else CLASS_ORDER.index(cls))
     assert len(set(bins.tolist())) > 2

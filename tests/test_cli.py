@@ -401,6 +401,18 @@ class TestReproducibility:
         code, out, _ = run_cli(capsys, "replay", str(shuffled))
         assert code == 0 and out.encode() == fresh.read_bytes()
 
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        # an --out in a missing directory is refused in one line, as an
+        # unreadable replay file is, and no file is written
+        good, missing = tmp_path / "bounds.json", tmp_path / "missing" / "x.json"
+        flags = ["--n", "3", "--r", "1", "--pz", "1e-3", "--bias", "100"]
+        assert run_cli(capsys, "bounds", *flags, "--out", str(good))[0] == 0
+        for argv in (["bounds", *flags], ["replay", str(good)]):
+            code, out, err = run_cli(capsys, *argv, "--out", str(missing))
+            assert code == 2 and out == ""
+            assert err.count("\n") == 1 and err.startswith(f"biasforge: cannot write {missing}: "), argv
+        assert not missing.parent.exists()
+
     def test_header_embeds_version_config_seed(self, capsys):
         report = run_json(capsys, "bounds", "--n", "3", "--r", "1", "--pz", "1e-3", "--bias", "10", "--seed", "123")
         assert report["tool"] == "biasforge"

@@ -6,7 +6,7 @@ import pytest
 
 from biasforge import gadget as gd
 from biasforge.statevec import PauliString
-from classify_oracle import apply_pauli, classify, corrections, state_fidelity
+from classify_oracle import apply_pauli, branch_states, classify, corrections, state_fidelity
 
 
 def branch_masses(cfg, faults=()):
@@ -14,13 +14,13 @@ def branch_masses(cfg, faults=()):
     acc = rej = 0.0
     classes = {}
     branches = gd.enumerate_branches(cfg, gd.fault_frame(cfg, faults))
-    for b, correction in zip(branches, corrections(cfg, branches.records)):
+    for (_, probability, state), correction in zip(branch_states(cfg, branches), corrections(cfg, branches.records)):
         if correction is not None:
-            acc += b.probability
-            cls, _, _ = classify(b.state, correction, cfg)
-            classes[cls] = classes.get(cls, 0.0) + b.probability
+            acc += probability
+            cls, _, _ = classify(state, correction, cfg)
+            classes[cls] = classes.get(cls, 0.0) + probability
         else:
-            rej += b.probability
+            rej += probability
     return acc, rej, classes
 
 
@@ -173,7 +173,7 @@ class TestNoiselessRuns:
         for n, r in ((3, 1), (3, 3)):
             cfg = gd.GadgetConfig.t_state(n, r=r)
             branches = gd.enumerate_branches(cfg)
-            assert abs(sum(b.probability for b in branches) - 1) < 1e-9
+            assert abs(branches.probabilities.sum() - 1) < 1e-9
             accepted = sum(c is not None for c in corrections(cfg, branches.records))
             assert Fraction(accepted, len(branches)) == gd.accept_probability_exact(n)
 
@@ -191,20 +191,20 @@ class TestNoiselessRuns:
         target = gd.target_state(cfg)
         total = 0.0
         branches = gd.enumerate_branches(cfg)
-        for b, correction in zip(branches, corrections(cfg, branches.records)):
+        for (_, prob, state), correction in zip(branch_states(cfg, branches), corrections(cfg, branches.records)):
             assert correction is not None
-            corrected = apply_pauli(b.state, 3, correction)
+            corrected = apply_pauli(state, 3, correction)
             assert state_fidelity(corrected, target) > 1 - 1e-8
-            total += b.probability
+            total += prob
         assert abs(total - 1) < 1e-9
 
     def test_t_accepted_branches_hit_target(self):
         cfg = gd.GadgetConfig.t_state(3, r=3)
         branches = gd.enumerate_branches(cfg)
-        for b, correction in zip(branches, corrections(cfg, branches.records)):
+        for (_, _, state), correction in zip(branch_states(cfg, branches), corrections(cfg, branches.records)):
             if correction is None:
                 continue
-            cls, fid, anomaly = classify(b.state, correction, cfg)
+            cls, fid, anomaly = classify(state, correction, cfg)
             assert cls is gd.LogicalClass.I and fid > 1 - 1e-8 and not anomaly
 
 
@@ -226,12 +226,12 @@ class TestRun:
         runs = _rows_with(cfg, [0] * cfg.num_measurements)
         assert len(runs) == len(gd.enumerate_branches(cfg))
         found = corrections(cfg, runs.records)
-        for run, got, correction in zip(runs, gd.outcome_bins(cfg, runs), found):
+        for (_, _, state), got, correction in zip(branch_states(cfg, runs), gd.outcome_bins(cfg, runs), found):
             if correction is None:
                 assert got == gd.BIN_REJECTED
             else:
                 assert got == 0  # class I
-                assert classify(run.state, correction, cfg)[1] > 1 - 1e-8
+                assert classify(state, correction, cfg)[1] > 1 - 1e-8
         assert any(c is not None for c in found)
 
     def test_forced_all_plus_block2_rejected_for_t(self):
@@ -252,9 +252,9 @@ class TestRun:
         # force x = alpha = (+,+,-) on both blocks, parity readings free
         runs = _rows_with(cfg, [0, +1, +1, -1, 0, +1, +1, -1])
         assert len(runs) > 0
-        for run, correction in zip(runs, corrections(cfg, runs.records)):
+        for (_, _, state), correction in zip(branch_states(cfg, runs), corrections(cfg, runs.records)):
             assert correction is not None
-            corrected = apply_pauli(run.state, 3, correction)
+            corrected = apply_pauli(state, 3, correction)
             assert state_fidelity(corrected, target) > 1 - 1e-8
 
     def test_forced_impossible_record_absent_from_the_table(self):
@@ -380,10 +380,10 @@ class TestClassify:
         pair = circ.locations[cz0].qubits
         seen_band = False
         branches = gd.enumerate_branches(cfg, gd.fault_frame(cfg, [(cz0, PauliString.z_on(pair))]))
-        for b, correction in zip(branches, corrections(cfg, branches.records)):
+        for (_, _, state), correction in zip(branch_states(cfg, branches), corrections(cfg, branches.records)):
             if correction is None:
                 continue
-            cls, fid, anomaly = classify(b.state, correction, cfg)
+            cls, fid, anomaly = classify(state, correction, cfg)
             if fid <= 0.99:
                 assert cls is gd.LogicalClass.ZL and not anomaly and fid >= 0.5
                 seen_band = True
@@ -395,9 +395,9 @@ class TestClassify:
         # its class would be left to rounding, so the table build raises.
         def reaches_a_class(theta):
             cfg = gd.GadgetConfig.custom(3, theta)
-            branches = gd._noiseless_table.__wrapped__(cfg)  # keeps the cache for the named configs
+            branches, states = gd._noiseless_table.__wrapped__(cfg)  # keeps the cache for the named configs
             row = next(i for i, rec in enumerate(branches.records.tolist()) if sum(rec[-3:]) == 3)  # alpha = n
-            return classify(branches.states[row], None, cfg)[1] > 0.99
+            return classify(states[row], None, cfg)[1] > 0.99
 
         lo, hi = 0.1, 0.3
         assert reaches_a_class(lo) and not reaches_a_class(hi)

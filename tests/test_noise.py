@@ -432,8 +432,20 @@ class TestMonteCarlo:
         assert nz._pool_workers(2 * least, 8) == 2
         assert nz._pool_workers(20 * least, 8) == 8
         assert nz._pool_workers(20 * least, 1) == 1
-        nz.estimate_rates_mc(cfg, noisy, trials=2 * least - 1, seed=5, threads=2)
-        assert started == []
+        sampled = []
+
+        def counting(cfg, params, seed, trial_range):
+            sampled.append(trial_range)
+            counts = np.zeros(gd.N_BINS, dtype=np.int64)
+            counts[0] = len(trial_range)  # every trial accepted, so the estimate is formed
+            return counts
+
+        # the decision is shown without sampling; the stub is gone before the
+        # pooled call below, whose forked workers would otherwise inherit it
+        with monkeypatch.context() as m:
+            m.setattr(nz, "_mc_counts", counting)
+            nz.estimate_rates_mc(cfg, noisy, trials=2 * least - 1, seed=5, threads=2)
+        assert started == [] and sampled == [range(2 * least - 1)]
         pooled = nz.estimate_rates_mc(cfg, anchor, trials=2 * least, seed=5, threads=3)
         assert started == [2]  # a third worker would get too little work
         assert pooled == nz.estimate_rates_mc(cfg, anchor, trials=2 * least, seed=5, threads=1)

@@ -2,8 +2,9 @@
 
 The kernels act on plain amplitude arrays; the engine in ``gadget``
 prepares |+> qubits in the factors of its stack operations
-(``gadget._stack_ops``), so that is tested here as well, and so is the
-state fidelity the tests compare states by (``classify_oracle``).
+(``gadget._stack_ops``), so that is tested here as well, and so are the
+state fidelity the tests compare states by and the Pauli action (Y = iXZ)
+the tests apply to states (``classify_oracle``).
 """
 
 import math
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from biasforge import gadget as gd
 from biasforge import statevec as sv
-from classify_oracle import state_fidelity
+from classify_oracle import pauli_action, state_fidelity
 
 SQ2 = math.sqrt(2.0)
 
@@ -52,7 +53,7 @@ def cphase(amps, i, j):
 
 
 def pauli(amps, p: sv.PauliString):
-    source, phase = sv.pauli_action(width(amps), p.xs, p.zs)
+    source, phase = pauli_action(width(amps), p.xs, p.zs)
     return amps[source] * phase
 
 
@@ -197,6 +198,7 @@ class TestCphase:
 
 
 class TestPauli:
+    # the oracle's Pauli action, which the tests apply to states
     def test_x_flips_zero(self):
         np.testing.assert_allclose(pauli(basis(1, 0), sv.PauliString.x_on([0])), [0, 1], atol=1e-15)
 
@@ -214,11 +216,11 @@ class TestPauli:
         np.testing.assert_allclose(pauli(basis(1, 0), sv.PauliString(xs=1, zs=1)), [0, 1j], atol=1e-15)
 
     def test_one_pauli_per_row(self):
-        # column masks give one Pauli per row, as the sampled runs' frames do
+        # column masks give one Pauli per row, as branch_states applies frame Paulis
         rng = np.random.default_rng(3)
         rows = rng.normal(size=(16, 8)) + 1j * rng.normal(size=(16, 8))
         xs, zs = np.arange(16) % 8, np.arange(16) // 2
-        source, phase = sv.pauli_action(3, xs[:, None], zs[:, None])
+        source, phase = pauli_action(3, xs[:, None], zs[:, None])
         got = np.take_along_axis(rows, source, axis=1) * phase
         for row, x, z, g in zip(rows, xs.tolist(), zs.tolist(), got):
             assert np.array_equal(g, pauli(row, sv.PauliString(x, z)))
