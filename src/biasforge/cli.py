@@ -8,19 +8,15 @@ of a previous output).
 
 Every output embeds the tool version, the full resolved parameter set,
 and the seed; identical invocations produce byte-identical bytes (no
-timestamps, shortest round-trip float formatting, thread-count
-independent aggregation).  ``replay FILE`` re-runs an output from its
-own header and emits the same bytes: the header's params are rebuilt
-through the command's own flags and params builder, and a header that
-no flags produce is refused.
+timestamps, shortest round-trip float formatting).  ``replay FILE``
+re-runs an output from its own header and emits the same bytes: the
+header's params are rebuilt through the command's own flags and params
+builder, and a header that no flags produce is refused.
 
 Exit codes: 0 success; 2 flag/validation failure, or a file that cannot
 be read or written; 3 a simulated rate exceeded its analytic bound by
 more than 3x its 95% confidence interval (regression guard); 4
 infeasible distillation target.
-
-Parallelism for Monte Carlo trials is capped by --threads or the
-BIASFORGE_THREADS environment variable (0 = auto).
 
 A flat ``key=value`` config file can seed any subcommand's flags
 (``--config``); explicit flags override file entries.
@@ -219,7 +215,6 @@ def _params_simulate(args) -> dict:
         "trials": args.trials if args.mode == "mc" else None,
         "max_order": args.max_order if args.mode == "enumerate" else None,
         "seed": args.seed,
-        "threads": args.threads,
         "format": args.format,
     }
 
@@ -228,7 +223,7 @@ def _run_simulate(params: dict):
     cfg = gd.GadgetConfig(n=params["n"], theta=params["theta_radians"], r_z=params["r_z"], r_zz=params["r_zz"])
     noise = nz.NoiseParams(p_x=params["p_x"], p_z=params["p_z"], p_zz=params["p_zz"])
     if params["mode"] == "mc":
-        est = nz.estimate_rates_mc(cfg, noise, trials=params["trials"], seed=params["seed"], threads=params["threads"])
+        est = nz.estimate_rates_mc(cfg, noise, trials=params["trials"], seed=params["seed"])
     else:
         est = nz.enumerate_faults(cfg, noise, max_order=params["max_order"])
     b = bd.breakdown(params["n"], params["r_z"], params["r_zz"], noise)
@@ -497,7 +492,6 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     p_sim.add_argument("--mode", choices=("mc", "enumerate"), required=True)
     p_sim.add_argument("--trials", type=int, default=None, help="Monte Carlo trial count (mc mode)")
     p_sim.add_argument("--max-order", type=int, default=None, help="fault order cap, 1 or 2 (enumerate mode)")
-    p_sim.add_argument("--threads", type=int, default=None, help="parallel workers (default BIASFORGE_THREADS; 0 = auto)")
     common(p_sim)
 
     p_plan = sub.add_parser("plan", help="distillation overhead planning")

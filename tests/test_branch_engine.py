@@ -74,7 +74,7 @@ def test_enumerate_grid_matches_golden(r, order):
 
 def test_monte_carlo_reproduces_recorded_estimate():
     est = nz.estimate_rates_mc(
-        gd.GadgetConfig.t_state(3, 1), nz.NoiseParams.from_bias(1e-2, 10), trials=3000, seed=11, threads=1
+        gd.GadgetConfig.t_state(3, 1), nz.NoiseParams.from_bias(1e-2, 10), trials=3000, seed=11
     )
     assert est == nz.RateEstimate(
         e_x=0.041,

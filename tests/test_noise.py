@@ -1,4 +1,3 @@
-import concurrent.futures
 import dataclasses
 import json
 import math
@@ -371,7 +370,7 @@ class TestMonteCarlo:
     def test_zero_noise_rates_exact_zero(self):
         cfg = gd.GadgetConfig.t_state(3, r=1)
         params = nz.NoiseParams(p_x=0.0, p_z=0.0, p_zz=0.0)
-        est = nz.estimate_rates_mc(cfg, params, trials=2000, seed=1, threads=1)
+        est = nz.estimate_rates_mc(cfg, params, trials=2000, seed=1)
         assert est.e_x == 0.0 and est.e_z == 0.0 and est.e_y == 0.0
 
     def test_zero_noise_reject_rate_is_physical(self):
@@ -381,7 +380,7 @@ class TestMonteCarlo:
         # physical trial sees).
         cfg = gd.GadgetConfig.t_state(3, r=1)
         params = nz.NoiseParams(p_x=0.0, p_z=0.0, p_zz=0.0)
-        est = nz.estimate_rates_mc(cfg, params, trials=40_000, seed=3, threads=1)
+        est = nz.estimate_rates_mc(cfg, params, trials=40_000, seed=3)
         ci = 3 * math.sqrt(0.625 * 0.375 / 40_000)
         assert abs(est.reject_rate - 0.625) < ci
 
@@ -393,107 +392,27 @@ class TestMonteCarlo:
     def test_seed_determinism_bit_for_bit(self):
         cfg = gd.GadgetConfig.t_state(3, r=1)
         params = nz.NoiseParams.from_bias(1e-2, 10)
-        a = nz.estimate_rates_mc(cfg, params, trials=3000, seed=11, threads=1)
-        b = nz.estimate_rates_mc(cfg, params, trials=3000, seed=11, threads=1)
+        a = nz.estimate_rates_mc(cfg, params, trials=3000, seed=11)
+        b = nz.estimate_rates_mc(cfg, params, trials=3000, seed=11)
         assert a == b
 
-    def test_thread_count_invariance(self):
-        cfg = gd.GadgetConfig.t_state(3, r=1)
-        params = nz.NoiseParams.from_bias(1e-2, 10)
-        a = nz.estimate_rates_mc(cfg, params, trials=2000, seed=7, threads=1)
-        b = nz.estimate_rates_mc(cfg, params, trials=2000, seed=7, threads=2)
-        assert a == b
-
-    def test_counts_do_not_depend_on_the_worker_count(self, monkeypatch):
-        # workers take whole blocks; the last one also takes the short block
-        monkeypatch.setattr(nz, "_MIN_TRIALS_PER_WORKER", 1)
-        cfg = gd.GadgetConfig.t_state(3, r=1)
-        params = nz.NoiseParams.from_bias(1e-2, 10)
-        trials = 2 * nz._BLOCK + 5
-        assert nz._pool_workers(trials, 3) == 3
-        one, two, three = (nz.estimate_rates_mc(cfg, params, trials, seed=13, threads=t) for t in (1, 2, 3))
-        assert one == two == three
-
-    def test_pool_only_when_every_worker_gets_the_minimum(self, monkeypatch):
-        started = []
-
-        class CountingPool(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, max_workers):
-                started.append(max_workers)
-                super().__init__(max_workers=max_workers)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
-        cfg = gd.GadgetConfig.t_state(3, r=1)
-        anchor, noisy = nz.NoiseParams.from_bias(1e-3, 100), nz.NoiseParams.from_bias(5e-2, 3)
-        # work is counted in trials, whatever the noise
-        least = nz._MIN_TRIALS_PER_WORKER
-        assert nz._pool_workers(least - 1, 8) == 1
-        assert nz._pool_workers(2 * least - 1, 8) == 1
-        assert nz._pool_workers(2 * least, 8) == 2
-        assert nz._pool_workers(20 * least, 8) == 8
-        assert nz._pool_workers(20 * least, 1) == 1
-        sampled = []
-
-        def counting(cfg, params, seed, trial_range):
-            sampled.append(trial_range)
-            counts = np.zeros(gd.N_BINS, dtype=np.int64)
-            counts[0] = len(trial_range)  # every trial accepted, so the estimate is formed
-            return counts
-
-        # the decision is shown without sampling; the stub is gone before the
-        # pooled call below, whose forked workers would otherwise inherit it
-        with monkeypatch.context() as m:
-            m.setattr(nz, "_mc_counts", counting)
-            nz.estimate_rates_mc(cfg, noisy, trials=2 * least - 1, seed=5, threads=2)
-        assert started == [] and sampled == [range(2 * least - 1)]
-        pooled = nz.estimate_rates_mc(cfg, anchor, trials=2 * least, seed=5, threads=3)
-        assert started == [2]  # a third worker would get too little work
-        assert pooled == nz.estimate_rates_mc(cfg, anchor, trials=2 * least, seed=5, threads=1)
-
-    def test_threads_env_var_respected(self, monkeypatch):
-        monkeypatch.setenv("BIASFORGE_THREADS", "2")
-        assert nz._resolve_threads(None) == 2
-        monkeypatch.setenv("BIASFORGE_THREADS", "0")
-        assert nz._resolve_threads(None) >= 1
-        assert nz._resolve_threads(3) == 3  # explicit argument wins
-
-    def test_default_threads_follow_cpu_affinity(self, monkeypatch):
-        # pinned to one of eight CPUs: one worker, not eight
-        monkeypatch.setattr(nz.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        monkeypatch.setattr(nz.os, "cpu_count", lambda: 8)
-        assert nz._resolve_threads(0) == 1
-        monkeypatch.delenv("BIASFORGE_THREADS", raising=False)
-        assert nz._resolve_threads(None) == 1
-
-    def test_threads_must_be_non_negative_integers(self, monkeypatch):
-        monkeypatch.setenv("BIASFORGE_THREADS", "two")
-        with pytest.raises(ValueError, match="BIASFORGE_THREADS"):
-            nz._resolve_threads(None)
-        assert nz._resolve_threads(1) == 1  # an explicit count does not read the variable
-        monkeypatch.setenv("BIASFORGE_THREADS", "-2")
-        with pytest.raises(ValueError):
-            nz._resolve_threads(None)
-        with pytest.raises(ValueError):
-            nz._resolve_threads(-3)
+    def test_trials_and_seed_must_be_integers(self):
         cfg = gd.GadgetConfig.t_state(3, r=1)
         params = nz.NoiseParams.from_bias(1e-3, 100)
-        with pytest.raises(ValueError):
-            nz.estimate_rates_mc(cfg, params, trials=100, seed=0, threads=-3)
-        # non-integer trials, seeds and thread counts are refused before any trial runs
+        # non-integer trials and seeds are refused before any trial runs
         for name, kwargs in (
             ("seed", dict(trials=100, seed=1.5)),
             ("trials", dict(trials=100.0, seed=0)),
-            ("threads", dict(trials=100, seed=0, threads=1.5)),
         ):
             with pytest.raises(ValueError, match=name):
                 nz.estimate_rates_mc(cfg, params, **kwargs)
-        est = nz.estimate_rates_mc(cfg, params, trials=np.int64(100), seed=np.uint64(1), threads=np.int32(1))
+        est = nz.estimate_rates_mc(cfg, params, trials=np.int64(100), seed=np.uint64(1))
         assert est.trials_or_order == 100
 
     def test_mc_agrees_with_enumeration(self):
         cfg = gd.GadgetConfig.t_state(3, r=1)
         params = nz.NoiseParams.from_bias(1e-3, 100)
-        mc = nz.estimate_rates_mc(cfg, params, trials=150_000, seed=2024, threads=1)
+        mc = nz.estimate_rates_mc(cfg, params, trials=150_000, seed=2024)
         en = nz.enumerate_faults(cfg, params, 2)
         trials = mc.trials_or_order
         assert abs(mc.e_x - en.e_x) <= 3 * binomial_ci(mc.e_x, en.e_x, trials)
@@ -510,7 +429,7 @@ class TestMonteCarlo:
 def test_negative_seed_rejected():
     cfg = gd.GadgetConfig.t_state(3, r=1)
     with pytest.raises(ValueError):
-        nz.estimate_rates_mc(cfg, nz.NoiseParams.from_bias(1e-3, 100), trials=10, seed=-1, threads=1)
+        nz.estimate_rates_mc(cfg, nz.NoiseParams.from_bias(1e-3, 100), trials=10, seed=-1)
 
 
 def test_trial_ranges_start_on_a_block():
@@ -601,7 +520,7 @@ def _assert_estimate_counts(est, counts, trials):
 def test_monte_carlo_counts_match_per_trial_loop(cfg, p_z, eta, trials, seed):
     params = nz.NoiseParams.from_bias(p_z, eta)
     want = _per_trial_counts(cfg, params, seed, trials)
-    _assert_estimate_counts(nz.estimate_rates_mc(cfg, params, trials, seed, threads=1), want, trials)
+    _assert_estimate_counts(nz.estimate_rates_mc(cfg, params, trials, seed), want, trials)
 
 
 MC_COUNTS = json.loads((Path(__file__).parent / "golden" / "mc_counts.json").read_text())
