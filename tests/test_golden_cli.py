@@ -18,7 +18,7 @@ REFERENCE = sorted((ROOT / "perfbench" / "reference").glob("*.csv"))
 
 
 def test_corpus_is_complete():
-    assert len(GOLDEN) == 9 and len(REFERENCE) == 7
+    assert len(GOLDEN) == 8 and len(REFERENCE) == 7
 
 
 @pytest.mark.parametrize("path", GOLDEN + REFERENCE, ids=lambda p: f"{p.parent.name}/{p.name}")
