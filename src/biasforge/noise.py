@@ -129,6 +129,10 @@ class NoiseParams:
 
     @classmethod
     def from_bias(cls, p_z: float, eta: float, p_zz: float | None = None) -> "NoiseParams":
+        """p_x = p_z / eta, and p_zz = p_x unless given.  ``eta`` must be
+        positive (ValueError otherwise); eta = inf gives p_x = 0."""
+        if not eta > 0:
+            raise ValueError(f"bias eta must be > 0, got {eta}")
         p_x = p_z / eta
         return cls(p_x=p_x, p_z=p_z, p_zz=p_x if p_zz is None else p_zz)
 

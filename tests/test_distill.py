@@ -358,6 +358,10 @@ class TestPlan:
         with pytest.raises(ValueError):
             d.plan(0.0, 1e-3, 10.0)
 
+    def test_zero_bias_is_a_value_error(self):
+        with pytest.raises(ValueError, match="eta"):
+            d.plan(1e-8, 1e-3, 0.0)
+
     def test_explicit_pzz_sets_the_gadget_channel(self):
         p_z, eta, p_zz = 1e-3, 100.0, 5e-6
         plans = d.plan(1e-12, p_z, eta, p_zz=p_zz)
