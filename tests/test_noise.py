@@ -30,18 +30,14 @@ class TestNoiseParams:
     def test_from_bias_defaults_pzz_to_px(self):
         p = nz.NoiseParams.from_bias(1e-3, 1000.0)
         assert p.p_zz == p.p_x == 1e-6
+        assert nz.NoiseParams.from_bias(1e-3, math.inf).p_x == 0.0
 
     @pytest.mark.parametrize("eta", [0.0, -0.0, -1.0, math.nan])
     def test_from_bias_refuses_non_positive_eta(self, eta):
-        # eta = 0 once divided by zero; like every other invalid eta it is a ValueError
         with pytest.raises(ValueError, match="eta"):
             nz.NoiseParams.from_bias(1e-3, eta)
         with pytest.raises(ValueError, match="eta"):
             nz.NoiseParams.from_bias(0.0, eta)
-
-    def test_from_bias_infinite_eta_has_no_x(self):
-        p = nz.NoiseParams.from_bias(1e-3, math.inf)
-        assert p.p_x == p.p_zz == 0.0 and p.eta == math.inf
 
 
 class TestFaultEvents:
