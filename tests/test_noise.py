@@ -33,7 +33,7 @@ class TestNoiseParams:
         assert nz.NoiseParams.from_bias(1e-3, math.inf).p_x == 0.0
 
     @pytest.mark.parametrize("eta", [0.0, -0.0, -1.0, math.nan])
-    def test_from_bias_refuses_non_positive_eta(self, eta):
+    def test_from_bias_needs_a_positive_eta(self, eta):
         with pytest.raises(ValueError, match="eta"):
             nz.NoiseParams.from_bias(1e-3, eta)
         with pytest.raises(ValueError, match="eta"):
