@@ -109,6 +109,14 @@ class TestSimulate:
         )
         assert code == 2 and out == "" and "FRAME_BITS" in err
 
+    def test_threads_option_exits_2(self, capsys):
+        # every estimate runs in one process, so simulate takes no worker count
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", "--n", "3", "--r", "1", "--pz", "1e-3", "--bias", "100", "--mode", "mc",
+                      "--trials", "100", "--threads", "1"])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+
     @pytest.mark.parametrize("theta", ["nan", "inf", "-inf"])
     def test_non_finite_angle_exits_2_before_simulating(self, capsys, monkeypatch, theta):
         def refuse(*args, **kwargs):
@@ -311,6 +319,16 @@ class TestReproducibility:
             )
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_mc_seed_determinism(self, capsys):
+        args = (
+            "simulate", "--n", "3", "--r", "1", "--pz", "1e-2", "--bias", "10",
+            "--mode", "mc", "--trials", "2000",
+        )
+        r1 = run_json(capsys, *args, "--seed", "4")
+        r2 = run_json(capsys, *args, "--seed", "4")
+        r3 = run_json(capsys, *args, "--seed", "5")
+        assert r1 == r2 and r1["results"] != r3["results"]
 
     def test_replay_json_round_trip(self, tmp_path, capsys):
         out = tmp_path / "plan.json"

@@ -404,6 +404,22 @@ class TestMonteCarlo:
         b = nz.estimate_rates_mc(cfg, params, trials=3000, seed=11)
         assert a == b
 
+    def test_every_trial_is_sampled_in_the_calling_process(self, monkeypatch):
+        # one call over all trials, short last block included; a call made in
+        # another process would not reach this list
+        sampled = []
+
+        def counting(cfg, params, seed, trial_range):
+            sampled.append((seed, trial_range))
+            counts = np.zeros(gd.N_BINS, dtype=np.int64)
+            counts[0] = len(trial_range)  # every trial accepted, so the estimate is formed
+            return counts
+
+        monkeypatch.setattr(nz, "_mc_counts", counting)
+        trials = 2 * nz._BLOCK + 5
+        est = nz.estimate_rates_mc(gd.GadgetConfig.t_state(3, r=1), nz.NoiseParams.from_bias(1e-2, 10), trials, 13)
+        assert sampled == [(13, range(trials))] and est.trials_or_order == trials
+
     def test_trials_and_seed_must_be_integers(self):
         cfg = gd.GadgetConfig.t_state(3, r=1)
         params = nz.NoiseParams.from_bias(1e-3, 100)
