@@ -3,29 +3,31 @@
 
 Usage: PYTHONPATH=src python scripts/record_mc_counts.py > tests/golden/mc_counts.json
 
-Each case is one ``noise._mc_counts`` call over trials 0..trials-1: the six
-outcome-bin counts (I, XL, ZL, YL, rejected, anomaly) that
-``estimate_rates_mc`` turns into rates.  Each block of ``noise._BLOCK``
-trials draws from its own generator: for each rate kind (z, x, zz) a
-binomial count of fired (trial, event) cells and a uniform set of that
-many cells (``noise._sample_fires``, which returns the fired (trial, event)
-cells in trial order), then one double per trial, in trial order, which
-picks the trial's noiseless row by its probability.  A faulted trial reads
-that row through its frame, the XOR of its fired events' integer frame
-codes (``noise._event_table``: readout flips in the low bits, the block-3
-Pauli above them).  So the counts are those of the one-draw block sampler,
-with no other engine behind them.  The cases are the nine of
-``test_monte_carlo_counts_match_per_trial_loop``, two in which every Z event
-fires in every trial (n=5 and n=3), and 20,000-trial runs at two high noise
-points.  Re-record only when a count is meant to change.
+Each case is one ``noise._mc_counts(cfg, params, seed, trials)`` call, over
+trials 0..trials-1: the six outcome-bin counts (I, XL, ZL, YL, rejected,
+anomaly) that ``estimate_rates_mc`` turns into rates.  Each block of
+``noise._BLOCK`` trials draws from its own generator: for each rate kind
+(z, x, zz) a binomial count of fired (trial, event) cells and a uniform set
+of that many cells (``noise._sample_fires``, which returns the fired
+(trial, event) cells in trial order), then one double per trial, in trial
+order, which picks the trial's noiseless row by its probability.  A faulted
+trial reads that row through its frame, the XOR of its fired events'
+integer frame codes (``noise._event_table``: readout flips in the low bits,
+the block-3 Pauli above them).  So the counts are those of the one-draw
+block sampler, with no other engine behind them.  The cases are the nine of
+``test_monte_carlo_counts_match_per_trial_loop``, two in which every Z
+event fires in every trial (n=5 and n=3), and 20,000-trial runs at two high
+noise points.  Re-record only when a count is meant to change.
 
-The file was last re-recorded when ``noise._BLOCK`` rose from 2,048 to
+The counts were last re-recorded when ``noise._BLOCK`` rose from 2,048 to
 8,192 trials, to spread each generator's fixed cost over more trials.  The
 nine cases of more than 2,048 trials (the three 3,000-trial anchor cases
 and the six 20,000-trial cases) moved, since every trial t past the first
 2,048 now draws from the generator of block t // 8,192, not t // 2,048.  The
 eight cases of 2,048 trials or fewer are one block of the same generator
-either way, and kept every count.
+either way, and kept every count.  The file was re-recorded once since,
+when ``_mc_counts`` came to take a trial count in place of a range of
+trials: only its ``about`` line changed.
 
 The counts are defined by numpy's ``Generator.binomial``,
 ``Generator.choice(replace=False)`` and ``Generator.random`` on PCG64, so a
@@ -63,7 +65,7 @@ def cases():
 def record():
     out = []
     for name, n, params, trials, seed in cases():
-        counts = nz._mc_counts(CONFIGS[name](n), params, seed, range(trials))
+        counts = nz._mc_counts(CONFIGS[name](n), params, seed, trials)
         out.append(
             {
                 "gadget": name,
@@ -82,7 +84,7 @@ def record():
 if __name__ == "__main__":
     doc = {
         "about": "Per-bin counts (I, XL, ZL, YL, rejected, anomaly) of noise._mc_counts(cfg, params, seed, "
-        "range(trials)): trial block b of noise._BLOCK draws from default_rng([seed, b]), first a binomial "
+        "trials): trial block b of noise._BLOCK draws from default_rng([seed, b]), first a binomial "
         "count and a uniform set of fired cells per rate kind z, x, zz (noise._sample_fires), then one double "
         "per trial that picks its noiseless row, which a faulted trial reads through its frame.",
         "command": "PYTHONPATH=src python scripts/record_mc_counts.py > tests/golden/mc_counts.json",

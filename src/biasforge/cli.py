@@ -13,10 +13,10 @@ re-runs an output from its own header and emits the same bytes: the
 header's params are rebuilt through the command's own flags and params
 builder, and a header that no flags produce is refused.
 
-Exit codes: 0 success; 2 flag/validation failure, or a file that cannot
-be read or written; 3 a simulated rate exceeded its analytic bound by
-more than 3x its 95% confidence interval (regression guard); 4
-infeasible distillation target.
+Exit codes: 0 success; 2 flag/validation failure, a result that overflows
+a float, or a file that cannot be read or written; 3 a simulated rate
+exceeded its analytic bound by more than 3x its 95% confidence interval
+(regression guard); 4 infeasible distillation target.
 
 A flat ``key=value`` config file can seed any subcommand's flags
 (``--config``); explicit flags override file entries.
@@ -530,8 +530,11 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"biasforge: {exc}", file=sys.stderr)
         return exc.code
-    except (gd.ConfigError, gd.CorrectionTableError, bd.OddParityError, nz.UnsupportedOrderError, ValueError) as exc:
+    except (gd.CorrectionTableError, ValueError) as exc:
         print(f"biasforge: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OverflowError as exc:
+        print(f"biasforge: a result overflows a float: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except nz.EstimationError as exc:
         print(f"biasforge: {exc} (reject rate {exc.reject_rate})", file=sys.stderr)

@@ -308,7 +308,7 @@ class Branches:
 
 
 _BRANCH_EPS = 1e-12  # outcome probabilities below this are treated as zero
-_MAX_AMPS = 1 << 20  # larger stacks are advanced in halves, bounding memory
+_MAX_AMPS = 1 << 20  # a larger stack advances in chunks of at most this many amplitudes (or one row)
 
 
 def _measure(amps, bits, path, position, m):
@@ -326,25 +326,18 @@ def _measure(amps, bits, path, position, m):
     return children[kept], bits, path
 
 
-def _halves(a: int, b: int, width: int) -> list[tuple[int, int]]:
-    """Rows a..b-1 of a stack ``width`` amplitudes wide as row ranges,
-    halved and halved again until each has at most _MAX_AMPS amplitudes or
-    one row."""
-    if b - a == 1 or (b - a) * width <= _MAX_AMPS:
-        return [(a, b)]
-    half = a + (b - a) // 2
-    return _halves(a, half, width) + _halves(half, b, width)
-
-
 def _advance(ops, i, m, amps, bits, path):
     """Run stack operations i.. (see :func:`_stack_ops`) on a stack whose
     rows have outcome bits (0 for +1) and prefix probabilities for the
     first m readouts; return the final (amps, bits, path).  A stack over
-    _MAX_AMPS amplitudes runs on in parts (:func:`_halves`), one at a time,
-    which bounds memory."""
+    _MAX_AMPS amplitudes runs on in consecutive chunks of
+    max(1, _MAX_AMPS // width) rows, one at a time, which bounds memory;
+    no operation mixes rows, so the chunks concatenate to the whole."""
     while i < len(ops):
         if len(amps) > 1 and amps.size > _MAX_AMPS:
-            parts = [_advance(ops, i, m, amps[a:b], bits[a:b], path[a:b]) for a, b in _halves(0, *amps.shape)]
+            step = max(1, _MAX_AMPS // amps.shape[1])
+            chunks = [slice(a, a + step) for a in range(0, len(amps), step)]
+            parts = [_advance(ops, i, m, amps[c], bits[c], path[c]) for c in chunks]
             return tuple(np.concatenate(arrays) for arrays in zip(*parts))
         op = ops[i]
         if isinstance(op, int):

@@ -26,8 +26,8 @@ each by prod(p_e) * prod(1 - p_e') over the non-firing events (exact, no
 exponential approximation), over every measurement branch of the faulted
 circuit.  A subset's branches depend on its events only through its
 frame, the XOR of their frame codes, so the subsets are visited in
-frame-code order, in batches of at most ``_BATCH_SLOTS`` branches.  A
-batch decodes the branches of each frame in it once, in one
+frame-code order, in fixed-size batches of at most ``_BATCH_SLOTS``
+branches.  A batch decodes the branches of each frame in it once, in one
 ``gadget.outcome_bins`` call (a decode and one gather from the gadget's
 class table), and one bincount sums every subset's branch probabilities
 into its six outcome-bin masses.  Each subset is still one
@@ -244,12 +244,13 @@ def _enumerated_combos(cfg: gd.GadgetConfig, max_order: int):
     ``subsets`` is an (S, k) event-index matrix, padded with the event count
     (a column of zero log-odds and a zero frame code); ``masses`` is the
     (S, gadget.N_BINS) outcome-bin mass matrix.  Subsets are visited in the
-    order of their XOR-reduced frame codes, so a frame's subsets are
-    adjacent, and in batches of at most _BATCH_SLOTS branches (one subset
-    per batch if its branches alone are more).  A batch's bins come from
-    one ``outcome_bins`` call on the first branches of each frame in it
-    (``_batch_masses``).  Independent of NoiseParams, so cached per config
-    and order.
+    stable order of their XOR-reduced frame codes, so a frame's subsets are
+    adjacent, in consecutive batches of max(1, _BATCH_SLOTS // B) subsets:
+    every subset has the noiseless table's B branches, so a batch holds at
+    most _BATCH_SLOTS branches, or one subset if its branches alone are
+    more.  A batch's bins come from one ``outcome_bins`` call on the first
+    branches of each frame in it (``_batch_masses``).  Independent of
+    NoiseParams, so cached per config and order.
     """
     rates, frames, _ = _event_table(cfg)
     num = len(rates)
@@ -259,18 +260,12 @@ def _enumerated_combos(cfg: gd.GadgetConfig, max_order: int):
     if max_order >= 2:
         index = np.concatenate([index, np.stack(np.triu_indices(num, 1), axis=1)])
     codes = np.bitwise_xor.reduce(np.append(frames, 0)[index], axis=1)
-    masses, code_of = np.empty((len(index), gd.N_BINS)), codes.tolist()
-    batch, runs, filled = [], [], 0
-    for row in np.argsort(codes, kind="stable").tolist():
-        branches = gd.enumerate_branches(cfg, code_of[row])
-        size = len(branches)
-        if runs and filled + size > _BATCH_SLOTS:
-            masses[batch] = _batch_masses(cfg, codes[batch], runs)
-            batch, runs, filled = [], [], 0
-        batch.append(row)
-        runs.append(branches)
-        filled += size
-    masses[batch] = _batch_masses(cfg, codes[batch], runs)
+    order, masses = np.argsort(codes, kind="stable"), np.empty((len(index), gd.N_BINS))
+    step = max(1, _BATCH_SLOTS // len(gd._noiseless_table(cfg)[0]))
+    for a in range(0, len(order), step):
+        batch = order[a : a + step]
+        runs = [gd.enumerate_branches(cfg, code) for code in codes[batch].tolist()]
+        masses[batch] = _batch_masses(cfg, codes[batch], runs)
     totals = masses.sum(axis=1)
     worst = totals[np.argmax(np.abs(totals - 1.0))]
     if abs(worst - 1.0) > 1e-8:
@@ -279,8 +274,9 @@ def _enumerated_combos(cfg: gd.GadgetConfig, max_order: int):
 
 
 def _batch_masses(cfg: gd.GadgetConfig, codes: np.ndarray, runs: list[gd.Branches]) -> np.ndarray:
-    """The (len(runs), gadget.N_BINS) masses of subsets with the sorted frame
-    codes ``codes`` and the branches ``runs``.
+    """The (len(runs), gadget.N_BINS) masses of one batch of subsets: their
+    sorted frame codes ``codes`` and their branches ``runs``, a run per
+    subset.
 
     Subsets of one frame have the same branches, so only each frame's
     first run is classified, all in one ``outcome_bins`` call.  Every
@@ -374,9 +370,11 @@ _BLOCK = 8192
 # Blocks binned together (32,768 trials); bounds a pass's memory, not part of
 # the counts.
 _PASS = 4
-# Branches per enumeration batch (_enumerated_combos): bounds a batch's
-# memory and is not part of the masses.  A cold order-2 build at n=3, r=1
-# peaks at 1.3 MB traced, against 5.8 MB in one batch.
+# Branches per enumeration batch at most: _enumerated_combos takes
+# max(1, _BATCH_SLOTS // B) subsets of B branches a batch.  Bounds a batch's
+# memory and is not part of the masses.  A cold order-2 build at n=3 peaks
+# at 1.1 MB traced at r=1 and 3.0 MB at r=3, against 5.4 and 26.6 MB in one
+# batch.
 _BATCH_SLOTS = 16_384
 
 
@@ -412,34 +410,32 @@ def _rows(cum: np.ndarray, draw: np.ndarray) -> np.ndarray:
     return np.minimum(np.searchsorted(cum, draw * cum[-1]), len(cum) - 1)
 
 
-def _mc_counts(cfg, params, seed, trial_range) -> np.ndarray:
-    """Outcome-bin counts of the trials in ``trial_range``, a pass at a time.
+def _mc_counts(cfg, params, seed, trials) -> np.ndarray:
+    """Outcome-bin counts of trials 0..trials-1, a pass at a time.
 
     Trial t belongs to block t // _BLOCK, whose generator is
-    ``np.random.default_rng([seed, block])``; ``trial_range`` starts on a
-    block boundary.  A block of ``size`` trials draws, in this order, its
-    fired events (``_sample_fires``: a count and a uniform set of cells per
-    rate kind) and one double per trial, in trial order, which picks the
-    trial's noiseless row (``_rows``).  A trial that fired nothing is that
-    row's noiseless branch.  A faulted trial is the row read through its
-    frame, the XOR of its fired events' codes.  _BLOCK is thus part of what
-    the counts are: changing it changes every count.
+    ``np.random.default_rng([seed, block])``.  A block of ``size`` trials
+    draws, in this order, its fired events (``_sample_fires``: a count and a
+    uniform set of cells per rate kind) and one double per trial, in trial
+    order, which picks the trial's noiseless row (``_rows``).  A trial that
+    fired nothing is that row's noiseless branch.  A faulted trial is the
+    row read through its frame, the XOR of its fired events' codes.  _BLOCK
+    is thus part of what the counts are: changing it changes every count.
 
-    The blocks only draw.  Up to _PASS of them fill one pass's draw array
-    and (trial, event) cells, and the rest runs once per pass: one sort of
-    the draws counts the clean trials' rows, one ``np.bitwise_xor.reduceat``
-    over the fired cells gives the faulted trials' frames, and one
-    ``gadget.outcome_bins`` call bins them.  A count is a sum over trials,
-    so where the passes split does not change it; _PASS only bounds the
-    memory a pass holds.
+    The blocks only draw.  The passes run from trial 0 in consecutive chunks
+    of _PASS blocks, the last one short; the blocks of a pass fill its draw
+    array and (trial, event) cells, and the rest runs once per pass: one
+    sort of the draws counts the clean trials' rows, one
+    ``np.bitwise_xor.reduceat`` over the fired cells gives the faulted
+    trials' frames, and one ``gadget.outcome_bins`` call bins them.  A count
+    is a sum over trials, so where the passes split does not change it;
+    _PASS only bounds the memory a pass holds.
     """
-    if trial_range.start % _BLOCK:
-        raise ValueError(f"trial range must start on a multiple of {_BLOCK}, got {trial_range.start}")
     frames = _event_table(cfg)[1]
     cum, leaf_bins = _noiseless_leaf_pool(cfg)
     counts = np.zeros(gd.N_BINS, dtype=np.int64)
-    for first in range(trial_range.start, trial_range.stop, _PASS * _BLOCK):
-        size = min(_PASS * _BLOCK, trial_range.stop - first)
+    for first in range(0, trials, _PASS * _BLOCK):
+        size = min(_PASS * _BLOCK, trials - first)
         draw, fires = np.empty(size), []
         for a in range(0, size, _BLOCK):
             rng = np.random.default_rng([seed, (first + a) // _BLOCK])
@@ -486,7 +482,7 @@ def estimate_rates_mc(
             raise ValueError(f"{name}={value!r} is not an integer") from None
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    counts = _mc_counts(cfg, params, seed, range(trials))
+    counts = _mc_counts(cfg, params, seed, trials)
     rejected = int(counts[gd.BIN_REJECTED])
     if counts.sum() == rejected:
         raise EstimationError("no accepted trials", reject_rate=rejected / trials)

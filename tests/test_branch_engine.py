@@ -36,6 +36,7 @@ import hashlib
 import inspect
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -308,8 +309,11 @@ def test_faulted_branches_are_read_only():
         assert not any(a.flags.writeable for a in arrays)
 
 
-def test_large_stacks_advance_in_halves(monkeypatch):
-    # the state-vector path halves stacks while it builds the noiseless table
+@pytest.mark.parametrize("max_amps", [64, 100])
+def test_large_stacks_advance_in_parts(monkeypatch, max_amps):
+    # the state-vector path splits stacks into chunks of rows while it
+    # builds the noiseless table; at 100 amplitudes a chunk is not a power
+    # of two rows
     cfg = gd.GadgetConfig.t_state(3, 1)
     whole, whole_states = gd._noiseless_table(cfg)
     assert not any(a.flags.writeable for a in (whole.records, whole.probabilities, whole_states))
@@ -321,13 +325,13 @@ def test_large_stacks_advance_in_halves(monkeypatch):
         return advance(*args, **kwargs)
 
     monkeypatch.setattr(gd, "_advance", recording)
-    monkeypatch.setattr(gd, "_MAX_AMPS", 64)
-    halves, halves_states = gd._noiseless_table.__wrapped__(cfg)
+    monkeypatch.setattr(gd, "_MAX_AMPS", max_amps)
+    parts, parts_states = gd._noiseless_table.__wrapped__(cfg)
     assert len(stacks) > 1
-    assert all(rows == 1 or rows * width <= 64 for rows, width in stacks), stacks
-    assert np.array_equal(whole.records, halves.records)
-    np.testing.assert_allclose(halves.probabilities, whole.probabilities, rtol=0, atol=1e-15)
-    np.testing.assert_allclose(halves_states, whole_states, rtol=0, atol=1e-15)
+    assert all(rows == 1 or rows * width <= max_amps for rows, width in stacks), stacks
+    assert np.array_equal(whole.records, parts.records)
+    np.testing.assert_allclose(parts.probabilities, whole.probabilities, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(parts_states, whole_states, rtol=0, atol=1e-15)
 
 
 def _digest(array: np.ndarray) -> str:
@@ -427,6 +431,21 @@ def test_enumerated_masses_do_not_depend_on_the_batch_size(monkeypatch, case, bu
     calls = _counting(monkeypatch, ["outcome_bins"])
     assert _mass_digests(cfg, case["order"], nz._enumerated_combos.__wrapped__) == case["arrays"]
     assert calls["outcome_bins"] == -(-subsets // per_batch)
+
+
+def test_enumeration_batches_bound_the_memory_of_a_cold_build():
+    # a cold order-2 build at n=3, r=3 peaks near 3.0 MB traced in batches
+    # of _BATCH_SLOTS branches, and near 26.6 MB in one batch
+    cfg = gd.GadgetConfig.t_state(3, r=3)
+    nz._enumerated_combos(cfg, 2)  # build the noiseless, class and event tables first
+    gd._flipped.cache_clear()
+    tracemalloc.start()
+    try:
+        nz._enumerated_combos.__wrapped__(cfg, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
 
 
 @pytest.mark.parametrize("order, branch_calls", [(1, 80), (2, 3161)])

@@ -52,6 +52,19 @@ class TestBounds:
         )
         assert report["params"]["r_z"] == 1 and report["params"]["r_zz"] == 3
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--rz", "1", "--rzz", "2001", "--pz", "1e-3", "--px", "1e-5"],  # C(2001, 1001) is too large for a float
+            ["--r", "2001", "--pz", "0.5", "--px", "0.5"],  # a float power past the largest float
+        ],
+        ids=["binomial", "power"],
+    )
+    def test_a_bound_that_overflows_a_float_exits_2(self, capsys, flags):
+        code, out, err = run_cli(capsys, "bounds", "--n", "3", *flags)
+        assert code == 2 and out == ""
+        assert err.startswith("biasforge: ") and err.count("\n") == 1, err
+
     @pytest.mark.parametrize("split", [["--rz", "1", "--rzz", "5"], ["--rz", "1"], ["--rzz", "5"]])
     def test_r_beside_rz_or_rzz_exits_2(self, capsys, split):
         code, out, err = run_cli(capsys, "bounds", "--n", "3", "--r", "3", *split, "--pz", "1e-3", "--bias", "100")

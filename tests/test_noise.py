@@ -409,16 +409,16 @@ class TestMonteCarlo:
         # another process would not reach this list
         sampled = []
 
-        def counting(cfg, params, seed, trial_range):
-            sampled.append((seed, trial_range))
+        def counting(cfg, params, seed, trials):
+            sampled.append((seed, trials))
             counts = np.zeros(gd.N_BINS, dtype=np.int64)
-            counts[0] = len(trial_range)  # every trial accepted, so the estimate is formed
+            counts[0] = trials  # every trial accepted, so the estimate is formed
             return counts
 
         monkeypatch.setattr(nz, "_mc_counts", counting)
         trials = 2 * nz._BLOCK + 5
         est = nz.estimate_rates_mc(gd.GadgetConfig.t_state(3, r=1), nz.NoiseParams.from_bias(1e-2, 10), trials, 13)
-        assert sampled == [(13, range(trials))] and est.trials_or_order == trials
+        assert sampled == [(13, trials)] and est.trials_or_order == trials
 
     def test_trials_and_seed_must_be_integers(self):
         cfg = gd.GadgetConfig.t_state(3, r=1)
@@ -456,31 +456,19 @@ def test_negative_seed_rejected():
         nz.estimate_rates_mc(cfg, nz.NoiseParams.from_bias(1e-3, 100), trials=10, seed=-1)
 
 
-def test_trial_ranges_start_on_a_block():
-    cfg = gd.GadgetConfig.t_state(3, r=1)
-    with pytest.raises(ValueError, match="multiple"):
-        nz._mc_counts(cfg, nz.NoiseParams.from_bias(1e-3, 100), 1, range(5, 10))
-
-
 @pytest.mark.parametrize(
     "cfg", [gd.GadgetConfig.t_state(3, r=1), gd.GadgetConfig.t_state(3, r=3)], ids=["T-r1", "T-r3"]
 )
 @pytest.mark.parametrize("p_z, eta", [(1e-3, 100.0), (5e-2, 3.0)])
-@pytest.mark.parametrize(
-    "trial_range",
-    [
-        range(0, nz._PASS * nz._BLOCK + 5),
-        range(3 * nz._BLOCK, 3 * nz._BLOCK + 2 * nz._PASS * nz._BLOCK + nz._BLOCK + 17),
-    ],
-    ids=["one-pass-and-a-part-block", "three-passes-from-block-3"],
-)
-def test_counts_do_not_depend_on_where_the_passes_split(cfg, p_z, eta, trial_range):
-    # a range of one block is a pass of its own, so summing the blocks
-    # splits the passes at every block
+@pytest.mark.parametrize("blocks", [1, 2, 64], ids=lambda b: f"pass-of-{b}")
+def test_counts_do_not_depend_on_where_the_passes_split(monkeypatch, cfg, p_z, eta, blocks):
+    # three default passes, the last ending in a part block, against passes
+    # of one block, of two, and one pass over every trial
     params = nz.NoiseParams.from_bias(p_z, eta)
-    starts = range(trial_range.start, trial_range.stop, nz._BLOCK)
-    per_block = sum(nz._mc_counts(cfg, params, 17, range(a, min(a + nz._BLOCK, trial_range.stop))) for a in starts)
-    assert nz._mc_counts(cfg, params, 17, trial_range).tolist() == per_block.tolist()
+    trials = 2 * nz._PASS * nz._BLOCK + nz._BLOCK + 17
+    want = nz._mc_counts(cfg, params, 17, trials)
+    monkeypatch.setattr(nz, "_PASS", blocks)
+    assert nz._mc_counts(cfg, params, 17, trials).tolist() == want.tolist()
 
 
 def test_a_pass_bounds_the_memory_of_a_long_run():
@@ -488,10 +476,10 @@ def test_a_pass_bounds_the_memory_of_a_long_run():
     # trials in one pass peaks near 38 MB, and passes of _PASS blocks near 6
     cfg = gd.GadgetConfig.t_state(3, r=1)
     params = nz.NoiseParams.from_bias(5e-2, 3.0)
-    nz._mc_counts(cfg, params, 1, range(nz._BLOCK))  # build the cached tables first
+    nz._mc_counts(cfg, params, 1, nz._BLOCK)  # build the cached tables first
     tracemalloc.start()
     try:
-        nz._mc_counts(cfg, params, 1, range(200_000))
+        nz._mc_counts(cfg, params, 1, 200_000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -565,7 +553,7 @@ def test_monte_carlo_counts_match_recording(case):
     # trials first drew one double per trial to pick its noiseless row
     cfg = GADGETS[case["gadget"]](case["n"])
     params = nz.NoiseParams(p_x=case["p_x"], p_z=case["p_z"], p_zz=case["p_zz"])
-    counts = nz._mc_counts(cfg, params, case["seed"], range(case["trials"]))
+    counts = nz._mc_counts(cfg, params, case["seed"], case["trials"])
     assert counts.tolist() == case["counts"]
 
 
