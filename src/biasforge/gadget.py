@@ -36,45 +36,18 @@ after its location executes, or before readout at a MeasX location, on
 qubits live there.  It reaches the branch functions only as the frame
 code (below) that :func:`fault_frame` makes of a fault list.
 
-Execution: state vectors run only the noiseless circuit, once per config.
-Each build turns the circuit into a list of stack operations on a live
-register that puts a qubit on the top bit at PrepX and drops it at MeasX
-(at most 2n+1 qubits).  All live measurement branches form one (B, 2^q)
-amplitude stack with (B, M) records.  Each run of PrepX and (diagonal)
-gate locations before a readout is one factor that grows and phases
-every row at once; a readout splits every row into its +1 and -1
-children, interleaved so rows stay in depth-first (+1 first) order, and
-keeps the children of conditional probability above 1e-12.  The result
-is the read-only noiseless branch table.
-
-Faults run no state vectors.  Every location a fault event meets after it
-fires is Clifford: Z parts commute with the diagonal gates, and the X
-events the noise model emits fire after a qubit's only CZ(theta).  So a
-fault is a Pauli frame: pushed through the CPHASEs (X on one qubit adds Z
-on the other) it flips each readout whose qubit carries a Z part and
-leaves a Pauli on block 3.  The faulted branches are the noiseless ones
-with those readouts negated, the same probabilities and the block-3 Pauli
-on top.  A fault whose X part would reach a CZ(theta) raises FrameError.
-A frame is one integer code: bit m < M flips readout m, and code >> M is
-the block-3 Pauli packed as X mask << n | Z mask, so frames combine by
-XOR and a code fits an int64 while M + 2n <= 63.  A branch is held as its
-record, its probability, its noiseless row and its block-3 frame Pauli;
-no branch's state is formed.  Only the noiseless build keeps its rows'
-block-3 states, for the Pauli spectrum below.  Decoding and
-classification act on whole stacks.
-
-Classification: a corrected output is a noiseless row's state s under the
-Pauli q = correction x frame Pauli, so its class is a function of (s, q).
-The rows hold few distinct states up to global phase (8, 12 and 16 for T
-at n = 3, 5 and 7; 2 for +i).  Their Pauli spectra against the target,
-maximized over correctable Z patterns, give one int8 table of outcome bins
-per config, and classifying a branch is one lookup (:func:`_class_table`).
-
-Sampling: a faulted run's record is a noiseless row's record under its
-frame, with that row's probability, so a run of any frame draws its row
-from the noiseless probabilities and reads it through the frame, as
-enumeration does.  :func:`rows_under_frames` reads many rows at once, each
-under its own frame.
+Execution: state vectors run only the noiseless circuit, once per config,
+with every live measurement branch a row of one amplitude stack
+(:func:`_stack_ops`, :func:`_noiseless_table`).  Faults run none.  Every
+location a fault event meets after it fires is Clifford: Z parts commute
+with the diagonal gates, and the X events the noise model emits fire after
+a qubit's only CZ(theta).  So a fault is a Pauli frame of readout flips
+and a block-3 Pauli (:func:`fault_frame`), and a faulted branch,
+enumerated (:func:`enumerate_branches`) or sampled
+(:func:`rows_under_frames`), is a noiseless row read through its frame; no
+branch's state is formed.  A branch's class is a function of its row's
+state and the Pauli its correction and frame leave on block 3, one lookup
+in a table built once per config (:func:`_class_table`).
 """
 
 from __future__ import annotations
@@ -313,9 +286,10 @@ _MAX_AMPS = 1 << 20  # a larger stack advances in chunks of at most this many am
 
 def _measure(amps, bits, path, position, m):
     """Split every row on an X readout of bit ``position`` into children 2b
-    (+1) and 2b+1 (-1) and keep those of conditional probability above
-    _BRANCH_EPS.  Rows stay unnormalized: a row's squared norm is the
-    probability of its record so far, kept in column m+1 of ``path``."""
+    (+1) and 2b+1 (-1), so rows stay in depth-first (+1 first) order, and
+    keep those of conditional probability above _BRANCH_EPS.  Rows stay
+    unnormalized: a row's squared norm is the probability of its record so
+    far, kept in column m+1 of ``path``."""
     children = sv.x_split(amps, position)
     parts = children.view(np.float64)
     mass = np.einsum("ij,ij->i", parts, parts)
@@ -476,20 +450,9 @@ def target_state(cfg: GadgetConfig) -> np.ndarray:
     return np.where(odd, np.exp(1j * cfg.theta), 1.0) * 2.0 ** (-cfg.n / 2)
 
 
-@functools.lru_cache(maxsize=None)
-def _logical_paulis(n: int) -> dict[LogicalClass, PauliString]:
-    return {
-        LogicalClass.I: PauliString(),
-        LogicalClass.XL: PauliString.x_on([0]),
-        LogicalClass.ZL: PauliString.z_on(range(n)),
-        LogicalClass.YL: PauliString.x_on([0]).compose(PauliString.z_on(range(n))),
-    }
-
-
-_CLASS_ORDER = (LogicalClass.I, LogicalClass.XL, LogicalClass.ZL, LogicalClass.YL)
-
-# Outcome bins shared by enumeration and Monte Carlo: the accepted classes in
-# _CLASS_ORDER (I, XL, ZL, YL), then rejected records, then accepted anomalies.
+# Outcome bins shared by enumeration and Monte Carlo: the accepted classes I,
+# XL, ZL, YL (in the order of _logical_masks), then rejected records, then
+# accepted anomalies.
 BIN_XL, BIN_ZL, BIN_YL = 1, 2, 3
 BIN_REJECTED, BIN_ANOMALY = 4, 5
 N_BINS = 6
@@ -502,11 +465,11 @@ class CorrectionTableError(RuntimeError):
     """The noiseless branch set admits no consistent correction or class table."""
 
 
-@functools.lru_cache(maxsize=None)
 def _logical_masks(n: int) -> np.ndarray:
-    """The logical Paulis in _CLASS_ORDER packed as X mask << n | Z mask."""
-    paulis = [_logical_paulis(n)[cls] for cls in _CLASS_ORDER]
-    return np.array([p.xs << n | p.zs for p in paulis])
+    """The logical Paulis I, X_L = X_1, Z_L = Z^n and Y_L = X_L Z_L of the
+    n-qubit code, indexed by outcome bin, packed as X mask << n | Z mask."""
+    x_l, z_l = 1 << n, (1 << n) - 1
+    return np.array([0, x_l, z_l, x_l | z_l])
 
 
 @functools.lru_cache(maxsize=64)
@@ -514,7 +477,9 @@ def _pauli_spectrum(cfg: GadgetConfig) -> tuple[np.ndarray, np.ndarray]:
     """(state, spectrum), read-only: the index of each noiseless row's
     block-3 state among the distinct ones (equal up to global phase), and
     spectrum[s, a << n | b] = |<t| X^a Z^b |s>|^2 of distinct state s
-    against the target t, which the correction and class tables read.  For
+    against the target t, which the correction and class tables read.  The
+    rows hold few distinct states (8, 12 and 16 for T at n = 3, 5 and 7; 2
+    for +i).  For
     one X part a, <t| X^a Z^b |s> = sum_y (-1)^(b.y) conj(t[y ^ a]) s[y] is
     a Walsh-Hadamard transform over y, run as n butterfly passes."""
     n = cfg.n
@@ -545,7 +510,7 @@ def _class_table(cfg: GadgetConfig) -> tuple[np.ndarray, np.ndarray]:
     A class is the target hit with its logical Pauli and any correctable
     (weight <= (n-1)/2) Z pattern, so a stray correctable Z is I, not ZL;
     (n-1)/2 rounds that each add one Z bit maximize the spectrum over them.
-    The first class in _CLASS_ORDER above fidelity 0.99 wins.  An output
+    The first class in bin order above fidelity 0.99 wins.  An output
     reaching none is a wrong-angle output (a logical-Z-axis rotation, e.g.
     a correlated ZZ fault steering a record into acceptance), booked ZL as
     the analytic Z_L budget does; for T its best fidelity goes down to 0.9
@@ -569,7 +534,7 @@ def _class_table(cfg: GadgetConfig) -> tuple[np.ndarray, np.ndarray]:
         if np.any(np.abs(values - threshold) < 1e-9):
             raise CorrectionTableError(f"a {name} fidelity at theta={cfg.theta} lies within 1e-9 of {threshold}")
     above = fid > _CLASS_FIDELITY
-    cls = np.where(above.any(axis=1), above.argmax(axis=1), _CLASS_ORDER.index(LogicalClass.ZL))
+    cls = np.where(above.any(axis=1), above.argmax(axis=1), BIN_ZL)
     table = np.where(best < _ANOMALY_FIDELITY, BIN_ANOMALY, cls).astype(np.int8)
     table.flags.writeable = False
     return state, table
@@ -581,17 +546,24 @@ def correction_table(cfg: GadgetConfig) -> dict[tuple[int, int, int], PauliStrin
     Built from the noiseless branch table of ``cfg`` itself: every key of
     a correctable branch maps to the logical Pauli that takes the branch's
     output to the target.  Keys absent from the table are not
-    Pauli-correctable to the target and are rejected by the decoder.
+    Pauli-correctable to the target and are rejected by the decoder.  A
+    view of :func:`_correction_lookup`.
     """
-    return _correction_tables(cfg)[0]
+    n, masks = cfg.n, _logical_masks(cfg.n).tolist()
+    return {
+        key: PauliString(xs=masks[c] >> n, zs=masks[c] & ((1 << n) - 1))
+        for key, c in np.ndenumerate(_correction_lookup(cfg))
+        if c >= 0
+    }
 
 
 @functools.lru_cache(maxsize=None)
-def _correction_tables(cfg: GadgetConfig) -> tuple[dict, np.ndarray]:
-    """The correction table and its (zl_bit, b, alpha) -> class-index lookup
-    array (-1 where not correctable).  A noiseless row's correction is the
-    first logical Pauli L in _CLASS_ORDER with |<t| L |s>|^2 > 1 - 1e-9 on
-    its state s, read from the Pauli spectrum."""
+def _correction_lookup(cfg: GadgetConfig) -> np.ndarray:
+    """The read-only (zl_bit, b, alpha) -> correction array: an index into
+    :func:`_logical_masks`, -1 where the key is not correctable.  A
+    noiseless row's correction is the first logical Pauli L in bin order
+    with |<t| L |s>|^2 > 1 - 1e-9 on its state s, read from the Pauli
+    spectrum."""
     branches = _noiseless_table(cfg)[0]
     zl_bits, bs, correlated, alphas = _record_fields(cfg, branches.records)
     if not correlated.all():
@@ -613,7 +585,8 @@ def _correction_tables(cfg: GadgetConfig) -> tuple[dict, np.ndarray]:
     lookup = np.full((2, 2, cfg.n + 1), -1, dtype=np.int8)
     for k, cls in chosen.items():
         lookup[k] = cls
-    return {k: _logical_paulis(cfg.n)[_CLASS_ORDER[cls]] for k, cls in chosen.items()}, lookup
+    lookup.flags.writeable = False
+    return lookup
 
 
 def _record_fields(cfg: GadgetConfig, records: np.ndarray):
@@ -630,11 +603,11 @@ def _record_fields(cfg: GadgetConfig, records: np.ndarray):
 
 
 def _decode_records(cfg: GadgetConfig, records: np.ndarray):
-    """(zl_bit, b, correction): the correction is an index into _CLASS_ORDER
-    (the logical Pauli applied to block 3), -1 for a rejected record."""
+    """(zl_bit, b, correction): the correction is an index into
+    :func:`_logical_masks` (the logical Pauli applied to block 3), -1 for a
+    rejected record."""
     zl_bit, b, correlated, alpha = _record_fields(cfg, records)
-    lookup = _correction_tables(cfg)[1]
-    return zl_bit, b, np.where(correlated, lookup[zl_bit, b, alpha], -1)
+    return zl_bit, b, np.where(correlated, _correction_lookup(cfg)[zl_bit, b, alpha], -1)
 
 
 def outcome_bins(cfg: GadgetConfig, branches: Branches) -> np.ndarray:

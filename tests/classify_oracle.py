@@ -13,6 +13,8 @@ images, and is the oracle the tests check the table and the engine against.
   fixed.
 * ``branch_states`` gives each branch its block-3 state: its noiseless
   row's state under its frame Pauli.
+* The code's logical Paulis are stated here, not read from the package:
+  X_L = X on qubit 0, Z_L = Z on every qubit and Y_L = X_L Z_L.
 * Each class in (I, XL, ZL, YL) is represented by the target hit with that
   logical Pauli and any correctable-weight (<= (n-1)/2) physical Z pattern
   on the output block.  The first class reached at fidelity > 0.99 wins; an
@@ -28,6 +30,12 @@ from biasforge import gadget as gd
 from biasforge.statevec import PauliString
 
 CLASS_ORDER = (gd.LogicalClass.I, gd.LogicalClass.XL, gd.LogicalClass.ZL, gd.LogicalClass.YL)
+
+
+def logical_paulis(n: int) -> dict[gd.LogicalClass, PauliString]:
+    """The logical Paulis of the n-qubit phase-flip repetition code."""
+    x_l, z_l = PauliString.x_on([0]), PauliString.z_on(range(n))
+    return dict(zip(CLASS_ORDER, (PauliString(), x_l, z_l, x_l.compose(z_l))))
 
 
 def state_fidelity(a: np.ndarray, b: np.ndarray) -> float:
@@ -70,7 +78,7 @@ def corrections(cfg: gd.GadgetConfig, records) -> list[PauliString | None]:
     """The decoder's block-3 correction (local qubit ids 0..n-1) of each
     +/-1 record, None where the record is rejected."""
     found = gd._decode_records(cfg, np.asarray(records, dtype=np.int8))[2]
-    logical = gd._logical_paulis(cfg.n)
+    logical = logical_paulis(cfg.n)
     return [logical[CLASS_ORDER[c]] if c >= 0 else None for c in found.tolist()]
 
 
@@ -81,7 +89,7 @@ def _representatives(cfg: gd.GadgetConfig) -> tuple[np.ndarray, int]:
     n = cfg.n
     target = gd.target_state(cfg)
     patterns = [m for m in range(1 << n) if bin(m).count("1") <= (n - 1) // 2]
-    logical = gd._logical_paulis(n)
+    logical = logical_paulis(n)
     reps = [apply_pauli(target, n, logical[cls].compose(PauliString(zs=m))) for cls in CLASS_ORDER for m in patterns]
     return np.array(reps).conj().T, len(patterns)
 

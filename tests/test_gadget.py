@@ -6,7 +6,7 @@ import pytest
 
 from biasforge import gadget as gd
 from biasforge.statevec import PauliString
-from classify_oracle import apply_pauli, branch_states, classify, corrections, state_fidelity
+from classify_oracle import CLASS_ORDER, apply_pauli, branch_states, classify, corrections, logical_paulis, state_fidelity
 
 
 def branch_masses(cfg, faults=()):
@@ -139,7 +139,7 @@ class TestCorrectionTable:
         # with s*t = -1: a=2 -> XL, a=1 -> YL; a in {0,3} not correctable.
         cfg = gd.GadgetConfig.t_state(3)
         table = gd.correction_table(cfg)
-        paulis = gd._logical_paulis(3)
+        paulis = logical_paulis(3)
         expect = {}
         for zl in (0, 1):
             for b in (0, 1):
@@ -154,7 +154,7 @@ class TestCorrectionTable:
         # and every a in 0..3 is correctable (deterministic preparation).
         cfg = gd.GadgetConfig.plus_i(3)
         table = gd.correction_table(cfg)
-        paulis = gd._logical_paulis(3)
+        paulis = logical_paulis(3)
         assert len(table) == 16
         for (zl, b, a), pauli in table.items():
             same = (zl + b + a) % 2 == 0
@@ -166,6 +166,12 @@ class TestCorrectionTable:
             table = gd.correction_table(gd.GadgetConfig.t_state(n))
             alphas = {a for (_, _, a) in table}
             assert alphas == {(n - 1) // 2, (n + 1) // 2}
+
+    @pytest.mark.parametrize("n", [1, 3, 5, 7])
+    def test_logical_masks_pack_the_code_logicals(self, n):
+        # the masks are indexed by outcome bin, I, XL, ZL, YL as in CLASS_ORDER
+        paulis = logical_paulis(n)
+        assert gd._logical_masks(n).tolist() == [paulis[cls].xs << n | paulis[cls].zs for cls in CLASS_ORDER]
 
 
 class TestNoiselessRuns:
