@@ -13,8 +13,8 @@ re-runs an output from its own header and emits the same bytes: the
 header's params are rebuilt through the command's own flags and params
 builder, and a header that no flags produce is refused.
 
-Exit codes: 0 success; 2 flag/validation failure, a result that overflows
-a float, or a file that cannot be read or written; 3 a simulated rate
+Exit codes: 0 success; 2 flag/validation failure, a result that is not a
+finite float, or a file that cannot be read or written; 3 a simulated rate
 exceeded its analytic bound by more than 3x its 95% confidence interval
 (regression guard); 4 infeasible distillation target.
 
@@ -75,7 +75,8 @@ def _report_json(command: str, params: dict, results) -> str:
     return json.dumps(report, indent=2) + "\n"
 
 
-def _csv_lines(command: str, params: dict, columns: list[str], rows: list[dict]) -> str:
+def _csv_lines(command: str, params: dict, rows: list[dict]) -> str:
+    columns = list(rows[0])
     out = [
         f"# tool=biasforge {__version__}",
         f"# command={command}",
@@ -182,7 +183,7 @@ def _run_bounds(params: dict):
     noise = nz.NoiseParams(p_x=params["p_x"], p_z=params["p_z"], p_zz=params["p_zz"])
     b = bd.breakdown(params["n"], params["r_z"], params["r_zz"], noise)
     results = dataclasses.asdict(b)
-    return results, [results], list(results.keys())
+    return results, [results]
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +248,7 @@ def _run_simulate(params: dict):
         or est.e_z > b.e_zl * (1 + 1e-9) + 3 * est.ci95_e_z
     )
     results["bound_violation"] = violation
-    return results, [results], list(results.keys())
+    return results, [results]
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +295,7 @@ def _run_plan(params: dict):
         {"which": "gadget", **_plan_row(gadget_plan), "savings_factor": savings},
         {"which": "baseline", **_plan_row(baseline_plan), "savings_factor": savings},
     ]
-    columns = ["which", "use_gadget", "n", "r", "layers", "achieved_e_x", "achieved_e_z", "overhead", "savings_factor"]
-    return results, rows, columns
+    return results, rows
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +305,8 @@ def _run_plan(params: dict):
 
 
 def _bounds_row(r: int, p_z: float, eta: float) -> tuple:
-    p_x = p_z / eta
-    return bd.e_xl_bound(3, r, p_x, p_z), bd.e_zl_bound(3, r, p_x, p_z, p_x)
+    channel = dst.gadget_channel(3, r, nz.NoiseParams.from_bias(p_z, eta))
+    return channel.e_x, channel.e_z
 
 
 def _rm_row(r: int, p_z: float, eta: float) -> tuple:
@@ -374,14 +374,14 @@ def _run_sweep(params: dict):
     columns = ["p_z", "eta", *figure.columns]
     grid = np.geomspace(*figure.pz_range, params["points"]).tolist()
     rows = [dict(zip(columns, (p_z, eta, *figure.row(p_z, eta)))) for eta in _ETAS for p_z in grid]
-    return {"rows": len(rows)}, rows, columns
+    return None, rows  # sweep writes CSV only
 
 
 # ---------------------------------------------------------------------------
 # dispatch, replay, parser
 
 
-_COMMANDS = {  # command -> (params builder, runner)
+_COMMANDS = {  # command -> (params builder, runner: params -> (JSON results, CSV rows))
     "bounds": (_params_bounds, _run_bounds),
     "simulate": (_params_simulate, _run_simulate),
     "plan": (_params_plan, _run_plan),
@@ -391,10 +391,14 @@ _COMMANDS = {  # command -> (params builder, runner)
 
 def _execute_and_emit(command: str, params: dict, out_path: str | None) -> int:
     _, run = _COMMANDS[command]
-    results, rows, columns = run(params)
+    results, rows = run(params)
+    # the rows hold every value that either format writes
+    bad = [f"{k}={v!r}" for row in rows for k, v in row.items() if isinstance(v, float) and not math.isfinite(v)]
+    if bad:
+        raise CliError(f"a result is not finite: {', '.join(bad)}")
     fmt = params.get("format", "json")
     if fmt == "csv":
-        text = _csv_lines(command, params, columns, rows)
+        text = _csv_lines(command, params, rows)
     else:
         text = _report_json(command, params, results)
     _emit(text, out_path)

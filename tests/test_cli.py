@@ -65,6 +65,17 @@ class TestBounds:
         assert code == 2 and out == ""
         assert err.startswith("biasforge: ") and err.count("\n") == 1, err
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_a_bound_past_the_largest_float_exits_2_and_writes_nothing(self, capsys, tmp_path, fmt):
+        # C(411, 206) times the float 8^206 is a float product past the largest
+        # float: inf, with no OverflowError
+        flags = ["bounds", "--n", "3", "--r", "411", "--pz", "1", "--px", "1", "--format", fmt]
+        code, out, err = run_cli(capsys, *flags)
+        assert code == 2 and out == ""
+        assert err.startswith("biasforge: ") and err.count("\n") == 1 and "not finite" in err, err
+        path = tmp_path / f"bounds.{fmt}"
+        assert run_cli(capsys, *flags, "--out", str(path))[0] == 2 and not path.exists()
+
     @pytest.mark.parametrize("split", [["--rz", "1", "--rzz", "5"], ["--rz", "1"], ["--rzz", "5"]])
     def test_r_beside_rz_or_rzz_exits_2(self, capsys, split):
         code, out, err = run_cli(capsys, "bounds", "--n", "3", "--r", "3", *split, "--pz", "1e-3", "--bias", "100")
