@@ -21,24 +21,12 @@ read one noiseless branch table through them.  The events' codes are
 computed once per config (``_event_table``), and a fault crosses into the
 gadget only as a code.
 
-The exhaustive enumerator sums all event subsets of size <= k, weighting
-each by prod(p_e) * prod(1 - p_e') over the non-firing events (exact, no
-exponential approximation), over every measurement branch of the faulted
-circuit.  A subset's branches depend on its events only through its
-frame, the XOR of their frame codes, so the subsets are visited in
-frame-code order, in fixed-size batches of at most ``_BATCH_SLOTS``
-branches.  A batch decodes the branches of each frame in it once, in one
-``gadget.outcome_bins`` call (a decode and one gather from the gadget's
-class table), and one bincount sums every subset's branch probabilities
-into its six outcome-bin masses.  Each subset is still one
-``gadget.enumerate_branches`` call on its frame code.  The batch size
-bounds memory only: a mass is the same sum for any batch size.  These
-per-subset masses are independent of the rates, so they are computed
-once per (config, order) and kept as an (S, k) event-index matrix and an
-(S, 6) mass matrix.  A subset's weight depends only on how many z, x and
-zz events it fires, so the masses are also summed per such stratum (10 at
-order 2); each NoiseParams then costs one weight per stratum, exp(log
-P(no event) + sum of log-odds), and one (10, 6) matrix product.
+The exhaustive enumerator (``enumerate_faults``) sums all event subsets
+of size <= k, each weighted exactly (no exponential approximation), over
+every measurement branch of its frame.  A subset's outcome-bin masses do
+not depend on the rates, so they are built once per (config, order)
+(``_enumerated_combos``), and a NoiseParams costs one weight per stratum
+of subsets that fire as many z, x and zz events (``_strata``).
 
 The primary e_x / e_z / e_y rates are per gadget attempt: the probability
 that a run is accepted AND delivers that logical error.  This is the
@@ -57,27 +45,12 @@ theta = pi/4 the X-measurement records are not uniformly distributed
 noiseless rejection rate of the n=3 T gadget is 5/8, larger than the 1/4
 suggested by counting records uniformly.
 
-Monte Carlo trials draw every event independently.  The trials come in
-blocks of ``_BLOCK`` (8,192), and block b draws from its own generator,
-``np.random.default_rng([seed, b])``.  A block's draws carry a fixed cost
-(seeding its generator, and one binomial and one choice per rate kind),
-which a large block spreads over more trials.  It first draws the fired
-events sparsely, one rate kind (z, x, zz) at a time: a binomial number of
-the kind's (trial, event) cells fire, and which ones is a uniform subset of
-that size, so at low rates a block draws about one number per fired event,
-not one per trial and event.  Then it draws one double per trial, which
-picks a noiseless branch by its probability.  A trial that fired nothing
-is that branch.  A faulted trial's frame is the XOR of its fired events'
-frame codes, and the trial is the same branch read through its frame
-(``gadget.rows_under_frames``), as in enumeration: readouts flipped, the
-branch's own probability, and the frame's Pauli on block 3.  So a faulted
-trial costs a few array lookups more than a clean one.  A block only
-draws.  Up to ``_PASS`` (4) blocks make one pass of at most 32,768 trials:
-one sort of the pass's draws counts its clean trials, and its faulted
-trials, whatever they fired, are one ``gadget.outcome_bins`` call.
-``_BLOCK`` defines the counts; the pass size does not, since a count is a
-sum over trials.  So the per-bin integer counts, hence the estimates,
-depend only on (seed, trials).
+Monte Carlo (``estimate_rates_mc``) draws every event independently, in
+blocks of trials that each draw from their own generator (``_mc_counts``),
+so its counts, hence its estimates, depend only on (seed, trials).  A
+trial draws a noiseless row by its probability, and a faulted trial reads
+it through its frame, as enumeration does, so a faulted trial costs a few
+array lookups more than a clean one.
 """
 
 from __future__ import annotations
@@ -386,7 +359,8 @@ def _sample_fires(cfg, params, rng, size) -> tuple[np.ndarray, np.ndarray]:
     c // k and the kind's event c % k.  ``rng`` draws how many fire,
     binomial(cells, p), then which, a uniform subset of that many cells;
     given its size the set of fired cells is uniform, so every event fires
-    independently at its rate.  A kind that fires no cell makes no
+    independently at its rate, and at low rates a block draws about one
+    number per fired event, not one per trial and event.  A kind that fires no cell makes no
     ``choice`` call: a size-0 choice draws nothing from ``rng``, so the
     stream is the same either way.
     """
