@@ -47,7 +47,8 @@ enumerated (:func:`enumerate_branches`) or sampled
 (:func:`rows_under_frames`), is a noiseless row read through its frame; no
 branch's state is formed.  A branch's class is a function of its row's
 state and the Pauli its correction and frame leave on block 3, one lookup
-in a table built once per config (:func:`_class_table`).
+in a table that the decoder build (:func:`_decoder`) makes once per config,
+with the correction table.
 """
 
 from __future__ import annotations
@@ -284,26 +285,25 @@ _BRANCH_EPS = 1e-12  # outcome probabilities below this are treated as zero
 _MAX_AMPS = 1 << 20  # a larger stack advances in chunks of at most this many amplitudes (or one row)
 
 
-def _measure(amps, bits, path, position, m):
+def _measure(amps, bits, probs, position, m):
     """Split every row on an X readout of bit ``position`` into children 2b
     (+1) and 2b+1 (-1), so rows stay in depth-first (+1 first) order, and
     keep those of conditional probability above _BRANCH_EPS.  Rows stay
     unnormalized: a row's squared norm is the probability of its record so
-    far, kept in column m+1 of ``path``."""
+    far, kept in ``probs``."""
     children = sv.x_split(amps, position)
     parts = children.view(np.float64)
     mass = np.einsum("ij,ij->i", parts, parts)
-    kept = np.flatnonzero(mass / path[:, m].repeat(2) > _BRANCH_EPS)
-    bits, path = bits[kept >> 1], path[kept >> 1]
+    kept = np.flatnonzero(mass / probs.repeat(2) > _BRANCH_EPS)
+    bits = bits[kept >> 1]
     bits[:, m] = kept & 1
-    path[:, m + 1] = mass[kept]
-    return children[kept], bits, path
+    return children[kept], bits, mass[kept]
 
 
-def _advance(ops, i, m, amps, bits, path):
+def _advance(ops, i, m, amps, bits, probs):
     """Run stack operations i.. (see :func:`_stack_ops`) on a stack whose
-    rows have outcome bits (0 for +1) and prefix probabilities for the
-    first m readouts; return the final (amps, bits, path).  A stack over
+    rows have outcome bits (0 for +1) and probabilities for the first m
+    readouts; return the final (amps, bits, probs).  A stack over
     _MAX_AMPS amplitudes runs on in consecutive chunks of
     max(1, _MAX_AMPS // width) rows, one at a time, which bounds memory;
     no operation mixes rows, so the chunks concatenate to the whole."""
@@ -311,16 +311,16 @@ def _advance(ops, i, m, amps, bits, path):
         if len(amps) > 1 and amps.size > _MAX_AMPS:
             step = max(1, _MAX_AMPS // amps.shape[1])
             chunks = [slice(a, a + step) for a in range(0, len(amps), step)]
-            parts = [_advance(ops, i, m, amps[c], bits[c], path[c]) for c in chunks]
+            parts = [_advance(ops, i, m, amps[c], bits[c], probs[c]) for c in chunks]
             return tuple(np.concatenate(arrays) for arrays in zip(*parts))
         op = ops[i]
         if isinstance(op, int):
-            amps, bits, path = _measure(amps, bits, path, op, m)
+            amps, bits, probs = _measure(amps, bits, probs, op, m)
             m += 1
         else:
             amps = (amps[:, None, :] * op).reshape(len(amps), -1)
         i += 1
-    return amps, bits, path
+    return amps, bits, probs
 
 
 @functools.lru_cache(maxsize=64)
@@ -328,12 +328,10 @@ def _noiseless_table(cfg: GadgetConfig) -> tuple[Branches, np.ndarray]:
     """(branches, states), read-only: the branches of the noiseless circuit
     on the state-vector path, which every faulted enumeration, sampled run
     and table built from the noiseless circuit reads, and their (B, 2^n)
-    normalised block-3 states in canonical qubit order, which only
-    :func:`_pauli_spectrum` reads."""
-    num = cfg.num_measurements
-    start = np.ones((1, 1), dtype=np.complex128), np.zeros((1, num), dtype=np.int8), np.ones((1, num + 1))
-    amps, bits, path = _advance(_stack_ops(cfg), 0, 0, *start)
-    probs = path[:, num].copy()
+    normalised block-3 states in canonical qubit order, which only the
+    decoder build (:func:`_decoder`) reads."""
+    start = np.ones((1, 1), dtype=np.complex128), np.zeros((1, cfg.num_measurements), dtype=np.int8), np.ones(1)
+    amps, bits, probs = _advance(_stack_ops(cfg), 0, 0, *start)
     records, states = 1 - 2 * bits, amps / np.sqrt(probs)[:, None]
     rows, paulis = np.arange(len(probs)), np.zeros(len(probs), dtype=np.intp)
     for array in (records, probs, rows, paulis, states):
@@ -351,12 +349,15 @@ def fault_frame(cfg: GadgetConfig, faults) -> int:
     Z on the other, a MeasX flips its readout when its qubit carries Z and
     then drops the qubit.  What is left sits on block 3, in its local qubit
     order.  The code of the list is the XOR of its faults' codes, so the
-    frame of a union of fault lists is the XOR of theirs.  A fault on a
-    qubit not live at its location raises KeyError, and one whose X part
-    would reach a CZ(theta) raises FrameError.
+    frame of a union of fault lists is the XOR of theirs.  A location
+    outside [0, L) raises ValueError, a fault on a qubit not live at its
+    location KeyError, and one whose X part would reach a CZ(theta)
+    FrameError.
     """
     locations, n, code = build_circuit(cfg).locations, cfg.n, 0
     for location, pauli in faults:
+        if not 0 <= location < len(locations):
+            raise ValueError(f"fault location {location} is outside the circuit's locations 0..{len(locations) - 1}")
         live = {loc.qubits[0] for loc in locations[: location + 1] if loc.kind is LocationKind.PREP_X}
         live -= {loc.qubits[0] for loc in locations[:location] if loc.kind is LocationKind.MEAS_X}
         if any(q not in live for q in pauli.qubits()):
@@ -438,9 +439,10 @@ def rows_under_frames(cfg: GadgetConfig, rows: np.ndarray, frames: np.ndarray) -
 
 
 # ---------------------------------------------------------------------------
-# Targets, the Pauli spectrum, correction and class tables, decoding.  The
-# batch functions _decode_records and outcome_bins hold the decoding rule
-# and read the class table; a single record is decoded as a one-row batch.
+# Targets, the Pauli spectrum, the decoder build (correction and class
+# tables), decoding.  The batch functions _decode_records and outcome_bins
+# hold the decoding rule and read the decoder's tables; a single record is
+# decoded as a one-row batch.
 
 
 def target_state(cfg: GadgetConfig) -> np.ndarray:
@@ -472,16 +474,14 @@ def _logical_masks(n: int) -> np.ndarray:
     return np.array([0, x_l, z_l, x_l | z_l])
 
 
-@functools.lru_cache(maxsize=64)
 def _pauli_spectrum(cfg: GadgetConfig) -> tuple[np.ndarray, np.ndarray]:
-    """(state, spectrum), read-only: the index of each noiseless row's
-    block-3 state among the distinct ones (equal up to global phase), and
+    """(state, spectrum): the index of each noiseless row's block-3 state
+    among the distinct ones (equal up to global phase), and
     spectrum[s, a << n | b] = |<t| X^a Z^b |s>|^2 of distinct state s
-    against the target t, which the correction and class tables read.  The
-    rows hold few distinct states (8, 12 and 16 for T at n = 3, 5 and 7; 2
-    for +i).  For
-    one X part a, <t| X^a Z^b |s> = sum_y (-1)^(b.y) conj(t[y ^ a]) s[y] is
-    a Walsh-Hadamard transform over y, run as n butterfly passes."""
+    against the target t.  The rows hold few distinct states (8, 12 and 16
+    for T at n = 3, 5 and 7; 2 for +i).  For one X part a,
+    <t| X^a Z^b |s> = sum_y (-1)^(b.y) conj(t[y ^ a]) s[y] is a
+    Walsh-Hadamard transform over y, run as n butterfly passes."""
     n = cfg.n
     states = _noiseless_table(cfg)[1]
     state, distinct = np.full(len(states), -1), []
@@ -496,29 +496,35 @@ def _pauli_spectrum(cfg: GadgetConfig) -> tuple[np.ndarray, np.ndarray]:
     for k in range(n):  # bit k of y, then of b, is the middle axis
         v = v.reshape(-1, 2, 1 << k)
         v = np.stack((v[:, 0] + v[:, 1], v[:, 0] - v[:, 1]), axis=1)
-    spectrum = np.abs(v.reshape(len(distinct), -1)) ** 2
-    state.flags.writeable = spectrum.flags.writeable = False
-    return state, spectrum
+    return state, np.abs(v.reshape(len(distinct), -1)) ** 2
 
 
 @functools.lru_cache(maxsize=64)
-def _class_table(cfg: GadgetConfig) -> tuple[np.ndarray, np.ndarray]:
-    """(state, table), read-only: ``state`` as in :func:`_pauli_spectrum`,
-    and the outcome bin table[s, q] of an accepted output that is distinct
-    state s under q = (correction times frame Pauli, X mask << n | Z mask).
+def _decoder(cfg: GadgetConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(state, table, lookup), read-only, built once per config from the
+    Pauli spectrum of the noiseless rows (:func:`_pauli_spectrum`).
 
-    A class is the target hit with its logical Pauli and any correctable
-    (weight <= (n-1)/2) Z pattern, so a stray correctable Z is I, not ZL;
-    (n-1)/2 rounds that each add one Z bit maximize the spectrum over them.
-    The first class in bin order above fidelity 0.99 wins.  An output
-    reaching none is a wrong-angle output (a logical-Z-axis rotation, e.g.
-    a correlated ZZ fault steering a record into acceptance), booked ZL as
+    ``state`` maps each noiseless row to its distinct block-3 state s, and
+    table[s, q] is the outcome bin of an accepted output that is s under
+    q = (correction times frame Pauli, X mask << n | Z mask).  A class is
+    the target hit with its logical Pauli and any correctable (weight <=
+    (n-1)/2) Z pattern, so a stray correctable Z is I, not ZL; (n-1)/2
+    rounds that each add one Z bit maximize the spectrum over them.  The
+    first class in bin order above fidelity 0.99 wins.  An output reaching
+    none is a wrong-angle output (a logical-Z-axis rotation, e.g. a
+    correlated ZZ fault steering a record into acceptance), booked ZL as
     the analytic Z_L budget does; for T its best fidelity goes down to 0.9
     at n=3, 0.862 at n=5 and 0.855 at n=7.  An output below fidelity 0.5
     to every class is BIN_ANOMALY.  A fidelity within 1e-9 of either
     threshold would leave the bin to rounding: CorrectionTableError.
+
+    lookup[zl_bit, b, alpha] is the correction of a record key, an index
+    into :func:`_logical_masks`, -1 where the key is not correctable.  A
+    noiseless row's correction is the first logical Pauli L in bin order
+    with |<t| L |s>|^2 > 1 - 1e-9 on its state s (-1 for none); the rows
+    of one key must agree, else CorrectionTableError.
     """
-    n = cfg.n
+    n, masks = cfg.n, _logical_masks(cfg.n)
     state, spectrum = _pauli_spectrum(cfg)
     best_z = spectrum.reshape(-1, 1 << n)  # the Z part b is the last axis
     for _ in range((n - 1) // 2):
@@ -527,8 +533,7 @@ def _class_table(cfg: GadgetConfig) -> tuple[np.ndarray, np.ndarray]:
             out = grown.reshape(-1, 2, 1 << j)
             np.maximum(out, best_z.reshape(-1, 2, 1 << j)[:, ::-1], out=out)
         best_z = grown
-    q = np.arange(1 << 2 * n)
-    fid = best_z.reshape(len(spectrum), -1)[:, q ^ _logical_masks(n)[:, None]]  # [s, class, q]
+    fid = best_z.reshape(len(spectrum), -1)[:, np.arange(1 << 2 * n) ^ masks[:, None]]  # [s, class, q]
     best = fid.max(axis=1)
     for name, values, threshold in (("class", fid, _CLASS_FIDELITY), ("best", best, _ANOMALY_FIDELITY)):
         if np.any(np.abs(values - threshold) < 1e-9):
@@ -536,8 +541,22 @@ def _class_table(cfg: GadgetConfig) -> tuple[np.ndarray, np.ndarray]:
     above = fid > _CLASS_FIDELITY
     cls = np.where(above.any(axis=1), above.argmax(axis=1), BIN_ZL)
     table = np.where(best < _ANOMALY_FIDELITY, BIN_ANOMALY, cls).astype(np.int8)
-    table.flags.writeable = False
-    return state, table
+
+    zl_bits, bs, correlated, alphas = _record_fields(cfg, _noiseless_table(cfg)[0].records)
+    if not correlated.all():
+        raise CorrectionTableError("noiseless branch with mismatched X records")
+    hits = spectrum[state[:, None], masks] > 1 - 1e-9
+    found = np.where(hits.any(axis=1), hits.argmax(axis=1), -1)
+    if np.all(found < 0):
+        raise CorrectionTableError("no branch is Pauli-correctable to the target")
+    lookup, keys = np.full((2, 2, n + 1), -1, dtype=np.int8), (zl_bits, bs, alphas)
+    lookup[keys] = found  # a key whose rows disagree keeps one of them
+    if (clash := np.flatnonzero(lookup[keys] != found)).size:
+        key = tuple(int(k[clash[0]]) for k in keys)
+        raise CorrectionTableError(f"the noiseless rows of branch key {key} need different corrections")
+    for array in (state, table, lookup):
+        array.flags.writeable = False
+    return state, table, lookup
 
 
 def correction_table(cfg: GadgetConfig) -> dict[tuple[int, int, int], PauliString]:
@@ -547,46 +566,14 @@ def correction_table(cfg: GadgetConfig) -> dict[tuple[int, int, int], PauliStrin
     a correctable branch maps to the logical Pauli that takes the branch's
     output to the target.  Keys absent from the table are not
     Pauli-correctable to the target and are rejected by the decoder.  A
-    view of :func:`_correction_lookup`.
+    dict view of the lookup array of :func:`_decoder`.
     """
     n, masks = cfg.n, _logical_masks(cfg.n).tolist()
     return {
         key: PauliString(xs=masks[c] >> n, zs=masks[c] & ((1 << n) - 1))
-        for key, c in np.ndenumerate(_correction_lookup(cfg))
+        for key, c in np.ndenumerate(_decoder(cfg)[2])
         if c >= 0
     }
-
-
-@functools.lru_cache(maxsize=None)
-def _correction_lookup(cfg: GadgetConfig) -> np.ndarray:
-    """The read-only (zl_bit, b, alpha) -> correction array: an index into
-    :func:`_logical_masks`, -1 where the key is not correctable.  A
-    noiseless row's correction is the first logical Pauli L in bin order
-    with |<t| L |s>|^2 > 1 - 1e-9 on its state s, read from the Pauli
-    spectrum."""
-    branches = _noiseless_table(cfg)[0]
-    zl_bits, bs, correlated, alphas = _record_fields(cfg, branches.records)
-    if not correlated.all():
-        raise CorrectionTableError("noiseless branch with mismatched X records")
-    state, spectrum = _pauli_spectrum(cfg)
-    hits = spectrum[state[:, None], _logical_masks(cfg.n)] > 1 - 1e-9
-    found = np.where(hits.any(axis=1), hits.argmax(axis=1), -1)
-    chosen: dict[tuple[int, int, int], int] = {}
-    for k, cls in zip(zip(zl_bits.tolist(), bs.tolist(), alphas.tolist()), found.tolist()):
-        if cls < 0:
-            if k in chosen:
-                raise CorrectionTableError(f"branch key {k} is correctable on some branches only")
-            continue
-        if k in chosen and chosen[k] != cls:
-            raise CorrectionTableError(f"inconsistent corrections for key {k}")
-        chosen[k] = cls
-    if not chosen:
-        raise CorrectionTableError("no branch is Pauli-correctable to the target")
-    lookup = np.full((2, 2, cfg.n + 1), -1, dtype=np.int8)
-    for k, cls in chosen.items():
-        lookup[k] = cls
-    lookup.flags.writeable = False
-    return lookup
 
 
 def _record_fields(cfg: GadgetConfig, records: np.ndarray):
@@ -607,7 +594,7 @@ def _decode_records(cfg: GadgetConfig, records: np.ndarray):
     :func:`_logical_masks` (the logical Pauli applied to block 3), -1 for a
     rejected record."""
     zl_bit, b, correlated, alpha = _record_fields(cfg, records)
-    return zl_bit, b, np.where(correlated, _correction_lookup(cfg)[zl_bit, b, alpha], -1)
+    return zl_bit, b, np.where(correlated, _decoder(cfg)[2][zl_bit, b, alpha], -1)
 
 
 def outcome_bins(cfg: GadgetConfig, branches: Branches) -> np.ndarray:
@@ -616,7 +603,7 @@ def outcome_bins(cfg: GadgetConfig, branches: Branches) -> np.ndarray:
     a rejected record: the class table read at the branch's noiseless
     state and its correction times its frame Pauli."""
     corrections = _decode_records(cfg, branches.records)[2]
-    state, table = _class_table(cfg)
+    state, table, _ = _decoder(cfg)
     bins = table[state[branches.rows], _logical_masks(cfg.n)[corrections] ^ branches.paulis]
     return np.where(corrections >= 0, bins, BIN_REJECTED)
 

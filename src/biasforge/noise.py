@@ -32,7 +32,10 @@ The primary e_x / e_z / e_y rates are per gadget attempt: the probability
 that a run is accepted AND delivers that logical error.  This is the
 quantity the closed-form bounds budget (they sum fault occurrence
 probabilities without dividing by the acceptance probability), and exact
-enumeration confirms the bounds dominate it across the operating grid.
+enumeration confirms the bounds dominate it on criterion 4's grid (n=3,
+r in {1, 3}, eta <= 1000).  Off that grid they need not: ROADMAP item 6
+lists the exceptions found, e.g. Z-only noise at n=3, r=3, where the
+order-2 e_z exceeds the Z_L bound.
 The per-accepted-state rates (divided by the acceptance probability,
 what a consumer of accepted states experiences) are reported alongside
 as ``e_*_given_accept``; they exceed the analytic budgets by up to the

@@ -13,8 +13,8 @@ values) depends on the conventions fixed here:
 * A ``PauliString`` is a pair of X and Z support masks.  No kernel applies
   one to amplitudes: the engine pushes Paulis through the circuit as frame
   codes (``gadget.fault_frame``), and the Pauli spectrum of the noiseless
-  states against the target scores every Pauli image of them
-  (``gadget._pauli_spectrum``).
+  states against the target scores every Pauli image of them in the
+  decoder build (``gadget._decoder``).
 * Kernels return fresh arrays and never mutate their arguments.
 
 The engine holds every live measurement branch as one (B, 2^q) amplitude

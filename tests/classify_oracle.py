@@ -1,10 +1,11 @@
 """Reference states and classifier of gadget outputs, one state vector at a time.
 
 The package never forms a branch's block-3 state: a branch is a noiseless
-row read through a frame, and outputs are classified from one Pauli class
-table per config (``gadget._class_table``).  This module forms the states
-and states the same rule on them, by their overlaps with the target's Pauli
-images, and is the oracle the tests check the table and the engine against.
+row read through a frame, and outputs are classified from the Pauli class
+table of the one decoder build per config (``gadget._decoder``).  This
+module forms the states and states the same rule on them, by their overlaps
+with the target's Pauli images, and is the oracle the tests check the table
+and the engine against.
 
 * ``pauli_action`` applies a Pauli string to amplitudes as
   ``i**k * (X part) * (Z part)``, where ``k`` counts the qubits carrying

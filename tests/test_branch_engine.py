@@ -279,6 +279,16 @@ def test_fault_on_a_qubit_not_live_is_refused():
         gd.fault_frame(cfg, faults)
 
 
+@pytest.mark.parametrize("location", [17 - 31, 31], ids=["negative", "past-the-end"])
+def test_fault_location_outside_the_circuit_is_refused(location):
+    # Python indexing would read location 17 - 31 as 17 and push the fault
+    # through the circuit twice (code 6160, not 2064); 31 is one past the end
+    cfg = gd.GadgetConfig.t_state(3, 1)
+    assert gd.build_circuit(cfg).num_locations == 31
+    with pytest.raises(ValueError, match=f"fault location {location} is outside"):
+        gd.fault_frame(cfg, [(location, gd.PauliString.x_on([6]))])
+
+
 def test_x_fault_before_cz_theta_has_no_frame():
     cfg = gd.GadgetConfig.t_state(3, 1)
     circuit = gd.build_circuit(cfg)
@@ -365,7 +375,7 @@ def test_class_table_matches_the_oracle(cfg, distinct, sampled):
     # the table's bin at every (noiseless row, q), or at a seeded sample of
     # them, is the oracle's bin of the row's state under the Pauli q
     n = cfg.n
-    state, table = gd._class_table(cfg)
+    state, table, _ = gd._decoder(cfg)
     assert distinct is None or state.max() + 1 == distinct
     states = gd._noiseless_table(cfg)[1]
     if sampled is None:
@@ -384,7 +394,7 @@ def test_class_tables_hold_no_anomaly_bin(n):
     # every output reaches some class above fidelity 0.5, so
     # RateEstimate.anomaly_rate reads 0 on these configs
     for cfg in (gd.GadgetConfig.t_state(n), gd.GadgetConfig.plus_i(n), gd.GadgetConfig.custom(n, 1.0)):
-        state, table = gd._class_table(cfg)
+        state, table, _ = gd._decoder(cfg)
         assert table.shape == (state.max() + 1, 1 << 2 * n) and not np.any(table == gd.BIN_ANOMALY), cfg
 
 

@@ -167,6 +167,26 @@ class TestCorrectionTable:
             alphas = {a for (_, _, a) in table}
             assert alphas == {(n - 1) // 2, (n + 1) // 2}
 
+    @pytest.mark.parametrize("uncorrectable_first", [True, False], ids=["uncorrectable-first", "target-first"])
+    def test_rows_of_one_key_needing_different_corrections_are_refused(self, monkeypatch, uncorrectable_first):
+        # Two noiseless rows whose records are all +1 share the key (0, 0, 3).
+        # One holds the target; the other (|0>_L + 0.3|1>_L)/norm, which no
+        # logical Pauli takes to it and which lies off both class fidelity
+        # thresholds.  The key has no one correction, in either row order.
+        cfg = gd.GadgetConfig.t_state(3)
+        odd = np.array([z.bit_count() & 1 for z in range(8)], dtype=bool)
+        stray = np.where(odd, 0.3, 1.0) / np.sqrt(4 * 1.09)  # |0>_L (|1>_L) is the even (odd) half of |+>^3
+        states = np.array([stray, gd.target_state(cfg)] if uncorrectable_first else [gd.target_state(cfg), stray])
+        records = np.ones((2, cfg.num_measurements), dtype=np.int8)
+        branches = gd.Branches(records, np.full(2, 0.5), np.arange(2), np.zeros(2, dtype=np.intp))
+        monkeypatch.setattr(gd, "_noiseless_table", lambda _: (branches, states))
+        gd._decoder.cache_clear()
+        try:
+            with pytest.raises(gd.CorrectionTableError, match=r"key \(0, 0, 3\)"):
+                gd.correction_table(cfg)
+        finally:
+            gd._decoder.cache_clear()
+
     @pytest.mark.parametrize("n", [1, 3, 5, 7])
     def test_logical_masks_pack_the_code_logicals(self, n):
         # the masks are indexed by outcome bin, I, XL, ZL, YL as in CLASS_ORDER
@@ -411,10 +431,10 @@ class TestClassify:
             mid = (lo + hi) / 2
             lo, hi = (mid, hi) if reaches_a_class(mid) else (lo, mid)
         with pytest.raises(gd.CorrectionTableError, match="within 1e-9 of 0.99"):
-            gd._class_table(gd.GadgetConfig.custom(3, lo))
+            gd._decoder(gd.GadgetConfig.custom(3, lo))
         for n in (1, 3, 5, 7):
             for cfg in (gd.GadgetConfig.t_state(n), gd.GadgetConfig.plus_i(n)):
-                gd._class_table(cfg)
+                gd._decoder(cfg)
 
     def test_anomaly_flagged_for_garbage(self):
         cfg = gd.GadgetConfig.t_state(3)

@@ -292,6 +292,17 @@ class TestEnumerate:
         b = nz.enumerate_faults(cfg, params, 1)
         assert a == b
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 6: at equal r >= 3 the exact Z-only p_z^2 coefficient of e_ZL "
+        "(112.5 at n=3, r=3) exceeds the bound's n((r_z+3)p_z)^2 term (108)",
+    )
+    def test_bound_dominates_z_only_noise_at_r3(self):
+        # order-2 e_z 1.1155e-6 against e_zl_bound 1.0817e-6; once item 6
+        # mends the term this passes, and the strict xfail fails loudly
+        est = nz.enumerate_faults(gd.GadgetConfig.t_state(3, 3), nz.NoiseParams(0, 1e-4, 0), 2)
+        assert est.e_z <= bd.e_zl_bound(3, 3, 0, 1e-4, 0)
+
     def test_bound_domination_spot(self):
         cfg = gd.GadgetConfig.t_state(3, r=1)
         params = nz.NoiseParams.from_bias(1e-3, 1000.0)
