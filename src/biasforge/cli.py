@@ -464,7 +464,10 @@ def _cmd_replay(args) -> int:
     return _execute_and_emit(command, _rebuilt_params(args.file, command, params), args.out)
 
 
+@functools.cache
 def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process for each parser class:
+    parsing keeps its state in the namespace it returns, not the parser."""
     parser = parser_class(
         prog="biasforge",
         description="Biased-noise magic-state gadget: bounds, simulation, distillation planning.",

@@ -19,13 +19,18 @@ with probability (1 - e)^15 (S(t) + L(t)) and flips the logical with
 probability L(t) / (S(t) + L(t)) given acceptance.  S has even weights and
 L odd ones, so each is t^s P(t^2) with s its parity, and P is evaluated by
 Horner's rule in t^2 (half the steps of a rule in t) in the standard
-library's ``decimal`` at 60 significant digits with an effectively
-unbounded exponent range, so concatenated output rates far below
-double-precision underflow stay meaningful.  Each input rate is first rounded to 60 digits (a relative
-change of at most 1e-60).  Outputs are returned as correctly rounded
-floats: values below about 1e-308 are subnormal and lose precision, and
-values below about 5e-324 underflow to 0.0, which the planner never
-reaches for practical targets.
+library's ``decimal`` at 34 significant digits (IEEE decimal128, two
+machine words a value) with an effectively unbounded exponent range, so
+concatenated output rates far below double-precision underflow stay
+meaningful.  Each input rate is first rounded to 34 digits (a relative
+change of at most 5e-34).  Every term of a side is positive, so nothing
+cancels: the roughly 60 roundings of a side leave a relative error of
+about 1e-31, against the 1.1e-16 half-ulp of a double.  Outputs are
+returned as floats, correctly rounded unless the exact value lies within
+that 1e-31 of a rounding midpoint; the tests check them bit for bit
+against exact rational arithmetic.  Values below about 1e-308 are
+subnormal and lose precision, and values below about 5e-324 underflow to
+0.0, which the planner never reaches for practical targets.
 
 The check matrices are the punctured Reed-Muller construction: X-check
 row i marks the columns (1..15) whose bit i is set; the 10 Z-check rows
@@ -54,7 +59,7 @@ from .noise import NoiseParams
 
 N_PHYS = 15
 MAX_LAYERS = 6
-_CTX = decimal.Context(prec=60, Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX)
+_CTX = decimal.Context(prec=34, Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX)
 _Split = tuple[int, tuple[Decimal, ...]]  # (s, P): the polynomial t^s P(t^2)
 
 
@@ -281,7 +286,7 @@ def plan(target: float, p_z: float, eta: float, p_zz: float | None = None) -> tu
 
 def _plan(target: float, params: NoiseParams) -> tuple[DistillPlan, DistillPlan]:
     """:func:`plan` at the noise ``params`` itself.  The gadget searches
-    r in {1, 3} (n is fixed to 3, the overhead-minimal choice) for the
+    r in {1, 3} (n is fixed to 3, the paper's choice) for the
     minimal layer count, tie-broken toward smaller r, so r=3 is searched
     only below r=1's count (up to MAX_LAYERS if r=1 fails).  The baseline
     is the n=1 preparation: no repetition encoding, r = 1, unit

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import biasforge
 from biasforge import bounds as bd
 from biasforge import cli
 from biasforge import distill as dst
@@ -437,6 +442,38 @@ class TestReproducibility:
         shuffled.write_text(json.dumps(report))
         code, out, _ = run_cli(capsys, "replay", str(shuffled))
         assert code == 0 and out.encode() == fresh.read_bytes()
+
+    def test_a_reused_parser_writes_what_a_fresh_process_writes(self, tmp_path, capsys, monkeypatch):
+        # main builds its parser once per process; each call here, a refusal
+        # included, must leave nothing in it that the next call reads
+        assert cli.build_parser() is cli.build_parser()
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage to the terminal width
+        src = str(Path(biasforge.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        swept = tmp_path / "sweep.csv"
+        noise = ("--pz", "1e-3", "--bias", "100")
+        commands = [
+            ("sweep", "--figure", "overhead-12", "--points", "3"),
+            ("plan", "--target", "1e-12", "--pz", "1e-3", "--px", "1e-5", "--bias", "100"),  # refused
+            ("plan", "--target", "1e-12", *noise),
+            ("replay", str(swept)),
+            ("bounds", "--n", "3", "--r", "3", *noise),
+        ]
+        codes = []
+        for argv in commands:
+            try:
+                code = cli.main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            if argv[0] == "sweep":
+                swept.write_text(captured.out)
+            fresh = subprocess.run([sys.executable, "-m", "biasforge.cli", *argv], env=env, capture_output=True)
+            assert (code, captured.out.encode(), captured.err.encode()) == (
+                fresh.returncode, fresh.stdout, fresh.stderr
+            ), argv
+            codes.append(code)
+        assert codes == [0, 2, 0, 0, 0]
 
     def test_unwritable_out_exits_2(self, tmp_path, capsys):
         # an --out in a missing directory is refused in one line, as an

@@ -284,6 +284,27 @@ class TestRm15Map:
             assert cli.main(["sweep", "--figure", figure, "--out", str(tmp_path / f"{figure}.csv")]) == 0
             assert calls == want
 
+    def test_overhead_figures_bit_identical_to_exact_rational_oracle(self, monkeypatch, tmp_path):
+        # the plans behind these figures chain up to MAX_LAYERS maps, so their
+        # inputs reach far below the rates that the recorded grid covers
+        en = d._enumerators()
+        channels = set()
+        real = d.rm15_map
+
+        def spy(channel):
+            channels.add(channel)
+            return real(channel)
+
+        monkeypatch.setattr(d, "rm15_map", spy)
+        for figure in ("overhead-8", "overhead-12", "overhead-16"):
+            assert cli.main(["sweep", "--figure", figure, "--out", str(tmp_path / f"{figure}.csv")]) == 0
+        assert min(min(ch.e_x, ch.e_z) for ch in channels) < 1e-30
+        for ch in channels:
+            rate_x, acc_x = exact_side(ch.e_x, en.x_stab, en.x_logical)
+            rate_z, acc_z = exact_side(ch.e_z, en.z_stab, en.z_logical)
+            out, p_acc = real(ch)
+            assert (out.e_x, out.e_z, p_acc) == (float(rate_x), float(rate_z), float(acc_x * acc_z)), ch
+
     def test_out_of_range_channel(self):
         with pytest.raises(d.ChannelRangeError):
             d.Channel(0.5, 0.0)
