@@ -6,11 +6,11 @@ Layers, bottom up:
                 split) and the PauliString type.
 * ``gadget``    the repetition-code magic-state preparation circuit, its
                 noiseless branch table from one exact state-vector
-                execution, and one batch path over it: the table read
-                through one Pauli frame code (``enumerate_branches``) or a
-                code per sampled row (``rows_under_frames``), then
-                ``outcome_bins``, which decodes the records and reads one
-                Pauli class table per config.
+                execution, and the table read through Pauli frame codes:
+                a frame's branches (``enumerate_branches``), and the
+                outcome bins of (row, code) pairs (``frame_bins``), which
+                decodes each row's packed readout word under its code and
+                reads one Pauli class table per config.
 * ``noise``     biased Pauli fault model: its events as frame codes
                 (``gadget.fault_frame``), exhaustive low-order fault
                 enumeration and block Monte Carlo over the gadget.

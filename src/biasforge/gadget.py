@@ -42,13 +42,15 @@ with every live measurement branch a row of one amplitude stack
 location a fault event meets after it fires is Clifford: Z parts commute
 with the diagonal gates, and the X events the noise model emits fire after
 a qubit's only CZ(theta).  So a fault is a Pauli frame of readout flips
-and a block-3 Pauli (:func:`fault_frame`), and a faulted branch,
-enumerated (:func:`enumerate_branches`) or sampled
-(:func:`rows_under_frames`), is a noiseless row read through its frame; no
-branch's state is formed.  A branch's class is a function of its row's
-state and the Pauli its correction and frame leave on block 3, one lookup
-in a table that the decoder build (:func:`_decoder`) makes once per config,
-with the correction table.
+and a block-3 Pauli (:func:`fault_frame`), and a faulted branch is a
+noiseless row read through its frame; no branch's state is formed.
+:func:`enumerate_branches` lists a frame's branches, and Monte Carlo and
+enumeration alike classify (row, frame code) pairs with :func:`frame_bins`:
+a row's readouts are one packed word, the code's readout flips are XORed
+into it, and the decode reads the word's bit fields.  A branch's class is
+then one lookup at its row's state and the Pauli its correction and frame
+leave on block 3.  The decoder build (:func:`_decoder`) makes the words,
+the correction lookup and the class table once per config.
 """
 
 from __future__ import annotations
@@ -426,23 +428,10 @@ def enumerate_branches(cfg: GadgetConfig, frame: int = 0) -> Branches:
     return Branches(base.records, base.probabilities, base.rows, np.full(len(base.rows), pauli))
 
 
-def rows_under_frames(cfg: GadgetConfig, rows: np.ndarray, frames: np.ndarray) -> Branches:
-    """Noiseless table row ``rows[g]`` read through the frame code
-    ``frames[g]`` (see :func:`fault_frame`), one branch per entry, in entry
-    order: the code's low M bits negate readouts, code >> M is the block-3
-    Pauli, and the probability is the row's own.  Each is the branch that
-    :func:`enumerate_branches` gives for that row under that frame."""
-    table, num = _noiseless_table(cfg)[0], cfg.num_measurements
-    # -r is r ^ -2 for a readout r = +1 / -1, as in _flipped
-    records = table.records[rows] ^ ((frames[:, None] >> np.arange(num)) & 1).astype(np.int8) * np.int8(-2)
-    return Branches(records, table.probabilities[rows], rows, frames >> num)
-
-
 # ---------------------------------------------------------------------------
-# Targets, the Pauli spectrum, the decoder build (correction and class
-# tables), decoding.  The batch functions _decode_records and outcome_bins
-# hold the decoding rule and read the decoder's tables; a single record is
-# decoded as a one-row batch.
+# Targets, the Pauli spectrum, the decoder build (row words, correction and
+# class tables), decoding.  _word_fields holds the decoding rule, which the
+# decoder build and frame_bins both read.
 
 
 def target_state(cfg: GadgetConfig) -> np.ndarray:
@@ -500,9 +489,10 @@ def _pauli_spectrum(cfg: GadgetConfig) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=64)
-def _decoder(cfg: GadgetConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(state, table, lookup), read-only, built once per config from the
-    Pauli spectrum of the noiseless rows (:func:`_pauli_spectrum`).
+def _decoder(cfg: GadgetConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(state, table, lookup, words), read-only, built once per config from
+    the noiseless rows: their Pauli spectrum (:func:`_pauli_spectrum`) and
+    their records.
 
     ``state`` maps each noiseless row to its distinct block-3 state s, and
     table[s, q] is the outcome bin of an accepted output that is s under
@@ -522,7 +512,9 @@ def _decoder(cfg: GadgetConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     into :func:`_logical_masks`, -1 where the key is not correctable.  A
     noiseless row's correction is the first logical Pauli L in bin order
     with |<t| L |s>|^2 > 1 - 1e-9 on its state s (-1 for none); the rows
-    of one key must agree, else CorrectionTableError.
+    of one key must agree, else CorrectionTableError.  The keys are the
+    fields (:func:`_word_fields`) of ``words``, one int64 per noiseless row
+    with bit m set where readout m reads -1.
     """
     n, masks = cfg.n, _logical_masks(cfg.n)
     state, spectrum = _pauli_spectrum(cfg)
@@ -542,7 +534,9 @@ def _decoder(cfg: GadgetConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     cls = np.where(above.any(axis=1), above.argmax(axis=1), BIN_ZL)
     table = np.where(best < _ANOMALY_FIDELITY, BIN_ANOMALY, cls).astype(np.int8)
 
-    zl_bits, bs, correlated, alphas = _record_fields(cfg, _noiseless_table(cfg)[0].records)
+    records = _noiseless_table(cfg)[0].records
+    words = (records < 0) @ (1 << np.arange(records.shape[1]))
+    zl_bits, bs, correlated, alphas = _word_fields(cfg, words)
     if not correlated.all():
         raise CorrectionTableError("noiseless branch with mismatched X records")
     hits = spectrum[state[:, None], masks] > 1 - 1e-9
@@ -554,9 +548,9 @@ def _decoder(cfg: GadgetConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if (clash := np.flatnonzero(lookup[keys] != found)).size:
         key = tuple(int(k[clash[0]]) for k in keys)
         raise CorrectionTableError(f"the noiseless rows of branch key {key} need different corrections")
-    for array in (state, table, lookup):
+    for array in (state, table, lookup, words):
         array.flags.writeable = False
-    return state, table, lookup
+    return state, table, lookup, words
 
 
 def correction_table(cfg: GadgetConfig) -> dict[tuple[int, int, int], PauliString]:
@@ -576,35 +570,53 @@ def correction_table(cfg: GadgetConfig) -> dict[tuple[int, int, int], PauliStrin
     }
 
 
-def _record_fields(cfg: GadgetConfig, records: np.ndarray):
-    """(zl_bit, b, correlated, alpha) arrays of (B, M) +/-1 records: the
-    majority-voted parity bits, whether the block-1 and block-2 X records
-    are perfectly (anti)correlated, and the block-2 +1 count."""
+_POPCOUNT = np.array([bin(byte).count("1") for byte in range(256)])
+
+
+def _popcount(field: np.ndarray, width: int) -> np.ndarray:
+    """The set bits of non-negative words below 2^width, a byte at a time."""
+    count = _POPCOUNT[field & 255]
+    for shift in range(8, width, 8):
+        count = count + _POPCOUNT[(field >> shift) & 255]
+    return count
+
+
+def _word_fields(cfg: GadgetConfig, words: np.ndarray):
+    """(zl_bit, b, correlated, alpha) arrays of packed records (bit m set
+    where readout m reads -1): the majority-voted parity bits, whether the
+    block-1 and block-2 X readouts agree everywhere or nowhere, and the
+    block-2 +1 count.  The fields, from bit 0: r_z Z_L readouts, block 1,
+    r_zz joint readouts, block 2."""
     n, r_z, r_zz = cfg.n, cfg.r_z, cfg.r_zz
-    block1 = records[:, r_z : r_z + n]
-    block2 = records[:, r_z + n + r_zz :]
-    zl_bit = (records[:, :r_z].sum(axis=1) < 0).astype(np.intp)
-    b = (records[:, r_z + n : r_z + n + r_zz].sum(axis=1) < 0).astype(np.intp)
-    correlated = np.abs((block1 * block2).sum(axis=1)) == n
-    return zl_bit, b, correlated, (block2 > 0).sum(axis=1)
+    block1, block2 = (words >> r_z) & ((1 << n) - 1), words >> (r_z + n + r_zz)
+    zl_bit = _popcount(words & ((1 << r_z) - 1), r_z) > r_z // 2
+    b = _popcount((words >> (r_z + n)) & ((1 << r_zz) - 1), r_zz) > r_zz // 2
+    differ = block1 ^ block2
+    correlated = (differ == 0) | (differ == (1 << n) - 1)
+    return zl_bit.astype(np.intp), b.astype(np.intp), correlated, n - _popcount(block2, n)
 
 
-def _decode_records(cfg: GadgetConfig, records: np.ndarray):
-    """(zl_bit, b, correction): the correction is an index into
-    :func:`_logical_masks` (the logical Pauli applied to block 3), -1 for a
-    rejected record."""
-    zl_bit, b, correlated, alpha = _record_fields(cfg, records)
-    return zl_bit, b, np.where(correlated, _decoder(cfg)[2][zl_bit, b, alpha], -1)
+def frame_bins(cfg: GadgetConfig, rows: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """The outcome bin of noiseless table row ``rows[g]`` read through the
+    frame code ``codes[g]`` (:func:`fault_frame`), one per entry: the class
+    index in (I, XL, ZL, YL) of an accepted branch, BIN_ANOMALY for an
+    accepted anomaly, BIN_REJECTED for a rejected record.
 
-
-def outcome_bins(cfg: GadgetConfig, branches: Branches) -> np.ndarray:
-    """Per-branch outcome bin: the class index in (I, XL, ZL, YL) of an
-    accepted branch, BIN_ANOMALY for an accepted anomaly, BIN_REJECTED for
-    a rejected record: the class table read at the branch's noiseless
-    state and its correction times its frame Pauli."""
-    corrections = _decode_records(cfg, branches.records)[2]
-    state, table, _ = _decoder(cfg)
-    bins = table[state[branches.rows], _logical_masks(cfg.n)[corrections] ^ branches.paulis]
+    The row's packed record (:func:`_decoder`'s words) XOR the code's low M
+    bits is the branch's record, whose fields give its correction; the class
+    table is read at the row's state and the correction times the block-3
+    Pauli code >> M.  A row outside [0, B) or a code outside
+    [0, 2^(M + 2n)) raises ValueError.
+    """
+    state, table, lookup, words = _decoder(cfg)
+    num, bits = cfg.num_measurements, cfg.num_measurements + 2 * cfg.n
+    if len(rows) and not (
+        0 <= rows.min() <= rows.max() < len(words) and 0 <= codes.min() <= int(codes.max()) < 1 << bits
+    ):
+        raise ValueError(f"rows must lie in [0, {len(words)}) and frame codes in [0, 2^{bits})")
+    zl_bit, b, correlated, alpha = _word_fields(cfg, words[rows] ^ (codes & ((1 << num) - 1)))
+    corrections = np.where(correlated, lookup[zl_bit, b, alpha], -1)
+    bins = table[state[rows], _logical_masks(cfg.n)[corrections] ^ (codes >> num)]
     return np.where(corrections >= 0, bins, BIN_REJECTED)
 
 

@@ -224,8 +224,8 @@ def _enumerated_combos(cfg: gd.GadgetConfig, max_order: int):
     adjacent, in consecutive batches of max(1, _BATCH_SLOTS // B) subsets:
     every subset has the noiseless table's B branches, so a batch holds at
     most _BATCH_SLOTS branches, or one subset if its branches alone are
-    more.  A batch's bins come from one ``outcome_bins`` call on the first
-    branches of each frame in it (``_batch_masses``).  Independent of
+    more.  A batch's bins come from one ``gadget.frame_bins`` call on the
+    first branches of each frame in it (``_batch_masses``).  Independent of
     NoiseParams, so cached per config and order.
     """
     rates, frames, _ = _event_table(cfg)
@@ -255,21 +255,17 @@ def _batch_masses(cfg: gd.GadgetConfig, codes: np.ndarray, runs: list[gd.Branche
     subset.
 
     Subsets of one frame have the same branches, so only each frame's
-    first run is classified, all in one ``outcome_bins`` call.  Every
-    frame's branches are the noiseless rows in some order, so all runs are
-    equally long.  One bincount sums each subset's own branch probabilities,
-    in branch order, into its own slots, so a mass is the sum it was when
-    each subset was binned alone.
+    first run is classified: one ``gadget.frame_bins`` call takes the first
+    runs' noiseless rows, each under its frame's code.  Every frame's
+    branches are the noiseless rows in some order, so all runs are equally
+    long.  One bincount sums each subset's own branch probabilities, in
+    branch order, into its own slots, so a mass is the sum it was when each
+    subset was binned alone.
     """
     new = np.diff(codes, prepend=-1) != 0  # codes are >= 0: the first subset starts a frame
-    heads = [runs[s] for s in np.flatnonzero(new).tolist()]
-    batch = heads[0] if len(heads) == 1 else gd.Branches(
-        np.concatenate([b.records for b in heads]),
-        np.concatenate([b.probabilities for b in heads]),
-        np.concatenate([b.rows for b in heads]),
-        np.concatenate([b.paulis for b in heads]),
-    )
-    bins = gd.outcome_bins(cfg, batch).reshape(len(heads), -1)
+    heads = np.flatnonzero(new)
+    rows = np.concatenate([runs[s].rows for s in heads.tolist()])
+    bins = gd.frame_bins(cfg, rows, codes[heads].repeat(len(runs[0]))).reshape(len(heads), -1)
     # the batch's s-th subset's bin j is slot s * N_BINS + j
     slots = (bins[np.cumsum(new) - 1] + gd.N_BINS * np.arange(len(runs))[:, None]).ravel()
     probs = np.concatenate([branches.probabilities for branches in runs])
@@ -332,7 +328,8 @@ def enumerate_faults(cfg: gd.GadgetConfig, params: NoiseParams, max_order: int) 
 def _noiseless_leaf_pool(cfg: gd.GadgetConfig):
     """(cumulative probabilities, outcome bins) of the noiseless branches."""
     branches = gd.enumerate_branches(cfg)
-    return np.cumsum(branches.probabilities), gd.outcome_bins(cfg, branches)
+    empty = np.zeros(len(branches), dtype=np.int64)  # the frame code of no fault
+    return np.cumsum(branches.probabilities), gd.frame_bins(cfg, branches.rows, empty)
 
 
 # Trials per generator; part of the definition of the counts.  Most of a
@@ -404,9 +401,9 @@ def _mc_counts(cfg, params, seed, trials) -> np.ndarray:
     array and (trial, event) cells, and the rest runs once per pass: one
     sort of the draws counts the clean trials' rows, one
     ``np.bitwise_xor.reduceat`` over the fired cells gives the faulted
-    trials' frames, and one ``gadget.outcome_bins`` call bins them.  A count
-    is a sum over trials, so where the passes split does not change it;
-    _PASS only bounds the memory a pass holds.
+    trials' frame codes, and one ``gadget.frame_bins`` call bins their rows
+    under those codes.  A count is a sum over trials, so where the passes
+    split does not change it; _PASS only bounds the memory a pass holds.
     """
     frames = _event_table(cfg)[1]
     cum, leaf_bins = _noiseless_leaf_pool(cfg)
@@ -432,7 +429,7 @@ def _mc_counts(cfg, params, seed, trials) -> np.ndarray:
         counts += np.bincount(leaf_bins, weights=clean, minlength=gd.N_BINS).astype(np.int64)
         if len(starts):
             codes = np.bitwise_xor.reduceat(frames[event], starts)
-            counts += np.bincount(gd.outcome_bins(cfg, gd.rows_under_frames(cfg, rows, codes)), minlength=gd.N_BINS)
+            counts += np.bincount(gd.frame_bins(cfg, rows, codes), minlength=gd.N_BINS)
     return counts
 
 

@@ -7,6 +7,16 @@ module forms the states and states the same rule on them, by their overlaps
 with the target's Pauli images, and is the oracle the tests check the table
 and the engine against.
 
+It also keeps a record-matrix classifier, the oracle of
+``gadget.frame_bins``, which decodes packed readout words by bit fields:
+
+* ``rows_under_frames`` reads noiseless rows through frame codes as
+  (G, M) +/-1 record matrices;
+* ``record_fields`` and ``decode_records`` decode the records by sums over
+  their columns;
+* ``record_bins`` reads the decoder's class table at each branch's state
+  and its correction times its frame Pauli.
+
 * ``pauli_action`` applies a Pauli string to amplitudes as
   ``i**k * (X part) * (Z part)``, where ``k`` counts the qubits carrying
   both an X and a Z (i.e. Y = iXZ).  Global phase is irrelevant to every
@@ -75,10 +85,54 @@ def branch_states(cfg: gd.GadgetConfig, branches: gd.Branches) -> list[tuple[tup
     return list(zip(map(tuple, branches.records.tolist()), branches.probabilities.tolist(), states))
 
 
+def rows_under_frames(cfg: gd.GadgetConfig, rows: np.ndarray, frames: np.ndarray) -> gd.Branches:
+    """Noiseless table row ``rows[g]`` read through the frame code
+    ``frames[g]`` (see gadget.fault_frame), one branch per entry, in entry
+    order: the code's low M bits negate readouts, code >> M is the block-3
+    Pauli, and the probability is the row's own.  Each is the branch that
+    gadget.enumerate_branches gives for that row under that frame."""
+    table, num = gd._noiseless_table(cfg)[0], cfg.num_measurements
+    # -r is r ^ -2 for a readout r = +1 / -1
+    records = table.records[rows] ^ ((frames[:, None] >> np.arange(num)) & 1).astype(np.int8) * np.int8(-2)
+    return gd.Branches(records, table.probabilities[rows], rows, frames >> num)
+
+
+def record_fields(cfg: gd.GadgetConfig, records: np.ndarray):
+    """(zl_bit, b, correlated, alpha) arrays of (B, M) +/-1 records: the
+    majority-voted parity bits, whether the block-1 and block-2 X records
+    are perfectly (anti)correlated, and the block-2 +1 count."""
+    n, r_z, r_zz = cfg.n, cfg.r_z, cfg.r_zz
+    block1 = records[:, r_z : r_z + n]
+    block2 = records[:, r_z + n + r_zz :]
+    zl_bit = (records[:, :r_z].sum(axis=1) < 0).astype(np.intp)
+    b = (records[:, r_z + n : r_z + n + r_zz].sum(axis=1) < 0).astype(np.intp)
+    correlated = np.abs((block1 * block2).sum(axis=1)) == n
+    return zl_bit, b, correlated, (block2 > 0).sum(axis=1)
+
+
+def decode_records(cfg: gd.GadgetConfig, records: np.ndarray):
+    """(zl_bit, b, correction): the correction is an index into
+    gadget._logical_masks (the logical Pauli applied to block 3), -1 for a
+    rejected record."""
+    zl_bit, b, correlated, alpha = record_fields(cfg, records)
+    return zl_bit, b, np.where(correlated, gd._decoder(cfg)[2][zl_bit, b, alpha], -1)
+
+
+def record_bins(cfg: gd.GadgetConfig, branches: gd.Branches) -> np.ndarray:
+    """Per-branch outcome bin: the class index in (I, XL, ZL, YL) of an
+    accepted branch, BIN_ANOMALY for an accepted anomaly, BIN_REJECTED for
+    a rejected record: the class table read at the branch's noiseless
+    state and its correction times its frame Pauli."""
+    corrections = decode_records(cfg, branches.records)[2]
+    state, table = gd._decoder(cfg)[:2]
+    bins = table[state[branches.rows], gd._logical_masks(cfg.n)[corrections] ^ branches.paulis]
+    return np.where(corrections >= 0, bins, gd.BIN_REJECTED)
+
+
 def corrections(cfg: gd.GadgetConfig, records) -> list[PauliString | None]:
     """The decoder's block-3 correction (local qubit ids 0..n-1) of each
     +/-1 record, None where the record is rejected."""
-    found = gd._decode_records(cfg, np.asarray(records, dtype=np.int8))[2]
+    found = decode_records(cfg, np.asarray(records, dtype=np.int8))[2]
     logical = logical_paulis(cfg.n)
     return [logical[CLASS_ORDER[c]] if c >= 0 else None for c in found.tolist()]
 

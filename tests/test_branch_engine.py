@@ -12,12 +12,15 @@
   from the fault events and from Z faults on idle live qubits.
 * Faulted enumeration and sampled runs both read the noiseless branches
   through Pauli frames; every enumerated branch is read again from its
-  noiseless row by ``rows_under_frames`` and checked against the dense
-  reference, and a Monte Carlo draw inside a row's slice of the
-  cumulative probabilities picks that row.
+  noiseless row by ``classify_oracle.rows_under_frames`` and checked
+  against the dense reference, and a Monte Carlo draw inside a row's slice
+  of the cumulative probabilities picks that row.
+* ``gadget.frame_bins`` decodes packed readout words by bit fields; on
+  every noiseless row under random frame codes it must give the bins of
+  the record-matrix classifier ``classify_oracle.record_bins``.
 * ``golden/enumerated_masses.json`` holds a SHA-256 of the rate, subset
   and mass arrays of ``noise._enumerated_combos``, recorded with one
-  ``outcome_bins`` call per fault subset; classifying the subsets' frames
+  classification call per fault subset; classifying the subsets' frames
   in batches must keep them bit-identical, whatever the batch size.
 * ``golden/noiseless_tables.json`` holds a SHA-256 of the records,
   probabilities and states of the noiseless branch table, first recorded
@@ -47,7 +50,7 @@ from hypothesis import strategies as st
 from biasforge import gadget as gd
 from biasforge import noise as nz
 from biasforge.statevec import PauliString
-from classify_oracle import CLASS_ORDER, apply_pauli, branch_states, classify, corrections
+from classify_oracle import CLASS_ORDER, apply_pauli, branch_states, classify, corrections, record_bins, rows_under_frames
 from classify_oracle import outcome_bins as oracle_bins
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "enumerate_grid.json").read_text())
@@ -203,10 +206,10 @@ def test_frame_branches_match_state_vector_runs(case):
     code = gd.fault_frame(cfg, faults)
     branches = gd.enumerate_branches(cfg, code)
     frames = np.full(len(branches), code)
-    runs = gd.rows_under_frames(cfg, branches.rows, frames)
+    runs = rows_under_frames(cfg, branches.rows, frames)
     assert np.array_equal(runs.records, branches.records)
     assert np.array_equal(runs.probabilities, branches.probabilities)
-    assert np.array_equal(gd.outcome_bins(cfg, runs), gd.outcome_bins(cfg, branches))
+    assert np.array_equal(gd.frame_bins(cfg, branches.rows, frames), record_bins(cfg, branches))
     run_states = branch_states(cfg, runs)
     assert all(np.array_equal(run[2], branch[2]) for run, branch in zip(run_states, branch_states(cfg, branches)))
     for record, probability, state in run_states:
@@ -220,7 +223,7 @@ def _sampled_runs(cfg, code, runs, seed):
     draws them (noise._rows), read through the frame."""
     cum = nz._noiseless_leaf_pool(cfg)[0]
     rows = nz._rows(cum, np.random.default_rng(seed).random(runs))
-    return gd.rows_under_frames(cfg, rows, np.full(runs, code))
+    return rows_under_frames(cfg, rows, np.full(runs, code))
 
 
 def _assert_on_enumerated_branches(cfg, sampled, branches):
@@ -262,13 +265,14 @@ def test_midpoint_draws_pick_their_rows_under_every_single_event_frame(cfg):
     rows = nz._rows(cum, middle)
     assert np.array_equal(rows, np.arange(len(cum)))
     for code in np.unique(nz._event_table(cfg)[1]):
-        runs = gd.rows_under_frames(cfg, rows, np.full(len(rows), code))
+        frames = np.full(len(rows), code)
+        runs = rows_under_frames(cfg, rows, frames)
         branches = gd.enumerate_branches(cfg, int(code))
         at = np.argsort(branches.rows)  # the enumerated branch of each noiseless row
         assert np.array_equal(branches.rows[at], rows)
         assert np.array_equal(runs.records, branches.records[at])
         assert np.array_equal(runs.probabilities, branches.probabilities[at])
-        assert np.array_equal(gd.outcome_bins(cfg, runs), gd.outcome_bins(cfg, branches)[at])
+        assert np.array_equal(gd.frame_bins(cfg, rows, frames), record_bins(cfg, branches)[at])
 
 
 def test_fault_on_a_qubit_not_live_is_refused():
@@ -306,6 +310,44 @@ def test_frame_codes_outside_the_code_space_are_refused(cfg):
     for code in (-1, 1 << width):
         with pytest.raises(ValueError):
             gd.enumerate_branches(cfg, code)
+
+
+_FRAME_BIN_CASES = [
+    *(gd.GadgetConfig.t_state(n, r) for n in (1, 3, 5, 7) for r in (1, 3, 5)),
+    gd.GadgetConfig.plus_i(3),
+    gd.GadgetConfig.custom(3, 1.0, 1, 3),
+    gd.GadgetConfig.custom(3, 1.0, 3, 1),
+    gd.GadgetConfig.t_state(1, 29),  # M = 60: the widest n=1 config under FRAME_BITS
+]
+
+
+@pytest.mark.parametrize(
+    "cfg", _FRAME_BIN_CASES, ids=lambda c: f"{_THETA_NAMES.get(c.theta, 'custom')}-n{c.n}-rz{c.r_z}-rzz{c.r_zz}"
+)
+def test_frame_bins_match_the_record_oracle(cfg):
+    # every noiseless row under the empty frame, 64 uniform frame codes and
+    # 64 codes of two set bits (few flips, so many records are accepted):
+    # the packed-word decode bins as the record-matrix oracle does
+    width = cfg.num_measurements + 2 * cfg.n
+    rng = np.random.default_rng(31)
+    sparse = np.bitwise_xor.reduce(1 << rng.integers(width, size=(64, 2)), axis=1)
+    codes = np.concatenate([[0], rng.integers(1 << width, size=64), sparse])
+    rows = np.arange(len(gd.enumerate_branches(cfg))).repeat(len(codes))
+    frames = np.tile(codes, len(rows) // len(codes))
+    want = record_bins(cfg, rows_under_frames(cfg, rows, frames))
+    assert np.array_equal(gd.frame_bins(cfg, rows, frames), want)
+    assert len(set(want.tolist())) > 2
+
+
+@pytest.mark.parametrize("row, code", [(-1, 0), (64, 0), (0, -1), (0, 1 << 14)], ids=["row-1", "row-B", "code-1", "code-top"])
+def test_frame_bins_refuse_rows_and_codes_outside_their_range(row, code):
+    # a negative code would give a negative block-3 Pauli, which indexes the
+    # class table from its end and bins the row silently wrong
+    cfg = gd.GadgetConfig.t_state(3, 1)  # B = 64 noiseless rows, codes of M + 2n = 14 bits
+    last = gd.frame_bins(cfg, np.array([63]), np.array([(1 << 14) - 1]))
+    assert len(gd.enumerate_branches(cfg)) == 64 and len(last) == 1
+    with pytest.raises(ValueError, match="rows must lie in"):
+        gd.frame_bins(cfg, np.array([0, row]), np.array([0, code]))
 
 
 def test_faulted_branches_are_read_only():
@@ -375,7 +417,7 @@ def test_class_table_matches_the_oracle(cfg, distinct, sampled):
     # the table's bin at every (noiseless row, q), or at a seeded sample of
     # them, is the oracle's bin of the row's state under the Pauli q
     n = cfg.n
-    state, table, _ = gd._decoder(cfg)
+    state, table = gd._decoder(cfg)[:2]
     assert distinct is None or state.max() + 1 == distinct
     states = gd._noiseless_table(cfg)[1]
     if sampled is None:
@@ -394,7 +436,7 @@ def test_class_tables_hold_no_anomaly_bin(n):
     # every output reaches some class above fidelity 0.5, so
     # RateEstimate.anomaly_rate reads 0 on these configs
     for cfg in (gd.GadgetConfig.t_state(n), gd.GadgetConfig.plus_i(n), gd.GadgetConfig.custom(n, 1.0)):
-        state, table, _ = gd._decoder(cfg)
+        state, table = gd._decoder(cfg)[:2]
         assert table.shape == (state.max() + 1, 1 << 2 * n) and not np.any(table == gd.BIN_ANOMALY), cfg
 
 
@@ -405,7 +447,7 @@ def _mass_digests(cfg, order, build=nz._enumerated_combos):
 
 @pytest.mark.parametrize("case", MASSES["cases"], ids=lambda c: f"{c['gadget']}-order{c['order']}")
 def test_enumerated_masses_match_golden_digests(case):
-    # recorded by scripts/record_enumerated_masses.py with one outcome_bins
+    # recorded by scripts/record_enumerated_masses.py with one classification
     # call per subset; classifying a batch of frames at a time must not move a bit
     assert _mass_digests(ENUMERATED[case["gadget"]], case["order"]) == case["arrays"]
 
@@ -438,9 +480,9 @@ def test_enumerated_masses_do_not_depend_on_the_batch_size(monkeypatch, case, bu
     subsets = len(nz._enumerated_combos(cfg, case["order"])[1])
     per_batch = max(1, budget // len(gd.enumerate_branches(cfg)))
     monkeypatch.setattr(nz, "_BATCH_SLOTS", budget)
-    calls = _counting(monkeypatch, ["outcome_bins"])
+    calls = _counting(monkeypatch, ["frame_bins"])
     assert _mass_digests(cfg, case["order"], nz._enumerated_combos.__wrapped__) == case["arrays"]
-    assert calls["outcome_bins"] == -(-subsets // per_batch)
+    assert calls["frame_bins"] == -(-subsets // per_batch)
 
 
 def test_enumeration_batches_bound_the_memory_of_a_cold_build():
@@ -461,17 +503,17 @@ def test_enumeration_batches_bound_the_memory_of_a_cold_build():
 @pytest.mark.parametrize("order, branch_calls", [(1, 80), (2, 3161)])
 def test_enumeration_classifies_in_batches(monkeypatch, order, branch_calls):
     # one enumerate_branches call per subset (the benchmark counts them) but
-    # one outcome_bins call per batch of at most _BATCH_SLOTS branches, and
+    # one frame_bins call per batch of at most _BATCH_SLOTS branches, and
     # one fault_frame call per fault event: subsets reach the gadget as XORed
     # codes.  Under every frame a subset has the noiseless table's branch count.
     cfg = gd.GadgetConfig.t_state(3, r=1)
     per_batch = max(1, nz._BATCH_SLOTS // len(gd.enumerate_branches(cfg)))
-    calls = _counting(monkeypatch, ["enumerate_branches", "outcome_bins", "fault_frame"])
+    calls = _counting(monkeypatch, ["enumerate_branches", "frame_bins", "fault_frame"])
     nz._event_table.cache_clear()
     nz._enumerated_combos.cache_clear()
     nz._enumerated_combos(cfg, order)
     batches = -(-branch_calls // per_batch)
-    assert calls == {"enumerate_branches": branch_calls, "outcome_bins": batches, "fault_frame": 79}
+    assert calls == {"enumerate_branches": branch_calls, "frame_bins": batches, "fault_frame": 79}
 
 
 @pytest.mark.parametrize("r", [1, 3])
@@ -498,8 +540,9 @@ def test_outcome_bins_agree_with_scalar_decoding():
         (cz0, gd.PauliString.z_on(circuit.locations[cz0].qubits)),
         (circuit.num_locations - 1, gd.PauliString.x_on([6])),
     ]
-    branches = gd.enumerate_branches(cfg, gd.fault_frame(cfg, faults))
-    bins = gd.outcome_bins(cfg, branches)
+    code = gd.fault_frame(cfg, faults)
+    branches = gd.enumerate_branches(cfg, code)
+    bins = gd.frame_bins(cfg, branches.rows, np.full(len(branches), code))
     for (record, _, state), got in zip(branch_states(cfg, branches), bins):
         [correction] = corrections(cfg, [record])  # one record at a time
         if correction is None:

@@ -6,7 +6,17 @@ import pytest
 
 from biasforge import gadget as gd
 from biasforge.statevec import PauliString
-from classify_oracle import CLASS_ORDER, apply_pauli, branch_states, classify, corrections, logical_paulis, state_fidelity
+from classify_oracle import (
+    CLASS_ORDER,
+    apply_pauli,
+    branch_states,
+    classify,
+    corrections,
+    decode_records,
+    logical_paulis,
+    rows_under_frames,
+    state_fidelity,
+)
 
 
 def branch_masses(cfg, faults=()):
@@ -241,7 +251,12 @@ def _rows_with(cfg, forced):
     records = gd.enumerate_branches(cfg).records
     forced = np.asarray(forced)
     rows = np.flatnonzero(np.all((forced == 0) | (records == forced), axis=1))
-    return gd.rows_under_frames(cfg, rows, np.zeros(len(rows), dtype=np.int64))
+    return rows_under_frames(cfg, rows, np.zeros(len(rows), dtype=np.int64))
+
+
+def _bins(cfg, runs):
+    """The package's outcome bins of runs under the empty frame."""
+    return gd.frame_bins(cfg, runs.rows, np.zeros(len(runs), dtype=np.int64))
 
 
 class TestRun:
@@ -252,7 +267,7 @@ class TestRun:
         runs = _rows_with(cfg, [0] * cfg.num_measurements)
         assert len(runs) == len(gd.enumerate_branches(cfg))
         found = corrections(cfg, runs.records)
-        for (_, _, state), got, correction in zip(branch_states(cfg, runs), gd.outcome_bins(cfg, runs), found):
+        for (_, _, state), got, correction in zip(branch_states(cfg, runs), _bins(cfg, runs), found):
             if correction is None:
                 assert got == gd.BIN_REJECTED
             else:
@@ -269,7 +284,7 @@ class TestRun:
         runs = _rows_with(cfg, [0, +1, +1, +1, 0, +1, +1, +1])
         assert len(runs) == 4  # both parity readings free
         assert np.all(runs.records[:, 5:] == 1)  # block 2
-        assert np.all(gd.outcome_bins(cfg, runs) == gd.BIN_REJECTED)
+        assert np.all(_bins(cfg, runs) == gd.BIN_REJECTED)
         assert corrections(cfg, runs.records) == [None] * 4
 
     def test_forced_alpha_two_accepted_to_t(self):
@@ -293,8 +308,14 @@ class TestRun:
 
 def _decode(cfg, record):
     """(zl_bit, b, correction index into (I, XL, ZL, YL) or -1 if rejected)
-    of one record, decoded as a one-row batch."""
-    return tuple(int(a[0]) for a in gd._decode_records(cfg, np.array([record], dtype=np.int8)))
+    of one +/-1 record: packed into a word (bit m set where readout m reads
+    -1) and decoded by the package's field rule and correction lookup, which
+    must agree with the oracle's decode of the record matrix."""
+    word = np.array([sum(1 << m for m, readout in enumerate(record) if readout < 0)])
+    zl_bit, b, correlated, alpha = (int(field[0]) for field in gd._word_fields(cfg, word))
+    got = zl_bit, b, int(gd._decoder(cfg)[2][zl_bit, b, alpha]) if correlated else -1
+    assert got == tuple(int(a[0]) for a in decode_records(cfg, np.array([record], dtype=np.int8)))
+    return got
 
 
 class TestDecode:

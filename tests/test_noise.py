@@ -13,6 +13,7 @@ from biasforge import bounds as bd
 from biasforge import gadget as gd
 from biasforge import noise as nz
 from biasforge.statevec import PauliString
+from classify_oracle import record_bins
 
 
 class TestNoiseParams:
@@ -504,7 +505,7 @@ def _per_trial_counts(cfg, params, seed, trials):
     picks the trial's noiseless row.  A clean trial takes that row's
     noiseless bin, and a faulted one the bin of the branch read from that
     row in enumerate_branches under the frame of its fired events'
-    (location, Pauli) pairs."""
+    (location, Pauli) pairs, classified by the record-matrix oracle."""
     events = nz.fault_events(gd.build_circuit(cfg))
     cum, leaf_bins = nz._noiseless_leaf_pool(cfg)
     counts = np.zeros(gd.N_BINS, dtype=np.int64)
@@ -521,7 +522,7 @@ def _per_trial_counts(cfg, params, seed, trials):
                 continue
             branches = gd.enumerate_branches(cfg, gd.fault_frame(cfg, [(ev.location, ev.pauli) for ev in faulted[t]]))
             [at] = np.flatnonzero(branches.rows == row)
-            counts[gd.outcome_bins(cfg, branches)[at]] += 1
+            counts[record_bins(cfg, branches)[at]] += 1
     return counts
 
 
