@@ -570,7 +570,7 @@ def correction_table(cfg: GadgetConfig) -> dict[tuple[int, int, int], PauliStrin
     }
 
 
-_POPCOUNT = np.array([bin(byte).count("1") for byte in range(256)])
+_POPCOUNT = np.array([byte.bit_count() for byte in range(256)])
 
 
 def _popcount(field: np.ndarray, width: int) -> np.ndarray:

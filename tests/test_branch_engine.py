@@ -50,7 +50,15 @@ from hypothesis import strategies as st
 from biasforge import gadget as gd
 from biasforge import noise as nz
 from biasforge.statevec import PauliString
-from classify_oracle import CLASS_ORDER, apply_pauli, branch_states, classify, corrections, record_bins, rows_under_frames
+from classify_oracle import (
+    CLASS_ORDER,
+    apply_pauli,
+    branch_states,
+    classify,
+    corrections,
+    record_bins,
+    rows_under_frames,
+)
 from classify_oracle import outcome_bins as oracle_bins
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "enumerate_grid.json").read_text())
@@ -339,7 +347,9 @@ def test_frame_bins_match_the_record_oracle(cfg):
     assert len(set(want.tolist())) > 2
 
 
-@pytest.mark.parametrize("row, code", [(-1, 0), (64, 0), (0, -1), (0, 1 << 14)], ids=["row-1", "row-B", "code-1", "code-top"])
+@pytest.mark.parametrize(
+    "row, code", [(-1, 0), (64, 0), (0, -1), (0, 1 << 14)], ids=["row-1", "row-B", "code-1", "code-top"]
+)
 def test_frame_bins_refuse_rows_and_codes_outside_their_range(row, code):
     # a negative code would give a negative block-3 Pauli, which indexes the
     # class table from its end and bins the row silently wrong
