@@ -324,7 +324,7 @@ def test_frame_table_matches_the_forward_walk(cfg):
                 t = int(rng.choice([-1, circuit.num_locations]))
             support = site.support | (1 << int(rng.integers(qubits)) if rng.random() < 0.1 else 0)
             xs, zs = (int(rng.integers(1 << qubits)) & support for _ in range(2))
-            faults.append((t, PauliString(xs=xs, zs=zs or (0 if xs else support))))
+            faults.append((t, PauliString(xs=xs, zs=zs if xs | zs else support)))
         assert _frame_or_refusal(gd.fault_frame, cfg, faults) == _frame_or_refusal(forward_frame, cfg, faults), faults
     # the event table's codes are the forward walk's
     events = nz.fault_events(circuit)
@@ -579,14 +579,14 @@ def test_enumeration_classifies_in_batches(monkeypatch, order, branch_calls):
     cfg = gd.GadgetConfig.t_state(3, r=1)
     per_batch = max(1, nz._BATCH_SLOTS // len(gd.enumerate_branches(cfg)))
     codes, enumerate_branches = [], gd.enumerate_branches
-    monkeypatch.setattr(gd, "enumerate_branches", lambda cfg, frame=0: codes.append(frame) or enumerate_branches(cfg, frame))
-    calls = _counting(monkeypatch, ["enumerate_branches", "frame_bins", "fault_frame"])
+    monkeypatch.setattr(gd, "enumerate_branches", lambda cfg, code: codes.append(code) or enumerate_branches(cfg, code))
+    calls = _counting(monkeypatch, ["frame_bins", "fault_frame"])
     nz._event_table.cache_clear()
     nz._enumerated_combos.cache_clear()
     nz._enumerated_combos(cfg, order)
     batches = -(-branch_calls // per_batch)
-    assert calls == {"enumerate_branches": branch_calls, "frame_bins": batches, "fault_frame": 79}
-    assert len(codes) == branch_calls and 0 <= min(codes) <= max(codes) < 1 << cfg.num_measurements
+    assert len(codes) == branch_calls and calls == {"frame_bins": batches, "fault_frame": 79}
+    assert 0 <= min(codes) <= max(codes) < 1 << cfg.num_measurements
 
 
 @pytest.mark.parametrize("r", [1, 3])
