@@ -3,7 +3,7 @@
 Layers, bottom up:
 
 * ``statevec``  dense state-vector kernels (gate diagonals, X-readout
-                split) and the PauliString type.
+                split); a Pauli is an (X mask, Z mask) pair of ints.
 * ``gadget``    the repetition-code magic-state preparation circuit, its
                 noiseless branch table from one exact state-vector
                 execution, and the table read through Pauli frame codes:
@@ -23,11 +23,9 @@ Layers, bottom up:
 
 __version__ = "0.1.0"
 
-from .statevec import PauliString  # noqa: F401
 from .gadget import (  # noqa: F401
     Circuit,
     GadgetConfig,
-    LogicalClass,
     accept_probability_exact,
     build_circuit,
     enumerate_branches,

@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import decimal
 import functools
-import math
 from dataclasses import dataclass
 from decimal import Decimal
 
@@ -188,10 +187,6 @@ def _enumerators() -> _Enumerators:
     )
 
 
-def logical_coset_min_weight(counts: np.ndarray) -> int:
-    return int(np.nonzero(counts)[0][0])
-
-
 def _polyval(split: _Split, t: Decimal, u: Decimal) -> Decimal:
     """t^s P(u) at u = t^2 by Horner's rule in u.  A zero coefficient costs
     only its multiply by u: adding an exact zero would round nothing."""
@@ -248,13 +243,6 @@ def overhead(use_gadget: bool, layers: int) -> int:
         raise ValueError("layers must be >= 0")
     base = 15**layers
     return 4 * base if use_gadget else base
-
-
-def final_bias(channel: Channel) -> float:
-    """e_z / e_x; infinite when the X rate is exactly zero."""
-    if channel.e_x == 0.0:
-        return math.inf
-    return channel.e_z / channel.e_x
 
 
 def _min_layers(start: Channel, target: float, cap: int = MAX_LAYERS) -> tuple[int, Channel]:

@@ -31,15 +31,15 @@ record keys whose branches admit no such Pauli (e.g. |alpha| in {0, n}
 for theta = pi/4) are rejected, which reproduces the
 n - |alpha| = |alpha| +/- 1 acceptance rule.
 
-A fault is a (location index, PauliString-on-global-ids) pair, applied
-after its location executes, or before readout at a MeasX location, on
-qubits live there.  It reaches the branch functions only as the frame
-code (below) that :func:`fault_frame` makes of a fault list: the XOR of
-the codes of its single-qubit Z and X parts, read from one table per
-config (:func:`_frame_table`) that a backward pass over the locations
-builds.  A location outside the circuit, a qubit not live at its
-location and an X part that would reach a CZ(theta) are refused, in that
-order.
+A fault is a (location index, X mask, Z mask) triple, a Pauli on global
+qubit ids (bit q for qubit q), applied after its location executes, or
+before readout at a MeasX location, on qubits live there.  It reaches the
+branch functions only as the frame code (below) that :func:`fault_frame`
+makes of a fault list: the XOR of the codes of its single-qubit Z and X
+parts, read from one table per config (:func:`_frame_table`) that a
+backward pass over the locations builds.  A location outside the circuit,
+a negative mask, a qubit not live at its location and an X part that
+would reach a CZ(theta) are refused, in that order.
 
 Execution: state vectors run only the noiseless circuit, once per config,
 with every live measurement branch a row of one amplitude stack
@@ -71,7 +71,6 @@ from fractions import Fraction
 import numpy as np
 
 from . import statevec as sv
-from .statevec import PauliString
 
 SIM_MAX_N = 7  # largest simulated n: the live register peaks at 2n+1 qubits
 FRAME_BITS = 63  # a frame code (M readout flips, then a 2n-bit block-3 Pauli) is one int64
@@ -91,13 +90,6 @@ class LocationKind(enum.Enum):
     MEAS_X = "meas_x"
     CZ_THETA = "cz_theta"
     CPHASE = "cphase"
-
-
-class LogicalClass(enum.Enum):
-    I = "I"
-    XL = "XL"
-    ZL = "ZL"
-    YL = "YL"
 
 
 @dataclass(frozen=True)
@@ -165,10 +157,6 @@ class Circuit:
     r_z: int
     r_zz: int
     locations: tuple[Location, ...]
-
-    @property
-    def num_locations(self) -> int:
-        return len(self.locations)
 
 
 def block1_qubits(n: int) -> range:
@@ -382,9 +370,9 @@ def _frame_table(cfg: GadgetConfig) -> tuple[types.MappingProxyType, ...]:
 
 
 def fault_frame(cfg: GadgetConfig, faults) -> int:
-    """The frame code of a list of (location index, PauliString) faults on
-    ``build_circuit(cfg)``: bit m < M flips readout m, and code >> M is the
-    block-3 Pauli, X mask << n | Z mask.
+    """The frame code of a list of (location index, X mask, Z mask) faults
+    on ``build_circuit(cfg)``: bit m < M flips readout m, and code >> M is
+    the block-3 Pauli, X mask << n | Z mask.
 
     A fault is pushed through every later location (a MeasX fault fires
     before its own readout): a CPHASE turns X on one qubit into X on it and
@@ -393,24 +381,25 @@ def fault_frame(cfg: GadgetConfig, faults) -> int:
     order.  Every step is linear, so a fault's code is the XOR of the codes
     of its single-qubit Z and X parts, read from :func:`_frame_table`, and
     the frame of a union of fault lists is the XOR of theirs.  Faults are
-    checked in list order: a location outside [0, L) raises ValueError, a
-    fault touching any qubit not live at its location KeyError, and then
-    one whose X part would reach a CZ(theta) FrameError.
+    checked in list order: a location outside [0, L) or a negative mask
+    raises ValueError, a fault touching any qubit not live at its location
+    KeyError, and then one whose X part would reach a CZ(theta) FrameError.
     """
     table, code = _frame_table(cfg), 0
-    for location, pauli in faults:
+    for location, xs, zs in faults:
         if not 0 <= location < len(table):
             raise ValueError(f"fault location {location} is outside the circuit's locations 0..{len(table) - 1}")
-        live, qubits = table[location], pauli.qubits()
-        if any(q not in live for q in qubits):
-            raise KeyError(f"fault {pauli} at location {location} touches a qubit not live there")
-        for q in qubits:
-            z, x = live[q]
-            if (pauli.xs >> q) & 1:
+        if xs < 0 or zs < 0:
+            raise ValueError(f"fault masks x={xs:#x} z={zs:#x} at location {location} must be non-negative")
+        live = table[location]
+        if (xs | zs) & ~sum(1 << q for q in live):
+            raise KeyError(f"fault x={xs:#x} z={zs:#x} at location {location} touches a qubit not live there")
+        for q, (z, x) in live.items():
+            if xs >> q & 1:
                 if x is None:
-                    raise FrameError(f"X part of fault {pauli} at location {location} reaches a CZ(theta)")
+                    raise FrameError(f"X part of fault x={xs:#x} at location {location} reaches a CZ(theta)")
                 code ^= x
-            if (pauli.zs >> q) & 1:
+            if zs >> q & 1:
                 code ^= z
     return code
 
@@ -583,8 +572,9 @@ def _decoder(cfg: GadgetConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     return state, table, lookup, words
 
 
-def correction_table(cfg: GadgetConfig) -> dict[tuple[int, int, int], PauliString]:
-    """(zl_bit, b, alpha_count) -> block-3 correction, derived numerically.
+def correction_table(cfg: GadgetConfig) -> dict[tuple[int, int, int], int]:
+    """(zl_bit, b, alpha_count) -> block-3 correction, derived numerically,
+    packed as X mask << n | Z mask (the form of :func:`_logical_masks`).
 
     Built from the noiseless branch table of ``cfg`` itself: every key of
     a correctable branch maps to the logical Pauli that takes the branch's
@@ -592,12 +582,8 @@ def correction_table(cfg: GadgetConfig) -> dict[tuple[int, int, int], PauliStrin
     Pauli-correctable to the target and are rejected by the decoder.  A
     dict view of the lookup array of :func:`_decoder`.
     """
-    n, masks = cfg.n, _logical_masks(cfg.n).tolist()
-    return {
-        key: PauliString(xs=masks[c] >> n, zs=masks[c] & ((1 << n) - 1))
-        for key, c in np.ndenumerate(_decoder(cfg)[2])
-        if c >= 0
-    }
+    masks = _logical_masks(cfg.n).tolist()
+    return {key: masks[c] for key, c in np.ndenumerate(_decoder(cfg)[2]) if c >= 0}
 
 
 _POPCOUNT = np.array([byte.bit_count() for byte in range(256)])

@@ -1,12 +1,15 @@
 """Biased Pauli fault model over the gadget circuit.
 
-Elementary fault events, per location:
+Elementary fault events, per location, in location order, each an
+(x mask, z mask) Pauli on the location's qubits (``_event_table``):
 
 * single-qubit locations (PrepX / MeasX): one Z event at rate p_z.  X has
   no effect on X-basis preparation or readout, so no X event is emitted.
-* two-qubit gates (CZ(theta) / CPHASE): independent Z (p_z) and X (p_x)
-  events on each of the two qubits, plus one correlated Z-on-both event at
-  rate p_zz.
+* two-qubit gates (CZ(theta) / CPHASE) on qubits (a, b): the events Z_a,
+  Z_b (p_z), X_a, X_b (p_x) and the correlated Z_a Z_b (p_zz), in that
+  order.
+
+Idle qubits get none: the circuits define no idle schedule.
 
 Y errors are not an independent process: a qubit suffers Y exactly when
 its Z and X events fire together (probability p_z * p_x).
@@ -69,7 +72,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gadget as gd
-from .statevec import PauliString
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -116,44 +118,24 @@ class NoiseParams:
         return cls(p_x=p_x, p_z=p_z, p_zz=p_x if p_zz is None else p_zz)
 
 
-@dataclass(frozen=True)
-class FaultEvent:
-    location: int
-    pauli: PauliString
-    rate: str  # "z" | "x" | "zz"
-
-
-def fault_events(circuit: gd.Circuit) -> tuple[FaultEvent, ...]:
-    """Elementary fault events of a circuit, in location order.  Idle
-    qubits get none: the circuits define no idle schedule."""
-    events: list[FaultEvent] = []
-    for t, loc in enumerate(circuit.locations):
-        if loc.kind in (gd.LocationKind.PREP_X, gd.LocationKind.MEAS_X):
-            q = loc.qubits[0]
-            events.append(FaultEvent(t, PauliString.z_on([q]), "z"))
-        else:
-            a, b = loc.qubits
-            events.append(FaultEvent(t, PauliString.z_on([a]), "z"))
-            events.append(FaultEvent(t, PauliString.z_on([b]), "z"))
-            events.append(FaultEvent(t, PauliString.x_on([a]), "x"))
-            events.append(FaultEvent(t, PauliString.x_on([b]), "x"))
-            events.append(FaultEvent(t, PauliString.z_on([a, b]), "zz"))
-    return tuple(events)
-
-
-_RATE_INDEX = {"z": 0, "x": 1, "zz": 2}
-
-
 @functools.lru_cache(maxsize=None)
 def _event_table(cfg: gd.GadgetConfig):
     """(rates, codes, kinds), read-only, which both estimators read: each
     fault event's rate index (0 z, 1 x, 2 zz) and int64 frame code
-    (gadget.fault_frame), in ``fault_events`` order, and (rate index, event
-    indices) per rate kind z, x, zz, leaving out a kind with no events."""
-    events = fault_events(gd.build_circuit(cfg))
-    rates = np.array([_RATE_INDEX[ev.rate] for ev in events])
-    codes = np.array([gd.fault_frame(cfg, [(ev.location, ev.pauli)]) for ev in events], dtype=np.int64)
-    kinds = tuple((k, np.flatnonzero(rates == k)) for k in _RATE_INDEX.values() if k in rates)
+    (gadget.fault_frame), in event order (module docstring), and (rate
+    index, event indices) per rate kind z, x, zz, leaving out a kind with
+    no events."""
+    events = []  # (rate index, location, x mask, z mask)
+    for t, loc in enumerate(gd.build_circuit(cfg).locations):
+        bits = [1 << q for q in loc.qubits]
+        if len(bits) == 1:  # PrepX or MeasX
+            events.append((0, t, 0, bits[0]))
+        else:
+            a, b = bits
+            events += [(0, t, 0, a), (0, t, 0, b), (1, t, a, 0), (1, t, b, 0), (2, t, 0, a | b)]
+    rates = np.array([rate for rate, *_ in events])
+    codes = np.array([gd.fault_frame(cfg, [fault]) for _, *fault in events], dtype=np.int64)
+    kinds = tuple((k, np.flatnonzero(rates == k)) for k in range(3) if k in rates)
     for array in (rates, codes, *(kind for _, kind in kinds)):
         array.flags.writeable = False
     return rates, codes, kinds

@@ -10,11 +10,11 @@ values) depends on the conventions fixed here:
   basis states whose bits agree on the pair pick up ``exp(-i theta/2)``,
   states whose bits differ pick up ``exp(+i theta/2)``.  CPHASE is
   diag(1, 1, 1, -1).
-* A ``PauliString`` is a pair of X and Z support masks.  No kernel applies
-  one to amplitudes: the engine pushes Paulis through the circuit as frame
-  codes (``gadget.fault_frame``), and the Pauli spectrum of the noiseless
-  states against the target scores every Pauli image of them in the
-  decoder build (``gadget._decoder``).
+* A Pauli is a pair of int X and Z support masks, bit ``p`` for qubit
+  ``p``.  No kernel applies one to amplitudes: the engine pushes Paulis
+  through the circuit as frame codes (``gadget.fault_frame``), and the
+  Pauli spectrum of the noiseless states against the target scores every
+  Pauli image of them in the decoder build (``gadget._decoder``).
 * Kernels return fresh arrays and never mutate their arguments.
 
 The engine holds every live measurement branch as one (B, 2^q) amplitude
@@ -24,49 +24,10 @@ stack; ``gadget.SIM_MAX_N`` bounds the register it builds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 _SQRT_HALF = math.sqrt(0.5)
-
-
-@dataclass(frozen=True)
-class PauliString:
-    """Pauli operator as X/Z support bitmasks (bit p = qubit p)."""
-
-    xs: int = 0
-    zs: int = 0
-
-    @classmethod
-    def z_on(cls, qubits) -> "PauliString":
-        mask = 0
-        for q in qubits:
-            mask |= 1 << q
-        return cls(zs=mask)
-
-    @classmethod
-    def x_on(cls, qubits) -> "PauliString":
-        mask = 0
-        for q in qubits:
-            mask |= 1 << q
-        return cls(xs=mask)
-
-    def compose(self, other: "PauliString") -> "PauliString":
-        """Product up to global phase (supports XOR)."""
-        return PauliString(self.xs ^ other.xs, self.zs ^ other.zs)
-
-    @property
-    def support(self) -> int:
-        return self.xs | self.zs
-
-    def qubits(self) -> list[int]:
-        mask, out = self.support, []
-        while mask:
-            low = mask & -mask
-            out.append(low.bit_length() - 1)
-            mask ^= low
-        return out
 
 
 def cz_theta_diagonal(num_qubits: int, i: int, j: int, theta: float) -> np.ndarray:

@@ -20,9 +20,12 @@ It also keeps a record-matrix classifier, the oracle of
 It keeps the forward walk of fault frames, the oracle of
 ``gadget.fault_frame``: ``forward_frame`` pushes each fault through every
 later location, where the package reads one backward table
-(``gadget._frame_table``).
+(``gadget._frame_table``).  ``reference_events`` lists the noise model's
+fault events, the oracle of the events of ``noise._event_table``.
 
-* ``pauli_action`` applies a Pauli string to amplitudes as
+* A Pauli is an (X mask, Z mask) pair of ints, bit q for qubit q
+  (``mask``), and a fault a (location, X mask, Z mask) triple.
+* ``pauli_action`` applies a Pauli to amplitudes as
   ``i**k * (X part) * (Z part)``, where ``k`` counts the qubits carrying
   both an X and a Z (i.e. Y = iXZ).  Global phase is irrelevant to every
   check (states are compared through fidelity), but the convention is kept
@@ -43,15 +46,20 @@ import functools
 import numpy as np
 
 from biasforge import gadget as gd
-from biasforge.statevec import PauliString
 
-CLASS_ORDER = (gd.LogicalClass.I, gd.LogicalClass.XL, gd.LogicalClass.ZL, gd.LogicalClass.YL)
+CLASS_ORDER = ("I", "XL", "ZL", "YL")
+RATE_KINDS = ("z", "x", "zz")  # in the order of noise's rate indices
 
 
-def logical_paulis(n: int) -> dict[gd.LogicalClass, PauliString]:
-    """The logical Paulis of the n-qubit phase-flip repetition code."""
-    x_l, z_l = PauliString.x_on([0]), PauliString.z_on(range(n))
-    return dict(zip(CLASS_ORDER, (PauliString(), x_l, z_l, x_l.compose(z_l))))
+def mask(qubits) -> int:
+    return sum(1 << q for q in set(qubits))
+
+
+def logical_paulis(n: int) -> dict[str, tuple[int, int]]:
+    """The (X mask, Z mask) logical Paulis of the n-qubit phase-flip
+    repetition code, by class name."""
+    x_l, z_l = mask([0]), mask(range(n))
+    return dict(zip(CLASS_ORDER, ((0, 0), (x_l, 0), (0, z_l), (x_l, z_l))))
 
 
 def state_fidelity(a: np.ndarray, b: np.ndarray) -> float:
@@ -73,9 +81,10 @@ def pauli_action(num_qubits: int, xs, zs) -> tuple[np.ndarray, np.ndarray]:
     return source, (1j**ys) * (1 - 2 * parity)
 
 
-def apply_pauli(states: np.ndarray, n: int, pauli: PauliString) -> np.ndarray:
-    """``pauli`` (local qubit ids 0..n-1) applied along the last axis."""
-    source, phase = pauli_action(n, pauli.xs, pauli.zs)
+def apply_pauli(states: np.ndarray, n: int, pauli: tuple[int, int]) -> np.ndarray:
+    """``pauli`` (X mask, Z mask on local qubit ids 0..n-1) applied along
+    the last axis."""
+    source, phase = pauli_action(n, *pauli)
     return states[..., source] * phase
 
 
@@ -134,9 +143,9 @@ def record_bins(cfg: gd.GadgetConfig, branches: gd.Branches) -> np.ndarray:
     return np.where(corrections >= 0, bins, gd.BIN_REJECTED)
 
 
-def corrections(cfg: gd.GadgetConfig, records) -> list[PauliString | None]:
-    """The decoder's block-3 correction (local qubit ids 0..n-1) of each
-    +/-1 record, None where the record is rejected."""
+def corrections(cfg: gd.GadgetConfig, records) -> list[tuple[int, int] | None]:
+    """The decoder's block-3 correction (X mask, Z mask on local qubit ids
+    0..n-1) of each +/-1 record, None where the record is rejected."""
     found = decode_records(cfg, np.asarray(records, dtype=np.int8))[2]
     logical = logical_paulis(cfg.n)
     return [logical[CLASS_ORDER[c]] if c >= 0 else None for c in found.tolist()]
@@ -150,7 +159,7 @@ def _representatives(cfg: gd.GadgetConfig) -> tuple[np.ndarray, int]:
     target = gd.target_state(cfg)
     patterns = [m for m in range(1 << n) if bin(m).count("1") <= (n - 1) // 2]
     logical = logical_paulis(n)
-    reps = [apply_pauli(target, n, logical[cls].compose(PauliString(zs=m))) for cls in CLASS_ORDER for m in patterns]
+    reps = [apply_pauli(target, n, (logical[cls][0], logical[cls][1] ^ m)) for cls in CLASS_ORDER for m in patterns]
     return np.array(reps).conj().T, len(patterns)
 
 
@@ -163,7 +172,7 @@ def classify_states(states: np.ndarray, cfg: gd.GadgetConfig):
     first = (fid > 0.99).argmax(axis=1)
     found = fid[rows, first] > 0.99
     best = fid.max(axis=1)
-    cls = np.where(found, first, CLASS_ORDER.index(gd.LogicalClass.ZL))
+    cls = np.where(found, first, CLASS_ORDER.index("ZL"))
     return cls, np.where(found, fid[rows, first], best), best < 0.5
 
 
@@ -173,9 +182,9 @@ def outcome_bins(states: np.ndarray, cfg: gd.GadgetConfig) -> np.ndarray:
     return np.where(anomaly, gd.BIN_ANOMALY, cls)
 
 
-def classify(state: np.ndarray, correction: PauliString | None, cfg: gd.GadgetConfig):
-    """(class, fidelity, anomaly) of one accepted output under its
-    correction (local qubit ids on block 3, or None)."""
+def classify(state: np.ndarray, correction: tuple[int, int] | None, cfg: gd.GadgetConfig):
+    """(class name, fidelity, anomaly) of one accepted output under its
+    correction (X mask, Z mask on local qubit ids of block 3, or None)."""
     state = np.asarray(state, dtype=np.complex128)
     if correction is not None:
         state = apply_pauli(state, cfg.n, correction)
@@ -183,31 +192,49 @@ def classify(state: np.ndarray, correction: PauliString | None, cfg: gd.GadgetCo
     return CLASS_ORDER[cls[0]], float(fid[0]), bool(anomaly[0])
 
 
+def reference_events(cfg: gd.GadgetConfig) -> list[tuple[str, int, int, int]]:
+    """The elementary fault events of ``cfg``'s circuit, in location order,
+    as (rate kind, location, X mask, Z mask): a Z (kind z) at each PrepX
+    and MeasX, and at each two-qubit gate on (a, b) Z_a and Z_b (z), X_a
+    and X_b (x) and Z_a Z_b (zz)."""
+    events = []
+    for t, loc in enumerate(gd.build_circuit(cfg).locations):
+        if loc.kind in (gd.LocationKind.PREP_X, gd.LocationKind.MEAS_X):
+            events.append(("z", t, 0, mask(loc.qubits)))
+        else:
+            a, b = (mask([q]) for q in loc.qubits)
+            events += [("z", t, 0, a), ("z", t, 0, b), ("x", t, a, 0), ("x", t, b, 0), ("zz", t, 0, a | b)]
+    return events
+
+
 def forward_frame(cfg: gd.GadgetConfig, faults) -> int:
     """The frame code (gadget.fault_frame) of a list of (location index,
-    PauliString) faults, each pushed forward through every later location
-    (a MeasX fault fires before its own readout): a CPHASE turns X on one
-    qubit into X on it and Z on the other, a MeasX flips its readout when
-    its qubit carries Z and then drops the qubit, and what is left sits on
-    block 3.  Raises as fault_frame does: ValueError for a location outside
-    [0, L), KeyError for a fault on a qubit not live at its location and
-    gadget.FrameError for an X part that reaches a CZ(theta)."""
+    X mask, Z mask) faults, each pushed forward through every later
+    location (a MeasX fault fires before its own readout): a CPHASE turns X
+    on one qubit into X on it and Z on the other, a MeasX flips its readout
+    when its qubit carries Z and then drops the qubit, and what is left
+    sits on block 3.  Raises as fault_frame does: ValueError for a location
+    outside [0, L) or a negative mask, KeyError for a fault on a qubit not
+    live at its location and gadget.FrameError for an X part that reaches
+    a CZ(theta)."""
     locations, n, code = gd.build_circuit(cfg).locations, cfg.n, 0
-    for location, pauli in faults:
+    for location, xs, zs in faults:
         if not 0 <= location < len(locations):
             raise ValueError(f"fault location {location} is outside the circuit's locations 0..{len(locations) - 1}")
+        if xs < 0 or zs < 0:
+            raise ValueError(f"fault masks x={xs} z={zs} at location {location} must be non-negative")
         live = {loc.qubits[0] for loc in locations[: location + 1] if loc.kind is gd.LocationKind.PREP_X}
         live -= {loc.qubits[0] for loc in locations[:location] if loc.kind is gd.LocationKind.MEAS_X}
-        if any(q not in live for q in pauli.qubits()):
-            raise KeyError(f"fault {pauli} at location {location} touches a qubit not live there")
+        if (xs | zs) & ~mask(live):
+            raise KeyError(f"fault x={xs} z={zs} at location {location} touches a qubit not live there")
         start = location if locations[location].kind is gd.LocationKind.MEAS_X else location + 1
         m = sum(loc.kind is gd.LocationKind.MEAS_X for loc in locations[:start])
-        xs, zs, flips = pauli.xs, pauli.zs, 0
+        flips = 0
         for t in range(start, len(locations)):
             kind, qubits = locations[t].kind, locations[t].qubits
             if kind is gd.LocationKind.CZ_THETA:
                 if any((xs >> q) & 1 for q in qubits):
-                    raise gd.FrameError(f"X part of fault {pauli} at location {location} reaches CZ(theta) at {t}")
+                    raise gd.FrameError(f"X part of fault x={xs} at location {location} reaches CZ(theta) at {t}")
             elif kind is gd.LocationKind.CPHASE:
                 a, b = qubits
                 zs ^= (((xs >> a) & 1) << b) | (((xs >> b) & 1) << a)

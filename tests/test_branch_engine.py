@@ -53,7 +53,6 @@ from hypothesis import strategies as st
 
 from biasforge import gadget as gd
 from biasforge import noise as nz
-from biasforge.statevec import PauliString
 from classify_oracle import (
     CLASS_ORDER,
     apply_pauli,
@@ -61,7 +60,9 @@ from classify_oracle import (
     classify,
     corrections,
     forward_frame,
+    mask,
     record_bins,
+    reference_events,
     rows_under_frames,
 )
 from classify_oracle import outcome_bins as oracle_bins
@@ -130,18 +131,20 @@ def _dense_branch(cfg, circuit, faults, record):
         return (index >> q) & 1
 
     def pauli(amps, p):
-        for q in p.qubits():
-            if (p.zs >> q) & 1:
+        xs, zs = p
+        for q in range(num):
+            if (zs >> q) & 1:
                 amps = amps * (1 - 2 * bit(q))
-            if (p.xs >> q) & 1:
+            if (xs >> q) & 1:
                 amps = amps[index ^ (1 << q)]
         return amps
 
     # every qubit starts in |+>: nothing touches a qubit before its PrepX
     amps = np.full(1 << num, 2.0 ** (-num / 2), dtype=np.complex128)
-    merged = {}
-    for t, p in faults:
-        merged[t] = merged.get(t, gd.PauliString()).compose(p)
+    merged = {}  # location -> the product of its faults, up to phase
+    for t, xs, zs in faults:
+        x0, z0 = merged.get(t, (0, 0))
+        merged[t] = (x0 ^ xs, z0 ^ zs)
     m = 0
     for t, loc in enumerate(circuit.locations):
         fault = merged.get(t)
@@ -177,13 +180,13 @@ _DENSE_CONFIGS = (
 )
 
 
-def _fault_sites(circuit):
-    """(location, Pauli) of every fault event, and of a Z at each location
-    on every live qubit that the location leaves idle."""
-    sites = [(ev.location, ev.pauli) for ev in nz.fault_events(circuit)]
+def _fault_sites(cfg):
+    """(location, X mask, Z mask) of every fault event, and of a Z at each
+    location on every live qubit that the location leaves idle."""
+    sites = [tuple(event[1:]) for event in reference_events(cfg)]
     live = set()
-    for t, loc in enumerate(circuit.locations):
-        sites += [(t, PauliString.z_on([q])) for q in sorted(live - set(loc.qubits))]
+    for t, loc in enumerate(gd.build_circuit(cfg).locations):
+        sites += [(t, 0, mask([q])) for q in sorted(live - set(loc.qubits))]
         if loc.kind is gd.LocationKind.PREP_X:
             live.add(loc.qubits[0])
         elif loc.kind is gd.LocationKind.MEAS_X:
@@ -195,7 +198,7 @@ def _fault_sites(circuit):
 def _faulted_gadget(draw):
     cfg = draw(st.sampled_from(_DENSE_CONFIGS))
     circuit = gd.build_circuit(cfg)
-    sites = _fault_sites(circuit)
+    sites = _fault_sites(cfg)
     chosen = draw(st.lists(st.integers(0, len(sites) - 1), max_size=3, unique=True))
     return cfg, circuit, [sites[i] for i in chosen]
 
@@ -261,7 +264,7 @@ def test_frame_code_top_bit_at_the_widest_config():
     cfg = gd.GadgetConfig.t_state(3, 25)
     qubit = 3 * cfg.n - 1
     prep = gd.build_circuit(cfg).locations.index(gd.Location(gd.LocationKind.PREP_X, (qubit,)))
-    faults = [(prep, gd.PauliString.x_on([qubit]))]
+    faults = [(prep, mask([qubit]), 0)]
     code = gd.fault_frame(cfg, faults)
     assert code.bit_length() == cfg.num_measurements + 2 * cfg.n
     sampled = _sampled_runs(cfg, code, 32, 1)
@@ -307,33 +310,38 @@ _FRAME_CONFIGS = [gd.GadgetConfig.t_state(n, r) for n in (1, 3, 5, 7) for r in (
 def test_frame_table_matches_the_forward_walk(cfg):
     circuit = gd.build_circuit(cfg)
     qubits = 3 * cfg.n + cfg.r_z + cfg.r_zz
-    for t in range(circuit.num_locations):
+    for t in range(len(circuit.locations)):
         for q in range(qubits):
-            for pauli in (PauliString(zs=1 << q), PauliString(xs=1 << q), PauliString(xs=1 << q, zs=1 << q)):
-                want = _frame_or_refusal(forward_frame, cfg, [(t, pauli)])
-                assert _frame_or_refusal(gd.fault_frame, cfg, [(t, pauli)]) == want, (t, pauli)
+            for xs, zs in ((0, 1 << q), (1 << q, 0), (1 << q, 1 << q)):
+                want = _frame_or_refusal(forward_frame, cfg, [(t, xs, zs)])
+                assert _frame_or_refusal(gd.fault_frame, cfg, [(t, xs, zs)]) == want, (t, xs, zs)
     # lists of up to four faults, mostly on qubits live at their location
     # and now and then at a location outside the circuit
-    sites = _fault_sites(circuit)
+    sites = _fault_sites(cfg)
     rng = np.random.default_rng(cfg.n * 100 + cfg.r_z * 10 + cfg.r_zz)
     for _ in range(64):
         faults = []
         for _ in range(rng.integers(1, 5)):
-            t, site = sites[rng.integers(len(sites))]
+            t, site_xs, site_zs = sites[rng.integers(len(sites))]
             if rng.random() < 0.05:
-                t = int(rng.choice([-1, circuit.num_locations]))
-            support = site.support | (1 << int(rng.integers(qubits)) if rng.random() < 0.1 else 0)
+                t = int(rng.choice([-1, len(circuit.locations)]))
+            support = site_xs | site_zs | (1 << int(rng.integers(qubits)) if rng.random() < 0.1 else 0)
             xs, zs = (int(rng.integers(1 << qubits)) & support for _ in range(2))
-            faults.append((t, PauliString(xs=xs, zs=zs if xs | zs else support)))
+            faults.append((t, xs, zs if xs | zs else support))
         assert _frame_or_refusal(gd.fault_frame, cfg, faults) == _frame_or_refusal(forward_frame, cfg, faults), faults
-    # the event table's codes are the forward walk's
-    events = nz.fault_events(circuit)
-    assert nz._event_table(cfg)[1].tolist() == [forward_frame(cfg, [(ev.location, ev.pauli)]) for ev in events]
+    # a negative mask is refused after the location check, before the
+    # liveness and CZ(theta) checks
+    for t, xs, zs in ((0, -1, 0), (0, 0, -1), (len(circuit.locations) - 1, -(1 << qubits), 1)):
+        for frame in (gd.fault_frame, forward_frame):
+            with pytest.raises(ValueError, match="must be non-negative"):
+                frame(cfg, [(t, xs, zs)])
+    with pytest.raises(ValueError, match="is outside"):
+        gd.fault_frame(cfg, [(-1, -1, 0)])
 
 
 def test_fault_on_a_qubit_not_live_is_refused():
     cfg = gd.GadgetConfig.t_state(3, 1)
-    faults = [(0, gd.PauliString.z_on([2 * cfg.n]))]  # block 3 is prepared after block 1 is read
+    faults = [(0, 0, mask([2 * cfg.n]))]  # block 3 is prepared after block 1 is read
     # both engines take their frame codes from fault_frame, which refuses it
     with pytest.raises(KeyError):
         gd.fault_frame(cfg, faults)
@@ -342,9 +350,9 @@ def test_fault_on_a_qubit_not_live_is_refused():
 def test_a_qubit_not_live_is_refused_before_an_x_that_reaches_cz_theta():
     # X on qubit 0 after its PrepX reaches CZ(theta); block 3 is not live yet
     cfg = gd.GadgetConfig.t_state(3, 1)
-    faults = [(0, gd.PauliString(xs=1, zs=1 << 2 * cfg.n))]
+    faults = [(0, 1, 1 << 2 * cfg.n)]
     with pytest.raises(gd.FrameError):
-        gd.fault_frame(cfg, [(0, gd.PauliString.x_on([0]))])
+        gd.fault_frame(cfg, [(0, mask([0]), 0)])
     with pytest.raises(KeyError):
         gd.fault_frame(cfg, faults)
 
@@ -354,16 +362,16 @@ def test_fault_location_outside_the_circuit_is_refused(location):
     # Python indexing would read location 17 - 31 as 17 and push the fault
     # through the circuit twice (code 6160, not 2064); 31 is one past the end
     cfg = gd.GadgetConfig.t_state(3, 1)
-    assert gd.build_circuit(cfg).num_locations == 31
+    assert len(gd.build_circuit(cfg).locations) == 31
     with pytest.raises(ValueError, match=f"fault location {location} is outside"):
-        gd.fault_frame(cfg, [(location, gd.PauliString.x_on([6]))])
+        gd.fault_frame(cfg, [(location, mask([6]), 0)])
 
 
 def test_x_fault_before_cz_theta_has_no_frame():
     cfg = gd.GadgetConfig.t_state(3, 1)
     circuit = gd.build_circuit(cfg)
     prep = circuit.locations.index(gd.Location(gd.LocationKind.PREP_X, (0,)))
-    faults = [(prep, gd.PauliString.x_on([0]))]
+    faults = [(prep, mask([0]), 0)]
     # both engines take their frame codes from fault_frame, which refuses it
     with pytest.raises(gd.FrameError):
         gd.fault_frame(cfg, faults)
@@ -495,7 +503,7 @@ def test_class_table_matches_the_oracle(cfg, distinct, sampled):
         rows, qs = rng.integers(len(states), size=sampled), rng.integers(1 << 2 * n, size=sampled)
         pairs = {q: rows[qs == q] for q in np.unique(qs).tolist()}
     for q, rows in pairs.items():
-        moved = apply_pauli(states[rows], n, PauliString(q >> n, q & ((1 << n) - 1)))
+        moved = apply_pauli(states[rows], n, (q >> n, q & ((1 << n) - 1)))
         assert np.array_equal(table[state[rows], q], oracle_bins(moved, cfg)), q
 
 
@@ -610,8 +618,8 @@ def test_outcome_bins_agree_with_scalar_decoding():
     circuit = gd.build_circuit(cfg)
     cz0 = next(t for t, loc in enumerate(circuit.locations) if loc.kind is gd.LocationKind.CZ_THETA)
     faults = [
-        (cz0, gd.PauliString.z_on(circuit.locations[cz0].qubits)),
-        (circuit.num_locations - 1, gd.PauliString.x_on([6])),
+        (cz0, 0, mask(circuit.locations[cz0].qubits)),
+        (len(circuit.locations) - 1, mask([6]), 0),
     ]
     code = gd.fault_frame(cfg, faults)
     branches = gd.enumerate_branches(cfg, code)

@@ -82,7 +82,7 @@ class TestCodeSanity:
 
     def test_coset_weights(self, code):
         en = d._enumerators()
-        assert d.logical_coset_min_weight(en.x_logical) == 7
+        assert np.flatnonzero(en.x_logical)[0] == 7  # the logical-X coset's least weight
         assert int(en.z_logical[3]) == 35
         assert int(en.x_stab.sum()) == 16 and int(en.x_logical.sum()) == 16
         assert int(en.z_stab.sum()) == 1024 and int(en.z_logical.sum()) == 1024
@@ -413,21 +413,17 @@ class TestPlan:
 
 
 class TestFinalBias:
-    def test_unit(self):
-        assert d.final_bias(d.Channel(1e-3, 1e-3)) == 1.0
-
-    def test_infinite_sentinel(self):
-        assert d.final_bias(d.Channel(0.0, 1e-3)) == math.inf
+    # the output bias e_z / e_x of one distillation round on the gadget
 
     def test_r3_pipeline_strongly_biased(self):
         ch = d.gadget_channel(3, 3, NoiseParams.from_bias(1e-3, 1000.0))
         out = d.concatenate(ch, 1)
-        assert d.final_bias(out) > 1e6
+        assert out.e_z / out.e_x > 1e6
 
     def test_r1_pipeline_roughly_balanced(self):
         ch = d.gadget_channel(3, 1, NoiseParams.from_bias(1e-3, 1000.0))
         out = d.concatenate(ch, 1)
-        assert 0.05 <= d.final_bias(out) <= 20.0
+        assert 0.05 <= out.e_z / out.e_x <= 20.0
 
 
 def test_package_imports_without_mpmath():

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from biasforge import gadget as gd
-from biasforge.statevec import PauliString
 from classify_oracle import (
     CLASS_ORDER,
     apply_pauli,
@@ -14,6 +13,7 @@ from classify_oracle import (
     corrections,
     decode_records,
     logical_paulis,
+    mask,
     rows_under_frames,
     state_fidelity,
 )
@@ -73,7 +73,7 @@ class TestConfig:
                     gd.GadgetConfig(theta=math.pi / 4, **{**sizes, name: bad})
         cfg = gd.GadgetConfig(n=np.int64(3), theta=math.pi / 4, r_z=np.int64(1), r_zz=1)
         assert cfg == gd.GadgetConfig.t_state(3) and type(cfg.n) is type(cfg.r_z) is int
-        assert gd.build_circuit(cfg).num_locations == 31
+        assert len(gd.build_circuit(cfg).locations) == 31
 
     def test_custom_named_angle_is_the_named_config(self):
         custom, named = gd.GadgetConfig.custom(3, math.pi / 4), gd.GadgetConfig.t_state(3)
@@ -96,7 +96,7 @@ class TestBuildCircuit:
         cfg = gd.GadgetConfig.t_state(n, r=r)
         circ = gd.build_circuit(cfg)
         formula = 2 * n + n + r * (n + 2) + n + n + r * (2 * n + 2) + n
-        assert circ.num_locations == formula == total
+        assert len(circ.locations) == formula == total
 
     def test_ancilla_measured_after_its_gates(self):
         circ = gd.build_circuit(gd.GadgetConfig.t_state(3, r=3))
@@ -149,13 +149,13 @@ class TestCorrectionTable:
         # with s*t = -1: a=2 -> XL, a=1 -> YL; a in {0,3} not correctable.
         cfg = gd.GadgetConfig.t_state(3)
         table = gd.correction_table(cfg)
-        paulis = logical_paulis(3)
+        packed = {cls: xs << 3 | zs for cls, (xs, zs) in logical_paulis(3).items()}
         expect = {}
         for zl in (0, 1):
             for b in (0, 1):
                 same = (zl + b) % 2 == 0
-                expect[(zl, b, 2)] = paulis[gd.LogicalClass.I if same else gd.LogicalClass.XL]
-                expect[(zl, b, 1)] = paulis[gd.LogicalClass.ZL if same else gd.LogicalClass.YL]
+                expect[(zl, b, 2)] = packed["I" if same else "XL"]
+                expect[(zl, b, 1)] = packed["ZL" if same else "YL"]
         assert table == expect
 
     def test_plus_i_table_matches_hand_derivation(self):
@@ -164,11 +164,11 @@ class TestCorrectionTable:
         # and every a in 0..3 is correctable (deterministic preparation).
         cfg = gd.GadgetConfig.plus_i(3)
         table = gd.correction_table(cfg)
-        paulis = logical_paulis(3)
+        packed = {cls: xs << 3 | zs for cls, (xs, zs) in logical_paulis(3).items()}
         assert len(table) == 16
         for (zl, b, a), pauli in table.items():
             same = (zl + b + a) % 2 == 0
-            assert pauli == paulis[gd.LogicalClass.I if same else gd.LogicalClass.XL]
+            assert pauli == packed["I" if same else "XL"]
 
     def test_t_acceptance_rule_emerges(self):
         # keys present exactly for alpha with n - alpha = alpha +/- 1
@@ -201,7 +201,7 @@ class TestCorrectionTable:
     def test_logical_masks_pack_the_code_logicals(self, n):
         # the masks are indexed by outcome bin, I, XL, ZL, YL as in CLASS_ORDER
         paulis = logical_paulis(n)
-        assert gd._logical_masks(n).tolist() == [paulis[cls].xs << n | paulis[cls].zs for cls in CLASS_ORDER]
+        assert gd._logical_masks(n).tolist() == [paulis[cls][0] << n | paulis[cls][1] for cls in CLASS_ORDER]
 
 
 class TestNoiselessRuns:
@@ -220,7 +220,7 @@ class TestNoiselessRuns:
         acc, rej, classes = branch_masses(gd.GadgetConfig.t_state(3))
         assert abs(acc - 3 / 8) < 1e-12
         assert abs(rej - 5 / 8) < 1e-12
-        assert set(classes) == {gd.LogicalClass.I}
+        assert set(classes) == {"I"}
 
     def test_plus_i_deterministic(self):
         cfg = gd.GadgetConfig.plus_i(3, r=3)
@@ -241,7 +241,7 @@ class TestNoiselessRuns:
             if correction is None:
                 continue
             cls, fid, anomaly = classify(state, correction, cfg)
-            assert cls is gd.LogicalClass.I and fid > 1 - 1e-8 and not anomaly
+            assert cls == "I" and fid > 1 - 1e-8 and not anomaly
 
 
 def _rows_with(cfg, forced):
@@ -357,7 +357,7 @@ class TestFaultInjection:
     def test_no_fault_classifies_identity(self):
         cfg = gd.GadgetConfig.t_state(3)
         acc, rej, classes = branch_masses(cfg)
-        assert set(classes) == {gd.LogicalClass.I}
+        assert set(classes) == {"I"}
 
     def test_single_z_faults_never_logical(self):
         # distance property at r=3: any single Z is corrected or rejected
@@ -365,8 +365,8 @@ class TestFaultInjection:
         circ = gd.build_circuit(cfg)
         for t, loc in enumerate(circ.locations):
             for q in loc.qubits:
-                _, _, classes = branch_masses(cfg, faults=[(t, PauliString.z_on([q]))])
-                assert set(classes) <= {gd.LogicalClass.I}, (t, q, classes)
+                _, _, classes = branch_masses(cfg, faults=[(t, 0, mask([q]))])
+                assert set(classes) <= {"I"}, (t, q, classes)
 
     def test_correlated_zz_fault_accepted_as_zl(self):
         cfg = gd.GadgetConfig.t_state(3, r=3)
@@ -375,25 +375,25 @@ class TestFaultInjection:
         found = 0.0
         for t in cz_locs:
             loc = circ.locations[t]
-            _, _, classes = branch_masses(cfg, faults=[(t, PauliString.z_on(loc.qubits))])
-            found += classes.get(gd.LogicalClass.ZL, 0.0)
+            _, _, classes = branch_masses(cfg, faults=[(t, 0, mask(loc.qubits))])
+            found += classes.get("ZL", 0.0)
         assert found > 0.0
 
     def test_x_fault_on_output_block_accepted_as_xl(self):
         cfg = gd.GadgetConfig.t_state(3, r=3)
         circ = gd.build_circuit(cfg)
-        last = circ.num_locations - 1
-        _, _, classes = branch_masses(cfg, faults=[(last, PauliString.x_on([6]))])
-        assert classes.get(gd.LogicalClass.XL, 0.0) > 0.0
-        assert gd.LogicalClass.ZL not in classes
+        last = len(circ.locations) - 1
+        _, _, classes = branch_masses(cfg, faults=[(last, mask([6]), 0)])
+        assert classes.get("XL", 0.0) > 0.0
+        assert "ZL" not in classes
 
     def test_two_x_faults_on_output_block_are_stabilizer(self):
         # X_i X_j on the output block is a stabilizer: classifies as I
         cfg = gd.GadgetConfig.t_state(3, r=3)
         circ = gd.build_circuit(cfg)
-        last = circ.num_locations - 1
-        _, _, classes = branch_masses(cfg, faults=[(last, PauliString.x_on([6, 7]))])
-        assert set(classes) == {gd.LogicalClass.I}
+        last = len(circ.locations) - 1
+        _, _, classes = branch_masses(cfg, faults=[(last, mask([6, 7]), 0)])
+        assert set(classes) == {"I"}
 
     def test_logical_z_across_block2_is_zl(self):
         cfg = gd.GadgetConfig.t_state(3, r=3)
@@ -403,16 +403,16 @@ class TestFaultInjection:
             for t, loc in enumerate(circ.locations)
             if loc.kind is gd.LocationKind.PREP_X and loc.qubits[0] in gd.block3_qubits(3)
         )
-        acc, rej, classes = branch_masses(cfg, faults=[(prep3, PauliString.z_on([3, 4, 5]))])
-        assert classes.get(gd.LogicalClass.ZL, 0.0) > 0.0
-        assert acc > 0.0 and set(classes) == {gd.LogicalClass.ZL}
+        acc, rej, classes = branch_masses(cfg, faults=[(prep3, 0, mask([3, 4, 5]))])
+        assert classes.get("ZL", 0.0) > 0.0
+        assert acc > 0.0 and set(classes) == {"ZL"}
 
     def test_single_residual_z_on_output_is_correctable(self):
         cfg = gd.GadgetConfig.t_state(3, r=3)
         circ = gd.build_circuit(cfg)
-        last = circ.num_locations - 1
-        _, _, classes = branch_masses(cfg, faults=[(last, PauliString.z_on([7]))])
-        assert set(classes) == {gd.LogicalClass.I}
+        last = len(circ.locations) - 1
+        _, _, classes = branch_masses(cfg, faults=[(last, 0, mask([7]))])
+        assert set(classes) == {"I"}
 
 
 class TestClassify:
@@ -426,13 +426,13 @@ class TestClassify:
         cz0 = next(t for t, loc in enumerate(circ.locations) if loc.kind is gd.LocationKind.CZ_THETA)
         pair = circ.locations[cz0].qubits
         seen_band = False
-        branches = gd.enumerate_branches(cfg, gd.fault_frame(cfg, [(cz0, PauliString.z_on(pair))]))
+        branches = gd.enumerate_branches(cfg, gd.fault_frame(cfg, [(cz0, 0, mask(pair))]))
         for (_, _, state), correction in zip(branch_states(cfg, branches), corrections(cfg, branches.records)):
             if correction is None:
                 continue
             cls, fid, anomaly = classify(state, correction, cfg)
             if fid <= 0.99:
-                assert cls is gd.LogicalClass.ZL and not anomaly and fid >= 0.5
+                assert cls == "ZL" and not anomaly and fid >= 0.5
                 seen_band = True
         assert seen_band
 
@@ -470,4 +470,4 @@ def test_custom_theta_round_trip():
     cfg = gd.GadgetConfig.custom(3, theta=math.pi / 3)
     acc, rej, classes = branch_masses(cfg)
     assert acc > 0.1
-    assert set(classes) == {gd.LogicalClass.I}
+    assert set(classes) == {"I"}

@@ -12,8 +12,7 @@ import pytest
 from biasforge import bounds as bd
 from biasforge import gadget as gd
 from biasforge import noise as nz
-from biasforge.statevec import PauliString
-from classify_oracle import record_bins
+from classify_oracle import RATE_KINDS, forward_frame, mask, record_bins, reference_events
 
 
 class TestNoiseParams:
@@ -45,28 +44,26 @@ class TestFaultEvents:
     def test_event_census(self):
         # r=3, n=3: 27 single-qubit Z sites; 30 two-qubit gates contribute
         # 60 Z, 60 X and 30 ZZ events
-        circ = gd.build_circuit(gd.GadgetConfig.t_state(3, r=3))
-        events = nz.fault_events(circ)
-        by_rate = {"z": 0, "x": 0, "zz": 0}
-        for ev in events:
-            by_rate[ev.rate] += 1
-        assert by_rate == {"z": 87, "x": 60, "zz": 30}
+        rates = nz._event_table(gd.GadgetConfig.t_state(3, r=3))[0]
+        assert np.bincount(rates).tolist() == [87, 60, 30]
 
     def test_no_x_events_at_prep_or_meas(self):
-        circ = gd.build_circuit(gd.GadgetConfig.t_state(3, r=1))
+        cfg = gd.GadgetConfig.t_state(3, r=1)
+        circ = gd.build_circuit(cfg)
+        rates = nz._event_table(cfg)[0]
         single_q = {
             t
             for t, loc in enumerate(circ.locations)
             if loc.kind in (gd.LocationKind.PREP_X, gd.LocationKind.MEAS_X)
         }
-        for ev in nz.fault_events(circ):
-            if ev.location in single_q:
-                assert ev.rate == "z"
+        for (_, location, _, _), rate in zip(reference_events(cfg), rates.tolist()):
+            if location in single_q:
+                assert rate == RATE_KINDS.index("z")
 
 
 def fired_matrix(cfg, cells, size):
     """The (size, E) bool matrix of a block's fired (trial, event) cells."""
-    fired = np.zeros((size, len(nz.fault_events(gd.build_circuit(cfg)))), dtype=bool)
+    fired = np.zeros((size, len(nz._event_table(cfg)[0])), dtype=bool)
     fired[cells] = True
     return fired
 
@@ -74,7 +71,7 @@ def fired_matrix(cfg, cells, size):
 class TestSampleFaults:
     """Monte Carlo draws a block's fired (trial, event) cells with
     noise._sample_fires; a trial's fault list is its fired events'
-    (location, Pauli) pairs, in event order."""
+    (location, X mask, Z mask) triples, in event order."""
 
     def test_zero_noise_always_empty(self):
         cfg = gd.GadgetConfig.t_state(3, r=1)
@@ -93,12 +90,12 @@ class TestSampleFaults:
         got = sampled_faults(cfg, params, np.random.default_rng(0))
         assert len(got) == sum(len(loc.qubits) for loc in circ.locations)
         for t, loc in enumerate(circ.locations):
-            paulis = [p for loc_t, p in got if loc_t == t]
-            assert sorted(paulis, key=lambda p: p.zs) == [PauliString.z_on([q]) for q in sorted(loc.qubits)]
+            paulis = [(xs, zs) for loc_t, xs, zs in got if loc_t == t]
+            assert sorted(paulis) == [(0, mask([q])) for q in sorted(loc.qubits)]
 
     def test_unit_p_z_fires_every_z_event_in_every_trial(self):
         cfg = gd.GadgetConfig.t_state(3, r=3)
-        is_z = np.array([ev.rate == "z" for ev in nz.fault_events(gd.build_circuit(cfg))])
+        is_z = np.array([rate == "z" for rate, *_ in reference_events(cfg)])
         rng = np.random.default_rng(4)
         for size in (1, 7, nz._BLOCK):
             trial, event = nz._sample_fires(cfg, nz.NoiseParams(p_x=0.0, p_z=1.0, p_zz=0.0), rng, size)
@@ -109,7 +106,7 @@ class TestSampleFaults:
 
     def test_zero_p_x_fires_no_x_event(self):
         cfg = gd.GadgetConfig.t_state(3, r=1)
-        is_x = np.array([ev.rate == "x" for ev in nz.fault_events(gd.build_circuit(cfg))])
+        is_x = np.array([rate == "x" for rate, *_ in reference_events(cfg)])
         params = nz.NoiseParams(p_x=0.0, p_z=0.2, p_zz=0.2)
         rng = np.random.default_rng(6)
         for _ in range(20):
@@ -120,7 +117,7 @@ class TestSampleFaults:
         # 43 single-Z opportunities in the r=1 circuit at p_z = 1e-3
         cfg = gd.GadgetConfig.t_state(3, r=1)
         params = nz.NoiseParams(p_x=0.0, p_z=1e-3, p_zz=0.0)
-        n_z = sum(1 for ev in nz.fault_events(gd.build_circuit(cfg)) if ev.rate == "z")
+        n_z = sum(1 for rate, *_ in reference_events(cfg) if rate == "z")
         assert n_z == 43
         rng = np.random.default_rng(123)
         blocks = 50
@@ -135,12 +132,12 @@ class TestSampleFaults:
         # each event fires at its rate; two events, of one kind or of two,
         # fire together at the product of their rates
         cfg = gd.GadgetConfig.t_state(3, r=1)
-        events = nz.fault_events(gd.build_circuit(cfg))
+        events = reference_events(cfg)
         params = nz.NoiseParams(p_x=0.03, p_z=0.06, p_zz=0.01)
-        probs = np.array([{"z": params.p_z, "x": params.p_x, "zz": params.p_zz}[ev.rate] for ev in events])
-        gate = next(ev.location for ev in events if ev.rate == "x")
-        z_a, z_b, x_a = [i for i, ev in enumerate(events) if ev.location == gate][:3]
-        assert [events[i].rate for i in (z_a, z_b, x_a)] == ["z", "z", "x"]
+        probs = np.array([{"z": params.p_z, "x": params.p_x, "zz": params.p_zz}[rate] for rate, *_ in events])
+        gate = next(location for rate, location, _, _ in events if rate == "x")
+        z_a, z_b, x_a = [i for i, ev in enumerate(events) if ev[1] == gate][:3]
+        assert [events[i][0] for i in (z_a, z_b, x_a)] == ["z", "z", "x"]
         rng = np.random.default_rng(2026)
         blocks = 100
         fires = np.zeros(len(events), dtype=np.int64)
@@ -163,7 +160,7 @@ class TestSampleFaults:
         cfg = gd.GadgetConfig.t_state(3, r=3)
         params = nz.NoiseParams(p_x=0.05, p_z=0.1, p_zz=0.05)
         faults = sampled_faults(cfg, params, np.random.default_rng(5))
-        locs = [loc for loc, _ in faults]
+        locs = [loc for loc, _, _ in faults]
         assert len(set(locs)) > 1 and locs == sorted(locs)
 
     @pytest.mark.parametrize("size", [1, 7, nz._BLOCK])
@@ -198,32 +195,46 @@ def test_event_frames_combine_by_xor():
     # and ZZ on one gate cancel, and Y on the ancilla is X times Z
     cfg = gd.GadgetConfig.t_state(3, r=1)
     circ = gd.build_circuit(cfg)
-    events = nz.fault_events(circ)
+    events = reference_events(cfg)
     frames = nz._event_table(cfg)[1]
     gate = next(t for t, loc in enumerate(circ.locations) if loc.kind is gd.LocationKind.CPHASE)
-    z_a, z_b, _, x_b, zz = [i for i, ev in enumerate(events) if ev.location == gate]
+    z_a, z_b, _, x_b, zz = [i for i, ev in enumerate(events) if ev[1] == gate]
     assert frames.dtype == np.int64 and frames.shape == (len(events),)
     assert frames[z_a] ^ frames[z_b] ^ frames[zz] == 0
     anc = circ.locations[gate].qubits[1]
-    y_anc = gd.fault_frame(cfg, [(gate, PauliString(xs=1 << anc, zs=1 << anc))])
+    y_anc = gd.fault_frame(cfg, [(gate, 1 << anc, 1 << anc)])
     assert frames[x_b] ^ frames[z_b] == y_anc
     # X on the ancilla reaches the later block-1 CPHASEs of its round
     assert frames[x_b] and frames[z_b] and frames[x_b] != y_anc
 
 
-@pytest.mark.parametrize("cfg", [gd.GadgetConfig.t_state(3, r=1), gd.GadgetConfig.plus_i(1, r=3)], ids=["T3", "plusI1"])
+_EVENT_CONFIGS = {
+    "T3": gd.GadgetConfig.t_state(3, r=1),
+    "plusI1": gd.GadgetConfig.plus_i(1, r=3),
+    **{
+        f"{name}-n{n}-r{r}": make(n, r)
+        for name, make in (("T", gd.GadgetConfig.t_state), ("plusI", gd.GadgetConfig.plus_i))
+        for n in (1, 3, 5, 7)
+        for r in (1, 3, 5)
+        if (name, n, r) not in (("T", 3, 1), ("plusI", 1, 3))
+    },
+    "theta1-rz1-rzz3": gd.GadgetConfig.custom(3, 1.0, 1, 3),
+    "theta1-rz3-rzz1": gd.GadgetConfig.custom(3, 1.0, 3, 1),
+}
+
+
+@pytest.mark.parametrize("cfg", _EVENT_CONFIGS.values(), ids=_EVENT_CONFIGS.keys())
 def test_event_table_describes_fault_events(cfg):
-    # one rate index and frame code per event, in fault_events order, and
-    # the z, x, zz kinds partition the events in that order
-    events = nz.fault_events(gd.build_circuit(cfg))
+    # the rate index and frame code of each event of the oracle's reference
+    # list, pushed through the forward walk, in list order, and the z, x,
+    # zz kinds partition the events in that order
+    events = reference_events(cfg)
     rates, codes, kinds = nz._event_table(cfg)
-    assert rates.tolist() == [nz._RATE_INDEX[ev.rate] for ev in events]
+    assert rates.tolist() == [RATE_KINDS.index(rate) for rate, *_ in events]
     assert codes.dtype == np.int64
-    assert codes.tolist() == [gd.fault_frame(cfg, [(ev.location, ev.pauli)]) for ev in events]
-    assert [k for k, _ in kinds] == [0, 1, 2]
-    assert sorted(np.concatenate([kind for _, kind in kinds]).tolist()) == list(range(len(events)))
-    for k, kind in kinds:
-        assert np.all(rates[kind] == k) and np.all(np.diff(kind) > 0)
+    assert codes.tolist() == [forward_frame(cfg, [fault]) for _, *fault in events]
+    want = [(k, [i for i, ev in enumerate(events) if ev[0] == kind]) for k, kind in enumerate(RATE_KINDS)]
+    assert [(k, kind.tolist()) for k, kind in kinds] == want
     assert not any(a.flags.writeable for a in (rates, codes, *(kind for _, kind in kinds)))
 
 
@@ -505,8 +516,9 @@ def _per_trial_counts(cfg, params, seed, trials):
     picks the trial's noiseless row.  A clean trial takes that row's
     noiseless bin, and a faulted one the bin of the branch read from that
     row in enumerate_branches under the frame of its fired events'
-    (location, Pauli) pairs, classified by the record-matrix oracle."""
-    events = nz.fault_events(gd.build_circuit(cfg))
+    (location, X mask, Z mask) faults, classified by the record-matrix
+    oracle."""
+    events = reference_events(cfg)
     cum, leaf_bins = nz._noiseless_leaf_pool(cfg)
     counts = np.zeros(gd.N_BINS, dtype=np.int64)
     for start in range(0, trials, nz._BLOCK):
@@ -514,13 +526,13 @@ def _per_trial_counts(cfg, params, seed, trials):
         size = min(nz._BLOCK, trials - start)
         faulted = {}
         for t, e in zip(*(cells.tolist() for cells in nz._sample_fires(cfg, params, rng, size))):
-            faulted.setdefault(t, []).append(events[e])
+            faulted.setdefault(t, []).append(events[e][1:])
         for t, draw in enumerate(rng.random(size).tolist()):
             row = min(int(np.searchsorted(cum, draw * cum[-1])), len(cum) - 1)
             if t not in faulted:
                 counts[leaf_bins[row]] += 1
                 continue
-            branches = gd.enumerate_branches(cfg, gd.fault_frame(cfg, [(ev.location, ev.pauli) for ev in faulted[t]]))
+            branches = gd.enumerate_branches(cfg, gd.fault_frame(cfg, faulted[t]))
             [at] = np.flatnonzero(branches.rows == row)
             counts[record_bins(cfg, branches)[at]] += 1
     return counts
@@ -581,6 +593,6 @@ def binomial_ci(mc_rate: float, en_rate: float, n: int) -> float:
 
 def sampled_faults(cfg, params, rng):
     """One trial's draw of every fault event of ``cfg``'s circuit: the fired
-    events' (location, Pauli) pairs."""
-    events = nz.fault_events(gd.build_circuit(cfg))
-    return tuple((events[e].location, events[e].pauli) for e in nz._sample_fires(cfg, params, rng, 1)[1].tolist())
+    events' (location, X mask, Z mask) triples."""
+    events = reference_events(cfg)
+    return tuple(tuple(events[e][1:]) for e in nz._sample_fires(cfg, params, rng, 1)[1].tolist())
