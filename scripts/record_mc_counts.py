@@ -9,32 +9,34 @@ anomaly) that ``estimate_rates_mc`` turns into rates.  Each block of
 ``noise._BLOCK`` trials draws from its own generator: for each rate kind
 (z, x, zz) a binomial count of fired (trial, event) cells and a uniform set
 of that many cells (``noise._sample_fires``, which returns the fired
-(trial, event) cells in trial order), then one double per trial, in trial
-order, which picks the trial's noiseless row by its probability.  A faulted
-trial reads that row through its frame, the XOR of its fired events'
-integer frame codes (``noise._event_table``: readout flips in the low bits,
-the block-3 Pauli above them).  So the counts are those of the one-draw
-block sampler, with no other engine behind them.  The cases are the nine of
-``test_monte_carlo_counts_match_per_trial_loop``, two in which every Z
-event fires in every trial (n=5 and n=3), and 20,000-trial runs at two high
-noise points.  Re-record only when a count is meant to change.
+(trial, event) cells in trial order), then one double per faulted trial,
+in trial order, which picks that trial's noiseless row by its probability,
+then one multinomial of its clean-trial count over the noiseless
+outcome-bin masses of positive mass (``noise._noiseless_leaf_pool``).  A
+faulted trial reads its row through its frame, the XOR of its fired
+events' integer frame codes (``noise._event_table``: readout flips in the
+low bits, the block-3 Pauli above them).  So the counts are those of the
+block sampler, with no other engine behind them.  The cases are the nine
+of ``test_monte_carlo_counts_match_per_trial_loop``, two in which every Z
+event fires in every trial (n=5 and n=3), and 20,000-trial runs at two
+high noise points.  Re-record only when a count is meant to change.
 
-The counts were last re-recorded when ``noise._BLOCK`` rose from 2,048 to
-8,192 trials, to spread each generator's fixed cost over more trials.  The
-nine cases of more than 2,048 trials (the three 3,000-trial anchor cases
-and the six 20,000-trial cases) moved, since every trial t past the first
-2,048 now draws from the generator of block t // 8,192, not t // 2,048.  The
-eight cases of 2,048 trials or fewer are one block of the same generator
-either way, and kept every count.  The file was re-recorded once since,
-when ``_mc_counts`` came to take a trial count in place of a range of
-trials: only its ``about`` line changed.
+The counts were last re-recorded when a block's clean trials came to be
+one multinomial draw in place of a double each.  Every case in which some
+trial fired nothing moved, except the +i cases, whose noiseless trials
+all land in one bin and whose faulted bins do not depend on the row.  The
+two every-Z-fires cases kept every count: every trial faults there, so a
+block draws the same doubles as before and a multinomial of no trials,
+which draws nothing.  Before that they were re-recorded when
+``noise._BLOCK`` rose from 2,048 to 8,192 trials.
 
 The counts are defined by numpy's ``Generator.binomial``,
-``Generator.choice(replace=False)`` and ``Generator.random`` on PCG64, so a
-numpy release that changed any of these streams would move them.  The CI
-legs on numpy 1.24, the oldest release ``pyproject.toml`` allows, re-run
-this script and ``cmp`` its output with the file; the file was recorded on
-numpy 2.4.6, and those legs have not been run offline against it.
+``Generator.choice(replace=False)``, ``Generator.random`` and
+``Generator.multinomial`` on PCG64, so a numpy release that changed any of
+these streams would move them.  The CI legs on numpy 1.24, the oldest
+release ``pyproject.toml`` allows, re-run this script and ``cmp`` its
+output with the file; the file was recorded on numpy 2.4.6, and those legs
+have not been run offline against it.
 """
 
 import json
@@ -86,7 +88,8 @@ if __name__ == "__main__":
         "about": "Per-bin counts (I, XL, ZL, YL, rejected, anomaly) of noise._mc_counts(cfg, params, seed, "
         "trials): trial block b of noise._BLOCK draws from default_rng([seed, b]), first a binomial "
         "count and a uniform set of fired cells per rate kind z, x, zz (noise._sample_fires), then one double "
-        "per trial that picks its noiseless row, which a faulted trial reads through its frame.",
+        "per faulted trial that picks its noiseless row, which it reads through its frame, then one multinomial "
+        "of the block's clean trials over the noiseless bin masses of positive mass.",
         "command": "PYTHONPATH=src python scripts/record_mc_counts.py > tests/golden/mc_counts.json",
         "cases": record(),
     }

@@ -122,6 +122,11 @@ class GadgetConfig:
                 f"r_z + r_zz + 4n = {self.num_measurements + 2 * self.n} exceeds FRAME_BITS={FRAME_BITS} "
                 "(a Pauli frame holds M readout flips and a 2n-bit block-3 Pauli in one int64)"
             )
+        # every lru_cache lookup hashes the config: build the field tuple once
+        object.__setattr__(self, "_hash", hash((self.n, self.theta, self.r_z, self.r_zz)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def plus_i(cls, n: int, r: int = 1, r_zz: int | None = None) -> "GadgetConfig":

@@ -57,9 +57,12 @@ suggested by counting records uniformly.
 Monte Carlo (``estimate_rates_mc``) draws every event independently, in
 blocks of trials that each draw from their own generator (``_mc_counts``),
 so its counts, hence its estimates, depend only on (seed, trials).  A
-trial draws a noiseless row by its probability, and a faulted trial reads
-it through its frame, as enumeration does, so a faulted trial costs a few
-array lookups more than a clean one.
+faulted trial draws a noiseless row by its probability and reads it
+through its frame, as enumeration does; a block's clean trials are one
+multinomial draw over the noiseless outcome-bin masses, so a block's work
+follows its faulted trials.  The counts rest on numpy's
+``Generator.binomial``, ``choice(replace=False)``, ``random`` and
+``multinomial`` streams.
 """
 
 from __future__ import annotations
@@ -321,19 +324,30 @@ def enumerate_faults(cfg: gd.GadgetConfig, params: NoiseParams, max_order: int) 
 
 @functools.lru_cache(maxsize=None)
 def _noiseless_leaf_pool(cfg: gd.GadgetConfig):
-    """(cumulative probabilities, outcome bins) of the noiseless branches."""
+    """(cum, masses) of the noiseless branches: their cumulative
+    probabilities, from which a ``Generator.random`` double picks a
+    faulted trial's row (``_rows``), and each outcome bin's summed
+    probabilities over cum[-1], over which a block's clean trials are one
+    ``Generator.multinomial``.  With the ``binomial`` and
+    ``choice(replace=False)`` draws of the fired cells, these are the
+    streams the Monte Carlo counts rest on."""
     branches = gd.enumerate_branches(cfg)
     empty = np.zeros(len(branches), dtype=np.int64)  # the frame code of no fault
-    return np.cumsum(branches.probabilities), gd.frame_bins(cfg, branches.rows, empty)
+    cum = np.cumsum(branches.probabilities)
+    bins = gd.frame_bins(cfg, branches.rows, empty)
+    return cum, np.bincount(bins, branches.probabilities, gd.N_BINS) / cum[-1]
 
 
-# Trials per generator; part of the definition of the counts.  Most of a
-# small block's draws are fixed cost: at the anchor (n=3, r=1) a block of
-# 2,048 trials draws in about 51 us, 12 of them seeding its generator, and
-# a block of 8,192 in about 88 us.  Above a 2% rate Generator.choice
-# shuffles an arange over every cell of the block, so larger blocks cost
-# memory and time at high noise: 10^5 trials at p_z=5e-2, eta=3, r=3 take
-# about 99 ms against 88 ms with blocks of 2,048.
+# Trials per generator; part of the definition of the counts.  A block
+# draws its fired cells (binomial, choice(replace=False)), one double per
+# faulted trial (random) and one multinomial of its clean trials.  Most of
+# a small block's draws are fixed cost: at the anchor (n=3, r=1) a block of
+# 2,048 trials draws in about 55 us, 11 of them seeding its generator, and
+# a block of 8,192 in about 80 us.  Above a 2% rate Generator.choice
+# shuffles an arange over every cell of the block, so larger blocks hold
+# more memory at high noise: 10^5 trials at p_z=5e-2, eta=3, r=3 peak at
+# 9.4 MB traced against 2.4 MB with blocks of 2,048, in about the same
+# 55-65 ms.
 _BLOCK = 8192
 # Blocks binned together (32,768 trials); bounds a pass's memory, not part of
 # the counts.
@@ -379,52 +393,65 @@ def _rows(cum: np.ndarray, draw: np.ndarray) -> np.ndarray:
     return np.minimum(np.searchsorted(cum, draw * cum[-1]), len(cum) - 1)
 
 
+def _first_cells(trial: np.ndarray) -> np.ndarray:
+    """Where each trial's cells start in a trial-sorted cell array.  Built
+    by hand: np.diff with ``prepend`` and np.flatnonzero cost about 8 us
+    more a call at the anchor."""
+    new = np.empty(len(trial), dtype=bool)
+    new[:1] = True
+    new[1:] = trial[1:] != trial[:-1]
+    return new.nonzero()[0]
+
+
 def _mc_counts(cfg, params, seed, trials) -> np.ndarray:
     """Outcome-bin counts of trials 0..trials-1, a pass at a time.
 
     Trial t belongs to block t // _BLOCK, whose generator is
     ``np.random.default_rng([seed, block])``.  A block of ``size`` trials
-    draws, in this order, its fired events (``_sample_fires``: a count and a
-    uniform set of cells per rate kind) and one double per trial, in trial
-    order, which picks the trial's noiseless row (``_rows``).  A trial that
-    fired nothing is that row's noiseless branch.  A faulted trial is the
-    row read through its frame, the XOR of its fired events' codes.  _BLOCK
-    is thus part of what the counts are: changing it changes every count.
+    draws, in this order: its fired events (``_sample_fires``: a binomial
+    count and a ``choice(replace=False)`` set of cells per rate kind); one
+    ``random`` double per faulted trial, in trial order, which picks that
+    trial's noiseless row (``_rows``); and one ``multinomial`` of its
+    clean-trial count over the noiseless outcome-bin masses
+    (``_noiseless_leaf_pool``).  A faulted trial is its row read through
+    its frame, the XOR of its fired events' codes.  A clean trial's row is
+    independent of the faults, so given their count a block's clean trials
+    fall into the bins by exactly that multinomial.  Only bins of positive
+    mass enter it, so rounding cannot leave a clean trial in numpy's
+    remainder bin when that bin has no mass; at n=3 T it is one binomial
+    (I against rejected), and at +i it draws nothing.  _BLOCK is thus part
+    of what the counts are: changing it changes every count.
 
-    The blocks only draw.  The passes run from trial 0 in consecutive chunks
-    of _PASS blocks, the last one short; the blocks of a pass fill its draw
-    array and (trial, event) cells, and the rest runs once per pass: one
-    sort of the draws counts the clean trials' rows, one
-    ``np.bitwise_xor.reduceat`` over the fired cells gives the faulted
-    trials' frame codes, and one ``gadget.frame_bins`` call bins their rows
-    under those codes.  A count is a sum over trials, so where the passes
-    split does not change it; _PASS only bounds the memory a pass holds.
+    The blocks only draw, and add their clean bins.  The passes run from
+    trial 0 in consecutive chunks of _PASS blocks, the last one short; the
+    blocks of a pass fill its (trial, event) cells and row doubles, and the
+    faulted trials are binned once per pass: one ``np.bitwise_xor.reduceat``
+    over the fired cells gives their frame codes, and one
+    ``gadget.frame_bins`` call bins their rows under those codes.  A count
+    is a sum over trials, so where the passes split does not change it;
+    _PASS only bounds the memory a pass holds.
     """
     frames = _event_table(cfg)[1]
-    cum, leaf_bins = _noiseless_leaf_pool(cfg)
+    cum, masses = _noiseless_leaf_pool(cfg)
+    live = np.flatnonzero(masses)
+    pvals = masses[live]
     counts = np.zeros(gd.N_BINS, dtype=np.int64)
     for first in range(0, trials, _PASS * _BLOCK):
         size = min(_PASS * _BLOCK, trials - first)
-        draw, fires = np.empty(size), []
+        fires = []
         for a in range(0, size, _BLOCK):
             rng = np.random.default_rng([seed, (first + a) // _BLOCK])
-            trial, event = _sample_fires(cfg, params, rng, min(_BLOCK, size - a))
-            rng.random(out=draw[a : a + _BLOCK])
-            fires.append((trial + a, event))
+            block = min(_BLOCK, size - a)
+            trial, event = _sample_fires(cfg, params, rng, block)
+            faulted = len(_first_cells(trial))
+            fires.append((trial + a, event, rng.random(faulted)))
+            counts[live] += rng.multinomial(block - faulted, pvals)
         # a one-block pass is not concatenated: short estimates are mostly fixed cost
-        trial, event = [np.concatenate(cells) for cells in zip(*fires)] if len(fires) > 1 else fires[0]
-        starts = np.flatnonzero(np.diff(trial, prepend=-1))  # each faulted trial's first cell
-        rows = _rows(cum, draw[trial[starts]])
-        # the clean trials' rows are only counted: the sorted draws at or
-        # below each row's upper bound, less the faulted trials' rows
-        draw.sort()
-        draw *= cum[-1]
-        upto = np.searchsorted(draw, cum[:-1], side="right")
-        clean = np.diff(upto, prepend=0, append=size) - np.bincount(rows, minlength=len(cum))
-        counts += np.bincount(leaf_bins, weights=clean, minlength=gd.N_BINS).astype(np.int64)
-        if len(starts):
+        trial, event, draw = [np.concatenate(cells) for cells in zip(*fires)] if len(fires) > 1 else fires[0]
+        if len(draw):
+            starts = _first_cells(trial)
             codes = np.bitwise_xor.reduceat(frames[event], starts)
-            counts += np.bincount(gd.frame_bins(cfg, rows, codes), minlength=gd.N_BINS)
+            counts += np.bincount(gd.frame_bins(cfg, _rows(cum, draw), codes), minlength=gd.N_BINS)
     return counts
 
 

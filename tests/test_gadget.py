@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -81,6 +82,21 @@ class TestConfig:
         misses = gd._noiseless_table.cache_info().misses
         assert gd._noiseless_table(custom) is gd._noiseless_table(named)
         assert gd._noiseless_table.cache_info().misses - misses <= 1
+
+    def test_hash_is_cached_and_matches_the_plain_config(self):
+        # the hash is built once, after the fields become ints, so a config
+        # given np.int64 sizes hits the plain config's cache entries
+        wide = gd.GadgetConfig(n=np.int64(3), theta=math.pi / 4, r_z=np.int64(3), r_zz=np.int64(3))
+        plain = gd.GadgetConfig.t_state(3, r=3)
+        assert hash(wide) == hash(plain) == hash((3, math.pi / 4, 3, 3))
+        assert wide == plain and repr(wide) == repr(plain)
+        assert [f.name for f in dataclasses.fields(wide)] == ["n", "theta", "r_z", "r_zz"]
+        misses = gd._noiseless_table.cache_info().misses
+        assert gd._noiseless_table(wide) is gd._noiseless_table(plain)
+        assert gd._noiseless_table.cache_info().misses - misses <= 1
+        probe = gd.GadgetConfig.t_state(3)
+        object.__setattr__(probe, "r_z", 5)  # past the frozen guard: the built hash stays
+        assert hash(probe) == hash(gd.GadgetConfig.t_state(3))
 
 
 class TestBuildCircuit:

@@ -415,6 +415,21 @@ class TestMonteCarlo:
         ci = 3 * math.sqrt(0.625 * 0.375 / 40_000)
         assert abs(est.reject_rate - 0.625) < ci
 
+    @pytest.mark.parametrize("trials", [1, 2000, nz._BLOCK, 3 * nz._BLOCK + 5])
+    def test_zero_noise_counts_are_a_multinomial_over_i_and_rejected(self, trials):
+        # no trial faults, so a block draws only the multinomial of its clean
+        # trials, over the bins of positive mass
+        cfg = gd.GadgetConfig.t_state(3, r=1)
+        counts = nz._mc_counts(cfg, nz.NoiseParams(0.0, 0.0, 0.0), 5, trials)
+        _, masses = nz._noiseless_leaf_pool(cfg)
+        live = [0, gd.BIN_REJECTED]  # I and rejected
+        assert np.flatnonzero(masses).tolist() == live
+        assert masses[live].tolist() == pytest.approx([0.375, 0.625], rel=1e-14)
+        assert set(np.flatnonzero(counts).tolist()) <= set(live) and counts.sum() == trials
+        if trials <= nz._BLOCK:
+            want = np.random.default_rng([5, 0]).multinomial(trials, masses[live])
+            assert counts[live].tolist() == want.tolist()
+
     def test_trials_validated(self):
         cfg = gd.GadgetConfig.t_state(3, r=1)
         with pytest.raises(ValueError):
@@ -510,31 +525,33 @@ def test_a_pass_bounds_the_memory_of_a_long_run():
 
 
 def _per_trial_counts(cfg, params, seed, trials):
-    """Monte Carlo counts one trial at a time.  Each block draws its fired
-    (trial, event) cells with noise._sample_fires and then one double per
-    trial from default_rng([seed, block]), as _mc_counts does; the double
-    picks the trial's noiseless row.  A clean trial takes that row's
-    noiseless bin, and a faulted one the bin of the branch read from that
-    row in enumerate_branches under the frame of its fired events'
-    (location, X mask, Z mask) faults, classified by the record-matrix
-    oracle."""
+    """Monte Carlo counts one faulted trial at a time.  Each block draws
+    from default_rng([seed, block]), as _mc_counts does: its fired (trial,
+    event) cells with noise._sample_fires, then one double per faulted
+    trial, in trial order, which picks that trial's noiseless row, then one
+    multinomial of its clean-trial count over the noiseless bin masses of
+    positive mass.  A faulted trial takes the bin of the branch read from
+    its row in enumerate_branches under the frame of its fired events'
+    (location, X mask, Z mask) faults.  The record-matrix oracle classifies
+    every branch, the noiseless ones included."""
     events = reference_events(cfg)
-    cum, leaf_bins = nz._noiseless_leaf_pool(cfg)
+    noiseless = gd.enumerate_branches(cfg)
+    cum = np.cumsum(noiseless.probabilities)
+    masses = np.bincount(record_bins(cfg, noiseless), noiseless.probabilities, gd.N_BINS) / cum[-1]
+    live = np.flatnonzero(masses)
     counts = np.zeros(gd.N_BINS, dtype=np.int64)
     for start in range(0, trials, nz._BLOCK):
         rng = np.random.default_rng([seed, start // nz._BLOCK])
         size = min(nz._BLOCK, trials - start)
-        faulted = {}
+        faulted = {}  # trial -> its faults, in trial order
         for t, e in zip(*(cells.tolist() for cells in nz._sample_fires(cfg, params, rng, size))):
             faulted.setdefault(t, []).append(events[e][1:])
-        for t, draw in enumerate(rng.random(size).tolist()):
-            row = min(int(np.searchsorted(cum, draw * cum[-1])), len(cum) - 1)
-            if t not in faulted:
-                counts[leaf_bins[row]] += 1
-                continue
-            branches = gd.enumerate_branches(cfg, gd.fault_frame(cfg, faulted[t]))
+        for faults in faulted.values():
+            row = min(int(np.searchsorted(cum, rng.random() * cum[-1])), len(cum) - 1)
+            branches = gd.enumerate_branches(cfg, gd.fault_frame(cfg, faults))
             [at] = np.flatnonzero(branches.rows == row)
             counts[record_bins(cfg, branches)[at]] += 1
+        counts[live] += rng.multinomial(size - len(faulted), masses[live])
     return counts
 
 
