@@ -22,13 +22,14 @@ event fires in every trial (n=5 and n=3), and 20,000-trial runs at two
 high noise points.  Re-record only when a count is meant to change.
 
 The counts were last re-recorded when a block's clean trials came to be
-one multinomial draw in place of a double each.  Every case in which some
-trial fired nothing moved, except the +i cases, whose noiseless trials
-all land in one bin and whose faulted bins do not depend on the row.  The
-two every-Z-fires cases kept every count: every trial faults there, so a
-block draws the same doubles as before and a multinomial of no trials,
-which draws nothing.  Before that they were re-recorded when
-``noise._BLOCK`` rose from 2,048 to 8,192 trials.
+one multinomial draw in place of a double each.  Eight cases moved, by at
+most 0.74 combined Wilson half-widths in a bin.  The six +i cases kept
+every count: their clean trials all land in I, and a faulted trial's bin
+does not depend on its row.  So did the two every-Z-fires cases and the
+400-trial T, r=3 case at p_z=5e-2: every trial faults there, so a block
+draws the same doubles as before and a multinomial of no trials, which
+draws nothing.  Before that they were re-recorded when ``noise._BLOCK``
+rose from 2,048 to 8,192 trials.
 
 The counts are defined by numpy's ``Generator.binomial``,
 ``Generator.choice(replace=False)``, ``Generator.random`` and

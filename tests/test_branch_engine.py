@@ -95,19 +95,19 @@ def test_monte_carlo_reproduces_recorded_estimate():
         gd.GadgetConfig.t_state(3, 1), nz.NoiseParams.from_bias(1e-2, 10), trials=3000, seed=11
     )
     assert est == nz.RateEstimate(
-        e_x=0.041,
-        e_z=0.004333333333333333,
+        e_x=0.036333333333333336,
+        e_z=0.0036666666666666666,
         e_y=0.0,
-        reject_rate=0.702,
+        reject_rate=0.7096666666666667,
         trials_or_order=3000,
-        ci95_halfwidth=0.007115308294682963,
-        ci95_e_x=0.007115308294682963,
-        ci95_e_z=0.002432996327725757,
+        ci95_halfwidth=0.006717753762046811,
+        ci95_e_x=0.006717753762046811,
+        ci95_e_z=0.002252733322136606,
         ci95_e_y=0.0006394243626629813,
         anomaly_rate=0.0,
-        accepted_weight=0.298,
-        e_x_given_accept=0.13758389261744966,
-        e_z_given_accept=0.0145413870246085,
+        accepted_weight=0.29033333333333333,
+        e_x_given_accept=0.1251435132032147,
+        e_z_given_accept=0.012629161882893225,
         e_y_given_accept=0.0,
     )
 

@@ -591,7 +591,7 @@ def _golden_id(case):
 @pytest.mark.parametrize("case", MC_COUNTS["cases"], ids=_golden_id)
 def test_monte_carlo_counts_match_recording(case):
     # recorded by scripts/record_mc_counts.py when each block of _BLOCK
-    # trials first drew one double per trial to pick its noiseless row
+    # trials first drew its clean trials as one multinomial
     cfg = GADGETS[case["gadget"]](case["n"])
     params = nz.NoiseParams(p_x=case["p_x"], p_z=case["p_z"], p_zz=case["p_zz"])
     counts = nz._mc_counts(cfg, params, case["seed"], case["trials"])
