@@ -310,8 +310,9 @@ def _bounds_row(r: int, p_z: float, eta: float) -> tuple:
 
 
 def _rm_row(r: int, p_z: float, eta: float) -> tuple:
-    out, p_accept = dst.rm15_map(dst.gadget_channel(3, r, nz.NoiseParams.from_bias(p_z, eta)))
-    return out.e_x, out.e_z, p_accept
+    channel = dst.gadget_channel(3, r, nz.NoiseParams.from_bias(p_z, eta))
+    out = dst.rm15_map(channel)
+    return out.e_x, out.e_z, dst.rm15_acceptance(channel)
 
 
 def _overhead_row(target: float, p_z: float, eta: float) -> tuple:

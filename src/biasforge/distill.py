@@ -10,33 +10,29 @@ copies.  A round post-selects on a trivial syndrome:
   logical X flip).
 * Z-error patterns are checked against the 4 X-type generators likewise.
 
-Both sides reduce to weight-enumerator polynomials of the four pattern
-classes, computed once by listing each GF(2) span (16 X-side and 1,024
-Z-side patterns per class).  With
-t = e / (1 - e) a weight-w pattern has probability (1 - e)^15 t^w, so a
-side with stabilizer enumerator S and logical-coset enumerator L accepts
-with probability (1 - e)^15 (S(t) + L(t)) and flips the logical with
-probability L(t) / (S(t) + L(t)) given acceptance.  S has even weights and
-L odd ones, so each is t^s P(t^2) with s its parity, and P is evaluated by
-Horner's rule in t^2 (half the steps of a rule in t) in the standard
-library's ``decimal`` at 34 significant digits (IEEE decimal128, two
-machine words a value) with an effectively unbounded exponent range, so
-concatenated output rates far below double-precision underflow stay
-meaningful.  Each input rate is first rounded to 34 digits (a relative
-change of at most 5e-34).  Every term of a side is positive, so nothing
-cancels: the roughly 60 roundings of a side leave a relative error of
-about 1e-31, against the 1.1e-16 half-ulp of a double.  Outputs are
-returned as floats, correctly rounded unless the exact value lies within
-that 1e-31 of a rounding midpoint; the tests check them bit for bit
-against exact rational arithmetic.  Values below about 1e-308 are
-subnormal and lose precision, and values below about 5e-324 underflow to
-0.0, which the planner never reaches for practical targets.
+Both sides reduce to the weight enumerators of their stabilizer group
+and logical coset: a weight-w pattern has probability e^w (1 - e)^(15 - w).
+A double rate is e = m / 2^k exactly (``float.as_integer_ratio``), so with
+b = 2^k - m each side's accepted and logical masses are Python ints over a
+power of two, computed exactly.  The X side's two 16-pattern classes give
+a four-term enumerator in closed form.  The Z side's 2,048 accepted
+patterns are the dual of the 16-word span(x_checks), so the MacWilliams
+identity gives their enumerator in two terms, and its logical coset (the
+odd weights) from the same identity at -m.  Each output rate is one int
+true division, logical mass over accepted mass, which CPython rounds
+correctly (to nearest, ties to even, subnormals included): every output is
+the exact rate correctly rounded to a double, and the tests check it bit
+for bit against exact rational arithmetic.  Concatenated rates below about
+1e-308 are subnormal and lose precision, and values below about 5e-324
+round to 0.0, which the planner never reaches for practical targets.  The
+ints grow with k, so a map at e = 1e-300 costs several times one at 1e-3.
 
 The check matrices are the punctured Reed-Muller construction: X-check
 row i marks the columns (1..15) whose bit i is set; the 10 Z-check rows
 are those 4 rows plus their 6 pairwise AND products.  ``rm15_code``
-generates them on first use; the generator is the code's only
-description.
+generates them on first use.  The map reads only the two histograms
+above, in closed form; the tests rebuild the enumerators from these
+matrices and check the closed forms against them.
 
 Overheads count non-Clifford gates only: the n=3 gadget feeding l rounds
 costs 4 * 15^l per output state, bare preparation feeding l' rounds costs
@@ -46,10 +42,7 @@ with the same noise parameters.
 
 from __future__ import annotations
 
-import decimal
-import functools
 from dataclasses import dataclass
-from decimal import Decimal
 
 import numpy as np
 
@@ -58,8 +51,6 @@ from .noise import NoiseParams
 
 N_PHYS = 15
 MAX_LAYERS = 6
-_CTX = decimal.Context(prec=34, Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX)
-_Split = tuple[int, tuple[Decimal, ...]]  # (s, P): the polynomial t^s P(t^2)
 
 
 class ChannelRangeError(ValueError):
@@ -133,95 +124,54 @@ def rm15_code() -> CssCode:
 
 
 # ---------------------------------------------------------------------------
-# Weight enumerators of the four relevant pattern classes.
+# Exact side masses.  A side at rate e = m / 2^k gives (logical, accepted,
+# shift): its logical-flip and accepted masses are the ints over 2^shift.
 
 
-def _row_masks(rows: np.ndarray) -> list[int]:
-    return [int(sum(1 << j for j in range(N_PHYS) if row[j])) for row in rows]
+def _x_side(e: float) -> tuple[int, int, int]:
+    """The X side's masses at rate ``e``.  Its stabilizer group has weights
+    0 and 8 (1 and 15 patterns) and its logical coset, the complement,
+    weights 15 and 7.  With b = 2^k - m the accepted enumerator is
+    b^15 + 15 m^7 b^8 + 15 m^8 b^7 + m^15, over 2^(15k), and the logical
+    coset is its odd part 15 m^7 b^8 + m^15."""
+    m, d = e.as_integer_ratio()
+    b = d - m
+    m7, b7 = m**7, b**7
+    m8, b8 = m7 * m, b7 * b
+    logical = m7 * (15 * b8 + m8)
+    return logical, logical + b7 * (b8 + 15 * m8), 15 * (d.bit_length() - 1)
 
 
-def _span_weights(generator_masks: list[int], offset: int = 0) -> np.ndarray:
-    """Weight histogram of {offset XOR span(generators)} over GF(2)."""
-    span = [offset]
-    for g in generator_masks:
-        span += [v ^ g for v in span]
-    return np.bincount([v.bit_count() for v in span], minlength=N_PHYS + 1)
+def _z_side(e: float) -> tuple[int, int, int]:
+    """The Z side's masses at rate ``e``, by MacWilliams from the 16-word
+    dual span(x_checks) (weights 0 and 8).  With d = 2^k and g = d - 2m the
+    accepted enumerator is 16 A(b, m) = d^15 + 15 d^7 g^8 over 2^(15k + 4),
+    and its logical coset, the odd weights, is half of 16 A(b, m) minus
+    16 A(b, -m) = g^15 + 15 g^7 d^8.  Every power of d is a shift."""
+    m, d = e.as_integer_ratio()
+    k = d.bit_length() - 1
+    g = d - 2 * m
+    g7 = g**7
+    g8 = g7 * g
+    accepted = (1 << 15 * k) + (15 * g8 << 7 * k)
+    return (accepted - g7 * g8 - (15 * g7 << 8 * k)) >> 1, accepted, 15 * k + 4
 
 
-@dataclass(frozen=True)
-class _Enumerators:
-    x_stab: np.ndarray  # trivial-syndrome, harmless X patterns
-    x_logical: np.ndarray  # trivial-syndrome logical-X coset
-    z_stab: np.ndarray
-    z_logical: np.ndarray
-    # per side, S and L split by weight parity
-    x_horner: tuple[_Split, _Split]
-    z_horner: tuple[_Split, _Split]
+def rm15_map(channel: Channel) -> Channel:
+    """One error-detection round: the output rates given a trivial syndrome,
+    each the correctly rounded quotient of its side's logical and accepted
+    masses.  Raises ChannelRangeError if an output reaches 1/2."""
+    x_logical, x_accepted, _ = _x_side(channel.e_x)
+    z_logical, z_accepted, _ = _z_side(channel.e_z)
+    return Channel(e_x=x_logical / x_accepted, e_z=z_logical / z_accepted)
 
 
-def _horner(counts: np.ndarray) -> _Split:
-    """sum_w counts[w] t^w as t^s P(t^2), P highest power first; raises
-    ValueError unless all weights in counts have the parity s."""
-    s = int(np.flatnonzero(counts)[0]) % 2
-    if counts[1 - s :: 2].any():
-        raise ValueError(f"weight enumerator {counts.tolist()} mixes even and odd weights")
-    return s, tuple(Decimal(int(c)) for c in np.trim_zeros(counts[s::2], "b")[::-1])
-
-
-@functools.cache
-def _enumerators() -> _Enumerators:
-    """The enumerators of rm15_code, built on the first rm15_map call."""
-    code = rm15_code()
-    x_gen = _row_masks(code.x_checks)
-    z_gen = _row_masks(code.z_checks)
-    lx, lz = _row_masks(np.array([code.logical_x, code.logical_z]))
-    x_stab, x_logical = _span_weights(x_gen), _span_weights(x_gen, offset=lx)
-    z_stab, z_logical = _span_weights(z_gen), _span_weights(z_gen, offset=lz)
-    return _Enumerators(
-        x_stab=x_stab,
-        x_logical=x_logical,
-        z_stab=z_stab,
-        z_logical=z_logical,
-        x_horner=(_horner(x_stab), _horner(x_logical)),
-        z_horner=(_horner(z_stab), _horner(z_logical)),
-    )
-
-
-def _polyval(split: _Split, t: Decimal, u: Decimal) -> Decimal:
-    """t^s P(u) at u = t^2 by Horner's rule in u.  A zero coefficient costs
-    only its multiply by u: adding an exact zero would round nothing."""
-    s, coeffs = split
-    total = coeffs[0]
-    for c in coeffs[1:]:
-        total *= u
-        if c:
-            total += c
-    return total * t if s else total
-
-
-def _side(e: float, horner: tuple[_Split, _Split]) -> tuple[Decimal, Decimal]:
-    """(logical rate given acceptance, acceptance probability) of one side."""
-    e = decimal.getcontext().create_decimal_from_float(e)
-    keep = 1 - e
-    t = e / keep
-    u = t * t
-    logical = _polyval(horner[1], t, u)
-    accepted = _polyval(horner[0], t, u) + logical
-    return logical / accepted, keep**N_PHYS * accepted
-
-
-def rm15_map(channel: Channel) -> tuple[Channel, float]:
-    """One error-detection round: post-select trivial syndrome, exact rates.
-
-    Returns the accepted-output channel and the acceptance probability
-    (product of the independent X-side and Z-side acceptance factors).
-    """
-    en = _enumerators()
-    with decimal.localcontext(_CTX):
-        out_x, acc_x = _side(channel.e_x, en.x_horner)
-        out_z, acc_z = _side(channel.e_z, en.z_horner)
-        p_accept = acc_x * acc_z
-    return Channel(e_x=float(out_x), e_z=float(out_z)), float(p_accept)
+def rm15_acceptance(channel: Channel) -> float:
+    """The probability that a round sees a trivial syndrome: the product of
+    the independent X- and Z-side accepted masses, correctly rounded."""
+    _, x_accepted, x_shift = _x_side(channel.e_x)
+    _, z_accepted, z_shift = _z_side(channel.e_z)
+    return x_accepted * z_accepted / (1 << x_shift + z_shift)
 
 
 def concatenate(start: Channel, layers: int) -> Channel:
@@ -231,7 +181,7 @@ def concatenate(start: Channel, layers: int) -> Channel:
     ch = start
     for layer in range(layers):
         try:
-            ch, _ = rm15_map(ch)
+            ch = rm15_map(ch)
         except ChannelRangeError as exc:
             raise SaturationError(f"channel left [0, 1/2) at layer {layer + 1}: {exc}", layer + 1)
     return ch
@@ -252,7 +202,7 @@ def _min_layers(start: Channel, target: float, cap: int = MAX_LAYERS) -> tuple[i
         if max(ch.e_x, ch.e_z) <= target:
             return layers, ch
         if layers < cap:
-            ch, _ = rm15_map(ch)
+            ch = rm15_map(ch)
     raise FeasibilityError(
         f"target {target} not reached within {cap} layers (best {max(ch.e_x, ch.e_z):.3e})"
     )

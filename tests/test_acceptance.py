@@ -17,6 +17,7 @@ from biasforge import distill as dst
 from biasforge import gadget as gd
 from biasforge import noise as nz
 from classify_oracle import apply_pauli, branch_states, classify, corrections, reference_events, state_fidelity
+from rm15_oracle import enumerators
 
 Z95 = 1.959963984540054
 
@@ -130,11 +131,10 @@ def test_criterion_5_threshold_crossing():
 
 def test_criterion_6_rm_leading_order():
     t0 = time.time()
-    out, _ = dst.rm15_map(dst.Channel(e_x=0.0, e_z=1e-4))
+    out = dst.rm15_map(dst.Channel(e_x=0.0, e_z=1e-4))
     ratio = out.e_z / (1e-4) ** 3
     assert abs(ratio - 35.0) < 1.0, ratio
-    en = dst._enumerators()
-    d_x = int(np.flatnonzero(en.x_logical)[0])  # the logical-X coset's least weight
+    d_x = int(np.flatnonzero(enumerators().x_logical)[0])  # the logical-X coset's least weight
     assert d_x > 3, d_x
     _elapsed_guard(t0, 60, "criterion 6")
     print(f"\nPASS criterion 6: out.e_z/e_z^3 = {ratio:.4f} (|.-35|<1); logical-X coset min weight {d_x} > 3")

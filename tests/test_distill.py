@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 from fractions import Fraction
@@ -8,18 +9,21 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import biasforge
 from biasforge import cli
 from biasforge import distill as d
 from biasforge.noise import NoiseParams
+from rm15_oracle import enumerators, exact_side, side_masses
 
 # Every rm15_map call made by 200 plan queries (drawn as perfbench's
 # plan_queries(2026)) and by the rm-r3 and rm-r1 sweep figures, with repr'd
 # inputs and outputs, recorded with the earlier mpmath evaluation.
 RM15_GRID = json.loads((Path(__file__).parent / "golden" / "rm15_grid.json").read_text())
+REFERENCE_FIGURES = Path(__file__).parents[1] / "perfbench" / "reference"
+OVERHEAD_FIGURES = ("overhead-8", "overhead-12", "overhead-16")
 
 BELOW_HALF = math.nextafter(0.5, 0.0)
 MIN_NORMAL = sys.float_info.min
@@ -81,7 +85,7 @@ class TestCodeSanity:
         assert (counts == 32).all()
 
     def test_coset_weights(self, code):
-        en = d._enumerators()
+        en = enumerators()
         assert np.flatnonzero(en.x_logical)[0] == 7  # the logical-X coset's least weight
         assert int(en.z_logical[3]) == 35
         assert int(en.x_stab.sum()) == 16 and int(en.x_logical.sum()) == 16
@@ -89,12 +93,6 @@ class TestCodeSanity:
         # stabilizers have even weights and the logical cosets odd ones
         assert not en.x_stab[1::2].any() and not en.z_stab[1::2].any()
         assert not en.x_logical[::2].any() and not en.z_logical[::2].any()
-
-    def test_mixed_parity_enumerator_rejected(self):
-        assert d._horner(np.array([0, 0, 3, 0, 1])) == (0, (1, 3, 0))
-        assert d._horner(np.array([0, 2, 0, 5])) == (1, (5, 2))
-        with pytest.raises(ValueError, match="mixes even and odd"):
-            d._horner(np.array([1, 0, 0, 1]))
 
 
 def brute_force_side(syndrome_checks, stabilizer_rows, logical, e):
@@ -125,13 +123,16 @@ def brute_force_side(syndrome_checks, stabilizer_rows, logical, e):
     return err / accept, accept
 
 
-def exact_side(e: float, stab, logical) -> tuple[Fraction, Fraction]:
-    """(logical rate given acceptance, acceptance probability) of one side, exactly."""
-    m, den = e.as_integer_ratio()
-    terms = [m**w * (den - m) ** (15 - w) for w in range(16)]
-    logical_t = sum(int(c) * x for c, x in zip(logical, terms))
-    accepted_t = logical_t + sum(int(c) * x for c, x in zip(stab, terms))
-    return Fraction(logical_t, accepted_t), Fraction(accepted_t, den**15)
+def correctly_rounded(x: float, exact: Fraction) -> bool:
+    """Whether x is the double nearest to ``exact``, a tie going to the even
+    mantissa.  Compares exact distances to x and to both of its neighbours,
+    so it shares no rounding division with the code under test."""
+    gap = abs(Fraction(x) - exact)
+    for neighbour in (math.nextafter(x, -math.inf), math.nextafter(x, math.inf)):
+        other = abs(Fraction(neighbour) - exact)
+        if other < gap or other == gap and struct.unpack("<Q", struct.pack("<d", x))[0] & 1:
+            return False
+    return True
 
 
 def uncapped_plan(target: float, p_z: float, eta: float):
@@ -204,14 +205,14 @@ def rates():
 
 class TestRm15Map:
     def test_identity_channel(self, code):
-        out, p_acc = d.rm15_map(d.Channel(0.0, 0.0))
-        assert out.e_x == 0.0 and out.e_z == 0.0 and p_acc == 1.0
+        out = d.rm15_map(d.Channel(0.0, 0.0))
+        assert out.e_x == 0.0 and out.e_z == 0.0 and d.rm15_acceptance(d.Channel(0.0, 0.0)) == 1.0
 
     def test_leading_order_z(self):
         # out.e_z / e_z^3 -> 35 as e_z -> 0 (Richardson-style ratio check)
         ratios = []
         for e in (1e-3, 1e-4, 1e-5):
-            out, _ = d.rm15_map(d.Channel(0.0, e))
+            out = d.rm15_map(d.Channel(0.0, e))
             ratios.append(out.e_z / e**3)
         assert abs(ratios[1] - 35) < 1  # the frozen acceptance threshold
         # deviation from 35 shrinks linearly in e
@@ -219,12 +220,13 @@ class TestRm15Map:
 
     def test_x_suppression_is_seventh_order(self):
         e = 1e-3
-        out, _ = d.rm15_map(d.Channel(e, 0.0))
+        out = d.rm15_map(d.Channel(e, 0.0))
         assert abs(out.e_x / e**7 - 15.0) < 1.0  # A_7 = 15 leading coefficient
 
     def test_matches_brute_force_reimplementation(self, code):
         for e_x, e_z in ((3e-2, 1e-2), (1.3e-2, 6.1e-5)):
-            out, p_acc = d.rm15_map(d.Channel(e_x, e_z))
+            out = d.rm15_map(d.Channel(e_x, e_z))
+            p_acc = d.rm15_acceptance(d.Channel(e_x, e_z))
             bx, px = brute_force_side(code.z_checks, code.x_checks, code.logical_x, e_x)
             bz, pz = brute_force_side(code.x_checks, code.z_checks, code.logical_z, e_z)
             assert math.isclose(out.e_x, bx, rel_tol=1e-10)
@@ -234,51 +236,81 @@ class TestRm15Map:
     def test_subnormal_output_rounded_once(self):
         # the exact value is 1.37520095735409249...e-308; rounding it to 53
         # bits before scaling into the subnormal range gave ...093e-308
-        out, _ = d.rm15_map(d.Channel(7.108100476404456e-45, 3.0311821330395975e-19))
+        out = d.rm15_map(d.Channel(7.108100476404456e-45, 3.0311821330395975e-19))
         assert out.e_x == 1.3752009573540925e-308
-
-    def test_shared_context_left_unwritten(self):
-        # rm15_map rounds (the exact value of 1e-300 has 750 digits) and
-        # computes in a local copy of the module context
-        d.rm15_map(d.Channel(1e-300, 3e-3))
-        assert not any(d._CTX.flags.values())
 
     @settings(max_examples=400)
     @given(rates(), rates())
     def test_bit_identical_to_exact_rational_oracle(self, code, e_x, e_z):
-        en = d._enumerators()
+        en = enumerators()
         rate_x, acc_x = exact_side(e_x, en.x_stab, en.x_logical)
         rate_z, acc_z = exact_side(e_z, en.z_stab, en.z_logical)
-        want = (float(rate_x), float(rate_z), float(acc_x * acc_z))
-        if max(want[:2]) >= 0.5:
+        channel = d.Channel(e_x, e_z)
+        p_acc = d.rm15_acceptance(channel)
+        assert p_acc == float(acc_x * acc_z) and correctly_rounded(p_acc, acc_x * acc_z)
+        want = (float(rate_x), float(rate_z))
+        if max(want) >= 0.5:
             with pytest.raises(d.ChannelRangeError):
-                d.rm15_map(d.Channel(e_x, e_z))
+                d.rm15_map(channel)
         else:
-            out, p_acc = d.rm15_map(d.Channel(e_x, e_z))
-            assert (out.e_x, out.e_z, p_acc) == want
+            out = d.rm15_map(channel)
+            assert (out.e_x, out.e_z) == want
+            assert correctly_rounded(out.e_x, rate_x) and correctly_rounded(out.e_z, rate_z)
+
+    @example(0.0)
+    @example(5e-324)
+    @example(1e-310)
+    @example(1e-300)
+    @example(1e-3)
+    @example(0.17)
+    @example(BELOW_HALF)
+    @given(rates())
+    def test_closed_forms_equal_full_enumerator_sums(self, e):
+        en = enumerators()
+        for side, stab, logical in ((d._x_side, en.x_stab, en.x_logical), (d._z_side, en.z_stab, en.z_logical)):
+            logical_t, accepted_t, shift = side(e)
+            assert (Fraction(logical_t, 1 << shift), Fraction(accepted_t, 1 << shift)) == side_masses(e, stab, logical)
+
+    def test_correct_rounding_check_rejects_a_neighbour_and_an_odd_tie(self):
+        third = Fraction(1, 3)
+        assert correctly_rounded(1 / 3, third)
+        assert not correctly_rounded(math.nextafter(1 / 3, 1.0), third)
+        # 1 + 2^-53 lies halfway between 1.0 (even) and 1 + 2^-52 (odd)
+        tie = 1 + Fraction(1, 2**53)
+        assert correctly_rounded(1.0, tie) and not correctly_rounded(1 + 2**-52, tie)
+        assert correctly_rounded(0.0, Fraction(5e-324) / 2) and not correctly_rounded(5e-324, Fraction(5e-324) / 2)
 
     def test_recorded_grid_reproduced(self, monkeypatch, tmp_path):
         outputs = [x for calls in (RM15_GRID["plan_calls"], *RM15_GRID["figure_calls"].values())
                    for c in calls for x in map(float, c["out"])]
         assert not any(0.0 < x < MIN_NORMAL for x in outputs)  # no subnormal was recorded
         for call in RM15_GRID["plan_calls"]:
-            out, p_acc = d.rm15_map(d.Channel(*map(float, call["in"])))
-            assert [repr(out.e_x), repr(out.e_z), repr(p_acc)] == call["out"]
+            channel = d.Channel(*map(float, call["in"]))
+            out = d.rm15_map(channel)
+            assert [repr(out.e_x), repr(out.e_z), repr(d.rm15_acceptance(channel))] == call["out"]
         # plan's capped search makes fewer calls than were recorded, so its
         # plans are checked against the exhaustive search instead
         for query in RM15_GRID["plan_queries"]:
             query = tuple(map(float, query))
             assert d.plan(*query) == uncapped_plan(*query)
+        # each row of an rm figure maps its channel and then reads its
+        # acceptance: together the two calls give one recorded triple
         calls = []
-        real = d.rm15_map
+        real_map, real_acceptance = d.rm15_map, d.rm15_acceptance
 
-        def spy(channel):
-            out, p_acc = real(channel)
-            calls.append({"in": [repr(channel.e_x), repr(channel.e_z)],
-                          "out": [repr(out.e_x), repr(out.e_z), repr(p_acc)]})
-            return out, p_acc
+        def spy_map(channel):
+            out = real_map(channel)
+            calls.append({"in": [repr(channel.e_x), repr(channel.e_z)], "out": [repr(out.e_x), repr(out.e_z)]})
+            return out
 
-        monkeypatch.setattr(d, "rm15_map", spy)
+        def spy_acceptance(channel):
+            p_acc = real_acceptance(channel)
+            assert calls[-1]["in"] == [repr(channel.e_x), repr(channel.e_z)] and len(calls[-1]["out"]) == 2
+            calls[-1]["out"].append(repr(p_acc))
+            return p_acc
+
+        monkeypatch.setattr(d, "rm15_map", spy_map)
+        monkeypatch.setattr(d, "rm15_acceptance", spy_acceptance)
         for figure, want in RM15_GRID["figure_calls"].items():
             calls.clear()
             assert cli.main(["sweep", "--figure", figure, "--out", str(tmp_path / f"{figure}.csv")]) == 0
@@ -287,7 +319,7 @@ class TestRm15Map:
     def test_overhead_figures_bit_identical_to_exact_rational_oracle(self, monkeypatch, tmp_path):
         # the plans behind these figures chain up to MAX_LAYERS maps, so their
         # inputs reach far below the rates that the recorded grid covers
-        en = d._enumerators()
+        en = enumerators()
         channels = set()
         real = d.rm15_map
 
@@ -296,14 +328,31 @@ class TestRm15Map:
             return real(channel)
 
         monkeypatch.setattr(d, "rm15_map", spy)
-        for figure in ("overhead-8", "overhead-12", "overhead-16"):
+        for figure in OVERHEAD_FIGURES:
             assert cli.main(["sweep", "--figure", figure, "--out", str(tmp_path / f"{figure}.csv")]) == 0
         assert min(min(ch.e_x, ch.e_z) for ch in channels) < 1e-30
         for ch in channels:
             rate_x, acc_x = exact_side(ch.e_x, en.x_stab, en.x_logical)
             rate_z, acc_z = exact_side(ch.e_z, en.z_stab, en.z_logical)
-            out, p_acc = real(ch)
-            assert (out.e_x, out.e_z, p_acc) == (float(rate_x), float(rate_z), float(acc_x * acc_z)), ch
+            out = real(ch)
+            want = (float(rate_x), float(rate_z), float(acc_x * acc_z))
+            assert (out.e_x, out.e_z, d.rm15_acceptance(ch)) == want, ch
+
+    def test_plans_never_compute_the_acceptance(self, monkeypatch, tmp_path):
+        # the plan chains iterate rm15_map alone; only the rm figures read
+        # the acceptance probability
+        queries = [tuple(map(float, query)) for query in RM15_GRID["plan_queries"]]
+        want = [repr(d.plan(*query)) for query in queries]
+
+        def refuse(channel):
+            raise AssertionError("a plan computed the acceptance probability")
+
+        monkeypatch.setattr(d, "rm15_acceptance", refuse)
+        assert [repr(d.plan(*query)) for query in queries] == want
+        for figure in OVERHEAD_FIGURES:
+            path = tmp_path / f"{figure}.csv"
+            assert cli.main(["sweep", "--figure", figure, "--out", str(path)]) == 0
+            assert path.read_bytes() == (REFERENCE_FIGURES / f"{figure}.csv").read_bytes()
 
     def test_out_of_range_channel(self):
         with pytest.raises(d.ChannelRangeError):
@@ -311,8 +360,8 @@ class TestRm15Map:
 
     @given(st.floats(1e-6, 0.2), st.floats(1e-6, 0.2))
     def test_halving_never_increases_outputs(self, e_x, e_z):
-        full, _ = d.rm15_map(d.Channel(e_x, e_z))
-        half, _ = d.rm15_map(d.Channel(e_x / 2, e_z / 2))
+        full = d.rm15_map(d.Channel(e_x, e_z))
+        half = d.rm15_map(d.Channel(e_x / 2, e_z / 2))
         assert half.e_x <= full.e_x * (1 + 1e-12)
         assert half.e_z <= full.e_z * (1 + 1e-12)
 
@@ -325,7 +374,7 @@ class TestConcatenate:
     def test_one_layer_matches_map(self):
         ch = d.Channel(1.3e-2, 6.1e-5)
         out1 = d.concatenate(ch, 1)
-        out2, _ = d.rm15_map(ch)
+        out2 = d.rm15_map(ch)
         assert out1 == out2
         # X dominates this input; the exact map, not leading order, decides
         assert out1.e_x > 35 * 6.1e-5**3 / 10

@@ -15,6 +15,7 @@ from biasforge import cli, distill, gadget, noise
 LAYERS = [
     (distill, "rm15_code"),
     (distill, "rm15_map"),
+    (distill, "rm15_acceptance"),
     (distill, "plan"),
     (gadget, "enumerate_branches"),
     (gadget, "correction_table"),
