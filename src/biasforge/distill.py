@@ -30,9 +30,10 @@ ints grow with k, so a map at e = 1e-300 costs several times one at 1e-3.
 The check matrices are the punctured Reed-Muller construction: X-check
 row i marks the columns (1..15) whose bit i is set; the 10 Z-check rows
 are those 4 rows plus their 6 pairwise AND products.  ``rm15_code``
-generates them on first use.  The map reads only the two histograms
-above, in closed form; the tests rebuild the enumerators from these
-matrices and check the closed forms against them.
+generates them on first use.  The map does not read them: its closed
+forms encode the weights of span(x_checks) (0 and 8), and the tests
+rebuild all four enumerators from these matrices and check the closed
+forms against them.
 
 Overheads count non-Clifford gates only: the n=3 gadget feeding l rounds
 costs 4 * 15^l per output state, bare preparation feeding l' rounds costs
@@ -145,9 +146,10 @@ def _x_side(e: float) -> tuple[int, int, int]:
 def _z_side(e: float) -> tuple[int, int, int]:
     """The Z side's masses at rate ``e``, by MacWilliams from the 16-word
     dual span(x_checks) (weights 0 and 8).  With d = 2^k and g = d - 2m the
-    accepted enumerator is 16 A(b, m) = d^15 + 15 d^7 g^8 over 2^(15k + 4),
-    and its logical coset, the odd weights, is half of 16 A(b, m) minus
-    16 A(b, -m) = g^15 + 15 g^7 d^8.  Every power of d is a shift."""
+    accepted enumerator is 16 A(b, m) = d^15 + 15 d^7 g^8 over 2^(15k + 4).
+    Its logical coset holds the odd weights, so it is half the difference
+    of that and 16 A(b, -m) = g^15 + 15 g^7 d^8.  Every power of d is a
+    shift."""
     m, d = e.as_integer_ratio()
     k = d.bit_length() - 1
     g = d - 2 * m

@@ -130,7 +130,7 @@ def correctly_rounded(x: float, exact: Fraction) -> bool:
     gap = abs(Fraction(x) - exact)
     for neighbour in (math.nextafter(x, -math.inf), math.nextafter(x, math.inf)):
         other = abs(Fraction(neighbour) - exact)
-        if other < gap or other == gap and struct.unpack("<Q", struct.pack("<d", x))[0] & 1:
+        if other < gap or (other == gap and struct.unpack("<Q", struct.pack("<d", x))[0] & 1):
             return False
     return True
 
