@@ -30,7 +30,9 @@ every measurement branch of its frame.  A subset's outcome-bin masses do
 not depend on the rates, so they are built once per (config, order)
 (``_enumerated_combos``), and a NoiseParams costs one weight per stratum
 of subsets that fire as many z, x and zz events (``_strata``).  The
-build classifies and sums each distinct frame once a batch; a subset's
+build sums each distinct frame code's masses once, over the noiseless
+rows in row order (``_frame_masses``, which also gives Monte Carlo's
+clean-trial masses), in chunks of codes that bound its memory; a subset's
 only own work is one ``gadget.enumerate_branches`` call on its readout
 flips, a cache lookup.
 
@@ -207,20 +209,16 @@ def _enumerated_combos(cfg: gd.GadgetConfig, max_order: int):
 
     ``subsets`` is an (S, k) event-index matrix, padded with the event count
     (a column of zero log-odds and a zero frame code); ``masses`` is the
-    (S, gadget.N_BINS) outcome-bin mass matrix.  Subsets are visited in the
-    stable order of their XOR-reduced frame codes, so a frame's subsets are
-    adjacent, in consecutive batches of max(1, _BATCH_SLOTS // B) subsets:
-    every subset has the noiseless table's B branches, so a batch holds at
-    most _BATCH_SLOTS branches, or one subset if its branches alone are
-    more.  A batch's bins come from one ``gadget.frame_bins`` call on the
-    first branches of each frame in it (``_batch_masses``).  Independent of
+    (S, gadget.N_BINS) outcome-bin mass matrix.  A subset's masses are
+    those of its XOR-reduced frame code, so each distinct code is summed
+    once (``_frame_masses``) and gathered to its subsets.  Independent of
     NoiseParams, so cached per config and order.
 
     Every subset still gets its own ``gadget.enumerate_branches`` call,
-    which the benchmark's traced gate counts, but on its code's readout
-    flips (code & (2^M - 1)): the rows and probabilities of a run depend
-    only on them, and ``frame_bins`` gets the full code.  So a call is a
-    range check and a per-mask cache hit, with no Pauli column to fill.
+    whose result is unread: the benchmark's traced gate counts one call
+    per subset (ROADMAP item 1(a)).  It gets the code's readout flips
+    (code & (2^M - 1)), so a call is a range check and a per-mask cache
+    hit, with no Pauli column to fill.
     """
     rates, frames, _ = _event_table(cfg)
     num = len(rates)
@@ -230,44 +228,35 @@ def _enumerated_combos(cfg: gd.GadgetConfig, max_order: int):
     if max_order >= 2:
         index = np.concatenate([index, np.stack(np.triu_indices(num, 1), axis=1)])
     codes = np.bitwise_xor.reduce(np.append(frames, 0)[index], axis=1)
-    order, masses = np.argsort(codes, kind="stable"), np.empty((len(index), gd.N_BINS))
-    step, readouts = max(1, _BATCH_SLOTS // len(gd._noiseless_table(cfg)[0])), (1 << cfg.num_measurements) - 1
-    for a in range(0, len(order), step):
-        batch = order[a : a + step]
-        runs = [gd.enumerate_branches(cfg, mask) for mask in (codes[batch] & readouts).tolist()]
-        masses[batch] = _batch_masses(cfg, codes[batch], runs)
+    for mask in (codes & ((1 << cfg.num_measurements) - 1)).tolist():
+        gd.enumerate_branches(cfg, mask)  # unread; the benchmark's traced gate counts these calls
+    distinct, inverse = np.unique(codes, return_inverse=True)
+    masses = _frame_masses(cfg, distinct)
     totals = masses.sum(axis=1)
     worst = totals[np.argmax(np.abs(totals - 1.0))]
     if abs(worst - 1.0) > 1e-8:
         raise AssertionError(f"branch probabilities sum to {worst}, expected 1")
-    return rates, index, masses
+    return rates, index, masses[inverse]
 
 
-def _batch_masses(cfg: gd.GadgetConfig, codes: np.ndarray, runs: list[gd.Branches]) -> np.ndarray:
-    """The (len(runs), gadget.N_BINS) masses of one batch of subsets: their
-    sorted frame codes ``codes`` and their branches ``runs``, a run per
-    subset.
-
-    Subsets of one frame have the same rows and probabilities in the same
-    order, so only each frame's first run is classified and summed: one
-    ``gadget.frame_bins`` call takes the first runs' noiseless rows, each
-    under its frame's code, and one bincount sums their probabilities, in
-    branch order, into each frame's six slots, which are then gathered to
-    all of its subsets.  Each mass is thus the same float sum it was when
-    each subset was binned alone.  Every frame's branches are the noiseless
-    rows in some order, so all runs are equally long.  The runs of the
-    other subsets are not read; they are there because every subset makes
-    its one ``gadget.enumerate_branches`` call (``_enumerated_combos``).
-    """
-    new = np.diff(codes, prepend=-1) != 0  # codes are >= 0: the first subset starts a frame
-    heads = np.flatnonzero(new)
-    firsts = [runs[s] for s in heads.tolist()]
-    rows = np.concatenate([branches.rows for branches in firsts])
-    bins = gd.frame_bins(cfg, rows, codes[heads].repeat(len(runs[0]))).reshape(len(heads), -1)
-    # the batch's f-th frame's bin j is slot f * N_BINS + j
-    slots = (bins + gd.N_BINS * np.arange(len(heads))[:, None]).ravel()
-    probs = np.concatenate([branches.probabilities for branches in firsts])
-    return np.bincount(slots, probs, len(heads) * gd.N_BINS).reshape(-1, gd.N_BINS)[np.cumsum(new) - 1]
+def _frame_masses(cfg: gd.GadgetConfig, codes) -> np.ndarray:
+    """The (len(codes), gadget.N_BINS) outcome-bin masses of the noiseless
+    rows read through each frame code: every row's probability summed into
+    its bin in row order, so a code's masses do not depend on how they were
+    reached.  The codes go in chunks of max(1, _BATCH_SLOTS // B), B the
+    noiseless row count, with one ``gadget.frame_bins`` call and one
+    bincount a chunk."""
+    probs = gd._noiseless_table(cfg)[0].probabilities
+    codes, rows = np.asarray(codes, dtype=np.int64), np.arange(len(probs))
+    step, masses = max(1, _BATCH_SLOTS // len(rows)), np.empty((len(codes), gd.N_BINS))
+    for a in range(0, len(codes), step):
+        chunk = codes[a : a + step]
+        bins = gd.frame_bins(cfg, np.tile(rows, len(chunk)), chunk.repeat(len(rows))).reshape(len(chunk), -1)
+        # the chunk's c-th code's bin j is slot c * N_BINS + j
+        slots = (bins + gd.N_BINS * np.arange(len(chunk))[:, None]).ravel()
+        sums = np.bincount(slots, np.tile(probs, len(chunk)), len(chunk) * gd.N_BINS)
+        masses[a : a + step] = sums.reshape(-1, gd.N_BINS)
+    return masses
 
 
 @functools.lru_cache(maxsize=None)
@@ -326,16 +315,13 @@ def enumerate_faults(cfg: gd.GadgetConfig, params: NoiseParams, max_order: int) 
 def _noiseless_leaf_pool(cfg: gd.GadgetConfig):
     """(cum, masses) of the noiseless branches: their cumulative
     probabilities, from which a ``Generator.random`` double picks a
-    faulted trial's row (``_rows``), and each outcome bin's summed
-    probabilities over cum[-1], over which a block's clean trials are one
-    ``Generator.multinomial``.  With the ``binomial`` and
-    ``choice(replace=False)`` draws of the fired cells, these are the
-    streams the Monte Carlo counts rest on."""
-    branches = gd.enumerate_branches(cfg)
-    empty = np.zeros(len(branches), dtype=np.int64)  # the frame code of no fault
-    cum = np.cumsum(branches.probabilities)
-    bins = gd.frame_bins(cfg, branches.rows, empty)
-    return cum, np.bincount(bins, branches.probabilities, gd.N_BINS) / cum[-1]
+    faulted trial's row (``_rows``), and the masses of frame code 0
+    (``_frame_masses``, as enumeration sums them) over cum[-1], over which
+    a block's clean trials are one ``Generator.multinomial``.  With the
+    ``binomial`` and ``choice(replace=False)`` draws of the fired cells,
+    these are the streams the Monte Carlo counts rest on."""
+    cum = np.cumsum(gd.enumerate_branches(cfg).probabilities)
+    return cum, _frame_masses(cfg, [0])[0] / cum[-1]
 
 
 # Trials per generator; part of the definition of the counts.  A block
@@ -352,11 +338,11 @@ _BLOCK = 8192
 # Blocks binned together (32,768 trials); bounds a pass's memory, not part of
 # the counts.
 _PASS = 4
-# Branches per enumeration batch at most: _enumerated_combos takes
-# max(1, _BATCH_SLOTS // B) subsets of B branches a batch.  Bounds a batch's
-# memory and is not part of the masses.  A cold order-2 build at n=3 peaks
-# at 1.1 MB traced at r=1 and 3.0 MB at r=3, against 5.4 and 26.6 MB in one
-# batch.
+# Branches per frame_bins call at most: _frame_masses reads max(1,
+# _BATCH_SLOTS // B) frame codes of B noiseless rows a chunk.  Bounds a
+# chunk's memory and is not part of the masses, which are each code's rows
+# summed in row order.  A cold order-2 build at n=3 peaks at 1.7 MB traced
+# at r=1 and 3.2 MB at r=3, against 2.2 and 8.7 MB in one chunk.
 _BATCH_SLOTS = 16_384
 
 

@@ -23,9 +23,10 @@
   for random fault lists, it must give the code of the forward walk
   ``classify_oracle.forward_frame``, or raise the same exception class.
 * ``golden/enumerated_masses.json`` holds a SHA-256 of the rate, subset
-  and mass arrays of ``noise._enumerated_combos``, recorded with one
-  classification call per fault subset; classifying the subsets' frames
-  in batches must keep them bit-identical, whatever the batch size.
+  and mass arrays of ``noise._enumerated_combos``; they must stay
+  bit-identical whatever the chunk size.  Every subset's masses must equal,
+  bit for bit, its frame code's noiseless rows binned and summed in row
+  order.
 * ``golden/noiseless_tables.json`` holds a SHA-256 of the records,
   probabilities and states of the noiseless branch table, first recorded
   with the compiled-program engine that the per-build list of stack
@@ -523,9 +524,28 @@ def _mass_digests(cfg, order, build=nz._enumerated_combos):
 
 @pytest.mark.parametrize("case", MASSES["cases"], ids=lambda c: f"{c['gadget']}-order{c['order']}")
 def test_enumerated_masses_match_golden_digests(case):
-    # recorded by scripts/record_enumerated_masses.py with one classification
-    # call per subset; classifying a batch of frames at a time must not move a bit
+    # recorded by scripts/record_enumerated_masses.py; every mass is its
+    # frame's noiseless rows summed in row order, which must not move a bit
     assert _mass_digests(ENUMERATED[case["gadget"]], case["order"]) == case["arrays"]
+
+
+def _subset_codes(cfg, index):
+    """Each subset's frame code: the XOR of its events' codes."""
+    return np.bitwise_xor.reduce(np.append(nz._event_table(cfg)[1], 0)[index], axis=1)
+
+
+@pytest.mark.parametrize("order", (1, 2))
+@pytest.mark.parametrize("name", ["T-r1", "T-r3", "plusI-r1"])
+def test_subset_masses_are_row_order_sums_of_their_frames(name, order):
+    # a subset's masses are its frame code's noiseless rows binned and summed
+    # in row order, bit for bit, whatever path built them
+    cfg = ENUMERATED[name]
+    _, index, masses = nz._enumerated_combos(cfg, order)
+    probs = gd.enumerate_branches(cfg).probabilities
+    rows = np.arange(len(probs))
+    for s, code in enumerate(_subset_codes(cfg, index).tolist()):
+        want = np.bincount(gd.frame_bins(cfg, rows, np.full(len(rows), code)), probs, gd.N_BINS)
+        assert np.array_equal(masses[s], want), (s, code)
 
 
 def _counting(monkeypatch, names):
@@ -549,21 +569,20 @@ def _counting(monkeypatch, names):
 @pytest.mark.parametrize("budget", [1, 1000, 1 << 62], ids=["one-subset", "straddling", "one-batch"])
 @pytest.mark.parametrize("case", MASSES["cases"], ids=lambda c: f"{c['gadget']}-order{c['order']}")
 def test_enumerated_masses_do_not_depend_on_the_batch_size(monkeypatch, case, budget):
-    # one subset per batch (so one frame per batch, a frame over several
-    # batches), batches of 15 subsets of 64 branches that split frames, and
-    # the whole build in one batch: each mass is the same sum in the same order
+    # one distinct frame code per chunk, chunks of 15 codes of 64 branches,
+    # and every code in one chunk: each mass is the same sum in the same order
     cfg = ENUMERATED[case["gadget"]]
-    subsets = len(nz._enumerated_combos(cfg, case["order"])[1])
-    per_batch = max(1, budget // len(gd.enumerate_branches(cfg)))
+    distinct = len(np.unique(_subset_codes(cfg, nz._enumerated_combos(cfg, case["order"])[1])))
+    per_chunk = max(1, budget // len(gd.enumerate_branches(cfg)))
     monkeypatch.setattr(nz, "_BATCH_SLOTS", budget)
     calls = _counting(monkeypatch, ["frame_bins"])
     assert _mass_digests(cfg, case["order"], nz._enumerated_combos.__wrapped__) == case["arrays"]
-    assert calls["frame_bins"] == -(-subsets // per_batch)
+    assert calls["frame_bins"] == -(-distinct // per_chunk)
 
 
 def test_enumeration_batches_bound_the_memory_of_a_cold_build():
-    # a cold order-2 build at n=3, r=3 peaks near 3.0 MB traced in batches
-    # of _BATCH_SLOTS branches, and near 26.6 MB in one batch
+    # a cold order-2 build at n=3, r=3 peaks near 3.2 MB traced in chunks
+    # of _BATCH_SLOTS branches, and near 8.7 MB in one chunk
     cfg = gd.GadgetConfig.t_state(3, r=3)
     nz._enumerated_combos(cfg, 2)  # build the noiseless, class and event tables first
     gd._flipped.cache_clear()
@@ -576,24 +595,26 @@ def test_enumeration_batches_bound_the_memory_of_a_cold_build():
     assert peak < 8 * 2**20, peak
 
 
-@pytest.mark.parametrize("order, branch_calls", [(1, 80), (2, 3161)])
-def test_enumeration_classifies_in_batches(monkeypatch, order, branch_calls):
+@pytest.mark.parametrize("order, branch_calls, distinct", [(1, 80, 32), (2, 3161, 368)])
+def test_enumeration_classifies_in_batches(monkeypatch, order, branch_calls, distinct):
     # one enumerate_branches call per subset (the benchmark counts them) but
-    # one frame_bins call per batch of at most _BATCH_SLOTS branches, and
-    # one fault_frame call per fault event: subsets reach the gadget as XORed
-    # codes.  Under every frame a subset has the noiseless table's branch count.
-    # A subset's rows and probabilities depend only on its readout flips, so
-    # each enumerate_branches call gets the code's low M bits, below 2^M.
+    # one frame_bins call per chunk of at most _BATCH_SLOTS branches of the
+    # distinct frame codes, and one fault_frame call per fault event: subsets
+    # reach the gadget as XORed codes.  Under every frame a code has the
+    # noiseless table's branch count.  A subset's rows and probabilities
+    # depend only on its readout flips, so each enumerate_branches call gets
+    # the code's low M bits, below 2^M.
     cfg = gd.GadgetConfig.t_state(3, r=1)
-    per_batch = max(1, nz._BATCH_SLOTS // len(gd.enumerate_branches(cfg)))
+    per_chunk = max(1, nz._BATCH_SLOTS // len(gd.enumerate_branches(cfg)))
     codes, enumerate_branches = [], gd.enumerate_branches
     monkeypatch.setattr(gd, "enumerate_branches", lambda cfg, code: codes.append(code) or enumerate_branches(cfg, code))
     calls = _counting(monkeypatch, ["frame_bins", "fault_frame"])
     nz._event_table.cache_clear()
     nz._enumerated_combos.cache_clear()
-    nz._enumerated_combos(cfg, order)
-    batches = -(-branch_calls // per_batch)
-    assert len(codes) == branch_calls and calls == {"frame_bins": batches, "fault_frame": 79}
+    index = nz._enumerated_combos(cfg, order)[1]
+    assert len(np.unique(_subset_codes(cfg, index))) == distinct
+    chunks = -(-distinct // per_chunk)
+    assert len(codes) == branch_calls and calls == {"frame_bins": chunks, "fault_frame": 79}
     assert 0 <= min(codes) <= max(codes) < 1 << cfg.num_measurements
 
 
