@@ -44,8 +44,8 @@ def record():
 if __name__ == "__main__":
     doc = {
         "about": "SHA-256 of the (rates, index, masses) arrays of noise._enumerated_combos(cfg, order), as "
-        "dtype[shape] digest, recorded with one gadget.outcome_bins call per fault subset, before subsets "
-        "that share a Pauli frame shared one.",
+        "dtype[shape] digest. A subset's masses are its frame code's noiseless rows binned and summed in "
+        "row order (noise._frame_masses).",
         "command": "PYTHONPATH=src python scripts/record_enumerated_masses.py > tests/golden/enumerated_masses.json",
         "cases": record(),
     }
