@@ -25,7 +25,9 @@ the exact rate correctly rounded to a double, and the tests check it bit
 for bit against exact rational arithmetic.  Concatenated rates below about
 1e-308 are subnormal and lose precision, and values below about 5e-324
 round to 0.0, which the planner never reaches for practical targets.  The
-ints grow with k, so a map at e = 1e-300 costs several times one at 1e-3.
+ints grow with k, so ``rm15_map`` does not build a side whose rate must
+round to 0.0 (e_x < 2^-156, e_z < 2^-363); ``rm15_acceptance`` always
+builds both.
 
 The check matrices are the punctured Reed-Muller construction: X-check
 row i marks the columns (1..15) whose bit i is set; the 10 Z-check rows
@@ -162,9 +164,15 @@ def _z_side(e: float) -> tuple[int, int, int]:
 def rm15_map(channel: Channel) -> Channel:
     """One error-detection round: the output rates given a trivial syndrome,
     each the correctly rounded quotient of its side's logical and accepted
-    masses.  Raises ChannelRangeError if an output reaches 1/2."""
-    x_logical, x_accepted, _ = _x_side(channel.e_x)
-    z_logical, z_accepted, _ = _z_side(channel.e_z)
+    masses.  Raises ChannelRangeError if an output reaches 1/2.
+
+    A side's rate is 0.0 without building its ints when e_x < 2^-156 or
+    e_z < 2^-363.  With r = e / (1 - e) < 1, the accepted mass is at least
+    the empty pattern's (1 - e)^15, and the logical coset has 16 patterns of
+    weight >= 7 (X) or 1,024 of weight >= 3 (Z), so the rate is below
+    16 r^7 or 1024 r^3: below 2^-1075 under the cut, which rounds to 0.0."""
+    x_logical, x_accepted, _ = _x_side(channel.e_x) if channel.e_x >= 2.0**-156 else (0, 1, 0)
+    z_logical, z_accepted, _ = _z_side(channel.e_z) if channel.e_z >= 2.0**-363 else (0, 1, 0)
     return Channel(e_x=x_logical / x_accepted, e_z=z_logical / z_accepted)
 
 
