@@ -8,6 +8,10 @@ Repetition counts must be odd (majority votes and the m = (r+1)/2
 suppression exponent assume it); even values raise OddParityError rather
 than interpolating.
 
+Each total is one polynomial in (n, r_z, r_zz), evaluated in one order:
+``breakdown`` reports it beside its channel terms, and ``e_xl_bound`` /
+``e_zl_bound`` are its r_z = r_zz = r case, bit for bit.
+
 The module evaluates one noise point at a time; the bound-curve figures
 are sweeps of ``e_xl_bound`` / ``e_zl_bound`` over the p_z grids of the
 ``cli`` figure table.
@@ -44,13 +48,34 @@ class BoundBreakdown:
     e_zl: float
 
 
+def _e_xl(n: int, r_z: int, r_zz: int, p_x: float, p_z: float) -> float:
+    """n(r_z + 2 r_zz + 2) p_x + C(r_zz,m_zz) (2n+2)^m_zz p_z^m_zz + C(r_z,m_z) (n+2)^m_z p_z^m_z
+    with m = (r+1)/2.  The int coefficients of equal powers of p_z are added
+    before the float multiply; where one is past the largest float (r = 501
+    at n = 3), the p_z terms are the float products C(r,m) (k p_z)^m."""
+    m_z, m_zz = (r_z + 1) // 2, (r_zz + 1) // 2
+    c_z, c_zz = math.comb(r_z, m_z), math.comb(r_zz, m_zz)
+    linear = n * (r_z + 2 * r_zz + 2) * p_x
+    try:
+        if r_z == r_zz:
+            return linear + c_z * ((2 * n + 2) ** m_z + (n + 2) ** m_z) * p_z**m_z
+        return linear + (c_zz * (2 * n + 2) ** m_zz * p_z**m_zz + c_z * (n + 2) ** m_z * p_z**m_z)
+    except OverflowError:  # int too large to convert to float
+        return linear + (c_zz * ((2 * n + 2) * p_z) ** m_zz + c_z * ((n + 2) * p_z) ** m_z)
+
+
+def _e_zl(n: int, r_z: int, r_zz: int, p_x: float, p_z: float, p_zz: float) -> float:
+    """((r_z + r_zz + 6) p_z)^n + n p_zz + n(r_z + 2 r_zz) p_x + n((r_z+3) p_z)^2."""
+    return ((r_z + r_zz + 6) * p_z) ** n + n * p_zz + n * (r_z + 2 * r_zz) * p_x + n * ((r_z + 3) * p_z) ** 2
+
+
 def breakdown(n: int, r_z: int, r_zz: int, noise: NoiseParams) -> BoundBreakdown:
     """Evaluate every channel term, keeping r_z and r_zz distinct.
 
-    eps_x_mz and eps_x2 feed into eps_x_mzz, so e_xl = eps_x3 + eps_x_mzz;
-    e_zl = eps_z1 + eps_z2.  With r_z = r_zz = r these are the polynomials of
-    e_xl_bound / e_zl_bound summed in another order, so they agree up to
-    rounding only (within 1e-15 relative for n <= 7, r <= 5, p_z <= 1e-2).
+    eps_x_mz and eps_x2 feed into eps_x_mzz, so e_xl is the polynomial
+    eps_x3 + eps_x_mzz and e_zl the polynomial eps_z1 + eps_z2.  The terms
+    explain the totals; each total is its polynomial evaluated once, as
+    ``e_xl_bound`` / ``e_zl_bound`` evaluate it at r_z = r_zz.
     """
     _check_odd("n", n)
     _check_odd("r_z", r_z)
@@ -61,18 +86,15 @@ def breakdown(n: int, r_z: int, r_zz: int, noise: NoiseParams) -> BoundBreakdown
     eps_x_mz = n * (r_z + 1) * p_x + math.comb(r_z, m_z) * ((n + 2) * p_z) ** m_z
     eps_x2 = n * (r_zz + 1) * p_x + eps_x_mz
     eps_x_mzz = math.comb(r_zz, m_zz) * ((2 * n + 2) * p_z) ** m_zz + eps_x2
-    eps_x3 = r_zz * n * p_x
-    eps_z1 = (((r_z + 3) + (r_zz + 3)) * p_z) ** n + n * (r_z + 2 * r_zz) * p_x
-    eps_z2 = n * p_zz + n * ((r_z + 3) * p_z) ** 2
     return BoundBreakdown(
-        eps_x3=eps_x3,
+        eps_x3=r_zz * n * p_x,
         eps_x_mzz=eps_x_mzz,
         eps_x2=eps_x2,
         eps_x_mz=eps_x_mz,
-        eps_z1=eps_z1,
-        eps_z2=eps_z2,
-        e_xl=eps_x3 + eps_x_mzz,
-        e_zl=eps_z1 + eps_z2,
+        eps_z1=(((r_z + 3) + (r_zz + 3)) * p_z) ** n + n * (r_z + 2 * r_zz) * p_x,
+        eps_z2=n * p_zz + n * ((r_z + 3) * p_z) ** 2,
+        e_xl=_e_xl(n, r_z, r_zz, p_x, p_z),
+        e_zl=_e_zl(n, r_z, r_zz, p_x, p_z, p_zz),
     )
 
 
@@ -80,20 +102,11 @@ def e_xl_bound(n: int, r: int, p_x: float, p_z: float) -> float:
     """n(3r+2) p_x + C(r,m) [(2(n+1))^m + (n+2)^m] p_z^m with m = (r+1)/2."""
     _check_odd("n", n)
     _check_odd("r", r)
-    m = (r + 1) // 2
-    return n * (3 * r + 2) * p_x + math.comb(r, m) * (
-        (2 * (n + 1)) ** m + (n + 2) ** m
-    ) * p_z**m
+    return _e_xl(n, r, r, p_x, p_z)
 
 
 def e_zl_bound(n: int, r: int, p_x: float, p_z: float, p_zz: float) -> float:
     """(2(r+3) p_z)^n + n p_zz + 3 n r p_x + n ((r+3) p_z)^2."""
     _check_odd("n", n)
     _check_odd("r", r)
-    return (
-        (2 * (r + 3) * p_z) ** n
-        + n * p_zz
-        + 3 * n * r * p_x
-        + n * ((r + 3) * p_z) ** 2
-    )
-
+    return _e_zl(n, r, r, p_x, p_z, p_zz)

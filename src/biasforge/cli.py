@@ -114,15 +114,12 @@ def _add_noise_flags(p: argparse.ArgumentParser) -> None:
 def _resolve_noise(args) -> nz.NoiseParams:
     if args.p_z < 0:
         raise CliError("--pz must be >= 0")
-    if args.bias is not None:
-        if args.bias < 1:
-            raise CliError("--bias must be >= 1")
-        p_x = args.p_z / args.bias if args.p_z > 0 else 0.0
-    else:
-        p_x = args.p_x
-    p_zz = args.p_zz if args.p_zz is not None else p_x
+    if args.bias is not None and args.bias < 1:
+        raise CliError("--bias must be >= 1")
     try:
-        return nz.NoiseParams(p_x=p_x, p_z=args.p_z, p_zz=p_zz)
+        if args.bias is not None:
+            return nz.NoiseParams.from_bias(args.p_z, args.bias, args.p_zz)
+        return nz.NoiseParams(p_x=args.p_x, p_z=args.p_z, p_zz=args.p_x if args.p_zz is None else args.p_zz)
     except ValueError as exc:
         raise CliError(str(exc))
 

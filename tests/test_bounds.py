@@ -47,19 +47,58 @@ def test_even_r_rejected(fn):
 
 
 def test_breakdown_recombines_to_combined_bounds():
-    # the same polynomials summed in another order: a few ulp apart at most
+    # the totals are the combined bounds bit for bit; the terms sum to them
+    # in another order, a few ulp apart at most
     for n in (1, 3, 5, 7):
-        for r in (1, 3, 5):
-            for p_z in np.geomspace(1e-4, 1e-2, 25).tolist():
-                for eta in (10.0, 100.0, 1000.0):
-                    noise = NoiseParams.from_bias(p_z, eta)
-                    b = bd.breakdown(n, r, r, noise)
-                    assert math.isclose(b.e_xl, bd.e_xl_bound(n, r, noise.p_x, noise.p_z), rel_tol=1e-15)
-                    assert math.isclose(
-                        b.e_zl, bd.e_zl_bound(n, r, noise.p_x, noise.p_z, noise.p_zz), rel_tol=1e-15
-                    )
-                    assert b.e_xl == b.eps_x3 + b.eps_x_mzz
-                    assert b.e_zl == b.eps_z1 + b.eps_z2
+        for r_z in (1, 3, 5):
+            for r_zz in (1, 3, 5):
+                for p_z in np.geomspace(1e-4, 1e-2, 25).tolist():
+                    for eta in (10.0, 100.0, 1000.0):
+                        noise = NoiseParams.from_bias(p_z, eta)
+                        b = bd.breakdown(n, r_z, r_zz, noise)
+                        if r_z == r_zz:
+                            assert b.e_xl == bd.e_xl_bound(n, r_z, noise.p_x, noise.p_z)
+                            assert b.e_zl == bd.e_zl_bound(n, r_z, noise.p_x, noise.p_z, noise.p_zz)
+                        assert math.isclose(b.e_xl, b.eps_x3 + b.eps_x_mzz, rel_tol=1e-15)
+                        assert math.isclose(b.e_zl, b.eps_z1 + b.eps_z2, rel_tol=1e-15)
+
+
+def _assert_totals_are_the_bounds(n, r, noise):
+    b = bd.breakdown(n, r, r, noise)
+    assert b.e_xl == bd.e_xl_bound(n, r, noise.p_x, noise.p_z), (n, r, noise)
+    assert b.e_zl == bd.e_zl_bound(n, r, noise.p_x, noise.p_z, noise.p_zz), (n, r, noise)
+
+
+def test_breakdown_totals_are_the_bounds_bit_for_bit():
+    for n in (1, 3, 5, 7):
+        for r in (1, 3, 5, 7):
+            for p_z in np.geomspace(1e-6, 0.3, 400).tolist():
+                for eta in (1.0, 3.0, 10.0, 100.0, 1e3, 1e6):
+                    _assert_totals_are_the_bounds(n, r, NoiseParams.from_bias(p_z, eta))
+
+
+def test_breakdown_totals_are_the_bounds_at_plan_queries():
+    # (p_z, eta) drawn as perfbench's plan queries; the planner reads the
+    # gadget at n=3, r in {1, 3} and the baseline at n=1, r=1
+    rng = np.random.default_rng(2026)
+    for _ in range(2000):
+        p_z = 10.0 ** rng.uniform(-4.0, math.log10(4e-3))
+        noise = NoiseParams.from_bias(p_z, 10.0 ** rng.uniform(1.0, 3.0))
+        for n, r in ((3, 1), (3, 3), (1, 1)):
+            _assert_totals_are_the_bounds(n, r, noise)
+
+
+def test_e_xl_bound_past_a_float_coefficient_takes_the_term_products():
+    # C(501, 251) (8^251 + 5^251) is too large for a float; the per-term
+    # products C(501, 251) (8 p_z)^251 and C(501, 251) (5 p_z)^251 are not
+    noise = NoiseParams(p_x=1e-5, p_z=1e-3, p_zz=1e-5)
+    m = 251
+    terms = math.comb(501, m) * (8e-3) ** m + math.comb(501, m) * (5e-3) ** m
+    assert bd.e_xl_bound(3, 501, 1e-5, 1e-3) == 3 * 1505 * 1e-5 + terms
+    assert math.isclose(bd.e_xl_bound(3, 501, 1e-5, 1e-3), 0.04515, rel_tol=1e-15)
+    _assert_totals_are_the_bounds(3, 501, noise)
+    # below the fallback, the integer coefficient is still the one evaluated
+    assert bd.e_xl_bound(3, 401, 1e-5, 1e-3) == 3 * 1205 * 1e-5 + math.comb(401, 201) * (8**201 + 5**201) * 1e-3**201
 
 
 @pytest.mark.parametrize("counts", [(2, 3, 3), (3, 2, 3), (3, 3, 4), (3, 0, 3)])

@@ -81,6 +81,18 @@ class TestBounds:
         path = tmp_path / f"bounds.{fmt}"
         assert run_cli(capsys, *flags, "--out", str(path))[0] == 2 and not path.exists()
 
+    def test_a_coefficient_past_the_largest_float_takes_the_term_products(self, capsys):
+        # C(501, 251) (8^251 + 5^251) overflows a float; its per-term products do not
+        report = run_json(capsys, "bounds", "--n", "3", "--r", "501", "--pz", "1e-3", "--bias", "100")
+        assert report["results"]["e_xl"] == bd.e_xl_bound(3, 501, 1e-5, 1e-3)
+        assert math.isclose(report["results"]["e_xl"], 0.04515, rel_tol=1e-15)
+
+    @pytest.mark.parametrize("p_z", ["0", "1e-3"])
+    def test_nan_bias_exits_2(self, capsys, p_z):
+        code, out, err = run_cli(capsys, "bounds", "--n", "3", "--r", "1", "--pz", p_z, "--bias", "nan")
+        assert code == 2 and out == ""
+        assert err.startswith("biasforge: ") and err.count("\n") == 1, err
+
     @pytest.mark.parametrize("split", [["--rz", "1", "--rzz", "5"], ["--rz", "1"], ["--rzz", "5"]])
     def test_r_beside_rz_or_rzz_exits_2(self, capsys, split):
         code, out, err = run_cli(capsys, "bounds", "--n", "3", "--r", "3", *split, "--pz", "1e-3", "--bias", "100")

@@ -10,9 +10,12 @@ import inspect
 
 import pytest
 
-from biasforge import cli, distill, gadget, noise
+from biasforge import bounds, cli, distill, gadget, noise
 
 LAYERS = [
+    (bounds, "breakdown"),
+    (bounds, "e_xl_bound"),
+    (bounds, "e_zl_bound"),
     (distill, "rm15_code"),
     (distill, "rm15_map"),
     (distill, "rm15_acceptance"),
