@@ -6,11 +6,13 @@ Layers, bottom up:
                 split); a Pauli is an (X mask, Z mask) pair of ints.
 * ``gadget``    the repetition-code magic-state preparation circuit, its
                 noiseless branch table from one exact state-vector
-                execution, and the table read through Pauli frame codes:
-                a frame's branches (``enumerate_branches``), and the
-                outcome bins of (row, code) pairs (``frame_bins``), which
-                decodes each row's packed readout word under its code and
-                reads one Pauli class table per config.
+                execution, its records stored only as packed readout
+                words, and the table read through Pauli frame codes: the
+                branches of a code's readout flips
+                (``enumerate_branches``), and the outcome bins of (row,
+                code) pairs (``frame_bins``), which XORs each code's flips
+                into its row's word, decodes it and reads one Pauli class
+                table per config at the code's block-3 Pauli.
 * ``noise``     biased Pauli fault model: its events as frame codes
                 (``gadget.fault_frame``), exhaustive low-order fault
                 enumeration and block Monte Carlo over the gadget.

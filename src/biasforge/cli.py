@@ -125,14 +125,18 @@ def _resolve_noise(args) -> nz.NoiseParams:
 
 
 def _apply_config_file(argv: list[str]) -> list[str]:
-    """Expand '--config FILE' into leading key=value flags (flags override)."""
+    """Expand '--config FILE' or '--config=FILE' into leading key=value flags
+    (flags override).  One config file a run: a second --config is refused,
+    and the parser knows no --config, so a form not expanded here fails."""
+    argv = [part for token in argv for part in (token.split("=", 1) if token.startswith("--config=") else [token])]
+    if argv.count("--config") > 1:
+        raise CliError("--config may be given only once")
     if "--config" not in argv:
         return argv
     i = argv.index("--config")
     if i + 1 >= len(argv):
         raise CliError("--config requires a path")
-    path = argv[i + 1]
-    rest = argv[:i] + argv[i + 2 :]
+    path, rest = argv[i + 1], argv[:i] + argv[i + 2 :]
     injected: list[str] = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -476,7 +480,6 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     def common(p, fmt=True):
         p.add_argument("--seed", type=int, default=0, help="64-bit seed embedded in the output")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--config", default=None, help=argparse.SUPPRESS)  # handled pre-parse
         if fmt:
             p.add_argument("--format", choices=("json", "csv"), default="json")
 

@@ -48,15 +48,18 @@ location a fault event meets after it fires is Clifford: Z parts commute
 with the diagonal gates, and the X events the noise model emits fire after
 a qubit's only CZ(theta).  So a fault is a Pauli frame of readout flips
 and a block-3 Pauli (:func:`fault_frame`), and a faulted branch is a
-noiseless row read through its frame; no branch's state is formed.
-:func:`enumerate_branches` lists a frame's branches, whose rows and
-probabilities depend only on the readout flips, and Monte Carlo and
-enumeration alike classify (row, frame code) pairs with :func:`frame_bins`:
-a row's readouts are one packed word, the code's readout flips are XORed
-into it, and the decode reads the word's bit fields.  A branch's class is
+noiseless row read through its frame; no branch's state is formed.  A
+record is stored one way: a packed readout word, an int64 with bit m set
+where readout m reads -1.  :func:`enumerate_branches` lists the branches
+under a readout-flip mask, the noiseless rows with the mask XORed into
+their words, since rows and probabilities depend only on the readout
+flips; the block-3 Pauli, code >> M, is no property of a branch.  Monte
+Carlo and enumeration alike classify (row, frame code) pairs with
+:func:`frame_bins`: the code's readout flips are XORed into the row's
+word, and the decode reads the word's bit fields.  A branch's class is
 then one lookup at its row's state and the Pauli its correction and frame
-leave on block 3.  The decoder build (:func:`_decoder`) makes the words,
-the correction lookup and the class table once per config.
+leave on block 3.  The decoder build (:func:`_decoder`) makes the
+correction lookup and the class table once per config.
 """
 
 from __future__ import annotations
@@ -258,24 +261,31 @@ def _stack_ops(cfg: GadgetConfig) -> list[np.ndarray | int]:
 
 @dataclass(frozen=True, eq=False)
 class Branches:
-    """Measurement branches stacked as rows: all branches of one execution
-    in depth-first (+1 outcome first) order, or one row per sampled run.
-    A branch is its record, its probability, the noiseless table row it is
-    read from and its block-3 frame Pauli; its block-3 state is that row's
-    state under the Pauli, which no engine forms."""
+    """Measurement branches stacked as rows: all branches of one readout-flip
+    mask in depth-first (+1 outcome first) order, or one row per sampled
+    run.  A branch is its packed record, its probability and the noiseless
+    table row it is read from; its block-3 state is that row's state under
+    a frame code's Pauli, which no engine forms."""
 
-    records: np.ndarray  # (B, num_measurements) int8 entries +1 / -1
+    words: np.ndarray  # (B,) int64 packed records, bit m set where readout m reads -1
     probabilities: np.ndarray  # (B,)
     rows: np.ndarray  # (B,) the noiseless table row each branch is read from
-    paulis: np.ndarray  # (B,) block-3 frame Pauli, X mask << n | Z mask
+    num_measurements: int
+
+    @functools.cached_property
+    def records(self) -> np.ndarray:
+        """(B, num_measurements) read-only int8 records, +1 / -1, unpacked
+        from the words."""
+        records = (1 - 2 * ((self.words[:, None] >> np.arange(self.num_measurements)) & 1)).astype(np.int8)
+        records.flags.writeable = False
+        return records
 
     @functools.cached_property
     def _keys(self) -> np.ndarray:
-        """(B,) read-only sort keys: each row's -1 readouts packed into one
-        integer, readout 0 the most significant bit, so depth-first order
-        is ascending key order."""
-        num = self.records.shape[1]
-        keys = (self.records < 0) @ (1 << np.arange(num - 1, -1, -1))
+        """(B,) read-only sort keys: the words bit-reversed, readout 0 the
+        most significant bit, so depth-first order is ascending key order."""
+        num = self.num_measurements
+        keys = ((self.words[:, None] >> np.arange(num)) & 1) @ (1 << np.arange(num - 1, -1, -1))
         keys.flags.writeable = False
         return keys
 
@@ -287,42 +297,41 @@ _BRANCH_EPS = 1e-12  # outcome probabilities below this are treated as zero
 _MAX_AMPS = 1 << 20  # a larger stack advances in chunks of at most this many amplitudes (or one row)
 
 
-def _measure(amps, bits, probs, position, m):
+def _measure(amps, words, probs, position, m):
     """Split every row on an X readout of bit ``position`` into children 2b
     (+1) and 2b+1 (-1), so rows stay in depth-first (+1 first) order, and
-    keep those of conditional probability above _BRANCH_EPS.  Rows stay
-    unnormalized: a row's squared norm is the probability of its record so
-    far, kept in ``probs``."""
+    keep those of conditional probability above _BRANCH_EPS; a -1 child
+    sets bit m of its word.  Rows stay unnormalized: a row's squared norm
+    is the probability of its record so far, kept in ``probs``."""
     children = sv.x_split(amps, position)
     parts = children.view(np.float64)
     mass = np.einsum("ij,ij->i", parts, parts)
     kept = np.flatnonzero(mass / probs.repeat(2) > _BRANCH_EPS)
-    bits = bits[kept >> 1]
-    bits[:, m] = kept & 1
-    return children[kept], bits, mass[kept]
+    return children[kept], words[kept >> 1] | (kept & 1) << m, mass[kept]
 
 
-def _advance(ops, i, m, amps, bits, probs):
+def _advance(ops, i, m, amps, words, probs):
     """Run stack operations i.. (see :func:`_stack_ops`) on a stack whose
-    rows have outcome bits (0 for +1) and probabilities for the first m
-    readouts; return the final (amps, bits, probs).  A stack over
-    _MAX_AMPS amplitudes runs on in consecutive chunks of
-    max(1, _MAX_AMPS // width) rows, one at a time, which bounds memory;
-    no operation mixes rows, so the chunks concatenate to the whole."""
+    rows have packed records (bit k set where readout k reads -1) and
+    probabilities for the first m readouts; return the final (amps, words,
+    probs).  A stack over _MAX_AMPS amplitudes runs on in consecutive
+    chunks of max(1, _MAX_AMPS // width) rows, one at a time, which bounds
+    memory; no operation mixes rows, so the chunks concatenate to the
+    whole."""
     while i < len(ops):
         if len(amps) > 1 and amps.size > _MAX_AMPS:
             step = max(1, _MAX_AMPS // amps.shape[1])
             chunks = [slice(a, a + step) for a in range(0, len(amps), step)]
-            parts = [_advance(ops, i, m, amps[c], bits[c], probs[c]) for c in chunks]
+            parts = [_advance(ops, i, m, amps[c], words[c], probs[c]) for c in chunks]
             return tuple(np.concatenate(arrays) for arrays in zip(*parts))
         op = ops[i]
         if isinstance(op, int):
-            amps, bits, probs = _measure(amps, bits, probs, op, m)
+            amps, words, probs = _measure(amps, words, probs, op, m)
             m += 1
         else:
             amps = (amps[:, None, :] * op).reshape(len(amps), -1)
         i += 1
-    return amps, bits, probs
+    return amps, words, probs
 
 
 @functools.lru_cache(maxsize=64)
@@ -332,13 +341,12 @@ def _noiseless_table(cfg: GadgetConfig) -> tuple[Branches, np.ndarray]:
     and table built from the noiseless circuit reads, and their (B, 2^n)
     normalised block-3 states in canonical qubit order, which only the
     decoder build (:func:`_decoder`) reads."""
-    start = np.ones((1, 1), dtype=np.complex128), np.zeros((1, cfg.num_measurements), dtype=np.int8), np.ones(1)
-    amps, bits, probs = _advance(_stack_ops(cfg), 0, 0, *start)
-    records, states = 1 - 2 * bits, amps / np.sqrt(probs)[:, None]
-    rows, paulis = np.arange(len(probs)), np.zeros(len(probs), dtype=np.intp)
-    for array in (records, probs, rows, paulis, states):
+    start = np.ones((1, 1), dtype=np.complex128), np.zeros(1, dtype=np.int64), np.ones(1)
+    amps, words, probs = _advance(_stack_ops(cfg), 0, 0, *start)
+    rows, states = np.arange(len(probs)), amps / np.sqrt(probs)[:, None]
+    for array in (words, probs, rows, states):
         array.flags.writeable = False
-    return Branches(records, probs, rows, paulis), states
+    return Branches(words, probs, rows, cfg.num_measurements), states
 
 
 @functools.lru_cache(maxsize=64)
@@ -411,50 +419,44 @@ def fault_frame(cfg: GadgetConfig, faults) -> int:
 
 @functools.lru_cache(maxsize=4096)
 def _flipped(cfg: GadgetConfig, flips: int) -> Branches:
-    """The branches under the frame code ``flips`` < 2^M, read-only: the
-    noiseless rows with the readouts in the mask ``flips`` negated, sorted
-    back into depth-first order, each with its row's probability.
+    """The branches under the readout-flip mask ``flips`` < 2^M, read-only:
+    the noiseless rows with ``flips`` XORed into their words, sorted back
+    into depth-first order, each with its row's probability.
 
     Negating readout m flips bit M-1-m of a row's sort key
     (:attr:`Branches._keys`), so the flipped rows' keys are the noiseless
     keys XOR the bit-reversed mask, and one argsort restores the order."""
     table, num = _noiseless_table(cfg)[0], cfg.num_measurements
     rows = np.argsort(table._keys ^ int(f"{flips:0{num}b}"[::-1], 2), kind="stable")
-    # -r is r ^ -2 for a readout r = +1 / -1
-    records = table.records[rows] ^ np.array([-2 * (flips >> m & 1) for m in range(num)], dtype=np.int8)
-    probabilities = table.probabilities[rows]
-    for array in (records, probabilities, rows):
+    words, probabilities = table.words[rows] ^ flips, table.probabilities[rows]
+    for array in (words, probabilities, rows):
         array.flags.writeable = False
-    # the noiseless table's all-zero paulis are read-only and of the same length
-    return Branches(records, probabilities, rows, table.paulis)
+    return Branches(words, probabilities, rows, num)
 
 
-def enumerate_branches(cfg: GadgetConfig, frame: int = 0) -> Branches:
-    """All measurement branches of the circuit of ``cfg`` under the frame
-    code ``frame`` (:func:`fault_frame`) with probability > ~1e-12, in
-    depth-first (+1 first) order.
+def enumerate_branches(cfg: GadgetConfig, flips: int = 0) -> Branches:
+    """All measurement branches of the circuit of ``cfg`` under the
+    readout-flip mask ``flips`` (the low M bits of a frame code,
+    :func:`fault_frame`) with probability > ~1e-12, in depth-first (+1
+    first) order, read-only.
 
-    Under frame 0 they are the noiseless branch table, enumerated once per
-    config on the state-vector path and kept read-only.  Otherwise the code
-    splits into its readout flips and its block-3 Pauli, and the branches
-    are the noiseless rows with those readouts negated, sorted back into
-    depth-first order (kept read-only per flip mask), each with its row's
-    probability and the Pauli.  A code outside [0, 2^(M + 2n)) raises
-    ValueError.
+    Under mask 0 they are the noiseless branch table, enumerated once per
+    config on the state-vector path.  Otherwise they are the noiseless rows
+    with the readouts in the mask negated, sorted back into depth-first
+    order (kept per mask), each with its row's probability.  A frame
+    code's block-3 Pauli, code >> M, leaves rows and probabilities as they
+    are and is no part of a branch: a caller that needs it takes it from
+    the code, as :func:`frame_bins` does.  A mask outside [0, 2^M), a code
+    with block-3 Pauli bits among them, raises ValueError.
     """
-    num = cfg.num_measurements
-    if not 0 <= frame < 1 << num + 2 * cfg.n:
-        raise ValueError(f"frame code {frame} is not a code of {num} readouts and a {cfg.n}-qubit block-3 Pauli")
-    flips, pauli = frame & ((1 << num) - 1), frame >> num
-    base = _flipped(cfg, flips) if flips else _noiseless_table(cfg)[0]
-    if not pauli:
-        return base
-    return Branches(base.records, base.probabilities, base.rows, np.full(len(base.rows), pauli))
+    if not 0 <= flips < 1 << cfg.num_measurements:
+        raise ValueError(f"readout-flip mask {flips} is outside [0, 2^{cfg.num_measurements}): no block-3 Pauli bits")
+    return _flipped(cfg, flips) if flips else _noiseless_table(cfg)[0]
 
 
 # ---------------------------------------------------------------------------
-# Targets, the Pauli spectrum, the decoder build (row words, correction and
-# class tables), decoding.  _word_fields holds the decoding rule, which the
+# Targets, the Pauli spectrum, the decoder build (correction and class
+# tables), decoding.  _word_fields holds the decoding rule, which the
 # decoder build and frame_bins both read.
 
 
@@ -513,10 +515,10 @@ def _pauli_spectrum(cfg: GadgetConfig) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=64)
-def _decoder(cfg: GadgetConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(state, table, lookup, words), read-only, built once per config from
+def _decoder(cfg: GadgetConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(state, table, lookup), read-only, built once per config from
     the noiseless rows: their Pauli spectrum (:func:`_pauli_spectrum`) and
-    their records.
+    their packed records.
 
     ``state`` maps each noiseless row to its distinct block-3 state s, and
     table[s, q] is the outcome bin of an accepted output that is s under
@@ -537,8 +539,8 @@ def _decoder(cfg: GadgetConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     noiseless row's correction is the first logical Pauli L in bin order
     with |<t| L |s>|^2 > 1 - 1e-9 on its state s (-1 for none); the rows
     of one key must agree, else CorrectionTableError.  The keys are the
-    fields (:func:`_word_fields`) of ``words``, one int64 per noiseless row
-    with bit m set where readout m reads -1.
+    fields (:func:`_word_fields`) of the noiseless rows' packed records
+    (:attr:`Branches.words`).
     """
     n, masks = cfg.n, _logical_masks(cfg.n)
     state, spectrum = _pauli_spectrum(cfg)
@@ -558,9 +560,7 @@ def _decoder(cfg: GadgetConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     cls = np.where(above.any(axis=1), above.argmax(axis=1), BIN_ZL)
     table = np.where(best < _ANOMALY_FIDELITY, BIN_ANOMALY, cls).astype(np.int8)
 
-    records = _noiseless_table(cfg)[0].records
-    words = (records < 0) @ (1 << np.arange(records.shape[1]))
-    zl_bits, bs, correlated, alphas = _word_fields(cfg, words)
+    zl_bits, bs, correlated, alphas = _word_fields(cfg, _noiseless_table(cfg)[0].words)
     if not correlated.all():
         raise CorrectionTableError("noiseless branch with mismatched X records")
     hits = spectrum[state[:, None], masks] > 1 - 1e-9
@@ -572,9 +572,9 @@ def _decoder(cfg: GadgetConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     if (clash := np.flatnonzero(lookup[keys] != found)).size:
         key = tuple(int(k[clash[0]]) for k in keys)
         raise CorrectionTableError(f"the noiseless rows of branch key {key} need different corrections")
-    for array in (state, table, lookup, words):
+    for array in (state, table, lookup):
         array.flags.writeable = False
-    return state, table, lookup, words
+    return state, table, lookup
 
 
 def correction_table(cfg: GadgetConfig) -> dict[tuple[int, int, int], int]:
@@ -623,13 +623,13 @@ def frame_bins(cfg: GadgetConfig, rows: np.ndarray, codes: np.ndarray) -> np.nda
     index in (I, XL, ZL, YL) of an accepted branch, BIN_ANOMALY for an
     accepted anomaly, BIN_REJECTED for a rejected record.
 
-    The row's packed record (:func:`_decoder`'s words) XOR the code's low M
+    The row's packed record (:attr:`Branches.words`) XOR the code's low M
     bits is the branch's record, whose fields give its correction; the class
     table is read at the row's state and the correction times the block-3
     Pauli code >> M.  A row outside [0, B) or a code outside
     [0, 2^(M + 2n)) raises ValueError.
     """
-    state, table, lookup, words = _decoder(cfg)
+    (state, table, lookup), words = _decoder(cfg), _noiseless_table(cfg)[0].words
     num, bits = cfg.num_measurements, cfg.num_measurements + 2 * cfg.n
     if len(rows) and not (
         0 <= rows.min() <= rows.max() < len(words) and 0 <= codes.min() <= int(codes.max()) < 1 << bits

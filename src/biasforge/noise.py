@@ -106,6 +106,9 @@ class NoiseParams:
             raise ValueError(f"need 0 <= p_x <= p_z <= 1, got p_x={self.p_x} p_z={self.p_z}")
         if not 0.0 <= self.p_zz <= 1.0:
             raise ValueError(f"p_zz={self.p_zz} outside [0, 1]")
+        # -0.0 passes the comparisons above but is no rate: reports would echo it
+        if any(math.copysign(1.0, rate) < 0.0 for rate in (self.p_x, self.p_z, self.p_zz)):
+            raise ValueError(f"rates must be >= 0, not a negative zero: p_x={self.p_x} p_z={self.p_z} p_zz={self.p_zz}")
 
     @property
     def eta(self) -> float:
@@ -216,7 +219,7 @@ def _enumerated_combos(cfg: gd.GadgetConfig, max_order: int):
 
     Every subset still gets its own ``gadget.enumerate_branches`` call, on
     its code's readout flips (code & (2^M - 1)): a range check and a
-    per-mask cache hit, with no Pauli column to fill.
+    per-mask cache hit.
     """
     rates, frames, _ = _event_table(cfg)
     num = len(rates)

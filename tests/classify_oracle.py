@@ -10,12 +10,16 @@ and the engine against.
 It also keeps a record-matrix classifier, the oracle of
 ``gadget.frame_bins``, which decodes packed readout words by bit fields:
 
-* ``rows_under_frames`` reads noiseless rows through frame codes as
-  (G, M) +/-1 record matrices;
+* ``rows_under_frames`` reads noiseless rows through the readout flips of
+  frame codes as (G, M) +/-1 record matrices;
 * ``record_fields`` and ``decode_records`` decode the records by sums over
   their columns;
 * ``record_bins`` reads the decoder's class table at each branch's state
-  and its correction times its frame Pauli.
+  and its correction times the block-3 Pauli of its frame code.
+
+A branch carries no Pauli: ``gadget.enumerate_branches`` takes a
+readout-flip mask (``readout_flips`` of a frame code), and the helpers
+that need the block-3 Pauli take it from the code, code >> M.
 
 It keeps the forward walk of fault frames, the oracle of
 ``gadget.fault_frame``: ``forward_frame`` pushes each fault through every
@@ -31,7 +35,7 @@ fault events, the oracle of the events of ``noise._event_table``.
   check (states are compared through fidelity), but the convention is kept
   fixed.
 * ``branch_states`` gives each branch its block-3 state: its noiseless
-  row's state under its frame Pauli.
+  row's state under the block-3 Pauli of its frame code.
 * The code's logical Paulis are stated here, not read from the package:
   X_L = X on qubit 0, Z_L = Z on every qubit and Y_L = X_L Z_L.
 * Each class in (I, XL, ZL, YL) is represented by the target hit with that
@@ -88,12 +92,21 @@ def apply_pauli(states: np.ndarray, n: int, pauli: tuple[int, int]) -> np.ndarra
     return states[..., source] * phase
 
 
-def branch_states(cfg: gd.GadgetConfig, branches: gd.Branches) -> list[tuple[tuple[int, ...], float, np.ndarray]]:
+def readout_flips(cfg: gd.GadgetConfig, code: int) -> int:
+    """The readout-flip mask of a frame code, its low M bits: the argument
+    gadget.enumerate_branches takes."""
+    return code & ((1 << cfg.num_measurements) - 1)
+
+
+def branch_states(
+    cfg: gd.GadgetConfig, branches: gd.Branches, codes=0
+) -> list[tuple[tuple[int, ...], float, np.ndarray]]:
     """(record, probability, block-3 state) of each branch, in branch order:
-    the state is its noiseless row's state under its frame Pauli (X mask << n
-    | Z mask), in canonical qubit order."""
+    the state is its noiseless row's state under the block-3 Pauli (X mask
+    << n | Z mask) of its frame code, ``codes`` one for all branches or one
+    per branch, in canonical qubit order."""
     n = cfg.n
-    column = branches.paulis[:, None]
+    column = np.broadcast_to(codes, len(branches))[:, None] >> cfg.num_measurements
     source, phase = pauli_action(n, column >> n, column & ((1 << n) - 1))
     states = np.take_along_axis(gd._noiseless_table(cfg)[1][branches.rows], source, axis=1) * phase
     return list(zip(map(tuple, branches.records.tolist()), branches.probabilities.tolist(), states))
@@ -102,13 +115,14 @@ def branch_states(cfg: gd.GadgetConfig, branches: gd.Branches) -> list[tuple[tup
 def rows_under_frames(cfg: gd.GadgetConfig, rows: np.ndarray, frames: np.ndarray) -> gd.Branches:
     """Noiseless table row ``rows[g]`` read through the frame code
     ``frames[g]`` (see gadget.fault_frame), one branch per entry, in entry
-    order: the code's low M bits negate readouts, code >> M is the block-3
-    Pauli, and the probability is the row's own.  Each is the branch that
-    gadget.enumerate_branches gives for that row under that frame."""
+    order: the code's low M bits negate readouts, and the probability is
+    the row's own.  Each is the branch that gadget.enumerate_branches gives
+    for that row under the code's readout flips; the block-3 Pauli, code >>
+    M, is read from the codes by ``branch_states`` and ``record_bins``."""
     table, num = gd._noiseless_table(cfg)[0], cfg.num_measurements
     # -r is r ^ -2 for a readout r = +1 / -1
     records = table.records[rows] ^ ((frames[:, None] >> np.arange(num)) & 1).astype(np.int8) * np.int8(-2)
-    return gd.Branches(records, table.probabilities[rows], rows, frames >> num)
+    return gd.Branches((records < 0) @ (1 << np.arange(num)), table.probabilities[rows], rows, num)
 
 
 def record_fields(cfg: gd.GadgetConfig, records: np.ndarray):
@@ -132,14 +146,16 @@ def decode_records(cfg: gd.GadgetConfig, records: np.ndarray):
     return zl_bit, b, np.where(correlated, gd._decoder(cfg)[2][zl_bit, b, alpha], -1)
 
 
-def record_bins(cfg: gd.GadgetConfig, branches: gd.Branches) -> np.ndarray:
+def record_bins(cfg: gd.GadgetConfig, branches: gd.Branches, codes=0) -> np.ndarray:
     """Per-branch outcome bin: the class index in (I, XL, ZL, YL) of an
     accepted branch, BIN_ANOMALY for an accepted anomaly, BIN_REJECTED for
     a rejected record: the class table read at the branch's noiseless
-    state and its correction times its frame Pauli."""
+    state and its correction times the block-3 Pauli of its frame code,
+    ``codes`` one for all branches or one per branch."""
     corrections = decode_records(cfg, branches.records)[2]
     state, table = gd._decoder(cfg)[:2]
-    bins = table[state[branches.rows], gd._logical_masks(cfg.n)[corrections] ^ branches.paulis]
+    paulis = np.asarray(codes) >> cfg.num_measurements
+    bins = table[state[branches.rows], gd._logical_masks(cfg.n)[corrections] ^ paulis]
     return np.where(corrections >= 0, bins, gd.BIN_REJECTED)
 
 

@@ -16,7 +16,15 @@ from biasforge import bounds as bd
 from biasforge import distill as dst
 from biasforge import gadget as gd
 from biasforge import noise as nz
-from classify_oracle import apply_pauli, branch_states, classify, corrections, reference_events, state_fidelity
+from classify_oracle import (
+    apply_pauli,
+    branch_states,
+    classify,
+    corrections,
+    readout_flips,
+    reference_events,
+    state_fidelity,
+)
 from rm15_oracle import enumerators
 
 Z95 = 1.959963984540054
@@ -71,8 +79,9 @@ def test_criterion_3_fault_distance_properties():
     cfg = gd.GadgetConfig.t_state(3, r=3)
     masses = {"z": {}, "x": {}, "zz": {}}
     for rate, *fault in reference_events(cfg):
-        branches = gd.enumerate_branches(cfg, gd.fault_frame(cfg, [fault]))
-        for (_, prob, state), correction in zip(branch_states(cfg, branches), corrections(cfg, branches.records)):
+        code = gd.fault_frame(cfg, [fault])
+        branches = gd.enumerate_branches(cfg, readout_flips(cfg, code))
+        for (_, prob, state), correction in zip(branch_states(cfg, branches, code), corrections(cfg, branches.records)):
             if correction is None:
                 continue
             cls, _, _ = classify(state, correction, cfg)

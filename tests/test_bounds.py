@@ -101,6 +101,19 @@ def test_e_xl_bound_past_a_float_coefficient_takes_the_term_products():
     assert bd.e_xl_bound(3, 401, 1e-5, 1e-3) == 3 * 1205 * 1e-5 + math.comb(401, 201) * (8**201 + 5**201) * 1e-3**201
 
 
+@pytest.mark.parametrize("r, want", [(239, 1.0674547020085839e-181), (301, 4.3470412735607137e-228)])
+def test_e_xl_bound_where_the_power_underflows_takes_the_term_products(r, want):
+    # 1e-3^m underflows to 0.0, which would make the bound 0; the per-term
+    # products C(r, m) (8 p_z)^m + C(r, m) (5 p_z)^m do not underflow
+    m = (r + 1) // 2
+    assert 1e-3**m == 0.0
+    assert bd.e_xl_bound(3, r, 0.0, 1e-3) == math.comb(r, m) * (8e-3) ** m + math.comb(r, m) * (5e-3) ** m == want
+    _assert_totals_are_the_bounds(3, r, NoiseParams(p_x=0.0, p_z=1e-3, p_zz=0.0))
+    # where the power does not underflow, the integer coefficient is still the one evaluated
+    assert bd.e_xl_bound(3, 201, 0.0, 1e-3) == 2.936599364244339e-153
+    assert bd.e_xl_bound(3, r, 0.0, 0.0) == 0.0
+
+
 @pytest.mark.parametrize("counts", [(2, 3, 3), (3, 2, 3), (3, 3, 4), (3, 0, 3)])
 def test_breakdown_rejects_even_counts(counts):
     with pytest.raises(bd.OddParityError):

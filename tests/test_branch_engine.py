@@ -62,6 +62,7 @@ from classify_oracle import (
     corrections,
     forward_frame,
     mask,
+    readout_flips,
     record_bins,
     reference_events,
     rows_under_frames,
@@ -207,9 +208,10 @@ def _faulted_gadget(draw):
 @given(_faulted_gadget())
 def test_enumerate_branches_matches_dense_reference(case):
     cfg, circuit, faults = case
-    branches = gd.enumerate_branches(cfg, gd.fault_frame(cfg, faults))
+    code = gd.fault_frame(cfg, faults)
+    branches = gd.enumerate_branches(cfg, readout_flips(cfg, code))
     assert abs(branches.probabilities.sum() - 1.0) < 1e-9
-    for record, probability, state in branch_states(cfg, branches):
+    for record, probability, state in branch_states(cfg, branches, code):
         prob, dense = _dense_branch(cfg, circuit, faults, record)
         assert probability == pytest.approx(prob, rel=1e-9, abs=1e-14)
         assert abs(np.vdot(dense, state)) == pytest.approx(1.0, abs=1e-9)
@@ -221,14 +223,14 @@ def test_frame_branches_match_state_vector_runs(case):
     # frame, has its record, probability, state and bin
     cfg, circuit, faults = case
     code = gd.fault_frame(cfg, faults)
-    branches = gd.enumerate_branches(cfg, code)
+    branches = gd.enumerate_branches(cfg, readout_flips(cfg, code))
     frames = np.full(len(branches), code)
     runs = rows_under_frames(cfg, branches.rows, frames)
     assert np.array_equal(runs.records, branches.records)
     assert np.array_equal(runs.probabilities, branches.probabilities)
-    assert np.array_equal(gd.frame_bins(cfg, branches.rows, frames), record_bins(cfg, branches))
-    run_states = branch_states(cfg, runs)
-    assert all(np.array_equal(run[2], branch[2]) for run, branch in zip(run_states, branch_states(cfg, branches)))
+    assert np.array_equal(gd.frame_bins(cfg, branches.rows, frames), record_bins(cfg, branches, code))
+    run_states = branch_states(cfg, runs, frames)
+    assert all(np.array_equal(run[2], branch[2]) for run, branch in zip(run_states, branch_states(cfg, branches, code)))
     for record, probability, state in run_states:
         prob, dense = _dense_branch(cfg, circuit, faults, record)
         assert probability == pytest.approx(prob, rel=1e-9, abs=1e-14)
@@ -243,9 +245,11 @@ def _sampled_runs(cfg, code, runs, seed):
     return rows_under_frames(cfg, rows, np.full(runs, code))
 
 
-def _assert_on_enumerated_branches(cfg, sampled, branches):
-    by_record = {branch[0]: (row, branch) for row, branch in zip(branches.rows.tolist(), branch_states(cfg, branches))}
-    for row, (record, probability, state) in zip(sampled.rows.tolist(), branch_states(cfg, sampled)):
+def _assert_on_enumerated_branches(cfg, code, sampled):
+    # the sampled runs under ``code`` land on the branches of its readout flips
+    branches = gd.enumerate_branches(cfg, readout_flips(cfg, code))
+    by_record = {b[0]: (row, b) for row, b in zip(branches.rows.tolist(), branch_states(cfg, branches, code))}
+    for row, (record, probability, state) in zip(sampled.rows.tolist(), branch_states(cfg, sampled, code)):
         want_row, (_, want_probability, want_state) = by_record[record]
         assert row == want_row
         assert probability == want_probability
@@ -256,7 +260,7 @@ def _assert_on_enumerated_branches(cfg, sampled, branches):
 def test_sampled_runs_land_on_enumerated_branches(case, seed):
     cfg, circuit, faults = case
     code = gd.fault_frame(cfg, faults)
-    _assert_on_enumerated_branches(cfg, _sampled_runs(cfg, code, 64, seed), gd.enumerate_branches(cfg, code))
+    _assert_on_enumerated_branches(cfg, code, _sampled_runs(cfg, code, 64, seed))
 
 
 def test_frame_code_top_bit_at_the_widest_config():
@@ -268,9 +272,8 @@ def test_frame_code_top_bit_at_the_widest_config():
     faults = [(prep, mask([qubit]), 0)]
     code = gd.fault_frame(cfg, faults)
     assert code.bit_length() == cfg.num_measurements + 2 * cfg.n
-    sampled = _sampled_runs(cfg, code, 32, 1)
-    assert set(sampled.paulis.tolist()) == {code >> cfg.num_measurements}
-    _assert_on_enumerated_branches(cfg, sampled, gd.enumerate_branches(cfg, code))
+    assert code >> cfg.num_measurements == 1 << 2 * cfg.n - 1  # X on the last block-3 qubit, and no readout flip
+    _assert_on_enumerated_branches(cfg, code, _sampled_runs(cfg, code, 32, 1))
 
 
 @pytest.mark.parametrize("cfg", [gd.GadgetConfig.t_state(3, 1), gd.GadgetConfig.plus_i(3, 1)], ids=["T", "plusI"])
@@ -284,12 +287,12 @@ def test_midpoint_draws_pick_their_rows_under_every_single_event_frame(cfg):
     for code in np.unique(nz._event_table(cfg)[1]):
         frames = np.full(len(rows), code)
         runs = rows_under_frames(cfg, rows, frames)
-        branches = gd.enumerate_branches(cfg, int(code))
+        branches = gd.enumerate_branches(cfg, readout_flips(cfg, int(code)))
         at = np.argsort(branches.rows)  # the enumerated branch of each noiseless row
         assert np.array_equal(branches.rows[at], rows)
         assert np.array_equal(runs.records, branches.records[at])
         assert np.array_equal(runs.probabilities, branches.probabilities[at])
-        assert np.array_equal(gd.frame_bins(cfg, rows, frames), record_bins(cfg, branches)[at])
+        assert np.array_equal(gd.frame_bins(cfg, rows, frames), record_bins(cfg, branches, code)[at])
 
 
 def _frame_or_refusal(frame, cfg, faults):
@@ -380,11 +383,25 @@ def test_x_fault_before_cz_theta_has_no_frame():
 
 @pytest.mark.parametrize("cfg", [gd.GadgetConfig.t_state(3, 1), gd.GadgetConfig.t_state(3, 25)], ids=["r1", "r25"])
 def test_frame_codes_outside_the_code_space_are_refused(cfg):
-    width = cfg.num_measurements + 2 * cfg.n
-    assert len(gd.enumerate_branches(cfg, (1 << width) - 1)) == len(gd.enumerate_branches(cfg))
-    for code in (-1, 1 << width):
+    num = cfg.num_measurements
+    assert len(gd.enumerate_branches(cfg, (1 << num) - 1)) == len(gd.enumerate_branches(cfg))
+    for code in (-1, 1 << num, 1 << num + 2 * cfg.n):
         with pytest.raises(ValueError):
             gd.enumerate_branches(cfg, code)
+
+
+@pytest.mark.parametrize("cfg", [gd.GadgetConfig.t_state(3, 1), gd.GadgetConfig.t_state(3, 25)], ids=["r1", "r25"])
+def test_codes_with_block3_pauli_bits_are_refused(cfg):
+    # a branch is only its readout flips: the frame code of every fault
+    # event that leaves a block-3 Pauli is refused, with or without readout
+    # flips beside it, and its readout flips alone are not
+    num, codes = cfg.num_measurements, nz._event_table(cfg)[1].tolist()
+    paulis = [code for code in codes if code >> num]
+    assert any(readout_flips(cfg, code) for code in paulis) and any(not readout_flips(cfg, code) for code in paulis)
+    for code in paulis + [(1 << num + 2 * cfg.n) - 1]:
+        with pytest.raises(ValueError, match="no block-3 Pauli bits"):
+            gd.enumerate_branches(cfg, code)
+        assert len(gd.enumerate_branches(cfg, readout_flips(cfg, code))) == len(gd.enumerate_branches(cfg))
 
 
 _FRAME_BIN_CASES = [
@@ -409,7 +426,7 @@ def test_frame_bins_match_the_record_oracle(cfg):
     codes = np.concatenate([[0], rng.integers(1 << width, size=64), sparse])
     rows = np.arange(len(gd.enumerate_branches(cfg))).repeat(len(codes))
     frames = np.tile(codes, len(rows) // len(codes))
-    want = record_bins(cfg, rows_under_frames(cfg, rows, frames))
+    want = record_bins(cfg, rows_under_frames(cfg, rows, frames), frames)
     assert np.array_equal(gd.frame_bins(cfg, rows, frames), want)
     assert len(set(want.tolist())) > 2
 
@@ -429,13 +446,14 @@ def test_frame_bins_refuse_rows_and_codes_outside_their_range(row, code):
 
 def test_faulted_branches_are_read_only():
     # the branches of a readout mask are cached and shared by every code
-    # with that mask, so none of their arrays may be written
+    # with that mask, so none of their arrays, the derived records and sort
+    # keys included, may be written
     cfg = gd.GadgetConfig.t_state(3, 1)
-    num = cfg.num_measurements
-    for code in (0b101, 3 << num, 3 << num | 0b101):
-        branches = gd.enumerate_branches(cfg, code)
-        arrays = (branches.records, branches.probabilities, branches.rows)
-        assert not any(a.flags.writeable for a in arrays)
+    for flips in (0, 0b101, (1 << cfg.num_measurements) - 1):
+        branches = gd.enumerate_branches(cfg, flips)
+        arrays = (branches.words, branches.records, branches.probabilities, branches.rows, branches._keys)
+        assert not any(a.flags.writeable for a in arrays), flips
+        assert branches.words.dtype == np.int64 and branches.records.dtype == np.int8
 
 
 @pytest.mark.parametrize("max_amps", [64, 100])
@@ -445,7 +463,7 @@ def test_large_stacks_advance_in_parts(monkeypatch, max_amps):
     # of two rows
     cfg = gd.GadgetConfig.t_state(3, 1)
     whole, whole_states = gd._noiseless_table(cfg)
-    assert not any(a.flags.writeable for a in (whole.records, whole.probabilities, whole_states))
+    assert not any(a.flags.writeable for a in (whole.words, whole.probabilities, whole_states))
     advance, stacks = gd._advance, []
     signature = inspect.signature(advance)
 
@@ -458,6 +476,7 @@ def test_large_stacks_advance_in_parts(monkeypatch, max_amps):
     parts, parts_states = gd._noiseless_table.__wrapped__(cfg)
     assert len(stacks) > 1
     assert all(rows == 1 or rows * width <= max_amps for rows, width in stacks), stacks
+    assert np.array_equal(whole.words, parts.words) and parts.words.dtype == np.int64
     assert np.array_equal(whole.records, parts.records)
     np.testing.assert_allclose(parts.probabilities, whole.probabilities, rtol=0, atol=1e-15)
     np.testing.assert_allclose(parts_states, whole_states, rtol=0, atol=1e-15)
@@ -621,8 +640,7 @@ def test_enumeration_classifies_in_batches(monkeypatch, order, branch_calls):
 @pytest.mark.parametrize("r", [1, 3])
 def test_flipped_rows_keep_depth_first_order(r):
     # one packed key per row sorts the flipped rows as a lexsort of their -1
-    # readouts did, readout 0 the primary key and +1 first, for every mask;
-    # every mask shares the noiseless table's read-only all-zero paulis
+    # readouts did, readout 0 the primary key and +1 first, for every mask
     cfg = gd.GadgetConfig.t_state(3, r)
     table, num = gd._noiseless_table(cfg)[0], cfg.num_measurements
     for flips in range(1, 1 << num):
@@ -631,7 +649,23 @@ def test_flipped_rows_keep_depth_first_order(r):
         rows = np.lexsort((records < 0).T[::-1])
         assert np.array_equal(branches.rows, rows) and np.array_equal(branches.records, records[rows]), flips
         assert branches.records.dtype == np.int8 and np.array_equal(branches.probabilities, table.probabilities[rows])
-        assert branches.paulis is table.paulis
+
+
+@pytest.mark.parametrize("r", [1, 3])
+def test_flipped_records_match_the_int8_construction(r):
+    # for every mask an order-2 build reaches, the records unpacked from the
+    # XORed words are, bit for bit, the noiseless int8 records in the flipped
+    # row order with the masked columns negated (-r is r ^ -2)
+    cfg = gd.GadgetConfig.t_state(3, r)
+    table, num = gd._noiseless_table(cfg)[0], cfg.num_measurements
+    masks = np.unique(readout_flips(cfg, _subset_codes(cfg, nz._enumerated_combos(cfg, 2)[1])))
+    assert len(masks) > 100
+    for flips in masks.tolist():
+        branches = gd.enumerate_branches(cfg, flips)
+        want = table.records[branches.rows] ^ np.array([-2 * (flips >> m & 1) for m in range(num)], dtype=np.int8)
+        assert branches.records.dtype == want.dtype and branches.records.shape == want.shape
+        assert branches.records.tobytes() == want.tobytes(), flips
+        assert np.array_equal(branches.words, table.words[branches.rows] ^ flips), flips
 
 
 def test_outcome_bins_agree_with_scalar_decoding():
@@ -643,9 +677,10 @@ def test_outcome_bins_agree_with_scalar_decoding():
         (len(circuit.locations) - 1, mask([6]), 0),
     ]
     code = gd.fault_frame(cfg, faults)
-    branches = gd.enumerate_branches(cfg, code)
+    assert code >> cfg.num_measurements  # the X on qubit 6 stays on block 3
+    branches = gd.enumerate_branches(cfg, readout_flips(cfg, code))
     bins = gd.frame_bins(cfg, branches.rows, np.full(len(branches), code))
-    for (record, _, state), got in zip(branch_states(cfg, branches), bins):
+    for (record, _, state), got in zip(branch_states(cfg, branches, code), bins):
         [correction] = corrections(cfg, [record])  # one record at a time
         if correction is None:
             assert got == gd.BIN_REJECTED

@@ -93,6 +93,20 @@ class TestBounds:
         assert code == 2 and out == ""
         assert err.startswith("biasforge: ") and err.count("\n") == 1, err
 
+    @pytest.mark.parametrize(
+        "rates", [["--pz", "-0", "--bias", "10"], ["--pz", "1e-3", "--px", "-0"]], ids=["pz", "px"]
+    )
+    def test_a_negative_zero_rate_exits_2(self, capsys, rates):
+        # -0.0 passes every >= 0 comparison; NoiseParams refuses it, so no
+        # report echoes a rate of -0.0
+        code, out, err = run_cli(capsys, "bounds", "--n", "3", "--r", "1", *rates)
+        assert code == 2 and out == ""
+        assert err.startswith("biasforge: ") and err.count("\n") == 1 and "negative zero" in err, err
+
+    def test_a_negative_rate_keeps_its_message(self, capsys):
+        code, out, err = run_cli(capsys, "bounds", "--n", "3", "--r", "1", "--pz", "-0.001", "--bias", "10")
+        assert (code, out, err) == (2, "", "biasforge: --pz must be >= 0\n")
+
     @pytest.mark.parametrize("split", [["--rz", "1", "--rzz", "5"], ["--rz", "1"], ["--rzz", "5"]])
     def test_r_beside_rz_or_rzz_exits_2(self, capsys, split):
         code, out, err = run_cli(capsys, "bounds", "--n", "3", "--r", "3", *split, "--pz", "1e-3", "--bias", "100")
@@ -519,6 +533,33 @@ class TestConfigFile:
     def test_missing_config_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "bounds", "--config", "/nonexistent.cfg")
         assert code == 2
+
+    def test_config_equals_form_reads_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n=3\nr=3\npz=1e-3\nbias=1000\n")
+        assert run_json(capsys, "bounds", f"--config={cfg}") == run_json(capsys, "bounds", "--config", str(cfg))
+
+    @pytest.mark.parametrize("forms", [("--config", "--config"), ("--config=", "--config"), ("--config", "--config=")])
+    def test_a_second_config_exits_2(self, tmp_path, capsys, forms):
+        paths = []
+        for name in ("a", "b"):
+            paths.append(tmp_path / f"{name}.cfg")
+            paths[-1].write_text(f"n=3\nr=3\npz=1e-3\nbias={10 if name == 'a' else 1000}\n")
+        argv = []
+        for form, path in zip(forms, paths):
+            argv += [form + str(path)] if form.endswith("=") else [form, str(path)]
+        code, out, err = run_cli(capsys, "bounds", *argv)
+        assert (code, out, err) == (2, "", "biasforge: --config may be given only once\n")
+
+    def test_an_abbreviated_config_is_not_dropped(self, tmp_path, capsys):
+        # the parser knows no --config, so an abbreviation is an error, not
+        # a file silently ignored beside flags that make a complete run
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n=3\nr=3\npz=1e-3\nbias=1000\n")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["bounds", "--conf", str(cfg), "--n", "3", "--r", "1", "--pz", "1e-2", "--bias", "10"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == "" and "unrecognized arguments" in captured.err
 
 
 def test_csv_format_bounds(tmp_path, capsys):

@@ -15,6 +15,7 @@ from classify_oracle import (
     decode_records,
     logical_paulis,
     mask,
+    readout_flips,
     rows_under_frames,
     state_fidelity,
 )
@@ -24,8 +25,10 @@ def branch_masses(cfg, faults=()):
     """(accepted mass, rejected mass, {class: mass}) over all branches."""
     acc = rej = 0.0
     classes = {}
-    branches = gd.enumerate_branches(cfg, gd.fault_frame(cfg, faults))
-    for (_, probability, state), correction in zip(branch_states(cfg, branches), corrections(cfg, branches.records)):
+    code = gd.fault_frame(cfg, faults)
+    branches = gd.enumerate_branches(cfg, readout_flips(cfg, code))
+    states = branch_states(cfg, branches, code)
+    for (_, probability, state), correction in zip(states, corrections(cfg, branches.records)):
         if correction is not None:
             acc += probability
             cls, _, _ = classify(state, correction, cfg)
@@ -203,8 +206,8 @@ class TestCorrectionTable:
         odd = np.array([z.bit_count() & 1 for z in range(8)], dtype=bool)
         stray = np.where(odd, 0.3, 1.0) / np.sqrt(4 * 1.09)  # |0>_L (|1>_L) is the even (odd) half of |+>^3
         states = np.array([stray, gd.target_state(cfg)] if uncorrectable_first else [gd.target_state(cfg), stray])
-        records = np.ones((2, cfg.num_measurements), dtype=np.int8)
-        branches = gd.Branches(records, np.full(2, 0.5), np.arange(2), np.zeros(2, dtype=np.intp))
+        words = np.zeros(2, dtype=np.int64)  # every readout +1
+        branches = gd.Branches(words, np.full(2, 0.5), np.arange(2), cfg.num_measurements)
         monkeypatch.setattr(gd, "_noiseless_table", lambda _: (branches, states))
         gd._decoder.cache_clear()
         try:
@@ -442,8 +445,9 @@ class TestClassify:
         cz0 = next(t for t, loc in enumerate(circ.locations) if loc.kind is gd.LocationKind.CZ_THETA)
         pair = circ.locations[cz0].qubits
         seen_band = False
-        branches = gd.enumerate_branches(cfg, gd.fault_frame(cfg, [(cz0, 0, mask(pair))]))
-        for (_, _, state), correction in zip(branch_states(cfg, branches), corrections(cfg, branches.records)):
+        code = gd.fault_frame(cfg, [(cz0, 0, mask(pair))])
+        branches = gd.enumerate_branches(cfg, readout_flips(cfg, code))
+        for (_, _, state), correction in zip(branch_states(cfg, branches, code), corrections(cfg, branches.records)):
             if correction is None:
                 continue
             cls, fid, anomaly = classify(state, correction, cfg)

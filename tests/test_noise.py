@@ -12,7 +12,7 @@ import pytest
 from biasforge import bounds as bd
 from biasforge import gadget as gd
 from biasforge import noise as nz
-from classify_oracle import RATE_KINDS, forward_frame, mask, record_bins, reference_events
+from classify_oracle import RATE_KINDS, forward_frame, mask, readout_flips, record_bins, reference_events
 
 
 class TestNoiseParams:
@@ -531,8 +531,9 @@ def _per_trial_counts(cfg, params, seed, trials):
     trial, in trial order, which picks that trial's noiseless row, then one
     multinomial of its clean-trial count over the noiseless bin masses of
     positive mass.  A faulted trial takes the bin of the branch read from
-    its row in enumerate_branches under the frame of its fired events'
-    (location, X mask, Z mask) faults.  The record-matrix oracle classifies
+    its row in enumerate_branches under the readout flips of the frame of
+    its fired events' (location, X mask, Z mask) faults, with that frame's
+    block-3 Pauli.  The record-matrix oracle classifies
     every branch, the noiseless ones included."""
     events = reference_events(cfg)
     noiseless = gd.enumerate_branches(cfg)
@@ -548,9 +549,10 @@ def _per_trial_counts(cfg, params, seed, trials):
             faulted.setdefault(t, []).append(events[e][1:])
         for faults in faulted.values():
             row = min(int(np.searchsorted(cum, rng.random() * cum[-1])), len(cum) - 1)
-            branches = gd.enumerate_branches(cfg, gd.fault_frame(cfg, faults))
+            code = gd.fault_frame(cfg, faults)
+            branches = gd.enumerate_branches(cfg, readout_flips(cfg, code))
             [at] = np.flatnonzero(branches.rows == row)
-            counts[record_bins(cfg, branches)[at]] += 1
+            counts[record_bins(cfg, branches, code)[at]] += 1
         counts[live] += rng.multinomial(size - len(faulted), masses[live])
     return counts
 
