@@ -20,9 +20,13 @@ are sweeps of ``e_xl_bound`` / ``e_zl_bound`` over the p_z grids of the
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .noise import NoiseParams
+
+
+_NORMAL_MIN = sys.float_info.min  # a smaller nonzero float is subnormal: it holds fewer bits
 
 
 class OddParityError(ValueError):
@@ -52,19 +56,21 @@ def _e_xl(n: int, r_z: int, r_zz: int, p_x: float, p_z: float) -> float:
     """n(r_z + 2 r_zz + 2) p_x + C(r_zz,m_zz) (2n+2)^m_zz p_z^m_zz + C(r_z,m_z) (n+2)^m_z p_z^m_z
     with m = (r+1)/2.  The int coefficients of equal powers of p_z are added
     before the float multiply.  Where one is past the largest float (r = 501
-    at n = 3), or p_z^m underflows to 0 at p_z > 0 (r = 239 at n = 3,
-    p_z = 1e-3), the p_z terms are the float products C(r,m) (k p_z)^m."""
+    at n = 3), or a power p_z^m is no normal float (0, or subnormal with
+    lost bits, as at r >= 205, n = 3, p_z = 1e-3), the p_z terms are the
+    float products C(r,m) (k p_z)^m."""
     m_z, m_zz = (r_z + 1) // 2, (r_zz + 1) // 2
     c_z, c_zz = math.comb(r_z, m_z), math.comb(r_zz, m_zz)
-    k_z, k_zz = (n + 2) ** m_z, (2 * n + 2) ** m_zz
     linear = n * (r_z + 2 * r_zz + 2) * p_x
-    try:
-        powers = c_z * (k_zz + k_z) * p_z**m_z if r_z == r_zz else c_zz * k_zz * p_z**m_zz + c_z * k_z * p_z**m_z
-    except OverflowError:  # int too large to convert to float
-        powers = 0.0
-    if powers == 0.0 and p_z > 0.0:
-        powers = c_zz * ((2 * n + 2) * p_z) ** m_zz + c_z * ((n + 2) * p_z) ** m_z
-    return linear + powers
+    power_z, power_zz = p_z**m_z, p_z**m_zz
+    if power_z >= _NORMAL_MIN and power_zz >= _NORMAL_MIN:
+        try:
+            if r_z == r_zz:
+                return linear + c_z * ((2 * n + 2) ** m_z + (n + 2) ** m_z) * power_z
+            return linear + (c_zz * (2 * n + 2) ** m_zz * power_zz + c_z * (n + 2) ** m_z * power_z)
+        except OverflowError:  # int too large to convert to float
+            pass
+    return linear + (c_zz * ((2 * n + 2) * p_z) ** m_zz + c_z * ((n + 2) * p_z) ** m_z)
 
 
 def _e_zl(n: int, r_z: int, r_zz: int, p_x: float, p_z: float, p_zz: float) -> float:

@@ -128,15 +128,18 @@ def _apply_config_file(argv: list[str]) -> list[str]:
     """Expand '--config FILE' or '--config=FILE' into leading key=value flags
     (flags override).  One config file a run: a second --config is refused,
     and the parser knows no --config, so a form not expanded here fails."""
-    argv = [part for token in argv for part in (token.split("=", 1) if token.startswith("--config=") else [token])]
-    if argv.count("--config") > 1:
+    tokens: list[str] = []
+    for token in argv:  # '--config=FILE' reads as '--config FILE'
+        tokens.extend(token.split("=", 1) if token.startswith("--config=") else [token])
+    if tokens.count("--config") > 1:
         raise CliError("--config may be given only once")
-    if "--config" not in argv:
-        return argv
-    i = argv.index("--config")
-    if i + 1 >= len(argv):
+    if "--config" not in tokens:
+        return tokens
+    i = tokens.index("--config")
+    if i + 1 >= len(tokens):
         raise CliError("--config requires a path")
-    path, rest = argv[i + 1], argv[:i] + argv[i + 2 :]
+    path = tokens[i + 1]
+    rest = tokens[:i] + tokens[i + 2 :]
     injected: list[str] = []
     try:
         with open(path, "r", encoding="utf-8") as fh:

@@ -282,10 +282,10 @@ class Branches:
 
     @functools.cached_property
     def _keys(self) -> np.ndarray:
-        """(B,) read-only sort keys: the words bit-reversed, readout 0 the
-        most significant bit, so depth-first order is ascending key order."""
-        num = self.num_measurements
-        keys = ((self.words[:, None] >> np.arange(num)) & 1) @ (1 << np.arange(num - 1, -1, -1))
+        """(B,) read-only sort keys: each row's -1 readouts packed into one
+        integer, readout 0 the most significant bit (the words bit-reversed),
+        so depth-first order is ascending key order."""
+        keys = (self.records < 0) @ (1 << np.arange(self.num_measurements - 1, -1, -1))
         keys.flags.writeable = False
         return keys
 
@@ -297,40 +297,35 @@ _BRANCH_EPS = 1e-12  # outcome probabilities below this are treated as zero
 _MAX_AMPS = 1 << 20  # a larger stack advances in chunks of at most this many amplitudes (or one row)
 
 
-def _measure(amps, words, probs, position, m):
-    """Split every row on an X readout of bit ``position`` into children 2b
-    (+1) and 2b+1 (-1), so rows stay in depth-first (+1 first) order, and
-    keep those of conditional probability above _BRANCH_EPS; a -1 child
-    sets bit m of its word.  Rows stay unnormalized: a row's squared norm
-    is the probability of its record so far, kept in ``probs``."""
-    children = sv.x_split(amps, position)
-    parts = children.view(np.float64)
-    mass = np.einsum("ij,ij->i", parts, parts)
-    kept = np.flatnonzero(mass / probs.repeat(2) > _BRANCH_EPS)
-    return children[kept], words[kept >> 1] | (kept & 1) << m, mass[kept]
-
-
-def _advance(ops, i, m, amps, words, probs):
-    """Run stack operations i.. (see :func:`_stack_ops`) on a stack whose
-    rows have packed records (bit k set where readout k reads -1) and
+def _advance(ops, start, m, amps, words, probs):
+    """Run stack operations start.. (see :func:`_stack_ops`) on a stack
+    whose rows have packed records (bit k set where readout k reads -1) and
     probabilities for the first m readouts; return the final (amps, words,
-    probs).  A stack over _MAX_AMPS amplitudes runs on in consecutive
-    chunks of max(1, _MAX_AMPS // width) rows, one at a time, which bounds
-    memory; no operation mixes rows, so the chunks concatenate to the
-    whole."""
-    while i < len(ops):
+    probs).
+
+    A readout splits every row into children 2b (+1) and 2b+1 (-1), so
+    rows stay in depth-first (+1 first) order, keeps those of conditional
+    probability above _BRANCH_EPS and sets bit m in a -1 child's word.
+    Rows stay unnormalized: a row's squared norm is the probability of its
+    record so far, kept in ``probs``.  A stack over _MAX_AMPS amplitudes
+    runs on in consecutive chunks of max(1, _MAX_AMPS // width) rows, one
+    at a time, which bounds memory; no operation mixes rows, so the chunks
+    concatenate to the whole."""
+    for i, op in enumerate(ops[start:], start):
         if len(amps) > 1 and amps.size > _MAX_AMPS:
             step = max(1, _MAX_AMPS // amps.shape[1])
             chunks = [slice(a, a + step) for a in range(0, len(amps), step)]
             parts = [_advance(ops, i, m, amps[c], words[c], probs[c]) for c in chunks]
             return tuple(np.concatenate(arrays) for arrays in zip(*parts))
-        op = ops[i]
         if isinstance(op, int):
-            amps, words, probs = _measure(amps, words, probs, op, m)
+            children = sv.x_split(amps, op)
+            halves = children.view(np.float64)
+            mass = np.einsum("ij,ij->i", halves, halves)
+            kept = np.flatnonzero(mass / probs.repeat(2) > _BRANCH_EPS)
+            amps, words, probs = children[kept], words[kept >> 1] | (kept & 1) << m, mass[kept]
             m += 1
         else:
             amps = (amps[:, None, :] * op).reshape(len(amps), -1)
-        i += 1
     return amps, words, probs
 
 
@@ -343,7 +338,8 @@ def _noiseless_table(cfg: GadgetConfig) -> tuple[Branches, np.ndarray]:
     decoder build (:func:`_decoder`) reads."""
     start = np.ones((1, 1), dtype=np.complex128), np.zeros(1, dtype=np.int64), np.ones(1)
     amps, words, probs = _advance(_stack_ops(cfg), 0, 0, *start)
-    rows, states = np.arange(len(probs)), amps / np.sqrt(probs)[:, None]
+    rows = np.arange(len(probs))
+    states = amps / np.sqrt(probs)[:, None]
     for array in (words, probs, rows, states):
         array.flags.writeable = False
     return Branches(words, probs, rows, cfg.num_measurements), states
@@ -428,7 +424,8 @@ def _flipped(cfg: GadgetConfig, flips: int) -> Branches:
     keys XOR the bit-reversed mask, and one argsort restores the order."""
     table, num = _noiseless_table(cfg)[0], cfg.num_measurements
     rows = np.argsort(table._keys ^ int(f"{flips:0{num}b}"[::-1], 2), kind="stable")
-    words, probabilities = table.words[rows] ^ flips, table.probabilities[rows]
+    words = table.words[rows] ^ flips
+    probabilities = table.probabilities[rows]
     for array in (words, probabilities, rows):
         array.flags.writeable = False
     return Branches(words, probabilities, rows, num)
@@ -629,7 +626,8 @@ def frame_bins(cfg: GadgetConfig, rows: np.ndarray, codes: np.ndarray) -> np.nda
     Pauli code >> M.  A row outside [0, B) or a code outside
     [0, 2^(M + 2n)) raises ValueError.
     """
-    (state, table, lookup), words = _decoder(cfg), _noiseless_table(cfg)[0].words
+    state, table, lookup = _decoder(cfg)
+    words = _noiseless_table(cfg)[0].words
     num, bits = cfg.num_measurements, cfg.num_measurements + 2 * cfg.n
     if len(rows) and not (
         0 <= rows.min() <= rows.max() < len(words) and 0 <= codes.min() <= int(codes.max()) < 1 << bits

@@ -107,7 +107,7 @@ class NoiseParams:
         if not 0.0 <= self.p_zz <= 1.0:
             raise ValueError(f"p_zz={self.p_zz} outside [0, 1]")
         # -0.0 passes the comparisons above but is no rate: reports would echo it
-        if any(math.copysign(1.0, rate) < 0.0 for rate in (self.p_x, self.p_z, self.p_zz)):
+        if math.copysign(1.0, self.p_x) < 0.0 or math.copysign(1.0, self.p_z) < 0.0 or math.copysign(1.0, self.p_zz) < 0.0:
             raise ValueError(f"rates must be >= 0, not a negative zero: p_x={self.p_x} p_z={self.p_z} p_zz={self.p_zz}")
 
     @property

@@ -1,4 +1,6 @@
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -112,6 +114,20 @@ def test_e_xl_bound_where_the_power_underflows_takes_the_term_products(r, want):
     # where the power does not underflow, the integer coefficient is still the one evaluated
     assert bd.e_xl_bound(3, 201, 0.0, 1e-3) == 2.936599364244339e-153
     assert bd.e_xl_bound(3, r, 0.0, 0.0) == 0.0
+
+
+@pytest.mark.parametrize("r_z, r_zz", [(205, 205), (213, 213), (201, 213), (213, 201), (213, 239), (239, 213)])
+def test_e_xl_where_a_power_is_subnormal_keeps_its_bits(r_z, r_zz):
+    # 1e-3^m is subnormal at m = 103..107 and 0.0 from m = 108: it holds a
+    # few bits or none, which the integer coefficient would scale back up,
+    # and at (213, 239) the zero r_zz power is the larger term
+    p_z, m_z, m_zz = 1e-3, (r_z + 1) // 2, (r_zz + 1) // 2
+    assert min(p_z**m_z, p_z**m_zz) < sys.float_info.min
+    exact = math.comb(r_zz, m_zz) * (8 * Fraction(p_z)) ** m_zz + math.comb(r_z, m_z) * (5 * Fraction(p_z)) ** m_z
+    got = bd.breakdown(3, r_z, r_zz, NoiseParams(p_x=0.0, p_z=p_z, p_zz=0.0)).e_xl
+    assert got == pytest.approx(float(exact), rel=1e-14, abs=0.0)
+    if r_z == r_zz:
+        assert bd.e_xl_bound(3, r_z, 0.0, p_z) == got
 
 
 @pytest.mark.parametrize("counts", [(2, 3, 3), (3, 2, 3), (3, 3, 4), (3, 0, 3)])

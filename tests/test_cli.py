@@ -94,7 +94,9 @@ class TestBounds:
         assert err.startswith("biasforge: ") and err.count("\n") == 1, err
 
     @pytest.mark.parametrize(
-        "rates", [["--pz", "-0", "--bias", "10"], ["--pz", "1e-3", "--px", "-0"]], ids=["pz", "px"]
+        "rates",
+        [["--pz", "-0", "--bias", "10"], ["--pz", "1e-3", "--px", "-0"], ["--pz", "1e-3", "--bias", "10", "--pzz", "-0"]],
+        ids=["pz", "px", "pzz"],
     )
     def test_a_negative_zero_rate_exits_2(self, capsys, rates):
         # -0.0 passes every >= 0 comparison; NoiseParams refuses it, so no

@@ -32,6 +32,13 @@ class TestNoiseParams:
         assert p.p_zz == p.p_x == 1e-6
         assert nz.NoiseParams.from_bias(1e-3, math.inf).p_x == 0.0
 
+    @pytest.mark.parametrize("rates", [(-0.0, 1e-3, 0.0), (0.0, -0.0, 0.0), (0.0, 1e-3, -0.0), (-0.0, -0.0, -0.0)])
+    def test_a_negative_zero_rate_is_refused(self, rates):
+        # -0.0 passes every >= 0 comparison; each rate is checked on its own
+        with pytest.raises(ValueError, match="negative zero"):
+            nz.NoiseParams(*rates)
+        assert nz.NoiseParams(*(abs(rate) for rate in rates)).p_z in (0.0, 1e-3)
+
     @pytest.mark.parametrize("eta", [0.0, -0.0, -1.0, math.nan])
     def test_from_bias_needs_a_positive_eta(self, eta):
         with pytest.raises(ValueError, match="eta"):
