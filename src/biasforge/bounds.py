@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .noise import NoiseParams
 
@@ -57,8 +58,10 @@ def _e_xl(n: int, r_z: int, r_zz: int, p_x: float, p_z: float) -> float:
     with m = (r+1)/2.  The int coefficients of equal powers of p_z are added
     before the float multiply.  Where one is past the largest float (r = 501
     at n = 3), or a power p_z^m is no normal float (0, or subnormal with
-    lost bits, as at r >= 205, n = 3, p_z = 1e-3), the p_z terms are the
-    float products C(r,m) (k p_z)^m."""
+    lost bits, as at r >= 205, n = 3, p_z = 1e-3), the p_z terms are taken
+    one by one: each is the float product C(r,m) (k p_z)^m, or, where
+    that power is no normal float while p_z > 0, C(r,m) (k p_z)^m in
+    exact rationals, converted once."""
     m_z, m_zz = (r_z + 1) // 2, (r_zz + 1) // 2
     c_z, c_zz = math.comb(r_z, m_z), math.comb(r_zz, m_zz)
     linear = n * (r_z + 2 * r_zz + 2) * p_x
@@ -70,7 +73,12 @@ def _e_xl(n: int, r_z: int, r_zz: int, p_x: float, p_z: float) -> float:
             return linear + (c_zz * (2 * n + 2) ** m_zz * power_zz + c_z * (n + 2) ** m_z * power_z)
         except OverflowError:  # int too large to convert to float
             pass
-    return linear + (c_zz * ((2 * n + 2) * p_z) ** m_zz + c_z * ((n + 2) * p_z) ** m_z)
+
+    def term(c: int, k: int, m: int) -> float:
+        power = (k * p_z) ** m
+        return float(c * (k * Fraction(p_z)) ** m) if p_z > 0 and power < _NORMAL_MIN else c * power
+
+    return linear + (term(c_zz, 2 * n + 2, m_zz) + term(c_z, n + 2, m_z))
 
 
 def _e_zl(n: int, r_z: int, r_zz: int, p_x: float, p_z: float, p_zz: float) -> float:

@@ -206,9 +206,13 @@ def _params_simulate(args) -> dict:
     if args.mode == "mc":
         if args.trials is None or args.trials < 1:
             raise CliError("--mode mc requires --trials >= 1")
+        if args.max_order is not None:
+            raise CliError("--max-order is read only by --mode enumerate")
     else:
         if args.max_order not in (1, 2):
             raise CliError("--mode enumerate requires --max-order in {1, 2}")
+        if args.trials is not None:
+            raise CliError("--trials is read only by --mode mc")
     return {
         "n": args.n,
         "theta": theta_key,
@@ -217,8 +221,8 @@ def _params_simulate(args) -> dict:
         "r_zz": r_zz,
         **dataclasses.asdict(noise),
         "mode": args.mode,
-        "trials": args.trials if args.mode == "mc" else None,
-        "max_order": args.max_order if args.mode == "enumerate" else None,
+        "trials": args.trials,
+        "max_order": args.max_order,
         "seed": args.seed,
         "format": args.format,
     }

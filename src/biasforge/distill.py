@@ -32,10 +32,10 @@ builds both.
 The check matrices are the punctured Reed-Muller construction: X-check
 row i marks the columns (1..15) whose bit i is set; the 10 Z-check rows
 are those 4 rows plus their 6 pairwise AND products.  ``rm15_code``
-generates them on first use.  The map does not read them: its closed
-forms encode the weights of span(x_checks) (0 and 8), and the tests
-rebuild all four enumerators from these matrices and check the closed
-forms against them.
+builds them anew on each call, so no caller can change another's.  The
+map does not read them: its closed forms encode the weights of
+span(x_checks) (0 and 8), and the tests rebuild all four enumerators from
+these matrices and check the closed forms against them.
 
 Overheads count non-Clifford gates only: the n=3 gadget feeding l rounds
 costs 4 * 15^l per output state, bare preparation feeding l' rounds costs
@@ -105,25 +105,19 @@ class DistillPlan:
     overhead: int
 
 
-_rm15: CssCode | None = None
-
-
 def rm15_code() -> CssCode:
-    """The punctured [[15,1,3]] Reed-Muller code, generated once."""
-    global _rm15
-    if _rm15 is None:
-        cols = np.arange(1, 16, dtype=np.uint8)
-        x_checks = np.array([(cols >> i) & 1 for i in range(4)], dtype=np.uint8)
-        products = [x_checks[i] & x_checks[j] for i in range(4) for j in range(i + 1, 4)]
-        logical_z = np.zeros(N_PHYS, dtype=np.uint8)
-        logical_z[:3] = 1  # columns 1,2,3 form a closed line: weight-3 representative
-        _rm15 = CssCode(
-            x_checks=x_checks,
-            z_checks=np.concatenate([x_checks, np.array(products, dtype=np.uint8)]),
-            logical_x=np.ones(N_PHYS, dtype=np.uint8),
-            logical_z=logical_z,
-        )
-    return _rm15
+    """The punctured [[15,1,3]] Reed-Muller code, built anew on each call."""
+    cols = np.arange(1, 16, dtype=np.uint8)
+    x_checks = np.array([(cols >> i) & 1 for i in range(4)], dtype=np.uint8)
+    products = [x_checks[i] & x_checks[j] for i in range(4) for j in range(i + 1, 4)]
+    logical_z = np.zeros(N_PHYS, dtype=np.uint8)
+    logical_z[:3] = 1  # columns 1,2,3 form a closed line: weight-3 representative
+    return CssCode(
+        x_checks=x_checks,
+        z_checks=np.concatenate([x_checks, np.array(products, dtype=np.uint8)]),
+        logical_x=np.ones(N_PHYS, dtype=np.uint8),
+        logical_z=logical_z,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -262,10 +262,12 @@ def _stack_ops(cfg: GadgetConfig) -> list[np.ndarray | int]:
 @dataclass(frozen=True, eq=False)
 class Branches:
     """Measurement branches stacked as rows: all branches of one readout-flip
-    mask in depth-first (+1 outcome first) order, or one row per sampled
-    run.  A branch is its packed record, its probability and the noiseless
-    table row it is read from; its block-3 state is that row's state under
-    a frame code's Pauli, which no engine forms."""
+    mask, or one row per sampled run.  The noiseless rows are in the
+    depth-first (+1 outcome first) order of their records, and a view under
+    a mask keeps that row order.  A branch is its packed record, its
+    probability and the noiseless table row it is read from; its block-3
+    state is that row's state under a frame code's Pauli, which no engine
+    forms."""
 
     words: np.ndarray  # (B,) int64 packed records, bit m set where readout m reads -1
     probabilities: np.ndarray  # (B,)
@@ -279,15 +281,6 @@ class Branches:
         records = (1 - 2 * ((self.words[:, None] >> np.arange(self.num_measurements)) & 1)).astype(np.int8)
         records.flags.writeable = False
         return records
-
-    @functools.cached_property
-    def _keys(self) -> np.ndarray:
-        """(B,) read-only sort keys: each row's -1 readouts packed into one
-        integer, readout 0 the most significant bit (the words bit-reversed),
-        so depth-first order is ascending key order."""
-        keys = (self.records < 0) @ (1 << np.arange(self.num_measurements - 1, -1, -1))
-        keys.flags.writeable = False
-        return keys
 
     def __len__(self) -> int:
         return len(self.probabilities)
@@ -416,31 +409,25 @@ def fault_frame(cfg: GadgetConfig, faults) -> int:
 @functools.lru_cache(maxsize=4096)
 def _flipped(cfg: GadgetConfig, flips: int) -> Branches:
     """The branches under the readout-flip mask ``flips`` < 2^M, read-only:
-    the noiseless rows with ``flips`` XORed into their words, sorted back
-    into depth-first order, each with its row's probability.
-
-    Negating readout m flips bit M-1-m of a row's sort key
-    (:attr:`Branches._keys`), so the flipped rows' keys are the noiseless
-    keys XOR the bit-reversed mask, and one argsort restores the order."""
-    table, num = _noiseless_table(cfg)[0], cfg.num_measurements
-    rows = np.argsort(table._keys ^ int(f"{flips:0{num}b}"[::-1], 2), kind="stable")
-    words = table.words[rows] ^ flips
-    probabilities = table.probabilities[rows]
-    for array in (words, probabilities, rows):
-        array.flags.writeable = False
-    return Branches(words, probabilities, rows, num)
+    the noiseless table in its own row order with ``flips`` XORed into its
+    words.  Only the words are new; the probabilities and rows are the
+    table's own arrays."""
+    table = _noiseless_table(cfg)[0]
+    words = table.words ^ flips
+    words.flags.writeable = False
+    return Branches(words, table.probabilities, table.rows, cfg.num_measurements)
 
 
 def enumerate_branches(cfg: GadgetConfig, flips: int = 0) -> Branches:
     """All measurement branches of the circuit of ``cfg`` under the
     readout-flip mask ``flips`` (the low M bits of a frame code,
-    :func:`fault_frame`) with probability > ~1e-12, in depth-first (+1
-    first) order, read-only.
+    :func:`fault_frame`) with probability > ~1e-12, read-only.
 
     Under mask 0 they are the noiseless branch table, enumerated once per
-    config on the state-vector path.  Otherwise they are the noiseless rows
-    with the readouts in the mask negated, sorted back into depth-first
-    order (kept per mask), each with its row's probability.  A frame
+    config on the state-vector path, its rows in the depth-first (+1
+    first) order of their records.  Otherwise they are the noiseless rows,
+    in that same row order, with the readouts in the mask negated (kept
+    per mask), each with its row's probability.  A frame
     code's block-3 Pauli, code >> M, leaves rows and probabilities as they
     are and is no part of a branch: a caller that needs it takes it from
     the code, as :func:`frame_bins` does.  A mask outside [0, 2^M), a code

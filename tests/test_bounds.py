@@ -101,19 +101,38 @@ def test_e_xl_bound_past_a_float_coefficient_takes_the_term_products():
     _assert_totals_are_the_bounds(3, 501, noise)
     # below the fallback, the integer coefficient is still the one evaluated
     assert bd.e_xl_bound(3, 401, 1e-5, 1e-3) == 3 * 1205 * 1e-5 + math.comb(401, 201) * (8**201 + 5**201) * 1e-3**201
+    # at r = 2001 the powers underflow too: the exact terms are tiny beside n(3r+2) p_x
+    assert bd.e_xl_bound(3, 2001, 1e-5, 1e-3) == pytest.approx(0.18015, rel=1e-15)
 
 
-@pytest.mark.parametrize("r, want", [(239, 1.0674547020085839e-181), (301, 4.3470412735607137e-228)])
+@pytest.mark.parametrize("r, want", [(239, 1.0674547020085839e-181), (301, 4.3470416972450236e-228)])
 def test_e_xl_bound_where_the_power_underflows_takes_the_term_products(r, want):
     # 1e-3^m underflows to 0.0, which would make the bound 0; the per-term
-    # products C(r, m) (8 p_z)^m + C(r, m) (5 p_z)^m do not underflow
+    # products C(r, m) (8 p_z)^m + C(r, m) (5 p_z)^m do not underflow at
+    # r = 239, and at r = 301, where (8e-3)^151 is subnormal and (5e-3)^151
+    # is 0.0, each term is taken exactly
     m = (r + 1) // 2
     assert 1e-3**m == 0.0
-    assert bd.e_xl_bound(3, r, 0.0, 1e-3) == math.comb(r, m) * (8e-3) ** m + math.comb(r, m) * (5e-3) ** m == want
+    exact = math.comb(r, m) * ((8 * Fraction(1e-3)) ** m + (5 * Fraction(1e-3)) ** m)
+    assert bd.e_xl_bound(3, r, 0.0, 1e-3) == want == pytest.approx(float(exact), rel=1e-15, abs=0.0)
+    if r == 239:
+        assert want == math.comb(r, m) * (8e-3) ** m + math.comb(r, m) * (5e-3) ** m
     _assert_totals_are_the_bounds(3, r, NoiseParams(p_x=0.0, p_z=1e-3, p_zz=0.0))
     # where the power does not underflow, the integer coefficient is still the one evaluated
     assert bd.e_xl_bound(3, 201, 0.0, 1e-3) == 2.936599364244339e-153
     assert bd.e_xl_bound(3, r, 0.0, 0.0) == 0.0
+
+
+@pytest.mark.parametrize("p_z", [0.028, 0.0285])
+def test_e_xl_bound_where_a_term_power_is_no_normal_float_is_exact(p_z):
+    # at r = 1001 the float products would give 0.0 at p_z = 0.028 (both
+    # powers underflow) and 0.44% high at 0.0285 (the subnormal
+    # (8 p_z)^501 = 2.1e-322); each such term is taken exactly
+    m = 501
+    assert (8 * p_z) ** m < sys.float_info.min and (5 * p_z) ** m == 0.0
+    exact = math.comb(1001, m) * ((8 * Fraction(p_z)) ** m + (5 * Fraction(p_z)) ** m)
+    assert bd.e_xl_bound(3, 1001, 0.0, p_z) == float(exact) > 0.0
+    _assert_totals_are_the_bounds(3, 1001, NoiseParams(p_x=0.0, p_z=p_z, p_zz=0.0))
 
 
 @pytest.mark.parametrize("r_z, r_zz", [(205, 205), (213, 213), (201, 213), (213, 201), (213, 239), (239, 213)])

@@ -446,12 +446,12 @@ def test_frame_bins_refuse_rows_and_codes_outside_their_range(row, code):
 
 def test_faulted_branches_are_read_only():
     # the branches of a readout mask are cached and shared by every code
-    # with that mask, so none of their arrays, the derived records and sort
-    # keys included, may be written
+    # with that mask, so none of their arrays, the derived records
+    # included, may be written
     cfg = gd.GadgetConfig.t_state(3, 1)
     for flips in (0, 0b101, (1 << cfg.num_measurements) - 1):
         branches = gd.enumerate_branches(cfg, flips)
-        arrays = (branches.words, branches.records, branches.probabilities, branches.rows, branches._keys)
+        arrays = (branches.words, branches.records, branches.probabilities, branches.rows)
         assert not any(a.flags.writeable for a in arrays), flips
         assert branches.words.dtype == np.int64 and branches.records.dtype == np.int8
 
@@ -638,17 +638,16 @@ def test_enumeration_classifies_in_batches(monkeypatch, order, branch_calls):
 
 
 @pytest.mark.parametrize("r", [1, 3])
-def test_flipped_rows_keep_depth_first_order(r):
-    # one packed key per row sorts the flipped rows as a lexsort of their -1
-    # readouts did, readout 0 the primary key and +1 first, for every mask
+def test_flipped_view_is_the_noiseless_table_with_its_flips_xored_in(r):
+    # a mask's view keeps the noiseless row order: only its words are new,
+    # and its probabilities and rows are the table's own read-only arrays
     cfg = gd.GadgetConfig.t_state(3, r)
-    table, num = gd._noiseless_table(cfg)[0], cfg.num_measurements
-    for flips in range(1, 1 << num):
-        branches = gd._flipped.__wrapped__(cfg, flips)
-        records = np.where((flips >> np.arange(num)) & 1, -table.records, table.records)
-        rows = np.lexsort((records < 0).T[::-1])
-        assert np.array_equal(branches.rows, rows) and np.array_equal(branches.records, records[rows]), flips
-        assert branches.records.dtype == np.int8 and np.array_equal(branches.probabilities, table.probabilities[rows])
+    table = gd._noiseless_table(cfg)[0]
+    for flips in range(1, 1 << cfg.num_measurements):
+        branches = gd.enumerate_branches(cfg, flips)
+        assert np.array_equal(branches.words, table.words ^ flips), flips
+        assert branches.probabilities is table.probabilities and branches.rows is table.rows
+        assert not branches.words.flags.writeable
 
 
 @pytest.mark.parametrize("r", [1, 3])

@@ -198,6 +198,26 @@ class TestSimulate:
         assert code == 2 and out == ""
         assert err.startswith("biasforge: ") and "within 1e-9 of 0.99" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "mode_flags, message",
+        [
+            (["--mode", "enumerate", "--max-order", "1", "--trials", "5"], "--trials is read only by --mode mc"),
+            (["--mode", "mc", "--trials", "100", "--max-order", "2"], "--max-order is read only by --mode enumerate"),
+        ],
+        ids=["trials", "max-order"],
+    )
+    def test_a_flag_its_mode_does_not_read_exits_2_before_simulating(self, capsys, monkeypatch, mode_flags, message):
+        # the header would show the dropped flag as null: refuse it instead
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulation started")
+
+        monkeypatch.setattr(nz, "enumerate_faults", refuse)
+        monkeypatch.setattr(nz, "estimate_rates_mc", refuse)
+        code, out, err = run_cli(
+            capsys, "simulate", "--n", "3", "--r", "1", "--pz", "1e-3", "--bias", "100", *mode_flags
+        )
+        assert (code, out, err) == (2, "", f"biasforge: {message}\n")
+
     def test_bad_order_exits_2(self, capsys):
         code, _, _ = run_cli(
             capsys,

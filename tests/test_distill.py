@@ -48,7 +48,17 @@ class TestCodeSanity:
         assert rows(code.z_checks) == x_rows + products
         assert rows(code.logical_x) == ["1" * 15]
         assert rows(code.logical_z) == ["111" + "0" * 12]
-        assert d.rm15_code() is code
+        again = d.rm15_code()
+        for name in ("x_checks", "z_checks", "logical_x", "logical_z"):
+            assert np.array_equal(getattr(again, name), getattr(code, name)), name
+
+    def test_a_caller_that_mutates_its_code_leaves_the_next_call_unchanged(self):
+        # each call builds its own matrices: no caller shares another's arrays
+        mutated = d.rm15_code()
+        mutated.x_checks[0, 1] = 1
+        mutated.logical_z[:] = 0
+        fresh = d.rm15_code()
+        assert fresh.x_checks[0, 1] == 0 and int(fresh.logical_z.sum()) == 3
 
     def test_checks_commute(self, code):
         assert not (code.x_checks @ code.z_checks.T % 2).any()
