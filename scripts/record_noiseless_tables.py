@@ -5,12 +5,12 @@ Usage: PYTHONPATH=src python scripts/record_noiseless_tables.py > tests/golden/n
 
 Each case is one ``gadget._noiseless_table(cfg)``: the (B, M) records, the
 (B,) branch probabilities and the (B, 2^n) normalised block-3 states of the
-noiseless circuit's measurement branches, which every faulted enumeration
-and Monte Carlo trial reads through its Pauli frame.  Each array is kept as
-``dtype[shape] sha256``, so the table is pinned bit for bit.  The cases are
-the T and |+i> gadgets at n=3 with r=1 and r=3, and at n=5 and n=7 with
-r=1; n=7 is the only size whose stack exceeds ``gadget._MAX_AMPS`` and so
-is advanced in parts.  Re-record only when a table is meant to change.
+noiseless circuit's measurement branches, built in closed form, which every
+faulted enumeration and Monte Carlo trial reads through its Pauli frame.
+Each array is kept as ``dtype[shape] sha256``, so the table is pinned bit
+for bit.  The cases are the T and |+i> gadgets at n=3 with r=1 and r=3,
+and at n=5 and n=7 with r=1.  Re-record only when a table is meant to
+change.
 """
 
 import hashlib
@@ -42,9 +42,8 @@ def record():
 if __name__ == "__main__":
     doc = {
         "about": "SHA-256 of the (records, probabilities, states) arrays of gadget._noiseless_table(cfg), as "
-        "dtype[shape] digest. The digests were first recorded with the compiled-program engine that the "
-        "per-build list of stack operations replaced. n=7 is the only size whose stack exceeds _MAX_AMPS, so "
-        "only it is advanced in parts.",
+        "dtype[shape] digest. The table is built in closed form; tests/statevec_oracle.py runs the circuit "
+        "on a state-vector stack and is the oracle it is checked against.",
         "command": "PYTHONPATH=src python scripts/record_noiseless_tables.py > tests/golden/noiseless_tables.json",
         "cases": record(),
     }

@@ -2,12 +2,11 @@
 
 Layers, bottom up:
 
-* ``statevec``  dense state-vector kernels (gate diagonals, X-readout
-                split); a Pauli is an (X mask, Z mask) pair of ints.
 * ``gadget``    the repetition-code magic-state preparation circuit, its
-                noiseless branch table from one exact state-vector
-                execution, its records stored only as packed readout
-                words, and the table read through Pauli frame codes: the
+                noiseless branch table in closed form (the circuit is
+                Clifford after its CZ(theta) gates), its records stored
+                only as packed readout words, and the table read through
+                Pauli frame codes: the
                 branches of a code's readout flips
                 (``enumerate_branches``), and the outcome bins of (row,
                 code) pairs (``frame_bins``), which XORs each code's flips

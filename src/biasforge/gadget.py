@@ -41,9 +41,10 @@ backward pass over the locations builds.  A location outside the circuit,
 a negative mask, a qubit not live at its location and an X part that
 would reach a CZ(theta) are refused, in that order.
 
-Execution: state vectors run only the noiseless circuit, once per config,
-with every live measurement branch a row of one amplitude stack
-(:func:`_stack_ops`, :func:`_noiseless_table`).  Faults run none.  Every
+Execution: no engine runs the circuit.  The noiseless circuit is Clifford
+after its CZ(theta) gates, so its branch table, each row a record, its
+probability and its block-3 state, is built in closed form, once per
+config (:func:`_noiseless_table`).  Faults run nothing either.  Every
 location a fault event meets after it fires is Clifford: Z parts commute
 with the diagonal gates, and the X events the noise model emits fire after
 a qubit's only CZ(theta).  So a fault is a Pauli frame of readout flips
@@ -73,9 +74,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import statevec as sv
-
-SIM_MAX_N = 7  # largest simulated n: the live register peaks at 2n+1 qubits
+SIM_MAX_N = 7  # largest simulated n: _decoder holds an (S, 4, 2^(2n)) fidelity array, 8 MB at n=7
 FRAME_BITS = 63  # a frame code (M readout flips, then a 2n-bit block-3 Pauli) is one int64
 
 
@@ -116,7 +115,10 @@ class GadgetConfig:
         if not math.isfinite(self.theta):
             raise ConfigError(f"theta={self.theta!r} must be finite")
         if self.n > SIM_MAX_N:
-            raise ConfigError(f"code length n={self.n} exceeds SIM_MAX_N={SIM_MAX_N} (the simulator holds 2n+1 qubits)")
+            raise ConfigError(
+                f"code length n={self.n} exceeds SIM_MAX_N={SIM_MAX_N} "
+                "(the decoder build holds an (S, 4, 2^(2n)) fidelity array)"
+            )
         for name, r in (("r_z", self.r_z), ("r_zz", self.r_zz)):
             if r < 1 or r % 2 == 0:
                 raise ConfigError(f"{name}={r} must be odd and >= 1 (majority votes need odd counts)")
@@ -222,41 +224,8 @@ def build_circuit(cfg: GadgetConfig) -> Circuit:
 
 
 # ---------------------------------------------------------------------------
-# Execution engine: the stacked branches run the noiseless circuit together
-# (see the module docstring).
-
-
-def _stack_ops(cfg: GadgetConfig) -> list[np.ndarray | int]:
-    """The noiseless circuit of ``cfg`` as operations on a (B, 2^q) stack.
-
-    A readout is the int bit position of its qubit.  A run of PrepX and
-    gate locations before a readout, k PrepX among them, is one (2^k, 2^q)
-    array f: the stack becomes (amps[:, None, :] * f).reshape(B, -1), the
-    new qubits taking the top bits in |+>.
-    """
-    order: list[int] = []  # qubit id by bit position
-    ops: list[np.ndarray | int] = []
-    grow, diagonals = 0, []
-    for loc in build_circuit(cfg).locations:
-        if loc.kind is LocationKind.PREP_X:
-            order.append(loc.qubits[0])
-            grow += 1
-        elif loc.kind is LocationKind.CZ_THETA:
-            diagonals.append(sv.cz_theta_diagonal(len(order), *map(order.index, loc.qubits), cfg.theta))
-        elif loc.kind is LocationKind.CPHASE:
-            diagonals.append(sv.cphase_diagonal(len(order), *map(order.index, loc.qubits)))
-        else:
-            if grow or diagonals:
-                f = np.full(1 << len(order), sv._SQRT_HALF**grow, dtype=np.complex128)
-                for diagonal in diagonals:
-                    f *= np.tile(diagonal, len(f) // len(diagonal))
-                ops.append(f.reshape(1 << grow, -1))
-                grow, diagonals = 0, []
-            ops.append(order.index(loc.qubits[0]))
-            order.remove(loc.qubits[0])
-    if grow or diagonals or order != list(block3_qubits(cfg.n)):
-        raise AssertionError(f"circuit does not end on block 3 after a readout: register {order}")
-    return ops
+# The noiseless branch table in closed form, and the Pauli frames that read
+# it (see the module docstring).
 
 
 @dataclass(frozen=True, eq=False)
@@ -286,53 +255,51 @@ class Branches:
         return len(self.probabilities)
 
 
-_BRANCH_EPS = 1e-12  # outcome probabilities below this are treated as zero
-_MAX_AMPS = 1 << 20  # a larger stack advances in chunks of at most this many amplitudes (or one row)
-
-
-def _advance(ops, start, m, amps, words, probs):
-    """Run stack operations start.. (see :func:`_stack_ops`) on a stack
-    whose rows have packed records (bit k set where readout k reads -1) and
-    probabilities for the first m readouts; return the final (amps, words,
-    probs).
-
-    A readout splits every row into children 2b (+1) and 2b+1 (-1), so
-    rows stay in depth-first (+1 first) order, keeps those of conditional
-    probability above _BRANCH_EPS and sets bit m in a -1 child's word.
-    Rows stay unnormalized: a row's squared norm is the probability of its
-    record so far, kept in ``probs``.  A stack over _MAX_AMPS amplitudes
-    runs on in consecutive chunks of max(1, _MAX_AMPS // width) rows, one
-    at a time, which bounds memory; no operation mixes rows, so the chunks
-    concatenate to the whole."""
-    for i, op in enumerate(ops[start:], start):
-        if len(amps) > 1 and amps.size > _MAX_AMPS:
-            step = max(1, _MAX_AMPS // amps.shape[1])
-            chunks = [slice(a, a + step) for a in range(0, len(amps), step)]
-            parts = [_advance(ops, i, m, amps[c], words[c], probs[c]) for c in chunks]
-            return tuple(np.concatenate(arrays) for arrays in zip(*parts))
-        if isinstance(op, int):
-            children = sv.x_split(amps, op)
-            halves = children.view(np.float64)
-            mass = np.einsum("ij,ij->i", halves, halves)
-            kept = np.flatnonzero(mass / probs.repeat(2) > _BRANCH_EPS)
-            amps, words, probs = children[kept], words[kept >> 1] | (kept & 1) << m, mass[kept]
-            m += 1
-        else:
-            amps = (amps[:, None, :] * op).reshape(len(amps), -1)
-    return amps, words, probs
-
-
 @functools.lru_cache(maxsize=64)
 def _noiseless_table(cfg: GadgetConfig) -> tuple[Branches, np.ndarray]:
     """(branches, states), read-only: the branches of the noiseless circuit
-    on the state-vector path, which every faulted enumeration, sampled run
-    and table built from the noiseless circuit reads, and their (B, 2^n)
-    normalised block-3 states in canonical qubit order, which only the
-    decoder build (:func:`_decoder`) reads."""
-    start = np.ones((1, 1), dtype=np.complex128), np.zeros(1, dtype=np.int64), np.ones(1)
-    amps, words, probs = _advance(_stack_ops(cfg), 0, 0, *start)
-    rows = np.arange(len(probs))
-    states = amps / np.sqrt(probs)[:, None]
+    in closed form, which every faulted enumeration, sampled run and table
+    built from the noiseless circuit reads, and their (B, 2^n) normalised
+    block-3 states in canonical qubit order, which only the decoder build
+    (:func:`_decoder`) reads.
+
+    Everything after the CZ(theta) gates is Clifford, so each branch is a
+    stabilizer computation on the product phase state they make.  In the X
+    basis (bit 1 for |->) that state is sum_x A_x |x>|x> on blocks 1 and
+    2, A_x = cos(theta/2)^(n-h) (-i sin(theta/2))^h with h = |x|.  The
+    Z-parity readout zl of block 1 (Z^n flips every X bit) and the block-1
+    readout x leave block 2 in A|x> + A'|~x>, A = A_x and A' = (-1)^zl
+    A_~x.  The joint readout b and the block-2 readout y, x or ~x, leave
+    block 3 in u|+>^n + v|->^n, (u, v) = (A, (-1)^b A') if y = x, else
+    (A', (-1)^b A).  A row's probability is (|A|^2 + |A'|^2) / 16, taken
+    as (c^(n-h) s^h + c^h s^(n-h)) / 16 with c = (1 + cos theta)/2 and
+    s = 1 - c, which makes every |+i> row exactly 2^-(n+3).
+
+    Row index bits, most significant first, are zl, x_0 .. x_(n-1), b and
+    y_0, the depth-first (+1 first) order of the records; the r_z (r_zz)
+    repeated parity readouts all read zl (b).  Rows of probability 0 are
+    left out: at theta = 0 or pi, 16 rows remain.
+    """
+    n, r_z, r_zz = cfg.n, cfg.r_z, cfg.r_zz
+    index = np.arange(8 << n)
+    zl, b, y_0 = index >> n + 2, index >> 1 & 1, index & 1
+    x = sum((index >> n + 1 - j & 1) << j for j in range(n))
+    same = y_0 == x & 1  # y = x, else y = ~x
+    y = np.where(same, x, x ^ (1 << n) - 1)
+    words = zl * ((1 << r_z) - 1) | x << r_z | b * ((1 << r_zz) - 1) << r_z + n | y << r_z + n + r_zz
+    h = _popcount(x, n)
+    c = (1 + math.cos(cfg.theta)) / 2
+    s = 1 - c
+    probs = (c ** (n - h) * s**h + c**h * s ** (n - h)) / 16
+    cos, sin, phase = math.cos(cfg.theta / 2), math.sin(cfg.theta / 2), np.array([1, -1j, -1, 1j])
+    a = cos ** (n - h) * sin**h * phase[h % 4]
+    a_bar = (1 - 2 * zl) * cos**h * sin ** (n - h) * phase[(n - h) % 4]
+    u, v = np.where(same, a, a_bar), (1 - 2 * b) * np.where(same, a_bar, a)
+    kept = np.flatnonzero(probs > 0)
+    u, v = u[kept, None], v[kept, None]
+    signs = 1 - 2 * (_popcount(np.arange(1 << n), n) & 1)  # |->^n is signs * |+>^n
+    states = (u + v * signs) / np.sqrt((2**n) * (abs(u) ** 2 + abs(v) ** 2))
+    words, probs, rows = words[kept], probs[kept], np.arange(len(kept))
     for array in (words, probs, rows, states):
         array.flags.writeable = False
     return Branches(words, probs, rows, cfg.num_measurements), states
@@ -421,13 +388,13 @@ def _flipped(cfg: GadgetConfig, flips: int) -> Branches:
 def enumerate_branches(cfg: GadgetConfig, flips: int = 0) -> Branches:
     """All measurement branches of the circuit of ``cfg`` under the
     readout-flip mask ``flips`` (the low M bits of a frame code,
-    :func:`fault_frame`) with probability > ~1e-12, read-only.
+    :func:`fault_frame`) with positive probability, read-only.
 
-    Under mask 0 they are the noiseless branch table, enumerated once per
-    config on the state-vector path, its rows in the depth-first (+1
-    first) order of their records.  Otherwise they are the noiseless rows,
-    in that same row order, with the readouts in the mask negated (kept
-    per mask), each with its row's probability.  A frame
+    Under mask 0 they are the noiseless branch table, built once per
+    config in closed form (:func:`_noiseless_table`), its rows in the
+    depth-first (+1 first) order of their records.  Otherwise they are the
+    noiseless rows, in that same row order, with the readouts in the mask
+    negated (kept per mask), each with its row's probability.  A frame
     code's block-3 Pauli, code >> M, leaves rows and probabilities as they
     are and is no part of a branch: a caller that needs it takes it from
     the code, as :func:`frame_bins` does.  A mask outside [0, 2^M), a code

@@ -28,10 +28,12 @@
   bit for bit, its frame code's noiseless rows binned and summed in row
   order.
 * ``golden/noiseless_tables.json`` holds a SHA-256 of the records,
-  probabilities and states of the noiseless branch table, first recorded
-  with the compiled-program engine that the per-build list of stack
-  operations replaced; they must stay bit-identical
-  (``scripts/record_noiseless_tables.py`` writes the file).
+  probabilities and states of the closed-form noiseless branch table; they
+  must stay bit-identical (``scripts/record_noiseless_tables.py`` writes
+  the file).  The table must match the state-vector oracle
+  ``statevec_oracle`` at n = 1 to 7: the same packed words in the same
+  order, probabilities within 1e-14 relative and states within 1e-14 up
+  to global phase.
 * Outputs are classified from one Pauli class table per config, keyed on
   the distinct noiseless block-3 states and the Pauli q = correction times
   frame Pauli.  At every (noiseless row, q), or at a seeded sample of them
@@ -68,6 +70,7 @@ from classify_oracle import (
     rows_under_frames,
 )
 from classify_oracle import outcome_bins as oracle_bins
+import statevec_oracle as sv
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "enumerate_grid.json").read_text())
 TABLES = json.loads((Path(__file__).parent / "golden" / "noiseless_tables.json").read_text())
@@ -458,28 +461,72 @@ def test_faulted_branches_are_read_only():
 
 @pytest.mark.parametrize("max_amps", [64, 100])
 def test_large_stacks_advance_in_parts(monkeypatch, max_amps):
-    # the state-vector path splits stacks into chunks of rows while it
+    # the state-vector oracle splits stacks into chunks of rows while it
     # builds the noiseless table; at 100 amplitudes a chunk is not a power
     # of two rows
     cfg = gd.GadgetConfig.t_state(3, 1)
-    whole, whole_states = gd._noiseless_table(cfg)
-    assert not any(a.flags.writeable for a in (whole.words, whole.probabilities, whole_states))
-    advance, stacks = gd._advance, []
+    whole_words, whole_probs, whole_states = sv.noiseless_table(cfg)
+    advance, stacks = sv._advance, []
     signature = inspect.signature(advance)
 
     def recording(*args, **kwargs):
         stacks.append(signature.bind(*args, **kwargs).arguments["amps"].shape)
         return advance(*args, **kwargs)
 
-    monkeypatch.setattr(gd, "_advance", recording)
-    monkeypatch.setattr(gd, "_MAX_AMPS", max_amps)
-    parts, parts_states = gd._noiseless_table.__wrapped__(cfg)
+    monkeypatch.setattr(sv, "_advance", recording)
+    monkeypatch.setattr(sv, "_MAX_AMPS", max_amps)
+    words, probs, states = sv.noiseless_table(cfg)
     assert len(stacks) > 1
     assert all(rows == 1 or rows * width <= max_amps for rows, width in stacks), stacks
-    assert np.array_equal(whole.words, parts.words) and parts.words.dtype == np.int64
-    assert np.array_equal(whole.records, parts.records)
-    np.testing.assert_allclose(parts.probabilities, whole.probabilities, rtol=0, atol=1e-15)
-    np.testing.assert_allclose(parts_states, whole_states, rtol=0, atol=1e-15)
+    assert np.array_equal(whole_words, words) and words.dtype == np.int64
+    np.testing.assert_allclose(probs, whole_probs, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(states, whole_states, rtol=0, atol=1e-15)
+
+
+def _assert_table_matches_the_oracle(cfg):
+    """The closed-form table of ``cfg`` against the state-vector oracle: the
+    same words in the same order, probabilities within 1e-14 relative and
+    states within 1e-14 once the global phase is aligned; it is read-only
+    and holds no NaN."""
+    branches, states = gd._noiseless_table.__wrapped__(cfg)  # keeps the cache for the named configs
+    assert not any(a.flags.writeable for a in (branches.words, branches.probabilities, branches.rows, states))
+    words, probs, oracle_states = sv.noiseless_table(cfg)
+    assert np.array_equal(branches.words, words) and branches.words.dtype == np.int64
+    assert np.array_equal(branches.rows, np.arange(len(words)))
+    np.testing.assert_allclose(branches.probabilities, probs, rtol=1e-14, atol=0)
+    assert not np.isnan(states).any()
+    overlap = np.einsum("ij,ij->i", states.conj(), oracle_states)
+    np.testing.assert_allclose(states * (overlap / abs(overlap))[:, None], oracle_states, rtol=0, atol=1e-14)
+    return branches
+
+
+_TABLE_CASES = [  # every r pair at n <= 5; at n = 7, where an oracle build takes about 0.3 s, one unequal pair
+    *(
+        gd.GadgetConfig.custom(n, theta, r_z, r_zz)
+        for n in (1, 3, 5)
+        for theta in (math.pi / 4, math.pi / 2, 1.0)
+        for r_z, r_zz in ((1, 1), (1, 3), (3, 1))
+    ),
+    *(gd.GadgetConfig.custom(7, theta) for theta in (math.pi / 4, math.pi / 2, 1.0)),
+    gd.GadgetConfig.custom(7, 1.0, 3, 1),
+]
+
+
+@pytest.mark.parametrize(
+    "cfg", _TABLE_CASES, ids=lambda c: f"{_THETA_NAMES.get(c.theta, 'custom')}-n{c.n}-rz{c.r_z}-rzz{c.r_zz}"
+)
+def test_closed_form_table_matches_the_state_vector_oracle(cfg):
+    branches = _assert_table_matches_the_oracle(cfg)
+    assert len(branches) == 8 << cfg.n  # 0 < cos(theta) < 1: no row has probability 0
+    if cfg.theta == math.pi / 2:  # c = s = 1/2 exactly
+        assert np.all(branches.probabilities == 2.0 ** -(cfg.n + 3))
+
+
+@pytest.mark.parametrize("theta", [0.0, math.pi], ids=["theta0", "pi"])
+@pytest.mark.parametrize("n", [1, 3, 5, 7])
+def test_closed_form_table_at_theta_zero_and_pi_keeps_16_rows(n, theta):
+    # c or s is 0: only x = 0 and x = ~0 keep weight, under each zl, b and y_0
+    assert len(_assert_table_matches_the_oracle(gd.GadgetConfig.custom(n, theta, 1, 3))) == 16
 
 
 def _digest(array: np.ndarray) -> str:
@@ -488,7 +535,6 @@ def _digest(array: np.ndarray) -> str:
 
 @pytest.mark.parametrize("case", TABLES["cases"], ids=lambda c: f"{c['target']}-n{c['n']}-r{c['r']}")
 def test_noiseless_table_matches_golden_digests(case):
-    # n=7 is the only size whose stack outgrows _MAX_AMPS and runs in parts
     make = gd.GadgetConfig.t_state if case["target"] == "T" else gd.GadgetConfig.plus_i
     branches, states = gd._noiseless_table(make(case["n"], case["r"]))
     arrays = {"records": branches.records, "probabilities": branches.probabilities, "states": states}

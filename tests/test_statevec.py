@@ -1,10 +1,11 @@
-"""The state-vector kernels and the conventions the branch engine builds on.
+"""The state-vector oracle's kernels and the conventions they build on.
 
-The kernels act on plain amplitude arrays; the engine in ``gadget``
-prepares |+> qubits in the factors of its stack operations
-(``gadget._stack_ops``), so that is tested here as well, and so are the
-state fidelity the tests compare states by and the Pauli action (Y = iXZ)
-the tests apply to states (``classify_oracle``).
+The kernels act on plain amplitude arrays; the oracle engine
+(``statevec_oracle``), which the closed-form noiseless table of ``gadget``
+is checked against, prepares |+> qubits in the factors of its stack
+operations (``statevec_oracle._stack_ops``), so that is tested here as
+well, and so are the state fidelity the tests compare states by and the
+Pauli action (Y = iXZ) the tests apply to states (``classify_oracle``).
 """
 
 import math
@@ -15,8 +16,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from biasforge import gadget as gd
-from biasforge import statevec as sv
 from classify_oracle import mask, pauli_action, state_fidelity
+import statevec_oracle as sv
 
 SQ2 = math.sqrt(2.0)
 
@@ -69,8 +70,8 @@ def mass(amps) -> float:
 
 
 def factors(cfg) -> list[np.ndarray]:
-    """The factors among the engine's stack operations for cfg, in order."""
-    return [op for op in gd._stack_ops(cfg) if not isinstance(op, int)]
+    """The factors among the oracle engine's stack operations for cfg, in order."""
+    return [op for op in sv._stack_ops(cfg) if not isinstance(op, int)]
 
 
 def grown(amps, factor) -> np.ndarray:
