@@ -53,15 +53,21 @@ class BoundBreakdown:
     e_zl: float
 
 
+def _term(c: int, k: int, m: int, p_z: float) -> float:
+    """One p_z term c (k p_z)^m of e_xl, c = C(r, m): the float product, or,
+    where the power (k p_z)^m is no normal float while p_z > 0, the product
+    in exact rationals, converted once."""
+    power = (k * p_z) ** m
+    return float(c * (k * Fraction(p_z)) ** m) if p_z > 0 and power < _NORMAL_MIN else c * power
+
+
 def _e_xl(n: int, r_z: int, r_zz: int, p_x: float, p_z: float) -> float:
     """n(r_z + 2 r_zz + 2) p_x + C(r_zz,m_zz) (2n+2)^m_zz p_z^m_zz + C(r_z,m_z) (n+2)^m_z p_z^m_z
     with m = (r+1)/2.  The int coefficients of equal powers of p_z are added
     before the float multiply.  Where one is past the largest float (r = 501
     at n = 3), or a power p_z^m is no normal float (0, or subnormal with
     lost bits, as at r >= 205, n = 3, p_z = 1e-3), the p_z terms are taken
-    one by one: each is the float product C(r,m) (k p_z)^m, or, where
-    that power is no normal float while p_z > 0, C(r,m) (k p_z)^m in
-    exact rationals, converted once."""
+    one by one (:func:`_term`)."""
     m_z, m_zz = (r_z + 1) // 2, (r_zz + 1) // 2
     c_z, c_zz = math.comb(r_z, m_z), math.comb(r_zz, m_zz)
     linear = n * (r_z + 2 * r_zz + 2) * p_x
@@ -73,12 +79,7 @@ def _e_xl(n: int, r_z: int, r_zz: int, p_x: float, p_z: float) -> float:
             return linear + (c_zz * (2 * n + 2) ** m_zz * power_zz + c_z * (n + 2) ** m_z * power_z)
         except OverflowError:  # int too large to convert to float
             pass
-
-    def term(c: int, k: int, m: int) -> float:
-        power = (k * p_z) ** m
-        return float(c * (k * Fraction(p_z)) ** m) if p_z > 0 and power < _NORMAL_MIN else c * power
-
-    return linear + (term(c_zz, 2 * n + 2, m_zz) + term(c_z, n + 2, m_z))
+    return linear + (_term(c_zz, 2 * n + 2, m_zz, p_z) + _term(c_z, n + 2, m_z, p_z))
 
 
 def _e_zl(n: int, r_z: int, r_zz: int, p_x: float, p_z: float, p_zz: float) -> float:
@@ -100,9 +101,9 @@ def breakdown(n: int, r_z: int, r_zz: int, noise: NoiseParams) -> BoundBreakdown
     p_x, p_z, p_zz = noise.p_x, noise.p_z, noise.p_zz
     m_z = (r_z + 1) // 2
     m_zz = (r_zz + 1) // 2
-    eps_x_mz = n * (r_z + 1) * p_x + math.comb(r_z, m_z) * ((n + 2) * p_z) ** m_z
+    eps_x_mz = n * (r_z + 1) * p_x + _term(math.comb(r_z, m_z), n + 2, m_z, p_z)
     eps_x2 = n * (r_zz + 1) * p_x + eps_x_mz
-    eps_x_mzz = math.comb(r_zz, m_zz) * ((2 * n + 2) * p_z) ** m_zz + eps_x2
+    eps_x_mzz = _term(math.comb(r_zz, m_zz), 2 * n + 2, m_zz, p_z) + eps_x2
     return BoundBreakdown(
         eps_x3=r_zz * n * p_x,
         eps_x_mzz=eps_x_mzz,

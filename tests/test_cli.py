@@ -60,7 +60,8 @@ class TestBounds:
     @pytest.mark.parametrize(
         "flags",
         [
-            ["--rz", "1", "--rzz", "2001", "--pz", "1e-3", "--px", "1e-5"],  # C(2001, 1001) is too large for a float
+            # C(2001, 1001) is too large for a float, and (8 p_z)^1001 is a normal float
+            ["--rz", "1", "--rzz", "2001", "--pz", "0.1", "--px", "1e-5"],
             ["--r", "2001", "--pz", "0.5", "--px", "0.5"],  # a float power past the largest float
         ],
         ids=["binomial", "power"],
@@ -86,6 +87,26 @@ class TestBounds:
         report = run_json(capsys, "bounds", "--n", "3", "--r", "501", "--pz", "1e-3", "--bias", "100")
         assert report["results"]["e_xl"] == bd.e_xl_bound(3, 501, 1e-5, 1e-3)
         assert math.isclose(report["results"]["e_xl"], 0.04515, rel_tol=1e-15)
+
+    @pytest.mark.parametrize("p_z", ["0.028", "0.0285"])
+    def test_channel_terms_past_r_1000_take_e_xl_terms_exactly(self, capsys, p_z):
+        # at r = 1001 the float powers (5 p_z)^501 and (8 p_z)^501 are 0.0 or
+        # subnormal; the channel terms take them as e_xl does, so they are
+        # nonzero and add up to it
+        flags = ["bounds", "--n", "3", "--r", "1001", "--pz", p_z, "--px", "0", "--pzz", "0"]
+        b = run_json(capsys, *flags)["results"]
+        assert all(b[name] > 0.0 for name in ("eps_x_mz", "eps_x2", "eps_x_mzz", "e_xl")), b
+        assert b["e_xl"] == bd.e_xl_bound(3, 1001, 0.0, float(p_z))
+        assert math.isclose(b["eps_x3"] + b["eps_x_mzz"], b["e_xl"], rel_tol=1e-12)
+
+    def test_a_binomial_past_the_largest_float_times_an_underflowed_power_is_exact(self, capsys):
+        # C(2001, 1001) is too large for a float, but (8e-3)^1001 is 0.0: the
+        # term is taken in exact rationals, C(2001, 1001) (8e-3)^1001 ~ 1e-1497,
+        # which rounds to 0.0, not refused as an overflow
+        flags = ["bounds", "--n", "3", "--rz", "1", "--rzz", "2001", "--pz", "1e-3", "--px", "1e-5"]
+        b = run_json(capsys, *flags)["results"]
+        assert b["eps_x_mzz"] == b["eps_x2"] > 0.0
+        assert math.isclose(b["eps_x3"] + b["eps_x_mzz"], b["e_xl"], rel_tol=1e-12)
 
     @pytest.mark.parametrize("p_z", ["0", "1e-3"])
     def test_nan_bias_exits_2(self, capsys, p_z):
