@@ -6,8 +6,7 @@ Layers, bottom up:
                 noiseless branch table in closed form (the circuit is
                 Clifford after its CZ(theta) gates), its records stored
                 only as packed readout words, and the table read through
-                Pauli frame codes: the
-                branches of a code's readout flips
+                Pauli frame codes: the branches of a code's readout flips
                 (``enumerate_branches``), and the outcome bins of (row,
                 code) pairs (``frame_bins``), which XORs each code's flips
                 into its row's word, decodes it and reads one Pauli class

@@ -291,14 +291,14 @@ def _noiseless_table(cfg: GadgetConfig) -> tuple[Branches, np.ndarray]:
     c = (1 + math.cos(cfg.theta)) / 2
     s = 1 - c
     probs = (c ** (n - h) * s**h + c**h * s ** (n - h)) / 16
-    cos, sin, phase = math.cos(cfg.theta / 2), math.sin(cfg.theta / 2), np.array([1, -1j, -1, 1j])
-    a = cos ** (n - h) * sin**h * phase[h % 4]
-    a_bar = (1 - 2 * zl) * cos**h * sin ** (n - h) * phase[(n - h) % 4]
+    cos_half, sin_half, phase = math.cos(cfg.theta / 2), math.sin(cfg.theta / 2), np.array([1, -1j, -1, 1j])
+    a = cos_half ** (n - h) * sin_half**h * phase[h % 4]  # phase[k] = (-i)^k
+    a_bar = (1 - 2 * zl) * cos_half**h * sin_half ** (n - h) * phase[(n - h) % 4]
     u, v = np.where(same, a, a_bar), (1 - 2 * b) * np.where(same, a_bar, a)
     kept = np.flatnonzero(probs > 0)
     u, v = u[kept, None], v[kept, None]
     signs = 1 - 2 * (_popcount(np.arange(1 << n), n) & 1)  # |->^n is signs * |+>^n
-    states = (u + v * signs) / np.sqrt((2**n) * (abs(u) ** 2 + abs(v) ** 2))
+    states = (u + v * signs) / np.sqrt(2**n * (abs(u) ** 2 + abs(v) ** 2))
     words, probs, rows = words[kept], probs[kept], np.arange(len(kept))
     for array in (words, probs, rows, states):
         array.flags.writeable = False

@@ -500,7 +500,7 @@ def _assert_table_matches_the_oracle(cfg):
     return branches
 
 
-_TABLE_CASES = [  # every r pair at n <= 5; at n = 7, where an oracle build takes about 0.3 s, one unequal pair
+_TABLE_CASES = [  # every r pair at n <= 5; at n = 7, where an oracle build takes 0.3-0.8 s, one unequal pair
     *(
         gd.GadgetConfig.custom(n, theta, r_z, r_zz)
         for n in (1, 3, 5)
