@@ -122,6 +122,8 @@ class GadgetConfig:
         for name, r in (("r_z", self.r_z), ("r_zz", self.r_zz)):
             if r < 1 or r % 2 == 0:
                 raise ConfigError(f"{name}={r} must be odd and >= 1 (majority votes need odd counts)")
+        # the readout count M: stored, since every enumerate_branches range check reads it
+        object.__setattr__(self, "num_measurements", self.r_z + self.r_zz + 2 * self.n)
         if self.num_measurements + 2 * self.n > FRAME_BITS:
             raise ConfigError(
                 f"r_z + r_zz + 4n = {self.num_measurements + 2 * self.n} exceeds FRAME_BITS={FRAME_BITS} "
@@ -144,10 +146,6 @@ class GadgetConfig:
     @classmethod
     def custom(cls, n: int, theta: float, r: int = 1, r_zz: int | None = None) -> "GadgetConfig":
         return cls(n=n, theta=theta, r_z=r, r_zz=r if r_zz is None else r_zz)
-
-    @property
-    def num_measurements(self) -> int:
-        return self.r_z + self.r_zz + 2 * self.n
 
 
 @dataclass(frozen=True)
@@ -371,6 +369,30 @@ def fault_frame(cfg: GadgetConfig, faults) -> int:
             if zs >> q & 1:
                 code ^= z
     return code
+
+
+def frame_quotient(cfg: GadgetConfig, codes: np.ndarray) -> np.ndarray:
+    """One canonical frame code per class of ``codes``: two codes of one
+    class give every noiseless row the same bin (:func:`frame_bins`).
+
+    Codes differ within a class by the n + 3 kernel directions, which hold
+    for any theta: X_j X_(j+1) on block 3 (j < n - 1), which stabilises the
+    target and every row state; every r_z readout with X_L = X_0, every
+    r_z and r_zz readout, and every block-2 readout with Z_L = Z^n, each of
+    which turns a row's key into that of a row whose state is the first's
+    times X_L, I or Z_L, up to a sign, so the correction lookup absorbs
+    the logical Pauli the direction carries; and every block-1 readout,
+    which changes no decode field.  The map is linear: the X mask is
+    replaced by its parity, which is folded into the r_z readouts, and the
+    first r_z, block-1 and block-2 bits are cleared by the directions with
+    them, leaving N - n - 3 free bits of the N = M + 2n.
+    """
+    n, r_z, m = cfg.n, cfg.r_z, cfg.num_measurements
+    block, zl, block2 = (1 << n) - 1, (1 << r_z) - 1, r_z + n + cfg.r_zz
+    codes = (codes & (1 << m + n) - 1) ^ (_popcount(codes >> m + n, n) & 1) * zl
+    codes = codes ^ (codes & 1) * (zl | (1 << cfg.r_zz) - 1 << r_z + n)
+    codes = codes ^ (codes >> r_z & 1) * (block << r_z)
+    return codes ^ (codes >> block2 & 1) * (block << block2 | block << m)
 
 
 @functools.lru_cache(maxsize=4096)

@@ -30,7 +30,8 @@ every measurement branch of its frame.  A subset's outcome-bin masses do
 not depend on the rates, so they are built once per (config, order)
 (``_enumerated_combos``), and a NoiseParams costs one weight per stratum
 of subsets that fire as many z, x and zz events (``_strata``).  The
-build sums each distinct frame code's masses once, over the noiseless
+build sums each class of frame codes once (the codes of a class differ
+by directions no bin sees, ``gadget.frame_quotient``), over the noiseless
 rows in row order (``_frame_masses``, which also gives Monte Carlo's
 clean-trial masses), in chunks of codes that bound its memory; a subset's
 only own work is one ``gadget.enumerate_branches`` call on its readout
@@ -213,9 +214,11 @@ def _enumerated_combos(cfg: gd.GadgetConfig, max_order: int):
     ``subsets`` is an (S, k) event-index matrix, padded with the event count
     (a column of zero log-odds and a zero frame code); ``masses`` is the
     (S, gadget.N_BINS) outcome-bin mass matrix.  A subset's masses are
-    those of its XOR-reduced frame code, so each distinct code is summed
-    once (``_frame_masses``) and gathered to its subsets.  Independent of
-    NoiseParams, so cached per config and order.
+    those of its XOR-reduced frame code, which are those of every code of
+    its class (``gadget.frame_quotient``), so each class is summed once,
+    at its canonical code (``_frame_masses``), and gathered to its
+    subsets: 147 classes for the 368 distinct codes of order 2 at n=3,
+    r=1.  Independent of NoiseParams, so cached per config and order.
 
     Every subset still gets its own ``gadget.enumerate_branches`` call, on
     its code's readout flips (code & (2^M - 1)): a range check and a
@@ -231,7 +234,7 @@ def _enumerated_combos(cfg: gd.GadgetConfig, max_order: int):
     codes = np.bitwise_xor.reduce(np.append(frames, 0)[index], axis=1)
     for mask in (codes & ((1 << cfg.num_measurements) - 1)).tolist():
         gd.enumerate_branches(cfg, mask)  # unread: the benchmark's traced gate counts them (ROADMAP item 1(a))
-    distinct, inverse = np.unique(codes, return_inverse=True)
+    distinct, inverse = np.unique(gd.frame_quotient(cfg, codes), return_inverse=True)
     masses = _frame_masses(cfg, distinct)
     totals = masses.sum(axis=1)
     worst = totals[np.argmax(np.abs(totals - 1.0))]
@@ -342,8 +345,9 @@ _PASS = 4
 # Branches per frame_bins call at most: _frame_masses reads max(1,
 # _BATCH_SLOTS // B) frame codes of B noiseless rows a chunk.  Bounds a
 # chunk's memory and is not part of the masses, which are each code's rows
-# summed in row order.  A cold order-2 build at n=3 peaks at 1.7 MB traced
-# at r=1 and 3.2 MB at r=3, against 2.2 and 8.7 MB in one chunk.
+# summed in row order.  A cold order-2 build at n=3 peaks at 0.95 MB traced
+# at r=1, whose 147 classes fit one chunk, and 2.4 MB at r=3, against 5.0 MB
+# in one chunk.
 _BATCH_SLOTS = 16_384
 
 

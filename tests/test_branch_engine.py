@@ -22,6 +22,11 @@
   every single-qubit Z, X and Y at every location and on every qubit, and
   for random fault lists, it must give the code of the forward walk
   ``classify_oracle.forward_frame``, or raise the same exception class.
+* ``gadget.frame_quotient`` maps a frame code to one canonical code of
+  its class.  Each of the n + 3 kernel directions, and the projection,
+  must leave every bin as it is: on all codes and rows at n=3, r=1, and
+  on seeded codes and rows at other n, r and theta.  The projection must
+  be idempotent and linear, with rank N - n - 3.
 * ``golden/enumerated_masses.json`` holds a SHA-256 of the rate, subset
   and mass arrays of ``noise._enumerated_combos``; they must stay
   bit-identical whatever the chunk size.  Every subset's masses must equal,
@@ -582,6 +587,73 @@ def test_class_tables_hold_no_anomaly_bin(n):
         assert table.shape == (state.max() + 1, 1 << 2 * n) and not np.any(table == gd.BIN_ANOMALY), cfg
 
 
+def _kernel_directions(cfg):
+    """The n + 3 frame codes no bin sees, in the frame-code layout (r_z
+    readouts, block 1, r_zz readouts, block 2, then the block-3 Z and X
+    masks): X_j X_(j+1) on block 3, every r_z readout with X_L = X_0, every
+    r_z and r_zz readout, every block-1 readout, and every block-2 readout
+    with Z_L = Z^n."""
+    n, r_z, r_zz, m = cfg.n, cfg.r_z, cfg.r_zz, cfg.num_measurements
+    zl, zz, block = (1 << r_z) - 1, (1 << r_zz) - 1 << r_z + n, (1 << n) - 1
+    xx = [3 << m + n + j for j in range(n - 1)]
+    return xx + [zl | 1 << m + n, zl | zz, block << r_z, block << r_z + n + r_zz | block << m]
+
+
+def _gf2_rank(vectors):
+    """The rank over GF(2) of ints read as bit vectors."""
+    basis = []  # distinct leading bits, largest first
+    for v in vectors:
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:
+            basis = sorted(basis + [v], reverse=True)
+    return len(basis)
+
+
+def _bins_keep(cfg, rows, codes):
+    """Whether every kernel direction, and the projection, leave the bin
+    of each (row, code) pair as it is."""
+    want = gd.frame_bins(cfg, rows, codes)
+    moved = [codes ^ d for d in _kernel_directions(cfg)] + [gd.frame_quotient(cfg, codes)]
+    return all(np.array_equal(gd.frame_bins(cfg, rows, c), want) for c in moved)
+
+
+def test_no_bin_sees_the_kernel_on_any_code_at_the_anchor():
+    # all 2^14 frame codes under each of the 64 noiseless rows at n=3, r=1;
+    # the projections take 2^(N - n - 3) = 256 values, so the kernel of the
+    # projection has dimension n + 3
+    cfg = gd.GadgetConfig.t_state(3, 1)
+    width = cfg.num_measurements + 2 * cfg.n
+    codes, rows = np.arange(1 << width), np.arange(len(gd.enumerate_branches(cfg)))
+    assert _bins_keep(cfg, np.tile(rows, len(codes)), codes.repeat(len(rows)))
+    assert len(np.unique(gd.frame_quotient(cfg, codes))) == 1 << width - cfg.n - 3 == 256
+
+
+@pytest.mark.parametrize("theta", [math.pi / 4, math.pi / 2, 1.0, 1e-7, math.pi - 1e-7], ids=lambda t: f"theta{t:.3g}")
+@pytest.mark.parametrize("n, r_z, r_zz", [(1, 1, 1), (3, 1, 1), (3, 3, 3), (3, 1, 3), (5, 3, 1), (7, 1, 1)])
+def test_no_bin_sees_the_kernel_on_random_codes(n, r_z, r_zz, theta):
+    # 4,096 seeded codes, each under 16 seeded rows, half of them flipping
+    # blocks 1 and 2 alike so that their records stay correlated and most
+    # are accepted; the projection is idempotent and linear, sends the
+    # n + 3 independent directions to 0 and has rank N - n - 3, so its
+    # kernel is their span
+    cfg = gd.GadgetConfig(n, theta, r_z, r_zz)
+    width, block, block2 = cfg.num_measurements + 2 * n, (1 << n) - 1, r_z + n + r_zz
+    rng = np.random.default_rng(1509)
+    codes = rng.integers(1 << width, size=4096)
+    alike = codes & ~(block << block2) | (codes >> r_z & block) << block2
+    codes = np.where(np.arange(len(codes)) % 2, codes, alike)
+    rows = rng.integers(len(gd.enumerate_branches(cfg)), size=16 * len(codes))
+    assert _bins_keep(cfg, rows, codes.repeat(16))
+    q, other = gd.frame_quotient(cfg, codes), np.roll(codes, 1)
+    assert np.array_equal(gd.frame_quotient(cfg, q), q)
+    assert np.array_equal(gd.frame_quotient(cfg, codes ^ other), gd.frame_quotient(cfg, q ^ gd.frame_quotient(cfg, other)))
+    directions = _kernel_directions(cfg)
+    assert not gd.frame_quotient(cfg, np.array(directions)).any() and _gf2_rank(directions) == n + 3
+    units = gd.frame_quotient(cfg, 1 << np.arange(width)).tolist()
+    assert _gf2_rank(units) == width - n - 3
+
+
 def _mass_digests(cfg, order, build=nz._enumerated_combos):
     rates, index, masses = build(cfg, order)
     return {name: _digest(array) for name, array in {"rates": rates, "index": index, "masses": masses}.items()}
@@ -597,6 +669,11 @@ def test_enumerated_masses_match_golden_digests(case):
 def _subset_codes(cfg, index):
     """Each subset's frame code: the XOR of its events' codes."""
     return np.bitwise_xor.reduce(np.append(nz._event_table(cfg)[1], 0)[index], axis=1)
+
+
+# the classes (distinct projected frame codes) of each recorded build at
+# orders 1 and 2: the codes whose masses the cold build sums
+CLASS_COUNTS = {"T-r1": (26, 147), "T-r3": (53, 803), "plusI-r1": (26, 147)}
 
 
 @pytest.mark.parametrize("order", (1, 2))
@@ -634,10 +711,13 @@ def _counting(monkeypatch, names):
 @pytest.mark.parametrize("budget", [1, 1000, 1 << 62], ids=["one-subset", "straddling", "one-batch"])
 @pytest.mark.parametrize("case", MASSES["cases"], ids=lambda c: f"{c['gadget']}-order{c['order']}")
 def test_enumerated_masses_do_not_depend_on_the_batch_size(monkeypatch, case, budget):
-    # one distinct frame code per chunk, chunks of 15 codes of 64 branches,
-    # and every code in one chunk: each mass is the same sum in the same order
+    # one class of frame codes per chunk, chunks of 15 classes of 64
+    # branches, and every class in one chunk: each mass is the same sum in
+    # the same order
     cfg = ENUMERATED[case["gadget"]]
-    distinct = len(np.unique(_subset_codes(cfg, nz._enumerated_combos(cfg, case["order"])[1])))
+    codes = _subset_codes(cfg, nz._enumerated_combos(cfg, case["order"])[1])
+    distinct = len(np.unique(gd.frame_quotient(cfg, codes)))
+    assert distinct == CLASS_COUNTS[case["gadget"]][case["order"] - 1]
     per_chunk = max(1, budget // len(gd.enumerate_branches(cfg)))
     monkeypatch.setattr(nz, "_BATCH_SLOTS", budget)
     calls = _counting(monkeypatch, ["frame_bins"])
@@ -646,8 +726,8 @@ def test_enumerated_masses_do_not_depend_on_the_batch_size(monkeypatch, case, bu
 
 
 def test_enumeration_batches_bound_the_memory_of_a_cold_build():
-    # a cold order-2 build at n=3, r=3 peaks near 3.2 MB traced in chunks
-    # of _BATCH_SLOTS branches, and near 8.7 MB in one chunk
+    # a cold order-2 build at n=3, r=3 peaks near 2.4 MB traced in chunks
+    # of _BATCH_SLOTS branches, and near 5.0 MB in one chunk
     cfg = gd.GadgetConfig.t_state(3, r=3)
     nz._enumerated_combos(cfg, 2)  # build the noiseless, class and event tables first
     gd._flipped.cache_clear()
@@ -657,17 +737,17 @@ def test_enumeration_batches_bound_the_memory_of_a_cold_build():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * 2**20, peak
+    assert peak < 4 * 2**20, peak
 
 
 @pytest.mark.parametrize("order, branch_calls", [(1, 80), (2, 3161)])
 def test_enumeration_classifies_in_batches(monkeypatch, order, branch_calls):
     # one enumerate_branches call per subset (the benchmark counts them) but
     # one frame_bins call per chunk of at most _BATCH_SLOTS branches of the
-    # distinct frame codes, and one fault_frame call per fault event: subsets
-    # reach the gadget as XORed codes.  Under every frame a code has the
-    # noiseless table's branch count.  Each enumerate_branches call, whose
-    # result is unread, gets the code's low M bits, below 2^M.
+    # classes of frame codes, and one fault_frame call per fault event:
+    # subsets reach the gadget as XORed codes.  Under every frame a code has
+    # the noiseless table's branch count.  Each enumerate_branches call,
+    # whose result is unread, gets the code's low M bits, below 2^M.
     cfg = gd.GadgetConfig.t_state(3, r=1)
     per_chunk = max(1, nz._BATCH_SLOTS // len(gd.enumerate_branches(cfg)))
     codes, enumerate_branches = [], gd.enumerate_branches
@@ -675,10 +755,11 @@ def test_enumeration_classifies_in_batches(monkeypatch, order, branch_calls):
     calls = _counting(monkeypatch, ["frame_bins", "fault_frame"])
     nz._event_table.cache_clear()
     nz._enumerated_combos.cache_clear()
-    index = nz._enumerated_combos(cfg, order)[1]
-    distinct = {1: 32, 2: 368}[order]
-    assert len(np.unique(_subset_codes(cfg, index))) == distinct
-    chunks = -(-distinct // per_chunk)
+    subsets = _subset_codes(cfg, nz._enumerated_combos(cfg, order)[1])
+    classes = CLASS_COUNTS["T-r1"][order - 1]
+    assert len(np.unique(subsets)) == {1: 32, 2: 368}[order]
+    assert len(np.unique(gd.frame_quotient(cfg, subsets))) == classes
+    chunks = -(-classes // per_chunk)
     assert len(codes) == branch_calls and calls == {"frame_bins": chunks, "fault_frame": 79}
     assert 0 <= min(codes) <= max(codes) < 1 << cfg.num_measurements
 
