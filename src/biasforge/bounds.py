@@ -10,7 +10,8 @@ than interpolating.
 
 Each total is one polynomial in (n, r_z, r_zz), evaluated in one order:
 ``breakdown`` reports it beside its channel terms, and ``e_xl_bound`` /
-``e_zl_bound`` are its r_z = r_zz = r case, bit for bit.
+``e_zl_bound`` are its r_z = r_zz = r case, bit for bit.  The rates are
+taken as floats, so int rates give the float rates' results.
 
 The module evaluates one noise point at a time; the bound-curve figures
 are sweeps of ``e_xl_bound`` / ``e_zl_bound`` over the p_z grids of the
@@ -98,7 +99,7 @@ def breakdown(n: int, r_z: int, r_zz: int, noise: NoiseParams) -> BoundBreakdown
     _check_odd("n", n)
     _check_odd("r_z", r_z)
     _check_odd("r_zz", r_zz)
-    p_x, p_z, p_zz = noise.p_x, noise.p_z, noise.p_zz
+    p_x, p_z, p_zz = float(noise.p_x), float(noise.p_z), float(noise.p_zz)
     m_z = (r_z + 1) // 2
     m_zz = (r_zz + 1) // 2
     eps_x_mz = n * (r_z + 1) * p_x + _term(math.comb(r_z, m_z), n + 2, m_z, p_z)
@@ -120,11 +121,11 @@ def e_xl_bound(n: int, r: int, p_x: float, p_z: float) -> float:
     """n(3r+2) p_x + C(r,m) [(2(n+1))^m + (n+2)^m] p_z^m with m = (r+1)/2."""
     _check_odd("n", n)
     _check_odd("r", r)
-    return _e_xl(n, r, r, p_x, p_z)
+    return _e_xl(n, r, r, float(p_x), float(p_z))
 
 
 def e_zl_bound(n: int, r: int, p_x: float, p_z: float, p_zz: float) -> float:
     """(2(r+3) p_z)^n + n p_zz + 3 n r p_x + n ((r+3) p_z)^2."""
     _check_odd("n", n)
     _check_odd("r", r)
-    return _e_zl(n, r, r, p_x, p_z, p_zz)
+    return _e_zl(n, r, r, float(p_x), float(p_z), float(p_zz))

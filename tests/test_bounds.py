@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 from fractions import Fraction
@@ -37,6 +38,19 @@ def test_e_zl_bound_values():
     v1 = bd.e_zl_bound(3, 1, 1e-6, 1e-3, 1e-6)
     assert abs(v1 - (5.12e-7 + 3e-6 + 9e-6 + 4.8e-5)) < 1e-12
     assert bd.e_zl_bound(3, 1, 0.0, 0.0, 0.0) == 0.0
+
+
+@pytest.mark.parametrize("rates", [(0, 0, 0), (0, 1, 0), (0, 1, 1), (1, 1, 1)])
+@pytest.mark.parametrize("r_z, r_zz", [(1, 1), (3, 3), (1, 3), (411, 411)])
+def test_int_rates_give_the_float_rates_results(rates, r_z, r_zz):
+    # an int rate once made an int bound: a 309-digit one at r = 411, p = 1
+    floats = tuple(map(float, rates))
+    got = [*dataclasses.astuple(bd.breakdown(3, r_z, r_zz, NoiseParams(*rates)))]
+    want = [*dataclasses.astuple(bd.breakdown(3, r_z, r_zz, NoiseParams(*floats)))]
+    if r_z == r_zz:
+        got += [bd.e_xl_bound(3, r_z, *rates[:2]), bd.e_zl_bound(3, r_z, *rates)]
+        want += [bd.e_xl_bound(3, r_z, *floats[:2]), bd.e_zl_bound(3, r_z, *floats)]
+    assert all(type(v) is float for v in got) and [v.hex() for v in got] == [v.hex() for v in want]
 
 
 @pytest.mark.parametrize("fn", ["xl", "zl"])
