@@ -7,10 +7,13 @@ Each case is one ``gadget._noiseless_table(cfg)``: the (B, M) records, the
 (B,) branch probabilities and the (B, 2^n) normalised block-3 states of the
 noiseless circuit's measurement branches, built in closed form, which every
 faulted enumeration and Monte Carlo trial reads through its Pauli frame.
-Each array is kept as ``dtype[shape] sha256``, so the table is pinned bit
-for bit.  The cases are the T and |+i> gadgets at n=3 with r=1 and r=3,
-and at n=5 and n=7 with r=1.  Re-record only when a table is meant to
-change.
+The table holds each state as its two unnormalised amplitudes (u, v) on
+|+>^n and |->^n; the states are expanded from them here as
+(u|+>^n + v|->^n) / norm in canonical qubit order, the states array the
+digests were first recorded from.  Each array is kept as ``dtype[shape]
+sha256``, so the table is pinned bit for bit.  The cases are the T and
+|+i> gadgets at n=3 with r=1 and r=3, and at n=5 and n=7 with r=1.
+Re-record only when a table is meant to change.
 """
 
 import hashlib
@@ -29,11 +32,19 @@ def digest(array: np.ndarray) -> str:
     return f"{array.dtype}{list(array.shape)} {hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()}"
 
 
+def expand_states(n: int, amplitudes: np.ndarray) -> np.ndarray:
+    """The (B, 2^n) normalised states u|+>^n + v|->^n of (B, 2) amplitudes (u, v)."""
+    u, v = amplitudes[:, :1], amplitudes[:, 1:]
+    signs = 1 - 2 * np.array([z.bit_count() & 1 for z in range(1 << n)])  # |->^n is signs * |+>^n
+    return (u + v * signs) / np.sqrt(2**n * (abs(u) ** 2 + abs(v) ** 2))
+
+
 def record():
     out = []
     for target, make in MAKE.items():
         for n, r in SIZES:
-            branches, states = gd._noiseless_table(make(n, r))
+            branches, amplitudes = gd._noiseless_table(make(n, r))
+            states = expand_states(n, amplitudes)
             arrays = {"records": branches.records, "probabilities": branches.probabilities, "states": states}
             out.append({"target": target, "n": n, "r": r, "arrays": {k: digest(a) for k, a in arrays.items()}})
     return out

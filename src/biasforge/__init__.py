@@ -5,12 +5,14 @@ Layers, bottom up:
 * ``gadget``    the repetition-code magic-state preparation circuit, its
                 noiseless branch table in closed form (the circuit is
                 Clifford after its CZ(theta) gates), its records stored
-                only as packed readout words, and the table read through
+                only as packed readout words and its block-3 outputs as
+                two code-space amplitudes, and the table read through
                 Pauli frame codes: the branches of a code's readout flips
                 (``enumerate_branches``), and the outcome bins of (row,
                 code) pairs (``frame_bins``), which XORs each code's flips
-                into its row's word, decodes it and reads one Pauli class
-                table per config at the code's block-3 Pauli; and the
+                into its row's word, decodes it and reads one (row,
+                logical Pauli) class table per config at the logical
+                image of the code's block-3 Pauli; and the
                 projection of codes onto one canonical code per class of
                 codes whose bins agree on every row (``frame_quotient``).
 * ``noise``     biased Pauli fault model: its events as frame codes

@@ -24,9 +24,11 @@ Decoding: the r_z (r_zz) ancilla readings are majority-voted into the
 block-1 parity and the joint parity bit b; the block-1 and block-2 X
 records must be perfectly correlated or perfectly anticorrelated; the
 required Pauli correction on block 3 is read from a table keyed on
-(parity bit, b, number of +1 block-2 outcomes).  The table is derived
-numerically, once per (n, theta), by enumerating every noiseless branch
-and finding the logical Pauli that maps its output to the target state;
+(parity bit, b, number of +1 block-2 outcomes).  Every noiseless branch
+leaves block 3 in the code space, as u|+>^n + v|->^n, so the table is
+read, once per config, from four closed-form fidelities per branch, of
+its output under I, X_L, Z_L and Y_L to the target state: a key maps to
+the logical Pauli that takes its branches' outputs to the target, and
 record keys whose branches admit no such Pauli (e.g. |alpha| in {0, n}
 for theta = pi/4) are rejected, which reproduces the
 n - |alpha| = |alpha| +/- 1 acceptance rule.
@@ -43,8 +45,8 @@ would reach a CZ(theta) are refused, in that order.
 
 Execution: no engine runs the circuit.  The noiseless circuit is Clifford
 after its CZ(theta) gates, so its branch table, each row a record, its
-probability and its block-3 state, is built in closed form, once per
-config (:func:`_noiseless_table`).  Faults run nothing either.  Every
+probability and its block-3 amplitudes (u, v), is built in closed form,
+once per config (:func:`_noiseless_table`).  Faults run nothing either.  Every
 location a fault event meets after it fires is Clifford: Z parts commute
 with the diagonal gates, and the X events the noise model emits fire after
 a qubit's only CZ(theta).  So a fault is a Pauli frame of readout flips
@@ -58,9 +60,11 @@ flips; the block-3 Pauli, code >> M, is no property of a branch.  Monte
 Carlo and enumeration alike classify (row, frame code) pairs with
 :func:`frame_bins`: the code's readout flips are XORed into the row's
 word, and the decode reads the word's bit fields.  A branch's class is
-then one lookup at its row's state and the Pauli its correction and frame
-leave on block 3.  The decoder build (:func:`_decoder`) makes the
-correction lookup and the class table once per config.
+then one lookup at its row and the logical image of the Pauli its
+correction and frame leave on block 3, which on the code space is fixed
+by the parity of the Pauli's X mask and the majority of its Z mask.  The
+decoder build (:func:`_decoder`) makes the correction lookup, the (B, 4)
+class table and the logical image of every block-3 Pauli once per config.
 """
 
 from __future__ import annotations
@@ -74,7 +78,9 @@ from fractions import Fraction
 
 import numpy as np
 
-SIM_MAX_N = 7  # largest simulated n: _decoder holds an (S, 4, 2^(2n)) fidelity array, 8 MB at n=7
+# largest simulated n: _decoder holds a 2^(2n)-entry logical-image array, and the
+# state-vector oracles the tables are checked against reach n = 7
+SIM_MAX_N = 7
 FRAME_BITS = 63  # a frame code (M readout flips, then a 2n-bit block-3 Pauli) is one int64
 
 
@@ -117,7 +123,8 @@ class GadgetConfig:
         if self.n > SIM_MAX_N:
             raise ConfigError(
                 f"code length n={self.n} exceeds SIM_MAX_N={SIM_MAX_N} "
-                "(the decoder build holds an (S, 4, 2^(2n)) fidelity array)"
+                "(the decoder build holds a 2^(2n)-entry logical-image array, and the state-vector "
+                "oracles that check the tables reach n=7)"
             )
         for name, r in (("r_z", self.r_z), ("r_zz", self.r_zz)):
             if r < 1 or r % 2 == 0:
@@ -255,11 +262,12 @@ class Branches:
 
 @functools.lru_cache(maxsize=64)
 def _noiseless_table(cfg: GadgetConfig) -> tuple[Branches, np.ndarray]:
-    """(branches, states), read-only: the branches of the noiseless circuit
-    in closed form, which every faulted enumeration, sampled run and table
-    built from the noiseless circuit reads, and their (B, 2^n) normalised
-    block-3 states in canonical qubit order, which only the decoder build
-    (:func:`_decoder`) reads.
+    """(branches, amplitudes), read-only: the branches of the noiseless
+    circuit in closed form, which every faulted enumeration, sampled run and
+    table built from the noiseless circuit reads, and each row's block-3
+    state u|+>^n + v|->^n as a (B, 2) complex array of its unnormalised
+    (u, v), |u|^2 + |v|^2 = 16 times the row's probability, which only the
+    decoder build (:func:`_decoder`) reads.
 
     Everything after the CZ(theta) gates is Clifford, so each branch is a
     stabilizer computation on the product phase state they make.  In the X
@@ -294,13 +302,10 @@ def _noiseless_table(cfg: GadgetConfig) -> tuple[Branches, np.ndarray]:
     a_bar = (1 - 2 * zl) * cos_half**h * sin_half ** (n - h) * phase[(n - h) % 4]
     u, v = np.where(same, a, a_bar), (1 - 2 * b) * np.where(same, a_bar, a)
     kept = np.flatnonzero(probs > 0)
-    u, v = u[kept, None], v[kept, None]
-    signs = 1 - 2 * (_popcount(np.arange(1 << n), n) & 1)  # |->^n is signs * |+>^n
-    states = (u + v * signs) / np.sqrt(2**n * (abs(u) ** 2 + abs(v) ** 2))
-    words, probs, rows = words[kept], probs[kept], np.arange(len(kept))
-    for array in (words, probs, rows, states):
+    words, probs, rows, amplitudes = words[kept], probs[kept], np.arange(len(kept)), np.stack((u, v), axis=1)[kept]
+    for array in (words, probs, rows, amplitudes):
         array.flags.writeable = False
-    return Branches(words, probs, rows, cfg.num_measurements), states
+    return Branches(words, probs, rows, cfg.num_measurements), amplitudes
 
 
 @functools.lru_cache(maxsize=64)
@@ -428,17 +433,9 @@ def enumerate_branches(cfg: GadgetConfig, flips: int = 0) -> Branches:
 
 
 # ---------------------------------------------------------------------------
-# Targets, the Pauli spectrum, the decoder build (correction and class
-# tables), decoding.  _word_fields holds the decoding rule, which the
-# decoder build and frame_bins both read.
-
-
-def target_state(cfg: GadgetConfig) -> np.ndarray:
-    """(|0>_L + e^{i theta} |1>_L)/sqrt(2) as a 2^n amplitude array: |0>_L
-    (|1>_L) is the even (odd) parity half of |+>^n, renormalized."""
-    odd = np.array([int(z).bit_count() & 1 for z in range(1 << cfg.n)], dtype=bool)
-    return np.where(odd, np.exp(1j * cfg.theta), 1.0) * 2.0 ** (-cfg.n / 2)
-
+# The logical fidelities, the decoder build (correction and class tables),
+# decoding.  _word_fields holds the decoding rule, which the decoder build
+# and frame_bins both read.
 
 # Outcome bins shared by enumeration and Monte Carlo: the accepted classes I,
 # XL, ZL, YL (in the order of _logical_masks), then rejected records, then
@@ -462,81 +459,74 @@ def _logical_masks(n: int) -> np.ndarray:
     return np.array([0, x_l, z_l, x_l | z_l])
 
 
-def _pauli_spectrum(cfg: GadgetConfig) -> tuple[np.ndarray, np.ndarray]:
-    """(state, spectrum): the index of each noiseless row's block-3 state
-    among the distinct ones (equal up to global phase), and
-    spectrum[s, a << n | b] = |<t| X^a Z^b |s>|^2 of distinct state s
-    against the target t.  The rows hold few distinct states (8, 12 and 16
-    for T at n = 3, 5 and 7; 2 for +i).  For one X part a,
-    <t| X^a Z^b |s> = sum_y (-1)^(b.y) conj(t[y ^ a]) s[y] is a
-    Walsh-Hadamard transform over y, run as n butterfly passes."""
-    n = cfg.n
-    states = _noiseless_table(cfg)[1]
-    state, distinct = np.full(len(states), -1), []
-    while (left := np.flatnonzero(state < 0)).size:
-        rep = states[left[0]]
-        overlap = states[left] @ rep.conj()
-        aligned = states[left] * (overlap.conj() / np.maximum(np.abs(overlap), 1e-300))[:, None]
-        state[left[np.abs(aligned - rep).max(axis=1) < 1e-12]] = len(distinct)
-        distinct.append(rep)
-    y = np.arange(1 << n)
-    v = target_state(cfg).conj()[y[:, None] ^ y] * np.array(distinct)[:, None, :]  # [s, a, y]
-    for k in range(n):  # bit k of y, then of b, is the middle axis
-        v = v.reshape(-1, 2, 1 << k)
-        v = np.stack((v[:, 0] + v[:, 1], v[:, 0] - v[:, 1]), axis=1)
-    return state, np.abs(v.reshape(len(distinct), -1)) ** 2
+def _logical_fidelities(cfg: GadgetConfig) -> np.ndarray:
+    """(B, 4) fid[row, L] = |<t| L |s>|^2 of each noiseless row's block-3
+    state s against the target t, for L in (I, XL, ZL, YL), in closed form.
+
+    Both lie in the code space.  In its basis (|+>^n, |->^n), s is the
+    row's (u, v) normalised (:func:`_noiseless_table`) and t, (|0>_L +
+    e^{i theta}|1>_L)/sqrt(2) with |0>_L (|1>_L) the even (odd) parity half
+    of |+>^n, is ((1 + e^{i theta})/2, (1 - e^{i theta})/2); X_L = X_1
+    negates |->^n and Z_L = Z^n swaps the two.
+    """
+    amplitudes = _noiseless_table(cfg)[1]
+    s = amplitudes / np.sqrt((abs(amplitudes) ** 2).sum(axis=1, keepdims=True))
+    phase = np.exp(1j * cfg.theta)
+    t = np.conj([[1 + phase, 1 + phase], [1 - phase, phase - 1]]) / 2  # columns: t, X_L t
+    return abs(np.concatenate((s @ t, s[:, ::-1] @ t), axis=1)) ** 2  # I, XL, then ZL, YL on Z_L s
 
 
 @functools.lru_cache(maxsize=64)
 def _decoder(cfg: GadgetConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(state, table, lookup), read-only, built once per config from
-    the noiseless rows: their Pauli spectrum (:func:`_pauli_spectrum`) and
-    their packed records.
+    """(table, logical, lookup), read-only, built once per config from
+    the noiseless rows: their logical fidelities (:func:`_logical_fidelities`)
+    and their packed records.
 
-    ``state`` maps each noiseless row to its distinct block-3 state s, and
-    table[s, q] is the outcome bin of an accepted output that is s under
-    q = (correction times frame Pauli, X mask << n | Z mask).  A class is
-    the target hit with its logical Pauli and any correctable (weight <=
-    (n-1)/2) Z pattern, so a stray correctable Z is I, not ZL; (n-1)/2
-    rounds that each add one Z bit maximize the spectrum over them.  The
-    first class in bin order above fidelity 0.99 wins.  An output reaching
-    none is a wrong-angle output (a logical-Z-axis rotation, e.g. a
-    correlated ZZ fault steering a record into acceptance), booked ZL as
-    the analytic Z_L budget does; for T its best fidelity goes down to 0.9
-    at n=3, 0.862 at n=5 and 0.855 at n=7.  An output below fidelity 0.5
-    to every class is BIN_ANOMALY.  A fidelity within 1e-9 of either
-    threshold would leave the bin to rounding: CorrectionTableError.
+    Every row's block-3 state lies in the code space, so a block-3 Pauli q
+    (X mask << n | Z mask) meets it only as its logical image logical[q],
+    an index into (I, XL, ZL, YL): every X_j is X_L times stabilizers, so
+    the X part reads as X_L^(its parity); a Z mask b other than 0 and ~0
+    leaves the code space, and of b and ~b = b Z_L exactly one is a
+    correctable (weight <= (n-1)/2) Z pattern, so the Z part reads as Z_L
+    where b has majority weight.
+
+    table[row, L] is the outcome bin of an accepted output that is the
+    row's state under a Pauli of logical image L (correction times frame
+    Pauli).  A class is the target hit with its logical Pauli and any
+    correctable Z pattern, so a stray correctable Z is I, not ZL, and
+    class c reaches fidelity fid[row, L ^ c].  The first class in bin
+    order above fidelity 0.99 wins.  An output reaching none is a
+    wrong-angle output (a logical-Z-axis rotation, e.g. a correlated ZZ
+    fault steering a record into acceptance), booked ZL as the analytic
+    Z_L budget does; for T its best fidelity goes down to 0.9 at n=3, 0.862
+    at n=5 and 0.855 at n=7.  An output below fidelity 0.5 to every class
+    is BIN_ANOMALY.  A fidelity within 1e-9 of either threshold would
+    leave the bin to rounding: CorrectionTableError.
 
     lookup[zl_bit, b, alpha] is the correction of a record key, an index
     into :func:`_logical_masks`, -1 where the key is not correctable.  A
     noiseless row's correction is the first logical Pauli L in bin order
-    with |<t| L |s>|^2 > 1 - 1e-9 on its state s (-1 for none); the rows
-    of one key must agree, else CorrectionTableError.  The keys are the
-    fields (:func:`_word_fields`) of the noiseless rows' packed records
+    with fid[row, L] > 1 - 1e-9 (-1 for none); the rows of one key must
+    agree, else CorrectionTableError.  The keys are the fields
+    (:func:`_word_fields`) of the noiseless rows' packed records
     (:attr:`Branches.words`).
     """
-    n, masks = cfg.n, _logical_masks(cfg.n)
-    state, spectrum = _pauli_spectrum(cfg)
-    best_z = spectrum.reshape(-1, 1 << n)  # the Z part b is the last axis
-    for _ in range((n - 1) // 2):
-        grown = best_z.copy()
-        for j in range(n):
-            out = grown.reshape(-1, 2, 1 << j)
-            np.maximum(out, best_z.reshape(-1, 2, 1 << j)[:, ::-1], out=out)
-        best_z = grown
-    fid = best_z.reshape(len(spectrum), -1)[:, np.arange(1 << 2 * n) ^ masks[:, None]]  # [s, class, q]
+    n, fid = cfg.n, _logical_fidelities(cfg)
     best = fid.max(axis=1)
     for name, values, threshold in (("class", fid, _CLASS_FIDELITY), ("best", best, _ANOMALY_FIDELITY)):
         if np.any(np.abs(values - threshold) < 1e-9):
             raise CorrectionTableError(f"a {name} fidelity at theta={cfg.theta} lies within 1e-9 of {threshold}")
-    above = fid > _CLASS_FIDELITY
-    cls = np.where(above.any(axis=1), above.argmax(axis=1), BIN_ZL)
-    table = np.where(best < _ANOMALY_FIDELITY, BIN_ANOMALY, cls).astype(np.int8)
+    paulis = np.arange(4)
+    above = fid[:, paulis[:, None] ^ paulis] > _CLASS_FIDELITY  # [row, L, class]
+    cls = np.where(above.any(axis=2), above.argmax(axis=2), BIN_ZL)
+    table = np.where(best[:, None] < _ANOMALY_FIDELITY, BIN_ANOMALY, cls).astype(np.int8)
+    q = np.arange(1 << 2 * n)
+    logical = ((_popcount(q >> n, n) & 1) | (_popcount(q & (1 << n) - 1, n) > n // 2) << 1).astype(np.int8)
 
     zl_bits, bs, correlated, alphas = _word_fields(cfg, _noiseless_table(cfg)[0].words)
     if not correlated.all():
         raise CorrectionTableError("noiseless branch with mismatched X records")
-    hits = spectrum[state[:, None], masks] > 1 - 1e-9
+    hits = fid > 1 - 1e-9
     found = np.where(hits.any(axis=1), hits.argmax(axis=1), -1)
     if np.all(found < 0):
         raise CorrectionTableError("no branch is Pauli-correctable to the target")
@@ -545,20 +535,21 @@ def _decoder(cfg: GadgetConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if (clash := np.flatnonzero(lookup[keys] != found)).size:
         key = tuple(int(k[clash[0]]) for k in keys)
         raise CorrectionTableError(f"the noiseless rows of branch key {key} need different corrections")
-    for array in (state, table, lookup):
+    for array in (table, logical, lookup):
         array.flags.writeable = False
-    return state, table, lookup
+    return table, logical, lookup
 
 
 def correction_table(cfg: GadgetConfig) -> dict[tuple[int, int, int], int]:
-    """(zl_bit, b, alpha_count) -> block-3 correction, derived numerically,
-    packed as X mask << n | Z mask (the form of :func:`_logical_masks`).
+    """(zl_bit, b, alpha_count) -> block-3 correction, packed as X mask << n
+    | Z mask (the form of :func:`_logical_masks`).
 
     Built from the noiseless branch table of ``cfg`` itself: every key of
     a correctable branch maps to the logical Pauli that takes the branch's
-    output to the target.  Keys absent from the table are not
-    Pauli-correctable to the target and are rejected by the decoder.  A
-    dict view of the lookup array of :func:`_decoder`.
+    output to the target, the first in (I, XL, ZL, YL) whose logical
+    fidelity (:func:`_logical_fidelities`) is 1 within 1e-9.  Keys absent
+    from the table are not Pauli-correctable to the target and are rejected
+    by the decoder.  A dict view of the lookup array of :func:`_decoder`.
     """
     masks = _logical_masks(cfg.n).tolist()
     return {key: masks[c] for key, c in np.ndenumerate(_decoder(cfg)[2]) if c >= 0}
@@ -598,11 +589,12 @@ def frame_bins(cfg: GadgetConfig, rows: np.ndarray, codes: np.ndarray) -> np.nda
 
     The row's packed record (:attr:`Branches.words`) XOR the code's low M
     bits is the branch's record, whose fields give its correction; the class
-    table is read at the row's state and the correction times the block-3
-    Pauli code >> M.  A row outside [0, B) or a code outside
-    [0, 2^(M + 2n)) raises ValueError.
+    table is read at the row and the logical image of the correction times
+    the block-3 Pauli code >> M, the correction's index XOR the Pauli's
+    logical image (:func:`_decoder`).  A row outside [0, B) or a code
+    outside [0, 2^(M + 2n)) raises ValueError.
     """
-    state, table, lookup = _decoder(cfg)
+    table, logical, lookup = _decoder(cfg)
     words = _noiseless_table(cfg)[0].words
     num, bits = cfg.num_measurements, cfg.num_measurements + 2 * cfg.n
     if len(rows) and not (
@@ -611,7 +603,7 @@ def frame_bins(cfg: GadgetConfig, rows: np.ndarray, codes: np.ndarray) -> np.nda
         raise ValueError(f"rows must lie in [0, {len(words)}) and frame codes in [0, 2^{bits})")
     zl_bit, b, correlated, alpha = _word_fields(cfg, words[rows] ^ (codes & ((1 << num) - 1)))
     corrections = np.where(correlated, lookup[zl_bit, b, alpha], -1)
-    bins = table[state[rows], _logical_masks(cfg.n)[corrections] ^ (codes >> num)]
+    bins = table[rows, corrections ^ logical[codes >> num]]
     return np.where(corrections >= 0, bins, BIN_REJECTED)
 
 

@@ -1,11 +1,13 @@
 """Reference states and classifier of gadget outputs, one state vector at a time.
 
 The package never forms a branch's block-3 state: a branch is a noiseless
-row read through a frame, and outputs are classified from the Pauli class
-table of the one decoder build per config (``gadget._decoder``).  This
-module forms the states and states the same rule on them, by their overlaps
-with the target's Pauli images, and is the oracle the tests check the table
-and the engine against.
+row read through a frame, its noiseless state is two code-space amplitudes,
+and outputs are classified from the (row, logical Pauli) class table of the
+one decoder build per config (``gadget._decoder``).  This module forms the
+2^n states (``target_state``, ``expand_states``) and states the same rule
+on them, by their overlaps with the target's Pauli images under every
+correctable Z pattern, and is the oracle the tests check the table and the
+engine against.
 
 It also keeps a record-matrix classifier, the oracle of
 ``gadget.frame_bins``, which decodes packed readout words by bit fields:
@@ -14,8 +16,9 @@ It also keeps a record-matrix classifier, the oracle of
   frame codes as (G, M) +/-1 record matrices;
 * ``record_fields`` and ``decode_records`` decode the records by sums over
   their columns;
-* ``record_bins`` reads the decoder's class table at each branch's state
-  and its correction times the block-3 Pauli of its frame code.
+* ``record_bins`` reads the decoder's class table at each branch's row
+  and the logical image of its correction times the block-3 Pauli of its
+  frame code.
 
 A branch carries no Pauli: ``gadget.enumerate_branches`` takes a
 readout-flip mask (``readout_flips`` of a frame code), and the helpers
@@ -35,7 +38,8 @@ fault events, the oracle of the events of ``noise._event_table``.
   check (states are compared through fidelity), but the convention is kept
   fixed.
 * ``branch_states`` gives each branch its block-3 state: its noiseless
-  row's state under the block-3 Pauli of its frame code.
+  row's state, expanded from the row's amplitudes, under the block-3 Pauli
+  of its frame code.
 * The code's logical Paulis are stated here, not read from the package:
   X_L = X on qubit 0, Z_L = Z on every qubit and Y_L = X_L Z_L.
 * Each class in (I, XL, ZL, YL) is represented by the target hit with that
@@ -64,6 +68,26 @@ def logical_paulis(n: int) -> dict[str, tuple[int, int]]:
     repetition code, by class name."""
     x_l, z_l = mask([0]), mask(range(n))
     return dict(zip(CLASS_ORDER, ((0, 0), (x_l, 0), (0, z_l), (x_l, z_l))))
+
+
+def target_state(cfg: gd.GadgetConfig) -> np.ndarray:
+    """(|0>_L + e^{i theta} |1>_L)/sqrt(2) as a 2^n amplitude array: |0>_L
+    (|1>_L) is the even (odd) parity half of |+>^n, renormalized."""
+    odd = np.array([int(z).bit_count() & 1 for z in range(1 << cfg.n)], dtype=bool)
+    return np.where(odd, np.exp(1j * cfg.theta), 1.0) * 2.0 ** (-cfg.n / 2)
+
+
+def expand_states(n: int, amplitudes: np.ndarray) -> np.ndarray:
+    """The (B, 2^n) normalised block-3 states u|+>^n + v|->^n, in canonical
+    qubit order, of the (B, 2) amplitudes (u, v) of gadget._noiseless_table."""
+    u, v = amplitudes[:, :1], amplitudes[:, 1:]
+    signs = 1 - 2 * np.array([z.bit_count() & 1 for z in range(1 << n)])  # |->^n is signs * |+>^n
+    return (u + v * signs) / np.sqrt(2**n * (abs(u) ** 2 + abs(v) ** 2))
+
+
+def noiseless_states(cfg: gd.GadgetConfig) -> np.ndarray:
+    """The (B, 2^n) normalised block-3 states of the noiseless rows of ``cfg``."""
+    return expand_states(cfg.n, gd._noiseless_table(cfg)[1])
 
 
 def state_fidelity(a: np.ndarray, b: np.ndarray) -> float:
@@ -108,7 +132,7 @@ def branch_states(
     n = cfg.n
     column = np.broadcast_to(codes, len(branches))[:, None] >> cfg.num_measurements
     source, phase = pauli_action(n, column >> n, column & ((1 << n) - 1))
-    states = np.take_along_axis(gd._noiseless_table(cfg)[1][branches.rows], source, axis=1) * phase
+    states = np.take_along_axis(noiseless_states(cfg)[branches.rows], source, axis=1) * phase
     return list(zip(map(tuple, branches.records.tolist()), branches.probabilities.tolist(), states))
 
 
@@ -149,13 +173,13 @@ def decode_records(cfg: gd.GadgetConfig, records: np.ndarray):
 def record_bins(cfg: gd.GadgetConfig, branches: gd.Branches, codes=0) -> np.ndarray:
     """Per-branch outcome bin: the class index in (I, XL, ZL, YL) of an
     accepted branch, BIN_ANOMALY for an accepted anomaly, BIN_REJECTED for
-    a rejected record: the class table read at the branch's noiseless
-    state and its correction times the block-3 Pauli of its frame code,
-    ``codes`` one for all branches or one per branch."""
+    a rejected record: the class table read at the branch's noiseless row
+    and the logical image of its correction times the block-3 Pauli of its
+    frame code, ``codes`` one for all branches or one per branch."""
     corrections = decode_records(cfg, branches.records)[2]
-    state, table = gd._decoder(cfg)[:2]
+    table, logical = gd._decoder(cfg)[:2]
     paulis = np.asarray(codes) >> cfg.num_measurements
-    bins = table[state[branches.rows], gd._logical_masks(cfg.n)[corrections] ^ paulis]
+    bins = table[branches.rows, logical[gd._logical_masks(cfg.n)[corrections] ^ paulis]]
     return np.where(corrections >= 0, bins, gd.BIN_REJECTED)
 
 
@@ -172,7 +196,7 @@ def _representatives(cfg: gd.GadgetConfig) -> tuple[np.ndarray, int]:
     """(2^n, class x Z pattern) conjugated class representatives, and the
     number of Z patterns per class."""
     n = cfg.n
-    target = gd.target_state(cfg)
+    target = target_state(cfg)
     patterns = [m for m in range(1 << n) if bin(m).count("1") <= (n - 1) // 2]
     logical = logical_paulis(n)
     reps = [apply_pauli(target, n, (logical[cls][0], logical[cls][1] ^ m)) for cls in CLASS_ORDER for m in patterns]

@@ -21,7 +21,8 @@ Its conventions:
   of the package's table: packed records (bit m set where readout m reads
   -1), rows in depth-first (+1 first) order, rows of conditional
   probability at most ``_BRANCH_EPS`` pruned, and normalised block-3
-  states in canonical qubit order.
+  states in canonical qubit order, the form the package's (u, v)
+  amplitudes take under ``classify_oracle.expand_states``.
 """
 
 from __future__ import annotations

@@ -24,6 +24,7 @@ from classify_oracle import (
     readout_flips,
     reference_events,
     state_fidelity,
+    target_state,
 )
 from rm15_oracle import enumerators
 
@@ -59,7 +60,7 @@ def test_criterion_2_ideal_correctness():
     for make in (gd.GadgetConfig.plus_i, gd.GadgetConfig.t_state):
         for r in (1, 3):
             cfg = make(3, r=r)
-            target = gd.target_state(cfg)
+            target = target_state(cfg)
             branches = gd.enumerate_branches(cfg)
             for (record, _, state), correction in zip(branch_states(cfg, branches), corrections(cfg, branches.records)):
                 if correction is None:

@@ -33,17 +33,22 @@
   bit for bit, its frame code's noiseless rows binned and summed in row
   order.
 * ``golden/noiseless_tables.json`` holds a SHA-256 of the records,
-  probabilities and states of the closed-form noiseless branch table; they
-  must stay bit-identical (``scripts/record_noiseless_tables.py`` writes
-  the file).  The table must match the state-vector oracle
-  ``statevec_oracle`` at n = 1 to 7: the same packed words in the same
-  order, probabilities within 1e-14 relative and states within 1e-14 up
-  to global phase.
-* Outputs are classified from one Pauli class table per config, keyed on
-  the distinct noiseless block-3 states and the Pauli q = correction times
-  frame Pauli.  At every (noiseless row, q), or at a seeded sample of them
-  at n=7, the table must give the bin of the fidelity rule that
-  ``classify_oracle`` evaluates on the row's state under q.
+  probabilities and states of the closed-form noiseless branch table, the
+  states expanded from its (u, v) amplitudes; they must stay bit-identical
+  (``scripts/record_noiseless_tables.py`` writes the file).  The table
+  must match the state-vector oracle ``statevec_oracle`` at n = 1 to 7:
+  the same packed words in the same order, probabilities within 1e-14
+  relative, |u|^2 + |v|^2 within 1e-14 relative of 16 times the
+  probability, and states within 1e-14 up to global phase.
+* Outputs are classified from one class table per config, keyed on the
+  noiseless row and the logical image of the block-3 Pauli q =
+  correction times frame Pauli, its X parity and Z majority.  At every
+  (noiseless row, q), or at a seeded sample of them at n=7, ``frame_bins``
+  must give the bin of the fidelity rule that ``classify_oracle``
+  evaluates on the row's state under its correction times q, and the
+  table that rule's bin on the row's state under q.  The four logical
+  fidelities of every row must sum to 2, and those of a correctable T row
+  read 1 at its correction and 1/2 at its XL and YL neighbours.
 """
 
 import dataclasses
@@ -67,8 +72,11 @@ from classify_oracle import (
     branch_states,
     classify,
     corrections,
+    decode_records,
+    expand_states,
     forward_frame,
     mask,
+    noiseless_states,
     readout_flips,
     record_bins,
     reference_events,
@@ -444,7 +452,7 @@ def test_frame_bins_match_the_record_oracle(cfg):
 )
 def test_frame_bins_refuse_rows_and_codes_outside_their_range(row, code):
     # a negative code would give a negative block-3 Pauli, which indexes the
-    # class table from its end and bins the row silently wrong
+    # logical-image array from its end and bins the row silently wrong
     cfg = gd.GadgetConfig.t_state(3, 1)  # B = 64 noiseless rows, codes of M + 2n = 14 bits
     last = gd.frame_bins(cfg, np.array([63]), np.array([(1 << 14) - 1]))
     assert len(gd.enumerate_branches(cfg)) == 64 and len(last) == 1
@@ -490,15 +498,19 @@ def test_large_stacks_advance_in_parts(monkeypatch, max_amps):
 
 def _assert_table_matches_the_oracle(cfg):
     """The closed-form table of ``cfg`` against the state-vector oracle: the
-    same words in the same order, probabilities within 1e-14 relative and
-    states within 1e-14 once the global phase is aligned; it is read-only
-    and holds no NaN."""
-    branches, states = gd._noiseless_table.__wrapped__(cfg)  # keeps the cache for the named configs
-    assert not any(a.flags.writeable for a in (branches.words, branches.probabilities, branches.rows, states))
+    same words in the same order, probabilities within 1e-14 relative,
+    |u|^2 + |v|^2 within 1e-14 relative of 16 times them, and the states
+    expanded from the (u, v) amplitudes within 1e-14 once the global phase
+    is aligned; it is read-only and holds no NaN."""
+    branches, amplitudes = gd._noiseless_table.__wrapped__(cfg)  # keeps the cache for the named configs
+    assert not any(a.flags.writeable for a in (branches.words, branches.probabilities, branches.rows, amplitudes))
     words, probs, oracle_states = sv.noiseless_table(cfg)
     assert np.array_equal(branches.words, words) and branches.words.dtype == np.int64
     assert np.array_equal(branches.rows, np.arange(len(words)))
     np.testing.assert_allclose(branches.probabilities, probs, rtol=1e-14, atol=0)
+    assert amplitudes.shape == (len(words), 2) and amplitudes.dtype == np.complex128
+    np.testing.assert_allclose((abs(amplitudes) ** 2).sum(axis=1), 16 * branches.probabilities, rtol=1e-14, atol=0)
+    states = expand_states(cfg.n, amplitudes)
     assert not np.isnan(states).any()
     overlap = np.einsum("ij,ij->i", states.conj(), oracle_states)
     np.testing.assert_allclose(states * (overlap / abs(overlap))[:, None], oracle_states, rtol=0, atol=1e-14)
@@ -541,41 +553,51 @@ def _digest(array: np.ndarray) -> str:
 @pytest.mark.parametrize("case", TABLES["cases"], ids=lambda c: f"{c['target']}-n{c['n']}-r{c['r']}")
 def test_noiseless_table_matches_golden_digests(case):
     make = gd.GadgetConfig.t_state if case["target"] == "T" else gd.GadgetConfig.plus_i
-    branches, states = gd._noiseless_table(make(case["n"], case["r"]))
-    arrays = {"records": branches.records, "probabilities": branches.probabilities, "states": states}
+    cfg = make(case["n"], case["r"])
+    branches = gd._noiseless_table(cfg)[0]
+    arrays = {"records": branches.records, "probabilities": branches.probabilities, "states": noiseless_states(cfg)}
     assert {name: _digest(array) for name, array in arrays.items()} == case["arrays"]
 
 
 _THETA_NAMES = {math.pi / 4: "T", math.pi / 2: "plusI"}
-_ORACLE_CASES = [  # (config, distinct noiseless block-3 states, sampled pairs or None for all)
-    *((gd.GadgetConfig.t_state(n), {3: 8, 5: 12}[n], None) for n in (3, 5)),
-    *((gd.GadgetConfig.plus_i(n), 2, None) for n in (3, 5)),
-    *((gd.GadgetConfig.custom(n, 1.0), None, None) for n in (3, 5)),
-    (gd.GadgetConfig.t_state(7), 16, 2000),
+_ORACLE_CASES = [  # (config, sampled pairs or None for all)
+    *((make(n), None) for n in (3, 5) for make in (gd.GadgetConfig.t_state, gd.GadgetConfig.plus_i)),
+    *((gd.GadgetConfig.custom(n, 1.0), None) for n in (3, 5)),
+    (gd.GadgetConfig.t_state(7), 2000),
 ]
 
 
 @pytest.mark.parametrize(
-    "cfg, distinct, sampled",
-    _ORACLE_CASES,
-    ids=[f"{_THETA_NAMES.get(cfg.theta, 'custom')}-n{cfg.n}" for cfg, _, _ in _ORACLE_CASES],
+    "cfg, sampled", _ORACLE_CASES, ids=[f"{_THETA_NAMES.get(cfg.theta, 'custom')}-n{cfg.n}" for cfg, _ in _ORACLE_CASES]
 )
-def test_class_table_matches_the_oracle(cfg, distinct, sampled):
-    # the table's bin at every (noiseless row, q), or at a seeded sample of
-    # them, is the oracle's bin of the row's state under the Pauli q
-    n = cfg.n
-    state, table = gd._decoder(cfg)[:2]
-    assert distinct is None or state.max() + 1 == distinct
-    states = gd._noiseless_table(cfg)[1]
+def test_class_table_matches_the_oracle(cfg, sampled):
+    # at every (noiseless row, q), or at a seeded sample of them, frame_bins
+    # under the code q << M gives the oracle's bin of the row's state under
+    # its correction times q (BIN_REJECTED where the row is rejected), and
+    # the class table, which rejected rows reach under readout flips, holds
+    # the oracle's bin of the row's state under q: on every q only the X
+    # parity and the Z majority matter
+    n, num = cfg.n, cfg.num_measurements
+    states = noiseless_states(cfg)
+    found = corrections(cfg, gd.enumerate_branches(cfg).records)
+    fixes = np.array([0 if c is None else c[0] << n | c[1] for c in found])
+    accepted = np.array([c is not None for c in found])
     if sampled is None:
-        pairs = {q: np.arange(len(states)) for q in range(1 << 2 * n)}
+        rows, qs = np.divmod(np.arange(len(states) << 2 * n), 1 << 2 * n)
     else:
         rng = np.random.default_rng(2024)
         rows, qs = rng.integers(len(states), size=sampled), rng.integers(1 << 2 * n, size=sampled)
-        pairs = {q: rows[qs == q] for q in np.unique(qs).tolist()}
-    for q, rows in pairs.items():
-        moved = apply_pauli(states[rows], n, (q >> n, q & ((1 << n) - 1)))
-        assert np.array_equal(table[state[rows], q], oracle_bins(moved, cfg)), q
+    # the oracle's bins under q, then under the correction times q, one call per distinct Pauli
+    at, paulis = np.concatenate((rows, rows)), np.concatenate((qs, qs ^ fixes[rows]))
+    order = np.argsort(paulis, kind="stable")
+    distinct, starts = np.unique(paulis[order], return_index=True)
+    want = np.empty(len(paulis), dtype=np.int64)
+    for p, group in zip(distinct.tolist(), np.split(order, starts[1:])):
+        want[group] = oracle_bins(apply_pauli(states[at[group]], n, (p >> n, p & ((1 << n) - 1))), cfg)
+    table, logical = gd._decoder(cfg)[:2]
+    assert np.array_equal(table[rows, logical[qs]], want[: len(qs)])
+    fixed = np.where(accepted[rows], want[len(qs) :], gd.BIN_REJECTED)
+    assert np.array_equal(gd.frame_bins(cfg, rows, qs << num), fixed)
 
 
 @pytest.mark.parametrize("n", [3, 5, 7])
@@ -583,8 +605,27 @@ def test_class_tables_hold_no_anomaly_bin(n):
     # every output reaches some class above fidelity 0.5, so
     # RateEstimate.anomaly_rate reads 0 on these configs
     for cfg in (gd.GadgetConfig.t_state(n), gd.GadgetConfig.plus_i(n), gd.GadgetConfig.custom(n, 1.0)):
-        state, table = gd._decoder(cfg)[:2]
-        assert table.shape == (state.max() + 1, 1 << 2 * n) and not np.any(table == gd.BIN_ANOMALY), cfg
+        table, logical = gd._decoder(cfg)[:2]
+        assert table.shape == (len(gd.enumerate_branches(cfg)), 4) and logical.shape == (1 << 2 * n,), cfg
+        assert not np.any(table == gd.BIN_ANOMALY), cfg
+
+
+@pytest.mark.parametrize("n", [1, 3, 5, 7])
+def test_logical_fidelities_take_their_analytic_values(n):
+    # sum_P |<t|P|s>|^2 = 2 over the four Paulis of one qubit, on every row;
+    # a correctable T row reads 1 at its correction, and X_L and Y_L take
+    # |T>_L to states at fidelity exactly 1/2 to it
+    for cfg in (gd.GadgetConfig.t_state(n), gd.GadgetConfig.plus_i(n), gd.GadgetConfig.custom(n, 1.0)):
+        fid = gd._logical_fidelities(cfg)
+        assert fid.shape == (len(gd.enumerate_branches(cfg)), 4), cfg
+        np.testing.assert_allclose(fid.sum(axis=1), 2, rtol=0, atol=1e-12)
+    cfg = gd.GadgetConfig.t_state(n)
+    found = decode_records(cfg, gd.enumerate_branches(cfg).records)[2]
+    rows = np.flatnonzero(found >= 0)
+    assert len(rows) > 0
+    fid, fixes = gd._logical_fidelities(cfg)[rows], found[rows, None]
+    np.testing.assert_allclose(np.take_along_axis(fid, fixes, axis=1), 1, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(np.take_along_axis(fid, fixes ^ [gd.BIN_XL, gd.BIN_YL], axis=1), 0.5, rtol=0, atol=1e-12)
 
 
 def _kernel_directions(cfg):

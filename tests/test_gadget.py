@@ -13,11 +13,13 @@ from classify_oracle import (
     classify,
     corrections,
     decode_records,
+    expand_states,
     logical_paulis,
     mask,
     readout_flips,
     rows_under_frames,
     state_fidelity,
+    target_state,
 )
 
 
@@ -202,13 +204,15 @@ class TestCorrectionTable:
         # One holds the target; the other (|0>_L + 0.3|1>_L)/norm, which no
         # logical Pauli takes to it and which lies off both class fidelity
         # thresholds.  The key has no one correction, in either row order.
+        # Each row is its (u, v) on |+>^3 and |->^3, |u|^2 + |v|^2 = 16 x 0.5.
         cfg = gd.GadgetConfig.t_state(3)
-        odd = np.array([z.bit_count() & 1 for z in range(8)], dtype=bool)
-        stray = np.where(odd, 0.3, 1.0) / np.sqrt(4 * 1.09)  # |0>_L (|1>_L) is the even (odd) half of |+>^3
-        states = np.array([stray, gd.target_state(cfg)] if uncorrectable_first else [gd.target_state(cfg), stray])
+        phase = np.exp(1j * cfg.theta)
+        target = np.array([1 + phase, 1 - phase]) * np.sqrt(2)  # |0>_L (|1>_L) is (|+>^3 + (-) |->^3)/sqrt(2)
+        stray = np.array([1.3, 0.7]) * np.sqrt(8 / 2.18)
+        amplitudes = np.array([stray, target] if uncorrectable_first else [target, stray])
         words = np.zeros(2, dtype=np.int64)  # every readout +1
         branches = gd.Branches(words, np.full(2, 0.5), np.arange(2), cfg.num_measurements)
-        monkeypatch.setattr(gd, "_noiseless_table", lambda _: (branches, states))
+        monkeypatch.setattr(gd, "_noiseless_table", lambda _: (branches, amplitudes))
         gd._decoder.cache_clear()
         try:
             with pytest.raises(gd.CorrectionTableError, match=r"key \(0, 0, 3\)"):
@@ -243,7 +247,7 @@ class TestNoiselessRuns:
 
     def test_plus_i_deterministic(self):
         cfg = gd.GadgetConfig.plus_i(3, r=3)
-        target = gd.target_state(cfg)
+        target = target_state(cfg)
         total = 0.0
         branches = gd.enumerate_branches(cfg)
         for (_, prob, state), correction in zip(branch_states(cfg, branches), corrections(cfg, branches.records)):
@@ -308,7 +312,7 @@ class TestRun:
 
     def test_forced_alpha_two_accepted_to_t(self):
         cfg = gd.GadgetConfig.t_state(3)
-        target = gd.target_state(cfg)
+        target = target_state(cfg)
         # force x = alpha = (+,+,-) on both blocks, parity readings free
         runs = _rows_with(cfg, [0, +1, +1, -1, 0, +1, +1, -1])
         assert len(runs) > 0
@@ -462,9 +466,9 @@ class TestClassify:
         # its class would be left to rounding, so the table build raises.
         def reaches_a_class(theta):
             cfg = gd.GadgetConfig.custom(3, theta)
-            branches, states = gd._noiseless_table.__wrapped__(cfg)  # keeps the cache for the named configs
+            branches, amplitudes = gd._noiseless_table.__wrapped__(cfg)  # keeps the cache for the named configs
             row = next(i for i, rec in enumerate(branches.records.tolist()) if sum(rec[-3:]) == 3)  # alpha = n
-            return classify(states[row], None, cfg)[1] > 0.99
+            return classify(expand_states(3, amplitudes)[row], None, cfg)[1] > 0.99
 
         lo, hi = 0.1, 0.3
         assert reaches_a_class(lo) and not reaches_a_class(hi)
