@@ -4,7 +4,7 @@
 Usage: PYTHONPATH=src python scripts/record_enumerated_masses.py > tests/golden/enumerated_masses.json
 
 Each case is one ``noise._enumerated_combos(cfg, order)``: the event rate
-indices, the (S, order) padded event-index matrix and the (S, 6) outcome-bin
+indices, the (S, order) padded event-index matrix and the (S, 5) outcome-bin
 mass matrix that every ``enumerate_faults`` call re-weights.  Each array is
 kept as ``dtype[shape] sha256``, so the masses are pinned bit for bit.  The
 cases are the n=3 T gadget at r=1 and r=3 and the n=3 |+i> gadget at r=1,

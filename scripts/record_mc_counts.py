@@ -4,8 +4,8 @@
 Usage: PYTHONPATH=src python scripts/record_mc_counts.py > tests/golden/mc_counts.json
 
 Each case is one ``noise._mc_counts(cfg, params, seed, trials)`` call, over
-trials 0..trials-1: the six outcome-bin counts (I, XL, ZL, YL, rejected,
-anomaly) that ``estimate_rates_mc`` turns into rates.  Each block of
+trials 0..trials-1: the five outcome-bin counts (I, XL, ZL, YL, rejected)
+that ``estimate_rates_mc`` turns into rates.  Each block of
 ``noise._BLOCK`` trials draws from its own generator: for each rate kind
 (z, x, zz) a binomial count of fired (trial, event) cells and a uniform set
 of that many cells (``noise._sample_fires``, which returns the fired
@@ -21,8 +21,11 @@ of ``test_monte_carlo_counts_match_per_trial_loop``, two in which every Z
 event fires in every trial (n=5 and n=3), and 20,000-trial runs at two
 high noise points.  Re-record only when a count is meant to change.
 
-The counts were last re-recorded when a block's clean trials came to be
-one multinomial draw in place of a double each.  Eight cases moved, by at
+The file was last re-recorded when the sixth bin, for accepted outputs
+below fidelity 0.5 to every class, was deleted: no output reaches it, and
+each case lost that bin's count, a 0, and kept the other five.  The
+counts last moved when a block's clean trials came to be one multinomial
+draw in place of a double each.  Eight cases moved, by at
 most 0.74 combined Wilson half-widths in a bin.  The six +i cases kept
 every count: their clean trials all land in I, and a faulted trial's bin
 does not depend on its row.  So did the two every-Z-fires cases and the
@@ -86,7 +89,7 @@ def record():
 
 if __name__ == "__main__":
     doc = {
-        "about": "Per-bin counts (I, XL, ZL, YL, rejected, anomaly) of noise._mc_counts(cfg, params, seed, "
+        "about": "Per-bin counts (I, XL, ZL, YL, rejected) of noise._mc_counts(cfg, params, seed, "
         "trials): trial block b of noise._BLOCK draws from default_rng([seed, b]), first a binomial "
         "count and a uniform set of fired cells per rate kind z, x, zz (noise._sample_fires), then one double "
         "per faulted trial that picks its noiseless row, which it reads through its frame, then one multinomial "

@@ -196,12 +196,13 @@ def _run_bounds(params: dict):
 
 def _params_simulate(args) -> dict:
     noise = _resolve_noise(args)
-    if args.theta_radians is not None:
-        theta = args.theta_radians
-        theta_key = "custom"
-    else:
-        theta_key = args.theta
+    if args.theta_radians is None:
+        theta_key = args.theta or "T"
         theta = _THETA_KEYS[theta_key]
+    elif args.theta is not None:
+        raise CliError("--theta and --theta-radians both set the angle: give one")
+    else:
+        theta, theta_key = args.theta_radians, "custom"
     r_z = r_zz = args.r_z
     if args.mode == "mc":
         if args.trials is None or args.trials < 1:
@@ -246,7 +247,6 @@ def _run_simulate(params: dict):
         "reject_rate": est.reject_rate,
         "ci95_e_x": est.ci95_e_x,
         "ci95_e_z": est.ci95_e_z,
-        "anomaly_rate": est.anomaly_rate,
         "bound_e_xl": b.e_xl,
         "bound_e_zl": b.e_zl,
         "trials_or_order": est.trials_or_order,
@@ -501,8 +501,8 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     p_sim = sub.add_parser("simulate", help="fault-injection simulation vs the bounds")
     p_sim.add_argument("--n", type=int, required=True)
     p_sim.add_argument("--r", dest="r_z", type=int, required=True, help="measurement repetitions (odd; sets r_z and r_zz)")
-    p_sim.add_argument("--theta", choices=tuple(_THETA_KEYS), default="T", help="target state key")
-    p_sim.add_argument("--theta-radians", type=float, default=None, help="custom rotation angle override")
+    p_sim.add_argument("--theta", choices=tuple(_THETA_KEYS), default=None, help="target state key (default T)")
+    p_sim.add_argument("--theta-radians", type=float, default=None, help="custom rotation angle (instead of --theta)")
     _add_noise_flags(p_sim)
     p_sim.add_argument("--mode", choices=("mc", "enumerate"), required=True)
     p_sim.add_argument("--trials", type=int, default=None, help="Monte Carlo trial count (mc mode)")

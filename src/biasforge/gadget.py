@@ -31,7 +31,11 @@ its output under I, X_L, Z_L and Y_L to the target state: a key maps to
 the logical Pauli that takes its branches' outputs to the target, and
 record keys whose branches admit no such Pauli (e.g. |alpha| in {0, n}
 for theta = pi/4) are rejected, which reproduces the
-n - |alpha| = |alpha| +/- 1 acceptance rule.
+n - |alpha| = |alpha| +/- 1 acceptance rule.  A branch lands in one of
+five outcome bins: rejected, or the class I, X_L, Z_L or Y_L of its
+corrected output.  A code-space output's four class fidelities sum to 2,
+so its best one is at least 1/2; one that reaches no class above 0.99
+is a wrong-angle output, booked Z_L (:func:`_decoder`).
 
 A fault is a (location index, X mask, Z mask) triple, a Pauli on global
 qubit ids (bit q for qubit q), applied after its location executes, or
@@ -438,14 +442,12 @@ def enumerate_branches(cfg: GadgetConfig, flips: int = 0) -> Branches:
 # and frame_bins both read.
 
 # Outcome bins shared by enumeration and Monte Carlo: the accepted classes I,
-# XL, ZL, YL (in the order of _logical_masks), then rejected records, then
-# accepted anomalies.
+# XL, ZL, YL (in the order of _logical_masks), then rejected records.
 BIN_XL, BIN_ZL, BIN_YL = 1, 2, 3
-BIN_REJECTED, BIN_ANOMALY = 4, 5
-N_BINS = 6
+BIN_REJECTED = 4
+N_BINS = 5
 
 _CLASS_FIDELITY = 0.99  # an output reaches a class above this fidelity
-_ANOMALY_FIDELITY = 0.5  # an output below this to every class is an anomaly
 
 
 class CorrectionTableError(RuntimeError):
@@ -499,9 +501,10 @@ def _decoder(cfg: GadgetConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     wrong-angle output (a logical-Z-axis rotation, e.g. a correlated ZZ
     fault steering a record into acceptance), booked ZL as the analytic
     Z_L budget does; for T its best fidelity goes down to 0.9 at n=3, 0.862
-    at n=5 and 0.855 at n=7.  An output below fidelity 0.5 to every class
-    is BIN_ANOMALY.  A fidelity within 1e-9 of either threshold would
-    leave the bin to rounding: CorrectionTableError.
+    at n=5 and 0.855 at n=7.  A row's four fidelities sum to 2, so every
+    output is at fidelity at least 1/2 to some class and has a class bin.
+    A fidelity within 1e-9 of 0.99 would leave the bin to rounding:
+    CorrectionTableError.
 
     lookup[zl_bit, b, alpha] is the correction of a record key, an index
     into :func:`_logical_masks`, -1 where the key is not correctable.  A
@@ -512,14 +515,11 @@ def _decoder(cfg: GadgetConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     (:attr:`Branches.words`).
     """
     n, fid = cfg.n, _logical_fidelities(cfg)
-    best = fid.max(axis=1)
-    for name, values, threshold in (("class", fid, _CLASS_FIDELITY), ("best", best, _ANOMALY_FIDELITY)):
-        if np.any(np.abs(values - threshold) < 1e-9):
-            raise CorrectionTableError(f"a {name} fidelity at theta={cfg.theta} lies within 1e-9 of {threshold}")
+    if np.any(np.abs(fid - _CLASS_FIDELITY) < 1e-9):
+        raise CorrectionTableError(f"a class fidelity at theta={cfg.theta} lies within 1e-9 of {_CLASS_FIDELITY}")
     paulis = np.arange(4)
     above = fid[:, paulis[:, None] ^ paulis] > _CLASS_FIDELITY  # [row, L, class]
-    cls = np.where(above.any(axis=2), above.argmax(axis=2), BIN_ZL)
-    table = np.where(best[:, None] < _ANOMALY_FIDELITY, BIN_ANOMALY, cls).astype(np.int8)
+    table = np.where(above.any(axis=2), above.argmax(axis=2), BIN_ZL).astype(np.int8)
     q = np.arange(1 << 2 * n)
     logical = ((_popcount(q >> n, n) & 1) | (_popcount(q & (1 << n) - 1, n) > n // 2) << 1).astype(np.int8)
 
@@ -584,8 +584,8 @@ def _word_fields(cfg: GadgetConfig, words: np.ndarray):
 def frame_bins(cfg: GadgetConfig, rows: np.ndarray, codes: np.ndarray) -> np.ndarray:
     """The outcome bin of noiseless table row ``rows[g]`` read through the
     frame code ``codes[g]`` (:func:`fault_frame`), one per entry: the class
-    index in (I, XL, ZL, YL) of an accepted branch, BIN_ANOMALY for an
-    accepted anomaly, BIN_REJECTED for a rejected record.
+    index in (I, XL, ZL, YL) of an accepted branch, BIN_REJECTED for a
+    rejected record.
 
     The row's packed record (:attr:`Branches.words`) XOR the code's low M
     bits is the branch's record, whose fields give its correction; the class

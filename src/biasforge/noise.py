@@ -154,9 +154,10 @@ def _event_table(cfg: gd.GadgetConfig):
 class RateEstimate:
     """Logical rates per gadget attempt, plus per-accepted-state variants.
 
-    ``anomaly_rate`` is the share of accepted outputs below fidelity 0.5 to
-    every class (gadget.BIN_ANOMALY).  It reads 0 on the T, +i and theta=1
-    gadgets at n = 3, 5 and 7, whose class tables hold no such entry.
+    Every accepted output is booked to one class, I, XL, ZL or YL
+    (gadget.frame_bins), so ``accepted_weight`` is the share booked I plus
+    e_x + e_z + e_y.  The ``ci95_e_*`` fields are the 95% half-widths of
+    the three rates, 0.0 for an enumerated estimate.
     """
 
     e_x: float
@@ -164,11 +165,9 @@ class RateEstimate:
     e_y: float
     reject_rate: float
     trials_or_order: int
-    ci95_halfwidth: float
     ci95_e_x: float = 0.0
     ci95_e_z: float = 0.0
     ci95_e_y: float = 0.0
-    anomaly_rate: float = 0.0
     accepted_weight: float = 0.0
     e_x_given_accept: float = 0.0
     e_z_given_accept: float = 0.0
@@ -181,7 +180,7 @@ def _rate_estimate(bins: np.ndarray, total, trials_or_order: int, ci=(0.0, 0.0, 
     count), with the 95% half-widths ``ci`` of e_x, e_z and e_y.  The
     caller makes sure that some of the total was accepted."""
     bins, total = bins.tolist(), float(total)
-    # bins.sum() - bins[BIN_REJECTED]: numpy adds six values left to right, as
+    # bins.sum() - bins[BIN_REJECTED]: numpy adds five values left to right, as
     # reduce does (builtin sum() compensates float sums from Python 3.12)
     acc = functools.reduce(operator.add, bins) - bins[gd.BIN_REJECTED]
     e_x, e_z, e_y = bins[gd.BIN_XL], bins[gd.BIN_ZL], bins[gd.BIN_YL]
@@ -191,11 +190,9 @@ def _rate_estimate(bins: np.ndarray, total, trials_or_order: int, ci=(0.0, 0.0, 
         e_y=e_y / total,
         reject_rate=bins[gd.BIN_REJECTED] / total,
         trials_or_order=trials_or_order,
-        ci95_halfwidth=max(ci),
         ci95_e_x=ci[0],
         ci95_e_z=ci[1],
         ci95_e_y=ci[2],
-        anomaly_rate=bins[gd.BIN_ANOMALY] / total,
         accepted_weight=acc / total,
         e_x_given_accept=e_x / acc,
         e_z_given_accept=e_z / acc,

@@ -46,7 +46,10 @@ fault events, the oracle of the events of ``noise._event_table``.
   logical Pauli and any correctable-weight (<= (n-1)/2) physical Z pattern
   on the output block.  The first class reached at fidelity > 0.99 wins; an
   output reaching none is a wrong-angle output, booked ZL with its best
-  fidelity, and one below fidelity 0.5 to every class is an anomaly.
+  fidelity, and one below fidelity 0.5 to every class is an anomaly.  A
+  code-space output is never one (its four class fidelities sum to 2), so
+  ``outcome_bins``, which has no bin for it, refuses one; ``classify``
+  still flags it, e.g. on |0...0>, outside the code space.
 """
 
 import functools
@@ -172,10 +175,10 @@ def decode_records(cfg: gd.GadgetConfig, records: np.ndarray):
 
 def record_bins(cfg: gd.GadgetConfig, branches: gd.Branches, codes=0) -> np.ndarray:
     """Per-branch outcome bin: the class index in (I, XL, ZL, YL) of an
-    accepted branch, BIN_ANOMALY for an accepted anomaly, BIN_REJECTED for
-    a rejected record: the class table read at the branch's noiseless row
-    and the logical image of its correction times the block-3 Pauli of its
-    frame code, ``codes`` one for all branches or one per branch."""
+    accepted branch, BIN_REJECTED for a rejected record: the class table
+    read at the branch's noiseless row and the logical image of its
+    correction times the block-3 Pauli of its frame code, ``codes`` one
+    for all branches or one per branch."""
     corrections = decode_records(cfg, branches.records)[2]
     table, logical = gd._decoder(cfg)[:2]
     paulis = np.asarray(codes) >> cfg.num_measurements
@@ -217,9 +220,13 @@ def classify_states(states: np.ndarray, cfg: gd.GadgetConfig):
 
 
 def outcome_bins(states: np.ndarray, cfg: gd.GadgetConfig) -> np.ndarray:
-    """The outcome bins (gadget.BIN_*) of a stack of corrected accepted outputs."""
+    """The outcome bins (gadget.BIN_*) of a stack of corrected accepted
+    outputs, each the class index of the output.  The outputs must lie in
+    the code space, where every one is at fidelity at least 1/2 to some
+    class: an anomaly among them fails the call."""
     cls, _, anomaly = classify_states(states, cfg)
-    return np.where(anomaly, gd.BIN_ANOMALY, cls)
+    assert not anomaly.any(), "an accepted output below fidelity 0.5 to every class"
+    return cls
 
 
 def classify(state: np.ndarray, correction: tuple[int, int] | None, cfg: gd.GadgetConfig):

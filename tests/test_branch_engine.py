@@ -48,7 +48,9 @@
   evaluates on the row's state under its correction times q, and the
   table that rule's bin on the row's state under q.  The four logical
   fidelities of every row must sum to 2, and those of a correctable T row
-  read 1 at its correction and 1/2 at its XL and YL neighbours.
+  read 1 at its correction and 1/2 at its XL and YL neighbours.  On a
+  grid of angles, 1e-7 from 0 and pi among them, every row's best must
+  exceed 1/2 and every class-table entry must be one of the four classes.
 """
 
 import dataclasses
@@ -118,11 +120,9 @@ def test_monte_carlo_reproduces_recorded_estimate():
         e_y=0.0,
         reject_rate=0.7096666666666667,
         trials_or_order=3000,
-        ci95_halfwidth=0.006717753762046811,
         ci95_e_x=0.006717753762046811,
         ci95_e_z=0.002252733322136606,
         ci95_e_y=0.0006394243626629813,
-        anomaly_rate=0.0,
         accepted_weight=0.29033333333333333,
         e_x_given_accept=0.1251435132032147,
         e_z_given_accept=0.012629161882893225,
@@ -600,14 +600,17 @@ def test_class_table_matches_the_oracle(cfg, sampled):
     assert np.array_equal(gd.frame_bins(cfg, rows, qs << num), fixed)
 
 
-@pytest.mark.parametrize("n", [3, 5, 7])
-def test_class_tables_hold_no_anomaly_bin(n):
-    # every output reaches some class above fidelity 0.5, so
-    # RateEstimate.anomaly_rate reads 0 on these configs
-    for cfg in (gd.GadgetConfig.t_state(n), gd.GadgetConfig.plus_i(n), gd.GadgetConfig.custom(n, 1.0)):
+@pytest.mark.parametrize("n", [1, 3, 5, 7])
+def test_class_tables_hold_only_the_four_classes(n):
+    # a row's four logical fidelities sum to 2, so its best is at least 1/2
+    # and every accepted output has a class: the bins are I, XL, ZL, YL and
+    # rejected, at every angle, down to 1e-7 from 0 and pi
+    for theta in (-2.0, 0.0, 1e-7, math.pi / 4, 1.0, math.pi / 2, 2.5, math.pi - 1e-7, math.pi):
+        cfg = gd.GadgetConfig.custom(n, theta)
         table, logical = gd._decoder(cfg)[:2]
         assert table.shape == (len(gd.enumerate_branches(cfg)), 4) and logical.shape == (1 << 2 * n,), cfg
-        assert not np.any(table == gd.BIN_ANOMALY), cfg
+        assert np.all(gd._logical_fidelities(cfg).max(axis=1) > 0.5 + 1e-9), cfg
+        assert set(np.unique(table).tolist()) <= {0, gd.BIN_XL, gd.BIN_ZL, gd.BIN_YL}, cfg
 
 
 @pytest.mark.parametrize("n", [1, 3, 5, 7])
@@ -853,5 +856,5 @@ def test_outcome_bins_agree_with_scalar_decoding():
             assert got == gd.BIN_REJECTED
             continue
         cls, _, anomaly = classify(state, correction, cfg)
-        assert got == (gd.BIN_ANOMALY if anomaly else CLASS_ORDER.index(cls))
+        assert not anomaly and got == CLASS_ORDER.index(cls)
     assert len(set(bins.tolist())) > 2

@@ -209,6 +209,27 @@ class TestSimulate:
         assert code == 2 and out == "" and "must be finite" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("key", ["T", "plusI"])
+    def test_named_and_custom_angle_together_exit_2_before_simulating(self, capsys, monkeypatch, key):
+        # the run would take --theta-radians and its header would read "custom": refuse the pair
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulation started")
+
+        monkeypatch.setattr(nz, "enumerate_faults", refuse)
+        code, out, err = run_cli(
+            capsys,
+            "simulate", "--n", "3", "--r", "1", "--pz", "1e-3", "--bias", "100",
+            "--mode", "enumerate", "--max-order", "1", "--theta", key, "--theta-radians", "1.0",
+        )
+        assert (code, out, err) == (2, "", "biasforge: --theta and --theta-radians both set the angle: give one\n")
+
+    def test_angle_defaults_to_t(self, capsys):
+        report = run_json(
+            capsys,
+            "simulate", "--n", "3", "--r", "1", "--pz", "1e-3", "--bias", "100", "--mode", "enumerate", "--max-order", "1",
+        )
+        assert (report["params"]["theta"], report["params"]["theta_radians"]) == ("T", math.pi / 4)
+
     def test_angle_at_a_class_threshold_exits_2(self, capsys):
         # a class fidelity of this angle's table lies within 1e-9 of 0.99
         code, out, err = run_cli(
@@ -263,7 +284,7 @@ class TestSimulate:
     def test_bound_violation_exits_3(self, capsys, monkeypatch):
         fake = nz.RateEstimate(
             e_x=1.0, e_z=0.0, e_y=0.0, reject_rate=0.0,
-            trials_or_order=1, ci95_halfwidth=0.0,
+            trials_or_order=1,
         )
         monkeypatch.setattr(nz, "enumerate_faults", lambda *a, **k: fake)
         code, out, err = run_cli(

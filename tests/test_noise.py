@@ -379,7 +379,6 @@ class TestEnumerate:
             "e_z": bins[gd.BIN_ZL] / total,
             "e_y": bins[gd.BIN_YL] / total,
             "reject_rate": bins[gd.BIN_REJECTED] / total,
-            "anomaly_rate": bins[gd.BIN_ANOMALY] / total,
             "accepted_weight": accepted / total,
             "e_x_given_accept": bins[gd.BIN_XL] / accepted,
             "e_z_given_accept": bins[gd.BIN_ZL] / accepted,
@@ -565,8 +564,8 @@ def _per_trial_counts(cfg, params, seed, trials):
 
 
 def _assert_estimate_counts(est, counts, trials):
-    acc = counts[0] + counts[1] + counts[2] + counts[3] + counts[5]
-    got = (est.accepted_weight, est.e_x, est.e_z, est.e_y, est.reject_rate, est.anomaly_rate)
+    acc = counts[0] + counts[1] + counts[2] + counts[3]
+    got = (est.accepted_weight, est.e_x, est.e_z, est.e_y, est.reject_rate)
     assert got == tuple(int(k) / trials for k in (acc, *counts[1:])), counts
 
 
