@@ -5,7 +5,8 @@ Usage: PYTHONPATH=src python scripts/record_enumerated_masses.py > tests/golden/
 
 Each case is one ``noise._enumerated_combos(cfg, order)``: the event rate
 indices, the (S, order) padded event-index matrix and the (S, 5) outcome-bin
-mass matrix that every ``enumerate_faults`` call re-weights.  Each array is
+mass matrix, whose stratum sums (``noise._strata``) every ``enumerate_faults``
+call re-weights.  Each array is
 kept as ``dtype[shape] sha256``, so the masses are pinned bit for bit.  The
 cases are the n=3 T gadget at r=1 and r=3 and the n=3 |+i> gadget at r=1,
 each at orders 1 and 2.  Re-record only when a mass is meant to change.

@@ -127,7 +127,7 @@ class NoiseParams:
         return cls(p_x=p_x, p_z=p_z, p_zz=p_x if p_zz is None else p_zz)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=64)
 def _event_table(cfg: gd.GadgetConfig):
     """(rates, codes, kinds), read-only, which both estimators read: each
     fault event's rate index (0 z, 1 x, 2 zz) and int64 frame code
@@ -204,7 +204,6 @@ def _rate_estimate(bins: np.ndarray, total, trials_or_order: int, ci=(0.0, 0.0, 
 # Exhaustive low-order enumeration.
 
 
-@functools.lru_cache(maxsize=None)
 def _enumerated_combos(cfg: gd.GadgetConfig, max_order: int):
     """(rate index, subsets, masses) for all event subsets of size <= k.
 
@@ -215,7 +214,8 @@ def _enumerated_combos(cfg: gd.GadgetConfig, max_order: int):
     its class (``gadget.frame_quotient``), so each class is summed once,
     at its canonical code (``_frame_masses``), and gathered to its
     subsets: 147 classes for the 368 distinct codes of order 2 at n=3,
-    r=1.  Independent of NoiseParams, so cached per config and order.
+    r=1.  Independent of NoiseParams; ``_strata``, cached per config and
+    order, builds it once and keeps only its stratum sums.
 
     Every subset still gets its own ``gadget.enumerate_branches`` call, on
     its code's readout flips (code & (2^M - 1)): a range check and a
@@ -260,7 +260,7 @@ def _frame_masses(cfg: gd.GadgetConfig, codes) -> np.ndarray:
     return masses
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=64)
 def _strata(cfg: gd.GadgetConfig, max_order: int):
     """(rate index, representatives, masses, sizes) of the fault strata.
 
@@ -312,7 +312,7 @@ def enumerate_faults(cfg: gd.GadgetConfig, params: NoiseParams, max_order: int) 
 # Monte Carlo estimation.
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=64)
 def _noiseless_leaf_pool(cfg: gd.GadgetConfig):
     """(cum, masses) of the noiseless branches: their cumulative
     probabilities, from which a ``Generator.random`` double picks a
@@ -333,11 +333,12 @@ def _noiseless_leaf_pool(cfg: gd.GadgetConfig):
 # a block of 8,192 in about 80 us.  Above a 2% rate Generator.choice
 # shuffles an arange over every cell of the block, so larger blocks hold
 # more memory at high noise: 10^5 trials at p_z=5e-2, eta=3, r=3 peak at
-# 9.4 MB traced against 2.4 MB with blocks of 2,048, in about the same
-# 55-65 ms.
+# 6.9 MB traced against 1.7 MB with blocks of 2,048, in about the same
+# 40-60 ms.
 _BLOCK = 8192
-# Blocks binned together (32,768 trials); bounds a pass's memory, not part of
-# the counts.
+# Blocks binned together (32,768 trials): a pass holds its blocks' faulted
+# rows and frame codes and bins them in one frame_bins call.  Not part of the
+# counts.
 _PASS = 4
 # Branches per frame_bins call at most: _frame_masses reads max(1,
 # _BATCH_SLOTS // B) frame codes of B noiseless rows a chunk.  Bounds a
@@ -410,14 +411,15 @@ def _mc_counts(cfg, params, seed, trials) -> np.ndarray:
     (I against rejected), and at +i it draws nothing.  _BLOCK is thus part
     of what the counts are: changing it changes every count.
 
-    The blocks only draw, and add their clean bins.  The passes run from
-    trial 0 in consecutive chunks of _PASS blocks, the last one short; the
-    blocks of a pass fill its (trial, event) cells and row doubles, and the
-    faulted trials are binned once per pass: one ``np.bitwise_xor.reduceat``
-    over the fired cells gives their frame codes, and one
-    ``gadget.frame_bins`` call bins their rows under those codes.  A count
-    is a sum over trials, so where the passes split does not change it;
-    _PASS only bounds the memory a pass holds.
+    A block turns its fired cells into its faulted trials' rows and frame
+    codes as soon as it has drawn them: one ``np.bitwise_xor.reduceat`` of
+    its fired events' codes per faulted trial, and ``_rows`` on its
+    doubles.  The passes run from trial 0 in consecutive chunks of _PASS
+    blocks, the last one short, and bin their blocks' rows under their
+    codes in one ``gadget.frame_bins`` call and one bincount.  A count is a
+    sum over trials, so where the passes split does not change it; _PASS
+    batches the ``frame_bins`` calls and bounds the rows and codes a pass
+    holds.
     """
     frames = _event_table(cfg)[1]
     cum, masses = _noiseless_leaf_pool(cfg)
@@ -425,21 +427,17 @@ def _mc_counts(cfg, params, seed, trials) -> np.ndarray:
     pvals = masses[live]
     counts = np.zeros(gd.N_BINS, dtype=np.int64)
     for first in range(0, trials, _PASS * _BLOCK):
-        size = min(_PASS * _BLOCK, trials - first)
-        fires = []
-        for a in range(0, size, _BLOCK):
-            rng = np.random.default_rng([seed, (first + a) // _BLOCK])
-            block = min(_BLOCK, size - a)
-            trial, event = _sample_fires(cfg, params, rng, block)
-            faulted = len(_first_cells(trial))
-            fires.append((trial + a, event, rng.random(faulted)))
-            counts[live] += rng.multinomial(block - faulted, pvals)
-        # a one-block pass is not concatenated: short estimates are mostly fixed cost
-        trial, event, draw = [np.concatenate(cells) for cells in zip(*fires)] if len(fires) > 1 else fires[0]
-        if len(draw):
+        rows, codes = [], []
+        for a in range(first, min(first + _PASS * _BLOCK, trials), _BLOCK):
+            rng = np.random.default_rng([seed, a // _BLOCK])
+            size = min(_BLOCK, trials - a)
+            trial, event = _sample_fires(cfg, params, rng, size)
             starts = _first_cells(trial)
-            codes = np.bitwise_xor.reduceat(frames[event], starts)
-            counts += np.bincount(gd.frame_bins(cfg, _rows(cum, draw), codes), minlength=gd.N_BINS)
+            rows.append(_rows(cum, rng.random(len(starts))))
+            # guarded: reduceat over empty indices is untested on numpy 1.x
+            codes.append(np.bitwise_xor.reduceat(frames[event], starts) if len(starts) else frames[:0])
+            counts[live] += rng.multinomial(size - len(starts), pvals)
+        counts += np.bincount(gd.frame_bins(cfg, np.concatenate(rows), np.concatenate(codes)), minlength=gd.N_BINS)
     return counts
 
 
@@ -466,6 +464,8 @@ def estimate_rates_mc(
             raise ValueError(f"{name}={value!r} is not an integer") from None
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     counts = _mc_counts(cfg, params, seed, trials)
     rejected = int(counts[gd.BIN_REJECTED])
     if counts.sum() == rejected:

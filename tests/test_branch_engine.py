@@ -698,8 +698,8 @@ def test_no_bin_sees_the_kernel_on_random_codes(n, r_z, r_zz, theta):
     assert _gf2_rank(units) == width - n - 3
 
 
-def _mass_digests(cfg, order, build=nz._enumerated_combos):
-    rates, index, masses = build(cfg, order)
+def _mass_digests(cfg, order):
+    rates, index, masses = nz._enumerated_combos(cfg, order)
     return {name: _digest(array) for name, array in {"rates": rates, "index": index, "masses": masses}.items()}
 
 
@@ -765,7 +765,7 @@ def test_enumerated_masses_do_not_depend_on_the_batch_size(monkeypatch, case, bu
     per_chunk = max(1, budget // len(gd.enumerate_branches(cfg)))
     monkeypatch.setattr(nz, "_BATCH_SLOTS", budget)
     calls = _counting(monkeypatch, ["frame_bins"])
-    assert _mass_digests(cfg, case["order"], nz._enumerated_combos.__wrapped__) == case["arrays"]
+    assert _mass_digests(cfg, case["order"]) == case["arrays"]
     assert calls["frame_bins"] == -(-distinct // per_chunk)
 
 
@@ -777,7 +777,7 @@ def test_enumeration_batches_bound_the_memory_of_a_cold_build():
     gd._flipped.cache_clear()
     tracemalloc.start()
     try:
-        nz._enumerated_combos.__wrapped__(cfg, 2)
+        nz._enumerated_combos(cfg, 2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -798,7 +798,6 @@ def test_enumeration_classifies_in_batches(monkeypatch, order, branch_calls):
     monkeypatch.setattr(gd, "enumerate_branches", lambda cfg, code: codes.append(code) or enumerate_branches(cfg, code))
     calls = _counting(monkeypatch, ["frame_bins", "fault_frame"])
     nz._event_table.cache_clear()
-    nz._enumerated_combos.cache_clear()
     subsets = _subset_codes(cfg, nz._enumerated_combos(cfg, order)[1])
     classes = CLASS_COUNTS["T-r1"][order - 1]
     assert len(np.unique(subsets)) == {1: 32, 2: 368}[order]

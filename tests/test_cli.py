@@ -163,6 +163,16 @@ class TestSimulate:
         )
         assert code == 2
 
+    def test_negative_seed_exits_2_naming_the_seed(self, capsys):
+        # refused by name before the first block seeds its generator
+        code, out, err = run_cli(
+            capsys,
+            "simulate", "--n", "3", "--r", "1", "--pz", "1e-3", "--bias", "100",
+            "--mode", "mc", "--trials", "10", "--seed", "-1",
+        )
+        assert code == 2 and out == ""
+        assert err.splitlines() == ["biasforge: seed must be >= 0, got -1"]
+
     def test_n_above_sim_max_exits_2_before_simulating(self, capsys, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("simulation started")
