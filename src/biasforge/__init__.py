@@ -12,13 +12,11 @@ Layers, bottom up:
                 code) pairs (``frame_bins``), which XORs each code's flips
                 into its row's word, decodes it and reads one (row,
                 logical Pauli) class table per config at the logical
-                image of the code's block-3 Pauli; and the
-                projection of codes onto one canonical code per class of
-                codes whose bins agree on every row (``frame_quotient``).
+                image of the code's block-3 Pauli.
 * ``noise``     biased Pauli fault model: its events as frame codes
                 (``gadget.fault_frame``), exhaustive low-order fault
-                enumeration, which sums each class of codes once, and
-                block Monte Carlo over the gadget.
+                enumeration, which sums one code per statistic of its
+                decode fields, and block Monte Carlo over the gadget.
 * ``bounds``    closed-form logical error bounds at one noise point.
 * ``distill``   exact 15-qubit Reed-Muller error-detection distillation,
                 concatenation, and overhead planning.

@@ -69,6 +69,8 @@ correction and frame leave on block 3, which on the code space is fixed
 by the parity of the Pauli's X mask and the majority of its Z mask.  The
 decoder build (:func:`_decoder`) makes the correction lookup, the (B, 4)
 class table and the logical image of every block-3 Pauli once per config.
+A code's masses over the rows depend on it only through one of 16n + 17
+statistics of its decode fields and logical image (:func:`_frame_statistics`).
 """
 
 from __future__ import annotations
@@ -240,12 +242,11 @@ def build_circuit(cfg: GadgetConfig) -> Circuit:
 @dataclass(frozen=True, eq=False)
 class Branches:
     """Measurement branches stacked as rows: all branches of one readout-flip
-    mask, or one row per sampled run.  The noiseless rows are in the
-    depth-first (+1 outcome first) order of their records, and a view under
-    a mask keeps that row order.  A branch is its packed record, its
-    probability and the noiseless table row it is read from; its block-3
-    state is that row's state under a frame code's Pauli, which no engine
-    forms."""
+    mask.  The noiseless rows are in the depth-first (+1 outcome first)
+    order of their records, and a view under a mask keeps that row order.
+    A branch is its packed record, its probability and the noiseless table
+    row it is read from; its block-3 state is that row's state under a
+    frame code's Pauli, which no engine forms."""
 
     words: np.ndarray  # (B,) int64 packed records, bit m set where readout m reads -1
     probabilities: np.ndarray  # (B,)
@@ -380,30 +381,6 @@ def fault_frame(cfg: GadgetConfig, faults) -> int:
     return code
 
 
-def frame_quotient(cfg: GadgetConfig, codes: np.ndarray) -> np.ndarray:
-    """One canonical frame code per class of ``codes``: two codes of one
-    class give every noiseless row the same bin (:func:`frame_bins`).
-
-    Codes differ within a class by the n + 3 kernel directions, which hold
-    for any theta: X_j X_(j+1) on block 3 (j < n - 1), which stabilises the
-    target and every row state; every r_z readout with X_L = X_0, every
-    r_z and r_zz readout, and every block-2 readout with Z_L = Z^n, each of
-    which turns a row's key into that of a row whose state is the first's
-    times X_L, I or Z_L, up to a sign, so the correction lookup absorbs
-    the logical Pauli the direction carries; and every block-1 readout,
-    which changes no decode field.  The map is linear: the X mask is
-    replaced by its parity, which is folded into the r_z readouts, and the
-    first r_z, block-1 and block-2 bits are cleared by the directions with
-    them, leaving N - n - 3 free bits of the N = M + 2n.
-    """
-    n, r_z, m = cfg.n, cfg.r_z, cfg.num_measurements
-    block, zl, block2 = (1 << n) - 1, (1 << r_z) - 1, r_z + n + cfg.r_zz
-    codes = (codes & (1 << m + n) - 1) ^ (_popcount(codes >> m + n, n) & 1) * zl
-    codes = codes ^ (codes & 1) * (zl | (1 << cfg.r_zz) - 1 << r_z + n)
-    codes = codes ^ (codes >> r_z & 1) * (block << r_z)
-    return codes ^ (codes >> block2 & 1) * (block << block2 | block << m)
-
-
 @functools.lru_cache(maxsize=4096)
 def _flipped(cfg: GadgetConfig, flips: int) -> Branches:
     """The branches under the readout-flip mask ``flips`` < 2^M, read-only:
@@ -506,6 +483,11 @@ def _decoder(cfg: GadgetConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     A fidelity within 1e-9 of 0.99 would leave the bin to rounding:
     CorrectionTableError.
 
+    The rule is meant for theta away from 0 and pi.  Near them rows of
+    probability about 1e-16 have states within 1e-9 of the target, so at
+    n=3 it accepts 16 record keys at theta = 1e-5, 1e-7 and pi - 1e-7
+    against 8 at 1e-3.  No figure, golden or plan reads such an angle.
+
     lookup[zl_bit, b, alpha] is the correction of a record key, an index
     into :func:`_logical_masks`, -1 where the key is not correctable.  A
     noiseless row's correction is the first logical Pauli L in bin order
@@ -605,6 +587,30 @@ def frame_bins(cfg: GadgetConfig, rows: np.ndarray, codes: np.ndarray) -> np.nda
     corrections = np.where(correlated, lookup[zl_bit, b, alpha], -1)
     bins = table[rows, corrections ^ logical[codes >> num]]
     return np.where(corrections >= 0, bins, BIN_REJECTED)
+
+
+def _frame_statistics(cfg: GadgetConfig, codes: np.ndarray) -> np.ndarray:
+    """The statistic of each frame code in [0, 2^(M + 2n)), one of 16n + 17
+    values: two codes of one statistic give the noiseless rows the same
+    masses in every bin, up to summation order.
+
+    It reads the decoder's own fields of the code's readout flips
+    (:func:`_word_fields`) and the logical image of its block-3 Pauli
+    (:func:`_decoder`): ((zl_bit * 2 + b) * (n + 1) + alpha) * 4 + image,
+    or 16(n + 1) where the block-1 and block-2 flips F_1 and F_2 are
+    uncorrelated.  That suffices.  A row repeats each parity readout, so
+    the flips' majority votes XOR into the row's.  Its blocks 1 and 2 read
+    x and either x or ~x, so its flipped records are correlated iff
+    F_1 ^ F_2 is 0 or ~0; else every row is rejected.  Its probability and
+    fidelities depend on h = |x|, not on which x, and C(w, j) C(n - w,
+    h - j) rows of weight h meet w = |F_2| = n - alpha in j bits, which
+    sets the alpha of their flipped records.  The Pauli meets a class only
+    through its logical image.
+    """
+    num = cfg.num_measurements
+    zl_bit, b, correlated, alpha = _word_fields(cfg, codes & (1 << num) - 1)
+    stats = ((zl_bit * 2 + b) * (cfg.n + 1) + alpha) * 4 + _decoder(cfg)[1][codes >> num]
+    return np.where(correlated, stats, 16 * (cfg.n + 1))
 
 
 def accept_probability_exact(n: int) -> Fraction:

@@ -30,12 +30,11 @@ every measurement branch of its frame.  A subset's outcome-bin masses do
 not depend on the rates, so they are built once per (config, order)
 (``_enumerated_combos``), and a NoiseParams costs one weight per stratum
 of subsets that fire as many z, x and zz events (``_strata``).  The
-build sums each class of frame codes once (the codes of a class differ
-by directions no bin sees, ``gadget.frame_quotient``), over the noiseless
-rows in row order (``_frame_masses``, which also gives Monte Carlo's
-clean-trial masses), in chunks of codes that bound its memory; a subset's
-only own work is one ``gadget.enumerate_branches`` call on its readout
-flips, a cache lookup.
+build sums one frame code per statistic of its decode fields
+(``gadget._frame_statistics``, at most 16n + 17 of them), over the
+noiseless rows in row order (``_frame_masses``, which also gives Monte
+Carlo's clean-trial masses); a subset's only own work is one
+``gadget.enumerate_branches`` call on its readout flips, a cache lookup.
 
 The primary e_x / e_z / e_y rates are per gadget attempt: the probability
 that a run is accepted AND delivers that logical error.  This is the
@@ -211,11 +210,13 @@ def _enumerated_combos(cfg: gd.GadgetConfig, max_order: int):
     (a column of zero log-odds and a zero frame code); ``masses`` is the
     (S, gadget.N_BINS) outcome-bin mass matrix.  A subset's masses are
     those of its XOR-reduced frame code, which are those of every code of
-    its class (``gadget.frame_quotient``), so each class is summed once,
-    at its canonical code (``_frame_masses``), and gathered to its
-    subsets: 147 classes for the 368 distinct codes of order 2 at n=3,
-    r=1.  Independent of NoiseParams; ``_strata``, cached per config and
-    order, builds it once and keeps only its stratum sums.
+    its statistic (``gadget._frame_statistics``) up to summation order, so
+    each statistic is summed once (``_frame_masses``), at the code of its
+    first subset, and gathered to its subsets: 24 statistics for the 368
+    distinct codes of order 2 at n=3, r=1.  The empty subset comes first,
+    so the clean statistic is summed at code 0, as Monte Carlo's clean
+    trials read it.  Independent of NoiseParams; ``_strata``, cached per
+    config and order, builds it once and keeps only its stratum sums.
 
     Every subset still gets its own ``gadget.enumerate_branches`` call, on
     its code's readout flips (code & (2^M - 1)): a range check and a
@@ -231,8 +232,8 @@ def _enumerated_combos(cfg: gd.GadgetConfig, max_order: int):
     codes = np.bitwise_xor.reduce(np.append(frames, 0)[index], axis=1)
     for mask in (codes & ((1 << cfg.num_measurements) - 1)).tolist():
         gd.enumerate_branches(cfg, mask)  # unread: the benchmark's traced gate counts them (ROADMAP item 1(a))
-    distinct, inverse = np.unique(gd.frame_quotient(cfg, codes), return_inverse=True)
-    masses = _frame_masses(cfg, distinct)
+    _, first, inverse = np.unique(gd._frame_statistics(cfg, codes), return_index=True, return_inverse=True)
+    masses = _frame_masses(cfg, codes[first])
     totals = masses.sum(axis=1)
     worst = totals[np.argmax(np.abs(totals - 1.0))]
     if abs(worst - 1.0) > 1e-8:
@@ -244,20 +245,14 @@ def _frame_masses(cfg: gd.GadgetConfig, codes) -> np.ndarray:
     """The (len(codes), gadget.N_BINS) outcome-bin masses of the noiseless
     rows read through each frame code: every row's probability summed into
     its bin in row order, so a code's masses do not depend on how they were
-    reached.  The codes go in chunks of max(1, _BATCH_SLOTS // B), B the
-    noiseless row count, with one ``gadget.frame_bins`` call and one
-    bincount a chunk."""
+    reached.  One ``gadget.frame_bins`` call and one bincount for all the
+    codes; enumeration passes at most 16n + 17 of them, 2^(n+3) rows each."""
     probs = gd._noiseless_table(cfg)[0].probabilities
     codes, rows = np.asarray(codes, dtype=np.int64), np.arange(len(probs))
-    step, masses = max(1, _BATCH_SLOTS // len(rows)), np.empty((len(codes), gd.N_BINS))
-    for a in range(0, len(codes), step):
-        chunk = codes[a : a + step]
-        bins = gd.frame_bins(cfg, np.tile(rows, len(chunk)), chunk.repeat(len(rows))).reshape(len(chunk), -1)
-        # the chunk's c-th code's bin j is slot c * N_BINS + j
-        slots = (bins + gd.N_BINS * np.arange(len(chunk))[:, None]).ravel()
-        sums = np.bincount(slots, np.tile(probs, len(chunk)), len(chunk) * gd.N_BINS)
-        masses[a : a + step] = sums.reshape(-1, gd.N_BINS)
-    return masses
+    bins = gd.frame_bins(cfg, np.tile(rows, len(codes)), codes.repeat(len(rows))).reshape(len(codes), -1)
+    # the c-th code's bin j is slot c * N_BINS + j
+    slots = (bins + gd.N_BINS * np.arange(len(codes))[:, None]).ravel()
+    return np.bincount(slots, np.tile(probs, len(codes)), len(codes) * gd.N_BINS).reshape(-1, gd.N_BINS)
 
 
 @functools.lru_cache(maxsize=64)
@@ -340,13 +335,6 @@ _BLOCK = 8192
 # rows and frame codes and bins them in one frame_bins call.  Not part of the
 # counts.
 _PASS = 4
-# Branches per frame_bins call at most: _frame_masses reads max(1,
-# _BATCH_SLOTS // B) frame codes of B noiseless rows a chunk.  Bounds a
-# chunk's memory and is not part of the masses, which are each code's rows
-# summed in row order.  A cold order-2 build at n=3 peaks at 0.95 MB traced
-# at r=1, whose 147 classes fit one chunk, and 2.4 MB at r=3, against 5.0 MB
-# in one chunk.
-_BATCH_SLOTS = 16_384
 
 
 def _sample_fires(cfg, params, rng, size) -> tuple[np.ndarray, np.ndarray]:

@@ -22,16 +22,18 @@
   every single-qubit Z, X and Y at every location and on every qubit, and
   for random fault lists, it must give the code of the forward walk
   ``classify_oracle.forward_frame``, or raise the same exception class.
-* ``gadget.frame_quotient`` maps a frame code to one canonical code of
-  its class.  Each of the n + 3 kernel directions, and the projection,
-  must leave every bin as it is: on all codes and rows at n=3, r=1, and
-  on seeded codes and rows at other n, r and theta.  The projection must
-  be idempotent and linear, with rank N - n - 3.
+* Each of the n + 3 independent kernel directions of the frame codes must
+  leave every bin as it is: on all codes and rows at n=3, r=1, and on
+  seeded codes and rows at other n, r and theta.
+* ``gadget._frame_statistics`` maps a frame code to one of 16n + 17
+  statistics of its decode fields; on seeded codes at several n, r and
+  theta, every code's masses must lie within 1e-14 of those of its
+  statistic's first code, with the same zeros, and all codes at n=3, r=1
+  must take all 65 statistics.
 * ``golden/enumerated_masses.json`` holds a SHA-256 of the rate, subset
   and mass arrays of ``noise._enumerated_combos``; they must stay
-  bit-identical whatever the chunk size.  Every subset's masses must equal,
-  bit for bit, its frame code's noiseless rows binned and summed in row
-  order.
+  bit-identical.  Every subset's masses must equal, bit for bit, its frame
+  code's noiseless rows binned and summed in row order.
 * ``golden/noiseless_tables.json`` holds a SHA-256 of the records,
   probabilities and states of the closed-form noiseless branch table, the
   states expanded from its (u, v) amplitudes; they must stay bit-identical
@@ -655,22 +657,18 @@ def _gf2_rank(vectors):
 
 
 def _bins_keep(cfg, rows, codes):
-    """Whether every kernel direction, and the projection, leave the bin
-    of each (row, code) pair as it is."""
+    """Whether every kernel direction leaves the bin of each (row, code)
+    pair as it is."""
     want = gd.frame_bins(cfg, rows, codes)
-    moved = [codes ^ d for d in _kernel_directions(cfg)] + [gd.frame_quotient(cfg, codes)]
-    return all(np.array_equal(gd.frame_bins(cfg, rows, c), want) for c in moved)
+    return all(np.array_equal(gd.frame_bins(cfg, rows, codes ^ d), want) for d in _kernel_directions(cfg))
 
 
 def test_no_bin_sees_the_kernel_on_any_code_at_the_anchor():
-    # all 2^14 frame codes under each of the 64 noiseless rows at n=3, r=1;
-    # the projections take 2^(N - n - 3) = 256 values, so the kernel of the
-    # projection has dimension n + 3
+    # all 2^14 frame codes under each of the 64 noiseless rows at n=3, r=1
     cfg = gd.GadgetConfig.t_state(3, 1)
     width = cfg.num_measurements + 2 * cfg.n
     codes, rows = np.arange(1 << width), np.arange(len(gd.enumerate_branches(cfg)))
     assert _bins_keep(cfg, np.tile(rows, len(codes)), codes.repeat(len(rows)))
-    assert len(np.unique(gd.frame_quotient(cfg, codes))) == 1 << width - cfg.n - 3 == 256
 
 
 @pytest.mark.parametrize("theta", [math.pi / 4, math.pi / 2, 1.0, 1e-7, math.pi - 1e-7], ids=lambda t: f"theta{t:.3g}")
@@ -678,24 +676,46 @@ def test_no_bin_sees_the_kernel_on_any_code_at_the_anchor():
 def test_no_bin_sees_the_kernel_on_random_codes(n, r_z, r_zz, theta):
     # 4,096 seeded codes, each under 16 seeded rows, half of them flipping
     # blocks 1 and 2 alike so that their records stay correlated and most
-    # are accepted; the projection is idempotent and linear, sends the
-    # n + 3 independent directions to 0 and has rank N - n - 3, so its
-    # kernel is their span
+    # are accepted; the n + 3 directions are independent
     cfg = gd.GadgetConfig(n, theta, r_z, r_zz)
-    width, block, block2 = cfg.num_measurements + 2 * n, (1 << n) - 1, r_z + n + r_zz
     rng = np.random.default_rng(1509)
-    codes = rng.integers(1 << width, size=4096)
-    alike = codes & ~(block << block2) | (codes >> r_z & block) << block2
-    codes = np.where(np.arange(len(codes)) % 2, codes, alike)
+    codes = _seeded_codes(cfg, rng, 4096)
     rows = rng.integers(len(gd.enumerate_branches(cfg)), size=16 * len(codes))
     assert _bins_keep(cfg, rows, codes.repeat(16))
-    q, other = gd.frame_quotient(cfg, codes), np.roll(codes, 1)
-    assert np.array_equal(gd.frame_quotient(cfg, q), q)
-    assert np.array_equal(gd.frame_quotient(cfg, codes ^ other), gd.frame_quotient(cfg, q ^ gd.frame_quotient(cfg, other)))
-    directions = _kernel_directions(cfg)
-    assert not gd.frame_quotient(cfg, np.array(directions)).any() and _gf2_rank(directions) == n + 3
-    units = gd.frame_quotient(cfg, 1 << np.arange(width)).tolist()
-    assert _gf2_rank(units) == width - n - 3
+    assert _gf2_rank(_kernel_directions(cfg)) == n + 3
+
+
+def _seeded_codes(cfg, rng, size):
+    """``size`` seeded frame codes, every other one with its block-2 flips
+    copied from its block-1 flips, so that its records stay correlated."""
+    n, r_z = cfg.n, cfg.r_z
+    block, block2 = (1 << n) - 1, r_z + n + cfg.r_zz
+    codes = rng.integers(1 << cfg.num_measurements + 2 * n, size=size)
+    alike = codes & ~(block << block2) | (codes >> r_z & block) << block2
+    return np.where(np.arange(size) % 2, codes, alike)
+
+
+@pytest.mark.parametrize("theta", [math.pi / 4, math.pi / 2, 1.0, 1e-7, math.pi - 1e-7], ids=lambda t: f"theta{t:.3g}")
+@pytest.mark.parametrize("n, r_z, r_zz", [(1, 1, 1), (3, 1, 1), (3, 3, 3), (3, 1, 3), (5, 3, 1), (7, 1, 1)])
+def test_masses_depend_only_on_the_frame_statistic(n, r_z, r_zz, theta):
+    # 512 seeded codes, half of them correlated: each code's masses are
+    # those of the first code of its statistic up to summation order, with
+    # the same zeros
+    cfg = gd.GadgetConfig(n, theta, r_z, r_zz)
+    codes = _seeded_codes(cfg, np.random.default_rng(1509), 512)
+    _, first, inverse = np.unique(gd._frame_statistics(cfg, codes), return_index=True, return_inverse=True)
+    masses = nz._frame_masses(cfg, codes)
+    want = masses[first][inverse]
+    np.testing.assert_allclose(masses, want, rtol=0, atol=1e-14)
+    assert np.array_equal(masses == 0, want == 0)
+
+
+def test_frame_codes_take_every_statistic_at_the_anchor():
+    # all 2^14 frame codes at n=3, r=1: 16(n + 1) correlated statistics and
+    # the uncorrelated one
+    cfg = gd.GadgetConfig.t_state(3, 1)
+    codes = np.arange(1 << cfg.num_measurements + 2 * cfg.n)
+    assert np.array_equal(np.unique(gd._frame_statistics(cfg, codes)), np.arange(16 * cfg.n + 17))
 
 
 def _mass_digests(cfg, order):
@@ -715,9 +735,10 @@ def _subset_codes(cfg, index):
     return np.bitwise_xor.reduce(np.append(nz._event_table(cfg)[1], 0)[index], axis=1)
 
 
-# the classes (distinct projected frame codes) of each recorded build at
-# orders 1 and 2: the codes whose masses the cold build sums
-CLASS_COUNTS = {"T-r1": (26, 147), "T-r3": (53, 803), "plusI-r1": (26, 147)}
+# the statistics (gadget._frame_statistics) of the subsets' frame codes in
+# each recorded build at orders 1 and 2: the codes whose masses the cold
+# build sums
+STATISTIC_COUNTS = {"T-r1": (7, 24), "T-r3": (8, 23), "plusI-r1": (7, 24)}
 
 
 @pytest.mark.parametrize("order", (1, 2))
@@ -728,8 +749,9 @@ def test_subset_masses_are_row_order_sums_of_their_frames(name, order):
     cfg = ENUMERATED[name]
     _, index, masses = nz._enumerated_combos(cfg, order)
     probs = gd.enumerate_branches(cfg).probabilities
-    rows = np.arange(len(probs))
-    for s, code in enumerate(_subset_codes(cfg, index).tolist()):
+    rows, codes = np.arange(len(probs)), _subset_codes(cfg, index)
+    assert len(np.unique(gd._frame_statistics(cfg, codes))) == STATISTIC_COUNTS[name][order - 1]
+    for s, code in enumerate(codes.tolist()):
         want = np.bincount(gd.frame_bins(cfg, rows, np.full(len(rows), code)), probs, gd.N_BINS)
         assert np.array_equal(masses[s], want), (s, code)
 
@@ -752,26 +774,9 @@ def _counting(monkeypatch, names):
     return calls
 
 
-@pytest.mark.parametrize("budget", [1, 1000, 1 << 62], ids=["one-subset", "straddling", "one-batch"])
-@pytest.mark.parametrize("case", MASSES["cases"], ids=lambda c: f"{c['gadget']}-order{c['order']}")
-def test_enumerated_masses_do_not_depend_on_the_batch_size(monkeypatch, case, budget):
-    # one class of frame codes per chunk, chunks of 15 classes of 64
-    # branches, and every class in one chunk: each mass is the same sum in
-    # the same order
-    cfg = ENUMERATED[case["gadget"]]
-    codes = _subset_codes(cfg, nz._enumerated_combos(cfg, case["order"])[1])
-    distinct = len(np.unique(gd.frame_quotient(cfg, codes)))
-    assert distinct == CLASS_COUNTS[case["gadget"]][case["order"] - 1]
-    per_chunk = max(1, budget // len(gd.enumerate_branches(cfg)))
-    monkeypatch.setattr(nz, "_BATCH_SLOTS", budget)
-    calls = _counting(monkeypatch, ["frame_bins"])
-    assert _mass_digests(cfg, case["order"]) == case["arrays"]
-    assert calls["frame_bins"] == -(-distinct // per_chunk)
-
-
-def test_enumeration_batches_bound_the_memory_of_a_cold_build():
-    # a cold order-2 build at n=3, r=3 peaks near 2.4 MB traced in chunks
-    # of _BATCH_SLOTS branches, and near 5.0 MB in one chunk
+def test_cold_enumeration_build_peaks_under_2_mb():
+    # a cold order-2 build at n=3, r=3 sums its 23 statistics' codes in one
+    # frame_bins call and peaks near 1.8 MB traced
     cfg = gd.GadgetConfig.t_state(3, r=3)
     nz._enumerated_combos(cfg, 2)  # build the noiseless, class and event tables first
     gd._flipped.cache_clear()
@@ -781,29 +786,24 @@ def test_enumeration_batches_bound_the_memory_of_a_cold_build():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * 2**20, peak
+    assert peak < 2 * 2**20, peak
 
 
 @pytest.mark.parametrize("order, branch_calls", [(1, 80), (2, 3161)])
 def test_enumeration_classifies_in_batches(monkeypatch, order, branch_calls):
     # one enumerate_branches call per subset (the benchmark counts them) but
-    # one frame_bins call per chunk of at most _BATCH_SLOTS branches of the
-    # classes of frame codes, and one fault_frame call per fault event:
-    # subsets reach the gadget as XORed codes.  Under every frame a code has
-    # the noiseless table's branch count.  Each enumerate_branches call,
-    # whose result is unread, gets the code's low M bits, below 2^M.
+    # one frame_bins call for the codes of all statistics, and one
+    # fault_frame call per fault event: subsets reach the gadget as XORed
+    # codes.  Each enumerate_branches call, whose result is unread, gets the
+    # code's low M bits, below 2^M.
     cfg = gd.GadgetConfig.t_state(3, r=1)
-    per_chunk = max(1, nz._BATCH_SLOTS // len(gd.enumerate_branches(cfg)))
     codes, enumerate_branches = [], gd.enumerate_branches
     monkeypatch.setattr(gd, "enumerate_branches", lambda cfg, code: codes.append(code) or enumerate_branches(cfg, code))
     calls = _counting(monkeypatch, ["frame_bins", "fault_frame"])
     nz._event_table.cache_clear()
     subsets = _subset_codes(cfg, nz._enumerated_combos(cfg, order)[1])
-    classes = CLASS_COUNTS["T-r1"][order - 1]
     assert len(np.unique(subsets)) == {1: 32, 2: 368}[order]
-    assert len(np.unique(gd.frame_quotient(cfg, subsets))) == classes
-    chunks = -(-classes // per_chunk)
-    assert len(codes) == branch_calls and calls == {"frame_bins": chunks, "fault_frame": 79}
+    assert len(codes) == branch_calls and calls == {"frame_bins": 1, "fault_frame": 79}
     assert 0 <= min(codes) <= max(codes) < 1 << cfg.num_measurements
 
 

@@ -322,6 +322,17 @@ class TestEnumerate:
         est = nz.enumerate_faults(gd.GadgetConfig.t_state(3, 3), nz.NoiseParams(0, 1e-4, 0), 2)
         assert est.e_z <= bd.e_zl_bound(3, 3, 0, 1e-4, 0)
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 6(c): e_xl has no p_zz term, but a logical X is first order in p_zz at r=1",
+    )
+    def test_bound_dominates_zz_heavy_noise_at_r1(self):
+        # order-2 e_x 1.589e-3 against e_xl_bound 1.300e-3 at an explicit
+        # p_zz above p_z; once item 6 mends the bound this passes, and the
+        # strict xfail fails loudly
+        est = nz.enumerate_faults(gd.GadgetConfig.t_state(3, 1), nz.NoiseParams(0, 1e-4, 1e-3), 2)
+        assert est.e_x <= bd.e_xl_bound(3, 1, 0, 1e-4)
+
     def test_bound_domination_spot(self):
         cfg = gd.GadgetConfig.t_state(3, r=1)
         params = nz.NoiseParams.from_bias(1e-3, 1000.0)
