@@ -15,8 +15,9 @@ Layers, bottom up:
                 image of the code's block-3 Pauli.
 * ``noise``     biased Pauli fault model: its events as frame codes
                 (``gadget.fault_frame``), exhaustive low-order fault
-                enumeration, which sums one code per statistic of its
-                decode fields, and block Monte Carlo over the gadget.
+                enumeration and block Monte Carlo over the gadget, both
+                reading one mass table of a code per statistic of its
+                decode fields.
 * ``bounds``    closed-form logical error bounds at one noise point.
 * ``distill``   exact 15-qubit Reed-Muller error-detection distillation,
                 concatenation, and overhead planning.

@@ -60,17 +60,19 @@ record is stored one way: a packed readout word, an int64 with bit m set
 where readout m reads -1.  :func:`enumerate_branches` lists the branches
 under a readout-flip mask, the noiseless rows with the mask XORed into
 their words, since rows and probabilities depend only on the readout
-flips; the block-3 Pauli, code >> M, is no property of a branch.  Monte
-Carlo and enumeration alike classify (row, frame code) pairs with
-:func:`frame_bins`: the code's readout flips are XORed into the row's
-word, and the decode reads the word's bit fields.  A branch's class is
-then one lookup at its row and the logical image of the Pauli its
-correction and frame leave on block 3, which on the code space is fixed
-by the parity of the Pauli's X mask and the majority of its Z mask.  The
-decoder build (:func:`_decoder`) makes the correction lookup, the (B, 4)
-class table and the logical image of every block-3 Pauli once per config.
-A code's masses over the rows depend on it only through one of 16n + 17
-statistics of its decode fields and logical image (:func:`_frame_statistics`).
+flips; the block-3 Pauli, code >> M, is no property of a branch.
+:func:`frame_bins` classifies (row, frame code) pairs: the code's readout
+flips are XORed into the row's word, and the decode reads the word's bit
+fields.  A branch's class is then one lookup at its row and the logical
+image of the Pauli its correction and frame leave on block 3, which on
+the code space is fixed by the parity of the Pauli's X mask and the
+majority of its Z mask.  The decoder build (:func:`_decoder`) makes the
+correction lookup, the (B, 4) class table and the logical image of every
+block-3 Pauli once per config.  A code's masses over the rows depend on
+it only through one of 16n + 17 statistics of its decode fields and
+logical image (:func:`_frame_statistics`), so both estimators read one
+table of the masses of one code per statistic (:func:`_statistic_codes`),
+binned once per config with :func:`frame_bins`.
 """
 
 from __future__ import annotations
@@ -243,14 +245,13 @@ def build_circuit(cfg: GadgetConfig) -> Circuit:
 class Branches:
     """Measurement branches stacked as rows: all branches of one readout-flip
     mask.  The noiseless rows are in the depth-first (+1 outcome first)
-    order of their records, and a view under a mask keeps that row order.
-    A branch is its packed record, its probability and the noiseless table
-    row it is read from; its block-3 state is that row's state under a
-    frame code's Pauli, which no engine forms."""
+    order of their records, and a view under a mask keeps that row order,
+    so branch i is read from noiseless row i.  A branch is its packed
+    record and its probability; its block-3 state is its row's state under
+    a frame code's Pauli, which no engine forms."""
 
     words: np.ndarray  # (B,) int64 packed records, bit m set where readout m reads -1
     probabilities: np.ndarray  # (B,)
-    rows: np.ndarray  # (B,) the noiseless table row each branch is read from
     num_measurements: int
 
     @functools.cached_property
@@ -307,10 +308,10 @@ def _noiseless_table(cfg: GadgetConfig) -> tuple[Branches, np.ndarray]:
     a_bar = (1 - 2 * zl) * cos_half**h * sin_half ** (n - h) * phase[(n - h) % 4]
     u, v = np.where(same, a, a_bar), (1 - 2 * b) * np.where(same, a_bar, a)
     kept = np.flatnonzero(probs > 0)
-    words, probs, rows, amplitudes = words[kept], probs[kept], np.arange(len(kept)), np.stack((u, v), axis=1)[kept]
-    for array in (words, probs, rows, amplitudes):
+    words, probs, amplitudes = words[kept], probs[kept], np.stack((u, v), axis=1)[kept]
+    for array in (words, probs, amplitudes):
         array.flags.writeable = False
-    return Branches(words, probs, rows, cfg.num_measurements), amplitudes
+    return Branches(words, probs, cfg.num_measurements), amplitudes
 
 
 @functools.lru_cache(maxsize=64)
@@ -385,12 +386,12 @@ def fault_frame(cfg: GadgetConfig, faults) -> int:
 def _flipped(cfg: GadgetConfig, flips: int) -> Branches:
     """The branches under the readout-flip mask ``flips`` < 2^M, read-only:
     the noiseless table in its own row order with ``flips`` XORed into its
-    words.  Only the words are new; the probabilities and rows are the
-    table's own arrays."""
+    words.  Only the words are new; the probabilities are the table's own
+    array."""
     table = _noiseless_table(cfg)[0]
     words = table.words ^ flips
     words.flags.writeable = False
-    return Branches(words, table.probabilities, table.rows, cfg.num_measurements)
+    return Branches(words, table.probabilities, cfg.num_measurements)
 
 
 def enumerate_branches(cfg: GadgetConfig, flips: int = 0) -> Branches:
@@ -611,6 +612,25 @@ def _frame_statistics(cfg: GadgetConfig, codes: np.ndarray) -> np.ndarray:
     zl_bit, b, correlated, alpha = _word_fields(cfg, codes & (1 << num) - 1)
     stats = ((zl_bit * 2 + b) * (cfg.n + 1) + alpha) * 4 + _decoder(cfg)[1][codes >> num]
     return np.where(correlated, stats, 16 * (cfg.n + 1))
+
+
+def _statistic_codes(cfg: GadgetConfig) -> np.ndarray:
+    """One frame code of each statistic of :func:`_frame_statistics`, in
+    statistic order, which that function maps back to arange(16n + 17).
+
+    A correlated statistic's code flips every parity readout of its set
+    zl_bit and b, the first n - alpha readouts of block 1 and of block 2,
+    and carries X_1 for an odd X parity and Z^n for a Z majority.  The
+    uncorrelated code 1 << r_z, block 1's first readout alone, comes last;
+    at n = 1 it is correlated, as every code is, and no code takes that
+    statistic.
+    """
+    n, r_z, r_zz = cfg.n, cfg.r_z, cfg.r_zz
+    zl_bit, b, alpha, image = np.unravel_index(np.arange(16 * (n + 1)), (2, 2, n + 1, 4))
+    votes = zl_bit * ((1 << r_z) - 1) | b * ((1 << r_zz) - 1) << r_z + n
+    flips = ((1 << n - alpha) - 1) * (1 + (1 << n + r_zz)) << r_z  # blocks 1 and 2 alike
+    pauli = (image & 1) << n | (image >> 1) * ((1 << n) - 1)
+    return np.append(votes | flips | pauli << cfg.num_measurements, 1 << r_z)
 
 
 def accept_probability_exact(n: int) -> Fraction:

@@ -29,12 +29,13 @@ of size <= k, each weighted exactly (no exponential approximation), over
 every measurement branch of its frame.  A subset's outcome-bin masses do
 not depend on the rates, so they are built once per (config, order)
 (``_enumerated_combos``), and a NoiseParams costs one weight per stratum
-of subsets that fire as many z, x and zz events (``_strata``).  The
-build sums one frame code per statistic of its decode fields
-(``gadget._frame_statistics``, at most 16n + 17 of them), over the
-noiseless rows in row order (``_frame_masses``, which also gives Monte
-Carlo's clean-trial masses); a subset's only own work is one
-``gadget.enumerate_branches`` call on its readout flips, a cache lookup.
+of subsets that fire as many z, x and zz events (``_strata``).  A
+subset's masses are a row of one table per config, the masses of one
+frame code per statistic of its decode fields
+(``gadget._frame_statistics``, 16n + 17 of them) summed over the
+noiseless rows in row order (``_statistic_masses``), which Monte Carlo
+reads too; a subset's only own work is one ``gadget.enumerate_branches``
+call on its readout flips, a cache lookup.
 
 The primary e_x / e_z / e_y rates are per gadget attempt: the probability
 that a run is accepted AND delivers that logical error.  This is the
@@ -59,12 +60,16 @@ suggested by counting records uniformly.
 Monte Carlo (``estimate_rates_mc``) draws every event independently, in
 blocks of trials that each draw from their own generator (``_mc_counts``),
 so its counts, hence its estimates, depend only on (seed, trials).  A
-faulted trial draws a noiseless row by its probability and reads it
-through its frame, as enumeration does; a block's clean trials are one
-multinomial draw over the noiseless outcome-bin masses, so a block's work
-follows its faulted trials.  The counts rest on numpy's
-``Generator.binomial``, ``choice(replace=False)``, ``random`` and
-``multinomial`` streams.
+trial's noiseless row is drawn independently of its faults, so given its
+frame code's statistic its bin falls by that statistic's row of the
+enumeration's mass table: a block counts its trials per statistic, clean
+trials under code 0's, and draws all its bins in one multinomial over the
+normalised rows, so a block's work follows its faulted trials.  Monte
+Carlo thus shares the decode with enumeration and checks the fault
+sampling, not the decode, which the tests check against the record and
+state-vector oracles.  The counts rest on numpy's ``Generator.binomial``,
+``choice(replace=False)`` and ``multinomial`` streams, the last with 2-D
+``pvals``.
 """
 
 from __future__ import annotations
@@ -211,12 +216,10 @@ def _enumerated_combos(cfg: gd.GadgetConfig, max_order: int):
     (S, gadget.N_BINS) outcome-bin mass matrix.  A subset's masses are
     those of its XOR-reduced frame code, which are those of every code of
     its statistic (``gadget._frame_statistics``) up to summation order, so
-    each statistic is summed once (``_frame_masses``), at the code of its
-    first subset, and gathered to its subsets: 24 statistics for the 368
-    distinct codes of order 2 at n=3, r=1.  The empty subset comes first,
-    so the clean statistic is summed at code 0, as Monte Carlo's clean
-    trials read it.  Independent of NoiseParams; ``_strata``, cached per
-    config and order, builds it once and keeps only its stratum sums.
+    they are gathered from the statistic's row of ``_statistic_masses``:
+    24 statistics for the 368 distinct codes of order 2 at n=3, r=1.
+    Independent of NoiseParams; ``_strata``, cached per config and order,
+    builds it once and keeps only its stratum sums.
 
     Every subset still gets its own ``gadget.enumerate_branches`` call, on
     its code's readout flips (code & (2^M - 1)): a range check and a
@@ -232,13 +235,7 @@ def _enumerated_combos(cfg: gd.GadgetConfig, max_order: int):
     codes = np.bitwise_xor.reduce(np.append(frames, 0)[index], axis=1)
     for mask in (codes & ((1 << cfg.num_measurements) - 1)).tolist():
         gd.enumerate_branches(cfg, mask)  # unread: the benchmark's traced gate counts them (ROADMAP item 1(a))
-    _, first, inverse = np.unique(gd._frame_statistics(cfg, codes), return_index=True, return_inverse=True)
-    masses = _frame_masses(cfg, codes[first])
-    totals = masses.sum(axis=1)
-    worst = totals[np.argmax(np.abs(totals - 1.0))]
-    if abs(worst - 1.0) > 1e-8:
-        raise AssertionError(f"branch probabilities sum to {worst}, expected 1")
-    return rates, index, masses[inverse]
+    return rates, index, _statistic_masses(cfg)[gd._frame_statistics(cfg, codes)]
 
 
 def _frame_masses(cfg: gd.GadgetConfig, codes) -> np.ndarray:
@@ -246,13 +243,26 @@ def _frame_masses(cfg: gd.GadgetConfig, codes) -> np.ndarray:
     rows read through each frame code: every row's probability summed into
     its bin in row order, so a code's masses do not depend on how they were
     reached.  One ``gadget.frame_bins`` call and one bincount for all the
-    codes; enumeration passes at most 16n + 17 of them, 2^(n+3) rows each."""
+    codes; ``_statistic_masses`` passes 16n + 17 of them, 2^(n+3) rows each."""
     probs = gd._noiseless_table(cfg)[0].probabilities
     codes, rows = np.asarray(codes, dtype=np.int64), np.arange(len(probs))
     bins = gd.frame_bins(cfg, np.tile(rows, len(codes)), codes.repeat(len(rows))).reshape(len(codes), -1)
     # the c-th code's bin j is slot c * N_BINS + j
     slots = (bins + gd.N_BINS * np.arange(len(codes))[:, None]).ravel()
     return np.bincount(slots, np.tile(probs, len(codes)), len(codes) * gd.N_BINS).reshape(-1, gd.N_BINS)
+
+
+@functools.lru_cache(maxsize=64)
+def _statistic_masses(cfg: gd.GadgetConfig) -> np.ndarray:
+    """The (16n + 17, gadget.N_BINS) outcome-bin masses of each frame
+    statistic, read-only: those of its code in ``gadget._statistic_codes``
+    (``_frame_masses``), which every code of the statistic has up to
+    summation order.  The one mass source of both estimators."""
+    masses = _frame_masses(cfg, gd._statistic_codes(cfg))
+    if abs(masses[0].sum() - 1.0) > 1e-8:  # every row sums the branch probabilities, in some order
+        raise AssertionError(f"branch probabilities sum to {masses[0].sum()}, expected 1")
+    masses.flags.writeable = False
+    return masses
 
 
 @functools.lru_cache(maxsize=64)
@@ -308,33 +318,31 @@ def enumerate_faults(cfg: gd.GadgetConfig, params: NoiseParams, max_order: int) 
 
 
 @functools.lru_cache(maxsize=64)
-def _noiseless_leaf_pool(cfg: gd.GadgetConfig):
-    """(cum, masses) of the noiseless branches: their cumulative
-    probabilities, from which a ``Generator.random`` double picks a
-    faulted trial's row (``_rows``), and the masses of frame code 0
-    (``_frame_masses``, as enumeration sums them) over cum[-1], over which
-    a block's clean trials are one ``Generator.multinomial``.  With the
-    ``binomial`` and ``choice(replace=False)`` draws of the fired cells,
-    these are the streams the Monte Carlo counts rest on."""
-    cum = np.cumsum(gd.enumerate_branches(cfg).probabilities)
-    return cum, _frame_masses(cfg, [0])[0] / cum[-1]
+def _statistic_pvals(cfg: gd.GadgetConfig) -> tuple[np.ndarray, int]:
+    """(pvals, clean): each row of ``_statistic_masses`` over its sum,
+    read-only, over which a block's trials of each statistic are one
+    ``Generator.multinomial``, and the statistic of frame code 0, which a
+    clean trial takes.  Rounding lifts some raw masses past 1 (by up to
+    1.2e-14 at n=7, theta=1), which numpy refuses; a normalised entry is
+    at most 1.  numpy gives a row's last bin, BIN_REJECTED, whatever its
+    other bins leave, and the normalised rows leave nothing there where it
+    has no mass (2^60 draws a row near theta = 0 and pi, in the tests)."""
+    masses = _statistic_masses(cfg)
+    pvals = masses / masses.sum(axis=1, keepdims=True)
+    pvals.flags.writeable = False
+    return pvals, int(gd._frame_statistics(cfg, np.zeros(1, dtype=np.int64))[0])
 
 
 # Trials per generator; part of the definition of the counts.  A block
-# draws its fired cells (binomial, choice(replace=False)), one double per
-# faulted trial (random) and one multinomial of its clean trials.  Most of
-# a small block's draws are fixed cost: at the anchor (n=3, r=1) a block of
-# 2,048 trials draws in about 55 us, 11 of them seeding its generator, and
-# a block of 8,192 in about 80 us.  Above a 2% rate Generator.choice
-# shuffles an arange over every cell of the block, so larger blocks hold
-# more memory at high noise: 10^5 trials at p_z=5e-2, eta=3, r=3 peak at
-# 6.9 MB traced against 1.7 MB with blocks of 2,048, in about the same
-# 40-60 ms.
+# draws its fired cells (binomial, choice(replace=False)), then one
+# multinomial of its trials per frame statistic.  Most of a small block's
+# draws are fixed cost: at the anchor (n=3, r=1) a block of 2,048 trials
+# draws in about 55 us, 11 of them seeding its generator, and a block of
+# 8,192 in about 80 us.  Above a 2% rate Generator.choice shuffles an
+# arange over every cell of the block, so larger blocks hold more memory at
+# high noise: 10^5 trials at p_z=5e-2, eta=3, r=3 peak at 6.9 MB traced
+# against 1.7 MB with blocks of 2,048.
 _BLOCK = 8192
-# Blocks binned together (32,768 trials): a pass holds its blocks' faulted
-# rows and frame codes and bins them in one frame_bins call.  Not part of the
-# counts.
-_PASS = 4
 
 
 def _sample_fires(cfg, params, rng, size) -> tuple[np.ndarray, np.ndarray]:
@@ -363,69 +371,42 @@ def _sample_fires(cfg, params, rng, size) -> tuple[np.ndarray, np.ndarray]:
     return np.divmod(np.sort(np.concatenate(keys)), num)
 
 
-def _rows(cum: np.ndarray, draw: np.ndarray) -> np.ndarray:
-    """The noiseless rows that uniform doubles ``draw`` pick: row i takes
-    the draws in (cum[i-1], cum[i]] / cum[-1], and a draw that rounds past
-    the last row takes it."""
-    return np.minimum(np.searchsorted(cum, draw * cum[-1]), len(cum) - 1)
-
-
-def _first_cells(trial: np.ndarray) -> np.ndarray:
-    """Where each trial's cells start in a trial-sorted cell array.  Built
-    by hand: np.diff with ``prepend`` and np.flatnonzero cost about 8 us
-    more a call at the anchor."""
-    new = np.empty(len(trial), dtype=bool)
-    new[:1] = True
-    new[1:] = trial[1:] != trial[:-1]
-    return new.nonzero()[0]
-
-
 def _mc_counts(cfg, params, seed, trials) -> np.ndarray:
-    """Outcome-bin counts of trials 0..trials-1, a pass at a time.
+    """Outcome-bin counts of trials 0..trials-1, a block at a time.
 
     Trial t belongs to block t // _BLOCK, whose generator is
     ``np.random.default_rng([seed, block])``.  A block of ``size`` trials
     draws, in this order: its fired events (``_sample_fires``: a binomial
-    count and a ``choice(replace=False)`` set of cells per rate kind); one
-    ``random`` double per faulted trial, in trial order, which picks that
-    trial's noiseless row (``_rows``); and one ``multinomial`` of its
-    clean-trial count over the noiseless outcome-bin masses
-    (``_noiseless_leaf_pool``).  A faulted trial is its row read through
-    its frame, the XOR of its fired events' codes.  A clean trial's row is
-    independent of the faults, so given their count a block's clean trials
-    fall into the bins by exactly that multinomial.  Only bins of positive
-    mass enter it, so rounding cannot leave a clean trial in numpy's
-    remainder bin when that bin has no mass; at n=3 T it is one binomial
-    (I against rejected), and at +i it draws nothing.  _BLOCK is thus part
-    of what the counts are: changing it changes every count.
-
-    A block turns its fired cells into its faulted trials' rows and frame
-    codes as soon as it has drawn them: one ``np.bitwise_xor.reduceat`` of
-    its fired events' codes per faulted trial, and ``_rows`` on its
-    doubles.  The passes run from trial 0 in consecutive chunks of _PASS
-    blocks, the last one short, and bin their blocks' rows under their
-    codes in one ``gadget.frame_bins`` call and one bincount.  A count is a
-    sum over trials, so where the passes split does not change it; _PASS
-    batches the ``frame_bins`` calls and bounds the rows and codes a pass
-    holds.
+    count and a ``choice(replace=False)`` set of cells per rate kind); then
+    one ``multinomial`` of its trial count per frame statistic over that
+    statistic's normalised masses (``_statistic_pvals``).  A faulted
+    trial's frame code is the XOR of its fired events' codes, one
+    ``np.bitwise_xor.reduceat``; a clean trial's is 0.  A trial reads a
+    noiseless row, drawn by its probability independently of the faults,
+    through its frame, so given its code's statistic its bin falls by that
+    statistic's masses, and given their statistics a block's trials fall
+    into the bins by exactly those multinomials.  So no row is drawn.
+    _BLOCK is thus part of what the counts are: changing it changes every
+    count.
     """
     frames = _event_table(cfg)[1]
-    cum, masses = _noiseless_leaf_pool(cfg)
-    live = np.flatnonzero(masses)
-    pvals = masses[live]
+    pvals, clean = _statistic_pvals(cfg)
     counts = np.zeros(gd.N_BINS, dtype=np.int64)
-    for first in range(0, trials, _PASS * _BLOCK):
-        rows, codes = [], []
-        for a in range(first, min(first + _PASS * _BLOCK, trials), _BLOCK):
-            rng = np.random.default_rng([seed, a // _BLOCK])
-            size = min(_BLOCK, trials - a)
-            trial, event = _sample_fires(cfg, params, rng, size)
-            starts = _first_cells(trial)
-            rows.append(_rows(cum, rng.random(len(starts))))
-            # guarded: reduceat over empty indices is untested on numpy 1.x
-            codes.append(np.bitwise_xor.reduceat(frames[event], starts) if len(starts) else frames[:0])
-            counts[live] += rng.multinomial(size - len(starts), pvals)
-        counts += np.bincount(gd.frame_bins(cfg, np.concatenate(rows), np.concatenate(codes)), minlength=gd.N_BINS)
+    for a in range(0, trials, _BLOCK):
+        rng = np.random.default_rng([seed, a // _BLOCK])
+        size = min(_BLOCK, trials - a)
+        trial, event = _sample_fires(cfg, params, rng, size)
+        # where each faulted trial's cells start, by hand: np.diff with
+        # prepend and np.flatnonzero cost about 8 us more a call at the anchor
+        first = np.empty(len(trial), dtype=bool)
+        first[:1] = True
+        first[1:] = trial[1:] != trial[:-1]
+        starts = first.nonzero()[0]
+        # guarded: reduceat over empty indices is untested on numpy 1.x
+        codes = np.bitwise_xor.reduceat(frames[event], starts) if len(starts) else frames[:0]
+        per_statistic = np.bincount(gd._frame_statistics(cfg, codes), minlength=len(pvals))
+        per_statistic[clean] += size - len(starts)
+        counts += rng.multinomial(per_statistic, pvals).sum(axis=0)
     return counts
 
 
@@ -439,8 +420,9 @@ def estimate_rates_mc(
     """Monte Carlo rate estimate over independent sampled-fault executions.
 
     Deterministic given (seed, trials): the trials are drawn a block of
-    _BLOCK at a time, each block from its own generator, and binned in
-    this process (``_mc_counts``).  ``threads`` is ignored.  ``trials``
+    _BLOCK at a time, each block from its own generator, which draws its
+    fired events and then its bins, one multinomial over the frame
+    statistics of its trials, in this process (``_mc_counts``).  ``threads`` is ignored.  ``trials``
     and ``seed`` must be integers, ``trials`` positive and ``seed``
     non-negative (ValueError otherwise).  The ``ci95_*`` fields are 95%
     Wilson score half-widths, which stay above zero at a zero count.

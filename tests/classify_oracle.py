@@ -13,7 +13,9 @@ It also keeps a record-matrix classifier, the oracle of
 ``gadget.frame_bins``, which decodes packed readout words by bit fields:
 
 * ``rows_under_frames`` reads noiseless rows through the readout flips of
-  frame codes as (G, M) +/-1 record matrices;
+  frame codes as (G, M) +/-1 record matrices, ``Runs`` that name the row
+  each run is read from (a branch of ``gadget.enumerate_branches`` is read
+  from its own index, ``source_rows``);
 * ``record_fields`` and ``decode_records`` decode the records by sums over
   their columns;
 * ``record_bins`` reads the decoder's class table at each branch's row
@@ -53,6 +55,7 @@ fault events, the oracle of the events of ``noise._event_table``.
 """
 
 import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -125,6 +128,21 @@ def readout_flips(cfg: gd.GadgetConfig, code: int) -> int:
     return code & ((1 << cfg.num_measurements) - 1)
 
 
+@dataclass(frozen=True, eq=False)
+class Runs(gd.Branches):
+    """Branches read from any noiseless rows, in any order: ``rows[g]`` is
+    the row that branch g is read from."""
+
+    rows: np.ndarray
+
+
+def source_rows(branches: gd.Branches) -> np.ndarray:
+    """The noiseless row each branch is read from: a run's own row, or row
+    i for branch i of gadget.enumerate_branches, which keeps the row
+    order."""
+    return branches.rows if isinstance(branches, Runs) else np.arange(len(branches))
+
+
 def branch_states(
     cfg: gd.GadgetConfig, branches: gd.Branches, codes=0
 ) -> list[tuple[tuple[int, ...], float, np.ndarray]]:
@@ -135,11 +153,11 @@ def branch_states(
     n = cfg.n
     column = np.broadcast_to(codes, len(branches))[:, None] >> cfg.num_measurements
     source, phase = pauli_action(n, column >> n, column & ((1 << n) - 1))
-    states = np.take_along_axis(noiseless_states(cfg)[branches.rows], source, axis=1) * phase
+    states = np.take_along_axis(noiseless_states(cfg)[source_rows(branches)], source, axis=1) * phase
     return list(zip(map(tuple, branches.records.tolist()), branches.probabilities.tolist(), states))
 
 
-def rows_under_frames(cfg: gd.GadgetConfig, rows: np.ndarray, frames: np.ndarray) -> gd.Branches:
+def rows_under_frames(cfg: gd.GadgetConfig, rows: np.ndarray, frames: np.ndarray) -> Runs:
     """Noiseless table row ``rows[g]`` read through the frame code
     ``frames[g]`` (see gadget.fault_frame), one branch per entry, in entry
     order: the code's low M bits negate readouts, and the probability is
@@ -149,7 +167,7 @@ def rows_under_frames(cfg: gd.GadgetConfig, rows: np.ndarray, frames: np.ndarray
     table, num = gd._noiseless_table(cfg)[0], cfg.num_measurements
     # -r is r ^ -2 for a readout r = +1 / -1
     records = table.records[rows] ^ ((frames[:, None] >> np.arange(num)) & 1).astype(np.int8) * np.int8(-2)
-    return gd.Branches((records < 0) @ (1 << np.arange(num)), table.probabilities[rows], rows, num)
+    return Runs((records < 0) @ (1 << np.arange(num)), table.probabilities[rows], num, rows)
 
 
 def record_fields(cfg: gd.GadgetConfig, records: np.ndarray):
@@ -182,7 +200,7 @@ def record_bins(cfg: gd.GadgetConfig, branches: gd.Branches, codes=0) -> np.ndar
     corrections = decode_records(cfg, branches.records)[2]
     table, logical = gd._decoder(cfg)[:2]
     paulis = np.asarray(codes) >> cfg.num_measurements
-    bins = table[branches.rows, logical[gd._logical_masks(cfg.n)[corrections] ^ paulis]]
+    bins = table[source_rows(branches), logical[gd._logical_masks(cfg.n)[corrections] ^ paulis]]
     return np.where(corrections >= 0, bins, gd.BIN_REJECTED)
 
 

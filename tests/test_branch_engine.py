@@ -13,8 +13,9 @@
 * Faulted enumeration and sampled runs both read the noiseless branches
   through Pauli frames; every enumerated branch is read again from its
   noiseless row by ``classify_oracle.rows_under_frames`` and checked
-  against the dense reference, and a Monte Carlo draw inside a row's slice
-  of the cumulative probabilities picks that row.
+  against the dense reference, and rows drawn by inverse CDF over their
+  probabilities, a draw inside a row's slice picking that row, land on
+  the enumerated branches.
 * ``gadget.frame_bins`` decodes packed readout words by bit fields; on
   every noiseless row under random frame codes it must give the bins of
   the record-matrix classifier ``classify_oracle.record_bins``.
@@ -242,11 +243,11 @@ def test_frame_branches_match_state_vector_runs(case):
     cfg, circuit, faults = case
     code = gd.fault_frame(cfg, faults)
     branches = gd.enumerate_branches(cfg, readout_flips(cfg, code))
-    frames = np.full(len(branches), code)
-    runs = rows_under_frames(cfg, branches.rows, frames)
+    rows, frames = np.arange(len(branches)), np.full(len(branches), code)
+    runs = rows_under_frames(cfg, rows, frames)
     assert np.array_equal(runs.records, branches.records)
     assert np.array_equal(runs.probabilities, branches.probabilities)
-    assert np.array_equal(gd.frame_bins(cfg, branches.rows, frames), record_bins(cfg, branches, code))
+    assert np.array_equal(gd.frame_bins(cfg, rows, frames), record_bins(cfg, branches, code))
     run_states = branch_states(cfg, runs, frames)
     assert all(np.array_equal(run[2], branch[2]) for run, branch in zip(run_states, branch_states(cfg, branches, code)))
     for record, probability, state in run_states:
@@ -255,18 +256,25 @@ def test_frame_branches_match_state_vector_runs(case):
         assert abs(np.vdot(dense, state)) == pytest.approx(1.0, abs=1e-9)
 
 
+def _inverse_cdf(cfg, draws):
+    """The noiseless rows that uniform doubles ``draws`` pick by their
+    probabilities: row i takes the draws in (cum[i-1], cum[i]] / cum[-1],
+    and a draw that rounds past the last row takes it."""
+    cum = np.cumsum(gd.enumerate_branches(cfg).probabilities)
+    return np.minimum(np.searchsorted(cum, draws * cum[-1]), len(cum) - 1)
+
+
 def _sampled_runs(cfg, code, runs, seed):
-    """``runs`` sampled runs under one frame code: rows drawn as Monte Carlo
-    draws them (noise._rows), read through the frame."""
-    cum = nz._noiseless_leaf_pool(cfg)[0]
-    rows = nz._rows(cum, np.random.default_rng(seed).random(runs))
+    """``runs`` sampled runs under one frame code: rows drawn by their
+    probabilities (``_inverse_cdf``), read through the frame."""
+    rows = _inverse_cdf(cfg, np.random.default_rng(seed).random(runs))
     return rows_under_frames(cfg, rows, np.full(runs, code))
 
 
 def _assert_on_enumerated_branches(cfg, code, sampled):
     # the sampled runs under ``code`` land on the branches of its readout flips
     branches = gd.enumerate_branches(cfg, readout_flips(cfg, code))
-    by_record = {b[0]: (row, b) for row, b in zip(branches.rows.tolist(), branch_states(cfg, branches, code))}
+    by_record = {b[0]: (row, b) for row, b in enumerate(branch_states(cfg, branches, code))}
     for row, (record, probability, state) in zip(sampled.rows.tolist(), branch_states(cfg, sampled, code)):
         want_row, (_, want_probability, want_state) = by_record[record]
         assert row == want_row
@@ -297,20 +305,19 @@ def test_frame_code_top_bit_at_the_widest_config():
 @pytest.mark.parametrize("cfg", [gd.GadgetConfig.t_state(3, 1), gd.GadgetConfig.plus_i(3, 1)], ids=["T", "plusI"])
 def test_midpoint_draws_pick_their_rows_under_every_single_event_frame(cfg):
     # a draw at the middle of row i's slice (cum[i-1], cum[i]] picks row i;
-    # read through any one event's frame, it is row i's enumerated branch
-    cum, _ = nz._noiseless_leaf_pool(cfg)
+    # read through any one event's frame, it is row i's enumerated branch,
+    # branch i under the code's readout flips
+    cum = np.cumsum(gd.enumerate_branches(cfg).probabilities)
     middle = (np.append(0.0, cum[:-1]) + cum) / 2 / cum[-1]
-    rows = nz._rows(cum, middle)
+    rows = _inverse_cdf(cfg, middle)
     assert np.array_equal(rows, np.arange(len(cum)))
     for code in np.unique(nz._event_table(cfg)[1]):
         frames = np.full(len(rows), code)
         runs = rows_under_frames(cfg, rows, frames)
         branches = gd.enumerate_branches(cfg, readout_flips(cfg, int(code)))
-        at = np.argsort(branches.rows)  # the enumerated branch of each noiseless row
-        assert np.array_equal(branches.rows[at], rows)
-        assert np.array_equal(runs.records, branches.records[at])
-        assert np.array_equal(runs.probabilities, branches.probabilities[at])
-        assert np.array_equal(gd.frame_bins(cfg, rows, frames), record_bins(cfg, branches, code)[at])
+        assert np.array_equal(runs.records, branches.records)
+        assert np.array_equal(runs.probabilities, branches.probabilities)
+        assert np.array_equal(gd.frame_bins(cfg, rows, frames), record_bins(cfg, branches, code))
 
 
 def _frame_or_refusal(frame, cfg, faults):
@@ -469,7 +476,7 @@ def test_faulted_branches_are_read_only():
     cfg = gd.GadgetConfig.t_state(3, 1)
     for flips in (0, 0b101, (1 << cfg.num_measurements) - 1):
         branches = gd.enumerate_branches(cfg, flips)
-        arrays = (branches.words, branches.records, branches.probabilities, branches.rows)
+        arrays = (branches.words, branches.records, branches.probabilities)
         assert not any(a.flags.writeable for a in arrays), flips
         assert branches.words.dtype == np.int64 and branches.records.dtype == np.int8
 
@@ -505,10 +512,9 @@ def _assert_table_matches_the_oracle(cfg):
     expanded from the (u, v) amplitudes within 1e-14 once the global phase
     is aligned; it is read-only and holds no NaN."""
     branches, amplitudes = gd._noiseless_table.__wrapped__(cfg)  # keeps the cache for the named configs
-    assert not any(a.flags.writeable for a in (branches.words, branches.probabilities, branches.rows, amplitudes))
+    assert not any(a.flags.writeable for a in (branches.words, branches.probabilities, amplitudes))
     words, probs, oracle_states = sv.noiseless_table(cfg)
     assert np.array_equal(branches.words, words) and branches.words.dtype == np.int64
-    assert np.array_equal(branches.rows, np.arange(len(words)))
     np.testing.assert_allclose(branches.probabilities, probs, rtol=1e-14, atol=0)
     assert amplitudes.shape == (len(words), 2) and amplitudes.dtype == np.complex128
     np.testing.assert_allclose((abs(amplitudes) ** 2).sum(axis=1), 16 * branches.probabilities, rtol=1e-14, atol=0)
@@ -718,6 +724,23 @@ def test_frame_codes_take_every_statistic_at_the_anchor():
     assert np.array_equal(np.unique(gd._frame_statistics(cfg, codes)), np.arange(16 * cfg.n + 17))
 
 
+@pytest.mark.parametrize("theta", [math.pi / 4, math.pi / 2, 1.0], ids=lambda t: f"theta{t:.3g}")
+@pytest.mark.parametrize("n", [1, 3, 5, 7])
+def test_statistic_codes_invert_the_statistic(n, theta):
+    # one code per statistic, in statistic order; the last, uncorrelated
+    # one exists only for n > 1, since at n = 1 every code is correlated
+    for r_z, r_zz in ((1, 1), (3, 1), (1, 5)):
+        cfg = gd.GadgetConfig(n, theta, r_z, r_zz)
+        codes = gd._statistic_codes(cfg)
+        assert codes.shape == (16 * n + 17,) and codes.dtype == np.int64
+        assert 0 <= codes.min() and codes.max() < 1 << cfg.num_measurements + 2 * n
+        stats = gd._frame_statistics(cfg, codes)
+        count = 16 * n + 17 if n > 1 else 16 * n + 16
+        assert np.array_equal(stats[:count], np.arange(count)), stats
+        if n == 1:
+            assert stats[-1] != 16 * n + 16
+
+
 def _mass_digests(cfg, order):
     rates, index, masses = nz._enumerated_combos(cfg, order)
     return {name: _digest(array) for name, array in {"rates": rates, "index": index, "masses": masses}.items()}
@@ -775,11 +798,12 @@ def _counting(monkeypatch, names):
 
 
 def test_cold_enumeration_build_peaks_under_2_mb():
-    # a cold order-2 build at n=3, r=3 sums its 23 statistics' codes in one
-    # frame_bins call and peaks near 1.8 MB traced
+    # a cold order-2 build at n=3, r=3, its statistic mass table included,
+    # bins the table's 65 codes in one frame_bins call
     cfg = gd.GadgetConfig.t_state(3, r=3)
     nz._enumerated_combos(cfg, 2)  # build the noiseless, class and event tables first
     gd._flipped.cache_clear()
+    nz._statistic_masses.cache_clear()
     tracemalloc.start()
     try:
         nz._enumerated_combos(cfg, 2)
@@ -792,7 +816,7 @@ def test_cold_enumeration_build_peaks_under_2_mb():
 @pytest.mark.parametrize("order, branch_calls", [(1, 80), (2, 3161)])
 def test_enumeration_classifies_in_batches(monkeypatch, order, branch_calls):
     # one enumerate_branches call per subset (the benchmark counts them) but
-    # one frame_bins call for the codes of all statistics, and one
+    # one frame_bins call, which builds the statistic mass table, and one
     # fault_frame call per fault event: subsets reach the gadget as XORed
     # codes.  Each enumerate_branches call, whose result is unread, gets the
     # code's low M bits, below 2^M.
@@ -801,6 +825,7 @@ def test_enumeration_classifies_in_batches(monkeypatch, order, branch_calls):
     monkeypatch.setattr(gd, "enumerate_branches", lambda cfg, code: codes.append(code) or enumerate_branches(cfg, code))
     calls = _counting(monkeypatch, ["frame_bins", "fault_frame"])
     nz._event_table.cache_clear()
+    nz._statistic_masses.cache_clear()
     subsets = _subset_codes(cfg, nz._enumerated_combos(cfg, order)[1])
     assert len(np.unique(subsets)) == {1: 32, 2: 368}[order]
     assert len(codes) == branch_calls and calls == {"frame_bins": 1, "fault_frame": 79}
@@ -810,31 +835,31 @@ def test_enumeration_classifies_in_batches(monkeypatch, order, branch_calls):
 @pytest.mark.parametrize("r", [1, 3])
 def test_flipped_view_is_the_noiseless_table_with_its_flips_xored_in(r):
     # a mask's view keeps the noiseless row order: only its words are new,
-    # and its probabilities and rows are the table's own read-only arrays
+    # and its probabilities are the table's own read-only array
     cfg = gd.GadgetConfig.t_state(3, r)
     table = gd._noiseless_table(cfg)[0]
     for flips in range(1, 1 << cfg.num_measurements):
         branches = gd.enumerate_branches(cfg, flips)
         assert np.array_equal(branches.words, table.words ^ flips), flips
-        assert branches.probabilities is table.probabilities and branches.rows is table.rows
+        assert branches.probabilities is table.probabilities
         assert not branches.words.flags.writeable
 
 
 @pytest.mark.parametrize("r", [1, 3])
 def test_flipped_records_match_the_int8_construction(r):
     # for every mask an order-2 build reaches, the records unpacked from the
-    # XORed words are, bit for bit, the noiseless int8 records in the flipped
-    # row order with the masked columns negated (-r is r ^ -2)
+    # XORed words are, bit for bit, the noiseless int8 records in their row
+    # order with the masked columns negated (-r is r ^ -2)
     cfg = gd.GadgetConfig.t_state(3, r)
     table, num = gd._noiseless_table(cfg)[0], cfg.num_measurements
     masks = np.unique(readout_flips(cfg, _subset_codes(cfg, nz._enumerated_combos(cfg, 2)[1])))
     assert len(masks) > 100
     for flips in masks.tolist():
         branches = gd.enumerate_branches(cfg, flips)
-        want = table.records[branches.rows] ^ np.array([-2 * (flips >> m & 1) for m in range(num)], dtype=np.int8)
+        want = table.records ^ np.array([-2 * (flips >> m & 1) for m in range(num)], dtype=np.int8)
         assert branches.records.dtype == want.dtype and branches.records.shape == want.shape
         assert branches.records.tobytes() == want.tobytes(), flips
-        assert np.array_equal(branches.words, table.words[branches.rows] ^ flips), flips
+        assert np.array_equal(branches.words, table.words ^ flips), flips
 
 
 def test_outcome_bins_agree_with_scalar_decoding():
@@ -848,7 +873,7 @@ def test_outcome_bins_agree_with_scalar_decoding():
     code = gd.fault_frame(cfg, faults)
     assert code >> cfg.num_measurements  # the X on qubit 6 stays on block 3
     branches = gd.enumerate_branches(cfg, readout_flips(cfg, code))
-    bins = gd.frame_bins(cfg, branches.rows, np.full(len(branches), code))
+    bins = gd.frame_bins(cfg, np.arange(len(branches)), np.full(len(branches), code))
     for (record, _, state), got in zip(branch_states(cfg, branches, code), bins):
         [correction] = corrections(cfg, [record])  # one record at a time
         if correction is None:

@@ -211,7 +211,7 @@ class TestCorrectionTable:
         stray = np.array([1.3, 0.7]) * np.sqrt(8 / 2.18)
         amplitudes = np.array([stray, target] if uncorrectable_first else [target, stray])
         words = np.zeros(2, dtype=np.int64)  # every readout +1
-        branches = gd.Branches(words, np.full(2, 0.5), np.arange(2), cfg.num_measurements)
+        branches = gd.Branches(words, np.full(2, 0.5), cfg.num_measurements)
         monkeypatch.setattr(gd, "_noiseless_table", lambda _: (branches, amplitudes))
         gd._decoder.cache_clear()
         try:

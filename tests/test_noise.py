@@ -429,7 +429,7 @@ def test_per_config_tables_stay_bounded_over_many_configs():
     finally:
         tracemalloc.stop()
     assert retained < 10 * 2**20, retained
-    for cache in (nz._event_table, nz._strata, nz._noiseless_leaf_pool):
+    for cache in (nz._event_table, nz._strata, nz._statistic_masses, nz._statistic_pvals):
         assert cache.cache_info().currsize <= 64, cache
 
 
@@ -453,18 +453,21 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("trials", [1, 2000, nz._BLOCK, 3 * nz._BLOCK + 5])
     def test_zero_noise_counts_are_a_multinomial_over_i_and_rejected(self, trials):
-        # no trial faults, so a block draws only the multinomial of its clean
-        # trials, over the bins of positive mass
+        # no trial faults, so every trial of a block takes the clean
+        # statistic, code 0's, and the block's multinomial draws only on its
+        # row, whose positive masses are I and rejected; a row of no trials
+        # draws nothing
         cfg = gd.GadgetConfig.t_state(3, r=1)
         counts = nz._mc_counts(cfg, nz.NoiseParams(0.0, 0.0, 0.0), 5, trials)
-        _, masses = nz._noiseless_leaf_pool(cfg)
+        pvals, clean = nz._statistic_pvals(cfg)
+        assert clean == gd._frame_statistics(cfg, np.zeros(1, dtype=np.int64))[0]
         live = [0, gd.BIN_REJECTED]  # I and rejected
-        assert np.flatnonzero(masses).tolist() == live
-        assert masses[live].tolist() == pytest.approx([0.375, 0.625], rel=1e-14)
+        assert np.flatnonzero(pvals[clean]).tolist() == live
+        assert pvals[clean][live].tolist() == pytest.approx([0.375, 0.625], rel=1e-14)
         assert set(np.flatnonzero(counts).tolist()) <= set(live) and counts.sum() == trials
         if trials <= nz._BLOCK:
-            want = np.random.default_rng([5, 0]).multinomial(trials, masses[live])
-            assert counts[live].tolist() == want.tolist()
+            want = np.random.default_rng([5, 0]).multinomial(trials, pvals[clean])
+            assert counts.tolist() == want.tolist()
 
     def test_trials_validated(self):
         cfg = gd.GadgetConfig.t_state(3, r=1)
@@ -520,6 +523,42 @@ class TestMonteCarlo:
         )
 
 
+@pytest.mark.parametrize(
+    "n, theta, over", [(3, math.pi / 4, False), (3, 1e-5, True), (5, 1.0, True), (7, 1.0, True), (1, math.pi / 2, False)]
+)
+def test_statistic_rows_handed_to_numpy_lie_in_the_unit_interval(n, theta, over):
+    # rounding lifts some raw masses past 1 (by up to 1.2e-14 at n=7,
+    # theta=1), which Generator.multinomial refuses; each row over its sum
+    # lies in [0, 1], with the raw row's zeros, within 1e-13 of it
+    cfg = gd.GadgetConfig(n, theta, 1, 1)
+    masses = nz._statistic_masses(cfg)
+    pvals, _ = nz._statistic_pvals(cfg)
+    assert pvals.shape == masses.shape == (16 * n + 17, gd.N_BINS) and not pvals.flags.writeable
+    assert 0.0 <= pvals.min() and pvals.max() <= 1.0
+    assert np.array_equal(pvals == 0, masses == 0)
+    np.testing.assert_allclose(pvals, masses, rtol=1e-13, atol=0)
+    assert (masses.max() > 1.0) == over
+    if over:
+        with pytest.raises(ValueError):
+            np.random.default_rng(0).multinomial(1, masses[np.argmax(masses.max(axis=1))])
+
+
+@pytest.mark.parametrize("theta", [1e-5, 1e-7, math.pi - 1e-7], ids=lambda t: f"theta{t:.3g}")
+@pytest.mark.parametrize("n, unrejected", [(3, 32), (5, 64), (7, 96)])
+def test_statistic_rows_leak_nothing_into_zero_mass_bins(n, unrejected, theta):
+    # numpy's multinomial gives its last bin, REJECTED, whatever the other
+    # bins leave, so a row that sums short of 1 would leak draws into it.
+    # Near theta = 0 and pi, rows with no rejected mass and several bins
+    # exist; 2^60 draws on every row leave every zero-mass bin empty
+    cfg = gd.GadgetConfig(n, theta, 1, 1)
+    masses = nz._statistic_masses(cfg)
+    pvals, _ = nz._statistic_pvals(cfg)
+    assert np.sum((masses[:, gd.BIN_REJECTED] == 0) & ((masses > 0).sum(axis=1) > 1)) == unrejected
+    draws = np.random.default_rng(1509).multinomial(np.full(len(pvals), 2**60), pvals)
+    assert np.all(draws.sum(axis=1) == 2**60)
+    assert not draws[masses == 0].any()
+
+
 # ---------------------------------------------------------------------------
 # Block sampler against a per-trial loop over the same draws.
 
@@ -536,26 +575,11 @@ def test_negative_seed_rejected(monkeypatch):
             nz.estimate_rates_mc(cfg, nz.NoiseParams.from_bias(1e-3, 100), trials=10, seed=seed)
 
 
-@pytest.mark.parametrize(
-    "cfg", [gd.GadgetConfig.t_state(3, r=1), gd.GadgetConfig.t_state(3, r=3)], ids=["T-r1", "T-r3"]
-)
-@pytest.mark.parametrize("p_z, eta", [(1e-3, 100.0), (5e-2, 3.0)])
-@pytest.mark.parametrize("blocks", [1, 2, 64], ids=lambda b: f"pass-of-{b}")
-def test_counts_do_not_depend_on_where_the_passes_split(monkeypatch, cfg, p_z, eta, blocks):
-    # three default passes, the last ending in a part block, against passes
-    # of one block, of two, and one pass over every trial
-    params = nz.NoiseParams.from_bias(p_z, eta)
-    trials = 2 * nz._PASS * nz._BLOCK + nz._BLOCK + 17
-    want = nz._mc_counts(cfg, params, 17, trials)
-    monkeypatch.setattr(nz, "_PASS", blocks)
-    assert nz._mc_counts(cfg, params, 17, trials).tolist() == want.tolist()
-
-
-def test_a_pass_bounds_the_memory_of_a_long_run():
-    # at p_z=5e-2, eta=3 about 95% of trials fault; binning all 200,000
-    # trials in one pass peaks at 17.9 MB traced, and passes of _PASS blocks
-    # at 3.6 MB, against 35.9 and 5.9 MB when a pass concatenated its
-    # blocks' fired cells before reducing them to rows and codes
+def test_a_long_high_noise_run_peaks_under_5_mib():
+    # at p_z=5e-2, eta=3 about 95% of trials fault; a block reduces its
+    # fired cells to faulted codes and those to counts per statistic before
+    # the next block draws, so 200,000 trials hold one block's cells at a
+    # time
     cfg = gd.GadgetConfig.t_state(3, r=1)
     params = nz.NoiseParams.from_bias(5e-2, 3.0)
     nz._mc_counts(cfg, params, 1, nz._BLOCK)  # build the cached tables first
@@ -569,21 +593,20 @@ def test_a_pass_bounds_the_memory_of_a_long_run():
 
 
 def _per_trial_counts(cfg, params, seed, trials):
-    """Monte Carlo counts one faulted trial at a time.  Each block draws
-    from default_rng([seed, block]), as _mc_counts does: its fired (trial,
-    event) cells with noise._sample_fires, then one double per faulted
-    trial, in trial order, which picks that trial's noiseless row, then one
-    multinomial of its clean-trial count over the noiseless bin masses of
-    positive mass.  A faulted trial takes the bin of the branch read from
-    its row in enumerate_branches under the readout flips of the frame of
-    its fired events' (location, X mask, Z mask) faults, with that frame's
-    block-3 Pauli.  The record-matrix oracle classifies
-    every branch, the noiseless ones included."""
+    """Monte Carlo counts with each faulted trial's statistic found one
+    trial at a time.  Each block draws from default_rng([seed, block]), as
+    _mc_counts does: its fired (trial, event) cells with
+    noise._sample_fires, then one multinomial of its trial count per frame
+    statistic over the normalised rows of noise._statistic_masses.  A
+    faulted trial's code is the frame of its fired events' (location, X
+    mask, Z mask) faults; its masses, the record-matrix oracle's bins of
+    the branches under the code's readout flips summed by probability,
+    must lie within 1e-14 of its statistic's row, with the same zeros.  A
+    clean trial takes code 0's statistic."""
     events = reference_events(cfg)
-    noiseless = gd.enumerate_branches(cfg)
-    cum = np.cumsum(noiseless.probabilities)
-    masses = np.bincount(record_bins(cfg, noiseless), noiseless.probabilities, gd.N_BINS) / cum[-1]
-    live = np.flatnonzero(masses)
+    table = nz._statistic_masses(cfg)
+    pvals = table / table.sum(axis=1, keepdims=True)
+    clean = gd._frame_statistics(cfg, np.zeros(1, dtype=np.int64))[0]
     counts = np.zeros(gd.N_BINS, dtype=np.int64)
     for start in range(0, trials, nz._BLOCK):
         rng = np.random.default_rng([seed, start // nz._BLOCK])
@@ -591,13 +614,17 @@ def _per_trial_counts(cfg, params, seed, trials):
         faulted = {}  # trial -> its faults, in trial order
         for t, e in zip(*(cells.tolist() for cells in nz._sample_fires(cfg, params, rng, size))):
             faulted.setdefault(t, []).append(events[e][1:])
+        per_statistic = np.zeros(len(table), dtype=np.int64)
+        per_statistic[clean] = size - len(faulted)
         for faults in faulted.values():
-            row = min(int(np.searchsorted(cum, rng.random() * cum[-1])), len(cum) - 1)
             code = gd.fault_frame(cfg, faults)
             branches = gd.enumerate_branches(cfg, readout_flips(cfg, code))
-            [at] = np.flatnonzero(branches.rows == row)
-            counts[record_bins(cfg, branches, code)[at]] += 1
-        counts[live] += rng.multinomial(size - len(faulted), masses[live])
+            masses = np.bincount(record_bins(cfg, branches, code), branches.probabilities, gd.N_BINS)
+            [statistic] = gd._frame_statistics(cfg, np.array([code])).tolist()
+            np.testing.assert_allclose(masses, table[statistic], rtol=0, atol=1e-14)
+            assert np.array_equal(masses == 0, table[statistic] == 0), code
+            per_statistic[statistic] += 1
+        counts += rng.multinomial(per_statistic, pvals).sum(axis=0)
     return counts
 
 
@@ -637,7 +664,7 @@ def _golden_id(case):
 @pytest.mark.parametrize("case", MC_COUNTS["cases"], ids=_golden_id)
 def test_monte_carlo_counts_match_recording(case):
     # recorded by scripts/record_mc_counts.py when each block of _BLOCK
-    # trials first drew its clean trials as one multinomial
+    # trials first drew its bins as one multinomial over frame statistics
     cfg = GADGETS[case["gadget"]](case["n"])
     params = nz.NoiseParams(p_x=case["p_x"], p_z=case["p_z"], p_zz=case["p_zz"])
     counts = nz._mc_counts(cfg, params, case["seed"], case["trials"])
