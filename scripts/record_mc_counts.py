@@ -9,38 +9,40 @@ that ``estimate_rates_mc`` turns into rates.  Each block of
 ``noise._BLOCK`` trials draws from its own generator: for each rate kind
 (z, x, zz) a binomial count of fired (trial, event) cells and a uniform set
 of that many cells (``noise._sample_fires``, which returns the fired
-(trial, event) cells in trial order), then one double per faulted trial,
-in trial order, which picks that trial's noiseless row by its probability,
-then one multinomial of its clean-trial count over the noiseless
-outcome-bin masses of positive mass (``noise._noiseless_leaf_pool``).  A
-faulted trial reads its row through its frame, the XOR of its fired
+(trial, event) cells in trial order), then one multinomial of its trial
+count per frame statistic (``gadget._frame_statistics``) over that
+statistic's normalised outcome-bin masses (``noise._statistic_pvals``).
+A faulted trial's statistic is its frame code's, the XOR of its fired
 events' integer frame codes (``noise._event_table``: readout flips in the
-low bits, the block-3 Pauli above them).  So the counts are those of the
-block sampler, with no other engine behind them.  The cases are the nine
-of ``test_monte_carlo_counts_match_per_trial_loop``, two in which every Z
+low bits, the block-3 Pauli above them), and a clean trial's is code 0's.
+So the counts are those of the block sampler over the enumeration's own
+mass table, with no other engine behind them.  The cases are the nine of
+``test_monte_carlo_counts_match_per_trial_loop``, two in which every Z
 event fires in every trial (n=5 and n=3), and 20,000-trial runs at two
 high noise points.  Re-record only when a count is meant to change.
 
-The file was last re-recorded when the sixth bin, for accepted outputs
-below fidelity 0.5 to every class, was deleted: no output reaches it, and
-each case lost that bin's count, a 0, and kept the other five.  The
-counts last moved when a block's clean trials came to be one multinomial
-draw in place of a double each.  Eight cases moved, by at
-most 0.74 combined Wilson half-widths in a bin.  The six +i cases kept
-every count: their clean trials all land in I, and a faulted trial's bin
-does not depend on its row.  So did the two every-Z-fires cases and the
-400-trial T, r=3 case at p_z=5e-2: every trial faults there, so a block
-draws the same doubles as before and a multinomial of no trials, which
-draws nothing.  Before that they were re-recorded when ``noise._BLOCK``
-rose from 2,048 to 8,192 trials.
+The file was last re-recorded when a block began to draw all its bins in
+that one multinomial over frame statistics, in place of one double per
+faulted trial that picked its noiseless row and a multinomial of its
+clean trials.  The twelve T cases moved.  Each one's largest move in a
+bin, |new - old| / sqrt(h_old^2 + h_new^2) with h a count's 95% Wilson
+half-width, is, in case order: 0.30, 0.17, 1.22, 0.28, 0.52, 0.72, 0.62,
+0.04, 0.88, 0.46, 0.65 and 1.13; the worst is T, r=1, p_z=1e-2, eta=10,
+1,500 trials, rejected 1,078 -> 1,018.  The five +i cases kept every
+count: every statistic's row is one bin there, so each trial's bin is
+fixed by its statistic and the multinomial leaves it as the old draws
+did.  Before that the counts moved when a block's clean trials came to
+be one multinomial draw in place of a double each, and when
+``noise._BLOCK`` rose from 2,048 to 8,192 trials.
 
 The counts are defined by numpy's ``Generator.binomial``,
-``Generator.choice(replace=False)``, ``Generator.random`` and
-``Generator.multinomial`` on PCG64, so a numpy release that changed any of
-these streams would move them.  The CI legs on numpy 1.24, the oldest
-release ``pyproject.toml`` allows, re-run this script and ``cmp`` its
-output with the file; the file was recorded on numpy 2.4.6, and those legs
-have not been run offline against it.
+``Generator.choice(replace=False)`` and ``Generator.multinomial`` (with
+2-D ``pvals``, one row per statistic) on PCG64, so a numpy release that
+changed any of these streams would move them.  The CI legs on numpy 1.24,
+the oldest release ``pyproject.toml`` allows, re-run this script and
+``cmp`` its output with the file; the file was recorded on numpy 2.4.6,
+and those legs, the 2-D ``pvals`` form on numpy 1.24 included, have not
+been run offline against it.
 """
 
 import json
@@ -91,9 +93,9 @@ if __name__ == "__main__":
     doc = {
         "about": "Per-bin counts (I, XL, ZL, YL, rejected) of noise._mc_counts(cfg, params, seed, "
         "trials): trial block b of noise._BLOCK draws from default_rng([seed, b]), first a binomial "
-        "count and a uniform set of fired cells per rate kind z, x, zz (noise._sample_fires), then one double "
-        "per faulted trial that picks its noiseless row, which it reads through its frame, then one multinomial "
-        "of the block's clean trials over the noiseless bin masses of positive mass.",
+        "count and a uniform set of fired cells per rate kind z, x, zz (noise._sample_fires), then one "
+        "multinomial of its trial count per frame statistic over that statistic's normalised bin masses "
+        "(noise._statistic_pvals); a faulted trial takes its frame code's statistic, a clean trial code 0's.",
         "command": "PYTHONPATH=src python scripts/record_mc_counts.py > tests/golden/mc_counts.json",
         "cases": record(),
     }

@@ -4,9 +4,9 @@
   and order-2 ``enumerate_faults`` on the 18 criterion-4 points, recorded
   with the recursive depth-first engine the batched one replaced.
 * The Monte Carlo estimate below is re-recorded, in a labelled change,
-  whenever the sampler's definition of the counts changes (last when each
-  trial began to read its row with one draw); a seeded run must reproduce
-  it exactly.
+  whenever the sampler's definition of the counts changes (last when a
+  block began to draw its bins in one multinomial over frame
+  statistics); a seeded run must reproduce it exactly.
 * A dense reference simulator, written independently of the package's
   engine, replays every enumerated branch of random fault subsets, drawn
   from the fault events and from Z faults on idle live qubits.
@@ -118,17 +118,17 @@ def test_monte_carlo_reproduces_recorded_estimate():
         gd.GadgetConfig.t_state(3, 1), nz.NoiseParams.from_bias(1e-2, 10), trials=3000, seed=11
     )
     assert est == nz.RateEstimate(
-        e_x=0.036333333333333336,
-        e_z=0.0036666666666666666,
+        e_x=0.03333333333333333,
+        e_z=0.004333333333333333,
         e_y=0.0,
-        reject_rate=0.7096666666666667,
+        reject_rate=0.708,
         trials_or_order=3000,
-        ci95_e_x=0.006717753762046811,
-        ci95_e_z=0.002252733322136606,
+        ci95_e_x=0.006446977072039044,
+        ci95_e_z=0.002432996327725757,
         ci95_e_y=0.0006394243626629813,
-        accepted_weight=0.29033333333333333,
-        e_x_given_accept=0.1251435132032147,
-        e_z_given_accept=0.012629161882893225,
+        accepted_weight=0.292,
+        e_x_given_accept=0.1141552511415525,
+        e_z_given_accept=0.014840182648401826,
         e_y_given_accept=0.0,
     )
 
