@@ -335,10 +335,10 @@ def _statistic_pvals(cfg: gd.GadgetConfig) -> tuple[np.ndarray, int]:
 
 # Trials per generator; part of the definition of the counts.  A block
 # draws its fired cells (binomial, choice(replace=False)), then one
-# multinomial of its trials per frame statistic.  Most of a small block's
-# draws are fixed cost: at the anchor (n=3, r=1) a block of 2,048 trials
-# draws in about 55 us, 11 of them seeding its generator, and a block of
-# 8,192 in about 80 us.  Above a 2% rate Generator.choice shuffles an
+# multinomial of its trials per frame statistic.  Much of a small block's
+# cost is fixed: at the anchor (n=3, r=1) seeding its generator takes
+# 11-17 us and the multinomial over the 65 statistics about 10 us, on a
+# shared 2-vCPU host.  Above a 2% rate Generator.choice shuffles an
 # arange over every cell of the block, so larger blocks hold more memory at
 # high noise: 10^5 trials at p_z=5e-2, eta=3, r=3 peak at 6.9 MB traced
 # against 1.7 MB with blocks of 2,048.
@@ -385,8 +385,8 @@ def _mc_counts(cfg, params, seed, trials) -> np.ndarray:
     noiseless row, drawn by its probability independently of the faults,
     through its frame, so given its code's statistic its bin falls by that
     statistic's masses, and given their statistics a block's trials fall
-    into the bins by exactly those multinomials.  So no row is drawn.
-    _BLOCK is thus part of what the counts are: changing it changes every
+    into the bins by exactly those multinomials, and no row is drawn.
+    _BLOCK is part of what the counts are: changing it changes every
     count.
     """
     frames = _event_table(cfg)[1]
@@ -422,9 +422,9 @@ def estimate_rates_mc(
     Deterministic given (seed, trials): the trials are drawn a block of
     _BLOCK at a time, each block from its own generator, which draws its
     fired events and then its bins, one multinomial over the frame
-    statistics of its trials, in this process (``_mc_counts``).  ``threads`` is ignored.  ``trials``
-    and ``seed`` must be integers, ``trials`` positive and ``seed``
-    non-negative (ValueError otherwise).  The ``ci95_*`` fields are 95%
+    statistics of its trials, in this process (``_mc_counts``).
+    ``threads`` is ignored.  ``trials`` and ``seed`` must be integers,
+    ``trials`` positive and ``seed`` non-negative (ValueError otherwise).  The ``ci95_*`` fields are 95%
     Wilson score half-widths, which stay above zero at a zero count.
     """
     for name, value in (("trials", trials), ("seed", seed)):

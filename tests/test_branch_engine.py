@@ -30,7 +30,8 @@
   statistics of its decode fields; on seeded codes at several n, r and
   theta, every code's masses must lie within 1e-14 of those of its
   statistic's first code, with the same zeros, and all codes at n=3, r=1
-  must take all 65 statistics.
+  must take all 65 statistics.  ``gadget._statistic_codes`` must give one
+  code per statistic, in statistic order, at n = 1 to 7.
 * ``golden/enumerated_masses.json`` holds a SHA-256 of the rate, subset
   and mass arrays of ``noise._enumerated_combos``; they must stay
   bit-identical.  Every subset's masses must equal, bit for bit, its frame

@@ -579,7 +579,7 @@ def test_a_long_high_noise_run_peaks_under_5_mib():
     # at p_z=5e-2, eta=3 about 95% of trials fault; a block reduces its
     # fired cells to faulted codes and those to counts per statistic before
     # the next block draws, so 200,000 trials hold one block's cells at a
-    # time
+    # time and peak near 3.3 MiB traced
     cfg = gd.GadgetConfig.t_state(3, r=1)
     params = nz.NoiseParams.from_bias(5e-2, 3.0)
     nz._mc_counts(cfg, params, 1, nz._BLOCK)  # build the cached tables first
@@ -602,11 +602,16 @@ def _per_trial_counts(cfg, params, seed, trials):
     mask, Z mask) faults; its masses, the record-matrix oracle's bins of
     the branches under the code's readout flips summed by probability,
     must lie within 1e-14 of its statistic's row, with the same zeros.  A
-    clean trial takes code 0's statistic."""
+    clean trial takes code 0's statistic, whose row the oracle checks on
+    the noiseless branches."""
     events = reference_events(cfg)
     table = nz._statistic_masses(cfg)
     pvals = table / table.sum(axis=1, keepdims=True)
     clean = gd._frame_statistics(cfg, np.zeros(1, dtype=np.int64))[0]
+    noiseless = gd.enumerate_branches(cfg)
+    masses = np.bincount(record_bins(cfg, noiseless), noiseless.probabilities, gd.N_BINS)
+    np.testing.assert_allclose(masses, table[clean], rtol=0, atol=1e-14)
+    assert np.array_equal(masses == 0, table[clean] == 0)
     counts = np.zeros(gd.N_BINS, dtype=np.int64)
     for start in range(0, trials, nz._BLOCK):
         rng = np.random.default_rng([seed, start // nz._BLOCK])
