@@ -6,10 +6,13 @@ Usage: PYTHONPATH=src python scripts/record_enumerated_masses.py > tests/golden/
 Each case is one ``noise._enumerated_combos(cfg, order)``: the event rate
 indices, the (S, order) padded event-index matrix and the (S, 5) outcome-bin
 mass matrix, whose stratum sums (``noise._strata``) every ``enumerate_faults``
-call re-weights.  Each array is
-kept as ``dtype[shape] sha256``, so the masses are pinned bit for bit.  The
-cases are the n=3 T gadget at r=1 and r=3 and the n=3 |+i> gadget at r=1,
-each at orders 1 and 2.  Re-record only when a mass is meant to change.
+call re-weights.  A subset's masses are the row of its frame code's statistic
+in the closed-form mass table (``gadget._statistic_masses``); at these configs
+they equal, bit for bit, the code's noiseless rows binned and summed in row
+order, as the file's ``about`` text says of the build it was recorded with.
+Each array is kept as ``dtype[shape] sha256``, so the masses are pinned bit for
+bit.  The cases are the n=3 T gadget at r=1 and r=3 and the n=3 |+i> gadget at
+r=1, each at orders 1 and 2.  Re-record only when a mass is meant to change.
 """
 
 import hashlib

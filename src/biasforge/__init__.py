@@ -4,20 +4,19 @@ Layers, bottom up:
 
 * ``gadget``    the repetition-code magic-state preparation circuit, its
                 noiseless branch table in closed form (the circuit is
-                Clifford after its CZ(theta) gates), its records stored
-                only as packed readout words and its block-3 outputs as
-                two code-space amplitudes, and the table read through
-                Pauli frame codes: the branches of a code's readout flips
-                (``enumerate_branches``), and the outcome bins of (row,
-                code) pairs (``frame_bins``), which XORs each code's flips
-                into its row's word, decodes it and reads one (row,
-                logical Pauli) class table per config at the logical
-                image of the code's block-3 Pauli.
+                Clifford after its CZ(theta) gates) over 8(n + 1) row
+                classes, each with two code-space amplitudes, its records
+                stored only as packed readout words, and the table read
+                through Pauli frame codes: the branches of a code's
+                readout flips (``enumerate_branches``), and the
+                outcome-bin masses of each statistic of a code's decode
+                fields and logical image, summed in closed form over the
+                row classes with one (row class, logical Pauli) class
+                table per config.
 * ``noise``     biased Pauli fault model: its events as frame codes
                 (``gadget.fault_frame``), exhaustive low-order fault
                 enumeration and block Monte Carlo over the gadget, both
-                reading one mass table of a code per statistic of its
-                decode fields.
+                reading the gadget's statistic mass table.
 * ``bounds``    closed-form logical error bounds at one noise point.
 * ``distill``   exact 15-qubit Reed-Muller error-detection distillation,
                 concatenation, and overhead planning.

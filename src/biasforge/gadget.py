@@ -26,7 +26,7 @@ records must be perfectly correlated or perfectly anticorrelated; the
 required Pauli correction on block 3 is read from a table keyed on
 (parity bit, b, number of +1 block-2 outcomes).  Every noiseless branch
 leaves block 3 in the code space, as u|+>^n + v|->^n, so the table is
-read, once per config, from four closed-form fidelities per branch, of
+read, once per config, from four closed-form fidelities per row class, of
 its output under I, X_L, Z_L and Y_L to the target state: a key maps to
 the logical Pauli that takes its branches' outputs to the target, and
 record keys whose branches admit no such Pauli (e.g. |alpha| in {0, n}
@@ -48,31 +48,33 @@ a negative mask, a qubit not live at its location and an X part that
 would reach a CZ(theta) are refused, in that order.
 
 Execution: no engine runs the circuit.  The noiseless circuit is Clifford
-after its CZ(theta) gates, so its branch table, each row a record, its
-probability and its block-3 amplitudes (u, v), is built in closed form,
-once per config (:func:`_noiseless_table`).  Faults run nothing either.  Every
-location a fault event meets after it fires is Clifford: Z parts commute
-with the diagonal gates, and the X events the noise model emits fire after
-a qubit's only CZ(theta).  So a fault is a Pauli frame of readout flips
-and a block-3 Pauli (:func:`fault_frame`), and a faulted branch is a
+after its CZ(theta) gates, so a noiseless row's probability and block-3
+amplitudes (u, v) depend only on its row class (zl, h = |x|, b, same),
+8(n + 1) of them, built in closed form once per config
+(:func:`_row_classes`); the branch table, each row a record, its
+probability and its (u, v), gathers its rows from them
+(:func:`_noiseless_table`).  Faults run nothing either.  Every location a
+fault event meets after it fires is Clifford: Z parts commute with the
+diagonal gates, and the X events the noise model emits fire after a
+qubit's only CZ(theta).  So a fault is a Pauli frame of readout flips and
+a block-3 Pauli (:func:`fault_frame`), and a faulted branch is a
 noiseless row read through its frame; no branch's state is formed.  A
 record is stored one way: a packed readout word, an int64 with bit m set
 where readout m reads -1.  :func:`enumerate_branches` lists the branches
 under a readout-flip mask, the noiseless rows with the mask XORed into
 their words, since rows and probabilities depend only on the readout
 flips; the block-3 Pauli, code >> M, is no property of a branch.
-:func:`frame_bins` classifies (row, frame code) pairs: the code's readout
-flips are XORed into the row's word, and the decode reads the word's bit
-fields.  A branch's class is then one lookup at its row and the logical
-image of the Pauli its correction and frame leave on block 3, which on
-the code space is fixed by the parity of the Pauli's X mask and the
-majority of its Z mask.  The decoder build (:func:`_decoder`) makes the
-correction lookup, the (B, 4) class table and the logical image of every
-block-3 Pauli once per config.  A code's masses over the rows depend on
-it only through one of 16n + 17 statistics of its decode fields and
-logical image (:func:`_frame_statistics`), so both estimators read one
-table of the masses of one code per statistic (:func:`_statistic_codes`),
-binned once per config with :func:`frame_bins`.
+
+A branch's class depends on its row's class and on the logical image of
+the Pauli its correction and frame leave on block 3, which on the code
+space is fixed by the parity of the Pauli's X mask and the majority of
+its Z mask.  The decoder build (:func:`_decoder`) makes the correction
+lookup and the (row class, logical image) class table once per config.
+A code's masses over the rows depend on it only through one of 16n + 17
+statistics of its decode fields and logical image
+(:func:`_frame_statistics`), so both estimators read one table of the
+masses of each statistic, summed in closed form over the row classes
+(:func:`_statistic_masses`); no function bins a row.
 """
 
 from __future__ import annotations
@@ -86,8 +88,7 @@ from fractions import Fraction
 
 import numpy as np
 
-# largest simulated n: _decoder holds a 2^(2n)-entry logical-image array, and the
-# state-vector oracles the tables are checked against reach n = 7
+# largest simulated n: the state-vector oracles the tables are checked against reach n = 7
 SIM_MAX_N = 7
 FRAME_BITS = 63  # a frame code (M readout flips, then a 2n-bit block-3 Pauli) is one int64
 
@@ -131,8 +132,7 @@ class GadgetConfig:
         if self.n > SIM_MAX_N:
             raise ConfigError(
                 f"code length n={self.n} exceeds SIM_MAX_N={SIM_MAX_N} "
-                "(the decoder build holds a 2^(2n)-entry logical-image array, and the state-vector "
-                "oracles that check the tables reach n=7)"
+                "(the state-vector oracles that check the tables reach n=7)"
             )
         for name, r in (("r_z", self.r_z), ("r_zz", self.r_zz)):
             if r < 1 or r % 2 == 0:
@@ -267,13 +267,12 @@ class Branches:
 
 
 @functools.lru_cache(maxsize=64)
-def _noiseless_table(cfg: GadgetConfig) -> tuple[Branches, np.ndarray]:
-    """(branches, amplitudes), read-only: the branches of the noiseless
-    circuit in closed form, which every faulted enumeration, sampled run and
-    table built from the noiseless circuit reads, and each row's block-3
-    state u|+>^n + v|->^n as a (B, 2) complex array of its unnormalised
-    (u, v), |u|^2 + |v|^2 = 16 times the row's probability, which only the
-    decoder build (:func:`_decoder`) reads.
+def _row_classes(cfg: GadgetConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(probabilities, amplitudes), read-only, of the 8(n + 1) row classes
+    (zl, h, b, same), class ((zl (n + 1) + h) 2 + b) 2 + same: the
+    probability of each noiseless row of the class and its block-3 state
+    u|+>^n + v|->^n as a (8(n + 1), 2) complex array of its unnormalised
+    (u, v), |u|^2 + |v|^2 = 16 times the probability.
 
     Everything after the CZ(theta) gates is Clifford, so each branch is a
     stabilizer computation on the product phase state they make.  In the X
@@ -281,16 +280,39 @@ def _noiseless_table(cfg: GadgetConfig) -> tuple[Branches, np.ndarray]:
     2, A_x = cos(theta/2)^(n-h) (-i sin(theta/2))^h with h = |x|.  The
     Z-parity readout zl of block 1 (Z^n flips every X bit) and the block-1
     readout x leave block 2 in A|x> + A'|~x>, A = A_x and A' = (-1)^zl
-    A_~x.  The joint readout b and the block-2 readout y, x or ~x, leave
-    block 3 in u|+>^n + v|->^n, (u, v) = (A, (-1)^b A') if y = x, else
-    (A', (-1)^b A).  A row's probability is (|A|^2 + |A'|^2) / 16, taken
-    as (c^(n-h) s^h + c^h s^(n-h)) / 16 with c = (1 + cos theta)/2 and
-    s = 1 - c, which makes every |+i> row exactly 2^-(n+3).
+    A_~x.  The joint readout b and the block-2 readout y, x (same) or ~x,
+    leave block 3 in u|+>^n + v|->^n, (u, v) = (A, (-1)^b A') if y = x,
+    else (A', (-1)^b A).  A row's probability is (|A|^2 + |A'|^2) / 16,
+    taken as (c^(n-h) s^h + c^h s^(n-h)) / 16 with c = (1 + cos theta)/2
+    and s = 1 - c, which makes every |+i> row exactly 2^-(n+3).  So a row
+    depends on x only through h, and on y only through same.
+    """
+    n = cfg.n
+    zl, h, b, same = np.unravel_index(np.arange(8 * (n + 1)), (2, n + 1, 2, 2))
+    c = (1 + math.cos(cfg.theta)) / 2
+    s = 1 - c
+    probs = (c ** (n - h) * s**h + c**h * s ** (n - h)) / 16
+    cos_half, sin_half, phase = math.cos(cfg.theta / 2), math.sin(cfg.theta / 2), np.array([1, -1j, -1, 1j])
+    a = cos_half ** (n - h) * sin_half**h * phase[h % 4]  # phase[k] = (-i)^k
+    a_bar = (1 - 2 * zl) * cos_half**h * sin_half ** (n - h) * phase[(n - h) % 4]
+    amplitudes = np.stack((np.where(same, a, a_bar), (1 - 2 * b) * np.where(same, a_bar, a)), axis=1)
+    for array in (probs, amplitudes):
+        array.flags.writeable = False
+    return probs, amplitudes
+
+
+@functools.lru_cache(maxsize=64)
+def _noiseless_table(cfg: GadgetConfig) -> tuple[Branches, np.ndarray]:
+    """(branches, amplitudes), read-only: the branches of the noiseless
+    circuit in closed form, which every faulted enumeration reads, and each
+    row's (u, v) as a (B, 2) complex array, both gathered from the row's
+    class (:func:`_row_classes`).
 
     Row index bits, most significant first, are zl, x_0 .. x_(n-1), b and
     y_0, the depth-first (+1 first) order of the records; the r_z (r_zz)
-    repeated parity readouts all read zl (b).  Rows of probability 0 are
-    left out: at theta = 0 or pi, 16 rows remain.
+    repeated parity readouts all read zl (b), and y_0 = x_0 says whether
+    the block-2 readout y is x or ~x.  Rows of probability 0 are left out:
+    at theta = 0 or pi, 16 rows remain.
     """
     n, r_z, r_zz = cfg.n, cfg.r_z, cfg.r_zz
     index = np.arange(8 << n)
@@ -299,16 +321,11 @@ def _noiseless_table(cfg: GadgetConfig) -> tuple[Branches, np.ndarray]:
     same = y_0 == x & 1  # y = x, else y = ~x
     y = np.where(same, x, x ^ (1 << n) - 1)
     words = zl * ((1 << r_z) - 1) | x << r_z | b * ((1 << r_zz) - 1) << r_z + n | y << r_z + n + r_zz
-    h = _popcount(x, n)
-    c = (1 + math.cos(cfg.theta)) / 2
-    s = 1 - c
-    probs = (c ** (n - h) * s**h + c**h * s ** (n - h)) / 16
-    cos_half, sin_half, phase = math.cos(cfg.theta / 2), math.sin(cfg.theta / 2), np.array([1, -1j, -1, 1j])
-    a = cos_half ** (n - h) * sin_half**h * phase[h % 4]  # phase[k] = (-i)^k
-    a_bar = (1 - 2 * zl) * cos_half**h * sin_half ** (n - h) * phase[(n - h) % 4]
-    u, v = np.where(same, a, a_bar), (1 - 2 * b) * np.where(same, a_bar, a)
-    kept = np.flatnonzero(probs > 0)
-    words, probs, amplitudes = words[kept], probs[kept], np.stack((u, v), axis=1)[kept]
+    probs, amplitudes = _row_classes(cfg)
+    classes = ((zl * (n + 1) + _popcount(x, n)) * 2 + b) * 2 + same
+    kept = probs[classes] > 0
+    words, classes = words[kept], classes[kept]
+    probs, amplitudes = probs[classes], amplitudes[classes]
     for array in (words, probs, amplitudes):
         array.flags.writeable = False
     return Branches(words, probs, cfg.num_measurements), amplitudes
@@ -406,8 +423,8 @@ def enumerate_branches(cfg: GadgetConfig, flips: int = 0) -> Branches:
     negated (kept per mask), each with its row's probability.  A frame
     code's block-3 Pauli, code >> M, leaves rows and probabilities as they
     are and is no part of a branch: a caller that needs it takes it from
-    the code, as :func:`frame_bins` does.  A mask outside [0, 2^M), a code
-    with block-3 Pauli bits among them, raises ValueError.
+    the code, as :func:`_frame_statistics` does.  A mask outside [0, 2^M),
+    a code with block-3 Pauli bits among them, raises ValueError.
     """
     if not 0 <= flips < 1 << cfg.num_measurements:
         raise ValueError(f"readout-flip mask {flips} is outside [0, 2^{cfg.num_measurements}): no block-3 Pauli bits")
@@ -416,8 +433,7 @@ def enumerate_branches(cfg: GadgetConfig, flips: int = 0) -> Branches:
 
 # ---------------------------------------------------------------------------
 # The logical fidelities, the decoder build (correction and class tables),
-# decoding.  _word_fields holds the decoding rule, which the decoder build
-# and frame_bins both read.
+# the frame statistics and their mass table.
 
 # Outcome bins shared by enumeration and Monte Carlo: the accepted classes I,
 # XL, ZL, YL (in the order of _logical_masks), then rejected records.
@@ -440,49 +456,50 @@ def _logical_masks(n: int) -> np.ndarray:
 
 
 def _logical_fidelities(cfg: GadgetConfig) -> np.ndarray:
-    """(B, 4) fid[row, L] = |<t| L |s>|^2 of each noiseless row's block-3
-    state s against the target t, for L in (I, XL, ZL, YL), in closed form.
+    """(8(n + 1), 4) fid[class, L] = |<t| L |s>|^2 of each row class's
+    block-3 state s against the target t, for L in (I, XL, ZL, YL), in
+    closed form; 0 for a class of probability 0, which has no rows.
 
     Both lie in the code space.  In its basis (|+>^n, |->^n), s is the
-    row's (u, v) normalised (:func:`_noiseless_table`) and t, (|0>_L +
+    class's (u, v) normalised (:func:`_row_classes`) and t, (|0>_L +
     e^{i theta}|1>_L)/sqrt(2) with |0>_L (|1>_L) the even (odd) parity half
     of |+>^n, is ((1 + e^{i theta})/2, (1 - e^{i theta})/2); X_L = X_1
     negates |->^n and Z_L = Z^n swaps the two.
     """
-    amplitudes = _noiseless_table(cfg)[1]
-    s = amplitudes / np.sqrt((abs(amplitudes) ** 2).sum(axis=1, keepdims=True))
+    amplitudes = _row_classes(cfg)[1]
+    norm = np.sqrt((abs(amplitudes) ** 2).sum(axis=1, keepdims=True))
+    s = np.divide(amplitudes, norm, out=np.zeros_like(amplitudes), where=norm > 0)
     phase = np.exp(1j * cfg.theta)
     t = np.conj([[1 + phase, 1 + phase], [1 - phase, phase - 1]]) / 2  # columns: t, X_L t
     return abs(np.concatenate((s @ t, s[:, ::-1] @ t), axis=1)) ** 2  # I, XL, then ZL, YL on Z_L s
 
 
 @functools.lru_cache(maxsize=64)
-def _decoder(cfg: GadgetConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(table, logical, lookup), read-only, built once per config from
-    the noiseless rows: their logical fidelities (:func:`_logical_fidelities`)
-    and their packed records.
+def _decoder(cfg: GadgetConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(table, lookup), read-only, built once per config from the logical
+    fidelities of the row classes (:func:`_logical_fidelities`).
 
-    Every row's block-3 state lies in the code space, so a block-3 Pauli q
-    (X mask << n | Z mask) meets it only as its logical image logical[q],
-    an index into (I, XL, ZL, YL): every X_j is X_L times stabilizers, so
-    the X part reads as X_L^(its parity); a Z mask b other than 0 and ~0
-    leaves the code space, and of b and ~b = b Z_L exactly one is a
-    correctable (weight <= (n-1)/2) Z pattern, so the Z part reads as Z_L
-    where b has majority weight.
+    Every row's block-3 state lies in the code space, so a block-3 Pauli
+    (X mask << n | Z mask) meets it only as its logical image, an index
+    into (I, XL, ZL, YL): every X_j is X_L times stabilizers, so the X part
+    reads as X_L^(its parity); a Z mask z other than 0 and ~0 leaves the
+    code space, and of z and ~z = z Z_L exactly one is a correctable
+    (weight <= (n-1)/2) Z pattern, so the Z part reads as Z_L where z has
+    majority weight (:func:`_frame_statistics`).
 
-    table[row, L] is the outcome bin of an accepted output that is the
-    row's state under a Pauli of logical image L (correction times frame
-    Pauli).  A class is the target hit with its logical Pauli and any
-    correctable Z pattern, so a stray correctable Z is I, not ZL, and
-    class c reaches fidelity fid[row, L ^ c].  The first class in bin
-    order above fidelity 0.99 wins.  An output reaching none is a
-    wrong-angle output (a logical-Z-axis rotation, e.g. a correlated ZZ
-    fault steering a record into acceptance), booked ZL as the analytic
-    Z_L budget does; for T its best fidelity goes down to 0.9 at n=3, 0.862
-    at n=5 and 0.855 at n=7.  A row's four fidelities sum to 2, so every
-    output is at fidelity at least 1/2 to some class and has a class bin.
-    A fidelity within 1e-9 of 0.99 would leave the bin to rounding:
-    CorrectionTableError.
+    table[class, L] is the outcome bin of an accepted output that is the
+    state of a row of the class under a Pauli of logical image L
+    (correction times frame Pauli).  A class is the target hit with its
+    logical Pauli and any correctable Z pattern, so a stray correctable Z
+    is I, not ZL, and class c reaches fidelity fid[class, L ^ c].  The
+    first class in bin order above fidelity 0.99 wins.  An output reaching
+    none is a wrong-angle output (a logical-Z-axis rotation, e.g. a
+    correlated ZZ fault steering a record into acceptance), booked ZL as
+    the analytic Z_L budget does; for T its best fidelity goes down to 0.9
+    at n=3, 0.862 at n=5 and 0.855 at n=7.  A row's four fidelities sum to
+    2, so every output is at fidelity at least 1/2 to some class and has a
+    class bin.  A fidelity within 1e-9 of 0.99 would leave the bin to
+    rounding: CorrectionTableError.
 
     The rule is meant for theta away from 0 and pi.  Near them rows of
     probability about 1e-16 have states within 1e-9 of the target, so at
@@ -490,37 +507,33 @@ def _decoder(cfg: GadgetConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     against 8 at 1e-3.  No figure, golden or plan reads such an angle.
 
     lookup[zl_bit, b, alpha] is the correction of a record key, an index
-    into :func:`_logical_masks`, -1 where the key is not correctable.  A
-    noiseless row's correction is the first logical Pauli L in bin order
-    with fid[row, L] > 1 - 1e-9 (-1 for none); the rows of one key must
-    agree, else CorrectionTableError.  The keys are the fields
-    (:func:`_word_fields`) of the noiseless rows' packed records
-    (:attr:`Branches.words`).
+    into :func:`_logical_masks`, -1 where the key is not correctable.  The
+    noiseless rows of class (zl, h, b, same) read the key (zl, b, n - h)
+    if same, else (zl, b, h), and their correction is the first logical
+    Pauli L in bin order with fid[class, L] > 1 - 1e-9 (-1 for none); the
+    classes of one key must agree, else CorrectionTableError.  A class
+    without rows has no such L, and shares its keys only with classes
+    without rows, since P(h) = P(n - h).
     """
     n, fid = cfg.n, _logical_fidelities(cfg)
     if np.any(np.abs(fid - _CLASS_FIDELITY) < 1e-9):
         raise CorrectionTableError(f"a class fidelity at theta={cfg.theta} lies within 1e-9 of {_CLASS_FIDELITY}")
     paulis = np.arange(4)
-    above = fid[:, paulis[:, None] ^ paulis] > _CLASS_FIDELITY  # [row, L, class]
+    above = fid[:, paulis[:, None] ^ paulis] > _CLASS_FIDELITY  # [class, L, outcome class]
     table = np.where(above.any(axis=2), above.argmax(axis=2), BIN_ZL).astype(np.int8)
-    q = np.arange(1 << 2 * n)
-    logical = ((_popcount(q >> n, n) & 1) | (_popcount(q & (1 << n) - 1, n) > n // 2) << 1).astype(np.int8)
-
-    zl_bits, bs, correlated, alphas = _word_fields(cfg, _noiseless_table(cfg)[0].words)
-    if not correlated.all():
-        raise CorrectionTableError("noiseless branch with mismatched X records")
     hits = fid > 1 - 1e-9
     found = np.where(hits.any(axis=1), hits.argmax(axis=1), -1)
     if np.all(found < 0):
         raise CorrectionTableError("no branch is Pauli-correctable to the target")
-    lookup, keys = np.full((2, 2, n + 1), -1, dtype=np.int8), (zl_bits, bs, alphas)
-    lookup[keys] = found  # a key whose rows disagree keeps one of them
+    zl, h, b, same = np.unravel_index(np.arange(8 * (n + 1)), (2, n + 1, 2, 2))
+    lookup, keys = np.full((2, 2, n + 1), -1, dtype=np.int8), (zl, b, np.where(same, n - h, h))
+    lookup[keys] = found  # a key whose classes disagree keeps one of them
     if (clash := np.flatnonzero(lookup[keys] != found)).size:
         key = tuple(int(k[clash[0]]) for k in keys)
-        raise CorrectionTableError(f"the noiseless rows of branch key {key} need different corrections")
-    for array in (table, logical, lookup):
+        raise CorrectionTableError(f"the noiseless rows of record key {key} need different corrections")
+    for array in (table, lookup):
         array.flags.writeable = False
-    return table, logical, lookup
+    return table, lookup
 
 
 def correction_table(cfg: GadgetConfig) -> dict[tuple[int, int, int], int]:
@@ -535,7 +548,7 @@ def correction_table(cfg: GadgetConfig) -> dict[tuple[int, int, int], int]:
     by the decoder.  A dict view of the lookup array of :func:`_decoder`.
     """
     masks = _logical_masks(cfg.n).tolist()
-    return {key: masks[c] for key, c in np.ndenumerate(_decoder(cfg)[2]) if c >= 0}
+    return {key: masks[c] for key, c in np.ndenumerate(_decoder(cfg)[1]) if c >= 0}
 
 
 _POPCOUNT = np.array([byte.bit_count() for byte in range(256)])
@@ -564,39 +577,14 @@ def _word_fields(cfg: GadgetConfig, words: np.ndarray):
     return zl_bit.astype(np.intp), b.astype(np.intp), correlated, n - _popcount(block2, n)
 
 
-def frame_bins(cfg: GadgetConfig, rows: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    """The outcome bin of noiseless table row ``rows[g]`` read through the
-    frame code ``codes[g]`` (:func:`fault_frame`), one per entry: the class
-    index in (I, XL, ZL, YL) of an accepted branch, BIN_REJECTED for a
-    rejected record.
-
-    The row's packed record (:attr:`Branches.words`) XOR the code's low M
-    bits is the branch's record, whose fields give its correction; the class
-    table is read at the row and the logical image of the correction times
-    the block-3 Pauli code >> M, the correction's index XOR the Pauli's
-    logical image (:func:`_decoder`).  A row outside [0, B) or a code
-    outside [0, 2^(M + 2n)) raises ValueError.
-    """
-    table, logical, lookup = _decoder(cfg)
-    words = _noiseless_table(cfg)[0].words
-    num, bits = cfg.num_measurements, cfg.num_measurements + 2 * cfg.n
-    if len(rows) and not (
-        0 <= rows.min() <= rows.max() < len(words) and 0 <= codes.min() <= int(codes.max()) < 1 << bits
-    ):
-        raise ValueError(f"rows must lie in [0, {len(words)}) and frame codes in [0, 2^{bits})")
-    zl_bit, b, correlated, alpha = _word_fields(cfg, words[rows] ^ (codes & ((1 << num) - 1)))
-    corrections = np.where(correlated, lookup[zl_bit, b, alpha], -1)
-    bins = table[rows, corrections ^ logical[codes >> num]]
-    return np.where(corrections >= 0, bins, BIN_REJECTED)
-
-
 def _frame_statistics(cfg: GadgetConfig, codes: np.ndarray) -> np.ndarray:
     """The statistic of each frame code in [0, 2^(M + 2n)), one of 16n + 17
     values: two codes of one statistic give the noiseless rows the same
     masses in every bin, up to summation order.
 
     It reads the decoder's own fields of the code's readout flips
-    (:func:`_word_fields`) and the logical image of its block-3 Pauli
+    (:func:`_word_fields`) and the logical image of its block-3 Pauli, the
+    parity of its X mask plus twice the majority of its Z mask
     (:func:`_decoder`): ((zl_bit * 2 + b) * (n + 1) + alpha) * 4 + image,
     or 16(n + 1) where the block-1 and block-2 flips F_1 and F_2 are
     uncorrelated.  That suffices.  A row repeats each parity readout, so
@@ -608,29 +596,45 @@ def _frame_statistics(cfg: GadgetConfig, codes: np.ndarray) -> np.ndarray:
     sets the alpha of their flipped records.  The Pauli meets a class only
     through its logical image.
     """
-    num = cfg.num_measurements
+    n, num = cfg.n, cfg.num_measurements
     zl_bit, b, correlated, alpha = _word_fields(cfg, codes & (1 << num) - 1)
-    stats = ((zl_bit * 2 + b) * (cfg.n + 1) + alpha) * 4 + _decoder(cfg)[1][codes >> num]
-    return np.where(correlated, stats, 16 * (cfg.n + 1))
+    image = _popcount(codes >> num + n, n) & 1 | (_popcount(codes >> num & (1 << n) - 1, n) > n // 2) << 1
+    return np.where(correlated, ((zl_bit * 2 + b) * (n + 1) + alpha) * 4 + image, 16 * (n + 1))
 
 
-def _statistic_codes(cfg: GadgetConfig) -> np.ndarray:
-    """One frame code of each statistic of :func:`_frame_statistics`, in
-    statistic order, which that function maps back to arange(16n + 17).
+@functools.lru_cache(maxsize=64)
+def _statistic_masses(cfg: GadgetConfig) -> np.ndarray:
+    """The (16n + 17, N_BINS) outcome-bin masses of each frame statistic
+    (:func:`_frame_statistics`), read-only, in closed form over the row
+    classes (:func:`_row_classes`): the one mass source of both
+    estimators.
 
-    A correlated statistic's code flips every parity readout of its set
-    zl_bit and b, the first n - alpha readouts of block 1 and of block 2,
-    and carries X_1 for an odd X parity and Z^n for a Z majority.  The
-    uncorrelated code 1 << r_z, block 1's first readout alone, comes last;
-    at n = 1 it is correlated, as every code is, and no code takes that
-    statistic.
+    Statistic (zf, bf, alpha, image) flips w = n - alpha block-2 readouts
+    F_2, and C(w, j) C(n - w, h - j) of the rows of a class (zl, h, b,
+    same) meet them in j bits: x ^ F_2 has weight d = h + w - 2j, so their
+    flipped block-2 record reads alpha' = n - d if same, else d, and their
+    key (zl ^ zf, b ^ bf, alpha') gives their correction.  The class table
+    (:func:`_decoder`) at the correction's index XOR image gives their
+    bin, BIN_REJECTED where the key is not correctable.  Each (class, j)
+    adds count times the class probability to its bin, over the (w, h, j)
+    that have rows.  The uncorrelated statistic rejects every row.
     """
-    n, r_z, r_zz = cfg.n, cfg.r_z, cfg.r_zz
-    zl_bit, b, alpha, image = np.unravel_index(np.arange(16 * (n + 1)), (2, 2, n + 1, 4))
-    votes = zl_bit * ((1 << r_z) - 1) | b * ((1 << r_zz) - 1) << r_z + n
-    flips = ((1 << n - alpha) - 1) * (1 + (1 << n + r_zz)) << r_z  # blocks 1 and 2 alike
-    pauli = (image & 1) << n | (image >> 1) * ((1 << n) - 1)
-    return np.append(votes | flips | pauli << cfg.num_measurements, 1 << r_z)
+    n, probs = cfg.n, _row_classes(cfg)[0]
+    table, lookup = _decoder(cfg)
+    with_rows = ((w, h, j) for w in range(n + 1) for h in range(n + 1) for j in range(max(0, h + w - n), min(w, h) + 1))
+    w, h, j, count = np.array([(w, h, j, math.comb(w, j) * math.comb(n - w, h - j)) for w, h, j in with_rows]).T
+    zf, bf, image, zl, b, same, t = np.indices((2, 2, 4, 2, 2, 2, len(w))).reshape(7, -1)
+    classes = ((zl * (n + 1) + h[t]) * 2 + b) * 2 + same
+    d = h[t] + w[t] - 2 * j[t]
+    corrections = lookup[zl ^ zf, b ^ bf, np.where(same, n - d, d)]
+    bins = np.where(corrections >= 0, table[classes, corrections ^ image], BIN_REJECTED)
+    slots = (((zf * 2 + bf) * (n + 1) + n - w[t]) * 4 + image) * N_BINS + bins
+    masses = np.bincount(slots, count[t] * probs[classes], (16 * n + 17) * N_BINS).reshape(-1, N_BINS)
+    masses[-1, BIN_REJECTED] = masses[0].sum()  # every row sums the branch probabilities, in some order
+    if abs(masses[0].sum() - 1.0) > 1e-8:
+        raise AssertionError(f"branch probabilities sum to {masses[0].sum()}, expected 1")
+    masses.flags.writeable = False
+    return masses
 
 
 def accept_probability_exact(n: int) -> Fraction:

@@ -30,12 +30,12 @@ every measurement branch of its frame.  A subset's outcome-bin masses do
 not depend on the rates, so they are built once per (config, order)
 (``_enumerated_combos``), and a NoiseParams costs one weight per stratum
 of subsets that fire as many z, x and zz events (``_strata``).  A
-subset's masses are a row of one table per config, the masses of one
-frame code per statistic of its decode fields
-(``gadget._frame_statistics``, 16n + 17 of them) summed over the
-noiseless rows in row order (``_statistic_masses``), which Monte Carlo
-reads too; a subset's only own work is one ``gadget.enumerate_branches``
-call on its readout flips, a cache lookup.
+subset's masses are a row of one table per config, the masses of each
+statistic of a frame code's decode fields (``gadget._frame_statistics``,
+16n + 17 of them) summed in closed form over the noiseless row classes
+(``gadget._statistic_masses``), which Monte Carlo reads too; a subset's
+only own work is one ``gadget.enumerate_branches`` call on its readout
+flips, a cache lookup.
 
 The primary e_x / e_z / e_y rates are per gadget attempt: the probability
 that a run is accepted AND delivers that logical error.  This is the
@@ -159,7 +159,7 @@ class RateEstimate:
     """Logical rates per gadget attempt, plus per-accepted-state variants.
 
     Every accepted output is booked to one class, I, XL, ZL or YL
-    (gadget.frame_bins), so ``accepted_weight`` is the share booked I plus
+    (gadget._decoder), so ``accepted_weight`` is the share booked I plus
     e_x + e_z + e_y.  The ``ci95_e_*`` fields are the 95% half-widths of
     the three rates, 0.0 for an enumerated estimate.
     """
@@ -214,10 +214,10 @@ def _enumerated_combos(cfg: gd.GadgetConfig, max_order: int):
     ``subsets`` is an (S, k) event-index matrix, padded with the event count
     (a column of zero log-odds and a zero frame code); ``masses`` is the
     (S, gadget.N_BINS) outcome-bin mass matrix.  A subset's masses are
-    those of its XOR-reduced frame code, which are those of every code of
-    its statistic (``gadget._frame_statistics``) up to summation order, so
-    they are gathered from the statistic's row of ``_statistic_masses``:
-    24 statistics for the 368 distinct codes of order 2 at n=3, r=1.
+    those of its XOR-reduced frame code, which are those of its statistic
+    (``gadget._frame_statistics``), so they are gathered from the
+    statistic's row of ``gadget._statistic_masses``: 24 statistics for
+    the 368 distinct codes of order 2 at n=3, r=1.
     Independent of NoiseParams; ``_strata``, cached per config and order,
     builds it once and keeps only its stratum sums.
 
@@ -235,34 +235,7 @@ def _enumerated_combos(cfg: gd.GadgetConfig, max_order: int):
     codes = np.bitwise_xor.reduce(np.append(frames, 0)[index], axis=1)
     for mask in (codes & ((1 << cfg.num_measurements) - 1)).tolist():
         gd.enumerate_branches(cfg, mask)  # unread: the benchmark's traced gate counts them (ROADMAP item 1(a))
-    return rates, index, _statistic_masses(cfg)[gd._frame_statistics(cfg, codes)]
-
-
-def _frame_masses(cfg: gd.GadgetConfig, codes) -> np.ndarray:
-    """The (len(codes), gadget.N_BINS) outcome-bin masses of the noiseless
-    rows read through each frame code: every row's probability summed into
-    its bin in row order, so a code's masses do not depend on how they were
-    reached.  One ``gadget.frame_bins`` call and one bincount for all the
-    codes; ``_statistic_masses`` passes 16n + 17 of them, 2^(n+3) rows each."""
-    probs = gd._noiseless_table(cfg)[0].probabilities
-    codes, rows = np.asarray(codes, dtype=np.int64), np.arange(len(probs))
-    bins = gd.frame_bins(cfg, np.tile(rows, len(codes)), codes.repeat(len(rows))).reshape(len(codes), -1)
-    # the c-th code's bin j is slot c * N_BINS + j
-    slots = (bins + gd.N_BINS * np.arange(len(codes))[:, None]).ravel()
-    return np.bincount(slots, np.tile(probs, len(codes)), len(codes) * gd.N_BINS).reshape(-1, gd.N_BINS)
-
-
-@functools.lru_cache(maxsize=64)
-def _statistic_masses(cfg: gd.GadgetConfig) -> np.ndarray:
-    """The (16n + 17, gadget.N_BINS) outcome-bin masses of each frame
-    statistic, read-only: those of its code in ``gadget._statistic_codes``
-    (``_frame_masses``), which every code of the statistic has up to
-    summation order.  The one mass source of both estimators."""
-    masses = _frame_masses(cfg, gd._statistic_codes(cfg))
-    if abs(masses[0].sum() - 1.0) > 1e-8:  # every row sums the branch probabilities, in some order
-        raise AssertionError(f"branch probabilities sum to {masses[0].sum()}, expected 1")
-    masses.flags.writeable = False
-    return masses
+    return rates, index, gd._statistic_masses(cfg)[gd._frame_statistics(cfg, codes)]
 
 
 @functools.lru_cache(maxsize=64)
@@ -319,16 +292,33 @@ def enumerate_faults(cfg: gd.GadgetConfig, params: NoiseParams, max_order: int) 
 
 @functools.lru_cache(maxsize=64)
 def _statistic_pvals(cfg: gd.GadgetConfig) -> tuple[np.ndarray, int]:
-    """(pvals, clean): each row of ``_statistic_masses`` over its sum,
-    read-only, over which a block's trials of each statistic are one
+    """(pvals, clean): each row of ``gadget._statistic_masses`` over its
+    sum, read-only, over which a block's trials of each statistic are one
     ``Generator.multinomial``, and the statistic of frame code 0, which a
     clean trial takes.  Rounding lifts some raw masses past 1 (by up to
-    1.2e-14 at n=7, theta=1), which numpy refuses; a normalised entry is
-    at most 1.  numpy gives a row's last bin, BIN_REJECTED, whatever its
-    other bins leave, and the normalised rows leave nothing there where it
-    has no mass (2^60 draws a row near theta = 0 and pi, in the tests)."""
-    masses = _statistic_masses(cfg)
+    4.4e-16 at n=5, theta=3), which numpy refuses; a normalised entry is at
+    most 1.
+
+    numpy's multinomial (read on 2.4.6; the 1.24 leg has not been run)
+    draws bin k of a row as a binomial of the trials left at ratio
+    p_k / r_k, r_k = 1 - p_0 - ... - p_(k-1) subtracted left to right,
+    sends every trial left to bin k where that ratio is 1 or more, and
+    gives the last bin, BIN_REJECTED, whatever is left.  So a row with no
+    rejected mass leaks no draw into it, however many, once its last
+    positive bin k holds p_k >= r_k.  Where rounding leaves p_k short of
+    r_k (near theta = 0 and pi), the row's largest entry is raised an ulp
+    at a time until it is not: by one ulp, 1.1e-16 relative at most, on
+    every short row of 144 configs (n in {3, 5, 7}, four (r_z, r_zz),
+    theta within 1e-3 to 1e-12 of 0 and pi, 0.3 and 2.5)."""
+    masses = gd._statistic_masses(cfg)
     pvals = masses / masses.sum(axis=1, keepdims=True)
+    rows = np.flatnonzero(pvals[:, gd.BIN_REJECTED] == 0)
+    while rows.size:
+        row = pvals[rows]
+        at = np.arange(len(rows)), gd.BIN_REJECTED - 1 - (row[:, gd.BIN_REJECTED - 1 :: -1] > 0).argmax(axis=1)
+        short = row[at] < np.subtract.accumulate(np.insert(row, 0, 1.0, axis=1), axis=1)[at]  # p_k < r_k
+        rows, largest = rows[short], row.argmax(axis=1)[short]
+        pvals[rows, largest] = np.nextafter(pvals[rows, largest], 2.0)
     pvals.flags.writeable = False
     return pvals, int(gd._frame_statistics(cfg, np.zeros(1, dtype=np.int64))[0])
 

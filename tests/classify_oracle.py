@@ -1,16 +1,18 @@
 """Reference states and classifier of gadget outputs, one state vector at a time.
 
-The package never forms a branch's block-3 state: a branch is a noiseless
-row read through a frame, its noiseless state is two code-space amplitudes,
-and outputs are classified from the (row, logical Pauli) class table of the
-one decoder build per config (``gadget._decoder``).  This module forms the
-2^n states (``target_state``, ``expand_states``) and states the same rule
-on them, by their overlaps with the target's Pauli images under every
-correctable Z pattern, and is the oracle the tests check the table and the
-engine against.
+The package never forms a branch's block-3 state, nor bins a branch: its
+noiseless rows fall into 8(n + 1) row classes, each with two code-space
+amplitudes, and a frame code's outcome-bin masses are summed in closed
+form over the classes (``gadget._statistic_masses``) from the (class,
+logical Pauli) table and the correction lookup of the one decoder build
+per config (``gadget._decoder``).  This module forms the 2^n states
+(``target_state``, ``expand_states``) and states the same rule on them,
+by their overlaps with the target's Pauli images under every correctable
+Z pattern, and is the oracle the tests check the tables against.
 
-It also keeps a record-matrix classifier, the oracle of
-``gadget.frame_bins``, which decodes packed readout words by bit fields:
+It also keeps a record-matrix classifier, the oracle of the mass table:
+a frame code's masses are its branches' probabilities summed into their
+``record_bins`` in row order.
 
 * ``rows_under_frames`` reads noiseless rows through the readout flips of
   frame codes as (G, M) +/-1 record matrices, ``Runs`` that name the row
@@ -18,9 +20,10 @@ It also keeps a record-matrix classifier, the oracle of
   from its own index, ``source_rows``);
 * ``record_fields`` and ``decode_records`` decode the records by sums over
   their columns;
-* ``record_bins`` reads the decoder's class table at each branch's row
-  and the logical image of its correction times the block-3 Pauli of its
-  frame code.
+* ``record_bins`` reads the decoder's class table at the class of each
+  branch's row (``row_classes``, found from the row's record) and at the
+  logical image (``logical_images``) of its correction times the block-3
+  Pauli of its frame code.
 
 A branch carries no Pauli: ``gadget.enumerate_branches`` takes a
 readout-flip mask (``readout_flips`` of a frame code), and the helpers
@@ -185,22 +188,44 @@ def record_fields(cfg: gd.GadgetConfig, records: np.ndarray):
 
 def decode_records(cfg: gd.GadgetConfig, records: np.ndarray):
     """(zl_bit, b, correction): the correction is an index into
-    gadget._logical_masks (the logical Pauli applied to block 3), -1 for a
-    rejected record."""
+    CLASS_ORDER (the logical Pauli applied to block 3), -1 for a rejected
+    record."""
     zl_bit, b, correlated, alpha = record_fields(cfg, records)
-    return zl_bit, b, np.where(correlated, gd._decoder(cfg)[2][zl_bit, b, alpha], -1)
+    return zl_bit, b, np.where(correlated, gd._decoder(cfg)[1][zl_bit, b, alpha], -1)
+
+
+def row_classes(cfg: gd.GadgetConfig) -> np.ndarray:
+    """The row class ((zl (n + 1) + h) 2 + b) 2 + same of each noiseless
+    row, from its record: zl and b its parity readouts, h its block-1 -1
+    count and same whether its block-2 readouts equal its block-1 ones."""
+    n, r_z, r_zz = cfg.n, cfg.r_z, cfg.r_zz
+    records = gd._noiseless_table(cfg)[0].records
+    block1, block2 = records[:, r_z : r_z + n], records[:, r_z + n + r_zz :]
+    zl, b = records[:, 0] < 0, records[:, r_z + n] < 0
+    return ((zl * (n + 1) + (block1 < 0).sum(axis=1)) * 2 + b) * 2 + (block1 == block2).all(axis=1)
+
+
+def logical_images(n: int, paulis) -> np.ndarray:
+    """The index into CLASS_ORDER of the logical image of each block-3
+    Pauli X mask << n | Z mask on the code space: X_L to the parity of its
+    X mask (every X_j is X_0 times stabilizers), times Z_L where its Z
+    mask has majority weight (of z and ~z = z Z_L, the one of weight
+    <= (n-1)/2 is a correctable pattern)."""
+    weight = np.array([m.bit_count() for m in range(1 << n)])
+    paulis = np.asarray(paulis)
+    return weight[paulis >> n] % 2 + 2 * (weight[paulis & ((1 << n) - 1)] > n // 2)
 
 
 def record_bins(cfg: gd.GadgetConfig, branches: gd.Branches, codes=0) -> np.ndarray:
     """Per-branch outcome bin: the class index in (I, XL, ZL, YL) of an
     accepted branch, BIN_REJECTED for a rejected record: the class table
-    read at the branch's noiseless row and the logical image of its
-    correction times the block-3 Pauli of its frame code, ``codes`` one
-    for all branches or one per branch."""
+    read at the class of the branch's noiseless row and the logical image
+    of its correction times the block-3 Pauli of its frame code, ``codes``
+    one for all branches or one per branch."""
     corrections = decode_records(cfg, branches.records)[2]
-    table, logical = gd._decoder(cfg)[:2]
-    paulis = np.asarray(codes) >> cfg.num_measurements
-    bins = table[source_rows(branches), logical[gd._logical_masks(cfg.n)[corrections] ^ paulis]]
+    masks = np.array([xs << cfg.n | zs for xs, zs in logical_paulis(cfg.n).values()])
+    paulis = masks[corrections] ^ (np.asarray(codes) >> cfg.num_measurements)
+    bins = gd._decoder(cfg)[0][row_classes(cfg)[source_rows(branches)], logical_images(cfg.n, paulis)]
     return np.where(corrections >= 0, bins, gd.BIN_REJECTED)
 
 

@@ -16,26 +16,29 @@
   against the dense reference, and rows drawn by inverse CDF over their
   probabilities, a draw inside a row's slice picking that row, land on
   the enumerated branches.
-* ``gadget.frame_bins`` decodes packed readout words by bit fields; on
-  every noiseless row under random frame codes it must give the bins of
-  the record-matrix classifier ``classify_oracle.record_bins``.
+* ``gadget._statistic_masses`` sums each frame statistic's masses in
+  closed form over the 8(n + 1) row classes; the masses of every
+  statistic and of seeded raw codes, at n = 1 to 7 and five theta
+  including 1e-7 and pi - 1e-7, and of random codes and every single
+  fault event's code, must lie within 1e-13 relative of the record-matrix
+  oracle's row-order binning (``classify_oracle.record_bins`` summed in
+  row order), with the same zeros, and bit for bit at n=3 T and +i.
 * ``gadget.fault_frame`` reads one backward frame table per config; for
   every single-qubit Z, X and Y at every location and on every qubit, and
   for random fault lists, it must give the code of the forward walk
   ``classify_oracle.forward_frame``, or raise the same exception class.
 * Each of the n + 3 independent kernel directions of the frame codes must
-  leave every bin as it is: on all codes and rows at n=3, r=1, and on
-  seeded codes and rows at other n, r and theta.
+  leave every code's masses as they are, up to summation order: on all
+  codes at n=3, r=1, and on seeded codes at other n, r and theta.
 * ``gadget._frame_statistics`` maps a frame code to one of 16n + 17
-  statistics of its decode fields; on seeded codes at several n, r and
-  theta, every code's masses must lie within 1e-14 of those of its
-  statistic's first code, with the same zeros, and all codes at n=3, r=1
-  must take all 65 statistics.  ``gadget._statistic_codes`` must give one
-  code per statistic, in statistic order, at n = 1 to 7.
+  statistics of its decode fields and logical image; all codes at n=3,
+  r=1 must take all 65 statistics, and the oracle test's one code per
+  statistic must map to it, in statistic order, at n = 1 to 7.
 * ``golden/enumerated_masses.json`` holds a SHA-256 of the rate, subset
   and mass arrays of ``noise._enumerated_combos``; they must stay
   bit-identical.  Every subset's masses must equal, bit for bit, its frame
-  code's noiseless rows binned and summed in row order.
+  code's noiseless rows binned by the record oracle and summed in row
+  order.
 * ``golden/noiseless_tables.json`` holds a SHA-256 of the records,
   probabilities and states of the closed-form noiseless branch table, the
   states expanded from its (u, v) amplitudes; they must stay bit-identical
@@ -45,16 +48,17 @@
   relative, |u|^2 + |v|^2 within 1e-14 relative of 16 times the
   probability, and states within 1e-14 up to global phase.
 * Outputs are classified from one class table per config, keyed on the
-  noiseless row and the logical image of the block-3 Pauli q =
-  correction times frame Pauli, its X parity and Z majority.  At every
-  (noiseless row, q), or at a seeded sample of them at n=7, ``frame_bins``
-  must give the bin of the fidelity rule that ``classify_oracle``
-  evaluates on the row's state under its correction times q, and the
-  table that rule's bin on the row's state under q.  The four logical
-  fidelities of every row must sum to 2, and those of a correctable T row
-  read 1 at its correction and 1/2 at its XL and YL neighbours.  On a
-  grid of angles, 1e-7 from 0 and pi among them, every row's best must
-  exceed 1/2 and every class-table entry must be one of the four classes.
+  row class and the logical image of the block-3 Pauli q = correction
+  times frame Pauli, its X parity and Z majority.  At every (noiseless
+  row, q), or at a seeded sample of them at n=7, the record oracle must
+  give the bin of the fidelity rule that ``classify_oracle`` evaluates on
+  the row's state under its correction times q, and the table at the
+  row's class that rule's bin on the row's state under q.  The four
+  logical fidelities of every row class must sum to 2, and those of a
+  correctable T row read 1 at its correction and 1/2 at its XL and YL
+  neighbours.  On a grid of angles, 1e-7 from 0 and pi among them, every
+  row's best must exceed 1/2 and every class-table entry must be one of
+  the four classes.
 """
 
 import dataclasses
@@ -81,11 +85,13 @@ from classify_oracle import (
     decode_records,
     expand_states,
     forward_frame,
+    logical_images,
     mask,
     noiseless_states,
     readout_flips,
     record_bins,
     reference_events,
+    row_classes,
     rows_under_frames,
 )
 from classify_oracle import outcome_bins as oracle_bins
@@ -248,7 +254,8 @@ def test_frame_branches_match_state_vector_runs(case):
     runs = rows_under_frames(cfg, rows, frames)
     assert np.array_equal(runs.records, branches.records)
     assert np.array_equal(runs.probabilities, branches.probabilities)
-    assert np.array_equal(gd.frame_bins(cfg, rows, frames), record_bins(cfg, branches, code))
+    assert np.array_equal(record_bins(cfg, runs, frames), record_bins(cfg, branches, code))
+    _assert_table_matches_the_record_oracle(cfg, np.array([code]))
     run_states = branch_states(cfg, runs, frames)
     assert all(np.array_equal(run[2], branch[2]) for run, branch in zip(run_states, branch_states(cfg, branches, code)))
     for record, probability, state in run_states:
@@ -312,13 +319,15 @@ def test_midpoint_draws_pick_their_rows_under_every_single_event_frame(cfg):
     middle = (np.append(0.0, cum[:-1]) + cum) / 2 / cum[-1]
     rows = _inverse_cdf(cfg, middle)
     assert np.array_equal(rows, np.arange(len(cum)))
-    for code in np.unique(nz._event_table(cfg)[1]):
+    codes = np.unique(nz._event_table(cfg)[1])
+    for code in codes:
         frames = np.full(len(rows), code)
         runs = rows_under_frames(cfg, rows, frames)
         branches = gd.enumerate_branches(cfg, readout_flips(cfg, int(code)))
         assert np.array_equal(runs.records, branches.records)
         assert np.array_equal(runs.probabilities, branches.probabilities)
-        assert np.array_equal(gd.frame_bins(cfg, rows, frames), record_bins(cfg, branches, code))
+        assert np.array_equal(record_bins(cfg, runs, frames), record_bins(cfg, branches, code))
+    _assert_table_matches_the_record_oracle(cfg, codes)
 
 
 def _frame_or_refusal(frame, cfg, faults):
@@ -430,6 +439,28 @@ def test_codes_with_block3_pauli_bits_are_refused(cfg):
         assert len(gd.enumerate_branches(cfg, readout_flips(cfg, code))) == len(gd.enumerate_branches(cfg))
 
 
+def _oracle_masses(cfg, codes):
+    """The (len(codes), N_BINS) masses of the record oracle: every
+    noiseless row read through each frame code, its probability summed
+    into its ``record_bins`` bin in row order."""
+    probs = gd.enumerate_branches(cfg).probabilities
+    rows, frames = np.tile(np.arange(len(probs)), len(codes)), np.repeat(codes, len(probs))
+    bins = record_bins(cfg, rows_under_frames(cfg, rows, frames), frames)
+    slots = bins + gd.N_BINS * np.arange(len(codes)).repeat(len(probs))  # code c's bin j is slot c * N_BINS + j
+    return np.bincount(slots, np.tile(probs, len(codes)), len(codes) * gd.N_BINS).reshape(-1, gd.N_BINS)
+
+
+def _assert_table_matches_the_record_oracle(cfg, codes):
+    """The mass table's rows at the statistics of ``codes`` lie within
+    1e-13 relative of the record oracle's row-order masses, with the same
+    zeros; returns the oracle's masses."""
+    want = _oracle_masses(cfg, codes)
+    got = gd._statistic_masses(cfg)[gd._frame_statistics(cfg, codes)]
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+    assert np.array_equal(got == 0, want == 0)
+    return want
+
+
 _FRAME_BIN_CASES = [
     *(gd.GadgetConfig.t_state(n, r) for n in (1, 3, 5, 7) for r in (1, 3, 5)),
     gd.GadgetConfig.plus_i(3),
@@ -443,31 +474,15 @@ _FRAME_BIN_CASES = [
     "cfg", _FRAME_BIN_CASES, ids=lambda c: f"{_THETA_NAMES.get(c.theta, 'custom')}-n{c.n}-rz{c.r_z}-rzz{c.r_zz}"
 )
 def test_frame_bins_match_the_record_oracle(cfg):
-    # every noiseless row under the empty frame, 64 uniform frame codes and
-    # 64 codes of two set bits (few flips, so many records are accepted):
-    # the packed-word decode bins as the record-matrix oracle does
+    # a frame's bins: under the empty frame, 64 uniform frame codes and 64
+    # codes of two set bits (few flips, so many records are accepted), the
+    # mass table's rows are the record oracle's binning of every noiseless row
     width = cfg.num_measurements + 2 * cfg.n
     rng = np.random.default_rng(31)
     sparse = np.bitwise_xor.reduce(1 << rng.integers(width, size=(64, 2)), axis=1)
     codes = np.concatenate([[0], rng.integers(1 << width, size=64), sparse])
-    rows = np.arange(len(gd.enumerate_branches(cfg))).repeat(len(codes))
-    frames = np.tile(codes, len(rows) // len(codes))
-    want = record_bins(cfg, rows_under_frames(cfg, rows, frames), frames)
-    assert np.array_equal(gd.frame_bins(cfg, rows, frames), want)
-    assert len(set(want.tolist())) > 2
-
-
-@pytest.mark.parametrize(
-    "row, code", [(-1, 0), (64, 0), (0, -1), (0, 1 << 14)], ids=["row-1", "row-B", "code-1", "code-top"]
-)
-def test_frame_bins_refuse_rows_and_codes_outside_their_range(row, code):
-    # a negative code would give a negative block-3 Pauli, which indexes the
-    # logical-image array from its end and bins the row silently wrong
-    cfg = gd.GadgetConfig.t_state(3, 1)  # B = 64 noiseless rows, codes of M + 2n = 14 bits
-    last = gd.frame_bins(cfg, np.array([63]), np.array([(1 << 14) - 1]))
-    assert len(gd.enumerate_branches(cfg)) == 64 and len(last) == 1
-    with pytest.raises(ValueError, match="rows must lie in"):
-        gd.frame_bins(cfg, np.array([0, row]), np.array([0, code]))
+    want = _assert_table_matches_the_record_oracle(cfg, codes)
+    assert np.count_nonzero(want.any(axis=0)) > 2
 
 
 def test_faulted_branches_are_read_only():
@@ -580,12 +595,13 @@ _ORACLE_CASES = [  # (config, sampled pairs or None for all)
     "cfg, sampled", _ORACLE_CASES, ids=[f"{_THETA_NAMES.get(cfg.theta, 'custom')}-n{cfg.n}" for cfg, _ in _ORACLE_CASES]
 )
 def test_class_table_matches_the_oracle(cfg, sampled):
-    # at every (noiseless row, q), or at a seeded sample of them, frame_bins
-    # under the code q << M gives the oracle's bin of the row's state under
-    # its correction times q (BIN_REJECTED where the row is rejected), and
-    # the class table, which rejected rows reach under readout flips, holds
-    # the oracle's bin of the row's state under q: on every q only the X
-    # parity and the Z majority matter
+    # at every (noiseless row, q), or at a seeded sample of them, the record
+    # oracle's bin under the code q << M is the state-vector oracle's bin of
+    # the row's state under its correction times q (BIN_REJECTED where the
+    # row is rejected), and the class table at the row's class, which
+    # rejected rows reach under readout flips, holds the state-vector bin of
+    # the row's state under q: on every q only the X parity and the Z
+    # majority matter
     n, num = cfg.n, cfg.num_measurements
     states = noiseless_states(cfg)
     found = corrections(cfg, gd.enumerate_branches(cfg).records)
@@ -603,45 +619,46 @@ def test_class_table_matches_the_oracle(cfg, sampled):
     want = np.empty(len(paulis), dtype=np.int64)
     for p, group in zip(distinct.tolist(), np.split(order, starts[1:])):
         want[group] = oracle_bins(apply_pauli(states[at[group]], n, (p >> n, p & ((1 << n) - 1))), cfg)
-    table, logical = gd._decoder(cfg)[:2]
-    assert np.array_equal(table[rows, logical[qs]], want[: len(qs)])
+    table = gd._decoder(cfg)[0]
+    assert np.array_equal(table[row_classes(cfg)[rows], logical_images(n, qs)], want[: len(qs)])
     fixed = np.where(accepted[rows], want[len(qs) :], gd.BIN_REJECTED)
-    assert np.array_equal(gd.frame_bins(cfg, rows, qs << num), fixed)
+    assert np.array_equal(record_bins(cfg, rows_under_frames(cfg, rows, qs << num), qs << num), fixed)
 
 
 @pytest.mark.parametrize("n", [1, 3, 5, 7])
 def test_class_tables_hold_only_the_four_classes(n):
     # a row's four logical fidelities sum to 2, so its best is at least 1/2
     # and every accepted output has a class: the bins are I, XL, ZL, YL and
-    # rejected, at every angle, down to 1e-7 from 0 and pi
+    # rejected, at every angle, down to 1e-7 from 0 and pi, on every class
+    # with rows
     for theta in (-2.0, 0.0, 1e-7, math.pi / 4, 1.0, math.pi / 2, 2.5, math.pi - 1e-7, math.pi):
         cfg = gd.GadgetConfig.custom(n, theta)
-        table, logical = gd._decoder(cfg)[:2]
-        assert table.shape == (len(gd.enumerate_branches(cfg)), 4) and logical.shape == (1 << 2 * n,), cfg
-        assert np.all(gd._logical_fidelities(cfg).max(axis=1) > 0.5 + 1e-9), cfg
+        table = gd._decoder(cfg)[0]
+        assert table.shape == (8 * (n + 1), 4), cfg
+        assert np.all(gd._logical_fidelities(cfg)[row_classes(cfg)].max(axis=1) > 0.5 + 1e-9), cfg
         assert set(np.unique(table).tolist()) <= {0, gd.BIN_XL, gd.BIN_ZL, gd.BIN_YL}, cfg
 
 
 @pytest.mark.parametrize("n", [1, 3, 5, 7])
 def test_logical_fidelities_take_their_analytic_values(n):
-    # sum_P |<t|P|s>|^2 = 2 over the four Paulis of one qubit, on every row;
-    # a correctable T row reads 1 at its correction, and X_L and Y_L take
-    # |T>_L to states at fidelity exactly 1/2 to it
+    # sum_P |<t|P|s>|^2 = 2 over the four Paulis of one qubit, on every row
+    # class; a correctable T row reads 1 at its correction, and X_L and Y_L
+    # take |T>_L to states at fidelity exactly 1/2 to it
     for cfg in (gd.GadgetConfig.t_state(n), gd.GadgetConfig.plus_i(n), gd.GadgetConfig.custom(n, 1.0)):
         fid = gd._logical_fidelities(cfg)
-        assert fid.shape == (len(gd.enumerate_branches(cfg)), 4), cfg
+        assert fid.shape == (8 * (n + 1), 4), cfg
         np.testing.assert_allclose(fid.sum(axis=1), 2, rtol=0, atol=1e-12)
     cfg = gd.GadgetConfig.t_state(n)
     found = decode_records(cfg, gd.enumerate_branches(cfg).records)[2]
     rows = np.flatnonzero(found >= 0)
     assert len(rows) > 0
-    fid, fixes = gd._logical_fidelities(cfg)[rows], found[rows, None]
+    fid, fixes = gd._logical_fidelities(cfg)[row_classes(cfg)[rows]], found[rows, None]
     np.testing.assert_allclose(np.take_along_axis(fid, fixes, axis=1), 1, rtol=0, atol=1e-12)
     np.testing.assert_allclose(np.take_along_axis(fid, fixes ^ [gd.BIN_XL, gd.BIN_YL], axis=1), 0.5, rtol=0, atol=1e-12)
 
 
 def _kernel_directions(cfg):
-    """The n + 3 frame codes no bin sees, in the frame-code layout (r_z
+    """The n + 3 frame codes no mass sees, in the frame-code layout (r_z
     readouts, block 1, r_zz readouts, block 2, then the block-3 Z and X
     masks): X_j X_(j+1) on block 3, every r_z readout with X_L = X_0, every
     r_z and r_zz readout, every block-1 readout, and every block-2 readout
@@ -663,32 +680,32 @@ def _gf2_rank(vectors):
     return len(basis)
 
 
-def _bins_keep(cfg, rows, codes):
-    """Whether every kernel direction leaves the bin of each (row, code)
-    pair as it is."""
-    want = gd.frame_bins(cfg, rows, codes)
-    return all(np.array_equal(gd.frame_bins(cfg, rows, codes ^ d), want) for d in _kernel_directions(cfg))
+def _assert_masses_keep(cfg, codes):
+    """Every kernel direction leaves the mass table's row of each code as
+    it is, up to summation order: within 1e-13 relative, with the same
+    zeros."""
+    table = gd._statistic_masses(cfg)
+    want = table[gd._frame_statistics(cfg, codes)]
+    for d in _kernel_directions(cfg):
+        got = table[gd._frame_statistics(cfg, codes ^ d)]
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+        assert np.array_equal(got == 0, want == 0)
 
 
 def test_no_bin_sees_the_kernel_on_any_code_at_the_anchor():
-    # all 2^14 frame codes under each of the 64 noiseless rows at n=3, r=1
+    # all 2^14 frame codes at n=3, r=1
     cfg = gd.GadgetConfig.t_state(3, 1)
-    width = cfg.num_measurements + 2 * cfg.n
-    codes, rows = np.arange(1 << width), np.arange(len(gd.enumerate_branches(cfg)))
-    assert _bins_keep(cfg, np.tile(rows, len(codes)), codes.repeat(len(rows)))
+    _assert_masses_keep(cfg, np.arange(1 << cfg.num_measurements + 2 * cfg.n))
 
 
 @pytest.mark.parametrize("theta", [math.pi / 4, math.pi / 2, 1.0, 1e-7, math.pi - 1e-7], ids=lambda t: f"theta{t:.3g}")
 @pytest.mark.parametrize("n, r_z, r_zz", [(1, 1, 1), (3, 1, 1), (3, 3, 3), (3, 1, 3), (5, 3, 1), (7, 1, 1)])
 def test_no_bin_sees_the_kernel_on_random_codes(n, r_z, r_zz, theta):
-    # 4,096 seeded codes, each under 16 seeded rows, half of them flipping
-    # blocks 1 and 2 alike so that their records stay correlated and most
-    # are accepted; the n + 3 directions are independent
+    # 4,096 seeded codes, half of them flipping blocks 1 and 2 alike so
+    # that their records stay correlated and most are accepted; the n + 3
+    # directions are independent
     cfg = gd.GadgetConfig(n, theta, r_z, r_zz)
-    rng = np.random.default_rng(1509)
-    codes = _seeded_codes(cfg, rng, 4096)
-    rows = rng.integers(len(gd.enumerate_branches(cfg)), size=16 * len(codes))
-    assert _bins_keep(cfg, rows, codes.repeat(16))
+    _assert_masses_keep(cfg, _seeded_codes(cfg, np.random.default_rng(1509), 4096))
     assert _gf2_rank(_kernel_directions(cfg)) == n + 3
 
 
@@ -702,19 +719,35 @@ def _seeded_codes(cfg, rng, size):
     return np.where(np.arange(size) % 2, codes, alike)
 
 
+def _statistic_codes(cfg):
+    """One frame code of each statistic of gadget._frame_statistics, in
+    statistic order.  A correlated statistic's code flips every parity
+    readout of its set zl_bit and b, the first n - alpha readouts of block
+    1 and of block 2, and carries X_1 for an odd X parity and Z^n for a Z
+    majority.  The uncorrelated code 1 << r_z, block 1's first readout
+    alone, comes last; at n = 1 it is correlated, as every code is, and no
+    code takes that statistic."""
+    n, r_z, r_zz = cfg.n, cfg.r_z, cfg.r_zz
+    zl_bit, b, alpha, image = np.unravel_index(np.arange(16 * (n + 1)), (2, 2, n + 1, 4))
+    votes = zl_bit * ((1 << r_z) - 1) | b * ((1 << r_zz) - 1) << r_z + n
+    flips = ((1 << n - alpha) - 1) * (1 + (1 << n + r_zz)) << r_z  # blocks 1 and 2 alike
+    pauli = (image & 1) << n | (image >> 1) * ((1 << n) - 1)
+    return np.append(votes | flips | pauli << cfg.num_measurements, 1 << r_z)
+
+
 @pytest.mark.parametrize("theta", [math.pi / 4, math.pi / 2, 1.0, 1e-7, math.pi - 1e-7], ids=lambda t: f"theta{t:.3g}")
-@pytest.mark.parametrize("n, r_z, r_zz", [(1, 1, 1), (3, 1, 1), (3, 3, 3), (3, 1, 3), (5, 3, 1), (7, 1, 1)])
+@pytest.mark.parametrize(
+    "n, r_z, r_zz",
+    [*((n, r_z, r_zz) for n in (1, 3, 5, 7) for r_z, r_zz in ((1, 1), (3, 1), (1, 5))), (3, 3, 3), (3, 1, 3)],
+)
 def test_masses_depend_only_on_the_frame_statistic(n, r_z, r_zz, theta):
-    # 512 seeded codes, half of them correlated: each code's masses are
-    # those of the first code of its statistic up to summation order, with
-    # the same zeros
+    # the closed-form table against the record oracle's row-order binning:
+    # one code of every statistic and 64 seeded raw codes, half of them
+    # correlated, each read over every noiseless row, within 1e-13 relative
+    # of its statistic's row, with the same zeros
     cfg = gd.GadgetConfig(n, theta, r_z, r_zz)
-    codes = _seeded_codes(cfg, np.random.default_rng(1509), 512)
-    _, first, inverse = np.unique(gd._frame_statistics(cfg, codes), return_index=True, return_inverse=True)
-    masses = nz._frame_masses(cfg, codes)
-    want = masses[first][inverse]
-    np.testing.assert_allclose(masses, want, rtol=0, atol=1e-14)
-    assert np.array_equal(masses == 0, want == 0)
+    codes = np.concatenate([_statistic_codes(cfg), _seeded_codes(cfg, np.random.default_rng(1509), 64)])
+    _assert_table_matches_the_record_oracle(cfg, codes)
 
 
 def test_frame_codes_take_every_statistic_at_the_anchor():
@@ -728,11 +761,12 @@ def test_frame_codes_take_every_statistic_at_the_anchor():
 @pytest.mark.parametrize("theta", [math.pi / 4, math.pi / 2, 1.0], ids=lambda t: f"theta{t:.3g}")
 @pytest.mark.parametrize("n", [1, 3, 5, 7])
 def test_statistic_codes_invert_the_statistic(n, theta):
-    # one code per statistic, in statistic order; the last, uncorrelated
-    # one exists only for n > 1, since at n = 1 every code is correlated
+    # the oracle test's codes reach every row of the table: one code per
+    # statistic, in statistic order; the last, uncorrelated one exists only
+    # for n > 1, since at n = 1 every code is correlated
     for r_z, r_zz in ((1, 1), (3, 1), (1, 5)):
         cfg = gd.GadgetConfig(n, theta, r_z, r_zz)
-        codes = gd._statistic_codes(cfg)
+        codes = _statistic_codes(cfg)
         assert codes.shape == (16 * n + 17,) and codes.dtype == np.int64
         assert 0 <= codes.min() and codes.max() < 1 << cfg.num_measurements + 2 * n
         stats = gd._frame_statistics(cfg, codes)
@@ -749,8 +783,8 @@ def _mass_digests(cfg, order):
 
 @pytest.mark.parametrize("case", MASSES["cases"], ids=lambda c: f"{c['gadget']}-order{c['order']}")
 def test_enumerated_masses_match_golden_digests(case):
-    # recorded by scripts/record_enumerated_masses.py; every mass is its
-    # frame's noiseless rows summed in row order, which must not move a bit
+    # recorded by scripts/record_enumerated_masses.py; every mass must not
+    # move a bit
     assert _mass_digests(ENUMERATED[case["gadget"]], case["order"]) == case["arrays"]
 
 
@@ -768,16 +802,14 @@ STATISTIC_COUNTS = {"T-r1": (7, 24), "T-r3": (8, 23), "plusI-r1": (7, 24)}
 @pytest.mark.parametrize("order", (1, 2))
 @pytest.mark.parametrize("name", ["T-r1", "T-r3", "plusI-r1"])
 def test_subset_masses_are_row_order_sums_of_their_frames(name, order):
-    # a subset's masses are its frame code's noiseless rows binned and summed
-    # in row order, bit for bit, whatever path built them
+    # at n=3, T and +i, a subset's masses from the closed-form table are,
+    # bit for bit, its frame code's noiseless rows binned by the record
+    # oracle and summed in row order
     cfg = ENUMERATED[name]
     _, index, masses = nz._enumerated_combos(cfg, order)
-    probs = gd.enumerate_branches(cfg).probabilities
-    rows, codes = np.arange(len(probs)), _subset_codes(cfg, index)
+    codes, inverse = np.unique(_subset_codes(cfg, index), return_inverse=True)
     assert len(np.unique(gd._frame_statistics(cfg, codes))) == STATISTIC_COUNTS[name][order - 1]
-    for s, code in enumerate(codes.tolist()):
-        want = np.bincount(gd.frame_bins(cfg, rows, np.full(len(rows), code)), probs, gd.N_BINS)
-        assert np.array_equal(masses[s], want), (s, code)
+    assert np.array_equal(masses, _oracle_masses(cfg, codes)[inverse])
 
 
 def _counting(monkeypatch, names):
@@ -800,11 +832,11 @@ def _counting(monkeypatch, names):
 
 def test_cold_enumeration_build_peaks_under_2_mb():
     # a cold order-2 build at n=3, r=3, its statistic mass table included,
-    # bins the table's 65 codes in one frame_bins call
+    # summed in closed form over the row classes
     cfg = gd.GadgetConfig.t_state(3, r=3)
     nz._enumerated_combos(cfg, 2)  # build the noiseless, class and event tables first
     gd._flipped.cache_clear()
-    nz._statistic_masses.cache_clear()
+    gd._statistic_masses.cache_clear()
     tracemalloc.start()
     try:
         nz._enumerated_combos(cfg, 2)
@@ -817,19 +849,20 @@ def test_cold_enumeration_build_peaks_under_2_mb():
 @pytest.mark.parametrize("order, branch_calls", [(1, 80), (2, 3161)])
 def test_enumeration_classifies_in_batches(monkeypatch, order, branch_calls):
     # one enumerate_branches call per subset (the benchmark counts them) but
-    # one frame_bins call, which builds the statistic mass table, and one
-    # fault_frame call per fault event: subsets reach the gadget as XORed
-    # codes.  Each enumerate_branches call, whose result is unread, gets the
-    # code's low M bits, below 2^M.
+    # one build of the statistic mass table and one fault_frame call per
+    # fault event: subsets reach the gadget as XORed codes.  Each
+    # enumerate_branches call, whose result is unread, gets the code's low M
+    # bits, below 2^M.
     cfg = gd.GadgetConfig.t_state(3, r=1)
     codes, enumerate_branches = [], gd.enumerate_branches
     monkeypatch.setattr(gd, "enumerate_branches", lambda cfg, code: codes.append(code) or enumerate_branches(cfg, code))
-    calls = _counting(monkeypatch, ["frame_bins", "fault_frame"])
+    calls = _counting(monkeypatch, ["fault_frame"])
     nz._event_table.cache_clear()
-    nz._statistic_masses.cache_clear()
+    gd._statistic_masses.cache_clear()
     subsets = _subset_codes(cfg, nz._enumerated_combos(cfg, order)[1])
     assert len(np.unique(subsets)) == {1: 32, 2: 368}[order]
-    assert len(codes) == branch_calls and calls == {"frame_bins": 1, "fault_frame": 79}
+    assert len(codes) == branch_calls and calls == {"fault_frame": 79}
+    assert gd._statistic_masses.cache_info().misses == 1
     assert 0 <= min(codes) <= max(codes) < 1 << cfg.num_measurements
 
 
@@ -874,7 +907,8 @@ def test_outcome_bins_agree_with_scalar_decoding():
     code = gd.fault_frame(cfg, faults)
     assert code >> cfg.num_measurements  # the X on qubit 6 stays on block 3
     branches = gd.enumerate_branches(cfg, readout_flips(cfg, code))
-    bins = gd.frame_bins(cfg, np.arange(len(branches)), np.full(len(branches), code))
+    bins = record_bins(cfg, branches, code)
+    _assert_table_matches_the_record_oracle(cfg, np.array([code]))
     for (record, _, state), got in zip(branch_states(cfg, branches, code), bins):
         [correction] = corrections(cfg, [record])  # one record at a time
         if correction is None:

@@ -17,6 +17,7 @@ from classify_oracle import (
     logical_paulis,
     mask,
     readout_flips,
+    record_bins,
     rows_under_frames,
     state_fidelity,
     target_state,
@@ -200,19 +201,21 @@ class TestCorrectionTable:
 
     @pytest.mark.parametrize("uncorrectable_first", [True, False], ids=["uncorrectable-first", "target-first"])
     def test_rows_of_one_key_needing_different_corrections_are_refused(self, monkeypatch, uncorrectable_first):
-        # Two noiseless rows whose records are all +1 share the key (0, 0, 3).
-        # One holds the target; the other (|0>_L + 0.3|1>_L)/norm, which no
+        # The row classes (zl, h, b, same) = (0, 0, 0, same) and (0, 3, 0,
+        # ~same), classes 1 and 12, both read the all +1 key (0, 0, 3).  One
+        # holds the target; the other (|0>_L + 0.3|1>_L)/norm, which no
         # logical Pauli takes to it and which lies off both class fidelity
-        # thresholds.  The key has no one correction, in either row order.
-        # Each row is its (u, v) on |+>^3 and |->^3, |u|^2 + |v|^2 = 16 x 0.5.
+        # thresholds.  The key has no one correction, in either class order.
+        # Each class is its (u, v) on |+>^3 and |->^3, |u|^2 + |v|^2 = 16 x
+        # its probability; the other classes keep the T gadget's own.
         cfg = gd.GadgetConfig.t_state(3)
+        probs, amplitudes = gd._row_classes(cfg)
         phase = np.exp(1j * cfg.theta)
-        target = np.array([1 + phase, 1 - phase]) * np.sqrt(2)  # |0>_L (|1>_L) is (|+>^3 + (-) |->^3)/sqrt(2)
-        stray = np.array([1.3, 0.7]) * np.sqrt(8 / 2.18)
-        amplitudes = np.array([stray, target] if uncorrectable_first else [target, stray])
-        words = np.zeros(2, dtype=np.int64)  # every readout +1
-        branches = gd.Branches(words, np.full(2, 0.5), cfg.num_measurements)
-        monkeypatch.setattr(gd, "_noiseless_table", lambda _: (branches, amplitudes))
+        target = np.array([1 + phase, 1 - phase]) * np.sqrt(4 * probs[1])  # |0>_L (|1>_L): (|+>^3 +- |->^3)/sqrt(2)
+        stray = np.array([1.3, 0.7]) * np.sqrt(16 * probs[12] / 2.18)
+        amplitudes = amplitudes.copy()
+        amplitudes[[1, 12]] = [stray, target] if uncorrectable_first else [target, stray]
+        monkeypatch.setattr(gd, "_row_classes", lambda _: (probs, amplitudes))
         gd._decoder.cache_clear()
         try:
             with pytest.raises(gd.CorrectionTableError, match=r"key \(0, 0, 3\)"):
@@ -278,8 +281,9 @@ def _rows_with(cfg, forced):
 
 
 def _bins(cfg, runs):
-    """The package's outcome bins of runs under the empty frame."""
-    return gd.frame_bins(cfg, runs.rows, np.zeros(len(runs), dtype=np.int64))
+    """The outcome bins of runs under the empty frame: the decoder's class
+    table and correction lookup, read by the record oracle."""
+    return record_bins(cfg, runs)
 
 
 class TestRun:
@@ -336,7 +340,7 @@ def _decode(cfg, record):
     must agree with the oracle's decode of the record matrix."""
     word = np.array([sum(1 << m for m, readout in enumerate(record) if readout < 0)])
     zl_bit, b, correlated, alpha = (int(field[0]) for field in gd._word_fields(cfg, word))
-    got = zl_bit, b, int(gd._decoder(cfg)[2][zl_bit, b, alpha]) if correlated else -1
+    got = zl_bit, b, int(gd._decoder(cfg)[1][zl_bit, b, alpha]) if correlated else -1
     assert got == tuple(int(a[0]) for a in decode_records(cfg, np.array([record], dtype=np.int8)))
     return got
 

@@ -429,7 +429,7 @@ def test_per_config_tables_stay_bounded_over_many_configs():
     finally:
         tracemalloc.stop()
     assert retained < 10 * 2**20, retained
-    for cache in (nz._event_table, nz._strata, nz._statistic_masses, nz._statistic_pvals):
+    for cache in (nz._event_table, nz._strata, nz._statistic_pvals, gd._row_classes, gd._statistic_masses):
         assert cache.cache_info().currsize <= 64, cache
 
 
@@ -524,14 +524,14 @@ class TestMonteCarlo:
 
 
 @pytest.mark.parametrize(
-    "n, theta, over", [(3, math.pi / 4, False), (3, 1e-5, True), (5, 1.0, True), (7, 1.0, True), (1, math.pi / 2, False)]
+    "n, theta, over", [(3, math.pi / 4, False), (3, 3.0, True), (5, 3.0, True), (7, 0.5, True), (1, math.pi / 2, False)]
 )
 def test_statistic_rows_handed_to_numpy_lie_in_the_unit_interval(n, theta, over):
-    # rounding lifts some raw masses past 1 (by up to 1.2e-14 at n=7,
-    # theta=1), which Generator.multinomial refuses; each row over its sum
+    # rounding lifts some raw masses past 1 (by up to 4.4e-16 at n=5,
+    # theta=3), which Generator.multinomial refuses; each row over its sum
     # lies in [0, 1], with the raw row's zeros, within 1e-13 of it
     cfg = gd.GadgetConfig(n, theta, 1, 1)
-    masses = nz._statistic_masses(cfg)
+    masses = gd._statistic_masses(cfg)
     pvals, _ = nz._statistic_pvals(cfg)
     assert pvals.shape == masses.shape == (16 * n + 17, gd.N_BINS) and not pvals.flags.writeable
     assert 0.0 <= pvals.min() and pvals.max() <= 1.0
@@ -551,7 +551,7 @@ def test_statistic_rows_leak_nothing_into_zero_mass_bins(n, unrejected, theta):
     # Near theta = 0 and pi, rows with no rejected mass and several bins
     # exist; 2^60 draws on every row leave every zero-mass bin empty
     cfg = gd.GadgetConfig(n, theta, 1, 1)
-    masses = nz._statistic_masses(cfg)
+    masses = gd._statistic_masses(cfg)
     pvals, _ = nz._statistic_pvals(cfg)
     assert np.sum((masses[:, gd.BIN_REJECTED] == 0) & ((masses > 0).sum(axis=1) > 1)) == unrejected
     draws = np.random.default_rng(1509).multinomial(np.full(len(pvals), 2**60), pvals)
@@ -597,7 +597,7 @@ def _per_trial_counts(cfg, params, seed, trials):
     trial at a time.  Each block draws from default_rng([seed, block]), as
     _mc_counts does: its fired (trial, event) cells with
     noise._sample_fires, then one multinomial of its trial count per frame
-    statistic over the normalised rows of noise._statistic_masses.  A
+    statistic over the normalised rows of gadget._statistic_masses.  A
     faulted trial's code is the frame of its fired events' (location, X
     mask, Z mask) faults; its masses, the record-matrix oracle's bins of
     the branches under the code's readout flips summed by probability,
@@ -605,7 +605,7 @@ def _per_trial_counts(cfg, params, seed, trials):
     clean trial takes code 0's statistic, whose row the oracle checks on
     the noiseless branches."""
     events = reference_events(cfg)
-    table = nz._statistic_masses(cfg)
+    table = gd._statistic_masses(cfg)
     pvals = table / table.sum(axis=1, keepdims=True)
     clean = gd._frame_statistics(cfg, np.zeros(1, dtype=np.int64))[0]
     noiseless = gd.enumerate_branches(cfg)
